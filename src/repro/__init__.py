@@ -27,7 +27,12 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.adversary.base import Adversary
-from repro.analysis.campaign import ScenarioSpec, run_campaign, scenario_grid
+from repro.analysis.campaign import (
+    COIN_REGISTRY,
+    ScenarioSpec,
+    run_campaign,
+    scenario_grid,
+)
 from repro.analysis.experiments import TrialConfig, TrialResult, run_trial
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.interfaces import CoinAlgorithm
@@ -135,13 +140,11 @@ def coin_by_name(name: str, n: int, f: int) -> Callable[[], CoinAlgorithm]:
     (recommended for end-to-end demonstrations), 'local' a deliberately
     non-common coin used for ablations.
     """
-    if name == "oracle":
-        return lambda: OracleCoin()
-    if name == "gvss":
-        return lambda: FeldmanMicaliCoin(n, f)
-    if name == "local":
-        return lambda: LocalCoin()
-    raise ConfigurationError(f"unknown coin {name!r}; try oracle, gvss or local")
+    if name not in COIN_REGISTRY:
+        raise ConfigurationError(
+            f"unknown coin {name!r}; known: {sorted(COIN_REGISTRY)}"
+        )
+    return COIN_REGISTRY[name](n, f)
 
 
 def synchronize(

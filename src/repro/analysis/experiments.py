@@ -187,9 +187,9 @@ def run_trial(config: TrialConfig, seed: int) -> TrialResult:
     simulation.add_monitor(monitor)
     tracer = None
     if config.trace:
-        from repro.net.trace import Tracer
+        from repro.net.trace import Tracer, clock_probe
 
-        tracer = Tracer(lambda root: getattr(root, "clock_value", None))
+        tracer = Tracer(clock_probe)
         simulation.add_monitor(tracer)
     if config.scramble:
         simulation.scramble()

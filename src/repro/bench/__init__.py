@@ -1,13 +1,12 @@
 """Unified benchmark subsystem: registry, result schema, harness, gate.
 
-Replaces the twelve bespoke ``benchmarks/bench_*.py`` harnesses with one
-stack:
+One stack for every experiment that produces a number:
 
 * :mod:`repro.bench.registry` — :class:`Benchmark` registrations with
   tiers (``smoke`` ⊂ ``full`` ⊂ ``nightly``) and per-tier parameters;
 * :mod:`repro.bench.result` — the ``repro-bench-result/1`` JSON schema
   every benchmark emits (:class:`BenchResult`);
-* :mod:`repro.bench.suites` — the twelve ported benchmark definitions;
+* :mod:`repro.bench.suites` — the benchmark definitions;
 * :mod:`repro.bench.harness` — execution + persistence
   (``benchmarks/results/*.json``, repo-root ``BENCH_summary.json``);
 * :mod:`repro.bench.gate` — baseline comparison and CI regression

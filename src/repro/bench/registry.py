@@ -1,9 +1,8 @@
 """The benchmark registry: every experiment as one named registration.
 
-The twelve legacy ``benchmarks/bench_*.py`` scripts each carried their
-own timing/JSON/argparse boilerplate; here they are plain data — a name,
-a tier, a parameter dict, and a runner callable — so the CLI, CI, the
-pytest shims and the regression gate all drive the same definitions.
+Every experiment is plain data — a name, a tier, a parameter dict, and
+a runner callable — so the CLI, CI and the regression gate all drive the
+same definitions (``python -m repro bench run --only NAME`` runs one).
 
 Tiers are cumulative: ``smoke`` ⊂ ``full`` ⊂ ``nightly``.  A
 benchmark's ``tier`` is the *cheapest* selection that includes it
@@ -31,16 +30,14 @@ class Benchmark:
     """One registered benchmark.
 
     Attributes:
-        name: registry key; matches its ``benchmarks/bench_<name>.py``
-            pytest shim and its ``benchmarks/results/<name>.json`` file.
+        name: registry key; matches its ``repro.bench.suites`` module
+            and its ``benchmarks/results/<name>.json`` file.
         tier: cheapest tier that includes the benchmark.
         runner: ``runner(**params) -> BenchOutcome``.
         params: base (full-tier) keyword parameters for the runner.
         tier_params: per-tier parameter overrides, merged over ``params``
             when executing at that tier.
         description: one-liner shown by ``python -m repro bench list``.
-        source: the legacy ``benchmarks/`` entry point this registration
-            ports (kept as its thin pytest shim).
     """
 
     name: str
@@ -49,7 +46,6 @@ class Benchmark:
     params: Mapping[str, object] = field(default_factory=dict)
     tier_params: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     description: str = ""
-    source: str = ""
 
     def __post_init__(self) -> None:
         if self.tier not in TIERS:

@@ -1,11 +1,9 @@
 """Benchmark suite definitions.
 
 Importing this package populates :data:`repro.bench.registry.REGISTRY`:
-the twelve benchmarks ported from the legacy ``benchmarks/bench_*.py``
-scripts, the live-runtime throughput benchmark, the cross-protocol
-comparison over the Protocol seam, and the continuous-time pulse
-precision suite (every registration has a thin pytest shim under
-``benchmarks/``).  Module name == registry name == shim file suffix.
+the twelve figure/table benchmarks, the live-runtime throughput
+benchmark, the cross-protocol comparison over the Protocol seam, and the
+continuous-time pulse precision suite.  Module name == registry name.
 """
 
 from repro.bench.suites import (  # noqa: F401  (imports register benchmarks)

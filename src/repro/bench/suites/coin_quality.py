@@ -149,6 +149,5 @@ register(
         params={"beats": 60, "min_probability": 0.15},
         description="GVSS coin P(E0)/P(E1) under escalating attacks, "
                     "plus the documented mixed-dealing break",
-        source="benchmarks/bench_coin_quality.py",
     )
 )

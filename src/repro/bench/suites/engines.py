@@ -281,7 +281,7 @@ register(
                 "sizes": ((7, 2, 200),),
                 "large_sizes": (),
                 "repeats": 1,
-                # The old --smoke guard: fast within 2x of reference; the
+                # The CI guard: fast within 2x of reference; the
                 # bulk engine must merely not lose outright at n=7.
                 "min_speedup_each": 0.5,
                 "min_speedup_at_largest": 0.5,
@@ -290,6 +290,5 @@ register(
         },
         description="beats/sec of reference vs fast vs bulk engines "
                     "across system sizes, plus gated trajectory digests",
-        source="benchmarks/bench_engines.py",
     )
 )

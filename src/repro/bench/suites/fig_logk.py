@@ -150,6 +150,5 @@ register(
         },
         description="convergence vs clock modulus: doubling tower pays "
                     "log k, squaring pays 2 layers, clock-sync stays flat",
-        source="benchmarks/bench_fig_logk.py",
     )
 )

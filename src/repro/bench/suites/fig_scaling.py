@@ -143,6 +143,5 @@ register(
         },
         description="convergence latency vs n: flat (current) / linear "
                     "(deterministic) / exponential (dolev-welch)",
-        source="benchmarks/bench_fig_scaling.py",
     )
 )

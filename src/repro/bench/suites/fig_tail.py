@@ -98,6 +98,5 @@ register(
                 "checkpoints": (4, 8, 16, 32, 64)},
         description="geometric convergence tail of ss-Byz-2-Clock "
                     "(survival function + fitted per-beat success)",
-        source="benchmarks/bench_fig_tail.py",
     )
 )

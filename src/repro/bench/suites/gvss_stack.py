@@ -91,6 +91,5 @@ register(
         params={"n": 4, "f": 1, "k": 16, "beats": 40, "seed": 3},
         description="end-to-end ss-Byz-Clock-Sync over the real GVSS coin "
                     "(algebraic-substrate canary)",
-        source="benchmarks/bench_gvss_stack.py",
     )
 )

@@ -256,6 +256,5 @@ register(
         },
         description="convergence vs. bounded delay and omission loss, "
                     "three protocol families",
-        source="benchmarks/bench_link_conditions.py",
     )
 )

@@ -158,6 +158,5 @@ register(
                 "share_saving": 0.85},
         description="message complexity vs n + the Remark 4.1 shared-coin "
                     "ablation",
-        source="benchmarks/bench_messages.py",
     )
 )

@@ -132,6 +132,5 @@ register(
         },
         description="every registered protocol at matched n/f: "
                     "stabilization beats, messages, success (all gated)",
-        source="benchmarks/bench_protocol_comparison.py",
     )
 )

@@ -305,6 +305,5 @@ register(
                     "codec on LocalTransport, with gated trace digests "
                     "against the lock-step simulator (bare and "
                     "telemetry-enabled — the no-perturbation invariant)",
-        source="benchmarks/bench_runtime_throughput.py",
     )
 )

@@ -155,6 +155,5 @@ register(
                 "cur_seeds": 8, "combined_seeds": 5},
         description="Table 1 reproduction: expected-constant vs O(f) vs "
                     "expected-exponential families",
-        source="benchmarks/bench_table1.py",
     )
 )

@@ -559,6 +559,21 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_beats(result, show: int) -> None:
+    """The first ``show`` beats of a live result, one clock row each."""
+    for record in result.records[:show]:
+        cells = " ".join(
+            f"{record.values[i]:>4}" if record.values[i] is not None else "   ⊥"
+            for i in sorted(record.values)
+        )
+        print(f"  beat {record.beat:>3} | {cells}")
+
+
+def _skew_text(result) -> str:
+    skew = result.pulse_skew_s
+    return "n/a" if skew is None else f"{skew * 1000:.2f}ms"
+
+
 def _cmd_runtime(args: argparse.Namespace) -> int:
     protocol = resolve_protocol(args.protocol)
     coin_factory = coin_by_name(args.coin, args.n, args.f)
@@ -596,12 +611,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         f"{coin_note} adversary={args.adversary} seed={args.seed} "
         f"transport={result.transport} codec={result.codec}{sync_note}"
     )
-    for record in result.records[: args.show]:
-        cells = " ".join(
-            f"{record.values[i]:>4}" if record.values[i] is not None else "   ⊥"
-            for i in sorted(record.values)
-        )
-        print(f"  beat {record.beat:>3} | {cells}")
+    _print_beats(result, args.show)
     health = " ".join(
         f"{name}={count}" for name, count in result.health.items()
     )
@@ -612,18 +622,13 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     print(f"  health    | {health}")
     print(f"  frames    | {result.frames_sent} total ({frames})")
     if result.sync == "pulse":
-        skew = (
-            f"{result.pulse_skew_s * 1000:.2f}ms"
-            if result.pulse_skew_s is not None
-            else "n/a"
-        )
         t_conv = (
             f" converged_t={result.converged_time_s:.3f}s"
             if result.converged_time_s is not None
             else ""
         )
         print(
-            f"  pulse     | max skew {skew}, "
+            f"  pulse     | max skew {_skew_text(result)}, "
             f"{result.pulse_timeouts} pulse timeouts{t_conv}"
         )
     if args.trace_path:
@@ -691,25 +696,14 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         except TransportError as error:
             print(f"error: {error}", file=sys.stderr)
             return 1
-        for record in result.records[: args.show]:
-            cells = " ".join(
-                f"{record.values[i]:>4}"
-                if record.values[i] is not None else "   ⊥"
-                for i in sorted(record.values)
-            )
-            print(f"  beat {record.beat:>3} | {cells}")
+        _print_beats(result, args.show)
         health = " ".join(
             f"{name}={count}" for name, count in result.health.items()
         )
         print(f"  health   | {health}")
         if result.sync == "pulse":
-            skew = (
-                f"{result.pulse_skew_s * 1000:.2f}ms"
-                if result.pulse_skew_s is not None
-                else "n/a"
-            )
             print(
-                f"  pulse    | max within-worker skew {skew}, "
+                f"  pulse    | max within-worker skew {_skew_text(result)}, "
                 f"{result.pulse_timeouts} pulse timeouts"
             )
         if args.trace_dir:

@@ -22,8 +22,8 @@ secrets of the locally accepted (grade >= 1) dealers:
 
 Consequently P(E0) and P(E1) are each ``1/2 - (divergence probability)/2``;
 the divergence probability is bounded by adversarial dealings being
-mixed-grade, measured (not assumed) in ``benchmarks/bench_coin_quality.py``
-and EXPERIMENTS.md.  Fault-free, the coin is a perfect common uniform bit.
+mixed-grade, measured (not assumed) by
+``python -m repro bench run --only coin_quality``.  Fault-free, the coin is a perfect common uniform bit.
 """
 
 from __future__ import annotations

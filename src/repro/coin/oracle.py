@@ -12,7 +12,7 @@ Unpredictability holds by construction: the outcome is resolved lazily from
 a per-key seed, the adversary may query it no earlier than the instance's
 final round (rushing, §6.1), and the *foresight* ablation deliberately
 violates this to demonstrate the property is necessary (see
-``benchmarks/bench_fig_foresight.py``).
+``python -m repro bench run --only fig_foresight``).
 
 Protocol-level theorem tests (Theorems 2-4) run against this coin so that
 they verify the paper's reductions and not the luck of a particular coin

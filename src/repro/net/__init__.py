@@ -25,6 +25,7 @@ from repro.net.environment import (
     CoinOutcome,
     Environment,
 )
+from repro.net.inbox import BeatInbox
 from repro.net.linkmodel import (
     DEFAULT_LINK,
     LINK_MODELS,
@@ -48,10 +49,12 @@ from repro.net.trace import (
     records_from_jsonl,
     records_to_jsonl,
 )
+from repro.net.world import World
 
 __all__ = [
     "BROADCAST",
     "BeatContext",
+    "BeatInbox",
     "BeatRecord",
     "BoundedDelayLinks",
     "CoinOutcome",
@@ -93,6 +96,7 @@ __all__ = [
     "Simulation",
     "Tracer",
     "UPDATE",
+    "World",
     "derive_seed",
     "records_from_jsonl",
     "records_to_jsonl",

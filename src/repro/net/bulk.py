@@ -981,7 +981,7 @@ class BulkEngine(FastEngine):
                                 )
                             )
             for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
+                _craft_byzantine(simulation.world, beat, visible)
             ):
                 stats.record(envelope, honest=False)
                 receiver = envelope.receiver

@@ -61,6 +61,7 @@ from repro.net.network import MessageStats, Router, ensure_faulty_senders
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
+    from repro.net.world import World
 
 __all__ = [
     "ENGINES",
@@ -73,22 +74,22 @@ __all__ = [
 
 
 def _craft_byzantine(
-    simulation: "Simulation", beat: int, visible: list[Envelope]
+    world: "World", beat: int, visible: list[Envelope]
 ) -> list[Envelope]:
     """Run the adversary phase and validate the crafted traffic."""
     from repro.adversary.base import AdversaryView
 
     view = AdversaryView(
         beat=beat,
-        n=simulation.n,
-        f=simulation.f,
-        faulty_ids=simulation.faulty_ids,
+        n=world.n,
+        f=world.f,
+        faulty_ids=world.faulty_ids,
         visible_messages=visible,
-        env=simulation.env,
-        rng=simulation.adversary_rng,
+        env=world.env,
+        rng=world.adversary_rng,
     )
-    crafted = list(simulation.adversary.craft_messages(view))
-    return ensure_faulty_senders(simulation.faulty_ids, crafted)
+    crafted = list(world.adversary.craft_messages(view))
+    return ensure_faulty_senders(world.faulty_ids, crafted)
 
 
 @runtime_checkable
@@ -165,7 +166,7 @@ class ReferenceEngine:
             visible = [
                 e for e in honest_envelopes if e.receiver in simulation.faulty_ids
             ]
-            byzantine_envelopes = _craft_byzantine(simulation, beat, visible)
+            byzantine_envelopes = _craft_byzantine(simulation.world, beat, visible)
         if not (
             self._link.is_perfect
             or (not self._in_flight and self._link.perfect_at(beat))
@@ -431,7 +432,7 @@ class FastEngine:
         # -- adversary phase ----------------------------------------------
         if adversary_active:
             for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
+                _craft_byzantine(simulation.world, beat, visible)
             ):
                 stats.record(envelope, honest=False)
                 if envelope.receiver in nodes:
@@ -568,7 +569,7 @@ class FastEngine:
         # -- adversary phase ----------------------------------------------
         if adversary_active:
             for seq, envelope in enumerate(
-                _craft_byzantine(simulation, beat, visible)
+                _craft_byzantine(simulation.world, beat, visible)
             ):
                 stats.record(envelope, honest=False)
                 dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))

@@ -37,14 +37,15 @@ campaign worker counts, and the order in which draws are first asked
 for.  The load-bearing correctness argument is the **differential pin**:
 at ``rho = 0`` and ``delay_bounds = (0, 0)`` every pulse coincides,
 every close lands exactly one period later, and the event-driven
-execution replays the lock-step engines *bit-identically* — same seed
-discipline (``"env"``, ``"adversary"``, ``("node", i)``, ``"faults"``
-labels of :class:`~repro.net.rng.SeedSequence`), same canonical
-``(sender, seq)`` inbox order the live runtime's barrier sorts by, same
-rushing-adversary view order.  ``tests/test_event_engine.py`` enforces
-this against :class:`~repro.net.engine.ReferenceEngine` across seeds,
-and the gated ``pulse_precision`` bench pins the shared JSONL trace
-digests in CI.
+execution replays the lock-step engines *bit-identically*.  What makes
+that so is shared code, not a convention kept in step: the system is the
+one :class:`~repro.net.world.World` every path builds, the beat-close
+rule is the :class:`~repro.net.inbox.BeatInbox` the live barrier also
+drives (see ARCHITECTURE.md, "Shared kernel"), and the rushing
+adversary's view order is the engines'.  ``tests/test_event_engine.py`` enforces the pin
+against :class:`~repro.net.engine.ReferenceEngine` across seeds, and the
+gated ``pulse_precision`` bench pins the shared JSONL trace digests in
+CI.
 
 With drift or delay switched on, the lock-step guarantee becomes a
 *precision* question: pulse coincidence degrades at up to
@@ -58,17 +59,24 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.errors import ConfigurationError, check_resilience
+from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import _craft_byzantine
-from repro.net.environment import Environment
+from repro.net.inbox import BeatInbox, group_by_path
 from repro.net.message import Envelope
 from repro.net.network import MessageStats
 from repro.net.node import Node
-from repro.net.rng import SeedSequence, derive_seed
-from repro.net.trace import BeatRecord, records_to_jsonl
+from repro.net.rng import derive_seed
+from repro.net.trace import (
+    BeatRecord,
+    TrajectoryResult,
+    clock_probe,
+    history_rows,
+    records_from_traces,
+)
+from repro.net.world import World
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.adversary.base import Adversary
@@ -216,37 +224,26 @@ class EventHeap:
         return bool(self._heap)
 
 
-#: Inbox entry: the runtime barrier's canonical sort key + envelope.
-_Entry = tuple[tuple[int, int], Envelope]
-
-
-class PulseSynchronizer:
+class PulseSynchronizer(BeatInbox):
     """Maps one beat-driven :class:`~repro.net.node.Node` tower onto
     pulses of a drifting clock.
 
     The node fires pulse ``b`` when its local clock crosses
     ``b * period``: the beat-``b`` send phase runs at that instant, and
     the beat closes — update phase over everything that arrived in time
-    — at pulse ``b + 1``.  Arrivals tagged for an already-closed beat
-    are counted in ``late_messages`` and dropped, exactly the live
-    barrier's semantics; traffic that did arrive is sorted by the
-    barrier's canonical ``(sender, seq)`` key, which at zero drift and
-    zero delay reproduces the lock-step engines' stable sender-sorted
-    delivery order bit-for-bit.
+    — at pulse ``b + 1``.  Buffering, the late count-and-drop and the
+    canonical inbox order are the shared :class:`BeatInbox` rule, the
+    very code the live barrier runs.
     """
 
-    __slots__ = (
-        "clock", "late_messages", "node", "trace", "_closed", "_pending",
-    )
+    __slots__ = ("clock", "node", "trace")
 
     def __init__(self, node: Node, clock: DriftingClock) -> None:
+        super().__init__()
         self.node = node
         self.clock = clock
-        self.late_messages = 0
         #: Per-beat probe values, appended at each close: ``(beat, value)``.
         self.trace: list[tuple[int, Any]] = []
-        self._pending: dict[int, list[_Entry]] = {}
-        self._closed = -1  # highest beat whose barrier has closed
 
     def pulse_time(self, beat: int) -> float:
         """Real time of this node's pulse ``beat`` (send phase)."""
@@ -260,29 +257,19 @@ class PulseSynchronizer:
         """Fire pulse ``beat``: run the send phase, return its envelopes."""
         return self.node.send_phase(beat)
 
-    def deliver(self, beat: int, key: tuple[int, int], envelope: Envelope) -> bool:
-        """Buffer one arrival for ``beat``; False (and counted) if late."""
-        if beat <= self._closed:
-            self.late_messages += 1
-            return False
-        self._pending.setdefault(beat, []).append((key, envelope))
-        return True
+    # Named in this class's own namespace, not merely inherited: the beat
+    # ledger instruments ``PulseSynchronizer.deliver`` where it is defined.
+    deliver = BeatInbox.deliver
 
     def close(self, beat: int, probe: Callable[[Component], Any]) -> None:
         """Close beat ``beat``: update phase over the sorted inbox, then
         probe the tower for the trace."""
-        entries = self._pending.pop(beat, [])
-        entries.sort(key=lambda entry: entry[0])
-        inboxes: dict[str, list[Envelope]] = {}
-        for _key, envelope in entries:
-            inboxes.setdefault(envelope.path, []).append(envelope)
-        self.node.update_phase(beat, inboxes)
-        self._closed = beat
+        self.node.update_phase(beat, group_by_path(self.close_entries(beat)))
         self.trace.append((beat, probe(self.node.root)))
 
 
 @dataclass(frozen=True)
-class ContinuousResult:
+class ContinuousResult(TrajectoryResult):
     """Outcome of one continuous-time run.
 
     ``records`` carries the per-beat honest probe values in the shared
@@ -310,38 +297,16 @@ class ContinuousResult:
     converged_time: "float | None" = None
     duration: float = 0.0
 
-    @property
-    def converged(self) -> bool:
-        return self.converged_beat is not None
-
-    @property
-    def history(self) -> tuple[tuple, ...]:
-        """Per-beat honest values, node-id-sorted — the monitors' shape."""
-        return tuple(
-            tuple(record.values[i] for i in sorted(record.values))
-            for record in self.records
-        )
-
-    def to_jsonl(self) -> str:
-        """The trajectory in the shared JSONL trace format."""
-        return records_to_jsonl(self.records)
-
-
-def _default_probe(root: Component) -> Any:
-    """Snapshot the tower's clock value (every clock tower exposes one)."""
-    return getattr(root, "clock_value", None)
-
 
 class ContinuousSimulation:
     """An event-driven continuous-time run of one protocol stack.
 
-    Mirrors the :class:`~repro.net.simulator.Simulation` constructor and
-    its exact :class:`~repro.net.rng.SeedSequence` discipline (``"env"``,
-    ``"adversary"``, ``("node", i)``, ``"faults"`` — plus one extra
-    keyed ``"timing"`` seed that feeds clock rates and delay draws and
-    therefore cannot disturb the shared streams), then executes pulses,
-    arrivals and the adversary phase from a deterministic event heap
-    instead of a beat loop.
+    Mirrors the :class:`~repro.net.simulator.Simulation` constructor,
+    builds the same :class:`~repro.net.world.World` (whose keyed
+    ``timing_seed`` feeds clock rates and delay draws and therefore
+    cannot disturb the shared streams), then executes pulses, arrivals
+    and the adversary phase from a deterministic event heap instead of a
+    beat loop.
 
     Args:
         n, f: system size and fault parameter.
@@ -375,53 +340,35 @@ class ContinuousSimulation:
         pulse_period: float = 1.0,
         root_path: str = "root",
         enforce_resilience: bool = True,
-        probe: Callable[[Component], Any] = _default_probe,
+        probe: Callable[[Component], Any] = clock_probe,
     ) -> None:
-        if enforce_resilience:
-            check_resilience(n, f)
-        elif n < 1 or f < 0 or f >= n:
-            raise ConfigurationError(f"nonsensical sizes n={n}, f={f}")
-        d_min, d_max = delay_bounds
+        self.world = world = World.build(
+            n,
+            f,
+            root_factory,
+            adversary=adversary,
+            seed=seed,
+            root_path=root_path,
+            enforce_resilience=enforce_resilience,
+        )
         self.n = n
         self.f = f
         self.seed = seed
         self.rho = rho
+        d_min, d_max = delay_bounds
         self.delay_bounds = (float(d_min), float(d_max))
         self.pulse_period = pulse_period
         self.root_path = root_path
         self.probe = probe
         self.stats = MessageStats()
-        self.seeds = SeedSequence(seed)
-        self.env = Environment(n, self.seeds.seed_for("env"))
+        self.env = world.env
         self.adversary = adversary
-        self._adversary_rng = self.seeds.stream("adversary")
-        if adversary is not None:
-            faulty = adversary.select_faulty(n, f, self._adversary_rng)
-            if len(faulty) > f:
-                raise ConfigurationError(
-                    f"adversary corrupted {len(faulty)} nodes, but f={f}"
-                )
-            if any(i not in range(n) for i in faulty):
-                raise ConfigurationError("adversary corrupted unknown node ids")
-            self.faulty_ids = frozenset(faulty)
-            adversary.setup(n, f, self.faulty_ids, self._adversary_rng)
-            self.env.divergence_chooser = adversary.choose_divergent_outputs
-        else:
-            self.faulty_ids = frozenset()
-        self.honest_ids = [i for i in range(n) if i not in self.faulty_ids]
-        self.nodes = {
-            i: Node(
-                i,
-                n,
-                f,
-                root_factory(i),
-                self.seeds.stream("node", i),
-                self.env,
-                root_path=root_path,
-            )
-            for i in self.honest_ids
-        }
-        timing_seed = self.seeds.seed_for("timing")
+        #: RNG stream reserved for the adversary (the engines' seam).
+        self.adversary_rng = world.adversary_rng
+        self.faulty_ids = world.faulty_ids
+        self.nodes = world.nodes
+        self.honest_ids = list(world.nodes)
+        timing_seed = world.timing_seed
         self.delays = KeyedDelays(timing_seed, *self.delay_bounds)
         self.synchronizers = {
             i: PulseSynchronizer(
@@ -429,13 +376,7 @@ class ContinuousSimulation:
             )
             for i, node in self.nodes.items()
         }
-        self._fault_rng = self.seeds.stream("faults")
         self.beats_run = 0
-
-    @property
-    def adversary_rng(self):
-        """RNG stream reserved for the adversary (the engines' seam)."""
-        return self._adversary_rng
 
     @property
     def late_messages(self) -> int:
@@ -448,18 +389,8 @@ class ContinuousSimulation:
 
     def scramble(self, node_ids: Iterable[int] | None = None) -> None:
         """Transient fault: redraw state of the given correct nodes
-        (default all, in ascending id order — the lock-step
-        :meth:`~repro.net.simulator.Simulation.scramble` discipline)."""
-        targets = sorted(self.nodes) if node_ids is None else list(node_ids)
-        unknown = sorted(i for i in targets if i not in self.nodes)
-        if unknown:
-            raise ConfigurationError(
-                f"cannot scramble node ids {unknown}: not in the honest "
-                f"set {self.honest_ids} (faulty nodes have no state — "
-                "the adversary speaks for them)"
-            )
-        for node_id in targets:
-            self.nodes[node_id].scramble(self._fault_rng)
+        (default all, ascending) — :meth:`World.scramble`."""
+        self.world.scramble(node_ids)
 
     def pulse_skew(self, beat: int) -> float:
         """Max pairwise spread of honest pulse times at ``beat``."""
@@ -486,7 +417,7 @@ class ContinuousSimulation:
         self.beats_run = beats
         heap = EventHeap()
         synchronizers = self.synchronizers
-        adversary_active = self.adversary is not None and bool(self.faulty_ids)
+        adversary_active = bool(self.faulty_ids)
         visible: dict[int, list[tuple[int, int, Envelope]]] = {}
         for i, sync in synchronizers.items():
             heap.push((sync.pulse_time(0), _P_PULSE, i), ("pulse", i, 0))
@@ -527,7 +458,8 @@ class ContinuousSimulation:
                 batch = visible.pop(beat, [])
                 batch.sort()  # canonical (sender, seq, receiver) view order
                 crafted = _craft_byzantine(
-                    self, beat, [envelope for _s, _q, envelope in batch]
+                    self.world, beat,
+                    [envelope for _s, _q, envelope in batch],
                 )
                 for seq, envelope in enumerate(crafted):
                     self.stats.record(envelope, honest=False)
@@ -573,28 +505,15 @@ class ContinuousSimulation:
 
     def _result(self, k: "int | None") -> ContinuousResult:
         beats = self.beats_run
-        traces = {i: sync.trace for i, sync in self.synchronizers.items()}
-        records = tuple(
-            BeatRecord(
-                beat,
-                {
-                    i: traces[i][beat][1]
-                    for i in sorted(traces)
-                    if beat < len(traces[i])
-                },
-            )
-            for beat in range(beats)
+        records = records_from_traces(
+            {i: sync.trace for i, sync in self.synchronizers.items()}, beats
         )
         converged = None
         converged_time = None
         if k is not None:
             from repro.core.problem import converged_at
 
-            history = tuple(
-                tuple(record.values[i] for i in sorted(record.values))
-                for record in records
-            )
-            converged = converged_at(history, k)
+            converged = converged_at(history_rows(records), k)
             if converged is not None:
                 converged_time = max(
                     sync.close_time(converged)
@@ -636,7 +555,7 @@ def run_continuous(
     k: "int | None" = None,
     scramble: bool = True,
     root_path: str = "root",
-    probe: Callable[[Component], Any] = _default_probe,
+    probe: Callable[[Component], Any] = clock_probe,
 ) -> ContinuousResult:
     """Build and run one continuous-time trial (the
     :func:`~repro.runtime.runner.run_runtime` counterpart).

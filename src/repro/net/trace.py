@@ -26,10 +26,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "BeatRecord",
     "Tracer",
+    "TrajectoryResult",
+    "clock_probe",
     "format_clock_row",
+    "history_rows",
     "records_from_jsonl",
+    "records_from_traces",
     "records_to_jsonl",
 ]
+
+
+def clock_probe(root: Any) -> Any:
+    """Snapshot the tower's clock value (every clock tower exposes one):
+    the default probe of every runner."""
+    return getattr(root, "clock_value", None)
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,53 @@ class Tracer:
 
     def to_jsonl(self) -> str:
         """The whole trace in the shared JSONL format."""
+        return records_to_jsonl(self.records)
+
+
+def records_from_traces(
+    traces: "dict[int, list[tuple[int, Any]]]", beats: int
+) -> "tuple[BeatRecord, ...]":
+    """Per-node ``(beat, value)`` probe traces (one entry per beat the
+    node closed, in beat order) folded into one record per beat; a node
+    whose trace ends early is simply absent from the later records."""
+    return tuple(
+        BeatRecord(
+            beat,
+            {
+                node_id: trace[beat][1]
+                for node_id, trace in sorted(traces.items())
+                if beat < len(trace)
+            },
+        )
+        for beat in range(beats)
+    )
+
+
+def history_rows(records: "Iterable[BeatRecord]") -> tuple[tuple, ...]:
+    """Per-beat honest values, node-id-sorted — the monitors' shape
+    (what :func:`~repro.core.problem.converged_at` reads)."""
+    return tuple(
+        tuple(record.values[i] for i in sorted(record.values))
+        for record in records
+    )
+
+
+class TrajectoryResult:
+    """What every runner's result says about its trajectory, given
+    ``records`` and ``converged_beat`` fields."""
+
+    @property
+    def converged(self) -> bool:
+        return self.converged_beat is not None
+
+    @property
+    def history(self) -> tuple[tuple, ...]:
+        """Per-beat honest values, node-id-sorted — the monitors' shape."""
+        return history_rows(self.records)
+
+    def to_jsonl(self) -> str:
+        """The trajectory in the shared JSONL trace format — byte-identical
+        to what a :class:`Tracer` over the same run serializes."""
         return records_to_jsonl(self.records)
 
 

@@ -22,8 +22,9 @@ Registries serialize to a versioned JSON document
 (:data:`METRICS_SCHEMA`), render as Prometheus-style text exposition
 (:meth:`MetricsRegistry.to_prometheus`), and **merge**:
 :meth:`MetricsRegistry.merge_json` folds another registry's document in
-by summing samples — what the cluster orchestrator does with one
-registry per worker process.
+by summing samples — public API for combining the exports of separate
+runs or processes (nothing in the package calls it: a cluster run's
+registry is filled from its one merged result).
 """
 
 from __future__ import annotations
@@ -525,11 +526,12 @@ def bind_simulation(registry: MetricsRegistry, simulation) -> None:
 
 
 def record_runtime(registry: MetricsRegistry, result) -> None:
-    """Re-home one :class:`~repro.runtime.runner.RuntimeResult`'s counters.
+    """Re-home one live result's counters — a
+    :class:`~repro.runtime.runner.RuntimeResult` or a cluster's merged
+    :class:`~repro.runtime.orchestrator.ClusterResult`, whose counter
+    fields are the same :func:`~repro.runtime.runner.harvest`.
 
     Called once, after the run — the live hot path stays untouched.
-    Per-node ``frames_sent`` keeps its node label so cluster merges stay
-    lossless.
     """
     registry.counter(
         "runtime_messages_sent_total", "protocol messages sent"
@@ -561,19 +563,18 @@ def record_runtime(registry: MetricsRegistry, result) -> None:
     registry.gauge(
         "runtime_elapsed_seconds", "wall-clock duration of the run"
     ).set(result.elapsed_s)
-    # Pulse-mode precision surface (sync="pulse" runs only): guarded with
-    # getattr so cluster results and older result shapes record cleanly.
-    if getattr(result, "sync", "beat") == "pulse":
+    # Pulse-mode precision surface (sync="pulse" runs only).
+    if result.sync == "pulse":
         registry.counter(
             "runtime_pulse_timeouts_total",
             "pulse barriers closed by the pulse deadline",
-        ).set_total(getattr(result, "pulse_timeouts", 0))
-        skew = getattr(result, "pulse_skew_s", None)
-        if skew is not None:
+        ).set_total(result.pulse_timeouts)
+        if result.pulse_skew_s is not None:
             registry.gauge(
                 "runtime_pulse_skew_seconds",
                 "max pairwise pulse barrier close spread",
-            ).set(skew)
+            ).set(result.pulse_skew_s)
+        # Only single-process runs share one clock across all barriers.
         converged_time = getattr(result, "converged_time_s", None)
         if converged_time is not None:
             registry.gauge(

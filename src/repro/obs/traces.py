@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.net.trace import BeatRecord
+from repro.net.trace import BeatRecord, history_rows
 
 from repro.obs.recorder import Trace
 
@@ -72,11 +72,7 @@ def summarize_trace(trace: Trace, *, k: "int | None" = None) -> TraceSummary:
     if k is not None and records:
         from repro.core.problem import converged_at
 
-        history = tuple(
-            tuple(record.values[i] for i in sorted(record.values))
-            for record in records
-        )
-        converged = converged_at(history, k)
+        converged = converged_at(history_rows(records), k)
     return TraceSummary(
         beats=len(records),
         first_beat=records[0].beat if records else None,

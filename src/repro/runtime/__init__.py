@@ -28,8 +28,9 @@ Layers (bottom up):
   tower unchanged; :class:`ByzantineProcess` speaks for the faulty ids
   with the existing :mod:`repro.adversary` strategies; both batch each
   beat's traffic per link;
-* :mod:`~repro.runtime.runner` — :func:`run_runtime` builds a run with
-  the simulator's exact seed discipline and reports the trajectory;
+* :mod:`~repro.runtime.runner` — :func:`run_runtime` runs the
+  simulator's exact :class:`~repro.net.world.World` live and reports
+  the trajectory;
 * :mod:`~repro.runtime.orchestrator` — :func:`run_cluster` launches a
   multi-process TCP cluster from a declarative :class:`ClusterSpec`.
 

@@ -28,7 +28,6 @@ from typing import TYPE_CHECKING
 
 from repro.net.network import ensure_faulty_senders
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
-from repro.runtime.sync import BeatSynchronizer
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, Frame, frame_for_envelope
 
@@ -37,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.adversary.base import Adversary
     from repro.net.environment import Environment
+    from repro.runtime.sync import BeatSynchronizer
 
 __all__ = ["ByzantineProcess"]
 
@@ -45,24 +45,25 @@ class ByzantineProcess:
     """One task speaking for every faulty node over real endpoints.
 
     Args:
-        adversary: an already-``setup()`` strategy object (the runner
-            replicates the simulator's selection/setup sequence so the
-            shared RNG stream stays aligned with lock-step runs).
+        adversary: an already-``setup()`` strategy object — the
+            :class:`~repro.net.world.World`'s, so the shared RNG stream
+            stays aligned with lock-step runs.
         endpoints: one transport endpoint per faulty id.
-        n, f: system sizes.
+        n: system size.
+        f: the protocol's fault parameter, as every
+            :class:`~repro.adversary.base.AdversaryView` reports it —
+            not the (possibly smaller) number of ids corrupted.
         env: the shared environment (coin outcomes, rushing channel).
         rng: the adversary's RNG stream.
-        beat_timeout: barrier timeout per faulty endpoint; ``None`` waits
-            forever (safe only when every honest peer is live).
         codec: the run's wire codec — the faulty peers speak whatever the
             run speaks (a Byzantine node may *garble* frames, but that is
             modeled as malformed traffic, not a codec of its own).
-        synchronizer_factory: optional ``(endpoint, expected, node_id) ->
-            BeatSynchronizer`` override for the per-endpoint barriers —
-            how pulse-mode runs give the faulty endpoints
-            :class:`~repro.runtime.sync.PulseBarrier` deadlines, so a
-            stalled *honest* peer cannot hang the adversary either.
-            When set, ``beat_timeout`` is ignored.
+        synchronizer_factory: ``(endpoint, expected, node_id) ->
+            BeatSynchronizer``, the host's barrier constructor — the
+            faulty endpoints get the same kind of barrier as the correct
+            ones (fixed timeout, or :class:`~repro.runtime.sync.PulseBarrier`
+            deadlines so a stalled *honest* peer cannot hang the
+            adversary either).
     """
 
     def __init__(
@@ -74,9 +75,8 @@ class ByzantineProcess:
         f: int,
         env: "Environment",
         rng: "random.Random",
-        beat_timeout: "float | None" = None,
         codec: "str | Codec" = DEFAULT_CODEC,
-        synchronizer_factory=None,
+        synchronizer_factory,
     ) -> None:
         self.adversary = adversary
         self.endpoints = dict(sorted(endpoints.items()))
@@ -93,36 +93,16 @@ class ByzantineProcess:
         # One barrier per faulty endpoint, each closed by the honest
         # markers alone: the faulty ids' own markers are this process's
         # output, and other faulty traffic is never part of the legal view.
-        if synchronizer_factory is None:
-            def synchronizer_factory(endpoint, expected, _node_id):
-                return BeatSynchronizer(
-                    endpoint, expected, beat_timeout=beat_timeout,
-                    codec=self.codec,
-                )
         self._synchronizers = {
             node_id: synchronizer_factory(endpoint, self.honest_ids, node_id)
             for node_id, endpoint in self.endpoints.items()
         }
 
     @property
-    def late_messages(self) -> int:
-        return sum(s.late_messages for s in self._synchronizers.values())
-
-    @property
-    def premature_messages(self) -> int:
-        return sum(s.premature_messages for s in self._synchronizers.values())
-
-    @property
-    def barrier_timeouts(self) -> int:
-        return sum(s.barrier_timeouts for s in self._synchronizers.values())
-
-    @property
-    def pulse_timeouts(self) -> int:
-        """Pulse-deadline closes, when the barriers are pulse barriers."""
-        return sum(
-            getattr(s, "pulse_timeouts", 0)
-            for s in self._synchronizers.values()
-        )
+    def barriers(self) -> "list[BeatSynchronizer]":
+        """The faulty endpoints' round barriers (their ``counters`` are
+        part of the run's :func:`~repro.runtime.runner.harvest`)."""
+        return list(self._synchronizers.values())
 
     async def run(self, beats: int) -> None:
         """Participate in ``beats`` consecutive beats."""

@@ -26,18 +26,17 @@ Launch sequence (two-phase address exchange):
    :class:`~repro.net.trace.BeatRecord` rows — the same JSONL trace
    shape every other harness in the repository emits.
 
-Determinism: every worker replays the *complete*
-:func:`~repro.runtime.runner.run_runtime` seed discipline — the same
-:class:`~repro.net.rng.SeedSequence` labels, the same fault selection,
-honest-node construction and scramble order over **all** ids, not just
-its own block — and then runs only the nodes it owns.  Shared randomness
-stays aligned across processes because every cross-node draw is keyed
-(coin outcomes memoized per ``(path, beat)``, transport jitter per link
-counter), never streamed.  The one caveat: adversaries whose
-``divergence_chooser`` consumes the adversary RNG stream would advance
-it differently per process, so cluster runs are pinned against the
-simulator only for the fault-free and stream-independent strategies the
-tests cover.
+Determinism: every worker builds the *complete*
+:class:`~repro.net.world.World` — every id, not just its own block — and
+scrambles all of it, exactly as :func:`~repro.runtime.runner.run_runtime`
+does (ARCHITECTURE.md, "Shared kernel"), then hosts only the nodes it
+owns.  Shared randomness stays aligned across processes because every
+cross-node draw is keyed (coin outcomes memoized per ``(path, beat)``,
+transport jitter per link counter), never streamed.  The one caveat:
+adversaries whose ``divergence_chooser`` consumes the adversary RNG
+stream would advance it differently per process, so cluster runs are
+pinned against the simulator only for the fault-free and
+stream-independent strategies the tests cover.
 """
 
 from __future__ import annotations
@@ -50,12 +49,16 @@ from typing import TYPE_CHECKING, Any
 
 from repro.core.problem import converged_at
 from repro.errors import ConfigurationError, TransportError, check_resilience
-from repro.net.trace import BeatRecord, records_to_jsonl
-from repro.runtime.byzantine import ByzantineProcess
+from repro.net.trace import BeatRecord, history_rows, records_from_traces
+from repro.net.world import World
 from repro.runtime.codec import DEFAULT_CODEC, resolve_codec
-from repro.runtime.node import RuntimeNode
-from repro.runtime.runner import _default_probe
-from repro.runtime.sync import BeatSynchronizer
+from repro.runtime.runner import (
+    LiveResult,
+    harvest,
+    host_nodes,
+    merge_harvests,
+)
+from repro.runtime.sync import check_sync_mode
 from repro.runtime.transport import TcpTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,7 +105,11 @@ class ClusterSpec:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on an inconsistent spec."""
-        from repro.analysis.campaign import ADVERSARY_REGISTRY, PROTOCOL_REGISTRY
+        from repro.analysis.campaign import (
+            ADVERSARY_REGISTRY,
+            COIN_REGISTRY,
+            PROTOCOL_REGISTRY,
+        )
 
         if not self.name:
             raise ConfigurationError("cluster spec needs a non-empty name")
@@ -125,30 +132,16 @@ class ClusterSpec:
                 f"unknown adversary {self.adversary!r}; "
                 f"known: {sorted(ADVERSARY_REGISTRY)}"
             )
-        if self.coin not in ("oracle", "gvss", "local"):
+        if self.coin not in COIN_REGISTRY:
             raise ConfigurationError(
-                f"unknown coin {self.coin!r}; try oracle, gvss or local"
+                f"unknown coin {self.coin!r}; known: {sorted(COIN_REGISTRY)}"
             )
         resolve_codec(self.codec)  # unknown codec -> ConfigurationError
-        if self.sync not in ("beat", "pulse"):
-            raise ConfigurationError(
-                f"unknown sync mode {self.sync!r}: expected 'beat' or "
-                "'pulse'"
-            )
-        if self.sync == "beat" and self.rho:
-            raise ConfigurationError(
-                "clock drift (rho) only applies to the pulse barrier; "
-                "set sync='pulse'"
-            )
-        if self.sync == "pulse":
-            from repro.net.events import DriftingClock
-
-            # Validates rho and pulse_period with the engine's own rules.
-            DriftingClock(0, 0, self.rho, self.pulse_period)
+        check_sync_mode(self.sync, self.rho, self.pulse_period)
 
 
 @dataclass(frozen=True)
-class ClusterResult:
+class ClusterResult(LiveResult):
     """Merged outcome of one cluster run (the multi-process
     :class:`~repro.runtime.runner.RuntimeResult`)."""
 
@@ -176,68 +169,11 @@ class ClusterResult:
     #: *across* worker processes, so this is a per-worker measurement
     #: merged by max — a lower bound on the cluster-wide skew.
     pulse_skew_s: "float | None" = None
-    #: Merged per-worker metrics registries (a
-    #: :class:`~repro.obs.MetricsRegistry`); excluded from equality so
-    #: result comparison stays about the trajectory and its counters.
+    #: The merged counters re-homed onto a
+    #: :class:`~repro.obs.MetricsRegistry`, as a single-process run's
+    #: would be; excluded from equality so result comparison stays about
+    #: the trajectory and its counters.
     metrics: "Any | None" = field(default=None, repr=False, compare=False)
-
-    @property
-    def converged(self) -> bool:
-        return self.converged_beat is not None
-
-    @property
-    def history(self) -> tuple[tuple, ...]:
-        """Per-beat honest values, node-id-sorted — the monitors' shape."""
-        return tuple(
-            tuple(record.values[i] for i in sorted(record.values))
-            for record in self.records
-        )
-
-    @property
-    def health(self) -> dict[str, int]:
-        """The barrier drop counters as one name-keyed snapshot."""
-        return {
-            "late_messages": self.late_messages,
-            "premature_messages": self.premature_messages,
-            "malformed_frames": self.malformed_frames,
-            "barrier_timeouts": self.barrier_timeouts,
-        }
-
-    def to_jsonl(self, *, health: bool = False) -> str:
-        """The trajectory in the shared JSONL trace format.
-
-        ``health=True`` appends one flight-recorder ``health`` event
-        line (barrier counters plus per-node frame totals) — the same
-        shape :meth:`~repro.runtime.runner.RuntimeResult.to_jsonl`
-        emits; the default stays byte-identical to a single-process
-        run's trace.
-        """
-        text = records_to_jsonl(self.records)
-        if health:
-            from repro.obs.recorder import TraceEvent
-
-            frames = {
-                str(node_id): count
-                for node_id, count in sorted(
-                    (self.frames_by_node or {}).items()
-                )
-            }
-            event = TraceEvent(
-                "health", self.beats_run,
-                {**self.health, "frames_by_node": frames},
-            )
-            text += event.to_jsonl() + "\n"
-        return text
-
-    @property
-    def beats_per_sec(self) -> float:
-        return self.beats_run / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def messages_per_sec(self) -> float:
-        return (
-            self.messages_sent / self.elapsed_s if self.elapsed_s > 0 else 0.0
-        )
 
 
 def load_specs(path: str) -> "tuple[ClusterSpec, ...]":
@@ -290,225 +226,68 @@ def load_specs(path: str) -> "tuple[ClusterSpec, ...]":
 async def _worker_async(
     spec: ClusterSpec,
     worker_index: int,
-    owned_ids: "tuple[int, ...]",
+    block: "tuple[int, ...]",
     conn: "Connection",
-) -> dict:
-    """One worker's whole run; returns the payload for the parent."""
+) -> "dict[str, Any]":
+    """One worker's whole run; returns its harvest for the parent."""
     from repro import coin_by_name
     from repro.analysis.campaign import ADVERSARY_REGISTRY
     from repro.core.protocol import resolve_protocol
-    from repro.net.environment import Environment
-    from repro.net.node import Node
-    from repro.net.rng import SeedSequence
 
-    n, f, k = spec.n, spec.f, spec.k
-    protocol = resolve_protocol(spec.protocol)
-    root_factory = protocol.factory(
-        n, f, k, coin_factory=coin_by_name(spec.coin, n, f)
+    n, f = spec.n, spec.f
+    root_factory = resolve_protocol(spec.protocol).factory(
+        n, f, spec.k, coin_factory=coin_by_name(spec.coin, n, f)
     )
     adversary_cls = ADVERSARY_REGISTRY[spec.adversary]
-    adversary = adversary_cls() if adversary_cls is not None else None
-
-    # Replay run_runtime's seed discipline over the FULL id space: every
-    # worker derives the same faulty set and scrambles every honest node
-    # in id order, so the shared streams stay aligned with a
-    # single-process run — then runs only its own block.
-    seeds = SeedSequence(spec.seed)
-    env = Environment(n, seeds.seed_for("env"))
-    adversary_rng = seeds.stream("adversary")
-    faulty_ids: frozenset[int] = frozenset()
-    if adversary is not None:
-        faulty = adversary.select_faulty(n, f, adversary_rng)
-        faulty_ids = frozenset(faulty)
-        adversary.setup(n, f, faulty_ids, adversary_rng)
-        env.divergence_chooser = adversary.choose_divergent_outputs
-    honest_ids = [i for i in range(n) if i not in faulty_ids]
-    nodes = {
-        i: Node(
-            i, n, f, root_factory(i), seeds.stream("node", i), env,
-        )
-        for i in honest_ids
-    }
-    fault_rng = seeds.stream("faults")
+    world = World.build(
+        n,
+        f,
+        root_factory,
+        adversary=adversary_cls() if adversary_cls is not None else None,
+        seed=spec.seed,
+    )
     if spec.scramble:
-        for node_id in honest_ids:
-            nodes[node_id].scramble(fault_rng)
-
-    codec = resolve_codec(spec.codec)
+        world.scramble()
+    # Worker 0 also speaks for the whole faulty coalition.
+    owned = [i for i in block if i in world.nodes]
+    if worker_index == 0:
+        owned.extend(sorted(world.faulty_ids))
     transport = TcpTransport(host=spec.host)
-    runtime_nodes: "list[RuntimeNode]" = []
-    process: "ByzantineProcess | None" = None
-    synchronizer_factory = None
-    if spec.sync == "pulse":
-        # Per-worker anchor: workers start at different wall instants, so
-        # deadlines are anchored locally and skew is a within-worker
-        # measurement (see ClusterResult.pulse_skew_s).
-        from repro.net.events import DriftingClock
-        from repro.runtime.sync import PulseBarrier
 
-        timing_seed = seeds.seed_for("timing")
-        anchor = asyncio.get_running_loop().time()
-
-        def synchronizer_factory(endpoint, expected, node_id):
-            return PulseBarrier(
-                endpoint,
-                expected,
-                clock=DriftingClock(
-                    timing_seed, node_id, spec.rho, spec.pulse_period
-                ),
-                anchor=anchor,
-                codec=codec,
-            )
-    try:
-        all_ids = frozenset(range(n))
-        my_honest = [i for i in owned_ids if i not in faulty_ids]
-        for node_id in my_honest:
-            endpoint = await transport.open(node_id)
-            if synchronizer_factory is not None:
-                synchronizer = synchronizer_factory(
-                    endpoint, all_ids, node_id
-                )
-            else:
-                synchronizer = BeatSynchronizer(
-                    endpoint, all_ids, beat_timeout=spec.beat_timeout,
-                    codec=codec,
-                )
-            runtime_nodes.append(
-                RuntimeNode(
-                    nodes[node_id], endpoint, synchronizer,
-                    probe=_default_probe,
-                )
-            )
-        if worker_index == 0 and adversary is not None and faulty_ids:
-            endpoints = {
-                node_id: await transport.open(node_id)
-                for node_id in sorted(faulty_ids)
-            }
-            process = ByzantineProcess(
-                adversary, endpoints, n=n, f=f, env=env, rng=adversary_rng,
-                beat_timeout=spec.beat_timeout, codec=codec,
-                synchronizer_factory=synchronizer_factory,
-            )
-
+    async def exchange_addresses() -> None:
         # Phase 1: report the ephemeral addresses this worker bound.
-        bound = list(my_honest)
-        if process is not None:
-            bound.extend(sorted(faulty_ids))
-        conn.send(
-            ("addrs", {i: transport.address_of(i) for i in bound})
-        )
-        # Phase 2: learn everyone else's and start the beat loops.
+        conn.send(("addrs", {i: transport.address_of(i) for i in owned}))
+        # Phase 2: learn everyone else's; the beat loops start next.
         if not conn.poll(_PIPE_TIMEOUT):
             raise TransportError("orchestrator never sent the address book")
         transport.register_peers(conn.recv())
 
-        tasks = [node.run(spec.beats) for node in runtime_nodes]
-        if process is not None:
-            tasks.append(process.run(spec.beats))
-        await asyncio.gather(*tasks)
-    finally:
-        await transport.aclose()
-
-    payload: dict[str, Any] = {
-        "traces": {
-            rn.node.node_id: list(rn.trace) for rn in runtime_nodes
-        },
-        "messages_sent": sum(rn.messages_sent for rn in runtime_nodes),
-        "frames_sent": sum(rn.frames_sent for rn in runtime_nodes),
-        "late_messages": sum(
-            rn.synchronizer.late_messages for rn in runtime_nodes
+    # Pulse deadlines are anchored per worker: workers start at different
+    # wall instants, so skew is a within-worker measurement.
+    runtime_nodes, process = await host_nodes(
+        world,
+        transport,
+        owned,
+        spec.beats,
+        codec=resolve_codec(spec.codec),
+        beat_timeout=spec.beat_timeout,
+        pulse=(
+            (spec.rho, spec.pulse_period) if spec.sync == "pulse" else None
         ),
-        "premature_messages": sum(
-            rn.synchronizer.premature_messages for rn in runtime_nodes
-        ),
-        "barrier_timeouts": sum(
-            rn.synchronizer.barrier_timeouts for rn in runtime_nodes
-        ),
-        "malformed_frames": sum(
-            rn.synchronizer.malformed_frames for rn in runtime_nodes
-        ) + transport.malformed_frames,
-        "frames_by_node": {
-            rn.node.node_id: rn.frames_sent for rn in runtime_nodes
-        },
-    }
-    if process is not None:
-        payload["messages_sent"] += process.messages_sent
-        payload["frames_sent"] += process.frames_sent
-        payload["late_messages"] += process.late_messages
-        payload["premature_messages"] += process.premature_messages
-        payload["barrier_timeouts"] += process.barrier_timeouts
-    payload["sync"] = spec.sync
-    if spec.sync == "pulse":
-        payload["pulse_timeouts"] = sum(
-            rn.synchronizer.pulse_timeouts for rn in runtime_nodes
-        ) + (process.pulse_timeouts if process is not None else 0)
-        closes = [rn.synchronizer.pulse_closes for rn in runtime_nodes]
-        payload["pulse_skew_s"] = (
-            max(
-                max(c[beat] for c in closes) - min(c[beat] for c in closes)
-                for beat in range(spec.beats)
-            )
-            if len(closes) >= 2 and all(len(c) >= spec.beats for c in closes)
-            else None
-        )
-    payload["metrics"] = _worker_registry(payload).to_json()
-    return payload
-
-
-def _worker_registry(payload: "dict[str, Any]"):
-    """One worker's counters re-homed onto a fresh metrics registry.
-
-    Per-node labels on frame counts keep worker sample sets disjoint, so
-    the parent's :meth:`~repro.obs.MetricsRegistry.merge_json` fold is
-    lossless.  Metric names match :func:`repro.obs.record_runtime`, so a
-    merged cluster registry reads like a single-process run's.
-    """
-    from repro.obs.metrics import MetricsRegistry
-
-    registry = MetricsRegistry()
-    registry.counter(
-        "runtime_messages_sent_total", "protocol messages sent"
-    ).set_total(payload["messages_sent"])
-    frames = registry.counter(
-        "runtime_frames_sent_total", "wire units shipped, per node"
+        before_start=exchange_addresses,
     )
-    for node_id, count in sorted(payload["frames_by_node"].items()):
-        frames.set_total(count, node=str(node_id))
-    registry.counter(
-        "runtime_late_messages_total",
-        "frames that arrived after their barrier closed (dropped)",
-    ).set_total(payload["late_messages"])
-    registry.counter(
-        "runtime_premature_messages_total",
-        "frames tagged beyond the lookahead horizon (dropped)",
-    ).set_total(payload["premature_messages"])
-    registry.counter(
-        "runtime_malformed_frames_total",
-        "wire units that failed to decode (dropped whole)",
-    ).set_total(payload["malformed_frames"])
-    registry.counter(
-        "runtime_barrier_timeouts_total",
-        "round barriers closed by timeout instead of full markers",
-    ).set_total(payload["barrier_timeouts"])
-    if payload.get("sync") == "pulse":
-        registry.counter(
-            "runtime_pulse_timeouts_total",
-            "pulse barriers closed by the pulse deadline",
-        ).set_total(payload.get("pulse_timeouts", 0))
-    return registry
+    return harvest(runtime_nodes, process, transport, spec.beats)
 
 
 def _cluster_worker(
     spec: ClusterSpec,
     worker_index: int,
-    owned_ids: "tuple[int, ...]",
+    block: "tuple[int, ...]",
     conn: "Connection",
 ) -> None:
     """Worker process entry point (module-level for spawn picklability)."""
     try:
-        payload = asyncio.run(
-            _worker_async(spec, worker_index, owned_ids, conn)
-        )
+        payload = asyncio.run(_worker_async(spec, worker_index, block, conn))
         conn.send(("ok", payload))
     except Exception as error:  # surfaced by the parent as TransportError
         try:
@@ -584,46 +363,11 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
             conn.close()
     elapsed = time.perf_counter() - started
 
-    values_by_beat: "dict[int, dict[int, Any]]" = {}
-    for payload in payloads:
-        for node_id, trace in payload["traces"].items():
-            for beat, value in trace:
-                values_by_beat.setdefault(beat, {})[node_id] = value
-    records = tuple(
-        BeatRecord(beat, values_by_beat.get(beat, {}))
-        for beat in range(spec.beats)
-    )
-    history = tuple(
-        tuple(record.values[i] for i in sorted(record.values))
-        for record in records
-    )
-    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry, record_runtime
 
-    metrics = MetricsRegistry()
-    for payload in payloads:
-        metrics.merge_json(payload["metrics"])
-    metrics.counter(
-        "runtime_beats_total", "beats the run executed"
-    ).set_total(spec.beats)
-    metrics.gauge(
-        "runtime_elapsed_seconds", "wall-clock duration of the run"
-    ).set(elapsed)
-    frames_by_node: dict[int, int] = {}
-    for payload in payloads:
-        frames_by_node.update(payload["frames_by_node"])
-    pulse_timeouts = sum(p.get("pulse_timeouts", 0) for p in payloads)
-    worker_skews = [
-        p["pulse_skew_s"]
-        for p in payloads
-        if p.get("pulse_skew_s") is not None
-    ]
-    pulse_skew = max(worker_skews) if worker_skews else None
-    if spec.sync == "pulse" and pulse_skew is not None:
-        metrics.gauge(
-            "runtime_pulse_skew_seconds",
-            "max within-worker pulse barrier close spread",
-        ).set(pulse_skew)
-    return ClusterResult(
+    counters = merge_harvests(payloads)
+    records = records_from_traces(counters.pop("traces"), spec.beats)
+    result = ClusterResult(
         name=spec.name,
         n=spec.n,
         f=spec.f,
@@ -632,20 +376,14 @@ def run_cluster(spec: ClusterSpec) -> ClusterResult:
         processes=spec.processes,
         beats_run=spec.beats,
         records=records,
-        converged_beat=converged_at(history, spec.k),
-        messages_sent=sum(p["messages_sent"] for p in payloads),
-        frames_sent=sum(p["frames_sent"] for p in payloads),
-        late_messages=sum(p["late_messages"] for p in payloads),
-        premature_messages=sum(p["premature_messages"] for p in payloads),
-        barrier_timeouts=sum(p["barrier_timeouts"] for p in payloads),
-        malformed_frames=sum(p["malformed_frames"] for p in payloads),
+        converged_beat=converged_at(history_rows(records), spec.k),
         elapsed_s=elapsed,
-        frames_by_node=frames_by_node,
         sync=spec.sync,
-        pulse_timeouts=pulse_timeouts,
-        pulse_skew_s=pulse_skew,
-        metrics=metrics,
+        metrics=MetricsRegistry(),
+        **counters,
     )
+    record_runtime(result.metrics, result)
+    return result
 
 
 def _expect(conn: "Connection", index: int, want: str) -> tuple:

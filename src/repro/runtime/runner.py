@@ -1,16 +1,12 @@
 """Build and drive one live run: the runtime's ``Simulation`` counterpart.
 
-:func:`run_runtime` assembles the same objects a
-:class:`~repro.net.simulator.Simulation` would — correct
-:class:`~repro.net.node.Node` towers, the shared
-:class:`~repro.net.environment.Environment`, the adversary — using the
-**identical** :class:`~repro.net.rng.SeedSequence` label derivations
-(``"env"``, ``"adversary"``, ``("node", i)``, ``"faults"``) and the
-identical construction order, then runs them as concurrent asyncio tasks
-over a transport instead of a lock-step beat loop.  That shared seed
-discipline is one half of the runtime determinism contract; the other half
-is the round barrier's canonical ``(sender, seq)`` inbox order
-(:mod:`repro.runtime.sync`).  Together they make a zero-delay
+:func:`run_runtime` builds the same :class:`~repro.net.world.World` a
+:class:`~repro.net.simulator.Simulation` would, then runs its nodes as
+concurrent asyncio tasks over a transport instead of a lock-step beat
+loop.  The world is one half of the runtime determinism contract; the
+other half is the round barrier's beat-close rule
+(:class:`~repro.net.inbox.BeatInbox`, driven by :mod:`repro.runtime.sync`)
+— see ARCHITECTURE.md, "Shared kernel".  Together they make a zero-delay
 :class:`~repro.runtime.transport.LocalTransport` run reproduce the
 simulator's per-beat honest clock trajectories bit-for-bit — enforced for
 seeds 0-9, with and without an adversary, by
@@ -20,6 +16,11 @@ What deliberately stays *outside* the contract: wall-clock timing, socket
 scheduling and arrival interleavings (normalized away by the barrier's
 sort), and the runtime's message accounting (the simulator counts shared
 fan-outs, the runtime counts wire frames).
+
+The pieces here are shared with the multi-process orchestrator, whose
+workers each host a block of the same world: :func:`host_nodes` (the one
+live host), :func:`harvest` / :func:`merge_harvests` (the one counter
+roll-up) and :class:`LiveResult` (the one result surface).
 """
 
 from __future__ import annotations
@@ -27,19 +28,24 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Iterable, Sequence
 
 from repro.core.problem import converged_at
-from repro.errors import ConfigurationError, check_resilience
+from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.environment import Environment
-from repro.net.node import Node
-from repro.net.rng import SeedSequence
-from repro.net.trace import BeatRecord, records_to_jsonl
+from repro.net.events import DriftingClock
+from repro.net.trace import (
+    BeatRecord,
+    TrajectoryResult,
+    clock_probe,
+    history_rows,
+    records_from_traces,
+)
+from repro.net.world import World
 from repro.runtime.byzantine import ByzantineProcess
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.node import RuntimeNode
-from repro.runtime.sync import BeatSynchronizer, PulseBarrier
+from repro.runtime.sync import BeatSynchronizer, PulseBarrier, check_sync_mode
 from repro.runtime.transport import (
     DEFAULT_TRANSPORT,
     Transport,
@@ -49,24 +55,70 @@ from repro.runtime.transport import (
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.adversary.base import Adversary
 
-__all__ = ["RuntimeResult", "run_runtime"]
+__all__ = [
+    "LiveResult",
+    "RuntimeResult",
+    "harvest",
+    "host_nodes",
+    "merge_harvests",
+    "run_runtime",
+]
 
 
-def _default_probe(root: Component) -> Any:
-    """Snapshot the tower's clock value (every clock tower exposes one)."""
-    return getattr(root, "clock_value", None)
+class LiveResult(TrajectoryResult):
+    """What a live run's result says about itself, single-process
+    (:class:`RuntimeResult`) or merged across workers
+    (:class:`~repro.runtime.orchestrator.ClusterResult`)."""
 
+    @property
+    def health(self) -> dict[str, int]:
+        """The barrier drop counters as one name-keyed snapshot."""
+        return {
+            "late_messages": self.late_messages,
+            "premature_messages": self.premature_messages,
+            "malformed_frames": self.malformed_frames,
+            "barrier_timeouts": self.barrier_timeouts,
+        }
 
-def _history_rows(records: "tuple[BeatRecord, ...]") -> tuple[tuple, ...]:
-    """Per-beat honest values, node-id-sorted — the monitors' shape."""
-    return tuple(
-        tuple(record.values[i] for i in sorted(record.values))
-        for record in records
-    )
+    def to_jsonl(self, *, health: bool = False) -> str:
+        """The trajectory in the shared JSONL trace format (see
+        :mod:`repro.net.trace`) — byte-identical to what a simulator-side
+        :class:`~repro.net.trace.Tracer` over the same run serializes.
+
+        ``health=True`` appends one flight-recorder ``health`` event
+        line (barrier counters plus per-node frame totals); old readers
+        skip it, and the default stays byte-compatible.
+        """
+        text = super().to_jsonl()
+        if health:
+            from repro.obs.recorder import TraceEvent
+
+            frames = {
+                str(node_id): count
+                for node_id, count in sorted(
+                    (self.frames_by_node or {}).items()
+                )
+            }
+            event = TraceEvent(
+                "health", self.beats_run,
+                {**self.health, "frames_by_node": frames},
+            )
+            text += event.to_jsonl() + "\n"
+        return text
+
+    @property
+    def beats_per_sec(self) -> float:
+        return self.beats_run / self.elapsed_s if self.elapsed_s > 0 else 0.0
+
+    @property
+    def messages_per_sec(self) -> float:
+        return (
+            self.messages_sent / self.elapsed_s if self.elapsed_s > 0 else 0.0
+        )
 
 
 @dataclass(frozen=True)
-class RuntimeResult:
+class RuntimeResult(LiveResult):
     """Outcome of one live run.
 
     ``records`` holds one :class:`~repro.net.trace.BeatRecord` per beat —
@@ -96,93 +148,51 @@ class RuntimeResult:
     sync: str = "beat"
     pulse_timeouts: int = 0
     #: Pulse mode only: max pairwise spread of barrier-close instants over
-    #: any beat, in real seconds (the run's measured precision).
+    #: any beat, in real seconds (the run's measured precision); ``None``
+    #: with fewer than two live barriers — a spread needs a pair.
     pulse_skew_s: "float | None" = None
     #: Pulse mode only: real seconds from the run anchor to the last
     #: honest close of the convergence beat (``None`` if not converged).
     converged_time_s: "float | None" = None
 
-    @property
-    def converged(self) -> bool:
-        return self.converged_beat is not None
 
-    @property
-    def history(self) -> tuple[tuple, ...]:
-        """Per-beat honest values, node-id-sorted — the monitors' shape."""
-        return _history_rows(self.records)
-
-    @property
-    def health(self) -> dict[str, int]:
-        """The barrier drop counters as one name-keyed snapshot."""
-        return {
-            "late_messages": self.late_messages,
-            "premature_messages": self.premature_messages,
-            "malformed_frames": self.malformed_frames,
-            "barrier_timeouts": self.barrier_timeouts,
-        }
-
-    def to_jsonl(self, *, health: bool = False) -> str:
-        """The trajectory in the shared JSONL trace format (see
-        :mod:`repro.net.trace`) — byte-identical to what a simulator-side
-        :class:`~repro.net.trace.Tracer` over the same run serializes.
-
-        ``health=True`` appends one flight-recorder ``health`` event
-        line (barrier counters plus per-node frame totals); old readers
-        skip it, and the default stays byte-compatible.
-        """
-        text = records_to_jsonl(self.records)
-        if health:
-            from repro.obs.recorder import TraceEvent
-
-            frames = {
-                str(node_id): count
-                for node_id, count in sorted(
-                    (self.frames_by_node or {}).items()
-                )
-            }
-            event = TraceEvent(
-                "health", self.beats_run,
-                {**self.health, "frames_by_node": frames},
-            )
-            text += event.to_jsonl() + "\n"
-        return text
-
-    @property
-    def beats_per_sec(self) -> float:
-        return self.beats_run / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def messages_per_sec(self) -> float:
-        return (
-            self.messages_sent / self.elapsed_s if self.elapsed_s > 0 else 0.0
-        )
-
-
-async def _run_async(
+async def host_nodes(
+    world: World,
     transport: Transport,
-    nodes: dict[int, Node],
-    byzantine: "tuple | None",
+    owned_ids: Sequence[int],
     beats: int,
-    beat_timeout: "float | None",
-    probe: Callable[[Component], Any],
-    n: int,
+    *,
     codec: Codec,
+    beat_timeout: "float | None",
+    pulse: "tuple[float, float] | None" = None,
+    probe: Callable[[Component], Any] = clock_probe,
     clock: "Callable[[], float] | None" = None,
-    timing: "tuple | None" = None,
-    stall_ids: frozenset = frozenset(),
-) -> tuple[list[RuntimeNode], "ByzantineProcess | None"]:
-    runtime_nodes: list[RuntimeNode] = []
-    process: "ByzantineProcess | None" = None
-    synchronizer_factory = None
-    if timing is not None:
-        # Pulse mode: one shared anchor so every barrier's deadlines (and
-        # close offsets, hence the skew metric) live on one time axis.
-        from repro.net.events import DriftingClock
+    before_start: "Callable[[], Awaitable[None]] | None" = None,
+) -> "tuple[list[RuntimeNode], ByzantineProcess | None]":
+    """The one live host: run ``owned_ids``' share of ``world`` for
+    ``beats`` beats over ``transport``, then close the transport.
 
-        timing_seed, rho, pulse_period = timing
+    Every owned correct id gets an endpoint, a round barrier and a
+    :class:`RuntimeNode` task; the owned faulty ids (all of them or none
+    — one :class:`ByzantineProcess` speaks for the whole coalition) get
+    the adversary's task.  ``pulse=(rho, pulse_period)`` swaps the fixed
+    ``beat_timeout`` barrier for :class:`PulseBarrier` deadlines on one
+    anchor shared by every barrier hosted here, so their close offsets
+    are comparable.  ``before_start`` runs once everything owned is
+    bound and before the first beat — the cluster's address exchange.
+    """
+    all_ids = frozenset(range(world.n))
+    if pulse is None:
+        def barrier(endpoint, expected, _node_id):
+            return BeatSynchronizer(
+                endpoint, expected, beat_timeout=beat_timeout, codec=codec
+            )
+    else:
+        rho, pulse_period = pulse
+        timing_seed = world.timing_seed
         anchor = asyncio.get_running_loop().time()
 
-        def synchronizer_factory(endpoint, expected, node_id):
+        def barrier(endpoint, expected, node_id):
             return PulseBarrier(
                 endpoint,
                 expected,
@@ -190,42 +200,35 @@ async def _run_async(
                 anchor=anchor,
                 codec=codec,
             )
+    runtime_nodes: list[RuntimeNode] = []
+    process: "ByzantineProcess | None" = None
     try:
-        all_ids = frozenset(range(n))
-        for node_id, node in nodes.items():
-            if node_id in stall_ids:
-                continue  # stalled: never opens, never marks a beat
-            endpoint = await transport.open(node_id)
-            if synchronizer_factory is not None:
-                synchronizer = synchronizer_factory(
-                    endpoint, all_ids, node_id
+        for node_id in owned_ids:
+            if node_id in world.nodes:
+                endpoint = await transport.open(node_id)
+                runtime_nodes.append(
+                    RuntimeNode(
+                        world.nodes[node_id],
+                        endpoint,
+                        barrier(endpoint, all_ids, node_id),
+                        probe=probe,
+                        clock=clock,
+                    )
                 )
-            else:
-                synchronizer = BeatSynchronizer(
-                    endpoint, all_ids, beat_timeout=beat_timeout, codec=codec
-                )
-            runtime_nodes.append(
-                RuntimeNode(
-                    node, endpoint, synchronizer, probe=probe, clock=clock
-                )
-            )
-        if byzantine is not None:
-            adversary, faulty_ids, env, rng = byzantine
-            endpoints = {
-                node_id: await transport.open(node_id)
-                for node_id in sorted(faulty_ids)
-            }
+        faulty = sorted(world.faulty_ids.intersection(owned_ids))
+        if faulty:
             process = ByzantineProcess(
-                adversary,
-                endpoints,
-                n=n,
-                f=len(faulty_ids),
-                env=env,
-                rng=rng,
-                beat_timeout=beat_timeout,
+                world.adversary,
+                {node_id: await transport.open(node_id) for node_id in faulty},
+                n=world.n,
+                f=world.f,
+                env=world.env,
+                rng=world.adversary_rng,
                 codec=codec,
-                synchronizer_factory=synchronizer_factory,
+                synchronizer_factory=barrier,
             )
+        if before_start is not None:
+            await before_start()
         tasks = [node.run(beats) for node in runtime_nodes]
         if process is not None:
             tasks.append(process.run(beats))
@@ -233,6 +236,87 @@ async def _run_async(
     finally:
         await transport.aclose()
     return runtime_nodes, process
+
+
+#: Harvest keys that merge across hosts by summing.
+_SUMMED = (
+    "messages_sent",
+    "frames_sent",
+    "late_messages",
+    "premature_messages",
+    "barrier_timeouts",
+    "malformed_frames",
+    "pulse_timeouts",
+)
+
+
+def harvest(
+    runtime_nodes: "list[RuntimeNode]",
+    process: "ByzantineProcess | None",
+    transport: Transport,
+    beats: int,
+) -> "dict[str, Any]":
+    """What one host's run amounted to, as plain picklable data: the
+    per-node probe ``traces`` plus the counters every result, worker
+    payload and metrics export reads (:class:`LiveResult` field names).
+
+    ``pulse_skew_s`` is the max spread of the correct nodes'
+    pulse-barrier close instants (one shared anchor) over any beat;
+    ``None`` with fewer than two such barriers — a spread needs a pair.
+    """
+    barriers = [rn.synchronizer for rn in runtime_nodes]
+    speakers, listeners = list(runtime_nodes), list(barriers)
+    if process is not None:
+        speakers.append(process)
+        listeners.extend(process.barriers)
+    totals: "dict[str, Any]" = dict.fromkeys(_SUMMED, 0)
+    totals["messages_sent"] = sum(s.messages_sent for s in speakers)
+    totals["frames_sent"] = sum(s.frames_sent for s in speakers)
+    totals["malformed_frames"] = getattr(transport, "malformed_frames", 0)
+    for barrier in listeners:
+        for name, count in barrier.counters.items():
+            totals[name] += count
+    closes = [
+        barrier.pulse_closes
+        for barrier in barriers
+        if isinstance(barrier, PulseBarrier)
+    ]
+    totals["pulse_skew_s"] = None
+    if len(closes) >= 2:
+        totals["pulse_skew_s"] = max(
+            max(c[beat] for c in closes) - min(c[beat] for c in closes)
+            for beat in range(beats)
+        )
+    totals["traces"] = {
+        rn.node.node_id: list(rn.trace) for rn in runtime_nodes
+    }
+    totals["frames_by_node"] = {
+        rn.node.node_id: rn.frames_sent for rn in runtime_nodes
+    }
+    return totals
+
+
+def merge_harvests(harvests: "Iterable[dict[str, Any]]") -> "dict[str, Any]":
+    """Fold per-host harvests (disjoint node sets) into one.
+
+    Clocks are not comparable across hosts, so ``pulse_skew_s`` merges
+    by max over the hosts that measured one — a lower bound on the
+    system-wide skew.
+    """
+    parts = list(harvests)
+    merged: "dict[str, Any]" = {
+        key: sum(part[key] for part in parts) for key in _SUMMED
+    }
+    merged["traces"] = {}
+    merged["frames_by_node"] = {}
+    for part in parts:
+        merged["traces"].update(part["traces"])
+        merged["frames_by_node"].update(part["frames_by_node"])
+    merged["pulse_skew_s"] = max(
+        (p["pulse_skew_s"] for p in parts if p["pulse_skew_s"] is not None),
+        default=None,
+    )
+    return merged
 
 
 def run_runtime(
@@ -253,15 +337,15 @@ def run_runtime(
     rho: float = 0.0,
     stall_ids: "tuple[int, ...]" = (),
     root_path: str = "root",
-    probe: Callable[[Component], Any] = _default_probe,
+    probe: Callable[[Component], Any] = clock_probe,
     metrics: "object | None" = None,
     recorder: "object | None" = None,
 ) -> RuntimeResult:
     """Run the protocol live for ``beats`` beats; return the trajectory.
 
     Mirrors the :class:`~repro.net.simulator.Simulation` constructor's
-    parameters and seed discipline (see the module docstring); ``beats``
-    is the run's duration — there is no early stopping, because no live
+    parameters and builds the same :class:`~repro.net.world.World`;
+    ``beats`` is the run's duration — there is no early stopping, because no live
     node can locally know the *global* convergence beat.  ``k`` enables
     convergence reporting on the collected records.  ``codec`` picks the
     wire format (see :mod:`repro.runtime.codec`) — a run-wide choice that
@@ -295,163 +379,67 @@ def run_runtime(
     """
     if beats < 1:
         raise ConfigurationError(f"need at least one beat, got {beats}")
-    if sync not in ("beat", "pulse"):
-        raise ConfigurationError(
-            f"unknown sync mode {sync!r}: expected 'beat' or 'pulse'"
-        )
-    if sync == "beat" and rho:
-        raise ConfigurationError(
-            "clock drift (rho) only applies to the pulse barrier; "
-            "pass sync='pulse'"
-        )
-    check_resilience(n, f)
-    seeds = SeedSequence(seed)
-    timing = None
-    if sync == "pulse":
-        # DriftingClock validates rho and pulse_period at construction;
-        # fail fast here, before any transport work.
-        from repro.net.events import DriftingClock
-
-        timing_seed = seeds.seed_for("timing")
-        DriftingClock(timing_seed, 0, rho, pulse_period)
-        timing = (timing_seed, rho, pulse_period)
-    env = Environment(n, seeds.seed_for("env"))
-    adversary_rng = seeds.stream("adversary")
-    byzantine: "tuple | None" = None
-    if adversary is not None:
-        faulty = adversary.select_faulty(n, f, adversary_rng)
-        if len(faulty) > f:
-            raise ConfigurationError(
-                f"adversary corrupted {len(faulty)} nodes, but f={f}"
-            )
-        if any(i not in range(n) for i in faulty):
-            raise ConfigurationError("adversary corrupted unknown node ids")
-        faulty_ids = frozenset(faulty)
-        adversary.setup(n, f, faulty_ids, adversary_rng)
-        env.divergence_chooser = adversary.choose_divergent_outputs
-        if faulty_ids:
-            byzantine = (adversary, faulty_ids, env, adversary_rng)
-    else:
-        faulty_ids = frozenset()
-    honest_ids = [i for i in range(n) if i not in faulty_ids]
+    check_sync_mode(sync, rho, pulse_period)
+    world = World.build(
+        n, f, root_factory, adversary=adversary, seed=seed,
+        root_path=root_path,
+    )
     stalled = frozenset(stall_ids)
-    bad_stalls = sorted(i for i in stalled if i not in honest_ids)
+    bad_stalls = sorted(i for i in stalled if i not in world.nodes)
     if bad_stalls:
         raise ConfigurationError(
             f"stall_ids {bad_stalls} are not honest node ids: only "
             "correct processes can be stalled (the adversary already "
             "speaks for the faulty ones)"
         )
-    if stalled and len(stalled) >= len(honest_ids):
+    if stalled and len(stalled) >= len(world.nodes):
         raise ConfigurationError(
             "cannot stall every honest node: nobody would be left to "
             "drive the run to termination"
         )
-    nodes = {
-        i: Node(
-            i,
-            n,
-            f,
-            root_factory(i),
-            seeds.stream("node", i),
-            env,
-            root_path=root_path,
-        )
-        for i in honest_ids
-    }
-    fault_rng = seeds.stream("faults")
     if scramble:
-        for node_id in honest_ids:
-            nodes[node_id].scramble(fault_rng)
+        world.scramble()
 
     transport_obj = resolve_transport(transport)
     codec_obj = resolve_codec(codec)
-    clock = getattr(recorder, "clock", None)
     started = time.perf_counter()
     runtime_nodes, process = asyncio.run(
-        _run_async(
-            transport_obj, nodes, byzantine, beats, beat_timeout, probe, n,
-            codec_obj, clock, timing, stalled,
+        host_nodes(
+            world,
+            transport_obj,
+            # Stalled nodes never open an endpoint, never mark a beat.
+            [i for i in range(n) if i not in stalled],
+            beats,
+            codec=codec_obj,
+            beat_timeout=beat_timeout,
+            pulse=(rho, pulse_period) if sync == "pulse" else None,
+            probe=probe,
+            clock=getattr(recorder, "clock", None),
         )
     )
     elapsed = time.perf_counter() - started
 
-    records = tuple(
-        BeatRecord(
-            beat,
-            {
-                rn.node.node_id: rn.trace[beat][1]
-                for rn in runtime_nodes
-                if beat < len(rn.trace)
-            },
-        )
-        for beat in range(beats)
-    )
+    counters = harvest(runtime_nodes, process, transport_obj, beats)
+    records = records_from_traces(counters.pop("traces"), beats)
     converged = (
-        converged_at(_history_rows(records), k) if k is not None else None
+        converged_at(history_rows(records), k) if k is not None else None
     )
-    messages = sum(rn.messages_sent for rn in runtime_nodes)
-    frames = sum(rn.frames_sent for rn in runtime_nodes)
-    late = sum(rn.synchronizer.late_messages for rn in runtime_nodes)
-    premature = sum(
-        rn.synchronizer.premature_messages for rn in runtime_nodes
-    )
-    timeouts = sum(rn.synchronizer.barrier_timeouts for rn in runtime_nodes)
-    malformed = sum(
-        rn.synchronizer.malformed_frames for rn in runtime_nodes
-    )
-    if process is not None:
-        messages += process.messages_sent
-        frames += process.frames_sent
-        late += process.late_messages
-        premature += process.premature_messages
-        timeouts += process.barrier_timeouts
-    if hasattr(transport_obj, "malformed_frames"):
-        malformed += transport_obj.malformed_frames
-    frames_by_node = {
-        rn.node.node_id: rn.frames_sent for rn in runtime_nodes
-    }
-    pulse_timeouts = 0
-    pulse_skew = None
     converged_time = None
-    if sync == "pulse":
-        pulse_timeouts = sum(
-            rn.synchronizer.pulse_timeouts for rn in runtime_nodes
+    if sync == "pulse" and converged is not None:
+        converged_time = max(
+            rn.synchronizer.pulse_closes[converged] for rn in runtime_nodes
         )
-        if process is not None:
-            pulse_timeouts += process.pulse_timeouts
-        # All barriers share one anchor on one event loop (local and TCP
-        # runs alike are in-process), so close offsets are comparable:
-        # the per-beat spread is the run's realized pulse skew.
-        closes = [rn.synchronizer.pulse_closes for rn in runtime_nodes]
-        if closes and all(len(c) >= beats for c in closes):
-            pulse_skew = max(
-                max(c[beat] for c in closes) - min(c[beat] for c in closes)
-                for beat in range(beats)
-            )
-        if converged is not None and closes:
-            converged_time = max(
-                c[converged] for c in closes if len(c) > converged
-            )
     result = RuntimeResult(
         seed=seed,
         transport=transport_obj.name,
         beats_run=beats,
         records=records,
         converged_beat=converged,
-        messages_sent=messages,
-        late_messages=late,
-        premature_messages=premature,
-        barrier_timeouts=timeouts,
         elapsed_s=elapsed,
         codec=codec_obj.name,
-        frames_sent=frames,
-        malformed_frames=malformed,
-        frames_by_node=frames_by_node,
         sync=sync,
-        pulse_timeouts=pulse_timeouts,
-        pulse_skew_s=pulse_skew,
         converged_time_s=converged_time,
+        **counters,
     )
     if metrics is not None:
         from repro.obs.metrics import record_runtime

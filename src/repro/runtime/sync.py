@@ -17,16 +17,12 @@ a live network does not.  :class:`BeatSynchronizer` rebuilds it per node:
   memory (the same threat model :mod:`repro.runtime.wire` caps frame
   sizes for); frames beyond the horizon are counted in
   ``premature_messages`` and dropped;
-* traffic tagged for a *past* beat arrives too late to be delivered
-  without breaking the round abstraction: it is **counted and dropped**
-  (``late_messages``), and never leaks into a later beat's inbox.
-
-At barrier close the beat's traffic is sorted by ``(sender, seq)`` — the
-per-sender emission sequence stamped in the wire frames — and grouped into
-per-path inboxes.  For one sender this reproduces emission order, across
-senders ascending id order: exactly the stable sender sort the simulation
-engines deliver, which is what makes a zero-delay runtime bit-identical to
-the lock-step simulator (``tests/test_runtime_differential.py``).
+* per-beat buffering, the late count-and-drop and the canonical
+  ``(sender, seq)`` inbox order at close are the shared beat-close rule,
+  :class:`~repro.net.inbox.BeatInbox` — the same code the event engine's
+  ``PulseSynchronizer`` drives, which is what makes a zero-delay runtime
+  bit-identical to the lock-step simulator
+  (``tests/test_runtime_differential.py``).
 """
 
 from __future__ import annotations
@@ -35,12 +31,19 @@ import asyncio
 from typing import Iterable
 
 from repro.errors import ConfigurationError
+from repro.net.events import DriftingClock
+from repro.net.inbox import BeatInbox, Entry, group_by_path
 from repro.net.message import Envelope
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, MSG, MAX_FRAME_LEN, Frame, WireError
 
-__all__ = ["MAX_LOOKAHEAD", "BeatSynchronizer", "PulseBarrier"]
+__all__ = [
+    "MAX_LOOKAHEAD",
+    "BeatSynchronizer",
+    "PulseBarrier",
+    "check_sync_mode",
+]
 
 #: Buffering horizon, in beats: frames tagged this far past the current
 #: beat are discarded rather than parked.  Honest peers drift by less
@@ -48,12 +51,28 @@ __all__ = ["MAX_LOOKAHEAD", "BeatSynchronizer", "PulseBarrier"]
 #: correct schedules while denying a Byzantine peer unbounded buffers.
 MAX_LOOKAHEAD = 64
 
-#: Sort key + envelope, as buffered per beat.
-Entry = tuple[tuple[int, int], Envelope]
+
+def check_sync_mode(sync: str, rho: float, pulse_period: float) -> None:
+    """Validate a run's barrier mode: ``"beat"`` (fixed timeout, no
+    drift) or ``"pulse"`` (drifting-clock pulse schedule, whose ``rho``
+    and ``pulse_period`` must satisfy :class:`DriftingClock`'s rules)."""
+    if sync not in ("beat", "pulse"):
+        raise ConfigurationError(
+            f"unknown sync mode {sync!r}: expected 'beat' or 'pulse'"
+        )
+    if sync == "pulse":
+        DriftingClock(0, 0, rho, pulse_period)
+    elif rho:
+        raise ConfigurationError(
+            "clock drift (rho) only applies to the pulse barrier; "
+            "use sync='pulse'"
+        )
 
 
-class BeatSynchronizer:
-    """Per-node round barrier over one transport endpoint.
+class BeatSynchronizer(BeatInbox):
+    """Per-node round barrier over one transport endpoint: markers,
+    lookahead, decoding and deadlines on top of the shared
+    :class:`~repro.net.inbox.BeatInbox`.
 
     Args:
         endpoint: the node's transport attachment; the synchronizer is its
@@ -81,16 +100,14 @@ class BeatSynchronizer:
         beat_timeout: "float | None" = None,
         codec: "str | Codec" = DEFAULT_CODEC,
     ) -> None:
+        super().__init__()
         self.endpoint = endpoint
         self.expected = frozenset(expected)
         self.beat_timeout = beat_timeout
         self.codec = resolve_codec(codec)
-        self.beat = 0
-        self.late_messages = 0
         self.premature_messages = 0
         self.malformed_frames = 0
         self.barrier_timeouts = 0
-        self._messages: dict[int, list[Entry]] = {}
         self._markers: dict[int, set[int]] = {}
         # Transport fast path: endpoints backed by an in-process queue
         # expose a non-blocking drain, which lets one await service a
@@ -100,8 +117,8 @@ class BeatSynchronizer:
     @property
     def counters(self) -> dict[str, int]:
         """The barrier's health counters, as one name-keyed snapshot —
-        what the CLI summary, :meth:`ClusterResult.to_jsonl` health line
-        and the metrics collectors read."""
+        what :func:`~repro.runtime.runner.harvest` sums into the run's
+        result."""
         return {
             "late_messages": self.late_messages,
             "premature_messages": self.premature_messages,
@@ -136,15 +153,10 @@ class BeatSynchronizer:
             if frame.beat >= self.beat:
                 self._markers.setdefault(frame.beat, set()).add(sender)
             return
-        if frame.kind != MSG:
-            return  # hello frames never reach past the transport layer
-        if frame.beat < self.beat:
-            # Tagged for a barrier that already closed: count and drop.
-            self.late_messages += 1
-            return
-        self._messages.setdefault(frame.beat, []).append(
-            ((sender, frame.seq), frame.envelope(sender))
-        )
+        if frame.kind == MSG:  # hello frames stop at the transport layer
+            self.deliver(
+                frame.beat, (sender, frame.seq), frame.envelope(sender)
+            )
 
     # -- the barrier -------------------------------------------------------
 
@@ -204,18 +216,13 @@ class BeatSynchronizer:
                     break
             self.note(sender, data)
         self._markers.pop(beat, None)
-        entries = self._messages.pop(beat, [])
-        entries.sort(key=lambda entry: entry[0])
+        entries = self.close_entries(beat)
         self._note_close(loop)
-        self.beat = beat + 1
         return entries
 
     async def collect(self, beat: int) -> dict[str, list[Envelope]]:
         """Close the barrier and return per-path inboxes for the beat."""
-        inboxes: dict[str, list[Envelope]] = {}
-        for _key, envelope in await self.collect_entries(beat):
-            inboxes.setdefault(envelope.path, []).append(envelope)
-        return inboxes
+        return group_by_path(await self.collect_entries(beat))
 
 
 class PulseBarrier(BeatSynchronizer):

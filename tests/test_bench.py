@@ -1,7 +1,7 @@
 """The benchmark subsystem: registry, result schema, harness, gate.
 
 Covers the ISSUE-3 acceptance points: registry completeness (every
-``benchmarks/`` entry registered exactly once), ``BenchResult`` schema
+suite module registered exactly once), ``BenchResult`` schema
 round-trips, gate exit codes on pass/regress/missing-baseline, and the
 ``bench list/run/compare`` CLI smoke (see also ``tests/test_cli.py``).
 """
@@ -78,11 +78,11 @@ def toy_benchmark():
 
 
 class TestRegistry:
-    def test_every_bench_file_registered_exactly_once(self):
-        """benchmarks/bench_<name>.py files <-> registry names, 1:1."""
+    def test_every_suite_module_registered_exactly_once(self):
+        """bench/suites/<name>.py modules <-> registry names, 1:1."""
         file_names = {
-            path.stem.removeprefix("bench_")
-            for path in BENCH_DIR.glob("bench_*.py")
+            path.stem
+            for path in (REPO_ROOT / "src/repro/bench/suites").glob("[!_]*.py")
         }
         registered = {b.name for b in all_benchmarks()}
         assert file_names == registered
@@ -93,11 +93,6 @@ class TestRegistry:
         # + the cross-protocol comparison over the Protocol seam
         # + the continuous-time pulse precision suite.
         assert len({b.name for b in all_benchmarks()}) == 16
-
-    def test_sources_point_at_their_shims(self):
-        for bench in all_benchmarks():
-            assert bench.source == f"benchmarks/bench_{bench.name}.py"
-            assert (REPO_ROOT / bench.source).exists()
 
     def test_double_registration_rejected(self, toy_benchmark):
         with pytest.raises(ConfigurationError, match="already registered"):

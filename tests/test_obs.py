@@ -29,6 +29,7 @@ from repro.obs import (
     TraceEvent,
     diff_records,
     read_trace,
+    record_runtime,
     render_prometheus,
     summarize_trace,
     validate_metrics_json,
@@ -569,24 +570,38 @@ class TestTraceAnalysis:
 
 
 class TestClusterMetricsMerge:
-    def test_worker_registries_merge_losslessly(self):
-        from repro.runtime.orchestrator import _worker_registry
+    def test_worker_harvests_merge_losslessly(self):
+        """Worker harvests fold into one, and the merged result re-homes
+        onto a registry like a single-process run's."""
+        from repro.runtime.orchestrator import ClusterResult
+        from repro.runtime.runner import merge_harvests
+
+        def worker(**counters):
+            return {
+                "traces": {}, "frames_sent": 0, "malformed_frames": 0,
+                "pulse_timeouts": 0, "pulse_skew_s": None, **counters,
+            }
 
         payloads = [
-            {
-                "messages_sent": 10, "frames_by_node": {0: 5, 1: 7},
-                "late_messages": 1, "premature_messages": 0,
-                "malformed_frames": 0, "barrier_timeouts": 0,
-            },
-            {
-                "messages_sent": 12, "frames_by_node": {2: 6, 3: 8},
-                "late_messages": 0, "premature_messages": 2,
-                "malformed_frames": 0, "barrier_timeouts": 1,
-            },
+            worker(
+                messages_sent=10, frames_by_node={0: 5, 1: 7},
+                late_messages=1, premature_messages=0, barrier_timeouts=0,
+            ),
+            worker(
+                messages_sent=12, frames_by_node={2: 6, 3: 8},
+                late_messages=0, premature_messages=2, barrier_timeouts=1,
+            ),
         ]
+        counters = merge_harvests(payloads)
+        del counters["traces"]
         merged = MetricsRegistry()
-        for payload in payloads:
-            merged.merge_json(_worker_registry(payload).to_json())
+        record_runtime(
+            merged,
+            ClusterResult(
+                name="merge", n=4, f=1, seed=0, codec="json", processes=2,
+                beats_run=1, records=(), **counters,
+            ),
+        )
         assert merged.counter("runtime_messages_sent_total").value() == 22
         frames = merged.counter("runtime_frames_sent_total")
         assert {

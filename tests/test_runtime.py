@@ -195,7 +195,7 @@ class TestBeatSynchronizer:
 
         sync = asyncio.run(scenario())
         assert sync.premature_messages == 2
-        assert list(sync._messages) == [MAX_LOOKAHEAD - 1]
+        assert list(sync._pending) == [MAX_LOOKAHEAD - 1]
 
     def test_future_traffic_buffers_until_its_beat(self):
         async def scenario():
@@ -528,3 +528,17 @@ class TestRunner:
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):
             run_runtime(4, 1, self._factory(), beats=1, codec="morse")
+
+    def test_pulse_skew_needs_a_pair_of_live_barriers(self):
+        """A spread needs a pair: with every honest node but one stalled
+        the run reports no skew (not 0.0); with two live, a number."""
+        runs = {
+            stalled: run_runtime(
+                4, 1, self._factory(), seed=0, beats=3, sync="pulse",
+                pulse_period=0.02, stall_ids=stalled,
+            )
+            for stalled in ((1, 2, 3), (2, 3))
+        }
+        assert runs[(1, 2, 3)].pulse_skew_s is None
+        assert runs[(2, 3)].pulse_skew_s >= 0.0
+        assert all(run.pulse_timeouts > 0 for run in runs.values())

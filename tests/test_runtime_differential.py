@@ -23,6 +23,7 @@ import pytest
 from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
+from repro.net.events import run_continuous
 from repro.net.simulator import Simulation
 from repro.net.trace import Tracer, records_from_jsonl, records_to_jsonl
 from repro.runtime import run_runtime
@@ -75,6 +76,21 @@ def _live_trace(seed: int, adversary_factory, *, codec: str = "json"):
     return result.to_jsonl()
 
 
+class _UnderCorruptingEquivocator(EquivocatorAdversary):
+    """Corrupts only f-1 nodes; records the ``f`` each view reports."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen_f = set()
+
+    def select_faulty(self, n, f, rng):
+        return frozenset(range(n - f + 1, n))
+
+    def craft_messages(self, view):
+        self.seen_f.add(view.f)
+        return super().craft_messages(view)
+
+
 class TestLocalTransportIdentity:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fault_free_trajectories_identical(self, seed):
@@ -105,6 +121,27 @@ class TestLocalTransportIdentity:
             assert live == _simulated_trace(
                 0, EquivocatorAdversary, engine=engine
             )
+
+    def test_view_reports_the_protocol_f_on_every_path(self):
+        """An adversary corrupting fewer than f nodes still sees the
+        protocol's ``f`` in its view — the same on the simulator, the
+        event engine and the live runtime — and so acts identically."""
+        n, f, beats = 7, 2, 12
+        adversaries = [_UnderCorruptingEquivocator() for _ in range(3)]
+        sim = Simulation(n, f, _factory(), adversary=adversaries[0], seed=0)
+        tracer = Tracer(lambda root: root.clock_value)
+        sim.add_monitor(tracer)
+        sim.scramble()
+        sim.run(beats)
+        event = run_continuous(
+            n, f, _factory(), adversary=adversaries[1], seed=0, beats=beats
+        )
+        live = run_runtime(
+            n, f, _factory(), adversary=adversaries[2], seed=0, beats=beats,
+            transport="local",
+        )
+        assert [a.seen_f for a in adversaries] == [{f}] * 3
+        assert live.to_jsonl() == event.to_jsonl() == tracer.to_jsonl()
 
     def test_jsonl_round_trips_to_equal_records(self, tmp_path):
         """The shared trace format survives the disk, both directions."""
