@@ -18,15 +18,22 @@ simulator invokes them as a phase of the beat loop
 (:func:`repro.net.engine._craft_byzantine`), and the live runtime wraps
 them in a real misbehaving peer
 (:class:`repro.runtime.byzantine.ByzantineProcess`) that receives the
-same legal view over actual transports.
+same legal view over actual transports.  Either way
+:attr:`AdversaryView.visible_messages` is a read-only sequence in the
+engines' canonical order (sender, then the sender's emission order, then
+faulty receiver); the fast and bulk engines pass a
+:class:`~repro.net.message.FanoutView`, which builds a faulty receiver's
+copy of an honest broadcast only when a strategy asks for it.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
+from functools import cached_property
 from typing import TYPE_CHECKING, Hashable
 
-from repro.net.message import Envelope
+from repro.net.message import Envelope, FanoutView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.environment import CoinOutcome, Environment
@@ -35,7 +42,14 @@ __all__ = ["Adversary", "AdversaryView", "NullAdversary"]
 
 
 class AdversaryView:
-    """Everything the adversary may look at during one beat."""
+    """Everything the adversary may look at during one beat.
+
+    ``visible_messages`` is a read-only sequence (a list, or a
+    :class:`~repro.net.message.FanoutView`) in canonical order.  The
+    per-path questions — :meth:`visible_paths`, :meth:`visible_by_path`,
+    :meth:`observed_payloads` — are answered from one index built on
+    first use, not from a scan of the sequence each.
+    """
 
     def __init__(
         self,
@@ -44,7 +58,7 @@ class AdversaryView:
         n: int,
         f: int,
         faulty_ids: frozenset[int],
-        visible_messages: list[Envelope],
+        visible_messages: Sequence[Envelope],
         env: "Environment",
         rng: random.Random,
     ) -> None:
@@ -58,17 +72,39 @@ class AdversaryView:
         self._env = env
         self.rng = rng
 
-    @property
+    @cached_property
     def honest_ids(self) -> list[int]:
+        """The correct nodes' ids, ascending."""
         return [i for i in range(self.n) if i not in self.faulty_ids]
+
+    @cached_property
+    def _by_path(self) -> dict[str, tuple[list, Sequence[Envelope]]]:
+        """``path -> (payloads, messages)``, both in view order."""
+        visible = self.visible_messages
+        if isinstance(visible, FanoutView):
+            return visible.by_path()
+        index: dict[str, tuple[list, list]] = {}
+        for envelope in visible:
+            entry = index.get(envelope.path)
+            if entry is None:
+                entry = index[envelope.path] = ([], [])
+            entry[0].append(envelope.payload)
+            entry[1].append(envelope)
+        return index
 
     def visible_by_path(self, path: str) -> list[Envelope]:
         """Visible messages addressed to one component path."""
-        return [e for e in self.visible_messages if e.path == path]
+        entry = self._by_path.get(path)
+        return [] if entry is None else list(entry[1])
 
     def visible_paths(self) -> set[str]:
         """All component paths with visible traffic this beat."""
-        return {e.path for e in self.visible_messages}
+        return set(self._by_path)
+
+    def observed_payloads(self, path: str) -> list[Hashable]:
+        """Payloads of the visible messages on one path, in view order."""
+        entry = self._by_path.get(path)
+        return [] if entry is None else list(entry[0])
 
     def coin_outcomes(self) -> dict[tuple[str, int], "CoinOutcome"]:
         """Coin outcomes resolved up to and including the current beat."""
@@ -109,6 +145,8 @@ class Adversary:
         self.n = 0
         self.f = 0
         self.faulty_ids: frozenset[int] = frozenset()
+        #: The correct nodes' ids, ascending (fixed by :meth:`setup`).
+        self.honest_ids: list[int] = []
         self.rng = random.Random(0)
 
     def select_faulty(self, n: int, f: int, rng: random.Random) -> frozenset[int]:
@@ -122,6 +160,7 @@ class Adversary:
         self.n = n
         self.f = f
         self.faulty_ids = faulty_ids
+        self.honest_ids = [i for i in range(n) if i not in faulty_ids]
         self.rng = rng
 
     def craft_messages(self, view: AdversaryView) -> list[Envelope]:
@@ -139,10 +178,6 @@ class Adversary:
         this to hand different halves of the network different bits.
         """
         return {}
-
-    @property
-    def honest_ids(self) -> list[int]:
-        return [i for i in range(self.n) if i not in self.faulty_ids]
 
 
 class NullAdversary(Adversary):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 
 from repro.adversary.base import Adversary, AdversaryView
-from repro.adversary.payloads import mutate_payload, observed_payloads
+from repro.adversary.payloads import mutate_payload
 from repro.net.message import Envelope
 
 __all__ = [
@@ -50,7 +50,7 @@ class RandomNoiseAdversary(Adversary):
     def craft_messages(self, view: AdversaryView) -> list[Envelope]:
         messages: list[Envelope] = []
         for path in sorted(view.visible_paths()):
-            samples = observed_payloads(view.visible_messages, path)
+            samples = view.observed_payloads(path)
             for sender in sorted(self.faulty_ids):
                 for receiver in range(view.n):
                     if view.rng.random() < self.drop_rate:
@@ -75,7 +75,7 @@ class EquivocatorAdversary(Adversary):
     def craft_messages(self, view: AdversaryView) -> list[Envelope]:
         messages: list[Envelope] = []
         for path in sorted(view.visible_paths()):
-            samples = observed_payloads(view.visible_messages, path)
+            samples = view.observed_payloads(path)
             variant_a = view.rng.choice(samples)
             variant_b = mutate_payload(variant_a, view.rng)
             for sender in sorted(self.faulty_ids):
@@ -109,7 +109,7 @@ class SplitWorldAdversary(Adversary):
     def craft_messages(self, view: AdversaryView) -> list[Envelope]:
         messages: list[Envelope] = []
         for path in sorted(view.visible_paths()):
-            samples = observed_payloads(view.visible_messages, path)
+            samples = view.observed_payloads(path)
             counts: dict = {}
             for sample in samples:
                 counts[sample] = counts.get(sample, 0) + 1

@@ -66,9 +66,11 @@ def most_frequent(counter: Counter) -> tuple[Any, int]:
 
 
 def _tie_key(value: Any) -> str:
-    # Reverse-stable: max() picks the lexicographically *smallest* repr on
-    # ties because we negate by sorting on the complement string length
-    # trick being fragile; instead use a simple descending trick:
+    # Ties go to the lexicographically smallest repr, compared on its
+    # first 64 characters: most_frequent() takes a max(), so each
+    # character is complemented to reverse the order.  Complementing does
+    # not reverse length, so where one repr is a prefix of the other the
+    # longer wins: 10 beats 1.
     return "".join(chr(0x10FFFF - ord(c)) for c in repr(value)[:64])
 
 

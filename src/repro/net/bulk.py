@@ -47,9 +47,13 @@ enforces this differentially, mirroring ``tests/test_engines.py``):
   runs under them execute on the inherited :class:`FastEngine` path
   (which is itself differentially pinned against the reference).
 * **Per-message traffic still works.**  Byzantine envelopes and
-  phantoms enter a per-receiver *dirty* merge that reproduces the
-  reference router's sender-sorted, stage-ordered delivery exactly;
-  only the affected receivers pay the per-object cost.
+  phantoms make their receivers *dirty*: their inbox is the lane merged
+  with those extras, exactly as the reference router's sender-sorted,
+  stage-ordered delivery builds it.  Dirty receivers that were handed
+  the same messages — same partition group, same senders, the same
+  payload *objects* — form one *inbox class* and share one merge and
+  one tally, so the cost follows the number of distinct inboxes the
+  adversary made, not the number of receivers.
 
 Protocols opt in by registering a :class:`BulkProgram` builder for their
 root component type (:func:`register_bulk_program`); the ss-Byz
@@ -71,6 +75,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 try:  # numpy is optional (the ``fast`` extra); the packed fallback is exact
@@ -86,7 +91,7 @@ from repro.core.majority import (
 )
 from repro.net.engine import ENGINES, FastEngine, _craft_byzantine
 from repro.net.linkmodel import PartitionLinks
-from repro.net.message import Envelope
+from repro.net.message import Envelope, FanoutView
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
@@ -109,6 +114,8 @@ _ENC_BOTTOM = 2
 
 #: Cache sentinel distinguishing "not computed" from a computed ``None``.
 _MISSING = object()
+
+_SENDER_OF_ENTRY = itemgetter(0)
 
 
 def _int_row(size: int, fill: int = 0):
@@ -149,12 +156,20 @@ class _Delivery:
 
     ``group_of`` is the per-slot partition group during a partition
     window (``None`` otherwise: everybody shares group 0); ``extras``
-    maps honest node id -> path -> ``[(merge_key, envelope), ...]`` with
-    the fast engine's ``(sender, stage, seq)`` merge keys.
+    maps honest node id -> path -> ``{sender: payload}``, each sender's
+    *first* per-message payload in the fast engine's ``(stage, seq)``
+    order (the beat's Byzantine traffic, then phantoms) — the only one
+    a first-wins inbox can show.
+
+    Receivers of per-message traffic are *dirty*: their inbox differs
+    from the lane.  Dirty receivers that were handed the same messages
+    form one *inbox class* (:meth:`inbox_classes`) and share one exact
+    merge (:meth:`merged_inbox`); an adversary whose every payload is
+    fresh puts each receiver in a class of its own.
     """
 
     __slots__ = ("ids", "slot_of", "lanes", "lane_by_path", "extras",
-                 "group_of", "_values_cache")
+                 "group_of", "_values_cache", "_merged_cache")
 
     def __init__(self, ids, slot_of, lanes, extras, group_of) -> None:
         self.ids = ids
@@ -164,17 +179,49 @@ class _Delivery:
         self.extras = extras
         self.group_of = group_of
         self._values_cache: dict = {}
+        self._merged_cache: dict = {}
 
     def group_key(self, slot: int) -> int:
         return 0 if self.group_of is None else self.group_of[slot]
 
-    def dirty_slots(self, path: str) -> set[int]:
-        """Receiver slots whose inbox on ``path`` differs from the lane."""
-        dirty = set()
+    def inbox_classes(self, path: str) -> dict[int, int]:
+        """Dirty receiver slot -> its inbox class on ``path``.
+
+        Two dirty receivers are in one class when they are in one
+        partition group and their extras list the same senders with the
+        same payload *objects*, in the same order — so their merged
+        inboxes are the same dict, entry for entry.  Identity, not
+        equality: ``1`` and ``True`` are equal but tally differently, so
+        equal-but-distinct payloads land in different classes, which can
+        only cost sharing.  A class is named by its first member's slot.
+        """
+        classes: dict[int, int] = {}
+        representative: dict[tuple, int] = {}
+        group_of = self.group_of
+        slot_of = self.slot_of
         for node_id, per_path in self.extras.items():
-            if path in per_path:
-                dirty.add(self.slot_of[node_id])
-        return dirty
+            first = per_path.get(path)
+            if first is None:
+                continue
+            slot = slot_of[node_id]
+            key = (
+                None if group_of is None else group_of[slot],
+                tuple(first),
+                tuple(map(id, first.values())),
+            )
+            classes[slot] = representative.setdefault(key, slot)
+        return classes
+
+    def merged_inbox(self, path: str, inbox_class: int) -> dict[int, Any]:
+        """The one :meth:`merged_first_per_sender` of a whole inbox class
+        (shared by its members: read-only)."""
+        key = (path, inbox_class)
+        merged = self._merged_cache.get(key)
+        if merged is None:
+            merged = self._merged_cache[key] = self.merged_first_per_sender(
+                path, inbox_class
+            )
+        return merged
 
     def lane_values(self, path: str, group: int) -> list:
         """Payloads a clean group-``group`` receiver sees on ``path``,
@@ -199,13 +246,13 @@ class _Delivery:
     def merged_first_per_sender(self, path: str, slot: int) -> dict[int, Any]:
         """Exact ``first_payload_per_sender`` of a dirty receiver's inbox.
 
-        Reproduces the reference router's delivery: lane traffic (stage
-        0, a sender's sole broadcast) merged with the receiver's extras
-        under the fast engine's ``(sender, stage, seq)`` sort, collapsed
-        first-wins per sender in ascending order.
+        Reproduces the reference router's delivery: lane traffic (a
+        sender's sole broadcast) followed by the receiver's extras,
+        under the router's stable sender sort, collapsed first-wins per
+        sender in ascending order.
         """
         node_id = self.ids[slot]
-        entries: list[tuple[tuple[int, int, int], Any]] = []
+        entries: list[tuple[int, Any]] = []
         lane = self.lane_by_path.get(path)
         if lane is not None:
             group_of = self.group_of
@@ -217,13 +264,12 @@ class _Delivery:
                     group_of is None or group_of[sender_slot] == group
                 ):
                     entries.append(
-                        ((self.ids[sender_slot], 0, 0), payloads[sender_slot])
+                        (self.ids[sender_slot], payloads[sender_slot])
                     )
-        for key, envelope in self.extras.get(node_id, {}).get(path, ()):
-            entries.append((key, envelope.payload))
-        entries.sort(key=lambda item: item[0])
+        entries.extend(self.extras.get(node_id, {}).get(path, {}).items())
+        entries.sort(key=_SENDER_OF_ENTRY)
         collapsed: dict[int, Any] = {}
-        for (sender, _stage, _seq), payload in entries:
+        for sender, payload in entries:
             if sender not in collapsed:
                 collapsed[sender] = payload
         return collapsed
@@ -295,6 +341,17 @@ def _decode_two_clock(encoded: int):
     return None if encoded == _ENC_BOTTOM else int(encoded)
 
 
+def _tagged_values(payloads, kind: str) -> list:
+    """The values of the well-formed ``(kind, value)`` payloads, in order."""
+    return [
+        payload[1]
+        for payload in payloads
+        if isinstance(payload, tuple)
+        and len(payload) == 2
+        and payload[0] == kind
+    ]
+
+
 def _two_clock_step(values: list, threshold: int):
     """ss-Byz-2-Clock lines 3-6 on an already-substituted value list."""
     maj, maj_count = most_frequent(count_values(values))
@@ -309,9 +366,10 @@ class ClockSyncProgram(BulkProgram):
     Rows: ``fc`` and ``save`` (mod-k ints), ``a_clock`` (4-clock, -1
     encodes ⊥), ``a1``/``a2`` (2-clocks, 2 encodes ⊥).  The previous
     beat's root inbox — the only cross-beat message state — is kept in
-    shared form (last root lane + its group structure) with per-slot
-    dict overrides for receivers whose inbox diverged (Byzantine
-    traffic, phantoms, reloads after a scramble).
+    shared form (last root lane + its group structure) with dict
+    overrides for receivers whose inbox diverged (Byzantine traffic,
+    phantoms, reloads after a scramble) — one dict per inbox class,
+    shared read-only by the class's slots.
 
     The oracle-coin pipelines carry *no* live state between beats: every
     beat the output slot re-resolves its environment outcome before the
@@ -354,6 +412,7 @@ class ClockSyncProgram(BulkProgram):
         self.prev_group_of: list | None = None
         self.prev_override: dict[int, dict[int, Any]] = {}
         self._prev_cache: dict = {}
+        self._override_cache: dict = {}
         self._lane_root: Lane | None = None
 
     # -- tree mirroring ----------------------------------------------------
@@ -412,20 +471,26 @@ class ClockSyncProgram(BulkProgram):
                     )
         return collapsed
 
-    # -- previous-beat helpers (shared per prev-group, exact per slot) -----
+    # -- previous-beat helpers (one answer per shared previous inbox) ------
+    #
+    # Clean slots of one previous partition group read the same lane and
+    # share ``_prev_cache`` entries keyed by the group.  Override slots of
+    # one inbox class hold the same dict *object* and share
+    # ``_override_cache`` entries keyed by its identity: ``prev_override``
+    # is not written between the reload at the top of a beat and the end
+    # of that beat's update, where both caches are dropped, so an
+    # identity cannot be reused while a key built from it is live.
 
     def _prev_values(self, slot: int, kind: str) -> list:
         """``SSByzClockSync._previous_values`` for one receiver slot."""
         override = self.prev_override.get(slot)
         if override is not None:
-            values = []
-            for payload in override.values():
-                if (
-                    isinstance(payload, tuple)
-                    and len(payload) == 2
-                    and payload[0] == kind
-                ):
-                    values.append(payload[1])
+            key = (id(override), kind)
+            values = self._override_cache.get(key)
+            if values is None:
+                values = self._override_cache[key] = _tagged_values(
+                    override.values(), kind
+                )
             return values
         group = (
             0 if self.prev_group_of is None else self.prev_group_of[slot]
@@ -433,7 +498,7 @@ class ClockSyncProgram(BulkProgram):
         key = ("values", group, kind)
         values = self._prev_cache.get(key)
         if values is None:
-            values = []
+            payloads = []
             lane = self.prev_lane
             if lane is not None:
                 group_of = self.prev_group_of
@@ -441,44 +506,44 @@ class ClockSyncProgram(BulkProgram):
                     if lane.present[s] and (
                         group_of is None or group_of[s] == group
                     ):
-                        payload = lane.payloads[s]
-                        if (
-                            isinstance(payload, tuple)
-                            and len(payload) == 2
-                            and payload[0] == kind
-                        ):
-                            values.append(payload[1])
-            self._prev_cache[key] = values
+                        payloads.append(lane.payloads[s])
+            values = self._prev_cache[key] = _tagged_values(payloads, kind)
         return values
 
     def _proposal(self, slot: int):
         """Figure 4 block 3.b: the value seen n-f times last beat."""
-        if slot in self.prev_override:
-            return value_with_count_at_least(
-                self._prev_values(slot, "fc"), self.threshold
+        override = self.prev_override.get(slot)
+        if override is not None:
+            cache = self._override_cache
+            key = (id(override), "proposal")
+        else:
+            cache = self._prev_cache
+            group = (
+                0 if self.prev_group_of is None else self.prev_group_of[slot]
             )
-        group = (
-            0 if self.prev_group_of is None else self.prev_group_of[slot]
-        )
-        key = ("prop", group)
-        proposal = self._prev_cache.get(key, _MISSING)
+            key = ("prop", group)
+        proposal = cache.get(key, _MISSING)
         if proposal is _MISSING:
-            proposal = value_with_count_at_least(
+            proposal = cache[key] = value_with_count_at_least(
                 self._prev_values(slot, "fc"), self.threshold
             )
-            self._prev_cache[key] = proposal
         return proposal
 
     def _phase2(self, slot: int) -> tuple[int, int]:
         """Figure 4 block 3.c: the (bit, save) pair from last beat."""
-        if slot not in self.prev_override:
+        override = self.prev_override.get(slot)
+        if override is not None:
+            cache = self._override_cache
+            key = (id(override), "phase2")
+        else:
+            cache = self._prev_cache
             group = (
                 0 if self.prev_group_of is None else self.prev_group_of[slot]
             )
             key = ("phase2", group)
-            cached = self._prev_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = cache.get(key)
+        if cached is not None:
+            return cached
         proposals = [
             value for value in self._prev_values(slot, "prop")
             if value is not BOTTOM
@@ -492,26 +557,29 @@ class ClockSyncProgram(BulkProgram):
             save = 0
         else:
             save = majority_value % self.k
-        if slot not in self.prev_override:
-            self._prev_cache[key] = (bit, save)
+        cache[key] = (bit, save)
         return bit, save
 
     def _prev_bits(self, slot: int) -> tuple[int, int]:
         """Figure 4 block 3.d tallies: (#ones, #zeros) of last beat."""
-        if slot not in self.prev_override:
+        override = self.prev_override.get(slot)
+        if override is not None:
+            cache = self._override_cache
+            key = (id(override), "bits")
+        else:
+            cache = self._prev_cache
             group = (
                 0 if self.prev_group_of is None else self.prev_group_of[slot]
             )
             key = ("bits", group)
-            cached = self._prev_cache.get(key)
-            if cached is not None:
-                return cached
-        bits = self._prev_values(slot, "bit")
-        ones = sum(1 for bit in bits if bit == 1)
-        zeros = sum(1 for bit in bits if bit == 0)
-        if slot not in self.prev_override:
-            self._prev_cache[key] = (ones, zeros)
-        return ones, zeros
+        cached = cache.get(key)
+        if cached is None:
+            bits = self._prev_values(slot, "bit")
+            cached = cache[key] = (
+                sum(1 for bit in bits if bit == 1),
+                sum(1 for bit in bits if bit == 0),
+            )
+        return cached
 
     # -- beat halves -------------------------------------------------------
 
@@ -601,29 +669,36 @@ class ClockSyncProgram(BulkProgram):
                 break
         return order
 
-    def _tally_two_clock(self, delivery, path, rand, dirty, active):
+    def _tally_two_clock(self, delivery, path, rand, active):
         """One 2-clock's update across all (active) slots.
 
         Clean receivers in one partition group share one tally per rand
-        bit; dirty receivers replay the exact per-node inbox merge.
-        Returns the new clock values ({0, 1, ⊥}), ``None`` rows for
-        inactive slots.
+        bit; dirty receivers share one per inbox class and rand bit,
+        over the class's exact per-node inbox merge.  Returns the new
+        clock values ({0, 1, ⊥}), ``None`` rows for inactive slots.
         """
         size = self.size
         out: list = [None] * size
         shared: dict = {}
+        by_class: dict = {}
+        dirty = delivery.inbox_classes(path)
         threshold = self.threshold
         for slot in range(size):
             if active is not None and not active[slot]:
                 continue
             rand_bit = rand[slot]
             if slot in dirty:
-                merged = delivery.merged_first_per_sender(path, slot)
-                values = [
-                    rand_bit if payload is BOTTOM else payload
-                    for payload in merged.values()
-                ]
-                out[slot] = _two_clock_step(values, threshold)
+                cache_key = (dirty[slot], rand_bit)
+                decision = by_class.get(cache_key, _MISSING)
+                if decision is _MISSING:
+                    merged = delivery.merged_inbox(path, cache_key[0])
+                    values = [
+                        rand_bit if payload is BOTTOM else payload
+                        for payload in merged.values()
+                    ]
+                    decision = _two_clock_step(values, threshold)
+                    by_class[cache_key] = decision
+                out[slot] = decision
                 continue
             cache_key = (delivery.group_key(slot), rand_bit)
             decision = shared.get(cache_key, _MISSING)
@@ -660,12 +735,10 @@ class ClockSyncProgram(BulkProgram):
             rand_root = [out_root.bit_for(ids[slot]) for slot in range(size)]
         # A's update: A1 for everyone, A2 for the gated slots, composite.
         new_a1 = self._tally_two_clock(
-            delivery, self.path_a1, rand_a1,
-            delivery.dirty_slots(self.path_a1), None,
+            delivery, self.path_a1, rand_a1, None
         )
         new_a2 = self._tally_two_clock(
-            delivery, self.path_a2, rand_a2,
-            delivery.dirty_slots(self.path_a2), gate,
+            delivery, self.path_a2, rand_a2, gate
         )
         a1 = self.a1
         a2 = self.a2
@@ -699,15 +772,15 @@ class ClockSyncProgram(BulkProgram):
             else:
                 fc[slot] = 0
         # This beat's root inbox becomes the next beat's ``_previous``.
-        new_override: dict[int, dict[int, Any]] = {}
-        for slot in delivery.dirty_slots(self.path_root):
-            new_override[slot] = delivery.merged_first_per_sender(
-                self.path_root, slot
-            )
-        self.prev_override = new_override
+        path_root = self.path_root
+        self.prev_override = {
+            slot: delivery.merged_inbox(path_root, inbox_class)
+            for slot, inbox_class in delivery.inbox_classes(path_root).items()
+        }
         self.prev_lane = self._lane_root
         self.prev_group_of = delivery.group_of
         self._prev_cache = {}
+        self._override_cache = {}
 
 
 # -- the Dolev-Welch baseline program --------------------------------------
@@ -758,16 +831,19 @@ class DolevWelchProgram(BulkProgram):
 
     def update(self, beat: int, delivery: _Delivery) -> None:
         nodes = self.simulation.nodes
-        dirty = delivery.dirty_slots(self.path_root)
+        dirty = delivery.inbox_classes(self.path_root)
         shared: dict = {}
+        by_class: dict = {}
         clock = self.clock
         k = self.k
         for slot in range(self.size):
             if slot in dirty:
-                merged = delivery.merged_first_per_sender(
-                    self.path_root, slot
-                )
-                decision = self._decide(list(merged.values()))
+                inbox_class = dirty[slot]
+                decision = by_class.get(inbox_class, _MISSING)
+                if decision is _MISSING:
+                    merged = delivery.merged_inbox(self.path_root, inbox_class)
+                    decision = self._decide(list(merged.values()))
+                    by_class[inbox_class] = decision
             else:
                 group = delivery.group_key(slot)
                 decision = shared.get(group, _MISSING)
@@ -954,62 +1030,58 @@ class BulkEngine(FastEngine):
         link = self._link
         partitioned = (not link.is_perfect) and link.partitioned_at(beat)
         faulty = self._faulty
-        adversary_active = simulation.adversary is not None and bool(faulty)
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        extras: dict[int, dict[str, list]] = {}
-
-        def stash(receiver, path, key, envelope):
-            extras.setdefault(receiver, {}).setdefault(path, []).append(
-                (key, envelope)
-            )
+        #: This beat's per-message traffic, in ``(stage, seq)`` order:
+        #: the crafted list, then the phantoms.
+        arrivals: list[Envelope] = []
 
         # -- adversary phase ----------------------------------------------
-        if adversary_active:
+        if simulation.adversary is not None and faulty:
             # The legal view: every copy addressed to a faulty node, in
             # the engines' canonical order (sender ascending, then the
             # node's emission order, then faulty receiver ascending).
-            visible: list[Envelope] = []
+            visible = FanoutView(beat, faulty)
             for slot, sender in enumerate(ids):
                 for lane in lanes:
                     if lane.present[slot]:
-                        payload = lane.payloads[slot]
-                        for faulty_id in faulty:
-                            visible.append(
-                                Envelope(
-                                    sender, faulty_id, lane.path, payload,
-                                    beat,
-                                )
-                            )
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation.world, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
-                receiver = envelope.receiver
-                if receiver not in nodes:
-                    continue  # dead letter (faulty receiver)
-                if (
-                    partitioned
-                    and link.classify(envelope.sender, receiver, beat)
-                    is None
-                ):
-                    stats.record_dropped(envelope)
-                    continue
-                stash(
-                    receiver, envelope.path,
-                    (envelope.sender, self._STAGE_REGULAR, seq), envelope,
-                )
+                        visible.add_broadcast(
+                            sender, lane.path, lane.payloads[slot]
+                        )
+            arrivals = _craft_byzantine(simulation.world, beat, visible)
+            stats.record_block(arrivals, honest=False)
+            if partitioned:
+                crossing, arrivals = arrivals, []
+                for envelope in crossing:
+                    if (
+                        envelope.receiver in nodes
+                        and link.classify(
+                            envelope.sender, envelope.receiver, beat
+                        ) is None
+                    ):
+                        stats.record_dropped(envelope)
+                    else:
+                        arrivals.append(envelope)
 
         # -- phantom delivery (bypasses the link layer) --------------------
         if self._pending_phantoms:
             phantoms, self._pending_phantoms = self._pending_phantoms, []
-            for seq, envelope in enumerate(phantoms):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    stash(
-                        envelope.receiver, envelope.path,
-                        (envelope.sender, self._STAGE_PHANTOM, seq),
-                        envelope,
-                    )
+            stats.record_block(phantoms, honest=False)
+            arrivals = arrivals + phantoms
+
+        # -- stash: each honest receiver's first payload per sender --------
+        # extras[receiver][path] = {sender: payload}; anything addressed
+        # elsewhere (a faulty node, no node at all) is a dead letter.
+        extras: dict[int, dict[str, dict[int, Any]]] = {}
+        if arrivals:
+            extras = {node_id: {} for node_id in ids}
+            for sender, receiver, path, payload, _beat in arrivals:
+                per_path = extras.get(receiver)
+                if per_path is None:
+                    continue
+                first = per_path.get(path)
+                if first is None:
+                    per_path[path] = {sender: payload}
+                elif sender not in first:
+                    first[sender] = payload
 
         # -- partition structure + whole-lane drop accounting --------------
         group_of = None

@@ -52,11 +52,12 @@ which sorts before phantoms claiming that sender.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Hashable, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.message import BROADCAST, Envelope
+from repro.net.message import BROADCAST, Envelope, FanoutView
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
@@ -74,7 +75,7 @@ __all__ = [
 
 
 def _craft_byzantine(
-    world: "World", beat: int, visible: list[Envelope]
+    world: "World", beat: int, visible: Sequence[Envelope]
 ) -> list[Envelope]:
     """Run the adversary phase and validate the crafted traffic."""
     from repro.adversary.base import AdversaryView
@@ -395,7 +396,8 @@ class FastEngine:
         # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
         # — the rare per-receiver traffic that cannot ride the shared lists.
         extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
-        visible: list[Envelope] = []
+        # The legal view in shared form: one record per honest broadcast.
+        visible = FanoutView(beat, faulty)
 
         # -- send phase ----------------------------------------------------
         # Honest nodes run in ascending id order, so shared lists come out
@@ -415,15 +417,12 @@ class FastEngine:
                     shared_keys[path_id].append((node_id, seq))
                     stats.record_fanout(path, beat, n, honest=True)
                     if adversary_active:
-                        for faulty_id in faulty:
-                            visible.append(
-                                Envelope(node_id, faulty_id, path, payload, beat)
-                            )
+                        visible.add_broadcast(node_id, path, payload)
                 else:
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
                     if adversary_active and receiver in faulty_set:
-                        visible.append(envelope)
+                        visible.add_envelope(envelope)
                     if receiver in nodes:
                         extras.setdefault(receiver, {}).setdefault(
                             path, []
@@ -431,10 +430,9 @@ class FastEngine:
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation.world, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
+            crafted = _craft_byzantine(simulation.world, beat, visible)
+            stats.record_block(crafted, honest=False)
+            for seq, envelope in enumerate(crafted):
                 if envelope.receiver in nodes:
                     extras.setdefault(envelope.receiver, {}).setdefault(
                         envelope.path, []
@@ -518,7 +516,7 @@ class FastEngine:
         adversary_active = simulation.adversary is not None and bool(self._faulty)
         # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
         extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
-        visible: list[Envelope] = []
+        visible = FanoutView(beat, self._faulty)
 
         def dispatch(envelope: Envelope, key: tuple[int, int, int]) -> None:
             receiver = envelope.receiver
@@ -554,24 +552,24 @@ class FastEngine:
                 if receiver is None:  # full broadcast: expand per receiver
                     stats.record_fanout(path, beat, n, honest=True)
                     key = (node_id, self._STAGE_REGULAR, seq)
+                    if adversary_active:
+                        visible.add_broadcast(node_id, path, payload)
                     for target in range(n):
-                        envelope = Envelope(node_id, target, path, payload, beat)
-                        if adversary_active and target in faulty_set:
-                            visible.append(envelope)
-                        dispatch(envelope, key)
+                        dispatch(
+                            Envelope(node_id, target, path, payload, beat), key
+                        )
                 else:
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
                     if adversary_active and receiver in faulty_set:
-                        visible.append(envelope)
+                        visible.add_envelope(envelope)
                     dispatch(envelope, (node_id, self._STAGE_REGULAR, seq))
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
-            for seq, envelope in enumerate(
-                _craft_byzantine(simulation.world, beat, visible)
-            ):
-                stats.record(envelope, honest=False)
+            crafted = _craft_byzantine(simulation.world, beat, visible)
+            stats.record_block(crafted, honest=False)
+            for seq, envelope in enumerate(crafted):
                 dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))
 
         # -- delayed arrivals now due -------------------------------------

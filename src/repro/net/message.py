@@ -15,18 +15,22 @@ hashable in a payload, and all receiving code is written to tolerate that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable
+from bisect import bisect_right
+from collections.abc import Sequence
+from typing import Hashable, NamedTuple
 
-__all__ = ["BROADCAST", "Envelope", "Outbox"]
+__all__ = ["BROADCAST", "Envelope", "FanoutView", "Outbox"]
 
 #: Pseudo-destination meaning "send one copy to every node (including self)".
 BROADCAST = -1
 
 
-@dataclass(frozen=True, slots=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One delivered message.
+
+    A named tuple: immutable, hashable and picklable like the frozen
+    dataclass it replaced, at under half the construction cost — and
+    every Byzantine message of every beat is one construction.
 
     Attributes:
         sender: node id of the (claimed and network-verified) sender.
@@ -50,6 +54,92 @@ class Envelope:
             f"Envelope({self.sender}->{self.receiver} @{self.beat} "
             f"{self.path}: {self.payload!r})"
         )
+
+
+class FanoutView(Sequence):
+    """One beat's legal adversary view, in shared form.
+
+    The view is every copy addressed to a faulty node, in the engines'
+    canonical order: sender ascending, then the sender's emission order,
+    then faulty receiver ascending.  An honest full broadcast is held as
+    one ``(sender, path, payload)`` record standing for one copy per
+    faulty id; a point-to-point send to a faulty node is held as its
+    envelope, in emission position.  ``len``, indexing, slicing and
+    iteration yield exactly the envelopes, in exactly the order, of the
+    materialized list — built only when a strategy asks for them.
+    """
+
+    __slots__ = ("_beat", "_faulty", "_records", "_starts", "_length")
+
+    def __init__(self, beat: int, faulty: tuple[int, ...]) -> None:
+        self._beat = beat
+        #: The faulty ids, ascending.
+        self._faulty = faulty
+        #: ``(sender, path, payload, envelope)``; ``envelope`` is ``None``
+        #: for a full broadcast and the message itself otherwise.
+        self._records: list[tuple[int, str, Hashable, Envelope | None]] = []
+        #: Position of each record's first envelope.
+        self._starts: list[int] = []
+        self._length = 0
+
+    def add_broadcast(self, sender: int, path: str, payload: Hashable) -> None:
+        """Record one honest full broadcast (one copy per faulty id)."""
+        self._records.append((sender, path, payload, None))
+        self._starts.append(self._length)
+        self._length += len(self._faulty)
+
+    def add_envelope(self, envelope: Envelope) -> None:
+        """Record one point-to-point message to a faulty receiver."""
+        self._records.append(
+            (envelope.sender, envelope.path, envelope.payload, envelope)
+        )
+        self._starts.append(self._length)
+        self._length += 1
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __iter__(self):
+        beat = self._beat
+        faulty = self._faulty
+        for sender, path, payload, envelope in self._records:
+            if envelope is None:
+                for receiver in faulty:
+                    yield Envelope(sender, receiver, path, payload, beat)
+            else:
+                yield envelope
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._length))]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("view index out of range")
+        record = bisect_right(self._starts, index) - 1
+        sender, path, payload, envelope = self._records[record]
+        if envelope is None:
+            receiver = self._faulty[index - self._starts[record]]
+            return Envelope(sender, receiver, path, payload, self._beat)
+        return envelope
+
+    def by_path(self) -> dict[str, tuple[list[Hashable], "FanoutView"]]:
+        """``path -> (payloads, messages)`` of the view restricted to each
+        path, both in view order; paths in first-appearance order."""
+        width = len(self._faulty)
+        index: dict[str, tuple[list[Hashable], FanoutView]] = {}
+        for sender, path, payload, envelope in self._records:
+            entry = index.get(path)
+            if entry is None:
+                entry = index[path] = ([], FanoutView(self._beat, self._faulty))
+            payloads, messages = entry
+            if envelope is None:
+                payloads.extend([payload] * width)
+                messages.add_broadcast(sender, path, payload)
+            else:
+                payloads.append(payload)
+                messages.add_envelope(envelope)
+        return index
 
 
 class Outbox:

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.errors import ProtocolViolationError
 from repro.net.message import Envelope
 
 __all__ = ["MessageStats", "Router", "ensure_faulty_senders"]
+
+_SENDER = attrgetter("sender")
+_BEAT = attrgetter("beat")
+_PATH = attrgetter("path")
 
 
 def ensure_faulty_senders(
@@ -31,12 +36,15 @@ def ensure_faulty_senders(
     indicate a buggy adversary implementation and raise, since silently
     dropping them would make attacks look weaker than written.
     """
-    for envelope in envelopes:
-        if envelope.sender not in faulty_ids:
-            raise ProtocolViolationError(
-                f"adversary forged sender {envelope.sender}, faulty ids "
-                f"are {sorted(faulty_ids)}"
-            )
+    # The sender *column* is checked as a set; the per-envelope walk runs
+    # only to name the first forger.
+    if not faulty_ids.issuperset(map(_SENDER, envelopes)):
+        for envelope in envelopes:
+            if envelope.sender not in faulty_ids:
+                raise ProtocolViolationError(
+                    f"adversary forged sender {envelope.sender}, faulty ids "
+                    f"are {sorted(faulty_ids)}"
+                )
     return envelopes
 
 
@@ -81,6 +89,13 @@ class MessageStats:
             self.byzantine_messages += 1
         self.per_beat[envelope.beat] += 1
         self.per_path_prefix[self.prefix_of(envelope.path)] += 1
+
+    def record_block(self, envelopes: list[Envelope], honest: bool) -> None:
+        """Exactly :meth:`record` for each envelope, tallied column-wise:
+        one :meth:`record_fanout` per distinct (path, beat)."""
+        columns = zip(map(_PATH, envelopes), map(_BEAT, envelopes))
+        for (path, beat), copies in Counter(columns).items():
+            self.record_fanout(path, beat, copies, honest)
 
     def record_fanout(
         self, path: str, beat: int, count: int, honest: bool = True
@@ -164,13 +179,10 @@ class Router:
         return phantoms
 
     def validate_byzantine(self, envelopes: list[Envelope]) -> list[Envelope]:
-        """Drop adversary envelopes that forge an honest sender identity.
-
-        Definition 2.2 item 2: a non-faulty network does not tamper with
-        sender identity, so the adversary can speak only for faulty nodes.
-        Forgeries indicate a buggy adversary implementation and raise, since
-        silently dropping them would make attacks look weaker than written.
-        """
+        """Reject adversary envelopes that forge an honest sender identity:
+        :func:`ensure_faulty_senders` over this router's faulty ids, which
+        raises :class:`~repro.errors.ProtocolViolationError` on the first
+        forgery and otherwise returns ``envelopes`` unchanged."""
         return ensure_faulty_senders(self.faulty_ids, envelopes)
 
     def route(

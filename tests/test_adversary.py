@@ -7,7 +7,7 @@ import random
 from repro.adversary.anti_coin import AntiCoinClock2Adversary
 from repro.adversary.base import Adversary, AdversaryView, NullAdversary
 from repro.adversary.dealer_attack import DealerAttackAdversary
-from repro.adversary.payloads import mutate_payload
+from repro.adversary.payloads import mutate_payload, observed_payloads
 from repro.adversary.strategies import (
     CrashAdversary,
     EquivocatorAdversary,
@@ -19,7 +19,7 @@ from repro.coin.oracle import OracleCoin
 from repro.core.clock2 import SSByz2Clock
 from repro.core.pipeline import CoinFlipPipeline
 from repro.net.environment import Environment
-from repro.net.message import Envelope
+from repro.net.message import Envelope, FanoutView
 from repro.net.simulator import Simulation
 
 
@@ -29,7 +29,9 @@ def make_view(n=4, f=1, faulty=(3,), messages=(), beat=0):
         n=n,
         f=f,
         faulty_ids=frozenset(faulty),
-        visible_messages=list(messages),
+        visible_messages=(
+            messages if isinstance(messages, FanoutView) else list(messages)
+        ),
         env=Environment(n, seed=0),
         rng=random.Random(1),
     )
@@ -47,7 +49,31 @@ class TestView:
         ]
         view = make_view(messages=messages)
         assert view.visible_by_path("root") == [messages[0]]
+        assert view.visible_by_path("nowhere") == []
         assert view.visible_paths() == {"root", "root/coin"}
+
+    def test_shared_form_view_answers_like_its_list(self):
+        """The engines' lazy view and the runtime's plain list give every
+        per-path question the same answer."""
+        lazy = FanoutView(0, (2, 3))
+        lazy.add_broadcast(0, "root", 1)
+        lazy.add_envelope(Envelope(0, 3, "root/coin", 7, 0))
+        lazy.add_broadcast(1, "root", None)
+        views = [
+            make_view(f=2, faulty=(2, 3), messages=messages)
+            for messages in (lazy, list(lazy))
+        ]
+        assert views[0].visible_messages is lazy
+        assert views[0].honest_ids == views[1].honest_ids == [0, 1]
+        for path in ("root", "root/coin", "nowhere"):
+            answers = [
+                (view.observed_payloads(path), view.visible_by_path(path))
+                for view in views
+            ]
+            assert answers[0] == answers[1]
+            assert answers[0][0] == observed_payloads(list(lazy), path)
+        assert views[0].observed_payloads("root") == [1, 1, None, None]
+        assert views[0].visible_paths() == views[1].visible_paths()
 
     def test_make_envelope_stamps_beat(self):
         view = make_view(beat=9)

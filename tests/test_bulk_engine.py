@@ -12,9 +12,19 @@ stands on; it mirrors (and extends) ``tests/test_engines.py``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
-from repro.analysis.campaign import ScenarioSpec, iter_campaign
+from repro.adversary import (
+    AdaptiveEchoAdversary,
+    EquivocatorAdversary,
+    ScriptedAdversary,
+    SplitWorldAdversary,
+)
+from repro.analysis.campaign import (
+    ADVERSARY_REGISTRY,
+    ScenarioSpec,
+    iter_campaign,
+)
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.analysis.experiments import TrialConfig, run_trial
 from repro.coin.feldman_micali import FeldmanMicaliCoin
@@ -22,9 +32,16 @@ from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.core.protocol import PROTOCOLS, resolve_protocol
 from repro.faults.network_faults import inject_phantom_storm
-from repro.net.bulk import BulkEngine, build_bulk_program, has_bulk_program
+from repro.net.bulk import (
+    BulkEngine,
+    Lane,
+    _Delivery,
+    build_bulk_program,
+    has_bulk_program,
+)
 from repro.net.engine import ENGINES, resolve_engine
 from repro.net.linkmodel import make_link
+from repro.net.message import Envelope
 from repro.net.simulator import Simulation
 
 # Heavyweight differential matrix: deselected by the CI fast lane.
@@ -48,11 +65,13 @@ def _coin_factory():
 
 def _observe(engine, seed, adversary_factory, *, beats=40, storm_at=None,
              factory=None, k=6, link="perfect", link_params=None,
-             share_coin=False, coin="oracle"):
-    """Run one scrambled n=4 trial; return every observable."""
+             share_coin=False, coin="oracle", n=4, f=1, phantoms=None):
+    """Run one scrambled trial (n=4 unless told otherwise); return every
+    observable.  ``phantoms`` maps a beat to the envelopes injected just
+    before it runs."""
     if factory is None:
         if coin == "gvss":
-            coin_factory = lambda: FeldmanMicaliCoin(4, 1)
+            coin_factory = lambda: FeldmanMicaliCoin(n, f)
         else:
             coin_factory = _coin_factory
         factory = lambda i: SSByzClockSync(
@@ -60,13 +79,18 @@ def _observe(engine, seed, adversary_factory, *, beats=40, storm_at=None,
         )
     link_model = make_link(link, link_params) if link_params else link
     sim = Simulation(
-        4, 1, factory, adversary=adversary_factory(), seed=seed,
+        n, f, factory, adversary=adversary_factory(), seed=seed,
         engine=engine, link=link_model,
     )
     monitor = ClockConvergenceMonitor(k)
     sim.add_monitor(monitor)
     sim.scramble()
-    if storm_at is None:
+    if phantoms is not None:
+        for beat in range(beats):
+            if beat in phantoms:
+                sim.inject_phantoms(list(phantoms[beat]))
+            sim.run(1)
+    elif storm_at is None:
         sim.run(beats)
     else:
         sim.run(storm_at)
@@ -76,7 +100,14 @@ def _observe(engine, seed, adversary_factory, *, beats=40, storm_at=None,
         )
         sim.run(beats - storm_at)
     per_beat = [sim.stats.messages_at_beat(b) for b in range(beats)]
+    if engine == "bulk":
+        sim.engine.sync_trees()
     return (
+        # The last inbox a root kept, by repr: ``1`` and ``True`` are equal
+        # payloads that tally differently, and only the repr tells which
+        # of the two a node holds.
+        [repr(getattr(node.root, "_previous", None))
+         for node in sim.nodes.values()],
         monitor.history,
         monitor.convergence_beat(),
         sim.stats.total_messages,
@@ -178,6 +209,246 @@ class TestClockSyncDifferential:
             assert mirror.a._run_a2 == root.a._run_a2
             assert mirror.a.a1.clock == root.a.a1.clock
             assert mirror.a.a2.clock == root.a.a2.clock
+
+
+#: n=13, f=4: the faulty ids are 9..12 and the nine honest receivers can
+#: fall into several inbox classes (at n=4 there are three receivers and
+#: one faulty sender, so every class has one shape).
+_CLASS_N, _CLASS_F = 13, 4
+_PATHS = ("root", "root/A/A1", "root/A/A2")
+
+#: Payloads that alias under ``==`` and ``hash`` but not under ``repr``:
+#: which of an aliasing pair a tally meets first decides what it reports.
+_ALIASING_PAYLOADS = st.sampled_from([
+    0, 1, True, False, None,
+    ("fc", 1), ("fc", True), ("fc", 2),
+    ("prop", 1), ("prop", True), ("prop", None),
+    ("bit", 1), ("bit", True), ("bit", 0), ("bit", False),
+])
+
+
+def _alias(payload):
+    """The equal-but-distinct twin of ``payload``, where it has one."""
+    if isinstance(payload, tuple):
+        return (payload[0], _alias(payload[1]))
+    if isinstance(payload, bool):
+        return int(payload)
+    if payload in (0, 1):
+        return bool(payload)
+    return payload
+
+
+_HONEST = st.integers(min_value=0, max_value=_CLASS_N - _CLASS_F - 1)
+_FAULTY = st.integers(min_value=_CLASS_N - _CLASS_F, max_value=_CLASS_N - 1)
+_ANYONE = st.integers(min_value=0, max_value=_CLASS_N - 1)
+_BEATS = st.integers(min_value=0, max_value=11)
+
+#: One scripted message: any faulty sender (so lists come out of sender
+#: order and repeat senders), any receiver, dead letters included.
+_SCRIPTED = st.tuples(
+    _FAULTY, _ANYONE, st.sampled_from(_PATHS), _ALIASING_PAYLOADS
+)
+#: One volley: the same (sender, payload) shots at every receiver, except
+#: that odd receivers get the twin of each ``twisted`` shot.  No twist
+#: puts all receivers in one inbox class; any twist must split them.
+_VOLLEY = st.tuples(
+    st.sampled_from(_PATHS),
+    st.lists(
+        st.tuples(_FAULTY, _ALIASING_PAYLOADS, st.booleans()),
+        min_size=1, max_size=8,
+    ),
+)
+
+
+def _expand(volley):
+    path, shots = volley
+    return [
+        (
+            sender, receiver, path,
+            _alias(payload) if twisted and receiver % 2 else payload,
+        )
+        for receiver in range(_CLASS_N)
+        for sender, payload, twisted in shots
+    ]
+
+
+#: One phantom: it may claim an honest sender, or a faulty one that the
+#: script also speaks for on the same beat.  Receiver ``None`` sends it
+#: to every honest node — phantoms bypass the links, so that is how
+#: receivers on both sides of a partition come to hold the same extras.
+_PHANTOM = st.tuples(
+    _ANYONE, st.none() | _HONEST, st.sampled_from(_PATHS), _ALIASING_PAYLOADS
+)
+
+
+class TestInboxClasses:
+    """Receivers handed the same messages share one exact merge; these
+    runs are big enough for that sharing to be non-trivial."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, cls in ADVERSARY_REGISTRY.items() if cls)
+    )
+    def test_registered_adversaries_identical(self, name):
+        """``noise`` is the no-sharing case: every payload is fresh, so
+        every receiver is a class of its own."""
+        adversary_factory = ADVERSARY_REGISTRY[name]
+        for seed in range(3):
+            ref, fast, bulk = (
+                _observe(
+                    engine, seed, adversary_factory, beats=30,
+                    n=_CLASS_N, f=_CLASS_F,
+                )
+                for engine in ("reference", "fast", "bulk")
+            )
+            assert ref == fast
+            assert ref == bulk
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        plan=st.dictionaries(
+            _BEATS,
+            st.tuples(
+                st.lists(_VOLLEY, max_size=3),
+                st.lists(_SCRIPTED, max_size=10),
+            ),
+            max_size=8,
+        ),
+        phantoms=st.dictionaries(
+            _BEATS, st.lists(_PHANTOM, min_size=1, max_size=6), max_size=6
+        ),
+        partitioned=st.booleans(),
+    )
+    def test_scripted_traffic_identical(
+        self, seed, plan, phantoms, partitioned
+    ):
+        """Duplicate messages per sender (first wins), senders out of
+        ascending order, ``True``/``1`` aliasing payloads, phantoms
+        claiming honest senders and a partition window: the class key
+        must separate every pair of receivers the reference separates."""
+        script = {
+            beat: [e for volley in volleys for e in _expand(volley)] + strays
+            for beat, (volleys, strays) in plan.items()
+        }
+        honest = range(_CLASS_N - _CLASS_F)
+        stale = {
+            beat: [
+                Envelope(sender, receiver, path, payload, beat)
+                for sender, target, path, payload in entries
+                for receiver in (honest if target is None else (target,))
+            ]
+            for beat, entries in phantoms.items()
+        }
+        link = {"link": "partition", "link_params": {"split": 2, "heal": 8}}
+        ref, fast, bulk = (
+            _observe(
+                engine, seed, lambda: ScriptedAdversary(script), beats=12,
+                n=_CLASS_N, f=_CLASS_F, phantoms=stale,
+                **(link if partitioned else {}),
+            )
+            for engine in ("reference", "fast", "bulk")
+        )
+        assert ref == fast
+        assert ref == bulk
+
+
+    @settings(max_examples=200)
+    @given(
+        present=st.lists(st.booleans(), min_size=9, max_size=9),
+        groups=st.none() | st.lists(
+            st.integers(min_value=0, max_value=1), min_size=9, max_size=9
+        ),
+        shots=st.lists(
+            st.tuples(_ANYONE, _ALIASING_PAYLOADS, st.booleans()), max_size=6
+        ),
+        strays=st.lists(
+            st.tuples(_ANYONE, _HONEST, _ALIASING_PAYLOADS), max_size=3
+        ),
+    )
+    def test_class_merge_is_every_members_exact_merge(
+        self, present, groups, shots, strays
+    ):
+        """The invariant the sharing rests on, checked on ``_Delivery``
+        itself: a class's one merge is, sender for sender and payload
+        *object* for payload object, the exact merge of each member —
+        whatever the lane, the partition groups and the extras."""
+        ids = list(range(9))
+        lane = Lane("p", present, [("fc", slot % 3) for slot in ids])
+        extras = {node_id: {} for node_id in ids}
+        for sender, payload, twisted in shots:
+            twin = _alias(payload)
+            for receiver in ids:
+                extras[receiver].setdefault("p", {}).setdefault(
+                    sender, twin if twisted and receiver % 2 else payload
+                )
+        for sender, receiver, payload in strays:
+            extras[receiver].setdefault("p", {}).setdefault(sender, payload)
+        delivery = _Delivery(
+            ids, {node_id: node_id for node_id in ids}, [lane], extras, groups
+        )
+        classes = delivery.inbox_classes("p")
+        assert set(classes) == {r for r in ids if "p" in extras[r]}
+        for slot, inbox_class in classes.items():
+            shared = delivery.merged_inbox("p", inbox_class)
+            exact = delivery.merged_first_per_sender("p", slot)
+            assert list(shared) == list(exact)
+            for ours, theirs in zip(shared.values(), exact.values()):
+                assert ours is theirs
+
+
+class TestSharedFormCounts:
+    """Counts repeat exactly where timings do not: what one beat of
+    Byzantine traffic may cost on the bulk engine, at n=16, f=5."""
+
+    @staticmethod
+    def _run(adversary, monkeypatch, beats=24):
+        """(exact merges per (path, beat), honest-to-faulty envelopes
+        built) of one scrambled run."""
+        sim = Simulation(
+            16, 5, lambda i: SSByzClockSync(6, _coin_factory),
+            adversary=adversary, seed=2, engine="bulk",
+        )
+        assert sim.engine.vectorized
+        merges: dict = {}
+        view_copies = []
+        merge = _Delivery.merged_first_per_sender
+        build = Envelope.__new__
+
+        def counted_merge(delivery, path, slot):
+            key = (path, sim.beat)
+            merges[key] = merges.get(key, 0) + 1
+            return merge(delivery, path, slot)
+
+        def counted_build(cls, sender, receiver, path, payload, beat):
+            if receiver in sim.faulty_ids and sender not in sim.faulty_ids:
+                view_copies.append((sender, receiver))
+            return build(cls, sender, receiver, path, payload, beat)
+
+        monkeypatch.setattr(
+            _Delivery, "merged_first_per_sender", counted_merge
+        )
+        monkeypatch.setattr(Envelope, "__new__", counted_build)
+        sim.scramble()
+        sim.run(beats)
+        return merges, view_copies
+
+    def test_equivocator_costs_two_merges_and_no_view_copies(
+        self, monkeypatch
+    ):
+        """Two variants make two inbox classes per path; the equivocator
+        reads payload columns, never the view's envelopes."""
+        merges, view_copies = self._run(EquivocatorAdversary(), monkeypatch)
+        assert merges and max(merges.values()) <= 2
+        assert view_copies == []
+
+    def test_iterating_the_view_builds_its_copies(self, monkeypatch):
+        """The probe's control: a strategy that walks the view gets every
+        faulty receiver's copy of every honest broadcast."""
+        _merges, view_copies = self._run(AdaptiveEchoAdversary(), monkeypatch)
+        assert view_copies
+        assert {receiver for _sender, receiver in view_copies} == set(
+            range(11, 16)
+        )
 
 
 class TestAllProtocolsDifferential:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolViolationError
-from repro.net.message import Envelope, Outbox
-from repro.net.network import Router
+from repro.net.message import Envelope, FanoutView, Outbox
+from repro.net.network import MessageStats, Router, ensure_faulty_senders
 from repro.net.rng import SeedSequence, derive_seed
 
 
@@ -52,6 +55,141 @@ class TestSeedDerivation:
         assert len(streams) == 4
         draws = {s.randrange(10**9) for s in streams}
         assert len(draws) == 4
+
+
+class TestEnvelope:
+    """What every layer relies on an envelope being."""
+
+    def test_immutable_hashable_picklable(self):
+        envelope = Envelope(3, 1, "root/A", ("fc", 2), 9)
+        with pytest.raises(AttributeError):
+            envelope.payload = "tampered"
+        with pytest.raises(AttributeError):
+            envelope.extra = 1
+        assert hash(envelope) == hash(Envelope(3, 1, "root/A", ("fc", 2), 9))
+        assert len({envelope, Envelope(3, 1, "root/A", ("fc", 2), 9)}) == 1
+        clone = pickle.loads(pickle.dumps(envelope))
+        assert clone == envelope and type(clone) is Envelope
+
+    def test_field_order_and_repr_pinned(self):
+        envelope = Envelope(
+            sender=3, receiver=1, path="root/A", payload=("fc", 2), beat=9
+        )
+        assert envelope == Envelope(3, 1, "root/A", ("fc", 2), 9)
+        # The bulk engine's stash pass unpacks envelopes positionally.
+        sender, receiver, path, payload, beat = envelope
+        assert (sender, receiver, path, payload, beat) == (
+            3, 1, "root/A", ("fc", 2), 9
+        )
+        assert repr(envelope) == "Envelope(3->1 @9 root/A: ('fc', 2))"
+
+
+def _view_and_list(records, faulty=(5, 6, 9), beat=4):
+    """One view built record by record, beside the list it stands for."""
+    view = FanoutView(beat, faulty)
+    expected = []
+    for sender, path, payload, receiver in records:
+        if receiver is None:
+            view.add_broadcast(sender, path, payload)
+            expected.extend(
+                Envelope(sender, target, path, payload, beat)
+                for target in faulty
+            )
+        else:
+            envelope = Envelope(sender, receiver, path, payload, beat)
+            view.add_envelope(envelope)
+            expected.append(envelope)
+    return view, expected
+
+
+#: (sender, path, payload, receiver); receiver ``None`` = full broadcast.
+_records = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.sampled_from(["root", "root/A", "root/coin"]),
+        st.integers(min_value=0, max_value=3),
+        st.none() | st.sampled_from([5, 6, 9]),
+    ),
+    max_size=12,
+)
+
+
+class TestFanoutView:
+    """The lazy legal view is, to every reader, the list it replaces."""
+
+    @given(_records)
+    def test_reads_like_the_materialized_list(self, records):
+        view, expected = _view_and_list(records)
+        assert len(view) == len(expected)
+        assert list(view) == expected
+        assert [view[i] for i in range(len(view))] == expected
+        assert [view[-i - 1] for i in range(len(view))] == expected[::-1]
+        assert view[1:7:2] == expected[1:7:2]
+        assert view[::-1] == expected[::-1]
+        with pytest.raises(IndexError):
+            view[len(expected)]
+        with pytest.raises(IndexError):
+            view[-len(expected) - 1]
+
+    @given(_records.filter(bool), st.integers())
+    def test_choice_consumes_the_same_draws(self, records, seed):
+        view, expected = _view_and_list(records)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert [ours.choice(view) for _ in range(5)] == [
+            theirs.choice(expected) for _ in range(5)
+        ]
+        assert ours.random() == theirs.random()
+
+    @given(_records)
+    def test_by_path_is_the_filtered_list(self, records):
+        view, expected = _view_and_list(records)
+        index = view.by_path()
+        paths = list(dict.fromkeys(e.path for e in expected))
+        assert list(index) == paths
+        for path, (payloads, messages) in index.items():
+            on_path = [e for e in expected if e.path == path]
+            assert list(messages) == on_path
+            assert payloads == [e.payload for e in on_path]
+
+
+class TestColumnWiseIntake:
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=5),
+                st.sampled_from(["root", "root/A/x", "root/A/y", "other"]),
+                st.integers(min_value=0, max_value=3),
+            ),
+            max_size=20,
+        ),
+        st.booleans(),
+    )
+    def test_record_block_is_record_for_each(self, rows, honest):
+        envelopes = [
+            Envelope(sender, 0, path, None, beat) for sender, path, beat in rows
+        ]
+        one_by_one, block = MessageStats(), MessageStats()
+        for envelope in envelopes:
+            one_by_one.record(envelope, honest)
+        block.record_block(envelopes, honest)
+        assert block == one_by_one
+        assert list(block.per_beat) == list(one_by_one.per_beat)
+        assert list(block.per_path_prefix) == list(one_by_one.per_path_prefix)
+
+    def test_forged_sender_named_in_the_same_exception(self):
+        faulty = frozenset({5, 6})
+        honest_looking = [
+            Envelope(6, 0, "root", 1, 0),
+            Envelope(2, 0, "root", 1, 0),
+            Envelope(1, 0, "root", 1, 0),
+        ]
+        with pytest.raises(
+            ProtocolViolationError,
+            match=r"adversary forged sender 2, faulty ids are \[5, 6\]",
+        ):
+            ensure_faulty_senders(faulty, honest_looking)
+        legal = honest_looking[:1]
+        assert ensure_faulty_senders(faulty, legal) is legal
 
 
 class TestOutbox:
