@@ -24,12 +24,12 @@ paper-to-code map.
 
 from __future__ import annotations
 
-from typing import Callable
+import dataclasses
 
 from repro.adversary.base import Adversary
 from repro.analysis.campaign import (
-    COIN_REGISTRY,
     ScenarioSpec,
+    coin_by_name,
     run_campaign,
     scenario_grid,
 )
@@ -51,6 +51,7 @@ from repro.core.protocol import (
     resolve_protocol,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.faults.dynamic import ChurnSchedule
 from repro.net.linkmodel import (
     LINK_MODELS,
     BoundedDelayLinks,
@@ -132,21 +133,6 @@ __all__ = [
 ]
 
 
-def coin_by_name(name: str, n: int, f: int) -> Callable[[], CoinAlgorithm]:
-    """Factory for the built-in coin algorithms: 'oracle', 'gvss', 'local'.
-
-    'oracle' is the ideal Definition-2.6 coin (recommended for protocol
-    experiments), 'gvss' the full Feldman-Micali-style implementation
-    (recommended for end-to-end demonstrations), 'local' a deliberately
-    non-common coin used for ablations.
-    """
-    if name not in COIN_REGISTRY:
-        raise ConfigurationError(
-            f"unknown coin {name!r}; known: {sorted(COIN_REGISTRY)}"
-        )
-    return COIN_REGISTRY[name](n, f)
-
-
 def synchronize(
     *,
     n: int,
@@ -193,18 +179,13 @@ def synchronize(
     clocks and bounded message delays, and the result carries
     ``pulse_skew`` / ``converged_time`` in the run's time units.
     """
-    from repro.faults.dynamic import ChurnSchedule
-
     schedule = ChurnSchedule.coerce(churn)
-    coin_factory = coin_by_name(coin, n, f)
-    config = TrialConfig(
+    spec = ScenarioSpec(
         n=n,
         f=f,
         k=k,
-        protocol_factory=resolve_protocol(protocol).factory(
-            n, f, k, coin_factory=coin_factory
-        ),
-        adversary_factory=lambda: adversary,
+        protocol=protocol,
+        coin=coin,
         max_beats=max_beats,
         scramble=scramble,
         early_stop=early_stop,
@@ -212,7 +193,10 @@ def synchronize(
         link=link,
         link_params=normalize_link_params(link_params),
         churn=schedule.normalized() if schedule is not None else (),
-        trace=trace,
         timing=tuple(timing) if timing else (),
+    )
+    # The one caller holding an adversary *instance* rather than a name.
+    config = dataclasses.replace(
+        spec.build_config(), adversary_factory=lambda: adversary, trace=trace
     )
     return run_trial(config, seed)

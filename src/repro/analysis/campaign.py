@@ -43,9 +43,11 @@ from repro.analysis.experiments import (
     SweepResult,
     TrialConfig,
     TrialResult,
+    check_axes,
     run_trial,
 )
 from repro.coin.feldman_micali import FeldmanMicaliCoin
+from repro.coin.interfaces import CoinAlgorithm
 from repro.coin.local import LocalCoin
 from repro.coin.oracle import OracleCoin
 from repro.core.protocol import DEFAULT_PROTOCOL, PROTOCOLS, resolve_protocol
@@ -61,6 +63,7 @@ __all__ = [
     "PROTOCOL_REGISTRY",
     "ScenarioSpec",
     "campaign_to_json",
+    "coin_by_name",
     "iter_campaign",
     "run_campaign",
     "scenario_grid",
@@ -91,15 +94,29 @@ ADVERSARY_REGISTRY: dict[str, type | None] = {
 #: not spawned ones; use ``workers=1`` otherwise).
 PROTOCOL_REGISTRY = PROTOCOLS
 
-#: Coin name -> ``(n, f) -> coin factory``: 'oracle' is the ideal
-#: Definition-2.6 coin, 'gvss' the full Feldman-Micali-style
-#: implementation, 'local' a deliberately non-common coin for ablations.
-#: The one list every ``coin=`` name is checked against.
-COIN_REGISTRY: "dict[str, Callable[[int, int], Callable[[], object]]]" = {
+#: Coin name -> ``(n, f) -> coin factory``.  The one list every
+#: ``coin=`` name (and every ``--coin`` flag) is checked against.
+COIN_REGISTRY: "dict[str, Callable[[int, int], Callable[[], CoinAlgorithm]]]" = {
     "oracle": lambda n, f: lambda: OracleCoin(),
     "gvss": lambda n, f: lambda: FeldmanMicaliCoin(n, f),
     "local": lambda n, f: lambda: LocalCoin(),
 }
+
+
+def coin_by_name(name: str, n: int, f: int) -> Callable[[], CoinAlgorithm]:
+    """Factory for the built-in coin algorithms: 'oracle', 'gvss', 'local'.
+
+    'oracle' is the ideal Definition-2.6 coin (recommended for protocol
+    experiments), 'gvss' the full Feldman-Micali-style implementation
+    (recommended for end-to-end demonstrations), 'local' a deliberately
+    non-common coin used for ablations.
+    """
+    if name not in COIN_REGISTRY:
+        raise ConfigurationError(
+            f"unknown coin {name!r}; known: {sorted(COIN_REGISTRY)}"
+        )
+    return COIN_REGISTRY[name](n, f)
+
 
 #: Link-condition model names accepted by :class:`ScenarioSpec.link`
 #: (shared with the CLI's ``--link`` flag).
@@ -108,42 +125,25 @@ LINK_REGISTRY: tuple[str, ...] = tuple(sorted(LINK_MODELS))
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One campaign scenario, as plain picklable data.
+    """One run, *named*: plain picklable data, no closures.
+
+    :meth:`build_config` resolves it into the closure-carrying
+    :class:`~repro.analysis.experiments.TrialConfig`; the fields the two
+    share by name (``n``, ``f``, ``k``, ``max_beats``, ``scramble``,
+    ``scramble_beats``, ``early_stop``, ``closure_window``, ``engine``,
+    ``link``, ``link_params``, ``churn``, ``timing``) are documented
+    there.  What a spec carries instead of factories:
 
     Attributes:
-        n, f, k: system size, fault parameter, clock modulus.
         protocol: family name from :data:`PROTOCOL_REGISTRY` —
             ``"clock-sync"`` (the paper's algorithm) or any registered
-            baseline (``"deterministic"``, ``"dolev-welch"``,
-            ``"phase-king"``, ``"turpin-coan"``; see
-            :mod:`repro.core.protocol`).
-        coin: ``"oracle"``, ``"gvss"`` or ``"local"`` (clock-sync only).
+            baseline (see :mod:`repro.core.protocol`).
+        coin: a name from :data:`COIN_REGISTRY` (protocols that use a
+            coin only).
         adversary: a name from :data:`ADVERSARY_REGISTRY`.
-        max_beats: per-trial beat budget.
-        scramble: worst-case transient fault before beat 0.
-        scramble_beats: fault schedule — beats before which all correct
-            nodes are re-scrambled mid-run.
-        early_stop / closure_window: early-exit policy (see
-            :func:`~repro.analysis.experiments.run_trial`).
-        engine: simulation engine name.
-        link: link-condition model name (``"perfect"``, ``"delay"``,
-            ``"lossy"``, ``"partition"``) — the network every trial of the
-            scenario runs under.
-        link_params: link model parameters as a sorted tuple of
-            ``(name, value)`` pairs (dicts are normalized by
-            :func:`scenario_grid` / the CLI); e.g.
-            ``(("max_delay", 2),)`` for ``link="delay"``.
-        churn: membership churn schedule as normalized
-            ``(beat, kind, node_ids)`` triples (see
-            :meth:`~repro.faults.dynamic.ChurnSchedule.normalized`);
-            empty means a static world.
         share_coin: Remark 4.1's shared coin pipeline (clock-sync only).
         coin_p0, coin_p1, coin_rounds: oracle-coin tuning; ``None`` keeps
             the :class:`~repro.coin.oracle.OracleCoin` defaults.
-        timing: continuous-time axis — empty runs the lock-step beat
-            model, ``(rho, d_min, d_max, pulse_period)`` the event-driven
-            bounded-delay engine (see
-            :class:`~repro.analysis.experiments.TrialConfig`).
         tag: free-form label echoed in reports.
     """
 
@@ -170,65 +170,17 @@ class ScenarioSpec:
     tag: str = ""
 
     def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on an unrunnable scenario:
+        the three registry names, then the axes shared with
+        :class:`TrialConfig` (:func:`~repro.analysis.experiments.check_axes`)."""
         resolve_protocol(self.protocol)
-        if self.coin not in COIN_REGISTRY:
-            raise ConfigurationError(
-                f"unknown coin {self.coin!r}; known: {sorted(COIN_REGISTRY)}"
-            )
+        self.coin_factory()  # unknown coin -> ConfigurationError
         if self.adversary not in ADVERSARY_REGISTRY:
             raise ConfigurationError(
                 f"unknown adversary {self.adversary!r}; "
                 f"known: {sorted(ADVERSARY_REGISTRY)}"
             )
-        if any(not 0 <= beat < self.max_beats for beat in self.scramble_beats):
-            raise ConfigurationError(
-                f"scramble_beats {sorted(self.scramble_beats)} must lie "
-                f"within [0, max_beats={self.max_beats})"
-            )
-        # Building the model validates both the name and the parameters
-        # eagerly, in the driving process — not beats into a worker trial.
-        make_link(self.link, dict(self.link_params))
-        # Same eager policy for the churn script: replay the membership
-        # state machine and check id range / beat budget here.  (Overlap
-        # with the *faulty* set re-validates inside each trial — the
-        # adversary picks its coalition at simulation-build time.)
-        schedule = ChurnSchedule.coerce(self.churn)
-        if schedule is not None:
-            if not 0 <= schedule.last_event_beat < self.max_beats:
-                raise ConfigurationError(
-                    f"churn schedule {schedule.describe()} has events at or "
-                    f"beyond max_beats={self.max_beats}; they would "
-                    "silently never fire"
-                )
-            schedule.validate_for(self.n, frozenset())
-        if self.timing:
-            # Eager continuous-time validation: bounds checked with the
-            # engine's own rules, beat-model axes rejected up front.
-            from repro.net.events import DriftingClock, KeyedDelays
-
-            if len(self.timing) != 4:
-                raise ConfigurationError(
-                    "timing must be (rho, d_min, d_max, pulse_period), "
-                    f"got {self.timing!r}"
-                )
-            rho, d_min, d_max, pulse_period = self.timing
-            DriftingClock(0, 0, rho, pulse_period)
-            KeyedDelays(0, d_min, d_max)
-            beat_axes = sorted(
-                name
-                for name, used in (
-                    ("scramble_beats", bool(self.scramble_beats)),
-                    ("churn", bool(self.churn)),
-                    ("link", self.link != "perfect"),
-                    ("link_params", bool(self.link_params)),
-                )
-                if used
-            )
-            if beat_axes:
-                raise ConfigurationError(
-                    f"continuous-time scenarios do not support {beat_axes}: "
-                    "those are lock-step beat-model axes"
-                )
+        check_axes(self)
 
     @property
     def label(self) -> str:
@@ -261,51 +213,51 @@ class ScenarioSpec:
             parts.append(self.tag)
         return " ".join(parts)
 
-    def _coin_factory(self) -> Callable[[], object]:
-        spec = self
-        if spec.coin != "oracle":
-            return COIN_REGISTRY[spec.coin](spec.n, spec.f)
-        kwargs = {}
-        if spec.coin_p0 is not None:
-            kwargs["p0"] = spec.coin_p0
-        if spec.coin_p1 is not None:
-            kwargs["p1"] = spec.coin_p1
-        if spec.coin_rounds is not None:
-            kwargs["rounds"] = spec.coin_rounds
+    def coin_factory(self) -> Callable[[], CoinAlgorithm]:
+        """The scenario's coin, by name, with the oracle tuning applied."""
+        factory = coin_by_name(self.coin, self.n, self.f)
+        tuning = {
+            "p0": self.coin_p0,
+            "p1": self.coin_p1,
+            "rounds": self.coin_rounds,
+        }
+        kwargs = {key: value for key, value in tuning.items() if value is not None}
+        if self.coin != "oracle" or not kwargs:
+            return factory
         return lambda: OracleCoin(**kwargs)
 
     def build_config(self) -> TrialConfig:
-        """Materialize the (closure-carrying) trial config for this spec."""
+        """Resolve the names: the (closure-carrying) :class:`TrialConfig`.
+
+        The only place a protocol, coin or adversary *name* becomes a
+        root factory or an adversary instance — every entry point
+        (``synchronize``, campaigns, ``ClusterSpec`` workers, the CLI)
+        describes its run as a spec and takes the factories from here.
+        """
         self.validate()
-        spec = self
-        factory = resolve_protocol(spec.protocol).factory(
-            spec.n,
-            spec.f,
-            spec.k,
-            coin_factory=spec._coin_factory(),
-            share_coin=spec.share_coin,
-        )
-        adversary_cls = ADVERSARY_REGISTRY[spec.adversary]
-        if adversary_cls is None:
-            adversary_factory = lambda: None
-        else:
-            adversary_factory = lambda: adversary_cls()
+        adversary_cls = ADVERSARY_REGISTRY[self.adversary]
         return TrialConfig(
-            n=spec.n,
-            f=spec.f,
-            k=spec.k,
-            protocol_factory=factory,
-            adversary_factory=adversary_factory,
-            max_beats=spec.max_beats,
-            scramble=spec.scramble,
-            scramble_beats=spec.scramble_beats,
-            early_stop=spec.early_stop,
-            closure_window=spec.closure_window,
-            engine=spec.engine,
-            link=spec.link,
-            link_params=spec.link_params,
-            churn=spec.churn,
-            timing=spec.timing,
+            n=self.n,
+            f=self.f,
+            k=self.k,
+            protocol_factory=resolve_protocol(self.protocol).factory(
+                self.n,
+                self.f,
+                self.k,
+                coin_factory=self.coin_factory(),
+                share_coin=self.share_coin,
+            ),
+            adversary_factory=adversary_cls or (lambda: None),
+            max_beats=self.max_beats,
+            scramble=self.scramble,
+            scramble_beats=self.scramble_beats,
+            early_stop=self.early_stop,
+            closure_window=self.closure_window,
+            engine=self.engine,
+            link=self.link,
+            link_params=self.link_params,
+            churn=self.churn,
+            timing=self.timing,
         )
 
 

@@ -22,12 +22,22 @@ from typing import Callable, Sequence
 from repro.adversary.base import Adversary
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.analysis.stats import Summary, summarize
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, check_resilience
+from repro.faults.dynamic import ChurnSchedule
 from repro.net.component import Component
+from repro.net.engine import DEFAULT_ENGINE, resolve_engine
+from repro.net.events import DriftingClock, KeyedDelays, run_continuous
 from repro.net.linkmodel import make_link
 from repro.net.simulator import Simulation
 
-__all__ = ["TrialConfig", "TrialResult", "SweepResult", "run_trial", "run_sweep"]
+__all__ = [
+    "SweepResult",
+    "TrialConfig",
+    "TrialResult",
+    "check_axes",
+    "run_sweep",
+    "run_trial",
+]
 
 ProtocolFactory = Callable[[int], Component]
 AdversaryFactory = Callable[[], Adversary | None]
@@ -154,6 +164,68 @@ class TrialResult:
         return self.total_messages / max(1, self.beats_run)
 
 
+def check_axes(config: "TrialConfig") -> None:
+    """Reject an inconsistent run description before any beat runs.
+
+    The one statement of the rules on the axes a resolved
+    :class:`TrialConfig` and a named
+    :class:`~repro.analysis.campaign.ScenarioSpec` share by field name —
+    either is accepted.  :func:`run_trial` applies it to the config it is
+    handed; ``ScenarioSpec.validate`` applies it in the driving process,
+    so a bad grid fails there and not beats into a pool worker's trial.
+    (Churn overlap with the *faulty* set is checked inside the trial: the
+    adversary picks its coalition at simulation-build time.)
+    """
+    check_resilience(config.n, config.f)
+    resolve_engine(config.engine)
+    if config.max_beats < 1:
+        raise ConfigurationError(
+            f"need at least one beat, got {config.max_beats}"
+        )
+    if any(not 0 <= beat < config.max_beats for beat in config.scramble_beats):
+        raise ConfigurationError(
+            f"scramble_beats {sorted(config.scramble_beats)} must lie "
+            f"within [0, max_beats={config.max_beats}) or they would "
+            "silently never fire"
+        )
+    # Building the model validates both the name and the parameters.
+    make_link(config.link, dict(config.link_params))
+    schedule = ChurnSchedule.coerce(config.churn)
+    if schedule is not None:
+        if not 0 <= schedule.last_event_beat < config.max_beats:
+            raise ConfigurationError(
+                f"churn schedule {schedule.describe()} has events at or "
+                f"beyond max_beats={config.max_beats}; they would "
+                "silently never fire"
+            )
+        schedule.validate_for(config.n, frozenset())
+    if not config.timing:
+        return
+    if len(config.timing) != 4:
+        raise ConfigurationError(
+            "timing must be (rho, d_min, d_max, pulse_period), got "
+            f"{config.timing!r}"
+        )
+    # Bounds are checked with the event engine's own rules.
+    rho, d_min, d_max, pulse_period = config.timing
+    DriftingClock(0, 0, rho, pulse_period)
+    KeyedDelays(0, d_min, d_max)
+    beat_axes = {
+        "scramble_beats": bool(config.scramble_beats),
+        "churn": bool(config.churn),
+        "link": config.link != "perfect",
+        "link_params": bool(config.link_params),
+        "engine": config.engine != DEFAULT_ENGINE,
+    }
+    bad = sorted(name for name, used in beat_axes.items() if used)
+    if bad:
+        raise ConfigurationError(
+            f"the continuous-time engine does not support {bad}: those "
+            "are lock-step beat-model axes (delays and drops come from "
+            "the timing bounds here)"
+        )
+
+
 def run_trial(config: TrialConfig, seed: int) -> TrialResult:
     """Run one scrambled-start convergence trial.
 
@@ -171,6 +243,7 @@ def run_trial(config: TrialConfig, seed: int) -> TrialResult:
     run the full horizon, and late deliveries are reported through
     ``dropped_messages``.
     """
+    check_axes(config)
     if config.timing:
         return _run_continuous_trial(config, seed)
     simulation = Simulation(
@@ -194,19 +267,7 @@ def run_trial(config: TrialConfig, seed: int) -> TrialResult:
     if config.scramble:
         simulation.scramble()
     scramble_beats = frozenset(config.scramble_beats)
-    if any(not 0 <= beat < config.max_beats for beat in scramble_beats):
-        raise ConfigurationError(
-            f"scramble_beats {sorted(scramble_beats)} must lie within "
-            f"[0, max_beats={config.max_beats}) or they would silently "
-            "never fire"
-        )
     churn_beats = frozenset(beat for beat, _, _ in config.churn)
-    if any(not 0 <= beat < config.max_beats for beat in churn_beats):
-        raise ConfigurationError(
-            f"churn beats {sorted(churn_beats)} must lie within "
-            f"[0, max_beats={config.max_beats}) or those membership "
-            "events would silently never fire"
-        )
     last_fault = max(scramble_beats | churn_beats, default=0)
     window = max(1, config.closure_window)
     beats_run = 0
@@ -235,26 +296,6 @@ def run_trial(config: TrialConfig, seed: int) -> TrialResult:
 
 def _run_continuous_trial(config: TrialConfig, seed: int) -> TrialResult:
     """One trial on the event-driven continuous-time engine."""
-    from repro.net.events import run_continuous
-
-    if len(config.timing) != 4:
-        raise ConfigurationError(
-            "timing must be (rho, d_min, d_max, pulse_period), got "
-            f"{config.timing!r}"
-        )
-    incompatible = {
-        "scramble_beats": bool(config.scramble_beats),
-        "churn": bool(config.churn),
-        "link": config.link != "perfect",
-        "link_params": bool(config.link_params),
-    }
-    bad = sorted(name for name, used in incompatible.items() if used)
-    if bad:
-        raise ConfigurationError(
-            f"the continuous-time engine does not support {bad}: those "
-            "are lock-step beat-model axes (delays and drops come from "
-            "the timing bounds here)"
-        )
     rho, d_min, d_max, pulse_period = config.timing
     result = run_continuous(
         config.n,

@@ -2,8 +2,8 @@
 
 Commands:
 
-* ``run`` (alias ``demo``) — run ss-Byz-Clock-Sync from scrambled memory
-  and print the per-beat clock table;
+* ``run`` — run a registered protocol (default: ss-Byz-Clock-Sync) from
+  scrambled memory and print the per-beat clock table;
 * ``table1`` — regenerate the paper's Table 1 comparison;
 * ``coin`` — stream the self-stabilizing coin and report agreement stats;
 * ``campaign`` — fan a scenario grid out across worker processes and
@@ -22,54 +22,64 @@ Commands:
   two traces (non-zero exit on mismatch — the differential suites' byte
   compare as a command), ``metrics`` renders a ``--metrics-out``
   document as JSON or Prometheus text;
-* ``protocols`` — list the registered protocol catalog;
-* ``adversaries`` — list the built-in Byzantine strategies;
-* ``links`` — list the built-in link-condition models;
-* ``engines`` — list the built-in simulation engines;
-* ``transports`` — list the built-in runtime transports;
-* ``codecs`` — list the built-in runtime wire codecs.
+* ``protocols``, ``adversaries``, ``links``, ``engines``, ``transports``,
+  ``codecs`` — list one registry each: the names the flags above accept.
 
-``run``, ``campaign`` and ``runtime`` accept ``--protocol`` to select
-any registered protocol (``campaign`` takes several — a grid axis) and
-``--engine`` to pick a simulation engine from the registry (the live
-runtime validates the name but owns its own message plane);
-``run`` and ``campaign`` accept ``--link`` (with ``--link-param k=v``)
-to degrade the network: bounded delay, omission loss, scheduled
-partitions, or waypoint mobility — plus the dynamic-world flags
-``--churn BEAT:KIND:IDS`` (membership events: crash, recover, join,
-leave), ``--mobility`` and ``--adaptive``.  Every command is
-deterministic given ``--seed`` (campaigns: given the seed range, at any
-worker count, under any link model or churn schedule).
+The scenario flags (``--n --f --k --protocol --coin --adversary --seed
+--beats --engine --link --link-param --churn --no-early-stop``) are
+declared once, in :func:`_add_scenario_arguments`, with every
+``choices=`` read from the registries: ``run``, ``campaign``
+and ``runtime`` accept ``--protocol`` to select any registered protocol
+(``campaign`` takes several — a grid axis); ``run`` and ``campaign``
+accept ``--engine`` to pick a simulation engine (the live runtime owns
+its own message plane) and ``--link`` (with ``--link-param k=v``) to
+degrade the network: bounded delay, omission loss, scheduled partitions,
+or waypoint mobility — plus ``--churn BEAT:KIND:IDS`` membership events
+(crash, recover, join, leave).  Every command describes its run as a
+:class:`~repro.analysis.campaign.ScenarioSpec` and is deterministic given
+``--seed`` (campaigns: given the seed range, at any worker count, under
+any link model or churn schedule).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import json
+import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro import coin_by_name, synchronize
-from repro.adversary import Adversary
-from repro.analysis import render_table, table1_comparison
+from repro.analysis import render_table, run_trial, table1_comparison
 from repro.analysis.campaign import (
     ADVERSARY_REGISTRY,
     COIN_REGISTRY,
     LINK_REGISTRY,
     PROTOCOL_REGISTRY,
+    ScenarioSpec,
     campaign_to_json,
     iter_campaign,
     scenario_grid,
 )
+from repro.bench.cli import configure_parser as configure_bench_parser
+from repro.bench.cli import handle as handle_bench
 from repro.core.pipeline import CoinFlipPipeline
-from repro.core.protocol import DEFAULT_PROTOCOL, resolve_protocol
-from repro.errors import ConfigurationError
+from repro.core.protocol import DEFAULT_PROTOCOL
+from repro.errors import ConfigurationError, TransportError
 from repro.faults.dynamic import parse_churn_events
 from repro.net.engine import DEFAULT_ENGINE, ENGINES
-from repro.net.linkmodel import LINK_MODELS
+from repro.net.linkmodel import LINK_MODELS, normalize_link_params
 from repro.net.simulator import Simulation
+from repro.obs import (
+    MetricsRegistry,
+    diff_records,
+    read_trace,
+    render_prometheus,
+    summarize_trace,
+    validate_metrics_json,
+)
 from repro.runtime import (
     CODECS,
     DEFAULT_CODEC,
@@ -80,38 +90,7 @@ from repro.runtime import (
     run_runtime,
 )
 
-__all__ = ["ADVERSARIES", "main"]
-
-ADVERSARIES: dict[str, Callable[[], Adversary | None]] = {
-    name: (lambda: None) if cls is None else cls
-    for name, cls in ADVERSARY_REGISTRY.items()
-}
-
-
-def _add_dynamic_arguments(
-    parser: argparse.ArgumentParser, *, grid: bool
-) -> None:
-    """Attach the dynamic-world flags: ``--churn``, ``--mobility``,
-    ``--adaptive``."""
-    parser.add_argument(
-        "--churn", action="append", default=[], metavar="BEAT:KIND:IDS",
-        help="membership event (repeatable): kind is crash, recover, join "
-             "or leave, e.g. --churn 25:crash:0,1 --churn 40:recover:0,1"
-             + ("; applies to every scenario on the grid" if grid else ""),
-    )
-    parser.add_argument(
-        "--mobility", action="store_true",
-        help="waypoint-mobility link model (shorthand for "
-             + ("adding mobility to --link" if grid else "--link mobility")
-             + "; tune with --link-param world/radius/leg_beats)",
-    )
-    parser.add_argument(
-        "--adaptive", action="store_true",
-        help="adaptive adversary conditioning on the previous beat's "
-             "observed honest traffic (shorthand for "
-             + ("adding adaptive to --adversary" if grid else
-                "--adversary adaptive") + ")",
-    )
+__all__ = ["build_parser", "main"]
 
 
 def _parse_link_param(raw: str) -> tuple[str, object]:
@@ -133,32 +112,101 @@ def _parse_link_param(raw: str) -> tuple[str, object]:
         ) from None
 
 
-def _add_link_arguments(parser: argparse.ArgumentParser, *, grid: bool) -> None:
-    """Attach ``--link`` / ``--link-param`` to a subcommand parser."""
-    if grid:
-        parser.add_argument(
-            "--link", nargs="+", default=["perfect"],
-            choices=sorted(LINK_REGISTRY),
-            help="link-condition models (grid axis)",
-        )
-    else:
-        parser.add_argument(
-            "--link", default="perfect", choices=sorted(LINK_REGISTRY),
-            help="link-condition model the run executes under",
-        )
-    parser.add_argument(
-        "--link-param", action="append", default=[], type=_parse_link_param,
-        metavar="KEY=VALUE",
-        help="link model parameter (repeatable), e.g. --link-param "
-             "max_delay=2, --link-param loss=0.1, --link-param heal=30"
-             + (
-                 "; each model on the grid axis takes the parameters its "
-                 "constructor accepts" if grid else ""
-             ),
-    )
+#: The scenario flags every simulated run takes; ``runtime`` takes the
+#: first eight (it owns its message plane — no engine, link model or churn
+#: — and always runs its whole budget).
+_SCENARIO_FLAGS = (
+    "n", "f", "k", "protocol", "coin", "adversary", "seed", "beats",
+    "engine", "link", "link-param", "churn", "no-early-stop",
+)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_scenario_arguments(
+    parser: argparse.ArgumentParser,
+    flags: Sequence[str],
+    *,
+    grid: bool = False,
+    **defaults: object,
+) -> None:
+    """Attach the scenario flags named in ``flags`` to a subcommand.
+
+    The one declaration of the flags that describe a run (the fields of
+    :class:`~repro.analysis.campaign.ScenarioSpec`): a subcommand names
+    the subset it takes and, in ``defaults``, the defaults it overrides.
+    With ``grid`` the axes a campaign sweeps (``--n --k --protocol
+    --adversary --link``) take several values and ``--f`` pins one fault
+    parameter per ``--n``.  Every ``choices=`` is read from its registry
+    at parser-build time, so a newly registered name is accepted by every
+    subcommand at once.
+    """
+    declared = {
+        "n": dict(type=int, default=7, help="number of nodes"),
+        "f": dict(type=int, default=2, help="fault parameter (f < n/3)"),
+        "k": dict(type=int, default=60, help="clock modulus"),
+        "protocol": dict(
+            default=DEFAULT_PROTOCOL, choices=sorted(PROTOCOL_REGISTRY),
+            help="registered protocol (see `repro protocols`)",
+        ),
+        "coin": dict(
+            default="oracle", choices=sorted(COIN_REGISTRY),
+            help="coin algorithm (only protocols that use a coin)",
+        ),
+        "adversary": dict(
+            default="none", choices=sorted(ADVERSARY_REGISTRY),
+            help="Byzantine strategy (see `repro adversaries`)",
+        ),
+        "seed": dict(type=int, default=0, help="random seed"),
+        "beats": dict(type=int, default=200, help="beat budget"),
+        "engine": dict(
+            default=DEFAULT_ENGINE, choices=sorted(ENGINES),
+            help="simulation engine (see `repro engines`)",
+        ),
+        "link": dict(
+            default="perfect", choices=sorted(LINK_REGISTRY),
+            help="link-condition model (see `repro links`)",
+        ),
+        "link-param": dict(
+            action="append", default=[], type=_parse_link_param,
+            metavar="KEY=VALUE",
+            help="link model parameter (repeatable), e.g. --link-param "
+                 "max_delay=2, --link-param loss=0.1, --link-param heal=30"
+                 + ("; each model on the grid axis takes the parameters "
+                    "its constructor accepts" if grid else ""),
+        ),
+        "churn": dict(
+            action="append", default=[], metavar="BEAT:KIND:IDS",
+            help="membership event (repeatable): kind is crash, recover, "
+                 "join or leave, e.g. --churn 25:crash:0,1 --churn "
+                 "40:recover:0,1"
+                 + ("; applies to every scenario on the grid" if grid else ""),
+        ),
+        "no-early-stop": dict(
+            action="store_true",
+            help="always run the full --beats budget (a `run --trace` then "
+                 "has exactly --beats records, diffable against a runtime "
+                 "trace of the same seed)",
+        ),
+    }
+    for flag in flags:
+        kwargs = declared[flag]
+        if grid and flag in ("n", "k", "protocol", "adversary", "link"):
+            kwargs.update(
+                nargs="+", default=[kwargs["default"]],
+                help=f"{kwargs['help']} (grid axis)",
+            )
+        elif grid and flag == "f":
+            kwargs.update(
+                nargs="*", default=None,
+                help="fault parameters, one per --n (default ⌊(n-1)/3⌋)",
+            )
+        if flag in defaults:
+            kwargs["default"] = defaults[flag]
+        parser.add_argument(f"--{flag}", **kwargs)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The complete ``repro`` argument parser (also what
+    ``tools/check_docs.py`` parses documented command lines with)."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -168,104 +216,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("run", "run the clock from scrambled memory"),
-        ("demo", "alias of `run` (kept for compatibility)"),
-    ):
-        demo = commands.add_parser(name, help=help_text)
-        demo.add_argument("--n", type=int, default=7, help="number of nodes")
-        demo.add_argument(
-            "--f", type=int, default=2, help="fault parameter (f < n/3)"
-        )
-        demo.add_argument("--k", type=int, default=60, help="clock modulus")
-        demo.add_argument(
-            "--protocol", default=DEFAULT_PROTOCOL,
-            choices=sorted(PROTOCOL_REGISTRY),
-            help="registered protocol to run (see `repro protocols`)",
-        )
-        demo.add_argument(
-            "--coin", default="oracle", choices=["oracle", "gvss", "local"],
-            help="coin algorithm (only protocols that use a coin)",
-        )
-        demo.add_argument(
-            "--adversary", default="none", choices=sorted(ADVERSARIES)
-        )
-        demo.add_argument(
-            "--engine", default=DEFAULT_ENGINE, choices=sorted(ENGINES),
-            help="simulation engine (see `repro engines`)",
-        )
-        demo.add_argument("--seed", type=int, default=0)
-        demo.add_argument("--beats", type=int, default=200)
-        demo.add_argument("--show", type=int, default=16, help="beats to print")
-        demo.add_argument(
-            "--trace", dest="trace_path", default=None, metavar="FILE",
-            help="write the per-beat clock trajectory as JSONL (the same "
-                 "format `repro runtime --trace` emits)",
-        )
-        demo.add_argument(
-            "--no-early-stop", action="store_true",
-            help="always run the full --beats budget (a trace then has "
-                 "exactly --beats records, diffable against a runtime "
-                 "trace of the same seed)",
-        )
-        demo.add_argument(
-            "--drift", type=float, default=None, metavar="RHO",
-            help="continuous-time mode: clock drift bound, rates drawn in "
-                 "[1-RHO, 1+RHO] (event-driven engine; incompatible with "
-                 "--link/--churn)",
-        )
-        demo.add_argument(
-            "--delay-bounds", nargs=2, type=float, default=None,
-            metavar=("DMIN", "DMAX"),
-            help="continuous-time mode: message delay bounds in time "
-                 "units (keyed per-message draws in [DMIN, DMAX])",
-        )
-        demo.add_argument(
-            "--pulse-period", type=float, default=None, metavar="SPAN",
-            help="continuous-time mode: local-clock span between pulses "
-                 "(one beat per pulse; default 1.0)",
-        )
-        _add_link_arguments(demo, grid=False)
-        _add_dynamic_arguments(demo, grid=False)
+    run = commands.add_parser("run", help="run the clock from scrambled memory")
+    _add_scenario_arguments(run, _SCENARIO_FLAGS)
+    run.add_argument("--show", type=int, default=16, help="beats to print")
+    run.add_argument(
+        "--trace", dest="trace_path", default=None, metavar="FILE",
+        help="write the per-beat clock trajectory as JSONL (the same "
+             "format `repro runtime --trace` emits)",
+    )
+    run.add_argument(
+        "--drift", type=float, default=None, metavar="RHO",
+        help="continuous-time mode: clock drift bound, rates drawn in "
+             "[1-RHO, 1+RHO] (event-driven engine; incompatible with "
+             "--link/--churn/--engine)",
+    )
+    run.add_argument(
+        "--delay-bounds", nargs=2, type=float, default=None,
+        metavar=("DMIN", "DMAX"),
+        help="continuous-time mode: message delay bounds in time "
+             "units (keyed per-message draws in [DMIN, DMAX])",
+    )
+    run.add_argument(
+        "--pulse-period", type=float, default=None, metavar="SPAN",
+        help="continuous-time mode: local-clock span between pulses "
+             "(one beat per pulse; default 1.0)",
+    )
 
     table1 = commands.add_parser("table1", help="regenerate the paper's Table 1")
-    table1.add_argument("--n", type=int, default=7)
-    table1.add_argument("--f", type=int, default=2)
-    table1.add_argument("--k", type=int, default=4)
+    _add_scenario_arguments(table1, ("n", "f", "k", "beats"), k=4, beats=400)
     table1.add_argument("--seeds", type=int, default=5)
-    table1.add_argument("--beats", type=int, default=400)
 
     runtime = commands.add_parser(
         "runtime",
         help="run the protocol live: concurrent node tasks over a transport",
     )
-    runtime.add_argument("--n", type=int, default=4, help="number of nodes")
-    runtime.add_argument(
-        "--f", type=int, default=1, help="fault parameter (f < n/3)"
-    )
-    runtime.add_argument("--k", type=int, default=8, help="clock modulus")
-    runtime.add_argument(
-        "--protocol", default=DEFAULT_PROTOCOL,
-        choices=sorted(PROTOCOL_REGISTRY),
-        help="registered protocol to run live (see `repro protocols`)",
-    )
-    runtime.add_argument(
-        "--coin", default="oracle", choices=["oracle", "gvss", "local"],
-        help="coin algorithm (only protocols that use a coin)",
-    )
-    runtime.add_argument(
-        "--adversary", default="none", choices=sorted(ADVERSARIES),
-        help="Byzantine strategy run as a live misbehaving peer",
-    )
-    runtime.add_argument(
-        "--engine", default=DEFAULT_ENGINE, choices=sorted(ENGINES),
-        help="accepted for interface symmetry and validated against the "
-             "registry; the live runtime owns its own message plane, so "
-             "the choice does not change execution",
-    )
-    runtime.add_argument("--seed", type=int, default=0)
-    runtime.add_argument(
-        "--beats", type=int, default=60, help="run duration, in beats"
+    _add_scenario_arguments(
+        runtime, _SCENARIO_FLAGS[:8], n=4, f=1, k=8, beats=60
     )
     runtime.add_argument(
         "--transport", default=DEFAULT_TRANSPORT, choices=sorted(TRANSPORTS),
@@ -314,39 +300,19 @@ def _build_parser() -> argparse.ArgumentParser:
     runtime.add_argument("--show", type=int, default=12, help="beats to print")
 
     coin = commands.add_parser("coin", help="stream the self-stabilizing coin")
-    coin.add_argument("--n", type=int, default=4)
-    coin.add_argument("--f", type=int, default=1)
-    coin.add_argument("--coin", default="gvss", choices=["oracle", "gvss", "local"])
-    coin.add_argument("--adversary", default="none", choices=sorted(ADVERSARIES))
-    coin.add_argument("--seed", type=int, default=0)
-    coin.add_argument("--beats", type=int, default=30)
+    _add_scenario_arguments(
+        coin, ("n", "f", "coin", "adversary", "seed", "beats"),
+        n=4, f=1, coin="gvss", beats=30,
+    )
 
     campaign = commands.add_parser(
         "campaign",
         help="run a parallel experiment campaign over a scenario grid",
     )
-    campaign.add_argument(
-        "--protocol", nargs="+", default=[DEFAULT_PROTOCOL],
-        choices=sorted(PROTOCOL_REGISTRY),
-        help="registered protocols (grid axis)",
-    )
-    campaign.add_argument(
-        "--coin", default="oracle", choices=sorted(COIN_REGISTRY)
-    )
-    campaign.add_argument(
-        "--n", type=int, nargs="+", default=[4, 7, 10],
-        help="system sizes (grid axis)",
-    )
-    campaign.add_argument(
-        "--f", type=int, nargs="*", default=None,
-        help="fault parameters, one per --n (default ⌊(n-1)/3⌋)",
-    )
-    campaign.add_argument(
-        "--k", type=int, nargs="+", default=[8], help="clock moduli (grid axis)"
-    )
-    campaign.add_argument(
-        "--adversary", nargs="+", default=["none"],
-        choices=sorted(ADVERSARY_REGISTRY), help="adversaries (grid axis)",
+    _add_scenario_arguments(
+        campaign,
+        [flag for flag in _SCENARIO_FLAGS if flag != "seed"],
+        grid=True, n=[4, 7, 10], k=[8], beats=500,
     )
     campaign.add_argument(
         "--seeds", type=int, default=10, help="trials per scenario"
@@ -354,7 +320,6 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--seed-base", type=int, default=0, help="first seed of the range"
     )
-    campaign.add_argument("--beats", type=int, default=500)
     campaign.add_argument(
         "--timing", nargs="+", default=None, metavar="RHO:DMIN:DMAX:PERIOD",
         help="continuous-time grid axis: run the event-driven engine with "
@@ -367,13 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "before these beats",
     )
     campaign.add_argument("--closure-window", type=int, default=12)
-    campaign.add_argument(
-        "--no-early-stop", action="store_true",
-        help="always burn the full beat budget",
-    )
-    campaign.add_argument("--engine", default="fast", choices=sorted(ENGINES))
-    _add_link_arguments(campaign, grid=True)
-    _add_dynamic_arguments(campaign, grid=True)
     campaign.add_argument(
         "--workers", type=int, default=None,
         help="worker processes (default: one per CPU)",
@@ -454,28 +412,84 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output rendering (default: Prometheus text exposition)",
     )
 
-    from repro.bench.cli import configure_parser as configure_bench_parser
-
     configure_bench_parser(commands)
-
-    commands.add_parser("protocols", help="list the registered protocol catalog")
-    commands.add_parser("adversaries", help="list built-in Byzantine strategies")
-    commands.add_parser("links", help="list built-in link-condition models")
-    commands.add_parser("engines", help="list built-in simulation engines")
-    commands.add_parser("transports", help="list built-in runtime transports")
-    commands.add_parser("codecs", help="list built-in runtime wire codecs")
+    for name in _LISTINGS:
+        commands.add_parser(name, help=f"list the built-in {name}")
     return parser
 
 
-def _cmd_demo(args: argparse.Namespace) -> int:
+def _write_trace(result, path: str, indent: str = "") -> None:
+    """Write a result's JSONL trace to ``path`` and say so."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(result.to_jsonl())
+    print(f"{indent}wrote {len(result.records)}-beat trace to {path}")
+
+
+def _write_metrics(registry, path: str, fmt: str = "json") -> None:
+    """Write a metrics registry to ``path`` as JSON or Prometheus text."""
+    with open(path, "w", encoding="utf-8") as handle:
+        if fmt == "prometheus":
+            handle.write(registry.to_prometheus())
+        else:
+            json.dump(registry.to_json(), handle, indent=2)
+            handle.write("\n")
+
+
+def _convergence_footer(
+    result, beats: int, converged: str, failed: str = "", indent: str = ""
+) -> int:
+    """Print a run's last line; the exit code says whether it converged."""
+    if result.converged_beat is None:
+        print(f"{indent}did not converge within {beats} beats{failed}")
+        return 1
+    print(f"{indent}converged at beat {result.converged_beat} ({converged})")
+    return 0
+
+
+def _scenario(args: argparse.Namespace, **fields: object) -> ScenarioSpec:
+    """The run the scenario flags describe, as the one named spec."""
+    return ScenarioSpec(
+        n=args.n,
+        f=args.f,
+        k=args.k,
+        protocol=args.protocol,
+        coin=args.coin,
+        adversary=args.adversary,
+        max_beats=args.beats,
+        **fields,
+    )
+
+
+def _scenario_text(args: argparse.Namespace) -> str:
+    """The header both single-run commands open their report with."""
+    uses_coin = PROTOCOL_REGISTRY[args.protocol].uses_coin
+    return (
+        f"{args.protocol} n={args.n} f={args.f} k={args.k}"
+        f"{f' coin={args.coin}' if uses_coin else ''} "
+        f"adversary={args.adversary} seed={args.seed}"
+    )
+
+
+def _churn(args: argparse.Namespace) -> tuple:
+    """The ``--churn`` events in the normalized form a spec carries."""
+    return parse_churn_events(args.churn).normalized() if args.churn else ()
+
+
+def _print_beats(result, show: int) -> None:
+    """The first ``show`` beats of any result, one clock row each."""
+    for beat, values in enumerate(result.history[:show]):
+        cells = " ".join(
+            f"{v:>4}" if v is not None else "   ⊥" for v in values
+        )
+        print(f"  beat {beat:>3} | {cells}")
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
     link_params = dict(args.link_param)
-    link = "mobility" if args.mobility else args.link
-    adversary_name = "adaptive" if args.adaptive else args.adversary
-    timing = None
-    if (
-        args.drift is not None
-        or args.delay_bounds is not None
-        or args.pulse_period is not None
+    timing = ()
+    if any(
+        value is not None
+        for value in (args.drift, args.delay_bounds, args.pulse_period)
     ):
         d_min, d_max = args.delay_bounds or (0.0, 0.0)
         timing = (
@@ -484,57 +498,31 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             d_max,
             args.pulse_period if args.pulse_period is not None else 1.0,
         )
-    try:
-        churn = (
-            parse_churn_events(args.churn).normalized() if args.churn else None
-        )
-        result = synchronize(
-            n=args.n,
-            f=args.f,
-            k=args.k,
-            protocol=args.protocol,
-            coin=args.coin,
-            adversary=ADVERSARIES[adversary_name](),
-            seed=args.seed,
-            max_beats=args.beats,
-            early_stop=not args.no_early_stop,
-            engine=args.engine,
-            link=link,
-            link_params=link_params,
-            churn=churn,
-            trace=args.trace_path is not None,
-            timing=timing,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    link_note = "" if link == "perfect" else f" link={link}{link_params}"
-    coin_note = (
-        f" coin={args.coin}" if resolve_protocol(args.protocol).uses_coin else ""
+    spec = _scenario(
+        args,
+        early_stop=not args.no_early_stop,
+        engine=args.engine,
+        link=args.link,
+        link_params=normalize_link_params(link_params),
+        churn=_churn(args),
+        timing=timing,
     )
+    config = dataclasses.replace(
+        spec.build_config(), trace=args.trace_path is not None
+    )
+    result = run_trial(config, args.seed)
+    link_note = "" if args.link == "perfect" else f" link={args.link}{link_params}"
     churn_note = f" churn={','.join(args.churn)}" if args.churn else ""
     timing_note = ""
-    if timing is not None:
+    if timing:
         timing_note = (
             f" timing[rho={timing[0]},d={timing[1]}-{timing[2]},"
             f"period={timing[3]}]"
         )
-    print(
-        f"{args.protocol} n={args.n} f={args.f} k={args.k}"
-        f"{coin_note} adversary={adversary_name} seed={args.seed}"
-        f"{link_note}{churn_note}{timing_note}"
-    )
-    for beat, values in enumerate(result.history[: args.show]):
-        cells = " ".join(
-            f"{v:>4}" if v is not None else "   ⊥" for v in values
-        )
-        print(f"  beat {beat:>3} | {cells}")
+    print(f"{_scenario_text(args)}{link_note}{churn_note}{timing_note}")
+    _print_beats(result, args.show)
     if args.trace_path:
-        with open(args.trace_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_jsonl())
-        print(
-            f"wrote {len(result.records)}-beat trace to {args.trace_path}"
-        )
+        _write_trace(result, args.trace_path)
     casualties = ""
     if result.dropped_messages or result.delayed_messages:
         casualties = (
@@ -551,22 +539,10 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             f"continuous time: max pulse skew {result.pulse_skew:.4f} "
             f"time units{t_note}"
         )
-    if result.converged_beat is None:
-        print(f"did not converge within {args.beats} beats{casualties}")
-        return 1
-    print(f"converged at beat {result.converged_beat} "
-          f"({result.total_messages} messages total{casualties})")
-    return 0
-
-
-def _print_beats(result, show: int) -> None:
-    """The first ``show`` beats of a live result, one clock row each."""
-    for record in result.records[:show]:
-        cells = " ".join(
-            f"{record.values[i]:>4}" if record.values[i] is not None else "   ⊥"
-            for i in sorted(record.values)
-        )
-        print(f"  beat {record.beat:>3} | {cells}")
+    return _convergence_footer(
+        result, args.beats,
+        f"{result.total_messages} messages total{casualties}", casualties,
+    )
 
 
 def _skew_text(result) -> str:
@@ -575,40 +551,29 @@ def _skew_text(result) -> str:
 
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
-    protocol = resolve_protocol(args.protocol)
-    coin_factory = coin_by_name(args.coin, args.n, args.f)
-    registry = None
-    if args.metrics_path:
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-    try:
-        result = run_runtime(
-            args.n,
-            args.f,
-            protocol.factory(args.n, args.f, args.k, coin_factory=coin_factory),
-            adversary=ADVERSARIES[args.adversary](),
-            seed=args.seed,
-            beats=args.beats,
-            transport=args.transport,
-            codec=args.codec,
-            k=args.k,
-            beat_timeout=args.beat_timeout,
-            sync=args.sync,
-            pulse_period=args.pulse_period,
-            rho=args.drift,
-            metrics=registry,
-        )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    coin_note = f" coin={args.coin}" if protocol.uses_coin else ""
+    registry = MetricsRegistry() if args.metrics_path else None
+    config = _scenario(args).build_config()
+    result = run_runtime(
+        args.n,
+        args.f,
+        config.protocol_factory,
+        adversary=config.adversary_factory(),
+        seed=args.seed,
+        beats=args.beats,
+        transport=args.transport,
+        codec=args.codec,
+        k=args.k,
+        beat_timeout=args.beat_timeout,
+        sync=args.sync,
+        pulse_period=args.pulse_period,
+        rho=args.drift,
+        metrics=registry,
+    )
     sync_note = ""
     if result.sync == "pulse":
         sync_note = f" sync=pulse period={args.pulse_period} rho={args.drift}"
     print(
-        f"live {args.protocol} n={args.n} f={args.f} k={args.k}"
-        f"{coin_note} adversary={args.adversary} seed={args.seed} "
+        f"live {_scenario_text(args)} "
         f"transport={result.transport} codec={result.codec}{sync_note}"
     )
     _print_beats(result, args.show)
@@ -632,16 +597,9 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
             f"{result.pulse_timeouts} pulse timeouts{t_conv}"
         )
     if args.trace_path:
-        with open(args.trace_path, "w", encoding="utf-8") as handle:
-            handle.write(result.to_jsonl())
-        print(f"wrote {len(result.records)}-beat trace to {args.trace_path}")
+        _write_trace(result, args.trace_path)
     if args.metrics_path:
-        with open(args.metrics_path, "w", encoding="utf-8") as handle:
-            if args.metrics_format == "prometheus":
-                handle.write(registry.to_prometheus())
-            else:
-                json.dump(registry.to_json(), handle, indent=2)
-                handle.write("\n")
+        _write_metrics(registry, args.metrics_path, args.metrics_format)
         print(f"wrote {args.metrics_format} metrics to {args.metrics_path}")
     casualties = ""
     if result.late_messages or result.barrier_timeouts:
@@ -651,39 +609,24 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
         )
     rate = (
         f"{result.beats_per_sec:.0f} beats/s, "
-        f"{result.messages_per_sec:.0f} msgs/s"
+        f"{result.messages_per_sec:.0f} msgs/s{casualties}"
     )
-    if result.converged_beat is None:
-        print(f"did not converge within {args.beats} beats ({rate}{casualties})")
-        return 1
-    print(
-        f"converged at beat {result.converged_beat} "
-        f"({result.messages_sent} messages, {rate}{casualties})"
+    return _convergence_footer(
+        result, args.beats,
+        f"{result.messages_sent} messages, {rate}", f" ({rate})",
     )
-    return 0
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import dataclasses
-    import os
-
-    from repro.errors import TransportError
-
-    try:
-        specs = load_specs(args.spec_path)
-        if args.only is not None:
-            specs = tuple(s for s in specs if s.name == args.only)
-            if not specs:
-                raise ConfigurationError(
-                    f"no experiment named {args.only!r} in {args.spec_path}"
-                )
-        if args.codec is not None:
-            specs = tuple(
-                dataclasses.replace(s, codec=args.codec) for s in specs
+    specs = load_specs(args.spec_path)
+    if args.only is not None:
+        specs = tuple(s for s in specs if s.name == args.only)
+        if not specs:
+            raise ConfigurationError(
+                f"no experiment named {args.only!r} in {args.spec_path}"
             )
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    if args.codec is not None:
+        specs = tuple(dataclasses.replace(s, codec=args.codec) for s in specs)
     exit_code = 0
     for spec in specs:
         print(
@@ -708,32 +651,27 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             )
         if args.trace_dir:
             os.makedirs(args.trace_dir, exist_ok=True)
-            trace_path = os.path.join(args.trace_dir, f"{spec.name}.jsonl")
-            with open(trace_path, "w", encoding="utf-8") as handle:
-                handle.write(result.to_jsonl())
-            print(f"  wrote {len(result.records)}-beat trace to {trace_path}")
+            _write_trace(
+                result, os.path.join(args.trace_dir, f"{spec.name}.jsonl"),
+                indent="  ",
+            )
         if args.metrics_dir:
             os.makedirs(args.metrics_dir, exist_ok=True)
             metrics_path = os.path.join(
                 args.metrics_dir, f"{spec.name}.metrics.json"
             )
-            with open(metrics_path, "w", encoding="utf-8") as handle:
-                json.dump(result.metrics.to_json(), handle, indent=2)
-                handle.write("\n")
+            _write_metrics(result.metrics, metrics_path)
             print(f"  wrote merged worker metrics to {metrics_path}")
         rate = (
             f"{result.beats_per_sec:.0f} beats/s, "
             f"{result.messages_per_sec:.0f} msgs/s, "
             f"{result.frames_sent} wire frames"
         )
-        if result.converged_beat is None:
-            print(f"  did not converge within {spec.beats} beats ({rate})")
-            exit_code = 1
-        else:
-            print(
-                f"  converged at beat {result.converged_beat} "
-                f"({result.messages_sent} messages, {rate})"
-            )
+        exit_code |= _convergence_footer(
+            result, spec.beats,
+            f"{result.messages_sent} messages, {rate}", f" ({rate})",
+            indent="  ",
+        )
     return exit_code
 
 
@@ -755,12 +693,17 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_coin(args: argparse.Namespace) -> int:
-    algorithm = coin_by_name(args.coin, args.n, args.f)()
+    # The coin stream has no clock: k is unused.
+    spec = ScenarioSpec(
+        n=args.n, f=args.f, k=2, coin=args.coin, adversary=args.adversary
+    )
+    adversary = spec.build_config().adversary_factory()
+    algorithm = spec.coin_factory()()
     sim = Simulation(
         args.n,
         args.f,
         lambda i: CoinFlipPipeline(algorithm),
-        adversary=ADVERSARIES[args.adversary](),
+        adversary=adversary,
         seed=args.seed,
     )
     sim.run(algorithm.rounds)  # flush (Lemma 1)
@@ -843,43 +786,29 @@ def _parse_timing(value: str) -> "tuple[float, float, float, float]":
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    try:
-        link_names = list(args.link)
-        if args.mobility and "mobility" not in link_names:
-            link_names.append("mobility")
-        adversaries = list(args.adversary)
-        if args.adaptive and "adaptive" not in adversaries:
-            adversaries.append("adaptive")
-        churn = (
-            parse_churn_events(args.churn).normalized() if args.churn else ()
-        )
-        links = _link_axis(link_names, dict(args.link_param))
-        timings = (
-            tuple(_parse_timing(value) for value in args.timing)
-            if args.timing
-            else ((),)
-        )
-        specs = scenario_grid(
-            args.n,
-            ks=args.k,
-            adversaries=adversaries,
-            links=links,
-            protocols=args.protocol,
-            fs=args.f,
-            coin=args.coin,
-            max_beats=args.beats,
-            scramble_beats=tuple(args.scramble_beats),
-            early_stop=not args.no_early_stop,
-            closure_window=args.closure_window,
-            engine=args.engine,
-            churn=churn,
-            timings=timings,
-        )
-        for spec in specs:
-            spec.validate()
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    timings = (
+        tuple(_parse_timing(value) for value in args.timing)
+        if args.timing
+        else ((),)
+    )
+    specs = scenario_grid(
+        args.n,
+        ks=args.k,
+        adversaries=args.adversary,
+        links=_link_axis(args.link, dict(args.link_param)),
+        protocols=args.protocol,
+        fs=args.f,
+        coin=args.coin,
+        max_beats=args.beats,
+        scramble_beats=tuple(args.scramble_beats),
+        early_stop=not args.no_early_stop,
+        closure_window=args.closure_window,
+        engine=args.engine,
+        churn=_churn(args),
+        timings=timings,
+    )
+    for spec in specs:  # a bad grid fails before the header line
+        spec.validate()
     seeds = range(args.seed_base, args.seed_base + args.seeds)
     total = len(specs) * args.seeds
     print(
@@ -910,47 +839,36 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_protocols(_args: argparse.Namespace) -> int:
-    for name, protocol in sorted(PROTOCOL_REGISTRY.items()):
-        marker = "  (default)" if name == DEFAULT_PROTOCOL else ""
-        print(f"  {name:<14} {protocol.describe()}{marker}")
-    return 0
+def _first_doc_line(obj: object) -> str:
+    return (obj.__doc__ or "").strip().splitlines()[0]
 
 
-def _cmd_adversaries(_args: argparse.Namespace) -> int:
-    for name, factory in sorted(ADVERSARIES.items()):
-        instance = factory()
-        doc = (type(instance).__doc__ or "fault-free").strip().splitlines()[0]
-        print(f"  {name:<14} {doc}")
-    return 0
+#: Listing command -> (registry, describe(entry), default name).
+_LISTINGS = {
+    "protocols": (
+        PROTOCOL_REGISTRY, lambda protocol: protocol.describe(),
+        DEFAULT_PROTOCOL,
+    ),
+    "adversaries": (
+        ADVERSARY_REGISTRY,
+        lambda cls: "fault-free" if cls is None else _first_doc_line(cls),
+        None,
+    ),
+    "links": (LINK_MODELS, _first_doc_line, None),
+    "engines": (
+        ENGINES, lambda engine_cls: engine_cls.description, DEFAULT_ENGINE,
+    ),
+    "transports": (TRANSPORTS, _first_doc_line, DEFAULT_TRANSPORT),
+    "codecs": (CODECS, lambda codec: codec.describe(), DEFAULT_CODEC),
+}
 
 
-def _cmd_links(_args: argparse.Namespace) -> int:
-    for name, model_cls in sorted(LINK_MODELS.items()):
-        doc = (model_cls.__doc__ or "").strip().splitlines()[0]
-        print(f"  {name:<12} {doc}")
-    return 0
-
-
-def _cmd_engines(_args: argparse.Namespace) -> int:
-    for name, engine_cls in sorted(ENGINES.items()):
-        marker = "  (default)" if name == DEFAULT_ENGINE else ""
-        print(f"  {name:<12} {engine_cls.description}{marker}")
-    return 0
-
-
-def _cmd_transports(_args: argparse.Namespace) -> int:
-    for name, transport_cls in sorted(TRANSPORTS.items()):
-        doc = (transport_cls.__doc__ or "").strip().splitlines()[0]
-        marker = "  (default)" if name == DEFAULT_TRANSPORT else ""
-        print(f"  {name:<12} {doc}{marker}")
-    return 0
-
-
-def _cmd_codecs(_args: argparse.Namespace) -> int:
-    for name, codec in sorted(CODECS.items()):
-        marker = "  (default)" if name == DEFAULT_CODEC else ""
-        print(f"  {name:<12} {codec.describe()}{marker}")
+def _cmd_listing(args: argparse.Namespace) -> int:
+    registry, describe, default = _LISTINGS[args.command]
+    width = max(12, max(map(len, registry)) + 1)
+    for name, entry in sorted(registry.items()):
+        marker = "  (default)" if name == default else ""
+        print(f"  {name:<{width}} {describe(entry)}{marker}")
     return 0
 
 
@@ -965,8 +883,6 @@ def _read_text(path: str) -> str:
 
 def _parse_trace(path: str):
     """Parse one JSONL trace file (malformed lines → ConfigurationError)."""
-    from repro.obs import read_trace
-
     try:
         return read_trace(_read_text(path))
     except (ValueError, KeyError, TypeError) as error:
@@ -976,83 +892,71 @@ def _parse_trace(path: str):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.obs import diff_records, summarize_trace
-
-    try:
-        if args.trace_command == "inspect":
-            trace = _parse_trace(args.path)
-            summary = summarize_trace(trace, k=args.k)
-            print(f"trace {args.path}")
-            print(summary.describe())
-            if args.series is not None:
-                series = [
-                    record.values.get(args.series)
-                    for record in trace.records
-                ]
-                print(f"  node {args.series} : {series}")
-            return 0
-        if args.trace_command == "diff":
-            left = _parse_trace(args.left)
-            right = _parse_trace(args.right)
-            diff = diff_records(left.records, right.records)
-            if diff is None:
-                print(
-                    f"traces match: {len(left.records)} records "
-                    f"({args.left} == {args.right})"
-                )
-                return 0
-            print(f"left : {args.left}\nright: {args.right}")
-            print(diff.describe())
-            return 1
-        # metrics: validate the document, then render it.
-        from repro.obs import render_prometheus, validate_metrics_json
-
-        try:
-            payload = json.loads(_read_text(args.path))
-            validate_metrics_json(payload)
-        except ValueError as error:
-            raise ConfigurationError(
-                f"{args.path!r} is not a metrics document: {error}"
-            ) from None
-        if args.metrics_format == "prometheus":
-            print(render_prometheus(payload), end="")
-        else:
-            print(json.dumps(payload, indent=2))
+    if args.trace_command == "inspect":
+        trace = _parse_trace(args.path)
+        summary = summarize_trace(trace, k=args.k)
+        print(f"trace {args.path}")
+        print(summary.describe())
+        if args.series is not None:
+            series = [
+                record.values.get(args.series) for record in trace.records
+            ]
+            print(f"  node {args.series} : {series}")
         return 0
-    except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench.cli import handle
-
-    return handle(args)
+    if args.trace_command == "diff":
+        left = _parse_trace(args.left)
+        right = _parse_trace(args.right)
+        diff = diff_records(left.records, right.records)
+        if diff is None:
+            print(
+                f"traces match: {len(left.records)} records "
+                f"({args.left} == {args.right})"
+            )
+            return 0
+        print(f"left : {args.left}\nright: {args.right}")
+        print(diff.describe())
+        return 1
+    # metrics: validate the document, then render it.
+    try:
+        payload = json.loads(_read_text(args.path))
+        validate_metrics_json(payload)
+    except ValueError as error:
+        raise ConfigurationError(
+            f"{args.path!r} is not a metrics document: {error}"
+        ) from None
+    if args.metrics_format == "prometheus":
+        print(render_prometheus(payload), end="")
+    else:
+        print(json.dumps(payload, indent=2))
+    return 0
 
 
 _HANDLERS = {
-    "run": _cmd_demo,
-    "demo": _cmd_demo,
+    "run": _cmd_run,
     "table1": _cmd_table1,
     "coin": _cmd_coin,
     "campaign": _cmd_campaign,
     "runtime": _cmd_runtime,
     "cluster": _cmd_cluster,
     "trace": _cmd_trace,
-    "bench": _cmd_bench,
-    "protocols": _cmd_protocols,
-    "adversaries": _cmd_adversaries,
-    "links": _cmd_links,
-    "engines": _cmd_engines,
-    "transports": _cmd_transports,
-    "codecs": _cmd_codecs,
+    "bench": handle_bench,
+    **dict.fromkeys(_LISTINGS, _cmd_listing),
 }
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns a process exit code."""
-    args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    """Entry point; returns a process exit code.
+
+    A :class:`ConfigurationError` from any command — a bad grid, spec
+    file, link parameter, trace file — is reported on stderr as exit 2,
+    argparse's own code for a command line it cannot accept.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _HANDLERS[args.command](args)
+    except ConfigurationError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

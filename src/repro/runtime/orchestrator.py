@@ -44,11 +44,12 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.analysis.campaign import ScenarioSpec
 from repro.core.problem import converged_at
-from repro.errors import ConfigurationError, TransportError, check_resilience
+from repro.errors import ConfigurationError, TransportError
 from repro.net.trace import BeatRecord, history_rows, records_from_traces
 from repro.net.world import World
 from repro.runtime.codec import DEFAULT_CODEC, resolve_codec
@@ -75,7 +76,10 @@ class ClusterSpec:
     """One declarative cluster experiment.
 
     Everything is named, not instantiated, so a spec pickles cleanly into
-    spawned worker processes and reads naturally in a spec file::
+    spawned worker processes and reads naturally in a spec file.  It is a
+    scenario (:meth:`scenario` — what runs, validated and resolved by
+    :class:`~repro.analysis.campaign.ScenarioSpec`) plus the deployment
+    fields this class owns (codec, processes, host, barrier mode)::
 
         experiments = [
             ClusterSpec(name="smoke-n4", n=4, f=1, k=6, beats=12,
@@ -103,38 +107,27 @@ class ClusterSpec:
     pulse_period: float = 0.2
     rho: float = 0.0
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on an inconsistent spec."""
-        from repro.analysis.campaign import (
-            ADVERSARY_REGISTRY,
-            COIN_REGISTRY,
-            PROTOCOL_REGISTRY,
+    def scenario(self) -> ScenarioSpec:
+        """The run this cluster executes, minus how it is deployed."""
+        return ScenarioSpec(
+            n=self.n,
+            f=self.f,
+            k=self.k,
+            protocol=self.protocol,
+            coin=self.coin,
+            adversary=self.adversary,
+            max_beats=self.beats,
+            scramble=self.scramble,
         )
 
+    def validate(self) -> None:
+        """Raise :class:`ConfigurationError` on an inconsistent spec."""
         if not self.name:
             raise ConfigurationError("cluster spec needs a non-empty name")
-        check_resilience(self.n, self.f)
-        if self.beats < 1:
-            raise ConfigurationError(
-                f"need at least one beat, got {self.beats}"
-            )
+        self.scenario().validate()
         if not 1 <= self.processes <= self.n:
             raise ConfigurationError(
                 f"processes must be in 1..n={self.n}, got {self.processes}"
-            )
-        if self.protocol not in PROTOCOL_REGISTRY:
-            raise ConfigurationError(
-                f"unknown protocol {self.protocol!r}; "
-                f"known: {sorted(PROTOCOL_REGISTRY)}"
-            )
-        if self.adversary not in ADVERSARY_REGISTRY:
-            raise ConfigurationError(
-                f"unknown adversary {self.adversary!r}; "
-                f"known: {sorted(ADVERSARY_REGISTRY)}"
-            )
-        if self.coin not in COIN_REGISTRY:
-            raise ConfigurationError(
-                f"unknown coin {self.coin!r}; known: {sorted(COIN_REGISTRY)}"
             )
         resolve_codec(self.codec)  # unknown codec -> ConfigurationError
         check_sync_mode(self.sync, self.rho, self.pulse_period)
@@ -230,20 +223,12 @@ async def _worker_async(
     conn: "Connection",
 ) -> "dict[str, Any]":
     """One worker's whole run; returns its harvest for the parent."""
-    from repro import coin_by_name
-    from repro.analysis.campaign import ADVERSARY_REGISTRY
-    from repro.core.protocol import resolve_protocol
-
-    n, f = spec.n, spec.f
-    root_factory = resolve_protocol(spec.protocol).factory(
-        n, f, spec.k, coin_factory=coin_by_name(spec.coin, n, f)
-    )
-    adversary_cls = ADVERSARY_REGISTRY[spec.adversary]
+    config = spec.scenario().build_config()
     world = World.build(
-        n,
-        f,
-        root_factory,
-        adversary=adversary_cls() if adversary_cls is not None else None,
+        spec.n,
+        spec.f,
+        config.protocol_factory,
+        adversary=config.adversary_factory(),
         seed=spec.seed,
     )
     if spec.scramble:
@@ -406,7 +391,3 @@ def _expect(conn: "Connection", index: int, want: str) -> tuple:
             f"cluster worker {index} sent {kind!r}, expected {want!r}"
         )
     return kind, value
-
-
-# Re-exported convenience: spec files often tweak a base spec.
-clone = replace

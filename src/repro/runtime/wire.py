@@ -188,27 +188,24 @@ def decode_frame(data: bytes) -> Frame:
     if not isinstance(record, dict):
         raise WireError(f"frame must be a JSON object, got {type(record).__name__}")
     kind = record.get("k")
-    try:
-        if kind == MSG:
-            return Frame(
-                kind=MSG,
-                sender=_int_field(record, "s"),
-                beat=_int_field(record, "b"),
-                seq=_int_field(record, "q"),
-                receiver=_int_field(record, "r"),
-                path=_str_field(record, "p"),
-                payload=_untuple(record.get("v")),
-            )
-        if kind == END:
-            return Frame(
-                kind=END,
-                sender=_int_field(record, "s"),
-                beat=_int_field(record, "b"),
-            )
-        if kind == HELLO:
-            return Frame(kind=HELLO, sender=_int_field(record, "s"))
-    except WireError:
-        raise
+    if kind == MSG:
+        return Frame(
+            kind=MSG,
+            sender=_int_field(record, "s"),
+            beat=_int_field(record, "b"),
+            seq=_int_field(record, "q"),
+            receiver=_int_field(record, "r"),
+            path=_str_field(record, "p"),
+            payload=_untuple(record.get("v")),
+        )
+    if kind == END:
+        return Frame(
+            kind=END,
+            sender=_int_field(record, "s"),
+            beat=_int_field(record, "b"),
+        )
+    if kind == HELLO:
+        return Frame(kind=HELLO, sender=_int_field(record, "s"))
     raise WireError(f"unknown frame kind {kind!r}")
 
 

@@ -16,9 +16,10 @@ from repro.analysis.campaign import (
     scenario_grid,
     single_scenario_sweep,
 )
+from repro.analysis import campaign
 from repro.analysis.experiments import run_sweep
 from repro.cli import main
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ResilienceError
 
 FAST_SPEC = ScenarioSpec(
     n=4, f=1, k=6, max_beats=150, coin_p0=0.4, coin_p1=0.4, coin_rounds=2
@@ -143,6 +144,25 @@ class TestRunCampaign:
             spec.validate()
         with pytest.raises(ConfigurationError):
             list(iter_campaign([spec], seeds=range(2)))
+
+    @pytest.mark.parametrize("overrides,error", [
+        ({"n": 3, "f": 1}, ResilienceError),
+        ({"engine": "warp"}, ConfigurationError),
+        ({"max_beats": 0}, ConfigurationError),
+    ])
+    def test_unrunnable_axes_rejected_before_any_trial(
+        self, overrides, error, monkeypatch
+    ):
+        """f >= n/3, an unknown engine and an empty budget fail in the
+        driving process — not beats into a (pool) worker's trial."""
+        monkeypatch.setattr(
+            campaign, "run_trial", lambda *_: pytest.fail("a trial started")
+        )
+        spec = ScenarioSpec(**{"n": 4, "f": 1, "k": 6, **overrides})
+        with pytest.raises(error):
+            spec.validate()
+        with pytest.raises(error):
+            list(iter_campaign([spec], seeds=range(2), workers=1))
 
     def test_single_scenario_sweep(self):
         sweep = single_scenario_sweep(FAST_SPEC, seeds=range(2), workers=1)

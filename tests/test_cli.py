@@ -7,20 +7,25 @@ import sys
 
 import pytest
 
-from repro.cli import ADVERSARIES, PROTOCOL_REGISTRY, main
+from repro.analysis.campaign import (
+    ADVERSARY_REGISTRY,
+    COIN_REGISTRY,
+    PROTOCOL_REGISTRY,
+)
+from repro.cli import build_parser, main
 
 
-class TestDemo:
-    def test_demo_converges(self, capsys):
-        code = main(["demo", "--n", "4", "--f", "1", "--k", "10", "--seed", "1"])
+class TestRun:
+    def test_run_converges(self, capsys):
+        code = main(["run", "--n", "4", "--f", "1", "--k", "10", "--seed", "1"])
         out = capsys.readouterr().out
         assert code == 0
         assert "converged at beat" in out
 
-    def test_demo_with_adversary(self, capsys):
+    def test_run_with_adversary(self, capsys):
         code = main(
             [
-                "demo",
+                "run",
                 "--n", "4", "--f", "1", "--k", "8",
                 "--adversary", "equivocator",
                 "--seed", "2",
@@ -28,33 +33,33 @@ class TestDemo:
         )
         assert code == 0
 
-    def test_demo_gvss_coin(self, capsys):
+    def test_run_gvss_coin(self, capsys):
         code = main(
-            ["demo", "--n", "4", "--f", "1", "--k", "8", "--coin", "gvss",
+            ["run", "--n", "4", "--f", "1", "--k", "8", "--coin", "gvss",
              "--seed", "3", "--beats", "80"]
         )
         assert code == 0
 
-    def test_demo_nonconvergence_exit_code(self, capsys):
+    def test_run_nonconvergence_exit_code(self, capsys):
         # The local coin at a hard size within a tiny budget: must report
         # failure through the exit code rather than pretending.
         code = main(
-            ["demo", "--n", "10", "--f", "3", "--k", "8", "--coin", "local",
+            ["run", "--n", "10", "--f", "3", "--k", "8", "--coin", "local",
              "--seed", "1", "--beats", "10"]
         )
         assert code == 1
         assert "did not converge" in capsys.readouterr().out
 
-    def test_demo_deterministic(self, capsys):
-        main(["demo", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
+    def test_run_deterministic(self, capsys):
+        main(["run", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
         first = capsys.readouterr().out
-        main(["demo", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
+        main(["run", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
         second = capsys.readouterr().out
         assert first == second
 
 
 class TestLinkFlags:
-    def test_run_alias_with_lossy_link(self, capsys):
+    def test_run_with_lossy_link(self, capsys):
         code = main(
             ["run", "--n", "4", "--f", "1", "--k", "8", "--seed", "1",
              "--link", "lossy", "--link-param", "loss=0.1"]
@@ -64,13 +69,13 @@ class TestLinkFlags:
         assert "link=lossy" in out
         assert "dropped" in out
 
-    def test_run_perfect_link_matches_demo(self, capsys):
-        main(["demo", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
-        demo = capsys.readouterr().out
+    def test_run_perfect_link_matches_default(self, capsys):
+        main(["run", "--n", "4", "--f", "1", "--k", "10", "--seed", "7"])
+        default = capsys.readouterr().out
         main(["run", "--n", "4", "--f", "1", "--k", "10", "--seed", "7",
               "--link", "perfect"])
-        run = capsys.readouterr().out
-        assert demo == run
+        explicit = capsys.readouterr().out
+        assert default == explicit
 
     def test_links_listing(self, capsys):
         code = main(["links"])
@@ -168,8 +173,6 @@ class TestLinkFlags:
 
 class TestProtocolFlags:
     def test_protocols_listing(self, capsys):
-        from repro.analysis.campaign import PROTOCOL_REGISTRY
-
         code = main(["protocols"])
         out = capsys.readouterr().out
         assert code == 0
@@ -230,6 +233,38 @@ class TestProtocolFlags:
         assert "turpin-coan" in out
 
 
+class TestScenarioFlagBlock:
+    """The scenario flags are declared once and read the registries."""
+
+    def test_registered_names_reach_every_subcommand(self, monkeypatch):
+        monkeypatch.setitem(COIN_REGISTRY, "mine", COIN_REGISTRY["oracle"])
+        monkeypatch.setitem(
+            PROTOCOL_REGISTRY, "mine", PROTOCOL_REGISTRY["clock-sync"]
+        )
+        monkeypatch.setitem(ADVERSARY_REGISTRY, "mine", None)
+        parser = build_parser()
+        for command in ("run", "runtime", "campaign"):
+            args = parser.parse_args(
+                [command, "--coin", "mine", "--protocol", "mine",
+                 "--adversary", "mine"]
+            )
+            assert args.coin == "mine"
+        args = parser.parse_args(["coin", "--coin", "mine", "--adversary", "mine"])
+        assert (args.coin, args.adversary) == ("mine", "mine")
+
+    @pytest.mark.parametrize("argv", [
+        ["demo"],
+        ["run", "--mobility"],
+        ["run", "--adaptive"],
+        ["campaign", "--mobility"],
+        ["runtime", "--engine", "bulk"],
+    ])
+    def test_removed_second_spellings_are_argparse_errors(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+
 class TestEngineFlags:
     def test_engines_listing_prints_descriptions(self, capsys):
         from repro.net.engine import ENGINES
@@ -258,16 +293,7 @@ class TestEngineFlags:
         assert code == 0
         assert "converged at beat" in capsys.readouterr().out
 
-    def test_runtime_engine_flag_validated(self, capsys):
-        code = main(
-            ["runtime", "--n", "4", "--f", "1", "--k", "6",
-             "--seed", "0", "--beats", "30", "--engine", "bulk"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "converged at beat" in out
-
-    @pytest.mark.parametrize("command", ["run", "runtime", "campaign"])
+    @pytest.mark.parametrize("command", ["run", "campaign"])
     def test_unknown_engine_exits_2(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--engine", "warp"])
@@ -305,7 +331,7 @@ class TestOtherCommands:
         code = main(["adversaries"])
         out = capsys.readouterr().out
         assert code == 0
-        for name in ADVERSARIES:
+        for name in ADVERSARY_REGISTRY:
             assert name in out
 
     def test_engines_listing(self, capsys):
@@ -692,7 +718,7 @@ class TestMetricsExport:
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "demo", "--n", "4", "--f", "1",
+            [sys.executable, "-m", "repro", "run", "--n", "4", "--f", "1",
              "--k", "6", "--seed", "1"],
             capture_output=True,
             text=True,

@@ -70,3 +70,29 @@ def test_underscores_survive_slugs(tmp_path):
 
 def test_python_snippets_execute():
     assert check_docs.check_snippets(check_docs.markdown_files()) == []
+
+
+def test_documented_command_lines_parse():
+    paths = check_docs.markdown_files()
+    assert sum(len(check_docs.command_lines(path)) for path in paths) >= 30
+    assert check_docs.check_commands(paths) == []
+
+
+def test_stale_flag_in_a_command_line_detected(tmp_path):
+    """A removed flag (`--mobility`) fails with file:line; continuations,
+    trailing comments and `&&` chains are handled, nothing is executed."""
+    page = tmp_path / "page.md"
+    page.write_text(
+        "# Title\n\n```bash\n"
+        "python -m repro run --n 4 --f 1 \\\n"
+        "    --link mobility   # the canonical spelling\n"
+        "PYTHONPATH=src python -m repro bench list && \\\n"
+        "python -m repro run --n 4 \\\n"
+        "    --mobility  # removed shorthand\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    assert [line for line, _ in check_docs.command_lines(page)] == [4, 6, 6]
+    (failure,) = check_docs.check_commands([page])
+    assert failure.startswith(f"{page}:6:")
+    assert "--mobility" in failure

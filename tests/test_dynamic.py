@@ -410,10 +410,10 @@ class TestCliChurn:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_mobility_and_adaptive_flags(self, capsys):
+    def test_mobility_link_with_adaptive_adversary(self, capsys):
         code = main([
             "run", "--n", "4", "--f", "1", "--k", "10", "--seed", "0",
-            "--mobility", "--adaptive", "--beats", "150",
+            "--link", "mobility", "--adversary", "adaptive", "--beats", "150",
             "--link-param", "radius=80",
         ])
         out = capsys.readouterr().out

@@ -20,8 +20,10 @@ import sys
 
 import pytest
 
+import repro
 from repro.adversary.strategies import EquivocatorAdversary
 from repro.analysis.campaign import ScenarioSpec, run_campaign, scenario_grid
+from repro.analysis.experiments import TrialConfig, run_trial
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.errors import ConfigurationError
@@ -183,6 +185,33 @@ class TestValidation:
 
         with pytest.raises(ConfigurationError, match="timing"):
             repro.synchronize(n=4, f=1, k=K, timing=(0.001,), max_beats=20)
+
+    @pytest.mark.parametrize("run", [
+        lambda: repro.synchronize(
+            n=4, f=1, k=K, timing=TIMING, engine="bulk", max_beats=20
+        ),
+        lambda: run_trial(
+            TrialConfig(4, 1, K, _factory, timing=TIMING, engine="bulk",
+                        max_beats=20),
+            seed=0,
+        ),
+        lambda: ScenarioSpec(
+            n=4, f=1, k=K, timing=TIMING, engine="bulk", max_beats=20
+        ).validate(),
+    ], ids=["synchronize", "run_trial", "spec"])
+    def test_timing_rejects_a_non_default_engine(self, run):
+        """The event engine replaces the beat engines: naming one under a
+        timing axis is an error on every path, never silently ignored."""
+        with pytest.raises(ConfigurationError, match="engine"):
+            run()
+
+    def test_cli_drift_with_engine_exits_2(self, capsys):
+        from repro.cli import main
+
+        code = main(["run", "--n", "4", "--f", "1", "--drift", "0.005",
+                     "--engine", "bulk"])
+        assert code == 2
+        assert "engine" in capsys.readouterr().err
 
 
 class TestEventHeapAndSynchronizer:

@@ -13,6 +13,7 @@ import textwrap
 
 import pytest
 
+from repro.analysis.campaign import ScenarioSpec
 from repro.errors import ConfigurationError, TransportError
 from repro.net.trace import records_to_jsonl
 from repro.runtime import ClusterSpec, load_specs, run_cluster, run_runtime
@@ -43,6 +44,22 @@ class TestClusterSpec:
     def test_inconsistent_specs_rejected(self, overrides, match):
         with pytest.raises(ConfigurationError, match=match):
             _spec(**overrides).validate()
+
+    @pytest.mark.parametrize("overrides", [
+        {"protocol": "nope"},
+        {"coin": "quantum"},
+        {"adversary": "gremlin"},
+        {"n": 3, "f": 1},
+    ])
+    def test_scenario_rules_are_the_scenario_specs_own(self, overrides):
+        """Shared, not merely equal: same exception type, same message."""
+        fields = {"n": 4, "f": 1, "k": 6, **overrides}
+        with pytest.raises(ConfigurationError) as scenario:
+            ScenarioSpec(**fields).validate()
+        with pytest.raises(ConfigurationError) as cluster:
+            ClusterSpec(name="t", **fields).validate()
+        assert type(cluster.value) is type(scenario.value)
+        assert str(cluster.value) == str(scenario.value)
 
     def test_specs_are_frozen(self):
         with pytest.raises(AttributeError):

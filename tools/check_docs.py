@@ -1,6 +1,7 @@
-"""Documentation checker: snippets must run, relative links must resolve.
+"""Documentation checker: snippets must run, links must resolve, quoted
+command lines must parse.
 
-Two checks over every Markdown file in the repository (README.md, docs/,
+Three checks over every Markdown file in the repository (README.md, docs/,
 ARCHITECTURE.md, ...):
 
 * **Snippet execution** — every fenced code block tagged ``python`` is
@@ -15,6 +16,10 @@ ARCHITECTURE.md, ...):
   must name a heading of its own file, and a ``path#anchor`` target
   pointing at a Markdown file must name a heading of *that* file
   (GitHub-style slugs, duplicate headings numbered ``-1``, ``-2``, ...).
+* **Command lines** — every ``python -m repro ...`` line quoted in a
+  fenced block (``\\`` continuations joined, trailing ``# comments``
+  dropped) is *parsed*, never executed, by the real ``repro.cli``
+  parser, so a removed or renamed flag cannot leave the docs stale.
 
 Run from the repository root (CI does)::
 
@@ -26,9 +31,13 @@ Exit code 0 when docs are healthy; 1 with a per-failure report otherwise.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
+import itertools
 import pathlib
 import re
+import shlex
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -43,6 +52,8 @@ _FENCE = re.compile(
 # Inline markdown links [text](target); images ![alt](target) match too.
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}[ \t]+(.+?)[ \t]*$", re.MULTILINE)
+#: Tokens that end one command on a shell line.
+_SHELL_OPERATORS = {"&&", "||", "|", ";"}
 
 
 def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
@@ -148,15 +159,84 @@ def check_links(paths: list[pathlib.Path]) -> list[str]:
     return failures
 
 
+def _repro_argv(words: list[str]) -> "list[str] | None":
+    """What follows ``python -m repro`` in one shell command, if it is one."""
+    for index, word in enumerate(words):
+        if word.startswith("python") and words[index + 1:index + 3] == [
+            "-m", "repro",
+        ]:
+            return words[index + 3:]
+    return None
+
+
+def command_lines(path: pathlib.Path) -> list[tuple[int, list[str]]]:
+    """``(line number, argv)`` for every ``python -m repro`` command a
+    fenced block quotes; ``argv`` is what follows ``repro``."""
+    text = path.read_text(encoding="utf-8")
+    commands = []
+    for match in _FENCE.finditer(text):
+        if match.group("tag").strip() == "python":
+            continue  # executed by check_snippets, not a shell transcript
+        first = text.count("\n", 0, match.start()) + 2
+        logical, start = "", first
+        for number, line in enumerate(match.group("body").splitlines(), first):
+            if not logical:
+                start = number
+            logical += line
+            if logical.endswith("\\"):
+                logical = logical[:-1] + " "
+                continue
+            try:
+                tokens = shlex.split(logical, comments=True)
+            except ValueError:  # prose with a stray quote, not a command
+                tokens = []
+            logical = ""
+            for _, words in itertools.groupby(
+                tokens, _SHELL_OPERATORS.__contains__
+            ):
+                argv = _repro_argv(list(words))
+                if argv is not None:
+                    commands.append((start, argv))
+    return commands
+
+
+def check_commands(paths: list[pathlib.Path]) -> list[str]:
+    """Parse every quoted ``repro`` command line; return the rejections."""
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    failures = []
+    for path in paths:
+        try:
+            label = path.relative_to(REPO_ROOT)
+        except ValueError:  # outside the checkout (tests use tmp dirs)
+            label = path
+        for line, argv in command_lines(path):
+            errors = io.StringIO()
+            try:
+                with contextlib.redirect_stderr(errors):
+                    parser.parse_args(argv)
+            except SystemExit as stop:
+                if stop.code:
+                    reason = errors.getvalue().strip().splitlines()[-1]
+                    failures.append(
+                        f"{label}:{line}: `repro {' '.join(argv)}` does "
+                        f"not parse: {reason}"
+                    )
+    return failures
+
+
 def main() -> int:
     paths = markdown_files()
-    failures = check_links(paths) + check_snippets(paths)
+    failures = check_links(paths) + check_snippets(paths) + check_commands(paths)
     snippet_count = sum(len(python_blocks(path)) for path in paths)
+    command_count = sum(len(command_lines(path)) for path in paths)
     for failure in failures:
         print(f"FAIL: {failure}")
     print(
         f"checked {len(paths)} markdown files, {snippet_count} python "
-        f"snippets: {'FAILED' if failures else 'ok'}"
+        f"snippets, {command_count} repro command lines: "
+        f"{'FAILED' if failures else 'ok'}"
     )
     return 1 if failures else 0
 
