@@ -9,8 +9,12 @@ prices the round barrier, each wire format, and the batching win against
 the lock-step simulator's batch beats.
 
 Wall-clock rates are hardware-noisy, so the throughput metrics are
-``gated=False``; the *determinism* is gated instead, two ways:
+``gated=False``; the *determinism* is gated instead, three ways:
 
+* a gated ``encodes_per_beat`` count — ``encode_batch`` calls per beat
+  on the (fault-free, pure-broadcast) digest case: n, one per sender,
+  where per-link encoding would make n² — so the gate catches a silent
+  return to it without reading a clock;
 * a correctness guard — zero-delay local delivery must never time a
   barrier out nor drop a late or malformed frame, on any codec;
 * gated ``trace_match`` digests — the sha256 of each codec's runtime
@@ -36,8 +40,26 @@ def _factory():
     return lambda _node_id: SSByzClockSync(8, lambda: OracleCoin())
 
 
+def _counting(codec: str):
+    """The registered ``codec`` behind a count of ``encode_batch`` calls."""
+    from repro.runtime.codec import Codec, resolve_codec
+
+    inner = resolve_codec(codec)
+
+    class Counting(Codec):
+        name, batched = inner.name, inner.batched
+        encodes = 0
+        decode_batch = staticmethod(inner.decode_batch)
+
+        def encode_batch(self, frames):
+            self.encodes += 1
+            return inner.encode_batch(frames)
+
+    return Counting()
+
+
 def _run_once(
-    n: int, f: int, beats: int, seed: int, codec: str, telemetry: bool = False
+    n: int, f: int, beats: int, seed: int, codec, telemetry: bool = False
 ):
     from repro.runtime import run_runtime
 
@@ -173,8 +195,21 @@ def run(
     reference = _simulator_digest()
     digest_lines = [f"{'codec':<8} {'digest':<20} verdict"]
     for codec in codecs:
+        counting = _counting(codec)
         result = _run_once(
-            case["n"], case["f"], case["beats"], case["seed"], codec
+            case["n"], case["f"], case["beats"], case["seed"], counting
+        )
+        results.append(
+            BenchResult(
+                benchmark="runtime_throughput",
+                metric="encodes_per_beat",
+                value=counting.encodes / case["beats"],
+                unit="encodes/beat",
+                scenario={"transport": "local", "codec": codec,
+                          "n": case["n"], "f": case["f"]},
+                direction="lower",
+                gated=True,  # a count, not a clock: exact at any tier
+            )
         )
         digest = hashlib.sha256(
             result.to_jsonl().encode("utf-8")

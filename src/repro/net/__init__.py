@@ -5,7 +5,6 @@ from repro.net.engine import (
     ENGINES,
     Engine,
     FastEngine,
-    FastOutbox,
     ReferenceEngine,
     resolve_engine,
 )
@@ -38,7 +37,7 @@ from repro.net.linkmodel import (
     normalize_link_params,
     resolve_link,
 )
-from repro.net.message import BROADCAST, Envelope, Outbox
+from repro.net.message import BROADCAST, Envelope, FastOutbox, Outbox
 from repro.net.network import MessageStats, Router
 from repro.net.node import Node
 from repro.net.rng import SeedSequence, derive_seed

@@ -53,11 +53,11 @@ from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Hashable, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.message import BROADCAST, Envelope, FanoutView
+from repro.net.message import BROADCAST, Envelope, FanoutView, FastOutbox
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
@@ -68,7 +68,6 @@ __all__ = [
     "ENGINES",
     "Engine",
     "FastEngine",
-    "FastOutbox",
     "ReferenceEngine",
     "resolve_engine",
 ]
@@ -230,44 +229,6 @@ class ReferenceEngine:
                 inbox.sort(key=lambda e: e.sender)
         for node_id, node in simulation.active_nodes().items():
             node.update_phase(beat, delivered.get(node_id, {}))
-
-
-class FastOutbox:
-    """Send-phase collector recording fan-outs instead of envelopes.
-
-    A full broadcast becomes one ``(path, payload, None)`` record; a
-    point-to-point send becomes ``(path, payload, receiver)``.  The engine
-    expands records at delivery time, so an honest broadcast costs O(1)
-    here instead of n envelope allocations.
-    """
-
-    __slots__ = ("_n", "_records")
-
-    def __init__(self, n: int) -> None:
-        self._n = n
-        self._records: list[tuple[str, Hashable, int | None]] = []
-
-    def send(self, receiver: int, path: str, payload: Hashable) -> None:
-        """Queue a point-to-point message."""
-        self._records.append((path, payload, int(receiver)))
-
-    def broadcast(
-        self, node_ids: list[int], path: str, payload: Hashable
-    ) -> None:
-        """Queue one copy of ``payload`` to every node in ``node_ids``."""
-        if len(node_ids) == self._n:
-            self._records.append((path, payload, None))
-        else:  # partial broadcast: no fan-out sharing possible
-            for receiver in node_ids:
-                self._records.append((path, payload, int(receiver)))
-
-    def drain(self) -> list[tuple[str, Hashable, int | None]]:
-        """Return and clear all queued records."""
-        records, self._records = self._records, []
-        return records
-
-    def __len__(self) -> int:
-        return len(self._records)
 
 
 class FastEngine:

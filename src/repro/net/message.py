@@ -19,7 +19,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from typing import Hashable, NamedTuple
 
-__all__ = ["BROADCAST", "Envelope", "FanoutView", "Outbox"]
+__all__ = ["BROADCAST", "Envelope", "FanoutView", "FastOutbox", "Outbox"]
 
 #: Pseudo-destination meaning "send one copy to every node (including self)".
 BROADCAST = -1
@@ -179,3 +179,42 @@ class Outbox:
 
     def __len__(self) -> int:
         return len(self._messages)
+
+
+class FastOutbox:
+    """Send-phase collector recording fan-outs instead of envelopes.
+
+    A full broadcast becomes one ``(path, payload, None)`` record; a
+    point-to-point send becomes ``(path, payload, receiver)``.  The
+    consumer expands records — an engine at delivery time, the live
+    runtime into one wire frame each — so an honest broadcast costs O(1)
+    here instead of n envelope allocations.
+    """
+
+    __slots__ = ("_n", "_records")
+
+    def __init__(self, n: int) -> None:
+        self._n = n
+        self._records: list[tuple[str, Hashable, int | None]] = []
+
+    def send(self, receiver: int, path: str, payload: Hashable) -> None:
+        """Queue a point-to-point message."""
+        self._records.append((path, payload, int(receiver)))
+
+    def broadcast(
+        self, node_ids: list[int], path: str, payload: Hashable
+    ) -> None:
+        """Queue one copy of ``payload`` to every node in ``node_ids``."""
+        if len(node_ids) == self._n:
+            self._records.append((path, payload, None))
+        else:  # partial broadcast: no fan-out sharing possible
+            for receiver in node_ids:
+                self._records.append((path, payload, int(receiver)))
+
+    def drain(self) -> list[tuple[str, Hashable, int | None]]:
+        """Return and clear all queued records."""
+        records, self._records = self._records, []
+        return records
+
+    def __len__(self) -> int:
+        return len(self._records)

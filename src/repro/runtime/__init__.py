@@ -27,7 +27,8 @@ Layers (bottom up):
   :class:`RuntimeNode` drives the existing :mod:`repro.core` component
   tower unchanged; :class:`ByzantineProcess` speaks for the faulty ids
   with the existing :mod:`repro.adversary` strategies; both batch each
-  beat's traffic per link;
+  beat's traffic per link, and an honest node encodes each distinct
+  batch once (a pure-broadcast beat is one encode, shipped n times);
 * :mod:`~repro.runtime.runner` — :func:`run_runtime` runs the
   simulator's exact :class:`~repro.net.world.World` live and reports
   the trajectory;

@@ -14,6 +14,14 @@ pull in opposite directions:
   lets the runtime stop paying one frame, one queue item and one decode
   per message.
 
+A codec never learns how many links a unit will travel: honest senders
+encode each *distinct* batch once per (sender, beat) and hand the same
+``bytes`` to every link whose content it is — a broadcast frame carries
+``receiver=BROADCAST`` and the receiving barrier supplies the receiver
+id from its own endpoint, as the transport supplies the sender's — so a
+beat of pure broadcasts costs one :meth:`Codec.encode_batch` call per
+sender, not one per link (see :class:`~repro.runtime.node.RuntimeNode`).
+
 Both codecs serialize the *same* closed payload domain (``None``,
 ``bool``, ``int``, ``float``, ``str`` and tuples thereof — see
 :mod:`repro.runtime.wire`), enforce the same shared
@@ -70,7 +78,6 @@ from repro.runtime.wire import (
     MAX_PAYLOAD_DEPTH,
     MSG,
     Frame,
-    check_payload,
     decode_frame,
     encode_frame,
 )
@@ -233,12 +240,13 @@ class BinaryCodec(Codec):
     batched = True
 
     def encode_batch(self, frames: Sequence[Frame]) -> "tuple[bytes, ...]":
-        # The runtime encodes one batch per (link, beat): this method is
-        # the hottest code in a live run, so interning and the payload
-        # walk are inlined (helper calls only on table misses) and the
-        # domain checks double as the encoding dispatch — exact types
-        # via `type(x) is`, with a cold fallback that normalizes legal
-        # subclasses (IntEnum and friends) and rejects everything else.
+        # The runtime encodes one batch per distinct (link, beat) content
+        # — still among the hottest code in a live run — so interning and
+        # the payload walk are inlined (helper calls only on table
+        # misses) and the domain checks double as the encoding dispatch:
+        # exact types via `type(x) is`, with a cold fallback that
+        # normalizes legal subclasses (IntEnum and friends) and rejects
+        # everything else.
         ints: "dict[int, int]" = {}
         strs: "dict[str, int]" = {}
         body = bytearray()

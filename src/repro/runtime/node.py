@@ -11,24 +11,39 @@ lock-step engine.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable
 
+from repro.net.message import BROADCAST, FastOutbox
 from repro.net.node import Node
 from repro.runtime.sync import BeatSynchronizer
 from repro.runtime.transport import Endpoint
-from repro.runtime.wire import END, Frame, frame_for_envelope
+from repro.runtime.wire import END, MSG, Frame
 
 __all__ = ["RuntimeNode"]
+
+_by_seq = attrgetter("seq")
 
 
 class RuntimeNode:
     """One correct node running live.
 
-    Per beat: run the tower's send phase, group the emitted envelopes per
-    receiving link (every envelope tagged with the beat and a per-sender
-    emission sequence number), append the beat's ``end`` marker, and ship
-    each link's whole batch through the run's codec — one wire unit per
-    (link, beat) on a batching codec, one unit per frame on ``json``.
+    Per beat: run the tower's send phase into the engines' fan-out
+    collector (:class:`~repro.net.message.FastOutbox`) and build **one**
+    frame per record, tagged with the beat and the record's per-sender
+    emission sequence number — a full broadcast is one frame with
+    ``receiver=BROADCAST``, as the fast engine's shared envelopes are.
+    Each *distinct* (link, beat) batch is then encoded once: every link
+    with no point-to-point traffic this beat is handed the same encoded
+    units (the broadcasts, then the beat's ``end`` marker — n sends, one
+    encode), and a link that has some gets its own batch, its frames
+    merged among the broadcasts in ``seq`` order ahead of the marker.
+    Per-link FIFO content is what a frame-per-copy sender would ship —
+    one unit per (link, beat) on a batching codec, one per frame on
+    ``json`` — minus the receiver id, which the receiving barrier takes
+    from its own endpoint.  A send addressed outside the system is
+    counted and goes nowhere, as in the simulator.
+
     Then await the round barrier and drive the tower's update phase with
     the sorted inboxes.  ``probe`` is snapshotted after every update phase
     into :attr:`trace` (beat, value) pairs — the runtime's equivalent of a
@@ -65,43 +80,57 @@ class RuntimeNode:
     async def run(self, beats: int) -> None:
         """Execute ``beats`` consecutive beats."""
         node = self.node
+        me = node.node_id
+        n = node.n
         endpoint = self.endpoint
-        codec = self.synchronizer.codec
+        encode = self.synchronizer.codec.encode_batch
         send_nowait = getattr(endpoint, "send_nowait", None)
         clock = self.clock
-        all_ids = range(node.n)
+        outbox = FastOutbox(n)
         for _ in range(beats):
             beat = self.synchronizer.beat
             beat_started = clock() if clock is not None else 0.0
-            envelopes = node.send_phase(beat)
-            # Global emission seq first (the simulator's delivery sort
-            # key), then group per link; every in-system link also carries
-            # the beat's end marker at the end of its batch, so per-link
-            # FIFO content is identical to the old frame-per-message wire.
-            by_receiver: "dict[int, list[Frame]]" = {
-                receiver: [] for receiver in all_ids
-            }
-            for seq, envelope in enumerate(envelopes):
-                by_receiver.setdefault(envelope.receiver, []).append(
-                    frame_for_envelope(envelope, seq)
-                )
-            marker = Frame(kind=END, sender=node.node_id, beat=beat)
-            for receiver in all_ids:
-                by_receiver[receiver].append(marker)
-            for receiver, frames in by_receiver.items():
-                for unit in codec.encode_batch(frames):
+            records = node.send_phase(beat, outbox)
+            # The record index is the emission seq (the simulator's
+            # delivery sort key), global over shared and private frames.
+            shared: "list[Frame]" = []
+            private: "dict[int, list[Frame]]" = {}
+            for seq, (path, payload, receiver) in enumerate(records):
+                if receiver is None:
+                    shared.append(
+                        Frame(MSG, me, beat, seq, BROADCAST, path, payload)
+                    )
+                else:
+                    private.setdefault(receiver, []).append(
+                        Frame(MSG, me, beat, seq, receiver, path, payload)
+                    )
+            # A broadcast record is n messages, any other record one.
+            messages = len(records) + (n - 1) * len(shared)
+            # Every in-system link's batch closes with the beat's marker.
+            marker = Frame(END, me, beat)
+            shared_units = None
+            for receiver in range(n):
+                own = private.get(receiver)
+                if own is None:
+                    if shared_units is None:
+                        shared_units = encode(shared + [marker])
+                    units = shared_units
+                else:
+                    merged = sorted(shared + own, key=_by_seq)
+                    units = encode(merged + [marker])
+                for unit in units:
                     self.frames_sent += 1
                     if send_nowait is not None:
                         send_nowait(receiver, unit)
                     else:
                         await endpoint.send(receiver, unit)
-            self.messages_sent += len(envelopes)
+            self.messages_sent += messages
             inboxes = await self.synchronizer.collect(beat)
             node.update_phase(beat, inboxes)
             if self.probe is not None:
                 self.trace.append((beat, self.probe(node.root)))
             if clock is not None:
                 self.beat_stats.append(
-                    (beat, clock() - beat_started, len(envelopes))
+                    (beat, clock() - beat_started, messages)
                 )
             self.beats_run += 1

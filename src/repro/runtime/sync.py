@@ -76,7 +76,9 @@ class BeatSynchronizer(BeatInbox):
 
     Args:
         endpoint: the node's transport attachment; the synchronizer is its
-            sole reader.
+            sole reader, and stamps the endpoint's ``node_id`` as the
+            receiver of every envelope it delivers (a frame's claimed
+            receiver, like its claimed sender, is never trusted).
         expected: peer ids whose ``end`` markers close each barrier —
             normally every node id in the system, including this node's
             own (its loopback marker) and the faulty ids (the Byzantine
@@ -155,7 +157,9 @@ class BeatSynchronizer(BeatInbox):
             return
         if frame.kind == MSG:  # hello frames stop at the transport layer
             self.deliver(
-                frame.beat, (sender, frame.seq), frame.envelope(sender)
+                frame.beat,
+                (sender, frame.seq),
+                frame.envelope(sender, self.endpoint.node_id),
             )
 
     # -- the barrier -------------------------------------------------------

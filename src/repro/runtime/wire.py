@@ -7,7 +7,10 @@ Three frame kinds exist:
 * ``msg`` — one protocol envelope, tagged with the beat it was sent at and
   a per-sender emission sequence number (the runtime's round barrier sorts
   inboxes by ``(sender, seq)``, which reproduces the simulator's
-  sender-sorted delivery order exactly — see :mod:`repro.runtime.sync`);
+  sender-sorted delivery order exactly — see :mod:`repro.runtime.sync`).
+  An honest full broadcast is *one* frame with ``receiver=BROADCAST``,
+  encoded once and shipped on every link; a frame's claimed receiver is
+  ignored like its claimed sender — the barrier stamps its own id;
 * ``end`` — a beat marker: "I have emitted everything I will emit for beat
   ``b``".  Markers realize the global beat system on top of bounded-delay
   delivery;
@@ -38,16 +41,14 @@ code never sends lists (they are unhashable).  Anything outside the domain
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, NamedTuple
 
 from repro.errors import WireError
-from repro.net.message import Envelope
+from repro.net.message import BROADCAST, Envelope
 
 __all__ = [
     "END",
     "HELLO",
-    "MAX_FRAME_BYTES",
     "MAX_FRAME_LEN",
     "MAX_PAYLOAD_DEPTH",
     "MSG",
@@ -72,9 +73,6 @@ HELLO = "hello"
 #: its connection — the occurrence is counted in the transport's
 #: ``malformed_frames`` quarantine stat.
 MAX_FRAME_LEN = 1 << 20
-
-#: Backwards-compatible alias (pre-codec-seam name).
-MAX_FRAME_BYTES = MAX_FRAME_LEN
 
 #: Payload nesting depth cap: honest payloads nest two or three levels
 #: (tagged tuples of tuples); a thousand-level tuple is an attack.  Every
@@ -109,29 +107,39 @@ def _untuple(value: object, depth: int = 0) -> Hashable:
     raise WireError(f"payload element {value!r} is outside the wire domain")
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
-    """One wire frame (see the module docstring for the three kinds)."""
+class Frame(NamedTuple):
+    """One wire frame (see the module docstring for the three kinds).
+
+    A named tuple, like :class:`~repro.net.message.Envelope`: decoding
+    builds one per received message.  ``receiver`` is
+    :data:`~repro.net.message.BROADCAST` on an honest full broadcast and
+    the addressee's id on point-to-point traffic; receivers ignore it.
+    """
 
     kind: str
     sender: int
     beat: int = 0
     seq: int = 0
-    receiver: int = -1
+    receiver: int = BROADCAST
     path: str = ""
     payload: Hashable = None
 
-    def envelope(self, verified_sender: int) -> Envelope:
-        """Rebuild the envelope, stamping the transport-verified sender.
+    def envelope(
+        self, verified_sender: int, verified_receiver: int
+    ) -> Envelope:
+        """Rebuild the envelope, stamping both transport-verified ends.
 
-        The frame's *claimed* sender is deliberately discarded: identity
-        comes from the connection (TCP hello) or the in-process queue
-        registration, so a faulty peer cannot forge an honest sender —
-        the runtime analogue of
-        :func:`~repro.net.network.ensure_faulty_senders`.
+        The frame's *claimed* sender and receiver are deliberately
+        discarded: the sender's identity comes from the connection (TCP
+        hello) or the in-process queue registration, the receiver's from
+        the endpoint the unit arrived at — so a faulty peer can neither
+        forge an honest sender (the runtime analogue of
+        :func:`~repro.net.network.ensure_faulty_senders`) nor plant an
+        envelope "addressed" to another node in an honest inbox.
         """
         return Envelope(
-            verified_sender, self.receiver, self.path, self.payload, self.beat
+            verified_sender, verified_receiver, self.path, self.payload,
+            self.beat,
         )
 
 

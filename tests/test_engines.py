@@ -23,10 +23,10 @@ from repro.net.engine import (
     ENGINES,
     Engine,
     FastEngine,
-    FastOutbox,
     ReferenceEngine,
     resolve_engine,
 )
+from repro.net.message import FastOutbox
 from repro.net.simulator import Simulation
 
 SEEDS = range(10)

@@ -60,7 +60,7 @@ class TestWireCodec:
         frame = frame_for_envelope(envelope, seq=5)
         decoded = decode_frame(encode_frame(frame))
         assert decoded == frame
-        assert decoded.envelope(2) == envelope
+        assert decoded.envelope(2, 1) == envelope
 
     def test_end_and_hello_round_trip(self):
         for frame in (Frame(kind=END, sender=3, beat=9),
@@ -73,7 +73,8 @@ class TestWireCodec:
             encode_frame(Frame(kind=MSG, sender=999, beat=0, seq=0,
                                receiver=1, path="root", payload=0))
         )
-        assert frame.envelope(verified_sender=2).sender == 2
+        rebuilt = frame.envelope(verified_sender=2, verified_receiver=1)
+        assert rebuilt.sender == 2
 
     @pytest.mark.parametrize(
         "payload", [[1, 2], {"a": 1}, {1, 2}, b"bytes", object()]
@@ -420,6 +421,27 @@ class TestBatchedSynchronizer:
         assert [e.payload for e in inbox["root"]] == ["a", "b"]
         assert sync.malformed_frames == 0
 
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_claimed_receiver_is_discarded_at_the_barrier(self, codec_name):
+        """Receiver identity comes from the endpoint, as sender identity
+        comes from the transport: a faulty peer cannot make an honest
+        inbox hold envelopes "addressed" to another node."""
+        codec = CODECS[codec_name]
+
+        async def scenario():
+            endpoint = _stub_endpoint()
+            sync = BeatSynchronizer(endpoint, expected=[1], codec=codec)
+            forged = Frame(kind=MSG, sender=2, beat=0, seq=0, receiver=3,
+                           path="root", payload="x")
+            marker = Frame(kind=END, sender=1, beat=0)
+            for unit in codec.encode_batch((forged, marker)):
+                endpoint.queue.put_nowait((1, unit))
+            return await sync.collect(0)
+
+        (envelope,) = asyncio.run(scenario())["root"]
+        assert (envelope.sender, envelope.receiver) == (1, 0)
+        assert envelope.payload == "x"
+
     def test_malformed_binary_unit_counted_and_dropped(self):
         async def scenario():
             codec = BinaryCodec()
@@ -524,6 +546,23 @@ class TestRunner:
         # exactly one unit per (sender, receiver, beat).
         assert binary_run.frames_sent == 4 * 4 * 8
         assert json_run.frames_sent == json_run.messages_sent + 4 * 4 * 8
+
+    def test_one_encode_per_sender_per_beat(self):
+        """A beat of pure broadcasts is encoded once per sender and the
+        same units shipped on all n links — n encodes per beat, not n²."""
+        class CountingCodec(BinaryCodec):
+            encodes = 0
+
+            def encode_batch(self, frames):
+                self.encodes += 1
+                return super().encode_batch(frames)
+
+        codec = CountingCodec()
+        result = run_runtime(
+            4, 1, self._factory(), seed=0, beats=8, k=6, codec=codec
+        )
+        assert codec.encodes == 4 * 8
+        assert result.frames_sent == 4 * 4 * 8
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
+from repro.coin import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.net.events import run_continuous
@@ -197,6 +198,52 @@ class TestBinaryCodecIdentity:
         )
         assert binary_run.records == json_run.records
         assert binary_run.frames_sent < json_run.frames_sent
+
+
+class TestGvssMixedBatches:
+    """The GVSS coin interleaves point-to-point shares with broadcasts,
+    so every link's batch is the sender's shared broadcast frames merged
+    with that link's private frames in emission order — the sender path
+    the oracle-coin rows never take.  Same trajectory as the simulator,
+    and the exact traffic counts a frame-per-copy sender ships (n=7,
+    f=2, k=8, seed 3, 25 beats).
+    """
+
+    N, F, K, SEED, GVSS_BEATS = 7, 2, 8, 3, 25
+    #: adversary -> (messages_sent, {codec: frames_sent}).
+    PINNED = {
+        None: (14903, {"binary": 1225, "json": 16128}),
+        EquivocatorAdversary: (11732, {"binary": 1125, "json": 12857}),
+    }
+
+    def _root(self, _node_id):
+        return SSByzClockSync(
+            self.K, lambda: FeldmanMicaliCoin(self.N, self.F)
+        )
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize("adversary_cls", [None, EquivocatorAdversary])
+    def test_trace_and_counters_match(self, adversary_cls, codec):
+        def adversary():
+            return adversary_cls() if adversary_cls is not None else None
+
+        sim = Simulation(
+            self.N, self.F, self._root, adversary=adversary(), seed=self.SEED
+        )
+        tracer = Tracer(lambda root: root.clock_value)
+        sim.add_monitor(tracer)
+        sim.scramble()
+        sim.run(self.GVSS_BEATS)
+        live = run_runtime(
+            self.N, self.F, self._root, adversary=adversary(),
+            seed=self.SEED, beats=self.GVSS_BEATS, transport="local",
+            codec=codec,
+        )
+        assert live.to_jsonl() == tracer.to_jsonl()
+        messages, frames = self.PINNED[adversary_cls]
+        assert live.messages_sent == messages
+        assert live.frames_sent == frames[codec]
+        assert not any(live.health.values())
 
 
 class TestTcpLoopback:

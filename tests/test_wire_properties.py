@@ -59,7 +59,7 @@ _scalars = st.one_of(
 )
 
 #: The closed payload domain: scalars and tuples thereof.  max_leaves
-#: keeps generated frames far below MAX_FRAME_BYTES and _MAX_DEPTH.
+#: keeps generated frames far below MAX_FRAME_LEN and _MAX_DEPTH.
 _payloads = st.recursive(
     _scalars,
     lambda children: st.lists(children, max_size=5).map(tuple),
@@ -121,7 +121,7 @@ class TestWireRoundTrip:
                                      payload, seq):
         envelope = Envelope(sender, receiver, path, payload, beat)
         frame = frame_for_envelope(envelope, seq)
-        rebuilt = decode_frame(encode_frame(frame)).envelope(sender)
+        rebuilt = decode_frame(encode_frame(frame)).envelope(sender, receiver)
         assert rebuilt == envelope
 
     @given(_frames())
