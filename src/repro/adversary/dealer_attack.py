@@ -1,7 +1,8 @@
 """GVSS-level attacks on the Feldman-Micali coin.
 
 The coin's agreement probability is the one quantity our simplified GVSS
-does not inherit a worst-case proof for (see DESIGN.md), so we attack it
+does not inherit a worst-case proof for (see the closing paragraphs of
+:mod:`repro.coin.feldman_micali`), so we attack it
 directly and *measure*.  The strategy is round-aware: it recognizes the
 pipeline's ``(slot, (kind, body))`` tagging and misbehaves per GVSS round:
 

@@ -4,8 +4,9 @@ This is the strongest attack in the repository against the
 Feldman-Micali-*style* coin, and it succeeds — deliberately.  It marks the
 exact boundary between our 4-round GVSS simplification and the full
 Feldman-Micali construction (which spends extra machinery, e.g. graded
-broadcast inside the dealing, to close this hole).  See DESIGN.md's
-substitution notes and EXPERIMENTS.md F4.
+broadcast inside the dealing, to close this hole).  :mod:`repro.coin.gvss`
+is the four rounds as implemented; ``python -m repro bench run --only
+coin_quality`` (F4) measures the break.
 
 The attack, for each coin invocation (one per beat, pipelined):
 

@@ -1,8 +1,8 @@
 """Small statistics helpers for experiment aggregation.
 
 Kept dependency-light (plain Python; numpy is available but unnecessary at
-these sample sizes) and exact about what they compute, because
-EXPERIMENTS.md quotes their outputs directly.
+these sample sizes) and exact about what they compute, because the bench
+tables under ``benchmarks/results/`` quote their outputs directly.
 """
 
 from __future__ import annotations

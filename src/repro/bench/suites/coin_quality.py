@@ -6,8 +6,8 @@ by the paper is only that both event probabilities stay positive
 constants.  The suite also keeps the documented *negative* result:
 recovery-share equivocation on a half-consistent dealing destroys E0/E1
 for the simplified 4-round GVSS coin — the measured boundary between it
-and full Feldman-Micali (EXPERIMENTS F4 in the legacy notes; see
-``docs/protocol.md``).
+and full Feldman-Micali (written up in
+:mod:`repro.adversary.mixed_dealing`).
 """
 
 from __future__ import annotations

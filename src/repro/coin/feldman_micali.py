@@ -42,8 +42,9 @@ class FeldmanMicaliCoin(CoinAlgorithm):
     """GVSS-based common coin; Δ_A = 4 rounds, claimed p0 = p1 = 1/4.
 
     The claimed probabilities are deliberately conservative lower bounds
-    (measured values are far higher; see EXPERIMENTS.md).  The paper only
-    needs them to be positive constants.
+    (measured values are far higher; see ``python -m repro bench run
+    --only coin_quality``).  The paper only needs them to be positive
+    constants.
     """
 
     rounds = GradedSharingState.ROUNDS

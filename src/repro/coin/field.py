@@ -8,8 +8,11 @@ follow that rule exactly (see :func:`smallest_prime_above`), with a floor so
 secrets have a little slack room.
 
 Elements are plain ints in ``[0, p)``; the :class:`PrimeField` object carries
-the modulus and the operations.  Pure Python ints are exact and fast enough
-for the simulation sizes this library targets (n up to a few dozen).
+the modulus and the operations.  Pure Python ints are exact; what a method
+call per field operation is *not* is fast, so the per-beat paths of the coin
+(:func:`repro.coin.polynomial.evaluate_many`, the Reed-Solomon decoder) take
+``field.modulus`` and reduce inline against cached power tables, and the
+methods here serve the once-per-dealing and test-facing code.
 """
 
 from __future__ import annotations

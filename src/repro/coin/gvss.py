@@ -33,9 +33,17 @@ Properties delivered (and unit-tested):
   zero polynomial of degree ``f`` — one short of interpolation — so the
   secret is information-theoretically hidden (*unpredictability*).
 
-See DESIGN.md for the one deliberate simplification versus full
-Feldman-Micali and why the coin built on top still has the properties the
-clock algorithms consume.
+The one deliberate simplification versus full Feldman-Micali — votes are
+cast on private cross points, with no public complaint round — and the
+attack it admits are written up in :mod:`repro.adversary.mixed_dealing`;
+:mod:`repro.coin.feldman_micali` says why the coin built on top still has
+the properties the clock algorithms consume.
+
+Nothing here is cached on the instance: the evaluation points and their
+power tables are constants of ``n`` (Remark 2.3) served by the pure cached
+functions of :mod:`repro.coin.polynomial` and :mod:`repro.coin.reedsolomon`,
+so :meth:`GradedSharingState.scramble` still redraws *every* attribute a
+transient fault can touch.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Any
 
 from repro.coin.field import PrimeField
 from repro.coin.interfaces import InstanceContext
-from repro.coin.polynomial import Coeffs, evaluate
+from repro.coin.polynomial import Coeffs, evaluate, evaluate_many
 from repro.coin.reedsolomon import decode_best_effort
 from repro.coin.shamir import SymmetricBivariate, node_point
 
@@ -83,6 +91,10 @@ class GradedSharingState:
         #: Recovered secrets for graded dealers: dealer -> field element.
         self.recovered: dict[int, int] = {}
 
+    def _node_points(self) -> tuple[int, ...]:
+        """Every node's evaluation point — recomputed, never stored."""
+        return tuple(map(node_point, range(self.n)))
+
     # -- round 1: share ----------------------------------------------------
 
     def send_share(self, ctx: InstanceContext) -> None:
@@ -90,8 +102,8 @@ class GradedSharingState:
         dealing = SymmetricBivariate.random(
             self.field, self.my_secret, self.f, ctx.rng
         )
-        for receiver in range(self.n):
-            ctx.send(receiver, ("row", dealing.row(receiver)))
+        for receiver, row in enumerate(dealing.rows(range(self.n))):
+            ctx.send(receiver, ("row", row))
 
     def update_share(self, ctx: InstanceContext) -> None:
         self.rows = {}
@@ -116,11 +128,11 @@ class GradedSharingState:
     # -- round 2: exchange ----------------------------------------------------
 
     def send_exchange(self, ctx: InstanceContext) -> None:
+        xs = self._node_points()
+        dealers = sorted(self.rows)
+        values = [evaluate_many(self.field, self.rows[d], xs) for d in dealers]
         for receiver in range(self.n):
-            points = tuple(
-                (dealer, evaluate(self.field, row, node_point(receiver)))
-                for dealer, row in sorted(self.rows.items())
-            )
+            points = tuple((d, row[receiver]) for d, row in zip(dealers, values))
             ctx.send(receiver, ("xpt", points))
 
     def update_exchange(self, ctx: InstanceContext) -> None:
@@ -151,13 +163,12 @@ class GradedSharingState:
 
     def send_vote(self, ctx: InstanceContext) -> None:
         ok: list[int] = []
+        xs = self._node_points()
         for dealer, row in sorted(self.rows.items()):
-            matches = 0
-            for peer in range(self.n):
-                expected = evaluate(self.field, row, node_point(peer))
-                reported = self.cross_points.get(peer, {}).get(dealer)
-                if reported == expected:
-                    matches += 1
+            matches = sum(
+                self.cross_points.get(peer, {}).get(dealer) == expected
+                for peer, expected in enumerate(evaluate_many(self.field, row, xs))
+            )
             # Up to f peers may withhold or lie about cross points, so an
             # honest dealing must not be vetoed by them.
             if matches >= self.n - self.f:
@@ -219,9 +230,7 @@ class GradedSharingState:
                 (node_point(sender), value)
                 for sender, value in sorted(zero_shares[dealer].items())
             ]
-            if len(points) < self.f + 1:
-                self.recovered[dealer] = 0
-                continue
+            # Too few shares to decode at all is one more failure to decode.
             self.recovered[dealer] = decode_best_effort(
                 self.field, points, degree=self.f, max_errors=self.f, fallback=0
             )
@@ -253,19 +262,18 @@ class GradedSharingState:
                 bit ^= self.recovered.get(dealer, 0) & 1
         return bit
 
+    # Plain functions, looked up once per class rather than bound per call.
+    _HANDLERS = {
+        ROUND_SHARE: (send_share, update_share),
+        ROUND_EXCHANGE: (send_exchange, update_exchange),
+        ROUND_VOTE: (send_vote, update_vote),
+        ROUND_RECOVER: (send_recover, update_recover),
+    }
+
     def run_round(self, round_index: int, ctx: InstanceContext, sending: bool) -> None:
         """Dispatch one round's send or update handler."""
-        handlers = {
-            ROUND_SHARE: (self.send_share, self.update_share),
-            ROUND_EXCHANGE: (self.send_exchange, self.update_exchange),
-            ROUND_VOTE: (self.send_vote, self.update_vote),
-            ROUND_RECOVER: (self.send_recover, self.update_recover),
-        }
-        send_handler, update_handler = handlers[round_index]
-        if sending:
-            send_handler(ctx)
-        else:
-            update_handler(ctx)
+        send_handler, update_handler = self._HANDLERS[round_index]
+        (send_handler if sending else update_handler)(self, ctx)
 
     def scramble(self, rng: random.Random) -> None:
         """Transient fault: redraw every field within its domain."""

@@ -7,6 +7,8 @@ travel inside message payloads and be compared / hashed.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from typing import Sequence
 
@@ -15,11 +17,13 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "evaluate",
+    "evaluate_many",
     "interpolate",
     "normalize",
     "poly_add",
     "poly_divmod",
     "poly_mul",
+    "power_table",
     "random_polynomial",
 ]
 
@@ -40,6 +44,31 @@ def evaluate(field: PrimeField, coeffs: Sequence[int], x: int) -> int:
     for coefficient in reversed(coeffs):
         result = (result * x + coefficient) % field.modulus
     return result
+
+
+@functools.lru_cache(maxsize=256)
+def power_table(
+    modulus: int, xs: tuple[int, ...], count: int
+) -> tuple[tuple[int, ...], ...]:
+    """Vandermonde rows: ``table[i][k] == xs[i] ** k mod modulus``, ``k < count``.
+
+    A pure function of its arguments — for the coin, of constants that
+    Remark 2.3 derives from ``n`` — so the cache is shared by every node,
+    dealer and beat of a process and holds nothing a transient fault could
+    corrupt.  Bounded, so adversarially varied share subsets cannot grow it.
+    """
+    return tuple(tuple(pow(x, k, modulus) for k in range(count)) for x in xs)
+
+
+def evaluate_many(
+    field: PrimeField, coeffs: Sequence[int], xs: tuple[int, ...]
+) -> list[int]:
+    """The polynomial's value at every point of ``xs``, off :func:`power_table`."""
+    modulus = field.modulus
+    return [
+        sum(map(operator.mul, coeffs, powers)) % modulus
+        for powers in power_table(modulus, xs, len(coeffs))
+    ]
 
 
 def random_polynomial(

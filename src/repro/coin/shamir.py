@@ -18,6 +18,7 @@ from repro.coin.field import PrimeField
 from repro.coin.polynomial import (
     Coeffs,
     evaluate,
+    evaluate_many,
     interpolate,
     normalize,
     random_polynomial,
@@ -120,15 +121,18 @@ class SymmetricBivariate:
             result = self.field.add(result, self.field.mul(x_power, row_value))
         return result
 
+    def rows(self, node_ids: Sequence[int]) -> list[Coeffs]:
+        """The row polynomials ``S(x_node, ·)`` of several nodes at once."""
+        xs = tuple(map(node_point, node_ids))
+        # A row's y**j coefficient is sum_i c[i][j] x**i — by symmetry,
+        # matrix row j read as a polynomial in x: one evaluation of each
+        # matrix row at every node point serves all the nodes.
+        columns = [evaluate_many(self.field, c, xs) for c in self.coefficients]
+        return [normalize(row) for row in zip(*columns)]
+
     def row(self, node_id: int) -> Coeffs:
         """The row polynomial ``S(x_node, ·)`` as univariate coefficients."""
-        x = node_point(node_id)
-        coeffs = [0] * (self.degree + 1)
-        for i, row in enumerate(self.coefficients):
-            x_power = self.field.pow(x, i)
-            for j, c in enumerate(row):
-                coeffs[j] = self.field.add(coeffs[j], self.field.mul(c, x_power))
-        return normalize(coeffs)
+        return self.rows((node_id,))[0]
 
     @property
     def secret(self) -> int:

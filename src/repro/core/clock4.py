@@ -4,7 +4,7 @@
 beat, gated on ``A1``'s clock, and the composite clock is
 ``2 * clock(A2) + clock(A1)``.
 
-Gating note (also in DESIGN.md): Fig. 3 tests ``clock(A1) = 0`` *after*
+Gating note (also in docs/protocol.md): Fig. 3 tests ``clock(A1) = 0`` *after*
 ``A1``'s beat, but a lock-step implementation must decide whether ``A2``
 sends messages at the *start* of the beat.  We therefore gate on
 ``clock(A1) = 1`` at the start of the beat, which — once ``A1`` has

@@ -216,8 +216,9 @@ class TestDeterministicClockSync:
         assert len(beats) == 1
 
     def test_frozen_fixed_point_regression(self):
-        """Evidence for the DESIGN.md concession: adopting every lane's
-        agreement output each beat (naive label-free pipelining) can freeze
+        """Evidence for the concession in baselines/cyclic.py: adopting
+        every lane's agreement output each beat (naive label-free
+        pipelining) can freeze
         the clock at a fixed value — agreed, but not ticking.  The cyclic
         anchored design must tick +1 every beat instead."""
         n, f, k = 4, 1, 8

@@ -105,6 +105,8 @@ class TestRegistry:
         assert smoke < full < nightly
         assert nightly == {b.name for b in all_benchmarks()}
         assert "engines" in smoke and "link_conditions" in smoke
+        # The algebraic-substrate canary only gates if CI's tier runs it.
+        assert "gvss_stack" in smoke
         assert "fig_logk" in nightly - full
 
     def test_unknown_tier_and_name_rejected(self):
@@ -526,8 +528,8 @@ class TestCheckedInArtifacts:
         # gated trajectory / trace digests (simulation-deterministic, so
         # pinnable at every tier) on top of their ungated wall-clock rows.
         assert smoke_benchmarks == {
-            "engines", "link_conditions", "protocol_comparison",
-            "pulse_precision", "runtime_throughput",
+            "engines", "gvss_stack", "link_conditions",
+            "protocol_comparison", "pulse_precision", "runtime_throughput",
             "stabilization_under_churn",
         }
         for tier in ("smoke", "full", "nightly"):

@@ -154,5 +154,6 @@ class TestFeldmanMicaliCoin:
             if len(set(outputs.values())) == 1:
                 agreed += 1
         # Definition 2.6 only needs a positive constant; measured values
-        # are reported in EXPERIMENTS.md.  Assert a conservative floor.
+        # are reported by `repro bench run --only coin_quality`.  Assert a
+        # conservative floor.
         assert agreed / trials > 0.5

@@ -96,3 +96,32 @@ def test_stale_flag_in_a_command_line_detected(tmp_path):
     (failure,) = check_docs.check_commands([page])
     assert failure.startswith(f"{page}:6:")
     assert "--mobility" in failure
+
+
+def test_source_docstrings_cite_existing_markdown():
+    clock4 = REPO_ROOT / "src" / "repro" / "core" / "clock4.py"
+    assert (7, "docs/protocol.md") in check_docs.docstring_references(clock4)
+    sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+    assert check_docs.check_docstring_references(sources) == []
+
+
+def test_dangling_markdown_in_a_docstring_detected(tmp_path):
+    """Module, class and function docstrings are all read; a comment or an
+    ordinary string is not a citation; paths resolve against the root."""
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "there.md").write_text("# There\n", encoding="utf-8")
+    module = tmp_path / "module.py"
+    module.write_text(
+        '"""Module: see docs/there.md,\nnot GONE.md."""\n'
+        "# a comment naming COMMENT.md\n"
+        'NAME = "STRING.md"\n'
+        "class Thing:\n"
+        '    """Class: docs/there.md."""\n'
+        "    def method(self):\n"
+        '        """Method: docs/missing.md."""\n',
+        encoding="utf-8",
+    )
+    failures = check_docs.check_docstring_references([module], root=tmp_path)
+    assert len(failures) == 2
+    assert failures[0].startswith(f"{module}:2:") and "GONE.md" in failures[0]
+    assert failures[1].startswith(f"{module}:8:") and "docs/missing.md" in failures[1]

@@ -5,6 +5,9 @@ from __future__ import annotations
 import random
 from typing import Any
 
+import pytest
+
+from repro.coin import reedsolomon
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.field import PrimeField
 from repro.coin.gvss import GRADE_HIGH, GRADE_LOW, GRADE_NONE, GradedSharingState
@@ -134,6 +137,50 @@ class TestByzantineDealers:
             assert state.grades[3] <= GRADE_LOW
 
 
+class TestRecoverCost:
+    """The recover round eliminates only when a share actually lies."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        solve = reedsolomon._solve_linear_system
+
+        def counting(field, matrix, rhs):
+            calls.append(len(matrix))
+            return solve(field, matrix, rhs)
+
+        monkeypatch.setattr(reedsolomon, "_solve_linear_system", counting)
+        return calls
+
+    @pytest.mark.parametrize("n, f", [(4, 1), (7, 2)])
+    def test_fault_free_recover_never_eliminates(self, eliminations, n, f):
+        _, states = run_gvss(n, f, seed=5)
+        dealt = {i: s.my_secret for i, s in states.items()}
+        assert all(state.recovered == dealt for state in states.values())
+        assert eliminations == []
+
+    @pytest.mark.parametrize("n, f", [(4, 1), (7, 2)])
+    def test_f_recover_liars_cost_at_most_one_elimination(self, eliminations, n, f):
+        """The liars are the *lowest* ids, so their shares are inside the
+        first f + 1 points the optimistic interpolant is drawn through."""
+        faulty = frozenset(range(f))
+        field = PrimeField.for_system(n)
+
+        def lie_in_recovery(round_index, visible):
+            if round_index != 4:
+                return []
+            payload = ("rshare", tuple((d, 5 % field.modulus) for d in range(n)))
+            return [(s, r, payload) for s in faulty for r in range(n)]
+
+        _, states = run_gvss(n, f, faulty=faulty, byz_hook=lie_in_recovery, seed=2)
+        dealt = {i: s.my_secret for i, s in states.items()}
+        for state in states.values():
+            for dealer, secret in dealt.items():
+                assert state.recovered[dealer] == secret
+        # At the parent every (node, dealer) eliminated, liars or none.
+        assert 0 < len(eliminations) <= (n - f) * n
+
+
 class TestUnpredictability:
     def test_f_rows_leave_secret_information_theoretically_hidden(self):
         """Before the recover round the adversary holds f points of each
@@ -167,3 +214,23 @@ class TestScramble:
                 assert all(0 <= c < state.field.modulus for c in row)
             for grade in state.grades.values():
                 assert grade in (GRADE_NONE, GRADE_LOW, GRADE_HIGH)
+
+    def test_scramble_covers_every_attribute(self):
+        """Everything but the constants (n, f, field) is redrawn: a cache
+        kept on the instance would survive a transient fault, which is
+        exactly the state self-stabilization may not assume clean."""
+        state = GradedSharingState(7, 2, PrimeField.for_system(7))
+        harness = CoinHarness(FeldmanMicaliCoin(7, 2), 7, 2, seed=1)
+        harness.run(None)
+        used = harness.instances[0].state
+        marker = object()
+        for victim in (state, used):
+            constants = {name: vars(victim)[name] for name in ("n", "f", "field")}
+            for name in vars(victim).keys() - constants.keys():
+                setattr(victim, name, marker)
+            victim.scramble(random.Random(3))
+            for name, value in vars(victim).items():
+                if name in constants:
+                    assert value is constants[name]
+                else:
+                    assert value is not marker, f"scramble() left {name} alone"

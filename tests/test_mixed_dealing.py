@@ -120,8 +120,8 @@ class TestDefinition26Broken:
         _, agreements = pipeline_run(4, 1, beats=30)
         assert agreements < 10, (
             "the simplified coin unexpectedly resisted the mixed-dealing "
-            "attack — if you hardened GVSS, update DESIGN.md and "
-            "EXPERIMENTS.md accordingly"
+            "attack — if you hardened GVSS, update the mixed_dealing and "
+            "gvss docstrings and the coin_quality baselines accordingly"
         )
 
     def test_oracle_coin_unaffected(self):

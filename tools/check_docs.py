@@ -1,8 +1,8 @@
 """Documentation checker: snippets must run, links must resolve, quoted
-command lines must parse.
+command lines must parse, docstrings must cite files that exist.
 
 Three checks over every Markdown file in the repository (README.md, docs/,
-ARCHITECTURE.md, ...):
+ARCHITECTURE.md, ...), and one over the source tree:
 
 * **Snippet execution** — every fenced code block tagged ``python`` is
   executed in a fresh namespace (with ``src/`` importable).  Blocks
@@ -20,6 +20,9 @@ ARCHITECTURE.md, ...):
   fenced block (``\\`` continuations joined, trailing ``# comments``
   dropped) is *parsed*, never executed, by the real ``repro.cli``
   parser, so a removed or renamed flag cannot leave the docs stale.
+* **Docstring references** — every ``*.md`` file a docstring under
+  ``src/`` names must be in the tree, resolved against the repository
+  root: a "see DESIGN.md" cannot outlive DESIGN.md.
 
 Run from the repository root (CI does)::
 
@@ -31,6 +34,7 @@ Exit code 0 when docs are healthy; 1 with a per-failure report otherwise.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import functools
 import io
@@ -54,6 +58,8 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _HEADING = re.compile(r"^#{1,6}[ \t]+(.+?)[ \t]*$", re.MULTILINE)
 #: Tokens that end one command on a shell line.
 _SHELL_OPERATORS = {"&&", "||", "|", ";"}
+# A Markdown file named in prose: ``ARCHITECTURE.md``, ``docs/protocol.md``.
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
@@ -63,6 +69,14 @@ def markdown_files(root: pathlib.Path = REPO_ROOT) -> list[pathlib.Path]:
         if not EXCLUDED_DIRS.intersection(part for part in path.parts):
             files.append(path)
     return files
+
+
+def _label(path: pathlib.Path) -> pathlib.Path:
+    """``path`` as failure reports name it: relative to the checkout."""
+    try:
+        return path.relative_to(REPO_ROOT)
+    except ValueError:  # outside the checkout (tests use tmp dirs)
+        return path
 
 
 def python_blocks(path: pathlib.Path) -> list[tuple[int, str]]:
@@ -142,10 +156,7 @@ def check_links(paths: list[pathlib.Path]) -> list[str]:
     resolves; return failure descriptions."""
     failures = []
     for path in paths:
-        try:
-            label = path.relative_to(REPO_ROOT)
-        except ValueError:  # outside the checkout (tests use tmp dirs)
-            label = path
+        label = _label(path)
         for target, anchor in relative_links(path):
             resolved = (path.parent / target) if target else path
             if not resolved.exists():
@@ -207,10 +218,7 @@ def check_commands(paths: list[pathlib.Path]) -> list[str]:
     parser = build_parser()
     failures = []
     for path in paths:
-        try:
-            label = path.relative_to(REPO_ROOT)
-        except ValueError:  # outside the checkout (tests use tmp dirs)
-            label = path
+        label = _label(path)
         for line, argv in command_lines(path):
             errors = io.StringIO()
             try:
@@ -226,16 +234,55 @@ def check_commands(paths: list[pathlib.Path]) -> list[str]:
     return failures
 
 
+def docstring_references(source: pathlib.Path) -> list[tuple[int, str]]:
+    """``(line number, name)`` for every ``*.md`` a docstring of one
+    Python file names (module, class and function docstrings)."""
+    references = []
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if not isinstance(
+            node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+        ):
+            continue
+        if ast.get_docstring(node, clean=False) is None:
+            continue
+        literal = node.body[0].value
+        for offset, line in enumerate(literal.value.splitlines()):
+            for name in _MD_NAME.findall(line):
+                references.append((literal.lineno + offset, name))
+    return references
+
+
+def check_docstring_references(
+    sources: list[pathlib.Path], root: pathlib.Path = REPO_ROOT
+) -> list[str]:
+    """Every Markdown file a docstring names must exist under ``root``."""
+    failures = []
+    for source in sources:
+        label = _label(source)
+        for line, name in docstring_references(source):
+            if not (root / name).is_file():
+                failures.append(
+                    f"{label}:{line}: docstring cites {name}, which is "
+                    f"not in the tree"
+                )
+    return failures
+
+
 def main() -> int:
     paths = markdown_files()
-    failures = check_links(paths) + check_snippets(paths) + check_commands(paths)
+    sources = sorted((REPO_ROOT / "src").rglob("*.py"))
+    failures = (
+        check_links(paths) + check_snippets(paths) + check_commands(paths)
+        + check_docstring_references(sources)
+    )
     snippet_count = sum(len(python_blocks(path)) for path in paths)
     command_count = sum(len(command_lines(path)) for path in paths)
     for failure in failures:
         print(f"FAIL: {failure}")
     print(
         f"checked {len(paths)} markdown files, {snippet_count} python "
-        f"snippets, {command_count} repro command lines: "
+        f"snippets, {command_count} repro command lines, "
+        f"{len(sources)} source files' docstrings: "
         f"{'FAILED' if failures else 'ok'}"
     )
     return 1 if failures else 0
