@@ -140,7 +140,7 @@ def synchronize(
     k: int,
     protocol: str = DEFAULT_PROTOCOL,
     coin: str = "oracle",
-    adversary: Adversary | None = None,
+    adversary: Adversary | str | None = None,
     seed: int = 0,
     max_beats: int = 500,
     scramble: bool = True,
@@ -162,8 +162,10 @@ def synchronize(
     one clock value and increment it by one mod ``k`` every beat
     (Definition 3.2), and whose ``history`` holds every beat's clock values
     for inspection.  With ``early_stop`` (the default) the run ends once
-    convergence plus a closure window is confirmed; ``engine`` selects the
-    simulation engine (``"fast"`` or ``"reference"``); ``link`` (with
+    convergence plus a closure window is confirmed; ``adversary`` is a
+    registry name (``python -m repro adversaries`` lists them) or an
+    :class:`Adversary` instance; ``engine`` selects the simulation engine
+    (``"fast"``, ``"reference"`` or ``"bulk"``); ``link`` (with
     ``link_params``) degrades the network beyond the paper's model — e.g.
     ``link="lossy", link_params={"loss": 0.1}`` drops 10% of envelopes.
     ``churn`` scripts membership events — a
@@ -186,6 +188,7 @@ def synchronize(
         k=k,
         protocol=protocol,
         coin=coin,
+        adversary=adversary if isinstance(adversary, str) else "none",
         max_beats=max_beats,
         scramble=scramble,
         early_stop=early_stop,
@@ -195,8 +198,9 @@ def synchronize(
         churn=schedule.normalized() if schedule is not None else (),
         timing=tuple(timing) if timing else (),
     )
-    # The one caller holding an adversary *instance* rather than a name.
-    config = dataclasses.replace(
-        spec.build_config(), adversary_factory=lambda: adversary, trace=trace
-    )
+    overrides: dict = {"trace": trace}
+    if not isinstance(adversary, str):
+        # The one caller that may hold an adversary *instance*, not a name.
+        overrides["adversary_factory"] = lambda: adversary
+    config = dataclasses.replace(spec.build_config(), **overrides)
     return run_trial(config, seed)

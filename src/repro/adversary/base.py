@@ -15,7 +15,7 @@ corrupted per-node code.
 
 Strategies run unchanged in both execution worlds: the lock-step
 simulator invokes them as a phase of the beat loop
-(:func:`repro.net.engine._craft_byzantine`), and the live runtime wraps
+(:func:`repro.net.engine.craft_byzantine`), and the live runtime wraps
 them in a real misbehaving peer
 (:class:`repro.runtime.byzantine.ByzantineProcess`) that receives the
 same legal view over actual transports.  Either way

@@ -75,9 +75,11 @@ class MixedDealingAdversary(Adversary):
     def _dealer(self) -> int:
         return min(self.faulty_ids)
 
-    def _round_one_paths(self, view: AdversaryView) -> set[str]:
-        """Paths where a fresh instance started this beat (slot-1 rows)."""
-        paths = set()
+    def _round_one_paths(self, view: AdversaryView) -> list[str]:
+        """Paths where a fresh instance started this beat (slot-1 rows),
+        in the view's first-seen order: each opens a dealing that draws
+        from ``view.rng``, so the order must be the seed's, not a hash's."""
+        paths: dict[str, None] = {}
         for envelope in view.visible_messages:
             payload = envelope.payload
             if (
@@ -88,8 +90,8 @@ class MixedDealingAdversary(Adversary):
                 and payload[1]
                 and payload[1][0] == "row"
             ):
-                paths.add(envelope.path)
-        return paths
+                paths[envelope.path] = None
+        return list(paths)
 
     def _open_dealing(self, view: AdversaryView, path: str) -> _Dealing:
         assert self._field is not None

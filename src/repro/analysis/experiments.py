@@ -61,7 +61,8 @@ class TrialConfig:
             closure run is confirmed instead of burning the whole budget.
         closure_window: closure beats (beyond the convergence beat) that
             must be observed before an early stop.
-        engine: simulation engine name (``"fast"`` or ``"reference"``).
+        engine: simulation engine name (``"fast"``, ``"reference"`` or
+            ``"bulk"``).
         link: link-condition model name from
             :data:`~repro.net.linkmodel.LINK_MODELS` (default: the paper's
             perfect network).

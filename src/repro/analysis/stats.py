@@ -1,8 +1,9 @@
 """Small statistics helpers for experiment aggregation.
 
-Kept dependency-light (plain Python; numpy is available but unnecessary at
-these sample sizes) and exact about what they compute, because the bench
-tables under ``benchmarks/results/`` quote their outputs directly.
+Plain Python like the rest of the package (the library is stdlib only,
+and these sample sizes need nothing more) and exact about what they
+compute, because the bench tables under ``benchmarks/results/`` quote
+their outputs directly.
 """
 
 from __future__ import annotations

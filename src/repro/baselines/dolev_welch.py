@@ -22,6 +22,7 @@ Registered as the ``dolev-welch`` protocol (see
 from __future__ import annotations
 
 import random
+from typing import Any, Iterable
 
 from repro.core.majority import (
     BOTTOM,
@@ -32,7 +33,18 @@ from repro.core.majority import (
 from repro.errors import ConfigurationError
 from repro.net.component import BeatContext, Component
 
-__all__ = ["DolevWelchClock"]
+__all__ = ["DolevWelchClock", "adopted_clock"]
+
+
+def adopted_clock(payloads: Iterable[Any], threshold: int, k: int) -> int | None:
+    """The adopt rule: ``winner + 1`` when n-f senders agree on a clock;
+    ``None`` means "draw locally" (the one definition: the component
+    and the bulk engine's program both call it, each drawing from the
+    node's own RNG stream on a miss)."""
+    winner, count = most_frequent(count_values(payloads))
+    if winner is not BOTTOM and isinstance(winner, int) and count >= threshold:
+        return (winner + 1) % k
+    return None
 
 
 class DolevWelchClock(Component):
@@ -54,16 +66,10 @@ class DolevWelchClock(Component):
         ctx.broadcast(self.clock)
 
     def on_update(self, ctx: BeatContext) -> None:
-        values = first_payload_per_sender(ctx.inbox).values()
-        winner, count = most_frequent(count_values(values))
-        if (
-            winner is not BOTTOM
-            and isinstance(winner, int)
-            and count >= ctx.n - ctx.f
-        ):
-            self.clock = (winner + 1) % self.k
-        else:
-            self.clock = ctx.rng.randrange(self.k)
+        adopted = adopted_clock(
+            first_payload_per_sender(ctx.inbox).values(), ctx.n - ctx.f, self.k
+        )
+        self.clock = ctx.rng.randrange(self.k) if adopted is None else adopted
 
     def scramble(self, rng: random.Random) -> None:
         self.clock = rng.randrange(self.k)

@@ -16,7 +16,7 @@ is used to break ties between (they were determined at beat ``r - 1``).
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Any, Callable, Iterable
 
 from repro.coin.interfaces import CoinAlgorithm
 from repro.core.majority import (
@@ -28,7 +28,28 @@ from repro.core.majority import (
 from repro.core.pipeline import CoinFlipPipeline
 from repro.net.component import BeatContext, Component
 
-__all__ = ["SSByz2Clock"]
+__all__ = ["SSByz2Clock", "two_clock_step"]
+
+
+def two_clock_step(payloads: Iterable[Any], rand: int, threshold: int) -> int | None:
+    """Figure 2 lines 3-6: the next clock, from one payload per sender.
+
+    The one definition of the rule: :class:`SSByz2Clock` applies it to a
+    node's inbox, the bulk engine's program to an inbox shared by a whole
+    group of receivers (:mod:`repro.net.bulk`).
+    """
+    # Line 3: consider each message carrying ⊥ as carrying rand.
+    values = [rand if payload is BOTTOM else payload for payload in payloads]
+    # Line 4: maj and #maj.
+    maj, maj_count = most_frequent(count_values(values))
+    # Lines 5-6.  A majority of n - f >= 2f + 1 must contain a correct
+    # sender, so maj ∈ {0, 1} whenever the threshold is met; the guard
+    # merely keeps Byzantine junk from ever leaving the clock domain —
+    # and a payload that only *equals* a bit (``True``, ``1.0``) can win
+    # the tally by arriving first, so 1 - maj is spelled on its truth.
+    if maj_count >= threshold and maj in (0, 1):
+        return 0 if maj else 1
+    return BOTTOM
 
 
 class SSByz2Clock(Component):
@@ -64,21 +85,11 @@ class SSByz2Clock(Component):
         # Line 2 (update half): C's beat completes; rand is now available —
         # strictly after every node's beat-r messages were committed.
         ctx.run_child("coin")
-        rand = self.pipeline.rand
-        # Line 3: consider each message carrying ⊥ as carrying rand.
-        values = [
-            rand if payload is BOTTOM else payload
-            for payload in first_payload_per_sender(ctx.inbox).values()
-        ]
-        # Line 4: maj and #maj.
-        maj, maj_count = most_frequent(count_values(values))
-        # Lines 5-6.  A majority of n - f >= 2f + 1 must contain a correct
-        # sender, so maj ∈ {0, 1} whenever the threshold is met; the guard
-        # merely keeps Byzantine junk from ever leaving the clock domain.
-        if maj_count >= ctx.n - ctx.f and maj in (0, 1):
-            self.clock = 1 - maj
-        else:
-            self.clock = BOTTOM
+        self.clock = two_clock_step(
+            first_payload_per_sender(ctx.inbox).values(),
+            self.pipeline.rand,
+            ctx.n - ctx.f,
+        )
 
     def scramble(self, rng: random.Random) -> None:
         self.clock = rng.choice((0, 1, BOTTOM))

@@ -23,9 +23,18 @@ from typing import Callable
 
 from repro.coin.interfaces import CoinAlgorithm
 from repro.core.clock2 import SSByz2Clock
+from repro.core.majority import BOTTOM
 from repro.net.component import BeatContext, Component
 
-__all__ = ["SSByz4Clock"]
+__all__ = ["SSByz4Clock", "four_clock_value"]
+
+
+def four_clock_value(c1: int | None, c2: int | None) -> int | None:
+    """Figure 3 line 3: ``2 * clock(A2) + clock(A1)``, ⊥ while either
+    2-clock is ⊥ (the one definition; the bulk program calls it too)."""
+    if c1 in (0, 1) and c2 in (0, 1):
+        return 2 * c2 + c1
+    return BOTTOM
 
 
 class SSByz4Clock(Component):
@@ -65,12 +74,7 @@ class SSByz4Clock(Component):
         if self._run_a2:
             ctx.run_child("A2")
         # Line 3: u.clock := 2 * u.clock(A2) + u.clock(A1).
-        c1 = self.a1.clock
-        c2 = self.a2.clock
-        if c1 in (0, 1) and c2 in (0, 1):
-            self.clock = 2 * c2 + c1
-        else:
-            self.clock = None
+        self.clock = four_clock_value(self.a1.clock, self.a2.clock)
 
     def scramble(self, rng: random.Random) -> None:
         self.clock = rng.choice((0, 1, 2, 3, None))

@@ -28,7 +28,7 @@ most literal reading of the figure.
 from __future__ import annotations
 
 import random
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.coin.interfaces import CoinAlgorithm
 from repro.core.clock4 import SSByz4Clock
@@ -43,9 +43,77 @@ from repro.core.pipeline import CoinFlipPipeline
 from repro.errors import ConfigurationError
 from repro.net.component import BeatContext, Component
 
-__all__ = ["SSByzClockSync"]
+__all__ = [
+    "SSByzClockSync",
+    "phase1_proposal",
+    "phase2_bit_and_save",
+    "phase3_agreed_bit",
+    "phase3_clock",
+    "tagged_values",
+]
 
 _KINDS = ("fc", "prop", "bit")
+
+
+# Blocks 3.b-3.d as pure functions of the previous beat's inbox (one
+# payload per sender) — the one definition of each rule.  The component
+# applies them to a node's own ``_previous``; the bulk engine's program
+# (:mod:`repro.net.bulk`) to an inbox shared by a group of receivers.
+
+
+def tagged_values(payloads: Iterable[Any], kind: str) -> list[Any]:
+    """The values of the well-formed ``(kind, value)`` payloads, in order."""
+    return [
+        payload[1]
+        for payload in payloads
+        if isinstance(payload, tuple)
+        and len(payload) == 2
+        and payload[0] == kind
+    ]
+
+
+def phase1_proposal(payloads: Iterable[Any], threshold: int) -> Any:
+    """Block 3.b: the full-clock value received n-f times, else ⊥."""
+    return value_with_count_at_least(tagged_values(payloads, "fc"), threshold)
+
+
+def phase2_bit_and_save(
+    payloads: Iterable[Any], threshold: int, k: int
+) -> tuple[int, int]:
+    """Block 3.c: ``save`` := the majority non-⊥ proposal (0 when there
+    is none, or it is not a clock value); ``bit`` := whether it reached
+    n-f copies."""
+    proposals = [
+        value for value in tagged_values(payloads, "prop")
+        if value is not BOTTOM
+    ]
+    majority_value, majority_count = most_frequent(count_values(proposals))
+    if majority_value is not BOTTOM and majority_count >= threshold:
+        bit = 1
+    else:
+        bit = 0
+    if majority_value is BOTTOM or not isinstance(majority_value, int):
+        return bit, 0
+    return bit, majority_value % k
+
+
+def phase3_agreed_bit(payloads: Iterable[Any], threshold: int) -> int | None:
+    """Block 3.d, the tally: the bit n-f senders broadcast, else ⊥."""
+    bits = tagged_values(payloads, "bit")
+    if sum(1 for bit in bits if bit == 1) >= threshold:
+        return 1
+    if sum(1 for bit in bits if bit == 0) >= threshold:
+        return 0
+    return BOTTOM
+
+
+def phase3_clock(agreed: int | None, rand: int, save: int, k: int) -> int:
+    """Block 3.d, the assignment: ``save + 3`` on an agreed 1, 0 on an
+    agreed 0; without agreement the beat's coin chooses between the two."""
+    chosen = rand if agreed is BOTTOM else agreed
+    if chosen == 1:
+        return (save + 3) % k
+    return 0
 
 
 class SSByzClockSync(Component):
@@ -101,20 +169,6 @@ class SSByzClockSync(Component):
         """
         return self.full_clock
 
-    # -- helpers over the previous beat's inbox --------------------------------
-
-    def _previous_values(self, kind: str) -> list[Any]:
-        """Well-formed ``kind`` payload values from the previous beat."""
-        values = []
-        for payload in self._previous.values():
-            if (
-                isinstance(payload, tuple)
-                and len(payload) == 2
-                and payload[0] == kind
-            ):
-                values.append(payload[1])
-        return values
-
     # -- beat handlers -------------------------------------------------------
 
     def on_send(self, ctx: BeatContext) -> None:
@@ -133,27 +187,16 @@ class SSByzClockSync(Component):
             ctx.broadcast(("fc", self.full_clock))
         elif self._phase == 1:
             # Block 3.b: propose the value received n-f times last beat.
-            proposal = value_with_count_at_least(
-                self._previous_values("fc"), ctx.n - ctx.f
+            ctx.broadcast(
+                ("prop", phase1_proposal(self._previous.values(), ctx.n - ctx.f))
             )
-            ctx.broadcast(("prop", proposal))
         elif self._phase == 2:
             # Block 3.c: save := majority non-⊥ proposal; bit := whether it
             # reached n - f copies; then default save to 0 if it was ⊥.
-            proposals = [
-                value for value in self._previous_values("prop")
-                if value is not BOTTOM
-            ]
-            majority_value, majority_count = most_frequent(count_values(proposals))
-            if majority_value is not BOTTOM and majority_count >= ctx.n - ctx.f:
-                bit = 1
-            else:
-                bit = 0
+            bit, self.save = phase2_bit_and_save(
+                self._previous.values(), ctx.n - ctx.f, self.k
+            )
             ctx.broadcast(("bit", bit))
-            if majority_value is BOTTOM or not isinstance(majority_value, int):
-                self.save = 0
-            else:
-                self.save = majority_value % self.k
         # Phase 3 (and an unconverged A) sends nothing at this layer.
 
     def on_update(self, ctx: BeatContext) -> None:
@@ -164,18 +207,12 @@ class SSByzClockSync(Component):
             # Block 3.d: decide from the previous beat's bits; fall back to
             # the beat's coin, which was resolved only after this beat's
             # messages committed (Lemma 8's independence argument).
-            bits = self._previous_values("bit")
-            ones = sum(1 for bit in bits if bit == 1)
-            zeros = sum(1 for bit in bits if bit == 0)
-            threshold = ctx.n - ctx.f
-            if ones >= threshold:
-                self.full_clock = (self.save + 3) % self.k
-            elif zeros >= threshold:
-                self.full_clock = 0
-            elif self._pipeline.rand == 1:
-                self.full_clock = (self.save + 3) % self.k
-            else:
-                self.full_clock = 0
+            self.full_clock = phase3_clock(
+                phase3_agreed_bit(self._previous.values(), ctx.n - ctx.f),
+                self._pipeline.rand,
+                self.save,
+                self.k,
+            )
         self._previous = first_payload_per_sender(ctx.inbox)
 
     def scramble(self, rng: random.Random) -> None:

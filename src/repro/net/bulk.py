@@ -8,16 +8,23 @@ simulator near ~10 beats/s at n=256 and makes the campaign-scale regimes
 the paper's *fast* stabilization claim is about practically unreachable.
 
 :class:`BulkEngine` keeps per-node protocol state in structure-of-arrays
-(SoA) form — one int64 row per state variable across all honest nodes,
-numpy-backed when numpy is installed (the ``fast`` optional extra) and
-packed ``array('q')`` otherwise — and executes an entire beat's
-broadcast fan-out, adversary view, link ruling, inbox merge and vote
-tallies as batch operations.  The speedup is algorithmic, not just
-constant-factor: under perfect (or intra-group partition) links every
-in-group receiver of one broadcast path sees the *same* inbox, so the
-per-beat vote tally is computed **once per (path, group)** and shared —
-O(n) per beat instead of O(n²) — with no per-message Python objects on
-the hot path.
+(SoA) form — one plain Python list per state variable across all honest
+nodes, holding the protocol's own values (ints, and ``None`` for ⊥) —
+and executes an entire beat's broadcast fan-out, adversary view, link
+ruling and inbox merge as batch operations.  The speedup is
+algorithmic: under perfect (or intra-group partition) links every
+in-group receiver of one broadcast path sees the *same* inbox, so each
+of the paper's rules is evaluated **once per (path, group)** and the
+answer shared — O(n) per beat instead of O(n²) — with no per-message
+Python objects on the hot path.
+
+This module is layout and sharing only.  The rules themselves — Figure
+2 lines 3-6, Figure 3 line 3, Figure 4 blocks 3.b-3.d, the Dolev-Welch
+adopt rule — are the pure functions defined beside the components that
+own them (:mod:`repro.core.clock2`, :mod:`repro.core.clock4`,
+:mod:`repro.core.clock_sync`, :mod:`repro.baselines.dolev_welch`); the
+programs below decide *which* inbox each slot reads and *how many*
+slots share one evaluation, never what the rule says.
 
 Bit-reproducibility contract
 ----------------------------
@@ -27,10 +34,10 @@ bit-identical to the reference engine (``tests/test_bulk_engine.py``
 enforces this differentially, mirroring ``tests/test_engines.py``):
 
 * **Protocol state** is mirrored exactly: the SoA rows are loaded from
-  the (scrambled) component trees, every value extracted from a row is
-  converted back to a plain Python ``int`` before it can reach a payload
-  or a ``repr``-based tie-break, and the tallies reuse the exact helpers
-  of :mod:`repro.core.majority`.
+  the (scrambled) component trees and hold the very values a component
+  attribute would — a row entry reaches a payload or a ``repr``-based
+  tie-break as it is — and every new value is computed by the rule the
+  component itself calls.
 * **Keyed randomness** stays keyed.  Oracle-coin outcomes are resolved
   through :meth:`~repro.net.environment.Environment.coin_outcome` with
   the same ``derive_seed``-keyed ``(path, beat)`` keys, *in the
@@ -73,23 +80,23 @@ tree materialization is available via :meth:`BulkEngine.sync_trees`.
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
+from collections.abc import Sequence
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
-try:  # numpy is optional (the ``fast`` extra); the packed fallback is exact
-    import numpy
-except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
-    numpy = None
-
-from repro.core.majority import (
-    BOTTOM,
-    count_values,
-    most_frequent,
-    value_with_count_at_least,
+from repro.baselines.dolev_welch import DolevWelchClock, adopted_clock
+from repro.core.clock2 import two_clock_step
+from repro.core.clock4 import four_clock_value
+from repro.core.clock_sync import (
+    SSByzClockSync,
+    phase1_proposal,
+    phase2_bit_and_save,
+    phase3_agreed_bit,
+    phase3_clock,
 )
-from repro.net.engine import ENGINES, FastEngine, _craft_byzantine
+from repro.core.majority import BOTTOM
+from repro.net.engine import ENGINES, FastEngine, craft_byzantine
 from repro.net.linkmodel import PartitionLinks
 from repro.net.message import Envelope, FanoutView
 
@@ -99,18 +106,11 @@ if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
 __all__ = [
     "BulkEngine",
     "BulkProgram",
-    "HAVE_NUMPY",
     "UnsupportedBulkLayout",
     "build_bulk_program",
     "has_bulk_program",
     "register_bulk_program",
 ]
-
-#: Whether the numpy SoA backend is active (else: packed ``array('q')``).
-HAVE_NUMPY = numpy is not None
-
-#: Encoded ⊥ for a 2-clock row (domain {0, 1, ⊥}).
-_ENC_BOTTOM = 2
 
 #: Cache sentinel distinguishing "not computed" from a computed ``None``.
 _MISSING = object()
@@ -118,11 +118,11 @@ _MISSING = object()
 _SENDER_OF_ENTRY = itemgetter(0)
 
 
-def _int_row(size: int, fill: int = 0):
-    """One SoA row: ``size`` int64 slots (numpy array or packed array)."""
-    if numpy is not None:
-        return numpy.full(size, fill, dtype=numpy.int64)
-    return array("q", [fill]) * size
+def _in_domain(value: Any, domain: tuple) -> "int | None":
+    """A tree value as a row entry: the int of ``domain`` it equals,
+    else ⊥.  ``True`` must not enter a row as a ``bool``: rows become
+    payloads, and ``repr`` tie-breaks tell ``True`` from ``1``."""
+    return int(value) if value in domain else BOTTOM
 
 
 class UnsupportedBulkLayout(Exception):
@@ -147,8 +147,18 @@ class Lane:
     def sender_count(self) -> int:
         return sum(1 for flag in self.present if flag)
 
-    def sender_slots(self) -> list[int]:
-        return [slot for slot, flag in enumerate(self.present) if flag]
+    def sender_slots(
+        self, group_of: "list | None" = None, group: "int | None" = None
+    ) -> list[int]:
+        """The slots that broadcast here, ascending — during a partition
+        window (``group_of`` given) only those in partition ``group``,
+        whose members are the only ones to receive them."""
+        if group_of is None:
+            return [slot for slot, flag in enumerate(self.present) if flag]
+        return [
+            slot for slot, flag in enumerate(self.present)
+            if flag and group_of[slot] == group
+        ]
 
 
 class _Delivery:
@@ -165,11 +175,13 @@ class _Delivery:
     from the lane.  Dirty receivers that were handed the same messages
     form one *inbox class* (:meth:`inbox_classes`) and share one exact
     merge (:meth:`merged_inbox`); an adversary whose every payload is
-    fresh puts each receiver in a class of its own.
+    fresh puts each receiver in a class of its own.  Programs read a
+    beat through :meth:`receivers_by_inbox`: every distinct inbox once,
+    with the slots that received it.
     """
 
     __slots__ = ("ids", "slot_of", "lanes", "lane_by_path", "extras",
-                 "group_of", "_values_cache", "_merged_cache")
+                 "group_of", "_clean_cache", "_merged_cache")
 
     def __init__(self, ids, slot_of, lanes, extras, group_of) -> None:
         self.ids = ids
@@ -178,7 +190,7 @@ class _Delivery:
         self.lane_by_path = {lane.path: lane for lane in lanes}
         self.extras = extras
         self.group_of = group_of
-        self._values_cache: dict = {}
+        self._clean_cache: dict = {}
         self._merged_cache: dict = {}
 
     def group_key(self, slot: int) -> int:
@@ -223,25 +235,56 @@ class _Delivery:
             )
         return merged
 
-    def lane_values(self, path: str, group: int) -> list:
-        """Payloads a clean group-``group`` receiver sees on ``path``,
-        in ascending sender order (shared by the whole group)."""
+    def receivers_by_inbox(
+        self, path: str, active: "list | None" = None
+    ) -> "list[tuple[dict[int, Any], Sequence[int]]]":
+        """The receiver slots (those flagged in ``active``, when given),
+        partitioned by what they see on ``path``: one
+        ``(first_payload_per_sender, slots)`` entry per distinct inbox —
+        a clean partition group reads the lane, a dirty class its one
+        exact merge — so a program evaluates a rule once per entry,
+        however many receivers share it.  Shared dicts: read-only.
+        """
+        receivers: Sequence[int] = range(len(self.ids))
+        if active is not None:
+            receivers = [slot for slot in receivers if active[slot]]
+        if not receivers:
+            return []
+        dirty = self.inbox_classes(path)
+        group_of = self.group_of
+        if not dirty and group_of is None:
+            # Nobody was sent anything but the lane: one inbox for all.
+            return [(self.clean_inbox(path, 0), receivers)]
+        members: dict[tuple, list[int]] = {}
+        for slot in receivers:
+            key = (dirty.get(slot), 0 if group_of is None else group_of[slot])
+            slots = members.get(key)
+            if slots is None:
+                members[key] = [slot]
+            else:
+                slots.append(slot)
+        return [
+            (
+                self.clean_inbox(path, group) if inbox_class is None
+                else self.merged_inbox(path, inbox_class),
+                slots,
+            )
+            for (inbox_class, group), slots in members.items()
+        ]
+
+    def clean_inbox(self, path: str, group: int) -> dict[int, Any]:
+        """What a clean group-``group`` receiver sees on ``path``: the
+        lane, in ascending sender order (shared by the whole group)."""
         key = (path, group)
-        values = self._values_cache.get(key)
-        if values is None:
-            values = []
+        inbox = self._clean_cache.get(key)
+        if inbox is None:
             lane = self.lane_by_path.get(path)
-            if lane is not None:
-                present = lane.present
-                payloads = lane.payloads
-                group_of = self.group_of
-                for slot in range(len(self.ids)):
-                    if present[slot] and (
-                        group_of is None or group_of[slot] == group
-                    ):
-                        values.append(payloads[slot])
-            self._values_cache[key] = values
-        return values
+            ids = self.ids
+            inbox = self._clean_cache[key] = {} if lane is None else {
+                ids[slot]: lane.payloads[slot]
+                for slot in lane.sender_slots(self.group_of, group)
+            }
+        return inbox
 
     def merged_first_per_sender(self, path: str, slot: int) -> dict[int, Any]:
         """Exact ``first_payload_per_sender`` of a dirty receiver's inbox.
@@ -251,22 +294,10 @@ class _Delivery:
         under the router's stable sender sort, collapsed first-wins per
         sender in ascending order.
         """
-        node_id = self.ids[slot]
-        entries: list[tuple[int, Any]] = []
-        lane = self.lane_by_path.get(path)
-        if lane is not None:
-            group_of = self.group_of
-            group = None if group_of is None else group_of[slot]
-            present = lane.present
-            payloads = lane.payloads
-            for sender_slot in range(len(self.ids)):
-                if present[sender_slot] and (
-                    group_of is None or group_of[sender_slot] == group
-                ):
-                    entries.append(
-                        (self.ids[sender_slot], payloads[sender_slot])
-                    )
-        entries.extend(self.extras.get(node_id, {}).get(path, {}).items())
+        entries = list(self.clean_inbox(path, self.group_key(slot)).items())
+        entries.extend(
+            self.extras.get(self.ids[slot], {}).get(path, {}).items()
+        )
         entries.sort(key=_SENDER_OF_ENTRY)
         collapsed: dict[int, Any] = {}
         for sender, payload in entries:
@@ -331,45 +362,17 @@ class BulkProgram:
 # -- the ss-Byz clock-sync tower program -----------------------------------
 
 
-def _encode_two_clock(value) -> int:
-    """{0, 1, ⊥} -> {0, 1, 2} for a 2-clock SoA row."""
-    return _ENC_BOTTOM if value is None else int(value)
-
-
-def _decode_two_clock(encoded: int):
-    """Inverse of :func:`_encode_two_clock` (plain Python values)."""
-    return None if encoded == _ENC_BOTTOM else int(encoded)
-
-
-def _tagged_values(payloads, kind: str) -> list:
-    """The values of the well-formed ``(kind, value)`` payloads, in order."""
-    return [
-        payload[1]
-        for payload in payloads
-        if isinstance(payload, tuple)
-        and len(payload) == 2
-        and payload[0] == kind
-    ]
-
-
-def _two_clock_step(values: list, threshold: int):
-    """ss-Byz-2-Clock lines 3-6 on an already-substituted value list."""
-    maj, maj_count = most_frequent(count_values(values))
-    if maj_count >= threshold and maj in (0, 1):
-        return 1 - maj
-    return BOTTOM
-
-
 class ClockSyncProgram(BulkProgram):
     """Vectorized ss-Byz-Clock-Sync tower (Figures 1-4, oracle coin).
 
-    Rows: ``fc`` and ``save`` (mod-k ints), ``a_clock`` (4-clock, -1
-    encodes ⊥), ``a1``/``a2`` (2-clocks, 2 encodes ⊥).  The previous
-    beat's root inbox — the only cross-beat message state — is kept in
-    shared form (last root lane + its group structure) with dict
-    overrides for receivers whose inbox diverged (Byzantine traffic,
-    phantoms, reloads after a scramble) — one dict per inbox class,
-    shared read-only by the class's slots.
+    Rows, each holding what the component attribute would: ``fc`` and
+    ``save`` (ints mod k), ``a_clock`` ({0..3, ⊥}), ``a1``/``a2``
+    ({0, 1, ⊥}).  The previous beat's root inbox — the only cross-beat
+    message state — is ``previous``: per slot, a reference to the dict
+    the component would hold, one dict *object* per distinct inbox (a
+    clean partition group; a class of receivers the adversary or a
+    phantom storm treated alike; a slot reloaded after a scramble),
+    shared read-only by the slots that received it.
 
     The oracle-coin pipelines carry *no* live state between beats: every
     beat the output slot re-resolves its environment outcome before the
@@ -398,22 +401,18 @@ class ClockSyncProgram(BulkProgram):
             f"{base}/coin/slot{coin_root[2]}", coin_root[0], coin_root[1]
         )
         size = self.size
-        self.fc = _int_row(size)
-        self.save = _int_row(size)
-        self.a_clock = _int_row(size)
-        self.a1 = _int_row(size)
-        self.a2 = _int_row(size)
+        self.fc: list = [0] * size
+        self.save: list = [0] * size
+        self.a_clock: list = [0] * size
+        self.a1: list = [0] * size
+        self.a2: list = [0] * size
         #: Start-of-beat phase (clock(A) captured before A's beat) and
         #: A2's activation gate, kept between the send and update halves.
         self.ph: list = [None] * size
         self.gate: list = [False] * size
-        # Previous-beat root inbox: shared lane + per-slot overrides.
-        self.prev_lane: Lane | None = None
-        self.prev_group_of: list | None = None
-        self.prev_override: dict[int, dict[int, Any]] = {}
-        self._prev_cache: dict = {}
-        self._override_cache: dict = {}
-        self._lane_root: Lane | None = None
+        self.previous: list[dict[int, Any]] = [{}] * size
+        #: (identity of a previous inbox, rule) -> the rule's answer.
+        self._answers: dict = {}
 
     # -- tree mirroring ----------------------------------------------------
 
@@ -423,222 +422,88 @@ class ClockSyncProgram(BulkProgram):
             root = nodes[self.ids[slot]].root
             self.fc[slot] = int(root.full_clock)
             self.save[slot] = int(root.save)
-            a_clock = root.a.clock
-            self.a_clock[slot] = a_clock if a_clock in (0, 1, 2, 3) else -1
-            self.a1[slot] = _encode_two_clock(
-                root.a.a1.clock if root.a.a1.clock in (0, 1) else None
-            )
-            self.a2[slot] = _encode_two_clock(
-                root.a.a2.clock if root.a.a2.clock in (0, 1) else None
-            )
-            self.prev_override[slot] = dict(root._previous)
+            self.ph[slot] = _in_domain(root._phase, (0, 1, 2, 3))
+            self.gate[slot] = bool(root.a._run_a2)
+            self.a_clock[slot] = _in_domain(root.a.clock, (0, 1, 2, 3))
+            self.a1[slot] = _in_domain(root.a.a1.clock, (0, 1))
+            self.a2[slot] = _in_domain(root.a.a2.clock, (0, 1))
+            self.previous[slot] = dict(root._previous)
 
     def flush_observables(self) -> None:
         nodes = self.simulation.nodes
         fc = self.fc
         for slot, node_id in enumerate(self.ids):
-            nodes[node_id].root.full_clock = int(fc[slot])
+            nodes[node_id].root.full_clock = fc[slot]
 
     def flush_full(self) -> None:
         nodes = self.simulation.nodes
         for slot, node_id in enumerate(self.ids):
             root = nodes[node_id].root
-            root.full_clock = int(self.fc[slot])
-            root.save = int(self.save[slot])
+            root.full_clock = self.fc[slot]
+            root.save = self.save[slot]
             root._phase = self.ph[slot]
-            a_clock = int(self.a_clock[slot])
-            root.a.clock = None if a_clock < 0 else a_clock
-            root.a.a1.clock = _decode_two_clock(int(self.a1[slot]))
-            root.a.a2.clock = _decode_two_clock(int(self.a2[slot]))
-            root.a._run_a2 = bool(self.gate[slot])
-            root._previous = self._prev_dict(slot)
+            root.a.clock = self.a_clock[slot]
+            root.a.a1.clock = self.a1[slot]
+            root.a.a2.clock = self.a2[slot]
+            root.a._run_a2 = self.gate[slot]
+            root._previous = dict(self.previous[slot])
 
-    def _prev_dict(self, slot: int) -> dict[int, Any]:
-        override = self.prev_override.get(slot)
-        if override is not None:
-            return dict(override)
-        collapsed: dict[int, Any] = {}
-        lane = self.prev_lane
-        if lane is not None:
-            group_of = self.prev_group_of
-            group = None if group_of is None else group_of[slot]
-            for sender_slot in range(self.size):
-                if lane.present[sender_slot] and (
-                    group_of is None or group_of[sender_slot] == group
-                ):
-                    collapsed[self.ids[sender_slot]] = (
-                        lane.payloads[sender_slot]
-                    )
-        return collapsed
+    def _from_previous(self, slot: int, rule: Callable, *args):
+        """``rule(payloads, *args)`` over the slot's previous root inbox:
+        a Figure 4 block of :mod:`repro.core.clock_sync`, evaluated once
+        per distinct inbox (``args`` are constants of the program).
 
-    # -- previous-beat helpers (one answer per shared previous inbox) ------
-    #
-    # Clean slots of one previous partition group read the same lane and
-    # share ``_prev_cache`` entries keyed by the group.  Override slots of
-    # one inbox class hold the same dict *object* and share
-    # ``_override_cache`` entries keyed by its identity: ``prev_override``
-    # is not written between the reload at the top of a beat and the end
-    # of that beat's update, where both caches are dropped, so an
-    # identity cannot be reused while a key built from it is live.
-
-    def _prev_values(self, slot: int, kind: str) -> list:
-        """``SSByzClockSync._previous_values`` for one receiver slot."""
-        override = self.prev_override.get(slot)
-        if override is not None:
-            key = (id(override), kind)
-            values = self._override_cache.get(key)
-            if values is None:
-                values = self._override_cache[key] = _tagged_values(
-                    override.values(), kind
-                )
-            return values
-        group = (
-            0 if self.prev_group_of is None else self.prev_group_of[slot]
-        )
-        key = ("values", group, kind)
-        values = self._prev_cache.get(key)
-        if values is None:
-            payloads = []
-            lane = self.prev_lane
-            if lane is not None:
-                group_of = self.prev_group_of
-                for s in range(self.size):
-                    if lane.present[s] and (
-                        group_of is None or group_of[s] == group
-                    ):
-                        payloads.append(lane.payloads[s])
-            values = self._prev_cache[key] = _tagged_values(payloads, kind)
-        return values
-
-    def _proposal(self, slot: int):
-        """Figure 4 block 3.b: the value seen n-f times last beat."""
-        override = self.prev_override.get(slot)
-        if override is not None:
-            cache = self._override_cache
-            key = (id(override), "proposal")
-        else:
-            cache = self._prev_cache
-            group = (
-                0 if self.prev_group_of is None else self.prev_group_of[slot]
-            )
-            key = ("prop", group)
-        proposal = cache.get(key, _MISSING)
-        if proposal is _MISSING:
-            proposal = cache[key] = value_with_count_at_least(
-                self._prev_values(slot, "fc"), self.threshold
-            )
-        return proposal
-
-    def _phase2(self, slot: int) -> tuple[int, int]:
-        """Figure 4 block 3.c: the (bit, save) pair from last beat."""
-        override = self.prev_override.get(slot)
-        if override is not None:
-            cache = self._override_cache
-            key = (id(override), "phase2")
-        else:
-            cache = self._prev_cache
-            group = (
-                0 if self.prev_group_of is None else self.prev_group_of[slot]
-            )
-            key = ("phase2", group)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        proposals = [
-            value for value in self._prev_values(slot, "prop")
-            if value is not BOTTOM
-        ]
-        majority_value, majority_count = most_frequent(count_values(proposals))
-        if majority_value is not BOTTOM and majority_count >= self.threshold:
-            bit = 1
-        else:
-            bit = 0
-        if majority_value is BOTTOM or not isinstance(majority_value, int):
-            save = 0
-        else:
-            save = majority_value % self.k
-        cache[key] = (bit, save)
-        return bit, save
-
-    def _prev_bits(self, slot: int) -> tuple[int, int]:
-        """Figure 4 block 3.d tallies: (#ones, #zeros) of last beat."""
-        override = self.prev_override.get(slot)
-        if override is not None:
-            cache = self._override_cache
-            key = (id(override), "bits")
-        else:
-            cache = self._prev_cache
-            group = (
-                0 if self.prev_group_of is None else self.prev_group_of[slot]
-            )
-            key = ("bits", group)
-        cached = cache.get(key)
-        if cached is None:
-            bits = self._prev_values(slot, "bit")
-            cached = cache[key] = (
-                sum(1 for bit in bits if bit == 1),
-                sum(1 for bit in bits if bit == 0),
-            )
-        return cached
+        Keyed by the inbox dict's identity: ``previous`` keeps every
+        dict alive, and is only written when ``_answers`` is empty — by
+        a reload at the top of a beat, and at the end of ``update``,
+        which drops the answers with it — so an identity cannot be
+        reused while a key built from it is live.
+        """
+        previous = self.previous[slot]
+        key = (id(previous), rule)
+        answer = self._answers.get(key, _MISSING)
+        if answer is _MISSING:
+            answer = self._answers[key] = rule(previous.values(), *args)
+        return answer
 
     # -- beat halves -------------------------------------------------------
 
     def send(self, beat: int) -> list[Lane]:
         size = self.size
-        a1 = self.a1
-        a2 = self.a2
-        a_clock = self.a_clock
-        ph = self.ph
-        gate = self.gate
         # Start-of-beat captures (Figure 4 line 3 footnote; Figure 3's
         # send-time gating decision), before any state advances.
-        for slot in range(size):
-            clock_a = a_clock[slot]
-            ph[slot] = int(clock_a) if 0 <= clock_a <= 3 else None
-            gate[slot] = a1[slot] == 1
+        self.ph = ph = list(self.a_clock)
+        self.gate = gate = [clock == 1 for clock in self.a1]
         # A1 broadcasts every beat; A2 only when gated (emission order is
         # A1, A2, root — exactly the per-node order of the tree walk).
-        lane_a1 = Lane(
-            self.path_a1,
-            [True] * size,
-            [_decode_two_clock(int(a1[slot])) for slot in range(size)],
-        )
-        lane_a2 = Lane(
-            self.path_a2,
-            list(gate),
-            [
-                _decode_two_clock(int(a2[slot])) if gate[slot] else None
-                for slot in range(size)
-            ],
-        )
+        # Lanes copy the rows: update() advances a row while receivers
+        # still read the lane.
+        lane_a1 = Lane(self.path_a1, [True] * size, list(self.a1))
+        lane_a2 = Lane(self.path_a2, gate, list(self.a2))
         # Figure 4 line 2: the full clock ticks every beat.
-        fc = self.fc
         k = self.k
-        if numpy is not None and isinstance(fc, numpy.ndarray):
-            fc += 1
-            fc %= k
-        else:
-            for slot in range(size):
-                fc[slot] = (fc[slot] + 1) % k
+        self.fc = fc = [(clock + 1) % k for clock in self.fc]
+        threshold = self.threshold
+        save = self.save
         present = [False] * size
         payloads: list = [None] * size
-        for slot in range(size):
-            phase = ph[slot]
+        for slot, phase in enumerate(ph):
             if phase == 0:
-                present[slot] = True
-                payloads[slot] = ("fc", int(fc[slot]))
+                payloads[slot] = ("fc", fc[slot])
             elif phase == 1:
-                present[slot] = True
-                payloads[slot] = ("prop", self._proposal(slot))
+                payloads[slot] = (
+                    "prop", self._from_previous(slot, phase1_proposal, threshold)
+                )
             elif phase == 2:
-                bit, save = self._phase2(slot)
-                self.save[slot] = save
-                present[slot] = True
+                bit, save[slot] = self._from_previous(
+                    slot, phase2_bit_and_save, threshold, k
+                )
                 payloads[slot] = ("bit", bit)
-            # Phase 3 (and an unconverged A) sends nothing at this layer.
-        lane_root = Lane(self.path_root, present, payloads)
-        self._lane_root = lane_root
-        return [lane_a1, lane_a2, lane_root]
+            else:
+                # Phase 3 (and an unconverged A) sends nothing at this layer.
+                continue
+            present[slot] = True
+        return [lane_a1, lane_a2, Lane(self.path_root, present, payloads)]
 
     def _coin_order(self) -> list[tuple[str, float, float]]:
         """Coin keys in the reference's first-resolution order.
@@ -669,118 +534,66 @@ class ClockSyncProgram(BulkProgram):
                 break
         return order
 
-    def _tally_two_clock(self, delivery, path, rand, active):
-        """One 2-clock's update across all (active) slots.
-
-        Clean receivers in one partition group share one tally per rand
-        bit; dirty receivers share one per inbox class and rand bit,
-        over the class's exact per-node inbox merge.  Returns the new
-        clock values ({0, 1, ⊥}), ``None`` rows for inactive slots.
-        """
-        size = self.size
-        out: list = [None] * size
-        shared: dict = {}
-        by_class: dict = {}
-        dirty = delivery.inbox_classes(path)
+    def _step_two_clock(self, row, delivery, path, rand, active) -> None:
+        """One 2-clock's update (Figure 2 lines 3-6), written into its
+        ``row`` for the ``active`` slots (``None``: all of them): one
+        evaluation per distinct inbox and rand bit."""
         threshold = self.threshold
-        for slot in range(size):
-            if active is not None and not active[slot]:
-                continue
-            rand_bit = rand[slot]
-            if slot in dirty:
-                cache_key = (dirty[slot], rand_bit)
-                decision = by_class.get(cache_key, _MISSING)
-                if decision is _MISSING:
-                    merged = delivery.merged_inbox(path, cache_key[0])
-                    values = [
-                        rand_bit if payload is BOTTOM else payload
-                        for payload in merged.values()
-                    ]
-                    decision = _two_clock_step(values, threshold)
-                    by_class[cache_key] = decision
-                out[slot] = decision
-                continue
-            cache_key = (delivery.group_key(slot), rand_bit)
-            decision = shared.get(cache_key, _MISSING)
-            if decision is _MISSING:
-                raw = delivery.lane_values(path, cache_key[0])
-                values = [
-                    rand_bit if payload is BOTTOM else payload
-                    for payload in raw
-                ]
-                decision = _two_clock_step(values, threshold)
-                shared[cache_key] = decision
-            out[slot] = decision
-        return out
+        for inbox, slots in delivery.receivers_by_inbox(path, active):
+            decisions: dict = {}
+            for slot in slots:
+                rand_bit = rand[slot]
+                if rand_bit not in decisions:
+                    decisions[rand_bit] = two_clock_step(
+                        inbox.values(), rand_bit, threshold
+                    )
+                row[slot] = decisions[rand_bit]
 
     def update(self, beat: int, delivery: _Delivery) -> None:
-        size = self.size
         ids = self.ids
         env = self.simulation.env
-        gate = self.gate
         outcomes = {}
         for path, p0, p1 in self._coin_order():
             outcomes[path] = env.coin_outcome(path, beat, p0, p1)
         out_a1 = outcomes[self.key_a1[0]]
-        rand_a1 = [out_a1.bit_for(ids[slot]) for slot in range(size)]
+        rand_a1 = [out_a1.bit_for(node_id) for node_id in ids]
         out_a2 = outcomes.get(self.key_a2[0])
         rand_a2 = (
             None if out_a2 is None
-            else [out_a2.bit_for(ids[slot]) for slot in range(size)]
+            else [out_a2.bit_for(node_id) for node_id in ids]
         )
         if self.share_coin:
             rand_root = rand_a1
         else:
             out_root = outcomes[self.key_root[0]]
-            rand_root = [out_root.bit_for(ids[slot]) for slot in range(size)]
+            rand_root = [out_root.bit_for(node_id) for node_id in ids]
         # A's update: A1 for everyone, A2 for the gated slots, composite.
-        new_a1 = self._tally_two_clock(
-            delivery, self.path_a1, rand_a1, None
+        self._step_two_clock(self.a1, delivery, self.path_a1, rand_a1, None)
+        self._step_two_clock(
+            self.a2, delivery, self.path_a2, rand_a2, self.gate
         )
-        new_a2 = self._tally_two_clock(
-            delivery, self.path_a2, rand_a2, gate
-        )
-        a1 = self.a1
-        a2 = self.a2
-        a_clock = self.a_clock
-        for slot in range(size):
-            a1[slot] = _encode_two_clock(new_a1[slot])
-            if gate[slot]:
-                a2[slot] = _encode_two_clock(new_a2[slot])
-            c1 = a1[slot]
-            c2 = a2[slot]
-            a_clock[slot] = (
-                2 * c2 + c1 if c1 != _ENC_BOTTOM and c2 != _ENC_BOTTOM
-                else -1
-            )
+        self.a_clock = [
+            four_clock_value(c1, c2) for c1, c2 in zip(self.a1, self.a2)
+        ]
         # Figure 4 block 3.d, for the slots in phase 3.
         fc = self.fc
         save = self.save
         k = self.k
         threshold = self.threshold
-        ph = self.ph
-        for slot in range(size):
-            if ph[slot] != 3:
-                continue
-            ones, zeros = self._prev_bits(slot)
-            if ones >= threshold:
-                fc[slot] = (int(save[slot]) + 3) % k
-            elif zeros >= threshold:
-                fc[slot] = 0
-            elif rand_root[slot] == 1:
-                fc[slot] = (int(save[slot]) + 3) % k
-            else:
-                fc[slot] = 0
+        for slot, phase in enumerate(self.ph):
+            if phase == 3:
+                fc[slot] = phase3_clock(
+                    self._from_previous(slot, phase3_agreed_bit, threshold),
+                    rand_root[slot],
+                    save[slot],
+                    k,
+                )
         # This beat's root inbox becomes the next beat's ``_previous``.
-        path_root = self.path_root
-        self.prev_override = {
-            slot: delivery.merged_inbox(path_root, inbox_class)
-            for slot, inbox_class in delivery.inbox_classes(path_root).items()
-        }
-        self.prev_lane = self._lane_root
-        self.prev_group_of = delivery.group_of
-        self._prev_cache = {}
-        self._override_cache = {}
+        previous = self.previous
+        for inbox, slots in delivery.receivers_by_inbox(self.path_root):
+            for slot in slots:
+                previous[slot] = inbox
+        self._answers = {}
 
 
 # -- the Dolev-Welch baseline program --------------------------------------
@@ -790,9 +603,9 @@ class DolevWelchProgram(BulkProgram):
     """Vectorized Dolev-Welch local-coin clock (one row: the clock).
 
     The only randomness is the per-node fallback draw, taken from each
-    node's *own* RNG stream — streams are independent, and the reference
-    draws in ascending node order only on threshold misses, which is
-    exactly what the slot loop below reproduces.
+    node's *own* RNG stream only on a threshold miss, as the reference
+    does — the streams are independent, so the order the slots are
+    visited in is immaterial.
     """
 
     def __init__(self, simulation, k) -> None:
@@ -800,7 +613,7 @@ class DolevWelchProgram(BulkProgram):
         self.k = k
         self.threshold = simulation.n - simulation.f
         self.path_root = simulation.root_path
-        self.clock = _int_row(self.size)
+        self.clock: list = [0] * self.size
 
     def load(self, slots: list[int]) -> None:
         nodes = self.simulation.nodes
@@ -808,60 +621,26 @@ class DolevWelchProgram(BulkProgram):
             self.clock[slot] = int(nodes[self.ids[slot]].root.clock)
 
     def send(self, beat: int) -> list[Lane]:
-        clock = self.clock
-        size = self.size
-        return [
-            Lane(
-                self.path_root,
-                [True] * size,
-                [int(clock[slot]) for slot in range(size)],
-            )
-        ]
-
-    def _decide(self, values):
-        """The adopt-(winner+1) rule; ``None`` means "draw locally"."""
-        winner, count = most_frequent(count_values(values))
-        if (
-            winner is not BOTTOM
-            and isinstance(winner, int)
-            and count >= self.threshold
-        ):
-            return (winner + 1) % self.k
-        return None
+        return [Lane(self.path_root, [True] * self.size, list(self.clock))]
 
     def update(self, beat: int, delivery: _Delivery) -> None:
         nodes = self.simulation.nodes
-        dirty = delivery.inbox_classes(self.path_root)
-        shared: dict = {}
-        by_class: dict = {}
+        ids = self.ids
         clock = self.clock
         k = self.k
-        for slot in range(self.size):
-            if slot in dirty:
-                inbox_class = dirty[slot]
-                decision = by_class.get(inbox_class, _MISSING)
-                if decision is _MISSING:
-                    merged = delivery.merged_inbox(self.path_root, inbox_class)
-                    decision = self._decide(list(merged.values()))
-                    by_class[inbox_class] = decision
-            else:
-                group = delivery.group_key(slot)
-                decision = shared.get(group, _MISSING)
-                if decision is _MISSING:
-                    decision = self._decide(
-                        delivery.lane_values(self.path_root, group)
-                    )
-                    shared[group] = decision
-            if decision is None:
-                clock[slot] = nodes[self.ids[slot]].rng.randrange(k)
-            else:
-                clock[slot] = decision
+        for inbox, slots in delivery.receivers_by_inbox(self.path_root):
+            adopted = adopted_clock(inbox.values(), self.threshold, k)
+            for slot in slots:
+                if adopted is None:
+                    clock[slot] = nodes[ids[slot]].rng.randrange(k)
+                else:
+                    clock[slot] = adopted
 
     def flush_observables(self) -> None:
         nodes = self.simulation.nodes
         clock = self.clock
         for slot, node_id in enumerate(self.ids):
-            nodes[node_id].root.clock = int(clock[slot])
+            nodes[node_id].root.clock = clock[slot]
 
     flush_full = flush_observables
 
@@ -947,15 +726,8 @@ def _build_dolev_welch(simulation: "Simulation") -> DolevWelchProgram:
     return DolevWelchProgram(simulation, first.k)
 
 
-def _register_builtin_programs() -> None:
-    from repro.baselines.dolev_welch import DolevWelchClock
-    from repro.core.clock_sync import SSByzClockSync
-
-    register_bulk_program(SSByzClockSync, _build_clock_sync)
-    register_bulk_program(DolevWelchClock, _build_dolev_welch)
-
-
-_register_builtin_programs()
+register_bulk_program(SSByzClockSync, _build_clock_sync)
+register_bulk_program(DolevWelchClock, _build_dolev_welch)
 
 
 # -- the engine ------------------------------------------------------------
@@ -1007,8 +779,11 @@ class BulkEngine(FastEngine):
             self._program.mark_stale(node_ids)
 
     def sync_trees(self) -> None:
-        """Materialize the SoA rows back onto the component trees."""
-        if self._vector_mode and self._program is not None:
+        """Materialize the SoA rows back onto the component trees
+        (rows a scramble made stale are reloaded first, so the trees'
+        newer state is never overwritten by the rows' older one)."""
+        if self._vector_mode:
+            self._program.reload_stale()
             self._program.flush_full()
 
     def execute_beat(self, simulation: "Simulation", beat: int) -> None:
@@ -1046,7 +821,7 @@ class BulkEngine(FastEngine):
                         visible.add_broadcast(
                             sender, lane.path, lane.payloads[slot]
                         )
-            arrivals = _craft_byzantine(simulation.world, beat, visible)
+            arrivals = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(arrivals, honest=False)
             if partitioned:
                 crossing, arrivals = arrivals, []

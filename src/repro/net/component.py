@@ -105,7 +105,7 @@ class BeatContext:
         if self.phase != SEND:
             raise ProtocolViolationError("broadcast is only legal in the send phase")
         assert self._outbox is not None
-        self._outbox.broadcast(list(self.node_ids), self.path, payload)
+        self._outbox.broadcast(self.node_ids, self.path, payload)
 
     def send(self, receiver: int, payload: Hashable) -> None:
         """Send ``payload`` to one node, addressed to this component."""

@@ -69,14 +69,23 @@ __all__ = [
     "Engine",
     "FastEngine",
     "ReferenceEngine",
+    "craft_byzantine",
     "resolve_engine",
 ]
 
 
-def _craft_byzantine(
+def craft_byzantine(
     world: "World", beat: int, visible: Sequence[Envelope]
 ) -> list[Envelope]:
-    """Run the adversary phase and validate the crafted traffic."""
+    """The adversary phase of every execution path: show the strategy
+    its legal view of ``beat`` and validate the crafted traffic.
+
+    ``visible`` is what was addressed to faulty ids, in the canonical
+    (sender, emission order, faulty receiver) order; the lock-step and
+    event engines build it from their outboxes, the live
+    :class:`~repro.runtime.byzantine.ByzantineProcess` from the frames
+    its endpoints received.
+    """
     from repro.adversary.base import AdversaryView
 
     view = AdversaryView(
@@ -166,7 +175,7 @@ class ReferenceEngine:
             visible = [
                 e for e in honest_envelopes if e.receiver in simulation.faulty_ids
             ]
-            byzantine_envelopes = _craft_byzantine(simulation.world, beat, visible)
+            byzantine_envelopes = craft_byzantine(simulation.world, beat, visible)
         if not (
             self._link.is_perfect
             or (not self._in_flight and self._link.perfect_at(beat))
@@ -391,7 +400,7 @@ class FastEngine:
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
-            crafted = _craft_byzantine(simulation.world, beat, visible)
+            crafted = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(crafted, honest=False)
             for seq, envelope in enumerate(crafted):
                 if envelope.receiver in nodes:
@@ -528,7 +537,7 @@ class FastEngine:
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
-            crafted = _craft_byzantine(simulation.world, beat, visible)
+            crafted = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(crafted, honest=False)
             for seq, envelope in enumerate(crafted):
                 dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))

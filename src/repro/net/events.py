@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.engine import _craft_byzantine
+from repro.net.engine import craft_byzantine
 from repro.net.inbox import BeatInbox, group_by_path
 from repro.net.message import Envelope
 from repro.net.network import MessageStats
@@ -457,7 +457,7 @@ class ContinuousSimulation:
                 _, beat = event
                 batch = visible.pop(beat, [])
                 batch.sort()  # canonical (sender, seq, receiver) view order
-                crafted = _craft_byzantine(
+                crafted = craft_byzantine(
                     self.world, beat,
                     [envelope for _s, _q, envelope in batch],
                 )

@@ -161,7 +161,9 @@ class Outbox:
             Envelope(self._sender, int(receiver), path, payload, self._beat)
         )
 
-    def broadcast(self, node_ids: list[int], path: str, payload: Hashable) -> None:
+    def broadcast(
+        self, node_ids: Sequence[int], path: str, payload: Hashable
+    ) -> None:
         """Queue one copy of ``payload`` to every node in ``node_ids``.
 
         The paper's footnote: "broadcast" means "send the message to all
@@ -202,7 +204,7 @@ class FastOutbox:
         self._records.append((path, payload, int(receiver)))
 
     def broadcast(
-        self, node_ids: list[int], path: str, payload: Hashable
+        self, node_ids: Sequence[int], path: str, payload: Hashable
     ) -> None:
         """Queue one copy of ``payload`` to every node in ``node_ids``."""
         if len(node_ids) == self._n:

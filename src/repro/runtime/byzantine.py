@@ -26,16 +26,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.network import ensure_faulty_senders
+from repro.net.engine import craft_byzantine
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, Frame, frame_for_envelope
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import random
-
-    from repro.adversary.base import Adversary
-    from repro.net.environment import Environment
+    from repro.net.world import World
     from repro.runtime.sync import BeatSynchronizer
 
 __all__ = ["ByzantineProcess"]
@@ -45,16 +42,12 @@ class ByzantineProcess:
     """One task speaking for every faulty node over real endpoints.
 
     Args:
-        adversary: an already-``setup()`` strategy object — the
-            :class:`~repro.net.world.World`'s, so the shared RNG stream
-            stays aligned with lock-step runs.
+        world: the run's :class:`~repro.net.world.World` — its
+            already-``setup()`` adversary, faulty set, environment and
+            adversary RNG stream are the ones a lock-step run of the
+            same seed uses, through the same adversary phase
+            (:func:`~repro.net.engine.craft_byzantine`).
         endpoints: one transport endpoint per faulty id.
-        n: system size.
-        f: the protocol's fault parameter, as every
-            :class:`~repro.adversary.base.AdversaryView` reports it —
-            not the (possibly smaller) number of ids corrupted.
-        env: the shared environment (coin outcomes, rushing channel).
-        rng: the adversary's RNG stream.
         codec: the run's wire codec — the faulty peers speak whatever the
             run speaks (a Byzantine node may *garble* frames, but that is
             modeled as malformed traffic, not a codec of its own).
@@ -68,25 +61,16 @@ class ByzantineProcess:
 
     def __init__(
         self,
-        adversary: "Adversary",
+        world: "World",
         endpoints: dict[int, Endpoint],
         *,
-        n: int,
-        f: int,
-        env: "Environment",
-        rng: "random.Random",
         codec: "str | Codec" = DEFAULT_CODEC,
         synchronizer_factory,
     ) -> None:
-        self.adversary = adversary
+        self.world = world
         self.endpoints = dict(sorted(endpoints.items()))
-        self.n = n
-        self.f = f
-        self.env = env
-        self.rng = rng
         self.codec = resolve_codec(codec)
-        self.faulty_ids = frozenset(self.endpoints)
-        self.honest_ids = [i for i in range(n) if i not in self.faulty_ids]
+        self.honest_ids = list(world.nodes)
         self.messages_sent = 0
         self.frames_sent = 0
         self.dead_letters = 0
@@ -106,8 +90,8 @@ class ByzantineProcess:
 
     async def run(self, beats: int) -> None:
         """Participate in ``beats`` consecutive beats."""
-        from repro.adversary.base import AdversaryView
-
+        faulty_ids = self.world.faulty_ids
+        all_ids = range(self.world.n)
         for beat in range(beats):
             entries = []
             for node_id, synchronizer in self._synchronizers.items():
@@ -118,20 +102,9 @@ class ByzantineProcess:
             visible = [
                 envelope
                 for _key, envelope in entries
-                if envelope.sender not in self.faulty_ids
+                if envelope.sender not in faulty_ids
             ]
-            view = AdversaryView(
-                beat=beat,
-                n=self.n,
-                f=self.f,
-                faulty_ids=self.faulty_ids,
-                visible_messages=visible,
-                env=self.env,
-                rng=self.rng,
-            )
-            crafted = ensure_faulty_senders(
-                self.faulty_ids, list(self.adversary.craft_messages(view))
-            )
+            crafted = craft_byzantine(self.world, beat, visible)
             # Group per (faulty sender, honest receiver) link; the seq
             # stays global over the crafted list (dead letters included)
             # so the honest barriers' sort key matches the lock-step
@@ -139,8 +112,8 @@ class ByzantineProcess:
             batches: "dict[tuple[int, int], list[Frame]]" = {}
             for seq, envelope in enumerate(crafted):
                 if (
-                    envelope.receiver in self.faulty_ids
-                    or envelope.receiver not in range(self.n)
+                    envelope.receiver in faulty_ids
+                    or envelope.receiver not in all_ids
                 ):
                     # Faulty-to-faulty traffic is a dead letter in the
                     # simulator too: it exists only in the adversary's head.

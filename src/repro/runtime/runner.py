@@ -218,12 +218,8 @@ async def host_nodes(
         faulty = sorted(world.faulty_ids.intersection(owned_ids))
         if faulty:
             process = ByzantineProcess(
-                world.adversary,
+                world,
                 {node_id: await transport.open(node_id) for node_id in faulty},
-                n=world.n,
-                f=world.f,
-                env=world.env,
-                rng=world.adversary_rng,
                 codec=codec,
                 synchronizer_factory=barrier,
             )

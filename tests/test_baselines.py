@@ -16,7 +16,7 @@ from repro.adversary.strategies import (
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.baselines.det_clock_sync import DeterministicClockSync
-from repro.baselines.dolev_welch import DolevWelchClock
+from repro.baselines.dolev_welch import DolevWelchClock, adopted_clock
 from repro.baselines.phase_king import PhaseKingState, phase_king_rounds
 from repro.baselines.turpin_coan import TurpinCoanInstance, turpin_coan_rounds
 from repro.net.simulator import Simulation
@@ -390,3 +390,26 @@ class TestDolevWelch:
         sim.run(10)
         for node in sim.nodes.values():
             assert 0 <= node.root.clock < 4
+
+    @pytest.mark.parametrize(
+        "payloads,expected",
+        [
+            ([2, 2, 2, 0], 3),  # exactly n - f agree: adopt winner + 1
+            ([3, 3, 3, 3], 0),  # ... mod k
+            ([2, 2, 0, 0], None),  # n - f - 1: draw locally
+            ([None, None, None, 2], None),  # a ⊥ quorum is no clock
+            (["2", "2", "2"], None),
+            ([[2], [2], [2], 2], None),  # unhashable: never tallied
+            ([(2,), (2,), (2,)], None),
+            ([], None),
+        ],
+    )
+    def test_adopt_rule(self, payloads, expected):
+        """The rule the component and the bulk program share, at n=4,
+        f=1, k=4; ``None`` means the caller draws from its own stream."""
+        assert adopted_clock(payloads, 3, 4) == expected
+
+    def test_adopt_rule_yields_ints_and_handles_k_equal_one(self):
+        adopted = adopted_clock([True, 1, 1], 3, 4)
+        assert adopted == 2 and type(adopted) is int
+        assert adopted_clock([0, 0, 0], 3, 1) == 0

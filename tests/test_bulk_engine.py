@@ -27,6 +27,7 @@ from repro.analysis.campaign import (
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.analysis.experiments import TrialConfig, run_trial
+from repro.baselines.dolev_welch import DolevWelchClock
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
@@ -209,6 +210,124 @@ class TestClockSyncDifferential:
             assert mirror.a._run_a2 == root.a._run_a2
             assert mirror.a.a1.clock == root.a.a1.clock
             assert mirror.a.a2.clock == root.a.a2.clock
+
+
+def _tower_state(sim):
+    """Every tower attribute the clock-sync program mirrors, per node."""
+    return {
+        node_id: (
+            node.root.full_clock, node.root.save, node.root._phase,
+            node.root._previous, node.root.a.clock, node.root.a._run_a2,
+            node.root.a.a1.clock, node.root.a.a2.clock,
+        )
+        for node_id, node in sim.nodes.items()
+    }
+
+
+class TestRows:
+    """Rows are plain lists of the protocol's own values: ints, and
+    ``None`` for ⊥ — no second encoding to keep in step with ``core/``."""
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n, cls in ADVERSARY_REGISTRY.items() if cls)
+    )
+    def test_rows_hold_ints_and_bottom_only(self, name):
+        sim = Simulation(
+            _CLASS_N, _CLASS_F, lambda i: SSByzClockSync(6, _coin_factory),
+            adversary=ADVERSARY_REGISTRY[name](), seed=3, engine="bulk",
+        )
+        assert sim.engine.vectorized
+        program = sim.engine._program
+        domains = {
+            "fc": range(6), "save": range(6), "a_clock": (0, 1, 2, 3, None),
+            "a1": (0, 1, None), "a2": (0, 1, None), "ph": (0, 1, 2, 3, None),
+        }
+
+        def check():
+            for row_name, domain in domains.items():
+                row = getattr(program, row_name)
+                assert type(row) is list and len(row) == program.size
+                for entry in row:
+                    assert type(entry) in (int, type(None)), (row_name, entry)
+                    assert entry in domain, (row_name, entry)
+
+        sim.scramble()
+        for _ in range(10):
+            sim.run(1)
+            check()
+        sim.scramble()
+        inject_phantom_storm(
+            sim, ["root", "root/A/A1", "root/A/A2", "bogus/path"], count=200
+        )
+        for _ in range(6):
+            sim.run(1)
+            check()
+
+    def test_dolev_welch_row_holds_ints(self):
+        sim = Simulation(
+            _CLASS_N, _CLASS_F, lambda i: DolevWelchClock(6),
+            adversary=EquivocatorAdversary(), seed=3, engine="bulk",
+        )
+        assert sim.engine.vectorized
+        sim.scramble()
+        sim.run(10)
+        clock = sim.engine._program.clock
+        assert type(clock) is list
+        assert all(type(c) is int and 0 <= c < 6 for c in clock)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_load_then_flush_full_is_the_identity(self, seed):
+        """A freshly scrambled tree (⊥ included) survives the round trip
+        through the rows, whenever ``sync_trees`` is called."""
+        sim = Simulation(
+            7, 2, lambda i: SSByzClockSync(6, _coin_factory),
+            seed=seed, engine="bulk",
+        )
+        sim.scramble()
+        scrambled = _tower_state(sim)
+        sim.engine.sync_trees()
+        assert _tower_state(sim) == scrambled
+        sim.run(3)
+        sim.scramble([0, 3])
+        scrambled = {i: _tower_state(sim)[i] for i in (0, 3)}
+        sim.engine.sync_trees()
+        assert {i: _tower_state(sim)[i] for i in (0, 3)} == scrambled
+
+    def test_scrambles_draw_every_domain_value(self):
+        """The identity above is not vacuous: over its seeds the
+        scrambled 2-clocks and 4-clock visit ⊥ and every value."""
+        seen: dict = {"a1": set(), "a_clock": set()}
+        for seed in SEEDS:
+            sim = Simulation(
+                7, 2, lambda i: SSByzClockSync(6, _coin_factory),
+                seed=seed, engine="bulk",
+            )
+            sim.scramble()
+            for state in _tower_state(sim).values():
+                seen["a_clock"].add(state[4])
+                seen["a1"].add(state[6])
+        assert seen == {"a1": {0, 1, None}, "a_clock": {0, 1, 2, 3, None}}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sync_trees_after_a_scramble_keeps_the_scramble(self, seed):
+        """Materializing between a scramble and the next beat must not
+        write the rows' older state over the trees' newer one."""
+        def run(engine):
+            sim = Simulation(
+                4, 1, lambda i: SSByzClockSync(6, _coin_factory),
+                adversary=EquivocatorAdversary(), seed=seed, engine=engine,
+            )
+            monitor = ClockConvergenceMonitor(6)
+            sim.add_monitor(monitor)
+            sim.scramble()
+            sim.run(8)
+            sim.scramble()
+            if engine == "bulk":
+                sim.engine.sync_trees()
+            sim.run(12)
+            return monitor.history
+
+        assert run("reference") == run("bulk")
 
 
 #: n=13, f=4: the faulty ids are 9..12 and the nine honest receivers can

@@ -17,7 +17,7 @@ from repro.adversary.strategies import (
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.coin.local import LocalCoin
 from repro.coin.oracle import OracleCoin
-from repro.core.clock2 import SSByz2Clock
+from repro.core.clock2 import SSByz2Clock, two_clock_step
 from repro.core.majority import BOTTOM
 from repro.net.simulator import Simulation
 
@@ -220,3 +220,52 @@ class TestRobustness:
             seen.add(component.clock)
         assert seen <= {0, 1, BOTTOM}
         assert len(seen) == 3
+
+
+class TestTwoClockStep:
+    """Figure 2 lines 3-6 as the pure rule the component and the bulk
+    program both call, at n=4, f=1 (threshold n - f = 3)."""
+
+    @pytest.mark.parametrize(
+        "payloads,rand,expected",
+        [
+            ([0, 0, 0, 1], 0, 1),  # exactly n - f zeros: adopt 1 - maj
+            ([1, 1, 1, 0], 0, 0),
+            ([0, 0, 1, 1], 0, BOTTOM),  # n - f - 1 each: no quorum
+            ([BOTTOM, 0, 0, 1], 0, 1),  # line 3: ⊥ reads as rand ...
+            ([BOTTOM, 0, 0, 1], 1, BOTTOM),  # ... whichever way it fell
+            ([BOTTOM] * 4, 1, 0),  # a ⊥ majority is a rand majority
+            ([], 0, BOTTOM),
+        ],
+    )
+    def test_honest_shapes(self, payloads, rand, expected):
+        assert two_clock_step(payloads, rand, 3) == expected
+
+    @pytest.mark.parametrize(
+        "payloads",
+        [
+            [7, 7, 7, 0],  # a junk quorum never leaves the domain
+            [(0,), (0, 0), 0, 0],  # tuples are not bits
+            [[0], {0: 0}, 0, 0],  # unhashable junk is not counted
+            ["0", "0", "0", 0],
+        ],
+    )
+    def test_byzantine_junk_falls_to_bottom(self, payloads):
+        assert two_clock_step(payloads, 0, 3) is BOTTOM
+
+    @pytest.mark.parametrize("one,zero", [(True, False), (1.0, 0.0)])
+    def test_an_alias_of_a_bit_cannot_leave_the_domain(self, one, zero):
+        """``True`` and ``1.0`` tally as ``1`` and, arriving first, name
+        the winner: the new clock is still the int."""
+        clock = two_clock_step([one, 1, 1, 0], 0, 3)
+        assert clock == 0 and type(clock) is int
+        clock = two_clock_step([zero, 0, 0, 1], 0, 3)
+        assert clock == 1 and type(clock) is int
+
+    def test_unhashable_junk_does_not_hide_a_quorum(self):
+        assert two_clock_step([[1], 1, 1, 1], 0, 3) == 0
+
+    def test_reads_any_iterable_once(self):
+        inbox = {0: 1, 1: 1, 2: BOTTOM, 3: 0}
+        assert two_clock_step(inbox.values(), 1, 3) == 0
+        assert two_clock_step(iter(inbox.values()), 1, 3) == 0

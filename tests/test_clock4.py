@@ -7,7 +7,7 @@ import pytest
 from repro.adversary.strategies import EquivocatorAdversary, SplitWorldAdversary
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.coin.oracle import OracleCoin
-from repro.core.clock4 import SSByz4Clock
+from repro.core.clock4 import SSByz4Clock, four_clock_value
 from repro.net.simulator import Simulation
 
 
@@ -105,3 +105,18 @@ class TestDomains:
             component.scramble(rng)
             seen.add(component.clock)
         assert seen <= {0, 1, 2, 3, None}
+
+
+class TestFourClockValue:
+    """Figure 3 line 3 as the pure rule shared with the bulk program."""
+
+    def test_composes_two_bits(self):
+        assert [
+            four_clock_value(c1, c2) for c2 in (0, 1) for c1 in (0, 1)
+        ] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "c1,c2", [(None, 0), (1, None), (None, None), (2, 0), (0, "1")]
+    )
+    def test_bottom_unless_both_are_bits(self, c1, c2):
+        assert four_clock_value(c1, c2) is None

@@ -10,7 +10,14 @@ from __future__ import annotations
 import pytest
 
 from repro.coin.oracle import OracleCoin
-from repro.core.clock_sync import SSByzClockSync
+from repro.core.clock_sync import (
+    SSByzClockSync,
+    phase1_proposal,
+    phase2_bit_and_save,
+    phase3_agreed_bit,
+    phase3_clock,
+    tagged_values,
+)
 from repro.core.majority import BOTTOM
 from repro.net.simulator import Simulation
 
@@ -163,3 +170,98 @@ class TestBlockD:
             assert len(values) == 1  # all correct nodes act alike
             outcomes.add(values.pop())
         assert outcomes == {0, (11 + 3) % K}
+
+
+class TestRulesAsFunctions:
+    """Blocks 3.b-3.d as the pure rules the component and the bulk
+    program both call, over one payload per sender (threshold n - f)."""
+
+    T = N - F
+
+    def test_tagged_values_keeps_only_well_formed_pairs(self):
+        payloads = [
+            ("fc", 3), ("fc",), ("fc", 3, 3), ["fc", 3], "fc", None, 3,
+            ("prop", 3), ("fc", [3]), ("fc", None),
+        ]
+        assert tagged_values(payloads, "fc") == [3, [3], None]
+        assert tagged_values(payloads, "bit") == []
+
+    def test_proposal_needs_exactly_n_minus_f(self):
+        quorum = [("fc", 9)] * self.T + [("fc", 2)] * F
+        assert phase1_proposal(quorum, self.T) == 9
+        assert phase1_proposal(quorum[1:], self.T) is BOTTOM
+        assert phase1_proposal([], self.T) is BOTTOM
+
+    def test_proposal_ignores_junk_and_other_kinds(self):
+        junk = [("fc", [9]), ("prop", 9), ("fc", 9, 9), 9]
+        assert phase1_proposal(junk * self.T, self.T) is BOTTOM
+        assert phase1_proposal(junk + [("fc", 9)] * self.T, self.T) == 9
+
+    def test_proposal_reports_the_alias_that_arrived_first(self):
+        """``True == 1``: one tally, named by its first arrival — why the
+        bulk engine's inbox classes compare payloads by identity."""
+        assert phase1_proposal(
+            [("fc", True)] + [("fc", 1)] * (self.T - 1), self.T
+        ) is True
+        assert phase1_proposal(
+            [("fc", 1)] * (self.T - 1) + [("fc", True)], self.T
+        ) == 1
+
+    @pytest.mark.parametrize(
+        "proposals,expected",
+        [
+            ([11] * 3, (1, 11)),  # n - f copies: bit 1
+            ([11, 11, BOTTOM], (0, 11)),  # n - f - 1: save it, bit 0
+            ([BOTTOM] * 3, (0, 0)),  # a ⊥ majority saves 0
+            ([K + 2] * 3, (1, 2)),  # save is reduced mod k
+            (["x"] * 3, (1, 0)),  # a non-clock quorum cannot be saved
+            ([[11]] * 3, (0, 0)),  # unhashable: never tallied
+            ([], (0, 0)),
+        ],
+    )
+    def test_bit_and_save(self, proposals, expected):
+        payloads = [("prop", value) for value in proposals]
+        assert phase2_bit_and_save(payloads, self.T, K) == expected
+
+    def test_save_is_an_int_whatever_alias_won(self):
+        bit, save = phase2_bit_and_save([("prop", True)] * 3, self.T, K)
+        assert (bit, save) == (1, 1) and type(save) is int
+
+    def test_k_equal_one_saves_zero(self):
+        assert phase2_bit_and_save([("prop", 5)] * 3, self.T, 1) == (1, 0)
+
+    @pytest.mark.parametrize(
+        "bits,expected",
+        [
+            ([1, 1, 1, 0], 1),
+            ([0, 0, 0, 1], 0),
+            ([1, 1, 0, 0], BOTTOM),  # n - f - 1 of each
+            ([True, 1, 1], 1),  # an alias still counts as the bit
+            ([2, 2, 2], BOTTOM),
+            ([[1], [1], [1]], BOTTOM),
+            ([], BOTTOM),
+        ],
+    )
+    def test_agreed_bit(self, bits, expected):
+        payloads = [("bit", value) for value in bits]
+        assert phase3_agreed_bit(payloads, self.T) == expected
+
+    def test_agreed_bit_ignores_wrong_arity(self):
+        assert phase3_agreed_bit([("bit", 1, 1)] * 3, self.T) is BOTTOM
+        assert phase3_agreed_bit([("bit",)] * 3, self.T) is BOTTOM
+
+    @pytest.mark.parametrize(
+        "agreed,rand,expected",
+        [
+            (1, 0, (11 + 3) % K),  # agreement overrides the coin
+            (0, 1, 0),
+            (BOTTOM, 1, (11 + 3) % K),  # no agreement: the coin chooses
+            (BOTTOM, 0, 0),
+        ],
+    )
+    def test_phase3_clock(self, agreed, rand, expected):
+        assert phase3_clock(agreed, rand, 11, K) == expected
+
+    def test_phase3_clock_wraps_and_k_equal_one(self):
+        assert phase3_clock(1, 0, K - 1, K) == 2
+        assert phase3_clock(1, 0, 0, 1) == 0

@@ -7,16 +7,14 @@ the lock-step :class:`~repro.net.engine.ReferenceEngine` *bit-identically*
 is the only argument that the continuous-time machinery changes the
 timing model and nothing else.  Around it: drift/delay determinism
 (campaign worker counts, spec label permutations), drifting-clock
-convergence, the pulse-barrier runtime (local and TCP), the
-stalled-peer pulse timeout, and the no-numpy import leg.
+convergence, the pulse-barrier runtime (local and TCP), and the
+stalled-peer pulse timeout.
 """
 
 from __future__ import annotations
 
 import asyncio
 import hashlib
-import subprocess
-import sys
 
 import pytest
 
@@ -423,26 +421,3 @@ class TestStalledPeerPulseTimeout:
         assert result.beats_run == 3
         assert result.pulse_timeouts > 0
         assert result.health["barrier_timeouts"] > 0
-
-
-class TestNoNumpyLeg:
-    def test_event_engine_imports_without_numpy(self):
-        """The continuous-time engine must not need the ``fast`` extra."""
-        code = (
-            "import sys; sys.modules['numpy'] = None\n"
-            "from repro.net.events import run_continuous\n"
-            "from repro.core.clock_sync import SSByzClockSync\n"
-            "from repro.coin.oracle import OracleCoin\n"
-            "r = run_continuous(4, 1, lambda i: SSByzClockSync(8, "
-            "lambda: OracleCoin()), seed=0, beats=8, rho=0.003, "
-            "delay_bounds=(0.0, 0.05), k=8)\n"
-            "assert r.beats_run == 8\n"
-            "print('ok')\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True, text=True, env={"PYTHONPATH": "src"},
-            cwd=str(__import__("pathlib").Path(__file__).parent.parent),
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "ok"

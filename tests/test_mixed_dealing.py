@@ -11,6 +11,10 @@ hence the paper's theorems, remain untouched.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 from repro.adversary.mixed_dealing import MixedDealingAdversary
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.coin.feldman_micali import FeldmanMicaliCoin
@@ -161,3 +165,36 @@ class TestProtocolLevelConsequence:
         sim.scramble()
         sim.run(100)
         assert monitor.convergence_beat() is not None
+
+
+class TestSeedDeterminesTheRun:
+    """With several pipelines starting in one beat (the clock-sync tower
+    has three) the adversary opens one dealing per path, each drawing a
+    polynomial from its RNG stream: the order it meets the paths in must
+    come from the view, never from string hashing."""
+
+    _TRACE = (
+        "from dataclasses import replace\n"
+        "from repro.analysis.campaign import ScenarioSpec\n"
+        "from repro.analysis.experiments import run_trial\n"
+        "spec = ScenarioSpec(n=10, f=3, k=8, coin='gvss',\n"
+        "                    adversary='mixed-dealing', max_beats=40,\n"
+        "                    early_stop=False)\n"
+        "config = replace(spec.build_config(), trace=True)\n"
+        "print(run_trial(config, 3).to_jsonl())\n"
+    )
+
+    def _trace_under(self, hash_seed: str) -> str:
+        proc = subprocess.run(
+            [sys.executable, "-c", self._TRACE],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert proc.returncode == 0, proc.stderr[-1500:]
+        return proc.stdout
+
+    def test_trace_is_independent_of_the_hash_seed(self):
+        # Hash seeds 0 and 2 order the three pipeline paths differently.
+        trace = self._trace_under("0")
+        assert trace.count("\n") >= 40
+        assert trace == self._trace_under("2")
