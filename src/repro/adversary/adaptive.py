@@ -25,6 +25,8 @@ bit-identical across engines and reproduce from the seed alone.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.adversary.base import Adversary, AdversaryView
 from repro.adversary.payloads import mutate_payload
 from repro.net.message import Envelope
@@ -47,7 +49,7 @@ class AdaptiveAdversary(Adversary):
         #: The previous beat's visible honest traffic (read-only memory).
         self.observed: tuple[Envelope, ...] = ()
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         messages = self.adapt(view, list(self.observed))
         self.observed = tuple(
             envelope
@@ -58,7 +60,7 @@ class AdaptiveAdversary(Adversary):
 
     def adapt(
         self, view: AdversaryView, previous: list[Envelope]
-    ) -> list[Envelope]:
+    ) -> Sequence[Envelope]:
         """Choose this beat's messages from the current rushing view and
         ``previous`` — the honest traffic observed one beat ago."""
         return []
@@ -78,12 +80,12 @@ class AdaptiveEchoAdversary(AdaptiveAdversary):
 
     def adapt(
         self, view: AdversaryView, previous: list[Envelope]
-    ) -> list[Envelope]:
+    ) -> Sequence[Envelope]:
         by_path: dict[str, dict[object, int]] = {}
         for envelope in previous:
             counts = by_path.setdefault(envelope.path, {})
             counts[envelope.payload] = counts.get(envelope.payload, 0) + 1
-        messages: list[Envelope] = []
+        messages = view.traffic()
         for path in sorted(by_path):
             counts = by_path[path]
             # Deterministic plurality: ties break on the payload repr, so
@@ -92,10 +94,10 @@ class AdaptiveEchoAdversary(AdaptiveAdversary):
                 counts.items(), key=lambda item: (item[1], repr(item[0]))
             )[0]
             twisted = mutate_payload(majority, view.rng)
+            row = {
+                receiver: majority if receiver % 2 == 0 else twisted
+                for receiver in range(view.n)
+            }
             for sender in sorted(self.faulty_ids):
-                for receiver in range(view.n):
-                    payload = majority if receiver % 2 == 0 else twisted
-                    messages.append(
-                        view.make_envelope(sender, receiver, path, payload)
-                    )
+                messages.add_row(sender, path, row)
         return messages

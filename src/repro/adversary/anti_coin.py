@@ -23,8 +23,10 @@ expected-constant convergence survives the upgrade.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from repro.adversary.base import Adversary, AdversaryView
+from repro.adversary.payloads import push_or_junk
 from repro.coin.interfaces import CoinAlgorithm
 from repro.net.message import Envelope
 
@@ -63,7 +65,7 @@ class AntiCoinClock2Adversary(Adversary):
         outcome = view.resolve_coin(self.coin_path, beat, self.coin.p0, self.coin.p1)
         return outcome.bits
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         clock_values = [
             e.payload
             for e in view.visible_messages
@@ -87,8 +89,8 @@ class AntiCoinClock2Adversary(Adversary):
             for value, count in substituted.items()
             if count >= threshold_push and value in (0, 1)
         ]
-        if not pushable:
-            return self._junk_everywhere(view)
+        if not pushable:  # junk everywhere
+            return push_or_junk(view, self.faulty_ids, self.clock_path, {})
         if self.foresight > 0:
             future = self._coin_bits(view, view.beat + self.foresight)
             target_bit = next(iter(future.values()))
@@ -100,25 +102,11 @@ class AntiCoinClock2Adversary(Adversary):
             target = pushable[0]
         # Push `target` over n - f for exactly n - 2f honest receivers so
         # they adopt 1 - target while the rest stay at ⊥.
-        adopters = set(view.honest_ids[: view.n - 2 * view.f])
-        messages: list[Envelope] = []
-        for sender in sorted(self.faulty_ids):
-            for receiver in range(view.n):
-                if receiver in adopters:
-                    payload: object = target
-                else:
-                    payload = ("noise", sender)
-                messages.append(
-                    view.make_envelope(sender, receiver, self.clock_path, payload)
-                )
-        return messages
-
-    def _junk_everywhere(self, view: AdversaryView) -> list[Envelope]:
-        return [
-            view.make_envelope(sender, receiver, self.clock_path, ("noise", sender))
-            for sender in sorted(self.faulty_ids)
-            for receiver in range(view.n)
-        ]
+        adopters = view.honest_ids[: view.n - 2 * view.f]
+        return push_or_junk(
+            view, self.faulty_ids, self.clock_path,
+            dict.fromkeys(adopters, target),
+        )
 
     def choose_divergent_outputs(
         self, key: tuple[str, int], bits: dict[int, int]

@@ -24,6 +24,19 @@ engines' canonical order (sender, then the sender's emission order, then
 faulty receiver); the fast and bulk engines pass a
 :class:`~repro.net.message.FanoutView`, which builds a faulty receiver's
 copy of an honest broadcast only when a strategy asks for it.
+
+The output has the same shape.  :meth:`Adversary.craft_messages` returns
+a read-only ``Sequence[Envelope]``: the shipped strategies fill the
+:class:`~repro.net.message.CraftedTraffic` that
+:meth:`AdversaryView.traffic` hands out — one
+:meth:`~repro.net.message.CraftedTraffic.add_row` per (faulty sender,
+path) holding every receiver's payload, one ``add_envelope`` per
+genuinely point-to-point message — and a strategy that returns a plain
+list of envelopes runs unchanged.  The strategy's output *is* the
+materialized list (record by record, a row's receivers in its mapping's
+order); shared form only lets the fast and bulk engines see that many
+receivers were handed the same payload *object* — which is what they
+share work on, so build each distinct payload once.
 """
 
 from __future__ import annotations
@@ -33,7 +46,7 @@ from collections.abc import Sequence
 from functools import cached_property
 from typing import TYPE_CHECKING, Hashable
 
-from repro.net.message import Envelope, FanoutView
+from repro.net.message import CraftedTraffic, Envelope, FanoutView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.environment import CoinOutcome, Environment
@@ -123,10 +136,15 @@ class AdversaryView:
         """
         return self._env.coin_outcome(path, beat, p0, p1)
 
+    def traffic(self) -> CraftedTraffic:
+        """A fresh, empty collector for this beat's crafted messages."""
+        return CraftedTraffic(self.beat)
+
     def make_envelope(
         self, sender: int, receiver: int, path: str, payload: Hashable
     ) -> Envelope:
-        """Build a well-stamped envelope from a faulty sender."""
+        """Build a well-stamped point-to-point envelope from a faulty
+        sender."""
         return Envelope(sender, receiver, path, payload, self.beat)
 
 
@@ -163,8 +181,9 @@ class Adversary:
         self.honest_ids = [i for i in range(n) if i not in faulty_ids]
         self.rng = rng
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
-        """Return this beat's messages from all faulty nodes."""
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
+        """Return this beat's messages from all faulty nodes: a filled
+        :meth:`AdversaryView.traffic`, or any sequence of envelopes."""
         return []
 
     def choose_divergent_outputs(

@@ -20,8 +20,10 @@ boundary empirically.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 
 from repro.adversary.base import Adversary, AdversaryView
+from repro.adversary.payloads import push_or_junk
 from repro.coin.interfaces import CoinAlgorithm
 from repro.net.message import Envelope
 
@@ -57,7 +59,7 @@ class BisectorAdversary(Adversary):
         ones = sum(outcome.bits.values())
         return 1 if 2 * ones >= len(outcome.bits) else 0
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         observer = min(view.faulty_ids)
         rand = self._rand_estimate(view)
         effective: dict[int, int] = {}
@@ -70,38 +72,22 @@ class BisectorAdversary(Adversary):
                 effective[envelope.sender] = rand
         support = Counter(effective.values())
         threshold = view.n - 2 * view.f
-        messages: list[Envelope] = []
         if support[0] >= threshold and support[1] >= threshold:
             # Two-sided stall: each camp re-adopts its current effective
             # value because the opposite value is pushed past n - f at it.
-            for faulty in sorted(self.faulty_ids):
-                for receiver in range(view.n):
-                    camp = effective.get(receiver)
-                    if camp in (0, 1):
-                        payload: object = 1 - camp
-                    else:
-                        payload = ("noise", faulty)
-                    messages.append(
-                        view.make_envelope(
-                            faulty, receiver, self.clock_path, payload
-                        )
-                    )
-            return messages
-        # One-sided fallback: push the single pushable value at half the
-        # correct nodes, hoping to re-create a mixed state next beat.
-        pushable = [bit for bit in (0, 1) if support[bit] >= threshold]
-        if pushable:
-            value = pushable[0]
-            half = set(view.honest_ids[: len(view.honest_ids) // 2])
-            for faulty in sorted(self.faulty_ids):
-                for receiver in range(view.n):
-                    payload = value if receiver in half else ("noise", faulty)
-                    messages.append(
-                        view.make_envelope(
-                            faulty, receiver, self.clock_path, payload
-                        )
-                    )
-        return messages
+            pushed = {
+                receiver: 1 - camp for receiver, camp in effective.items()
+            }
+        else:
+            # One-sided fallback: push the single pushable value at half
+            # the correct nodes, hoping to re-create a mixed state next
+            # beat.
+            pushable = [bit for bit in (0, 1) if support[bit] >= threshold]
+            if not pushable:
+                return []
+            half = view.honest_ids[: len(view.honest_ids) // 2]
+            pushed = dict.fromkeys(half, pushable[0])
+        return push_or_junk(view, self.faulty_ids, self.clock_path, pushed)
 
     def choose_divergent_outputs(
         self, key: tuple[str, int], bits: dict[int, int]

@@ -23,6 +23,7 @@ fall under it.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from repro.adversary.base import Adversary, AdversaryView
 from repro.coin.field import PrimeField
@@ -46,9 +47,9 @@ class DealerAttackAdversary(Adversary):
         super().setup(n, f, faulty_ids, rng)
         self._field = PrimeField.for_system(n)
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         assert self._field is not None
-        messages: list[Envelope] = []
+        messages = view.traffic()
         # Group visible coin traffic by (path, slot, kind) and answer each.
         seen: set[tuple[str, int, str]] = set()
         for envelope in view.visible_messages:
@@ -64,45 +65,42 @@ class DealerAttackAdversary(Adversary):
                 continue
             seen.add((envelope.path, payload[0], payload[1][0]))
         for path, slot, kind in sorted(seen):
+            # A vote round draws nothing: one row serves every sender.
+            votes = self._vote_round(view, slot) if kind == "vote" else None
             for sender in sorted(self.faulty_ids):
-                messages.extend(
-                    self._attack_round(view, path, slot, kind, sender)
+                messages.add_row(
+                    sender, path,
+                    votes or self._random_round(view, slot, kind),
                 )
         return messages
 
-    def _attack_round(
-        self, view: AdversaryView, path: str, slot: int, kind: str, sender: int
-    ) -> list[Envelope]:
+    @staticmethod
+    def _vote_round(view: AdversaryView, slot: int) -> dict[int, tuple]:
+        """The vote equivocation: "everyone is fine" to the even
+        receivers, "everyone cheated" to the odd ones."""
+        fine = (slot, ("vote", tuple(range(view.n))))
+        cheated = (slot, ("vote", ()))
+        return {
+            receiver: fine if receiver % 2 == 0 else cheated
+            for receiver in range(view.n)
+        }
+
+    def _random_round(
+        self, view: AdversaryView, slot: int, kind: str
+    ) -> dict[int, tuple]:
+        """One sender's row of a drawing round: an independent random
+        body per receiver, drawn in receiver order."""
         assert self._field is not None
         rng = view.rng
         modulus = self._field.modulus
-        out: list[Envelope] = []
+        row = {}
         for receiver in range(view.n):
             if kind == "row":
-                body = (
-                    "row",
-                    tuple(rng.randrange(modulus) for _ in range(view.f + 1)),
+                body = tuple(rng.randrange(modulus) for _ in range(view.f + 1))
+            else:  # xpt, rshare
+                body = tuple(
+                    (dealer, rng.randrange(modulus))
+                    for dealer in range(view.n)
                 )
-            elif kind == "xpt":
-                body = (
-                    "xpt",
-                    tuple(
-                        (dealer, rng.randrange(modulus))
-                        for dealer in range(view.n)
-                    ),
-                )
-            elif kind == "vote":
-                if receiver % 2 == 0:
-                    body = ("vote", tuple(range(view.n)))
-                else:
-                    body = ("vote", ())
-            else:  # rshare
-                body = (
-                    "rshare",
-                    tuple(
-                        (dealer, rng.randrange(modulus))
-                        for dealer in range(view.n)
-                    ),
-                )
-            out.append(view.make_envelope(sender, receiver, path, (slot, body)))
-        return out
+            row[receiver] = (slot, (kind, body))
+        return row

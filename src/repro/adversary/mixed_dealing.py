@@ -37,6 +37,7 @@ is for.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.adversary.base import Adversary, AdversaryView
@@ -107,9 +108,9 @@ class MixedDealingAdversary(Adversary):
 
     # -- the four rounds ---------------------------------------------------
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         assert self._field is not None
-        messages: list[Envelope] = []
+        messages = view.traffic()
         for path in self._round_one_paths(view):
             self._open_dealing(view, path)
         expired = []
@@ -125,17 +126,18 @@ class MixedDealingAdversary(Adversary):
                 self._vote,
                 self._recover,
             )[round_index - 1]
-            messages.extend(handler(view, path, slot, dealing))
+            handler(view, messages, path, slot, dealing)
         for key in expired:
             del self._dealings[key]
         return messages
 
-    def _share(self, view, path, slot, dealing) -> list[Envelope]:
+    # Each round adds one row per sending faulty node to ``messages``.
+
+    def _share(self, view, messages, path, slot, dealing) -> None:
         """Consistent rows to the chosen n - 2f correct nodes, garbage
         (well-formed) rows elsewhere; only the dealer deals."""
         assert self._field is not None
-        out = []
-        dealer = self._dealer()
+        dealt = {}
         for receiver in range(view.n):
             if receiver in dealing.good_rows or receiver in view.faulty_ids:
                 row = dealing.polynomial.row(receiver)
@@ -144,59 +146,43 @@ class MixedDealingAdversary(Adversary):
                     view.rng.randrange(self._field.modulus)
                     for _ in range(view.f + 1)
                 )
-            out.append(
-                view.make_envelope(dealer, receiver, path, (slot, ("row", row)))
-            )
-        return out
+            dealt[receiver] = (slot, ("row", row))
+        messages.add_row(self._dealer(), path, dealt)
 
-    def _exchange(self, view, path, slot, dealing) -> list[Envelope]:
+    def _exchange(self, view, messages, path, slot, dealing) -> None:
         """Every faulty node backs the dealing with consistent cross
         points, so good-row holders count n - f matches and vote OK."""
-        out = []
-        for faulty in sorted(self.faulty_ids):
-            row = dealing.polynomial.row(faulty)
-            for receiver in range(view.n):
-                value = evaluate(self._field, row, node_point(receiver))
-                points = ((self._dealer(), value),)
-                out.append(
-                    view.make_envelope(
-                        faulty, receiver, path, (slot, ("xpt", points))
-                    )
-                )
-        return out
-
-    def _vote(self, view, path, slot, dealing) -> list[Envelope]:
-        out = []
-        vote = ("vote", (self._dealer(),))
-        for faulty in sorted(self.faulty_ids):
-            for receiver in range(view.n):
-                out.append(
-                    view.make_envelope(faulty, receiver, path, (slot, vote))
-                )
-        return out
-
-    def _recover(self, view, path, slot, dealing) -> list[Envelope]:
-        """The equivocation: honest shares to the aligned half (their
-        decoder reaches 2f + 1 consistent points), garbage to the rest."""
-        assert self._field is not None
-        out = []
         dealer = self._dealer()
         for faulty in sorted(self.faulty_ids):
             row = dealing.polynomial.row(faulty)
+            messages.add_row(faulty, path, {
+                receiver: (slot, ("xpt", ((
+                    dealer, evaluate(self._field, row, node_point(receiver))
+                ),)))
+                for receiver in range(view.n)
+            })
+
+    def _vote(self, view, messages, path, slot, dealing) -> None:
+        vote = (slot, ("vote", (self._dealer(),)))
+        votes = dict.fromkeys(range(view.n), vote)
+        for faulty in sorted(self.faulty_ids):
+            messages.add_row(faulty, path, votes)
+
+    def _recover(self, view, messages, path, slot, dealing) -> None:
+        """The equivocation: honest shares to the aligned half (their
+        decoder reaches 2f + 1 consistent points), garbage to the rest."""
+        assert self._field is not None
+        dealer = self._dealer()
+        modulus = self._field.modulus
+        for faulty in sorted(self.faulty_ids):
+            row = dealing.polynomial.row(faulty)
             true_share = evaluate(self._field, row, 0)
+            honest = (slot, ("rshare", ((dealer, true_share),)))
+            shares = {}
             for receiver in range(view.n):
                 if receiver in dealing.aligned:
-                    share = true_share
+                    shares[receiver] = honest
                 else:
-                    share = (true_share + 1 + view.rng.randrange(5)) % (
-                        self._field.modulus
-                    )
-                out.append(
-                    view.make_envelope(
-                        faulty,
-                        receiver,
-                        path,
-                        (slot, ("rshare", ((dealer, share),))),
-                    )
-                )
-        return out
+                    garbage = (true_share + 1 + view.rng.randrange(5)) % modulus
+                    shares[receiver] = (slot, ("rshare", ((dealer, garbage),)))
+            messages.add_row(faulty, path, shares)

@@ -10,9 +10,14 @@ the parsing and counting guards of honest code with type-correct garbage.
 from __future__ import annotations
 
 import random
-from typing import Any, Hashable
+from collections.abc import Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Hashable
 
-__all__ = ["mutate_payload", "observed_payloads"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.adversary.base import AdversaryView
+    from repro.net.message import CraftedTraffic
+
+__all__ = ["mutate_payload", "observed_payloads", "push_or_junk"]
 
 
 def observed_payloads(envelopes: list, path: str) -> list[Hashable]:
@@ -40,3 +45,22 @@ def mutate_payload(payload: Any, rng: random.Random) -> Hashable:
         mutated[index] = mutate_payload(mutated[index], rng)
         return tuple(mutated)
     return ("garbage", rng.randrange(1 << 16))
+
+
+def push_or_junk(
+    view: "AdversaryView",
+    senders: Iterable[int],
+    path: str,
+    pushed: Mapping[int, Hashable],
+) -> "CraftedTraffic":
+    """The 2-clock attacks' one move: every faulty sender tells each
+    receiver ``pushed`` names that value, and everyone else its own junk
+    — one junk object per sender, so the receivers it goes to are handed
+    the same payload and share an inbox."""
+    messages = view.traffic()
+    for sender in sorted(senders):
+        junk = ("noise", sender)
+        messages.add_row(sender, path, {
+            receiver: pushed.get(receiver, junk) for receiver in range(view.n)
+        })
+    return messages

@@ -10,6 +10,7 @@ attacks live in :mod:`repro.adversary.anti_coin` and
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 
 from repro.adversary.base import Adversary, AdversaryView
 from repro.adversary.payloads import mutate_payload
@@ -31,7 +32,7 @@ class CrashAdversary(Adversary):
     ``n - f`` thresholds from honest traffic alone.
     """
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
         return []
 
 
@@ -47,19 +48,20 @@ class RandomNoiseAdversary(Adversary):
         super().__init__()
         self.drop_rate = drop_rate
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
-        messages: list[Envelope] = []
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
+        messages = view.traffic()
+        rng = view.rng
         for path in sorted(view.visible_paths()):
             samples = view.observed_payloads(path)
             for sender in sorted(self.faulty_ids):
+                # Draws stay in receiver order; a dropped receiver is
+                # simply absent from the sender's row.
+                row = {}
                 for receiver in range(view.n):
-                    if view.rng.random() < self.drop_rate:
+                    if rng.random() < self.drop_rate:
                         continue
-                    template = view.rng.choice(samples)
-                    payload = mutate_payload(template, view.rng)
-                    messages.append(
-                        view.make_envelope(sender, receiver, path, payload)
-                    )
+                    row[receiver] = mutate_payload(rng.choice(samples), rng)
+                messages.add_row(sender, path, row)
         return messages
 
 
@@ -72,18 +74,19 @@ class EquivocatorAdversary(Adversary):
     of two contradictory variants of the observed traffic.
     """
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
-        messages: list[Envelope] = []
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
+        messages = view.traffic()
         for path in sorted(view.visible_paths()):
             samples = view.observed_payloads(path)
             variant_a = view.rng.choice(samples)
             variant_b = mutate_payload(variant_a, view.rng)
+            # Every faulty node tells the same two stories: one row.
+            row = {
+                receiver: variant_a if receiver % 2 == 0 else variant_b
+                for receiver in range(view.n)
+            }
             for sender in sorted(self.faulty_ids):
-                for receiver in range(view.n):
-                    payload = variant_a if receiver % 2 == 0 else variant_b
-                    messages.append(
-                        view.make_envelope(sender, receiver, path, payload)
-                    )
+                messages.add_row(sender, path, row)
         return messages
 
 
@@ -106,8 +109,8 @@ class SplitWorldAdversary(Adversary):
         honest = self.honest_ids
         self.group_a = frozenset(honest[: len(honest) // 2])
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
-        messages: list[Envelope] = []
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
+        messages = view.traffic()
         for path in sorted(view.visible_paths()):
             samples = view.observed_payloads(path)
             counts: dict = {}
@@ -115,12 +118,12 @@ class SplitWorldAdversary(Adversary):
                 counts[sample] = counts.get(sample, 0) + 1
             plurality = max(counts.items(), key=lambda item: item[1])[0]
             twisted = mutate_payload(plurality, view.rng)
+            row = {
+                receiver: plurality if receiver in self.group_a else twisted
+                for receiver in range(view.n)
+            }
             for sender in sorted(self.faulty_ids):
-                for receiver in range(view.n):
-                    payload = plurality if receiver in self.group_a else twisted
-                    messages.append(
-                        view.make_envelope(sender, receiver, path, payload)
-                    )
+                messages.add_row(sender, path, row)
         return messages
 
     def choose_divergent_outputs(
@@ -135,16 +138,25 @@ class ScriptedAdversary(Adversary):
     """Fully scripted behaviour for unit tests.
 
     ``script`` maps a beat number to a list of ``(sender, receiver, path,
-    payload)`` tuples; anything not scripted is silence.
+    payload)`` tuples; anything not scripted is silence.  An entry whose
+    receiver is ``None`` scripts a whole row: its payload is a mapping
+    receiver -> payload, sent as one
+    :meth:`~repro.net.message.CraftedTraffic.add_row`.
     """
 
-    def __init__(self, script: dict[int, list[tuple[int, int, str, object]]]):
+    def __init__(
+        self, script: "dict[int, list[tuple[int, int | None, str, object]]]"
+    ):
         super().__init__()
         self.script = script
 
-    def craft_messages(self, view: AdversaryView) -> list[Envelope]:
-        entries = self.script.get(view.beat, [])
-        return [
-            view.make_envelope(sender, receiver, path, payload)
-            for sender, receiver, path, payload in entries
-        ]
+    def craft_messages(self, view: AdversaryView) -> Sequence[Envelope]:
+        messages = view.traffic()
+        for sender, receiver, path, payload in self.script.get(view.beat, []):
+            if receiver is None:
+                messages.add_row(sender, path, payload)
+            else:
+                messages.add_envelope(
+                    view.make_envelope(sender, receiver, path, payload)
+                )
+        return messages

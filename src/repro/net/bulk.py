@@ -53,14 +53,18 @@ enforces this differentially, mirroring ``tests/test_engines.py``):
   per-envelope ``classify`` call would desynchronize those counters, so
   runs under them execute on the inherited :class:`FastEngine` path
   (which is itself differentially pinned against the reference).
-* **Per-message traffic still works.**  Byzantine envelopes and
-  phantoms make their receivers *dirty*: their inbox is the lane merged
-  with those extras, exactly as the reference router's sender-sorted,
-  stage-ordered delivery builds it.  Dirty receivers that were handed
-  the same messages — same partition group, same senders, the same
-  payload *objects* — form one *inbox class* and share one merge and
-  one tally, so the cost follows the number of distinct inboxes the
-  adversary made, not the number of receivers.
+* **Per-message traffic still works.**  Byzantine traffic and phantoms
+  make their receivers *dirty*: their inbox is the lane merged with
+  those extras, exactly as the reference router's sender-sorted,
+  stage-ordered delivery builds it.  Crafted traffic arrives in shared
+  form (:class:`~repro.net.message.CraftedTraffic`) and a row is kept
+  as a row — no envelope is built per receiver.  Dirty receivers that
+  were handed the same messages — same partition group, the same
+  payload *object* in every row, the same stray senders and payload
+  objects — form one *inbox class* and share one merge and one tally,
+  so a beat costs O(n · distinct rows + classes · f) per path: it
+  follows the number of distinct inboxes the adversary made, not the
+  number of receivers.
 
 Protocols opt in by registering a :class:`BulkProgram` builder for their
 root component type (:func:`register_bulk_program`); the ss-Byz
@@ -98,7 +102,7 @@ from repro.core.clock_sync import (
 from repro.core.majority import BOTTOM
 from repro.net.engine import ENGINES, FastEngine, craft_byzantine
 from repro.net.linkmodel import PartitionLinks
-from repro.net.message import Envelope, FanoutView
+from repro.net.message import Envelope, FanoutView, Row
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
@@ -112,7 +116,7 @@ __all__ = [
     "register_bulk_program",
 ]
 
-#: Cache sentinel distinguishing "not computed" from a computed ``None``.
+#: Sentinel distinguishing "not computed" / "not sent" from a ``None``.
 _MISSING = object()
 
 _SENDER_OF_ENTRY = itemgetter(0)
@@ -162,14 +166,19 @@ class Lane:
 
 
 class _Delivery:
-    """One beat's merged view of lanes + per-receiver extra traffic.
+    """One beat's merged view of lanes + per-message traffic.
 
     ``group_of`` is the per-slot partition group during a partition
-    window (``None`` otherwise: everybody shares group 0); ``extras``
-    maps honest node id -> path -> ``{sender: payload}``, each sender's
-    *first* per-message payload in the fast engine's ``(stage, seq)``
-    order (the beat's Byzantine traffic, then phantoms) — the only one
-    a first-wins inbox can show.
+    window (``None`` otherwise: everybody shares group 0).  Per-message
+    traffic comes in two shapes.  ``rows`` maps path -> the beat's
+    crafted :class:`~repro.net.message.Row` records on it, in emission
+    order (one ``payloads`` mapping may serve many senders).  ``extras``
+    maps honest node id -> path -> ``{sender: payload}``: the receiver's
+    *strays* (point-to-point crafted envelopes, then phantoms), each
+    sender's first in the fast engine's ``(stage, seq)`` order, and only
+    those no earlier row of the same sender already covers — so a
+    stashed stray precedes every row copy of its sender, and what is
+    stashed is all a first-wins inbox can show.
 
     Receivers of per-message traffic are *dirty*: their inbox differs
     from the lane.  Dirty receivers that were handed the same messages
@@ -181,15 +190,16 @@ class _Delivery:
     """
 
     __slots__ = ("ids", "slot_of", "lanes", "lane_by_path", "extras",
-                 "group_of", "_clean_cache", "_merged_cache")
+                 "group_of", "rows", "_clean_cache", "_merged_cache")
 
-    def __init__(self, ids, slot_of, lanes, extras, group_of) -> None:
+    def __init__(self, ids, slot_of, lanes, extras, group_of, rows=None) -> None:
         self.ids = ids
         self.slot_of = slot_of
         self.lanes = lanes
         self.lane_by_path = {lane.path: lane for lane in lanes}
         self.extras = extras
         self.group_of = group_of
+        self.rows = rows or {}
         self._clean_cache: dict = {}
         self._merged_cache: dict = {}
 
@@ -200,27 +210,43 @@ class _Delivery:
         """Dirty receiver slot -> its inbox class on ``path``.
 
         Two dirty receivers are in one class when they are in one
-        partition group and their extras list the same senders with the
-        same payload *objects*, in the same order — so their merged
-        inboxes are the same dict, entry for entry.  Identity, not
-        equality: ``1`` and ``True`` are equal but tally differently, so
-        equal-but-distinct payloads land in different classes, which can
-        only cost sharing.  A class is named by its first member's slot.
+        partition group, every distinct row of the path hands them the
+        same payload *object* (or neither anything), and their strays
+        list the same senders with the same payload objects, in the
+        same order — so their merged inboxes are the same dict, entry
+        for entry.  Identity, not equality: ``1`` and ``True`` are equal
+        but tally differently, so equal-but-distinct payloads land in
+        different classes, which can only cost sharing.  A class is
+        named by its first member's slot.
         """
         classes: dict[int, int] = {}
+        if not self.extras:
+            return classes
         representative: dict[tuple, int] = {}
         group_of = self.group_of
         slot_of = self.slot_of
+        ids = self.ids
+        distinct = {
+            id(row.payloads): row.payloads for row in self.rows.get(path, ())
+        }
+        # handed[slot]: what each distinct row of the path hands the
+        # receiver, by identity — read off one row (column) at a time.
+        nothing = (id(_MISSING),) * len(distinct)
+        handed = list(zip(*[
+            [id(payloads.get(node_id, _MISSING)) for node_id in ids]
+            for payloads in distinct.values()
+        ])) or [nothing] * len(ids)
         for node_id, per_path in self.extras.items():
-            first = per_path.get(path)
-            if first is None:
-                continue
             slot = slot_of[node_id]
             key = (
                 None if group_of is None else group_of[slot],
-                tuple(first),
-                tuple(map(id, first.values())),
+                handed[slot],
             )
+            first = per_path.get(path)
+            if first is not None:
+                key += (tuple(first), tuple(map(id, first.values())))
+            elif key[1] == nothing:
+                continue  # clean: nothing but the lane
             classes[slot] = representative.setdefault(key, slot)
         return classes
 
@@ -290,14 +316,20 @@ class _Delivery:
         """Exact ``first_payload_per_sender`` of a dirty receiver's inbox.
 
         Reproduces the reference router's delivery: lane traffic (a
-        sender's sole broadcast) followed by the receiver's extras,
-        under the router's stable sender sort, collapsed first-wins per
-        sender in ascending order.
+        sender's sole broadcast) followed by the receiver's per-message
+        traffic — its strays, then its copy of each row in emission
+        order, first wins per sender — under the router's stable sender
+        sort, collapsed first-wins per sender in ascending order.
         """
+        node_id = self.ids[slot]
+        first = dict(self.extras.get(node_id, {}).get(path, ()))
+        for sender, _path, payloads in self.rows.get(path, ()):
+            if sender not in first:
+                payload = payloads.get(node_id, _MISSING)
+                if payload is not _MISSING:
+                    first[sender] = payload
         entries = list(self.clean_inbox(path, self.group_key(slot)).items())
-        entries.extend(
-            self.extras.get(self.ids[slot], {}).get(path, {}).items()
-        )
+        entries.extend(first.items())
         entries.sort(key=_SENDER_OF_ENTRY)
         collapsed: dict[int, Any] = {}
         for sender, payload in entries:
@@ -806,8 +838,8 @@ class BulkEngine(FastEngine):
         partitioned = (not link.is_perfect) and link.partitioned_at(beat)
         faulty = self._faulty
         #: This beat's per-message traffic, in ``(stage, seq)`` order:
-        #: the crafted list, then the phantoms.
-        arrivals: list[Envelope] = []
+        #: the crafted records (rows and envelopes), then the phantoms.
+        arrivals: "list[Row | Envelope]" = []
 
         # -- adversary phase ----------------------------------------------
         if simulation.adversary is not None and faulty:
@@ -821,11 +853,12 @@ class BulkEngine(FastEngine):
                         visible.add_broadcast(
                             sender, lane.path, lane.payloads[slot]
                         )
-            arrivals = craft_byzantine(simulation.world, beat, visible)
-            stats.record_block(arrivals, honest=False)
+            crafted = craft_byzantine(simulation.world, beat, visible)
+            stats.record_block(crafted, honest=False)
             if partitioned:
-                crossing, arrivals = arrivals, []
-                for envelope in crossing:
+                # A partition rules copy by copy: this (rare) beat's
+                # rows are expanded and what survives arrives as strays.
+                for envelope in crafted:
                     if (
                         envelope.receiver in nodes
                         and link.classify(
@@ -835,6 +868,8 @@ class BulkEngine(FastEngine):
                         stats.record_dropped(envelope)
                     else:
                         arrivals.append(envelope)
+            else:
+                arrivals = crafted.records
 
         # -- phantom delivery (bypasses the link layer) --------------------
         if self._pending_phantoms:
@@ -842,20 +877,35 @@ class BulkEngine(FastEngine):
             stats.record_block(phantoms, honest=False)
             arrivals = arrivals + phantoms
 
-        # -- stash: each honest receiver's first payload per sender --------
-        # extras[receiver][path] = {sender: payload}; anything addressed
+        # -- stash ----------------------------------------------------------
+        # A row is kept as it came, rows[path] = [row, ...] in emission
+        # order; a stray's receiver keeps its first payload per sender,
+        # extras[receiver][path] = {sender: payload}, unless an earlier
+        # row of that sender already covers it.  Anything addressed
         # elsewhere (a faulty node, no node at all) is a dead letter.
         extras: dict[int, dict[str, dict[int, Any]]] = {}
+        rows: dict[str, list[Row]] = {}
         if arrivals:
             extras = {node_id: {} for node_id in ids}
-            for sender, receiver, path, payload, _beat in arrivals:
+            for record in arrivals:
+                if type(record) is Row:
+                    rows.setdefault(record.path, []).append(record)
+                    continue
+                sender, receiver, path, payload, _beat = record
                 per_path = extras.get(receiver)
                 if per_path is None:
                     continue
                 first = per_path.get(path)
+                if first is not None and sender in first:
+                    continue
+                if any(
+                    row.sender == sender and receiver in row.payloads
+                    for row in rows.get(path, ())
+                ):
+                    continue
                 if first is None:
                     per_path[path] = {sender: payload}
-                elif sender not in first:
+                else:
                     first[sender] = payload
 
         # -- partition structure + whole-lane drop accounting --------------
@@ -873,7 +923,8 @@ class BulkEngine(FastEngine):
 
         # -- update phase --------------------------------------------------
         program.update(
-            beat, _Delivery(ids, program.slot_of, lanes, extras, group_of)
+            beat,
+            _Delivery(ids, program.slot_of, lanes, extras, group_of, rows),
         )
         program.flush_observables()
 

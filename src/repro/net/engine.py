@@ -52,12 +52,20 @@ which sorts before phantoms claiming that sender.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from operator import itemgetter
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
 from repro.net.component import Component
-from repro.net.message import BROADCAST, Envelope, FanoutView, FastOutbox
+from repro.net.message import (
+    BROADCAST,
+    CraftedTraffic,
+    Envelope,
+    FanoutView,
+    FastOutbox,
+    Row,
+)
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
@@ -74,9 +82,15 @@ __all__ = [
 ]
 
 
+#: A receiver a row does not name.
+_ABSENT = object()
+
+_KEY_OF_ENTRY = itemgetter(0)
+
+
 def craft_byzantine(
     world: "World", beat: int, visible: Sequence[Envelope]
-) -> list[Envelope]:
+) -> CraftedTraffic:
     """The adversary phase of every execution path: show the strategy
     its legal view of ``beat`` and validate the crafted traffic.
 
@@ -84,7 +98,10 @@ def craft_byzantine(
     (sender, emission order, faulty receiver) order; the lock-step and
     event engines build it from their outboxes, the live
     :class:`~repro.runtime.byzantine.ByzantineProcess` from the frames
-    its endpoints received.
+    its endpoints received.  The result is always shared form (a plain
+    list comes back as point-to-point records), so a caller either
+    enumerates it — the strategy's envelopes, in the strategy's order —
+    or reads its ``records``.
     """
     from repro.adversary.base import AdversaryView
 
@@ -97,7 +114,7 @@ def craft_byzantine(
         env=world.env,
         rng=world.adversary_rng,
     )
-    crafted = list(world.adversary.craft_messages(view))
+    crafted = CraftedTraffic.of(beat, world.adversary.craft_messages(view))
     return ensure_faulty_senders(world.faulty_ids, crafted)
 
 
@@ -249,10 +266,15 @@ class FastEngine:
     shared per-path inbox list that every node's update phase reads —
     honest protocol code never inspects ``receiver`` and never mutates its
     inbox, which makes the sharing observationally equivalent to the
-    reference engine's per-receiver copies.  Point-to-point sends,
-    Byzantine traffic and phantoms are rarer; they take a slower merge path
-    that reproduces the reference engine's exact sender-sorted delivery
-    order (see ``_SORT_*`` below).
+    reference engine's per-receiver copies.  Everything else is merged
+    into that list in the reference engine's exact sender-sorted,
+    stage-ordered delivery order (see ``_STAGE_*`` below): point-to-point
+    sends and phantoms per receiver, and crafted rows
+    (:class:`~repro.net.message.Row`) once per inbox *class* — the
+    receivers a path's rows hand the same payload objects, and who got
+    nothing else on it, read one merged list whose Byzantine copies
+    carry ``BROADCAST`` too.  An equivocating coalition therefore costs
+    one merge per story it tells, not one per receiver.
     """
 
     name = "fast"
@@ -399,15 +421,24 @@ class FastEngine:
                         ).append(((node_id, self._STAGE_REGULAR, seq), envelope))
 
         # -- adversary phase ----------------------------------------------
+        # A row stays a row: rows[path] = [(seq, sender, payloads), ...],
+        # sorted into inbox classes at delivery.  ``seq`` is the record's
+        # position, which orders one sender's copies at one receiver
+        # exactly as their positions in the materialized list would.
+        rows: dict[str, list[tuple[int, int, Mapping]]] = {}
         if adversary_active:
             crafted = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(crafted, honest=False)
-            for seq, envelope in enumerate(crafted):
-                if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
+            for seq, record in enumerate(crafted.records):
+                if type(record) is Row:
+                    rows.setdefault(record.path, []).append(
+                        (seq, record.sender, record.payloads)
+                    )
+                elif record.receiver in nodes:
+                    extras.setdefault(record.receiver, {}).setdefault(
+                        record.path, []
                     ).append(
-                        ((envelope.sender, self._STAGE_REGULAR, seq), envelope)
+                        ((record.sender, self._STAGE_REGULAR, seq), record)
                     )
 
         # -- phantom delivery ---------------------------------------------
@@ -428,13 +459,21 @@ class FastEngine:
         path_names = self._path_names
         for path_id in touched:
             shared_inbox[path_names[path_id]] = shared_envs[path_id]
-        if not extras:  # pure-broadcast beat: every node reads one dict
+        if not extras and not rows:
+            # Pure-broadcast beat: every node reads one dict.
             for node in active.values():
                 node.update_phase(beat, shared_inbox)
             return
+        # Receivers a path's rows handed the same payload *objects* form
+        # one inbox class: classes[path] = (the path's distinct row
+        # mappings, {class key: [row entries, merged inbox or None]}).
+        classes = {
+            path: (list({id(row[2]): row[2] for row in path_rows}.values()), {})
+            for path, path_rows in rows.items()
+        }
         for node_id, node in active.items():
             node_extras = extras.get(node_id)
-            if node_extras is None:
+            if node_extras is None and not rows:
                 node.update_phase(beat, shared_inbox)
                 continue
             inbox = self._merge_inboxes.get(node_id)
@@ -443,23 +482,65 @@ class FastEngine:
             else:
                 inbox.clear()
             inbox.update(shared_inbox)
-            for path, entries in node_extras.items():
-                base = shared_inbox.get(path)
-                if base is not None:
-                    path_id = path_ids[path]
-                    merged = [
-                        ((sender, self._STAGE_REGULAR, seq), envelope)
-                        for (sender, seq), envelope in zip(
-                            shared_keys[path_id], base
-                        )
+            if node_extras is not None:
+                for path, entries in node_extras.items():
+                    if path not in rows:
+                        inbox[path] = self._merged(path, entries)
+            for path, path_rows in rows.items():
+                distinct, by_key = classes[path]
+                key = tuple(
+                    [id(payloads.get(node_id, _ABSENT)) for payloads in distinct]
+                )
+                shared = by_key.get(key)
+                if shared is None:
+                    # Built once per class; the copies carry BROADCAST as
+                    # receiver, as shared honest envelopes do.
+                    shared = by_key[key] = [
+                        [
+                            (
+                                (sender, self._STAGE_REGULAR, seq),
+                                Envelope(
+                                    sender, BROADCAST, path,
+                                    payloads[node_id], beat,
+                                ),
+                            )
+                            for seq, sender, payloads in path_rows
+                            if node_id in payloads
+                        ],
+                        None,
                     ]
-                    merged.extend(entries)
-                else:
-                    merged = entries
-                if len(merged) > 1:
-                    merged.sort(key=lambda item: item[0])
-                inbox[path] = [envelope for _, envelope in merged]
+                own = None if node_extras is None else node_extras.get(path)
+                if own is not None:
+                    inbox[path] = self._merged(path, shared[0] + own)
+                    continue
+                if shared[1] is None:
+                    shared[1] = self._merged(path, shared[0])
+                inbox[path] = shared[1]
             node.update_phase(beat, inbox)
+
+    def _merged(
+        self,
+        path: str,
+        entries: list[tuple[tuple[int, int, int], Envelope]],
+    ) -> list[Envelope]:
+        """This beat's inbox on ``path`` for whoever received ``entries``
+        (``((sender, stage, seq), envelope)`` pairs) besides the shared
+        honest broadcasts: the reference router's sender-sorted,
+        stage-ordered delivery."""
+        base = self._shared_inbox.get(path)
+        if base is None:
+            merged = list(entries)
+        else:
+            merged = [
+                ((sender, self._STAGE_REGULAR, seq), envelope)
+                for (sender, seq), envelope in zip(
+                    self._shared_keys[self._path_ids[path]], base
+                )
+            ]
+            merged.extend(entries)
+        if len(merged) > 1:
+            merged.sort(key=_KEY_OF_ENTRY)
+        return [envelope for _, envelope in merged]
 
     # -- linked beat execution ---------------------------------------------
 

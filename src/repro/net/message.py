@@ -16,10 +16,19 @@ hashable in a payload, and all receiving code is written to tolerate that.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from itertools import islice
 from typing import Hashable, NamedTuple
 
-__all__ = ["BROADCAST", "Envelope", "FanoutView", "FastOutbox", "Outbox"]
+__all__ = [
+    "BROADCAST",
+    "CraftedTraffic",
+    "Envelope",
+    "FanoutView",
+    "FastOutbox",
+    "Outbox",
+    "Row",
+]
 
 #: Pseudo-destination meaning "send one copy to every node (including self)".
 BROADCAST = -1
@@ -56,7 +65,50 @@ class Envelope(NamedTuple):
         )
 
 
-class FanoutView(Sequence):
+class _SharedForm(Sequence):
+    """A read-only ``Sequence[Envelope]`` held as records, one per
+    logical send.
+
+    A record stands for zero or more copies and builds one only when it
+    is asked for; ``len``, indexing, slicing and iteration yield exactly
+    the envelopes, in exactly the order, of the materialized list.
+    Subclasses say what a record is (:meth:`_copy`, ``__iter__``); the
+    index arithmetic lives here, once.
+    """
+
+    __slots__ = ("_beat", "_records", "_starts", "_length")
+
+    def __init__(self, beat: int) -> None:
+        self._beat = beat
+        self._records: list = []
+        #: Position of each record's first envelope.
+        self._starts: list[int] = []
+        self._length = 0
+
+    def _append(self, record, copies: int) -> None:
+        self._records.append(record)
+        self._starts.append(self._length)
+        self._length += copies
+
+    def _copy(self, record, offset: int) -> Envelope:
+        """The ``offset``-th envelope ``record`` stands for."""
+        raise NotImplementedError
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(self._length))]
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("index out of range")
+        record = bisect_right(self._starts, index) - 1
+        return self._copy(self._records[record], index - self._starts[record])
+
+
+class FanoutView(_SharedForm):
     """One beat's legal adversary view, in shared form.
 
     The view is every copy addressed to a faulty node, in the engines'
@@ -64,40 +116,30 @@ class FanoutView(Sequence):
     then faulty receiver ascending.  An honest full broadcast is held as
     one ``(sender, path, payload)`` record standing for one copy per
     faulty id; a point-to-point send to a faulty node is held as its
-    envelope, in emission position.  ``len``, indexing, slicing and
-    iteration yield exactly the envelopes, in exactly the order, of the
-    materialized list — built only when a strategy asks for them.
+    envelope, in emission position.  Either way the record is ``(sender,
+    path, payload, envelope)``, ``envelope`` being ``None`` for a full
+    broadcast and the message itself otherwise.
     """
 
-    __slots__ = ("_beat", "_faulty", "_records", "_starts", "_length")
+    __slots__ = ("_faulty",)
 
     def __init__(self, beat: int, faulty: tuple[int, ...]) -> None:
-        self._beat = beat
+        super().__init__(beat)
         #: The faulty ids, ascending.
         self._faulty = faulty
-        #: ``(sender, path, payload, envelope)``; ``envelope`` is ``None``
-        #: for a full broadcast and the message itself otherwise.
-        self._records: list[tuple[int, str, Hashable, Envelope | None]] = []
-        #: Position of each record's first envelope.
-        self._starts: list[int] = []
-        self._length = 0
 
     def add_broadcast(self, sender: int, path: str, payload: Hashable) -> None:
         """Record one honest full broadcast (one copy per faulty id)."""
+        # ``_append``, inlined: every honest broadcast of every beat.
         self._records.append((sender, path, payload, None))
         self._starts.append(self._length)
         self._length += len(self._faulty)
 
     def add_envelope(self, envelope: Envelope) -> None:
         """Record one point-to-point message to a faulty receiver."""
-        self._records.append(
-            (envelope.sender, envelope.path, envelope.payload, envelope)
+        self._append(
+            (envelope.sender, envelope.path, envelope.payload, envelope), 1
         )
-        self._starts.append(self._length)
-        self._length += 1
-
-    def __len__(self) -> int:
-        return self._length
 
     def __iter__(self):
         beat = self._beat
@@ -109,18 +151,12 @@ class FanoutView(Sequence):
             else:
                 yield envelope
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(self._length))]
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("view index out of range")
-        record = bisect_right(self._starts, index) - 1
-        sender, path, payload, envelope = self._records[record]
+    def _copy(self, record, offset: int) -> Envelope:
+        sender, path, payload, envelope = record
         if envelope is None:
-            receiver = self._faulty[index - self._starts[record]]
-            return Envelope(sender, receiver, path, payload, self._beat)
+            return Envelope(
+                sender, self._faulty[offset], path, payload, self._beat
+            )
         return envelope
 
     def by_path(self) -> dict[str, tuple[list[Hashable], "FanoutView"]]:
@@ -140,6 +176,95 @@ class FanoutView(Sequence):
                 payloads.append(payload)
                 messages.add_envelope(envelope)
         return index
+
+
+class Row(NamedTuple):
+    """One faulty sender's traffic on one path: ``payloads`` maps
+    receiver -> payload, one copy per entry, in the mapping's own order
+    (ascending receiver, as the loop over ``range(n)`` it replaces).
+    One mapping may be handed to many senders; it is never written."""
+
+    sender: int
+    path: str
+    payloads: Mapping[int, Hashable]
+
+
+class CraftedTraffic(_SharedForm):
+    """One beat's Byzantine traffic, in shared form — the output twin of
+    :class:`FanoutView`.
+
+    Records, in emission order, are :class:`Row` values (one sender, one
+    path, every receiver's payload) and point-to-point envelopes.  The
+    materialized order is record by record, a row's copies in its
+    mapping's order; that list *is* the strategy's output — shared form
+    changes what a beat costs, never its content or order.  Engines that
+    share work read :attr:`records`; everything else iterates.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, beat: int, crafted: "Sequence[Envelope]") -> "CraftedTraffic":
+        """``crafted`` itself when it is already in shared form, else
+        its envelopes as point-to-point records."""
+        if isinstance(crafted, cls):
+            return crafted
+        traffic = cls(beat)
+        traffic._records = list(crafted)
+        traffic._starts = list(range(len(traffic._records)))
+        traffic._length = len(traffic._records)
+        return traffic
+
+    @property
+    def records(self) -> "list[Row | Envelope]":
+        """The records, in emission order (read-only)."""
+        return self._records
+
+    def add_row(
+        self, sender: int, path: str, payloads: Mapping[int, Hashable]
+    ) -> None:
+        """Record ``sender``'s copies on ``path``: one per entry of
+        ``payloads``.  An empty mapping sends nothing and records nothing."""
+        if payloads:
+            self._append(Row(sender, path, payloads), len(payloads))
+
+    def add_envelope(self, envelope: Envelope) -> None:
+        """Record one point-to-point message."""
+        self._append(envelope, 1)
+
+    def __iter__(self):
+        beat = self._beat
+        for record in self._records:
+            if type(record) is Row:
+                sender, path, payloads = record
+                for receiver, payload in payloads.items():
+                    yield Envelope(sender, receiver, path, payload, beat)
+            else:
+                yield record
+
+    def _copy(self, record, offset: int) -> Envelope:
+        if type(record) is Row:
+            receiver, payload = next(
+                islice(record.payloads.items(), offset, None)
+            )
+            return Envelope(
+                record.sender, receiver, record.path, payload, self._beat
+            )
+        return record
+
+    def copies_per_path(self) -> "dict[tuple[str, int], int]":
+        """``(path, send beat) -> copies``, tallied per record."""
+        beat = self._beat
+        copies: dict[tuple[str, int], int] = {}
+        for record in self._records:
+            if type(record) is Row:
+                key = (record.path, beat)
+                count = len(record.payloads)
+            else:
+                key = (record.path, record.beat)
+                count = 1
+            copies[key] = copies.get(key, 0) + count
+        return copies
 
 
 class Outbox:

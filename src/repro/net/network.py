@@ -13,11 +13,12 @@ states.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
 from repro.errors import ProtocolViolationError
-from repro.net.message import Envelope
+from repro.net.message import CraftedTraffic, Envelope
 
 __all__ = ["MessageStats", "Router", "ensure_faulty_senders"]
 
@@ -27,8 +28,8 @@ _PATH = attrgetter("path")
 
 
 def ensure_faulty_senders(
-    faulty_ids: frozenset[int], envelopes: list[Envelope]
-) -> list[Envelope]:
+    faulty_ids: frozenset[int], envelopes: Sequence[Envelope]
+) -> Sequence[Envelope]:
     """Reject adversary envelopes that forge an honest sender identity.
 
     Definition 2.2 item 2: a non-faulty network does not tamper with sender
@@ -36,13 +37,18 @@ def ensure_faulty_senders(
     indicate a buggy adversary implementation and raise, since silently
     dropping them would make attacks look weaker than written.
     """
-    # The sender *column* is checked as a set; the per-envelope walk runs
-    # only to name the first forger.
-    if not faulty_ids.issuperset(map(_SENDER, envelopes)):
-        for envelope in envelopes:
-            if envelope.sender not in faulty_ids:
+    # Shared form is checked record by record (a row names its sender
+    # once).  The sender *column* is checked as a set; the walk runs only
+    # to name the first forger.
+    records = (
+        envelopes.records if isinstance(envelopes, CraftedTraffic)
+        else envelopes
+    )
+    if not faulty_ids.issuperset(map(_SENDER, records)):
+        for record in records:
+            if record.sender not in faulty_ids:
                 raise ProtocolViolationError(
-                    f"adversary forged sender {envelope.sender}, faulty ids "
+                    f"adversary forged sender {record.sender}, faulty ids "
                     f"are {sorted(faulty_ids)}"
                 )
     return envelopes
@@ -90,11 +96,15 @@ class MessageStats:
         self.per_beat[envelope.beat] += 1
         self.per_path_prefix[self.prefix_of(envelope.path)] += 1
 
-    def record_block(self, envelopes: list[Envelope], honest: bool) -> None:
+    def record_block(self, envelopes: Sequence[Envelope], honest: bool) -> None:
         """Exactly :meth:`record` for each envelope, tallied column-wise:
-        one :meth:`record_fanout` per distinct (path, beat)."""
-        columns = zip(map(_PATH, envelopes), map(_BEAT, envelopes))
-        for (path, beat), copies in Counter(columns).items():
+        one :meth:`record_fanout` per distinct (path, beat).  Shared form
+        is tallied per record — a row adds its length."""
+        if isinstance(envelopes, CraftedTraffic):
+            tally = envelopes.copies_per_path()
+        else:
+            tally = Counter(zip(map(_PATH, envelopes), map(_BEAT, envelopes)))
+        for (path, beat), copies in tally.items():
             self.record_fanout(path, beat, copies, honest)
 
     def record_fanout(

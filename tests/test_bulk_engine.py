@@ -11,14 +11,19 @@ stands on; it mirrors (and extends) ``tests/test_engines.py``.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary import (
     AdaptiveEchoAdversary,
+    Adversary,
     EquivocatorAdversary,
+    RandomNoiseAdversary,
     ScriptedAdversary,
     SplitWorldAdversary,
+    mutate_payload,
 )
 from repro.analysis.campaign import (
     ADVERSARY_REGISTRY,
@@ -40,9 +45,9 @@ from repro.net.bulk import (
     build_bulk_program,
     has_bulk_program,
 )
-from repro.net.engine import ENGINES, resolve_engine
+from repro.net.engine import ENGINES, FastEngine, resolve_engine
 from repro.net.linkmodel import make_link
-from repro.net.message import Envelope
+from repro.net.message import Envelope, Row
 from repro.net.simulator import Simulation
 
 # Heavyweight differential matrix: deselected by the CI fast lane.
@@ -86,11 +91,20 @@ def _observe(engine, seed, adversary_factory, *, beats=40, storm_at=None,
     monitor = ClockConvergenceMonitor(k)
     sim.add_monitor(monitor)
     sim.scramble()
+    kept = []
     if phantoms is not None:
+        # Scripted runs are read beat by beat: every root inbox, not
+        # just the last one, is an observable.
         for beat in range(beats):
             if beat in phantoms:
                 sim.inject_phantoms(list(phantoms[beat]))
             sim.run(1)
+            if engine == "bulk":
+                sim.engine.sync_trees()
+            kept.append([
+                repr(getattr(node.root, "_previous", None))
+                for node in sim.nodes.values()
+            ])
     elif storm_at is None:
         sim.run(beats)
     else:
@@ -109,6 +123,7 @@ def _observe(engine, seed, adversary_factory, *, beats=40, storm_at=None,
         # of the two a node holds.
         [repr(getattr(node.root, "_previous", None))
          for node in sim.nodes.values()],
+        kept,
         monitor.history,
         monitor.convergence_beat(),
         sim.stats.total_messages,
@@ -391,6 +406,37 @@ def _expand(volley):
     ]
 
 
+def _as_rows(volley):
+    """The volley in shared form: one row per shot, dead letters (the
+    faulty receivers) included.  Shots that tell the same story are
+    handed one mapping *object*, and a twisted shot's twin is built
+    once, so rows share payload objects the way a strategy's do."""
+    path, shots = volley
+    stories: dict = {}
+    entries = []
+    for sender, payload, twisted in shots:
+        story = (repr(payload), twisted)
+        if story not in stories:
+            twin = _alias(payload) if twisted else payload
+            stories[story] = {
+                receiver: twin if receiver % 2 else payload
+                for receiver in range(_CLASS_N)
+            }
+        entries.append((sender, None, path, stories[story]))
+    return entries
+
+
+def _materialized(entries):
+    """Scripted entries with every row replaced by its envelopes."""
+    return [
+        (sender, target, path, payload)
+        for sender, receiver, path, what in entries
+        for target, payload in (
+            what.items() if receiver is None else ((receiver, what),)
+        )
+    ]
+
+
 #: One phantom: it may claim an honest sender, or a faulty one that the
 #: script also speaks for on the same beat.  Receiver ``None`` sends it
 #: to every honest node — phantoms bypass the links, so that is how
@@ -407,9 +453,21 @@ class TestInboxClasses:
     @pytest.mark.parametrize(
         "name", sorted(n for n, cls in ADVERSARY_REGISTRY.items() if cls)
     )
-    def test_registered_adversaries_identical(self, name):
-        """``noise`` is the no-sharing case: every payload is fresh, so
-        every receiver is a class of its own."""
+    def test_registered_adversaries_identical(self, name, monkeypatch):
+        """And the runs are not vacuous for sharing: the two-story
+        strategies put several receivers in one class, while ``noise``
+        — a fresh payload per copy — leaves nearly every receiver in a
+        class of its own (nearly: CPython's small ints are one object
+        each, so two receivers can draw identical rows by chance)."""
+        class_sizes: Counter = Counter()
+        inbox_classes = _Delivery.inbox_classes
+
+        def sized(delivery, path):
+            classes = inbox_classes(delivery, path)
+            class_sizes.update(Counter(classes.values()).values())
+            return classes
+
+        monkeypatch.setattr(_Delivery, "inbox_classes", sized)
         adversary_factory = ADVERSARY_REGISTRY[name]
         for seed in range(3):
             ref, fast, bulk = (
@@ -421,13 +479,88 @@ class TestInboxClasses:
             )
             assert ref == fast
             assert ref == bulk
+        if name in ("equivocator", "split-world", "adaptive"):
+            assert max(class_sizes) >= 2
+        elif name == "noise":
+            assert class_sizes[1] > 0.95 * sum(class_sizes.values())
 
-    @settings(max_examples=40)
+    @pytest.mark.parametrize("engine", ["reference", "fast", "bulk"])
+    def test_rows_and_strays_of_one_sender_first_wins(self, engine):
+        """One beat, by hand: a sender's first copy at a receiver is the
+        one it sees, whether that copy is a stray or a row's — strays
+        before and after rows, a row that skips a receiver, two rows
+        from one sender, senders out of order."""
+        everyone = range(_CLASS_N)
+        script = {0: [
+            (9, 0, "root", ("fc", 1)),                      # precedes 9's row
+            (9, None, "root", dict.fromkeys(everyone, ("fc", 2))),
+            (10, None, "root", {r: ("fc", 3) for r in everyone if r != 2}),
+            (10, 1, "root", ("fc", 4)),                     # follows 10's row
+            (10, 2, "root", ("fc", 4)),                     # ...which skipped 2
+            (10, None, "root", dict.fromkeys(everyone, ("fc", 5))),
+            (12, None, "root", dict.fromkeys(everyone, ("fc", 6))),
+            (11, None, "root", dict.fromkeys(everyone, ("fc", 7))),
+        ]}
+        sim = Simulation(
+            _CLASS_N, _CLASS_F, lambda i: SSByzClockSync(6, _coin_factory),
+            adversary=ScriptedAdversary(script), seed=0, engine=engine,
+        )
+        sim.scramble()
+        sim.run(1)
+        if engine == "bulk":
+            assert sim.engine.vectorized
+            sim.engine.sync_trees()
+        for receiver, node in sim.nodes.items():
+            crafted = {
+                sender: payload
+                for sender, payload in node.root._previous.items()
+                if sender in sim.faulty_ids
+            }
+            assert list(crafted.items()) == [
+                (9, ("fc", 1 if receiver == 0 else 2)),
+                (10, ("fc", 4 if receiver == 2 else 3)),
+                (11, ("fc", 7)),
+                (12, ("fc", 6)),
+            ]
+
+    def test_a_strategy_returning_a_plain_list_runs_unchanged(self):
+        """The equivocator as it was written before shared form —
+        double loop, one ``make_envelope`` per copy, a plain list — is
+        the same run as the shipped one, on every engine and link."""
+
+        class ListEquivocator(Adversary):
+            def craft_messages(self, view):
+                messages = []
+                for path in sorted(view.visible_paths()):
+                    samples = view.observed_payloads(path)
+                    variant_a = view.rng.choice(samples)
+                    variant_b = mutate_payload(variant_a, view.rng)
+                    for sender in sorted(self.faulty_ids):
+                        for receiver in range(view.n):
+                            messages.append(view.make_envelope(
+                                sender, receiver, path,
+                                variant_a if receiver % 2 == 0 else variant_b,
+                            ))
+                return messages
+
+        for link, params in (("perfect", None),) + LINKS[1:3]:
+            runs = [
+                _observe(
+                    engine, 1, adversary, beats=30, n=_CLASS_N, f=_CLASS_F,
+                    link=link, link_params=params,
+                )
+                for adversary in (ListEquivocator, EquivocatorAdversary)
+                for engine in ("reference", "fast", "bulk")
+            ]
+            assert all(run == runs[0] for run in runs)
+
+    @settings(max_examples=80)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
         plan=st.dictionaries(
             _BEATS,
             st.tuples(
+                st.lists(_SCRIPTED, max_size=4),
                 st.lists(_VOLLEY, max_size=3),
                 st.lists(_SCRIPTED, max_size=10),
             ),
@@ -437,18 +570,28 @@ class TestInboxClasses:
             _BEATS, st.lists(_PHANTOM, min_size=1, max_size=6), max_size=6
         ),
         partitioned=st.booleans(),
+        as_rows=st.booleans(),
     )
     def test_scripted_traffic_identical(
-        self, seed, plan, phantoms, partitioned
+        self, seed, plan, phantoms, partitioned, as_rows
     ):
         """Duplicate messages per sender (first wins), senders out of
         ascending order, ``True``/``1`` aliasing payloads, phantoms
         claiming honest senders and a partition window: the class key
-        must separate every pair of receivers the reference separates."""
+        must separate every pair of receivers the reference separates.
+
+        ``as_rows`` scripts each volley in shared form — several rows
+        from one sender on one path, strays of the same sender before
+        and after them — for the two sharing engines, while the
+        reference is handed the envelope list those rows stand for."""
+        scripted = _as_rows if as_rows else _expand
         script = {
-            beat: [e for volley in volleys for e in _expand(volley)] + strays
-            for beat, (volleys, strays) in plan.items()
+            beat: early
+            + [e for volley in volleys for e in scripted(volley)]
+            + late
+            for beat, (early, volleys, late) in plan.items()
         }
+        flat = {beat: _materialized(entries) for beat, entries in script.items()}
         honest = range(_CLASS_N - _CLASS_F)
         stale = {
             beat: [
@@ -461,8 +604,11 @@ class TestInboxClasses:
         link = {"link": "partition", "link_params": {"split": 2, "heal": 8}}
         ref, fast, bulk = (
             _observe(
-                engine, seed, lambda: ScriptedAdversary(script), beats=12,
-                n=_CLASS_N, f=_CLASS_F, phantoms=stale,
+                engine, seed,
+                lambda: ScriptedAdversary(
+                    flat if engine == "reference" else script
+                ),
+                beats=12, n=_CLASS_N, f=_CLASS_F, phantoms=stale,
                 **(link if partitioned else {}),
             )
             for engine in ("reference", "fast", "bulk")
@@ -483,14 +629,24 @@ class TestInboxClasses:
         strays=st.lists(
             st.tuples(_ANYONE, _HONEST, _ALIASING_PAYLOADS), max_size=3
         ),
+        rows=st.lists(
+            st.tuples(
+                _ANYONE, _ALIASING_PAYLOADS, st.booleans(),
+                st.sets(_HONEST, max_size=3),
+            ),
+            max_size=5,
+        ),
     )
     def test_class_merge_is_every_members_exact_merge(
-        self, present, groups, shots, strays
+        self, present, groups, shots, strays, rows
     ):
         """The invariant the sharing rests on, checked on ``_Delivery``
         itself: a class's one merge is, sender for sender and payload
         *object* for payload object, the exact merge of each member —
-        whatever the lane, the partition groups and the extras."""
+        whatever the lane, the partition groups, the strays and the rows
+        (each skipping a few receivers, some repeating a sender) — and
+        that merge is the definition's: lane, strays, rows, stably
+        sorted by sender, first wins."""
         ids = list(range(9))
         lane = Lane("p", present, [("fc", slot % 3) for slot in ids])
         extras = {node_id: {} for node_id in ids}
@@ -502,68 +658,136 @@ class TestInboxClasses:
                 )
         for sender, receiver, payload in strays:
             extras[receiver].setdefault("p", {}).setdefault(sender, payload)
+        on_path = []
+        for sender, payload, twisted, skipped in rows:
+            twin = _alias(payload)
+            on_path.append(Row(sender, "p", {
+                receiver: twin if twisted and receiver % 2 else payload
+                for receiver in ids if receiver not in skipped
+            }))
         delivery = _Delivery(
-            ids, {node_id: node_id for node_id in ids}, [lane], extras, groups
+            ids, {node_id: node_id for node_id in ids}, [lane], extras,
+            groups, {"p": on_path},
         )
         classes = delivery.inbox_classes("p")
-        assert set(classes) == {r for r in ids if "p" in extras[r]}
+        assert set(classes) == {
+            r for r in ids
+            if "p" in extras[r] or any(r in row.payloads for row in on_path)
+        }
         for slot, inbox_class in classes.items():
             shared = delivery.merged_inbox("p", inbox_class)
             exact = delivery.merged_first_per_sender("p", slot)
-            assert list(shared) == list(exact)
-            for ours, theirs in zip(shared.values(), exact.values()):
-                assert ours is theirs
+            entries = [
+                (ids[sender_slot], lane.payloads[sender_slot])
+                for sender_slot in lane.sender_slots(groups, delivery.group_key(slot))
+            ]
+            entries += extras[slot].get("p", {}).items()
+            entries += [
+                (row.sender, row.payloads[slot]) for row in on_path
+                if slot in row.payloads
+            ]
+            entries.sort(key=lambda entry: entry[0])
+            defined: dict = {}
+            for sender, payload in entries:
+                defined.setdefault(sender, payload)
+            assert list(shared) == list(exact) == list(defined)
+            for ours, theirs, wanted in zip(
+                shared.values(), exact.values(), defined.values()
+            ):
+                assert ours is theirs is wanted
 
 
 class TestSharedFormCounts:
     """Counts repeat exactly where timings do not: what one beat of
-    Byzantine traffic may cost on the bulk engine, at n=16, f=5."""
+    Byzantine traffic may cost on the sharing engines, at n=16, f=5."""
 
     @staticmethod
-    def _run(adversary, monkeypatch, beats=24):
+    def _run(adversary, monkeypatch, beats=24, engine="bulk"):
         """(exact merges per (path, beat), honest-to-faulty envelopes
-        built) of one scrambled run."""
+        built, faulty-sender envelopes built per (path, beat)) of one
+        scrambled run.  A merge is a ``_Delivery`` first-per-sender
+        merge on ``bulk`` and a merged inbox list on ``fast``."""
         sim = Simulation(
             16, 5, lambda i: SSByzClockSync(6, _coin_factory),
-            adversary=adversary, seed=2, engine="bulk",
+            adversary=adversary, seed=2, engine=engine,
         )
-        assert sim.engine.vectorized
-        merges: dict = {}
+        assert engine != "bulk" or sim.engine.vectorized
+        merges: Counter = Counter()
         view_copies = []
-        merge = _Delivery.merged_first_per_sender
+        crafted_copies: Counter = Counter()
+        owner, method = {
+            "bulk": (_Delivery, "merged_first_per_sender"),
+            "fast": (FastEngine, "_merged"),
+        }[engine]
+        merge = getattr(owner, method)
         build = Envelope.__new__
 
-        def counted_merge(delivery, path, slot):
-            key = (path, sim.beat)
-            merges[key] = merges.get(key, 0) + 1
-            return merge(delivery, path, slot)
+        def counted_merge(self, path, *rest):
+            merges[path, sim.beat] += 1
+            return merge(self, path, *rest)
 
         def counted_build(cls, sender, receiver, path, payload, beat):
-            if receiver in sim.faulty_ids and sender not in sim.faulty_ids:
+            if sender in sim.faulty_ids:
+                crafted_copies[path, beat] += 1
+            elif receiver in sim.faulty_ids:
                 view_copies.append((sender, receiver))
             return build(cls, sender, receiver, path, payload, beat)
 
-        monkeypatch.setattr(
-            _Delivery, "merged_first_per_sender", counted_merge
-        )
-        monkeypatch.setattr(Envelope, "__new__", counted_build)
-        sim.scramble()
-        sim.run(beats)
-        return merges, view_copies
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, method, counted_merge)
+            patch.setattr(Envelope, "__new__", counted_build)
+            sim.scramble()
+            sim.run(beats)
+        return merges, view_copies, crafted_copies
 
     def test_equivocator_costs_two_merges_and_no_view_copies(
         self, monkeypatch
     ):
         """Two variants make two inbox classes per path; the equivocator
         reads payload columns, never the view's envelopes."""
-        merges, view_copies = self._run(EquivocatorAdversary(), monkeypatch)
+        merges, view_copies, _crafted = self._run(
+            EquivocatorAdversary(), monkeypatch
+        )
         assert merges and max(merges.values()) <= 2
         assert view_copies == []
+
+    @pytest.mark.parametrize(
+        "adversary", [EquivocatorAdversary, SplitWorldAdversary]
+    )
+    def test_two_stories_cost_two_inboxes_not_one_per_receiver(
+        self, adversary, monkeypatch
+    ):
+        """A row is never expanded on ``bulk`` (no envelope carries a
+        faulty sender; there were 11 · 5 per path per beat), and on
+        ``fast`` only once per inbox class: at most classes · f copies
+        and two merged lists per path per beat."""
+        merges, _view, crafted = self._run(adversary(), monkeypatch)
+        assert merges and max(merges.values()) <= 2
+        assert not crafted
+        merges, _view, crafted = self._run(
+            adversary(), monkeypatch, engine="fast"
+        )
+        assert merges and max(merges.values()) <= 2
+        assert crafted and max(crafted.values()) <= 2 * 5
+
+    def test_noise_shares_nothing(self, monkeypatch):
+        """The control: a fresh payload per copy leaves (nearly) every
+        receiver in a class of its own, which then costs what it did —
+        still without an envelope per copy on ``bulk``."""
+        merges, _view, crafted = self._run(RandomNoiseAdversary(), monkeypatch)
+        assert max(merges.values()) > 2 and not crafted
+        merges, _view, crafted = self._run(
+            RandomNoiseAdversary(), monkeypatch, engine="fast"
+        )
+        assert max(merges.values()) > 2
+        assert max(crafted.values()) > 2 * 5
 
     def test_iterating_the_view_builds_its_copies(self, monkeypatch):
         """The probe's control: a strategy that walks the view gets every
         faulty receiver's copy of every honest broadcast."""
-        _merges, view_copies = self._run(AdaptiveEchoAdversary(), monkeypatch)
+        _merges, view_copies, _crafted = self._run(
+            AdaptiveEchoAdversary(), monkeypatch
+        )
         assert view_copies
         assert {receiver for _sender, receiver in view_copies} == set(
             range(11, 16)

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ProtocolViolationError
-from repro.net.message import Envelope, FanoutView, Outbox
+from repro.net.message import CraftedTraffic, Envelope, FanoutView, Outbox
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
 from repro.net.rng import SeedSequence, derive_seed
 
@@ -114,31 +114,38 @@ _records = st.lists(
 )
 
 
+def _assert_reads_like(shared, expected):
+    """Shared form is, to every reader, the list it stands for."""
+    assert len(shared) == len(expected)
+    assert list(shared) == expected
+    assert [shared[i] for i in range(len(shared))] == expected
+    assert [shared[-i - 1] for i in range(len(shared))] == expected[::-1]
+    assert shared[1:7:2] == expected[1:7:2]
+    assert shared[::-1] == expected[::-1]
+    with pytest.raises(IndexError):
+        shared[len(expected)]
+    with pytest.raises(IndexError):
+        shared[-len(expected) - 1]
+
+
+def _assert_same_choices(shared, expected, seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    assert [ours.choice(shared) for _ in range(5)] == [
+        theirs.choice(expected) for _ in range(5)
+    ]
+    assert ours.random() == theirs.random()
+
+
 class TestFanoutView:
     """The lazy legal view is, to every reader, the list it replaces."""
 
     @given(_records)
     def test_reads_like_the_materialized_list(self, records):
-        view, expected = _view_and_list(records)
-        assert len(view) == len(expected)
-        assert list(view) == expected
-        assert [view[i] for i in range(len(view))] == expected
-        assert [view[-i - 1] for i in range(len(view))] == expected[::-1]
-        assert view[1:7:2] == expected[1:7:2]
-        assert view[::-1] == expected[::-1]
-        with pytest.raises(IndexError):
-            view[len(expected)]
-        with pytest.raises(IndexError):
-            view[-len(expected) - 1]
+        _assert_reads_like(*_view_and_list(records))
 
     @given(_records.filter(bool), st.integers())
     def test_choice_consumes_the_same_draws(self, records, seed):
-        view, expected = _view_and_list(records)
-        ours, theirs = random.Random(seed), random.Random(seed)
-        assert [ours.choice(view) for _ in range(5)] == [
-            theirs.choice(expected) for _ in range(5)
-        ]
-        assert ours.random() == theirs.random()
+        _assert_same_choices(*_view_and_list(records), seed)
 
     @given(_records)
     def test_by_path_is_the_filtered_list(self, records):
@@ -150,6 +157,109 @@ class TestFanoutView:
             on_path = [e for e in expected if e.path == path]
             assert list(messages) == on_path
             assert payloads == [e.payload for e in on_path]
+
+
+_CRAFTED_BEAT = 4
+_PATHS = st.sampled_from(["root", "root/A/x", "root/A/y", "other"])
+#: Receivers of a 7-node system and beyond: 7..9 name no node at all.
+#: Rows are ascending, as the ``for receiver in range(n)`` loops they
+#: replace; they may skip receivers and may be empty.
+_row_payloads = st.dictionaries(
+    st.integers(min_value=0, max_value=9),
+    st.sampled_from([0, 1, True, None, ("fc", 1)]),
+    max_size=6,
+).map(lambda row: dict(sorted(row.items())))
+_anyone = st.integers(min_value=0, max_value=6)
+#: One crafted record: a row drawn from a pool (one mapping *object*
+#: handed to several senders), a row of its own, or one envelope.
+_crafted = st.lists(
+    st.one_of(
+        st.tuples(st.just("pooled"), _anyone, _PATHS, st.integers(0, 2)),
+        st.tuples(st.just("own"), _anyone, _PATHS, _row_payloads),
+        st.tuples(
+            st.just("envelope"), _anyone, _PATHS,
+            st.tuples(st.integers(min_value=0, max_value=9), st.integers(0, 3)),
+        ),
+    ),
+    max_size=10,
+)
+_pools = st.lists(_row_payloads, min_size=3, max_size=3)
+
+
+def _traffic_and_list(records, pool, beat=_CRAFTED_BEAT):
+    """One crafted beat built record by record, beside the list of
+    envelopes it stands for."""
+    traffic = CraftedTraffic(beat)
+    expected = []
+    for kind, sender, path, what in records:
+        if kind == "envelope":
+            receiver, payload = what
+            expected.append(Envelope(sender, receiver, path, payload, beat))
+            traffic.add_envelope(expected[-1])
+            continue
+        row = pool[what] if kind == "pooled" else what
+        traffic.add_row(sender, path, row)
+        expected.extend(
+            Envelope(sender, receiver, path, payload, beat)
+            for receiver, payload in row.items()
+        )
+    return traffic, expected
+
+
+class TestCraftedTraffic:
+    """A crafted beat in shared form is, to every reader, the list of
+    envelopes it replaces — and intake reads it as that list."""
+
+    @given(_crafted, _pools)
+    def test_reads_like_the_materialized_list(self, records, pool):
+        traffic, expected = _traffic_and_list(records, pool)
+        _assert_reads_like(traffic, expected)
+        # Payloads are handed over, never copied: identity is what the
+        # engines share on.
+        for ours, theirs in zip(traffic, expected):
+            assert ours.payload is theirs.payload
+
+    @given(_crafted, _pools, st.integers())
+    def test_choice_consumes_the_same_draws(self, records, pool, seed):
+        traffic, expected = _traffic_and_list(records, pool)
+        if expected:
+            _assert_same_choices(traffic, expected, seed)
+
+    @given(_crafted, _pools)
+    def test_a_plain_list_is_wrapped_as_point_to_point_records(
+        self, records, pool
+    ):
+        traffic, expected = _traffic_and_list(records, pool)
+        assert CraftedTraffic.of(_CRAFTED_BEAT, traffic) is traffic
+        wrapped = CraftedTraffic.of(_CRAFTED_BEAT, expected)
+        _assert_reads_like(wrapped, expected)
+        assert wrapped.records == expected
+
+    @given(_crafted, _pools, st.booleans())
+    def test_record_block_is_record_for_each_copy(self, records, pool, honest):
+        traffic, expected = _traffic_and_list(records, pool)
+        one_by_one, block = MessageStats(), MessageStats()
+        for envelope in expected:
+            one_by_one.record(envelope, honest)
+        block.record_block(traffic, honest)
+        assert block == one_by_one
+        assert list(block.per_beat) == list(one_by_one.per_beat)
+        assert list(block.per_path_prefix) == list(one_by_one.per_path_prefix)
+
+    @given(_crafted, _pools)
+    def test_sender_check_is_the_materialized_lists(self, records, pool):
+        """Accepted iff the list is, and the same first forger named (an
+        empty row sends nothing, so it forges nothing)."""
+        faulty = frozenset({4, 5, 6})
+        traffic, expected = _traffic_and_list(records, pool)
+        try:
+            ensure_faulty_senders(faulty, expected)
+        except ProtocolViolationError as error:
+            with pytest.raises(ProtocolViolationError) as ours:
+                ensure_faulty_senders(faulty, traffic)
+            assert str(ours.value) == str(error)
+        else:
+            assert ensure_faulty_senders(faulty, traffic) is traffic
 
 
 class TestColumnWiseIntake:

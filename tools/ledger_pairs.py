@@ -1,15 +1,17 @@
 """Alternating parent/change pairs of the beat ledger, as one table.
 
-    python tools/ledger_pairs.py --parent REV [--workloads W ...]
+    python tools/ledger_pairs.py --parent REV|DIR [--workloads W ...]
         [--pairs 10] [--seed S]
 
-Checks ``REV`` out into a temporary ``git worktree``, then runs
-``benchmarks/ledger/run.py`` on that tree and on this one (the working
-tree, uncommitted edits included) ``--pairs`` times per workload,
-alternating which side goes first.  Each side runs its *own* copy of the
-ledger, so the comparison holds only while ``benchmarks/ledger/`` and
-``BENCHMARK.json`` are the same on both — which a change that claims a
-gain must leave them.
+Checks ``REV`` out into a temporary ``git worktree`` — or, when the
+argument names a directory, takes that directory (a ``git clone`` or
+``git archive`` of the parent) as the parent tree and touches no
+worktree — then runs ``benchmarks/ledger/run.py`` on that tree and on
+this one (the working tree, uncommitted edits included) ``--pairs``
+times per workload, alternating which side goes first.  Each side runs
+its *own* copy of the ledger, so the comparison holds only while
+``benchmarks/ledger/`` and ``BENCHMARK.json`` are the same on both —
+which a change that claims a gain must leave them.
 
 Per (metric, workload) it prints both medians, the parent's
 interquartile range, the pairs the change won (ties count for neither)
@@ -25,6 +27,7 @@ Exit code 0 when every run on both sides reported ``correct``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import operator
 import os
@@ -101,13 +104,37 @@ def agree_verdicts(sets: "list[dict]", scratch: pathlib.Path) -> "tuple[set, str
     return named, done.stdout
 
 
+@contextlib.contextmanager
+def parent_tree(parent: str, scratch: pathlib.Path):
+    """The tree the parent side runs: ``parent`` itself when it names a
+    directory, else revision ``parent`` checked out into a ``git
+    worktree`` under ``scratch`` that is removed on the way out."""
+    if os.path.isdir(parent):
+        yield pathlib.Path(parent).resolve()
+        return
+    tree = scratch / "parent"
+    git = ["git", "-C", str(REPO_ROOT), "worktree"]
+    subprocess.run(
+        [*git, "add", "--detach", str(tree), parent],
+        check=True, stdout=subprocess.DEVNULL,
+    )
+    try:
+        yield tree
+    finally:
+        subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+
+
 def main(argv: "list[str] | None" = None) -> int:
     contract = json.loads(
         (REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8")
     )
     names = [workload["name"] for workload in contract["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, metavar="REV")
+    parser.add_argument(
+        "--parent", required=True, metavar="REV|DIR",
+        help="a revision (run from a temporary git worktree) or an "
+        "existing checkout of it (run in place)",
+    )
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
@@ -117,14 +144,8 @@ def main(argv: "list[str] | None" = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="ledger-pairs-") as scratch_name:
         scratch = pathlib.Path(scratch_name)
-        parent_tree = scratch / "parent"
-        git = ["git", "-C", str(REPO_ROOT), "worktree"]
-        subprocess.run(
-            [*git, "add", "--detach", str(parent_tree), args.parent],
-            check=True, stdout=subprocess.DEVNULL,
-        )
-        try:
-            trees = {"parent": parent_tree, "change": REPO_ROOT}
+        with parent_tree(args.parent, scratch) as tree:
+            trees = {"parent": tree, "change": REPO_ROOT}
             runs = {side: {name: [] for name in args.workloads} for side in trees}
             for pair in range(args.pairs):
                 order = ("parent", "change")
@@ -149,8 +170,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 ],
                 scratch,
             )
-        finally:
-            subprocess.run([*git, "remove", "--force", str(parent_tree)], check=True)
 
     print(
         f"parent {args.parent} vs working tree: {args.pairs} alternating pairs, "
