@@ -13,7 +13,14 @@ Three measurement families:
 * **gated drift metrics** — a drifting-clock bounded-delay run is still
   simulation-deterministic (every draw is keyed), so its convergence
   beat, max pulse skew and late-message count gate exactly like the
-  ``engines`` suite's trajectory digests.
+  ``engines`` suite's trajectory digests.  Three counts ride along, for
+  the same case: ``late_free_beats`` (how long nothing *can* be late —
+  the boundary ROADMAP 1c asks to locate), and what the run cost while
+  inside it, ``heap_events_per_beat`` (a pulse and a close per honest
+  node, one adversary phase; arrivals are decided, not scheduled) and
+  ``delay_draws_per_beat`` (zero: no draw could have decided anything)
+  — so a silent return to one event and one draw per copy trips the
+  gate without reading a clock.
 * **ungated wall-clock** — the pulse-barrier runtime
   (``run_runtime(..., sync="pulse")``) on LocalTransport: measured max
   pulse skew in milliseconds and real convergence time.  Hardware-noisy,
@@ -22,6 +29,8 @@ Three measurement families:
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
@@ -55,6 +64,35 @@ def _adversary(name: str):
 
         return EquivocatorAdversary()
     raise ValueError(f"unknown adversary {name!r}")
+
+
+#: Horizon ``late_free_beats`` is asked about: far past the boundary.
+_LATE_FREE_HORIZON = 1000
+
+
+@contextmanager
+def _event_counts():
+    """Count the heap events pushed and the keyed delays drawn by the
+    event-engine runs inside the block (the engine offers no seam for
+    either, so the two methods are wrapped for the duration)."""
+    from repro.net.events import EventHeap, KeyedDelays
+
+    counts = {"heap": 0, "draws": 0}
+    push, delay = EventHeap.push, KeyedDelays.delay
+
+    def counted_push(heap, key, payload=None):
+        counts["heap"] += 1
+        push(heap, key, payload)
+
+    def counted_delay(delays, *key):
+        counts["draws"] += 1
+        return delay(delays, *key)
+
+    EventHeap.push, KeyedDelays.delay = counted_push, counted_delay
+    try:
+        yield counts
+    finally:
+        EventHeap.push, KeyedDelays.delay = push, delay
 
 
 def _reference_digest(n: int, f: int, beats: int, seed: int, adversary: str) -> str:
@@ -152,25 +190,30 @@ def run(
     tables.append(("pulse_trace_digests", "\n".join(digest_lines)))
 
     # -- gated drift metrics: keyed draws make these exact -----------------
-    from repro.net.events import run_continuous
+    from repro.net.events import ContinuousSimulation
 
     case = dict(_DRIFT_CASE, beats=drift_beats)
     drift_lines = [
-        f"{'adversary':<12} {'converged':>9} | {'max skew':>9} | late"
+        f"{'adversary':<12} {'converged':>9} | {'max skew':>9} | "
+        f"{'late':>4} | {'late-free':>9} | {'events/beat':>11} | draws/beat"
     ]
     for adversary in ("none", "equivocator"):
-        result = run_continuous(
+        simulation = ContinuousSimulation(
             case["n"],
             case["f"],
             _factory(),
             adversary=_adversary(adversary),
             seed=case["seed"],
-            beats=case["beats"],
             rho=case["rho"],
             delay_bounds=case["delay_bounds"],
             pulse_period=case["pulse_period"],
-            k=8,
         )
+        simulation.scramble()
+        with _event_counts() as counts:
+            result = simulation.run(case["beats"], k=8)
+        late_free = simulation.late_free_beats(_LATE_FREE_HORIZON)
+        events_per_beat = counts["heap"] / case["beats"]
+        draws_per_beat = counts["draws"] / case["beats"]
         scenario = {
             "n": case["n"],
             "f": case["f"],
@@ -216,9 +259,26 @@ def run(
                 gated=True,
             )
         )
+        for metric, value, unit, direction in (
+            ("late_free_beats", float(late_free), "beats", "higher"),
+            ("heap_events_per_beat", events_per_beat, "events/beat", "lower"),
+            ("delay_draws_per_beat", draws_per_beat, "draws/beat", "lower"),
+        ):
+            results.append(
+                BenchResult(
+                    benchmark="pulse_precision",
+                    metric=metric,
+                    value=value,
+                    unit=unit,
+                    scenario=scenario,
+                    direction=direction,
+                    gated=True,  # counts, not clocks: exact at any tier
+                )
+            )
         drift_lines.append(
             f"{adversary:<12} {str(result.converged_beat):>9} | "
-            f"{result.max_pulse_skew:>9.4f} | {result.late_messages}"
+            f"{result.max_pulse_skew:>9.4f} | {result.late_messages:>4} | "
+            f"{late_free:>9} | {events_per_beat:>11.2f} | {draws_per_beat:.2f}"
         )
     tables.append(("pulse_drift_metrics", "\n".join(drift_lines)))
 

@@ -16,25 +16,72 @@ sync — takes as its base model):
   multiple of the pulse period, and one protocol beat rides on each
   pulse (:class:`PulseSynchronizer`): the send phase runs at the pulse,
   the update phase runs when the *next* pulse closes the beat;
-* every message takes real time: delivery is scheduled at
-  ``send_time + delay`` with a keyed delay draw in ``[d_min, d_max]``
-  (:class:`KeyedDelays`).  A message that reaches its receiver after the
-  receiver already closed the tagged beat is **counted and dropped** —
-  the same late-traffic semantics the live runtime's round barrier
-  applies (:mod:`repro.runtime.sync`);
+* every message takes real time: a copy handed to the network at
+  instant ``when`` reaches its receiver at ``when + delay``, the delay a
+  keyed draw (:class:`KeyedDelays`).  A copy that reaches its receiver
+  after the receiver already closed the tagged beat is **counted and
+  dropped** — the same late-traffic semantics the live runtime's round
+  barrier applies (:mod:`repro.runtime.sync`);
 * instead of a beat loop, a deterministic min-heap of timestamped events
-  (:class:`EventHeap`) interleaves pulses, closes, arrivals and the
-  adversary phase in global time order.
+  (:class:`EventHeap`) interleaves pulses, closes and the adversary
+  phase in global time order.
+
+Arrivals are decided, not scheduled
+-----------------------------------
+
+An arrival is not an event.  Nothing records *when* a copy arrives;
+the only thing its arrival instant ever decides is whether the copy is
+in its receiver's inbox when the tagged beat closes.  That is a pure
+function of three floats, written once (:func:`_on_time`)::
+
+    on time  iff  when < close  and  when + delay <= close
+
+where ``when`` is the instant the copy was handed to the network (its
+sender's pulse, or the adversary phase), ``close`` is the receiver's own
+``close_time(beat)`` and loopback ``delay`` is ``0.0``.  The two halves
+are exactly what a heap of arrival events would decide: the arrival
+``when + delay`` pops before the close iff ``when + delay <= close``
+(**the tie**: arrive-at-deadline traffic is on time), and it is on the
+heap by then iff the event that sent it popped before that close, i.e.
+iff ``when < close`` — at equal instants a close runs before a pulse.
+The rule is evaluated at the send; an on-time copy is buffered under its
+beat tag at once (early arrivals included), a late one adds one to its
+receiver's ``late_messages``.
+
+**A draw is asked for only when it can decide.**  No draw exceeds
+:attr:`KeyedDelays.hi` and none is below ``d_min`` (float add and
+multiply are monotone), so ``when + hi <= close`` is on time and
+``when + d_min > close`` is late whatever the draw says; only the band
+between them calls :meth:`KeyedDelays.delay`.  Draws are keyed and
+stateless, so a skipped draw changes no other.
+
+**Lanes.**  Traffic travels in shared form, as :class:`FastEngine` and
+the live runtime send it: a full broadcast is one record, one
+``record_fanout`` and one ``Envelope(sender, BROADCAST, ...)``.  A
+broadcast that is on time at the *earliest* honest close of its beat
+with the *largest* possible delay is on time for everyone and goes into
+the beat's lane (:class:`_Lane`), one list per beat.  The lane is final
+before that earliest close — a later pulse fails ``when < close`` — so
+the first close sorts and groups it once, and every receiver with no
+traffic of its own reads that one grouped dict.  Everything else
+(point-to-point sends, Byzantine copies, copies of a broadcast that is
+late for someone) is decided copy by copy and merged with the lane
+through the :class:`~repro.net.inbox.BeatInbox` canonical sort.
+:meth:`ContinuousSimulation.late_free_beats` evaluates the lane
+predicate for the latest pulse against the earliest close: the number of
+leading beats in which nothing can be late.
 
 Determinism contract
 --------------------
 
 Every random choice is a *keyed* draw in the exact
 :mod:`repro.net.linkmodel` discipline — clock rates are keyed by node
-id, delays by ``(sender, receiver, beat, seq)`` — never a shared
+id, delays by ``(sender, receiver, beat, seq)``, ``seq`` being the
+copy's index in its sender's per-receiver envelope list — never a shared
 sequential stream, so trajectories are independent of event pop order,
 campaign worker counts, and the order in which draws are first asked
-for.  The load-bearing correctness argument is the **differential pin**:
+for (or whether they are asked for at all).  The load-bearing
+correctness argument is the **differential pin**:
 at ``rho = 0`` and ``delay_bounds = (0, 0)`` every pulse coincides,
 every close lands exactly one period later, and the event-driven
 execution replays the lock-step engines *bit-identically*.  What makes
@@ -43,7 +90,8 @@ one :class:`~repro.net.world.World` every path builds, the beat-close
 rule is the :class:`~repro.net.inbox.BeatInbox` the live barrier also
 drives (see ARCHITECTURE.md, "Shared kernel"), and the rushing
 adversary's view order is the engines'.  ``tests/test_event_engine.py`` enforces the pin
-against :class:`~repro.net.engine.ReferenceEngine` across seeds, and the
+against :class:`~repro.net.engine.ReferenceEngine` across seeds, pins
+the outputs with drift and delay on (``TestTimingPins``), and the
 gated ``pulse_precision`` bench pins the shared JSONL trace digests in
 CI.
 
@@ -59,13 +107,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import craft_byzantine
-from repro.net.inbox import BeatInbox, group_by_path
-from repro.net.message import Envelope
+from repro.net.inbox import BeatInbox, Entry, entry_key, group_by_path
+from repro.net.message import BROADCAST, Envelope, FanoutView, FastOutbox
 from repro.net.network import MessageStats
 from repro.net.node import Node
 from repro.net.rng import derive_seed
@@ -95,17 +144,34 @@ __all__ = [
 #: scale :mod:`repro.net.linkmodel` uses for its keyed uniforms.
 _UNIFORM_SCALE = float(2**64)
 
-# Event priorities at equal timestamps.  Arrivals land before a
-# coincident close (arrive-at-deadline traffic is on time), closes run
-# before coincident pulses (a node finishes update_phase(b) before
-# send_phase(b+1) — the lock-step phase order), pulses run before the
-# beat's rushing adversary (it sees the *whole* beat's coalition-bound
-# traffic), ties broken by node id — which at zero drift reproduces the
-# lock-step engines' ascending-id phase sweeps exactly.
-_P_ARRIVAL = 0
+# Event kinds, which are also their priorities at equal timestamps.
+# Closes run before coincident pulses (a node finishes update_phase(b)
+# before send_phase(b+1) — the lock-step phase order — and a copy sent
+# at the very instant of a close has missed it: the ``when < close`` half
+# of the rule), pulses run before the beat's rushing adversary (it sees
+# the *whole* beat's coalition-bound traffic), ties broken by node id —
+# which at zero drift reproduces the lock-step engines' ascending-id
+# phase sweeps exactly.  Arrivals are not events: see :func:`_on_time`.
 _P_CLOSE = 1
 _P_PULSE = 2
 _P_ADVERSARY = 3
+
+_SENDER = itemgetter(0)
+
+
+def _on_time(when: float, delay: float, close: float) -> bool:
+    """The lateness rule, written once: a copy handed to the network at
+    ``when`` that takes ``delay`` is in its receiver's inbox when the
+    receiver closes the beat at ``close``.
+
+    ``when + delay <= close``: the copy has arrived by the close, a tie
+    counting as on time.  ``when < close``: it was sent before the close
+    at all — at equal instants the close runs first, and with a zero
+    delay the arrival test alone would let such a copy through.
+    Monotone in ``delay``, which is what lets a bound on the delay stand
+    in for the draw.
+    """
+    return when < close and when + delay <= close
 
 
 class DriftingClock:
@@ -155,16 +221,25 @@ class DriftingClock:
 
 
 class KeyedDelays:
-    """Per-message delivery delays: keyed draws in ``[d_min, d_max]``.
+    """Per-message delivery delays: keyed draws in ``[d_min, hi]``.
 
     Keyed by ``(sender, receiver, beat, seq)`` — one independent draw
     per emitted envelope, reproducible whatever order envelopes are
-    scheduled in (the :mod:`~repro.net.linkmodel` discipline).  The
-    degenerate ``(0, 0)`` bounds short-circuit to exactly ``0.0``, the
+    decided in and whether or not their neighbours are drawn at all
+    (the :mod:`~repro.net.linkmodel` discipline).  The degenerate
+    ``(0, 0)`` bounds short-circuit to exactly ``0.0``, the
     differential-pin configuration.
+
+    :attr:`hi` is the largest value :meth:`delay` can return: its own
+    expression at ``u = 1``, ``d_min + (d_max - d_min)``.  That is
+    ``d_max`` to within one ulp, *not* always ``d_max`` itself: the
+    float sum lands one ulp above it for ``(0.001, 0.009)`` and one
+    below for ``(0.2, 0.9)``, and a draw can reach it.  Float add and
+    multiply are monotone, so no draw exceeds ``hi`` and none is below
+    ``d_min``.
     """
 
-    __slots__ = ("d_max", "d_min", "_seed")
+    __slots__ = ("d_max", "d_min", "hi", "_seed")
 
     def __init__(self, seed: int, d_min: float, d_max: float) -> None:
         if not 0.0 <= d_min <= d_max:
@@ -175,10 +250,11 @@ class KeyedDelays:
         self._seed = seed
         self.d_min = d_min
         self.d_max = d_max
+        self.hi = d_min + (d_max - d_min)
 
     def delay(self, sender: int, receiver: int, beat: int, seq: int) -> float:
         """The delivery delay of one envelope; always in
-        ``[d_min, d_max]``."""
+        ``[d_min, hi]``."""
         if self.d_max == 0.0:
             return 0.0
         u = (
@@ -224,6 +300,36 @@ class EventHeap:
         return bool(self._heap)
 
 
+class _Lane:
+    """One beat's shared inbox: the broadcasts that are on time for
+    every honest receiver, whatever their delays.
+
+    Built at the beat's first pulse from every honest receiver's close
+    instant; ``edge`` is the earliest of them.  ``entries`` only grows
+    while pulses fire before ``edge``, so it is final by the first close
+    of the beat, and the first reader sorts and groups it once.
+    """
+
+    __slots__ = ("closes", "edge", "entries", "readers", "_inboxes")
+
+    def __init__(self, closes: dict[int, float]) -> None:
+        #: Honest receiver -> the instant it closes this beat.
+        self.closes = closes
+        self.edge = min(closes.values())
+        self.entries: list[Entry] = []
+        #: Closes still to come; the lane is freed at the last.
+        self.readers = len(closes)
+        self._inboxes: "dict[str, list[Envelope]] | None" = None
+
+    def inboxes(self) -> dict[str, list[Envelope]]:
+        """The entries in canonical order, grouped per path: one dict,
+        shared by every receiver that reads it."""
+        if self._inboxes is None:
+            self.entries.sort(key=entry_key)
+            self._inboxes = group_by_path(self.entries)
+        return self._inboxes
+
+
 class PulseSynchronizer(BeatInbox):
     """Maps one beat-driven :class:`~repro.net.node.Node` tower onto
     pulses of a drifting clock.
@@ -236,7 +342,7 @@ class PulseSynchronizer(BeatInbox):
     very code the live barrier runs.
     """
 
-    __slots__ = ("clock", "node", "trace")
+    __slots__ = ("clock", "node", "trace", "_outbox")
 
     def __init__(self, node: Node, clock: DriftingClock) -> None:
         super().__init__()
@@ -244,6 +350,7 @@ class PulseSynchronizer(BeatInbox):
         self.clock = clock
         #: Per-beat probe values, appended at each close: ``(beat, value)``.
         self.trace: list[tuple[int, Any]] = []
+        self._outbox = FastOutbox(node.n)
 
     def pulse_time(self, beat: int) -> float:
         """Real time of this node's pulse ``beat`` (send phase)."""
@@ -253,18 +360,33 @@ class PulseSynchronizer(BeatInbox):
         """Real time at which this node closes beat ``beat``."""
         return self.clock.pulse_time(beat + 1)
 
-    def send(self, beat: int) -> list[Envelope]:
-        """Fire pulse ``beat``: run the send phase, return its envelopes."""
-        return self.node.send_phase(beat)
+    def send(self, beat: int) -> list[tuple[str, Any, "int | None"]]:
+        """Fire pulse ``beat``: run the send phase, return its records
+        in shared form (:class:`~repro.net.message.FastOutbox`)."""
+        return self.node.send_phase(beat, self._outbox)
 
     # Named in this class's own namespace, not merely inherited: the beat
     # ledger instruments ``PulseSynchronizer.deliver`` where it is defined.
     deliver = BeatInbox.deliver
 
-    def close(self, beat: int, probe: Callable[[Component], Any]) -> None:
+    def close(
+        self,
+        beat: int,
+        probe: Callable[[Component], Any],
+        lane: "_Lane | None" = None,
+    ) -> None:
         """Close beat ``beat``: update phase over the sorted inbox, then
-        probe the tower for the trace."""
-        self.node.update_phase(beat, group_by_path(self.close_entries(beat)))
+        probe the tower for the trace.  A receiver with nothing buffered
+        of its own reads the beat's ``lane`` as it is grouped for
+        everyone; one with traffic of its own merges the two through the
+        canonical sort."""
+        if lane is not None and beat in self._pending:
+            self._pending[beat].extend(lane.entries)
+            lane = None
+        entries = self.close_entries(beat)
+        self.node.update_phase(
+            beat, group_by_path(entries) if lane is None else lane.inboxes()
+        )
         self.trace.append((beat, probe(self.node.root)))
 
 
@@ -304,9 +426,9 @@ class ContinuousSimulation:
     Mirrors the :class:`~repro.net.simulator.Simulation` constructor,
     builds the same :class:`~repro.net.world.World` (whose keyed
     ``timing_seed`` feeds clock rates and delay draws and therefore
-    cannot disturb the shared streams), then executes pulses, arrivals
-    and the adversary phase from a deterministic event heap instead of a
-    beat loop.
+    cannot disturb the shared streams), then executes pulses, closes and
+    the adversary phase from a deterministic event heap instead of a
+    beat loop, deciding each copy's lateness as it is sent.
 
     Args:
         n, f: system size and fault parameter.
@@ -315,8 +437,9 @@ class ContinuousSimulation:
             rushing power is preserved — the adversary phase for beat
             ``b`` fires once every honest pulse ``b`` has fired, sees
             the coalition-bound traffic in the engines' canonical
-            ``(sender, seq, receiver)`` order, and its crafted traffic
-            takes keyed delays like everyone else's.
+            ``(sender, seq, receiver)`` order (a
+            :class:`~repro.net.message.FanoutView`), and its crafted
+            traffic takes keyed delays like everyone else's.
         seed: master seed; equal seeds reproduce runs exactly.
         rho: clock drift bound — rates are keyed draws in
             ``[1 - rho, 1 + rho]``.
@@ -366,6 +489,7 @@ class ContinuousSimulation:
         #: RNG stream reserved for the adversary (the engines' seam).
         self.adversary_rng = world.adversary_rng
         self.faulty_ids = world.faulty_ids
+        self._faulty = tuple(sorted(world.faulty_ids))
         self.nodes = world.nodes
         self.honest_ids = list(world.nodes)
         timing_seed = world.timing_seed
@@ -397,6 +521,21 @@ class ContinuousSimulation:
         times = [s.pulse_time(beat) for s in self.synchronizers.values()]
         return max(times) - min(times)
 
+    def late_free_beats(self, horizon: int) -> int:
+        """How many leading beats ``b < horizon`` cannot lose a message:
+        the *latest* honest pulse ``b``, with the largest delay a draw
+        can return, still makes the *earliest* honest close ``b`` — the
+        lane predicate of :meth:`run`, on the engine's own floats.
+        Pulses are never resynchronized, so skew only grows and the
+        first beat that fails is where lateness can begin."""
+        synchronizers = self.synchronizers.values()
+        for beat in range(horizon):
+            when = max(s.pulse_time(beat) for s in synchronizers)
+            edge = min(s.close_time(beat) for s in synchronizers)
+            if not _on_time(when, self.delays.hi, edge):
+                return beat
+        return horizon
+
     # -- execution ---------------------------------------------------------
 
     def run(self, beats: int, *, k: "int | None" = None) -> ContinuousResult:
@@ -417,91 +556,144 @@ class ContinuousSimulation:
         self.beats_run = beats
         heap = EventHeap()
         synchronizers = self.synchronizers
-        adversary_active = bool(self.faulty_ids)
-        visible: dict[int, list[tuple[int, int, Envelope]]] = {}
+        lanes: dict[int, _Lane] = {}
+        # Per beat, what honest nodes addressed to the coalition, one
+        # record per send: (sender, path, payload, envelope or None).
+        sighted: "dict[int, list] | None" = {} if self.faulty_ids else None
         for i, sync in synchronizers.items():
-            heap.push((sync.pulse_time(0), _P_PULSE, i), ("pulse", i, 0))
-        if adversary_active:
+            heap.push((sync.pulse_time(0), _P_PULSE, i), 0)
+        if sighted is not None:
             # The rushing adversary for beat b acts once the last honest
             # pulse b has fired; the priority breaks the zero-drift tie
             # so it still sees the whole beat's coalition-bound traffic.
             for beat in range(beats):
                 when = max(s.pulse_time(beat) for s in synchronizers.values())
-                heap.push((when, _P_ADVERSARY, self.n), ("adversary", beat))
+                heap.push((when, _P_ADVERSARY, self.n), beat)
 
         while heap:
-            (when, priority, _who), event = heap.pop()
-            kind = event[0]
-            if kind == "arrival":
-                _, receiver, beat, key, envelope = event
-                synchronizers[receiver].deliver(beat, key, envelope)
-            elif kind == "close":
-                _, node_id, beat = event
-                synchronizers[node_id].close(beat, self.probe)
-            elif kind == "pulse":
-                _, node_id, beat = event
+            (when, kind, node_id), beat = heap.pop()
+            if kind == _P_CLOSE:
+                lane = lanes[beat]  # final: later pulses are past its edge
+                synchronizers[node_id].close(beat, self.probe, lane)
+                lane.readers -= 1
+                if not lane.readers:
+                    del lanes[beat]
+            elif kind == _P_PULSE:
                 sync = synchronizers[node_id]
-                envelopes = sync.send(beat)
-                for seq, envelope in enumerate(envelopes):
-                    self._dispatch(heap, when, beat, seq, envelope, visible)
-                heap.push(
-                    (sync.close_time(beat), _P_CLOSE, node_id),
-                    ("close", node_id, beat),
+                lane = lanes.get(beat)
+                if lane is None:
+                    lane = lanes[beat] = _Lane(
+                        {i: s.close_time(beat) for i, s in synchronizers.items()}
+                    )
+                self._send_honest(
+                    when, lane, node_id, beat, sync.send(beat),
+                    None if sighted is None else sighted.setdefault(beat, []),
                 )
+                heap.push((lane.closes[node_id], _P_CLOSE, node_id), beat)
                 if beat + 1 < beats:
                     heap.push(
-                        (sync.pulse_time(beat + 1), _P_PULSE, node_id),
-                        ("pulse", node_id, beat + 1),
+                        (sync.pulse_time(beat + 1), _P_PULSE, node_id), beat + 1
                     )
-            else:  # adversary
-                _, beat = event
-                batch = visible.pop(beat, [])
-                batch.sort()  # canonical (sender, seq, receiver) view order
-                crafted = craft_byzantine(
-                    self.world, beat,
-                    [envelope for _s, _q, envelope in batch],
-                )
-                for seq, envelope in enumerate(crafted):
-                    self.stats.record(envelope, honest=False)
-                    if envelope.receiver in self.nodes:
-                        self._schedule_arrival(heap, when, beat, seq, envelope)
+            else:  # the adversary phase
+                self._send_byzantine(when, lanes[beat], beat, sighted.pop(beat))
         return self._result(k)
 
-    def _dispatch(
+    def _send_honest(
         self,
-        heap: EventHeap,
         when: float,
+        lane: _Lane,
+        sender: int,
         beat: int,
-        seq: int,
-        envelope: Envelope,
-        visible: dict[int, list[tuple[int, int, Envelope]]],
+        records: list[tuple[str, Any, "int | None"]],
+        sighted: "list | None",
     ) -> None:
-        """Route one honest envelope: record, sight, schedule arrival."""
-        self.stats.record(envelope, honest=True)
-        if envelope.receiver in self.faulty_ids:
-            visible.setdefault(beat, []).append((envelope.sender, seq, envelope))
-        if envelope.receiver in self.nodes:
-            self._schedule_arrival(heap, when, beat, seq, envelope)
+        """Hand one pulse's records to the network.  ``seq`` is a copy's
+        index in the envelope list the per-receiver
+        :class:`~repro.net.message.Outbox` would have produced — a
+        broadcast's base plus the receiver's position — so a draw that is
+        made is that copy's own and ``(sender, seq)`` sorts as it would."""
+        n = self.n
+        stats = self.stats
+        nodes = self.nodes
+        faulty = self.faulty_ids
+        # Every receiver's close is at or after the edge: a broadcast that
+        # makes the edge with the largest delay is on time for everyone.
+        for_everyone = _on_time(when, self.delays.hi, lane.edge)
+        seq = 0
+        for path, payload, receiver in records:
+            if receiver is None:  # full broadcast: one shared envelope
+                envelope = Envelope(sender, BROADCAST, path, payload, beat)
+                stats.record_fanout(path, beat, n, honest=True)
+                if sighted is not None:
+                    sighted.append((sender, path, payload, None))
+                if for_everyone:
+                    lane.entries.append(((sender, seq), envelope))
+                else:
+                    for target in nodes:
+                        self._hand(
+                            when, lane, beat, seq + target, envelope, target
+                        )
+                seq += n
+            else:
+                envelope = Envelope(sender, receiver, path, payload, beat)
+                stats.record(envelope, honest=True)
+                if receiver in faulty:
+                    sighted.append((sender, path, payload, envelope))
+                elif receiver in nodes:
+                    self._hand(when, lane, beat, seq, envelope, receiver)
+                seq += 1
 
-    def _schedule_arrival(
+    def _send_byzantine(
+        self, when: float, lane: _Lane, beat: int, sighted: list
+    ) -> None:
+        """The adversary phase of ``beat``: show the coalition what was
+        addressed to it, hand what it crafts to the network."""
+        # Pulses of one beat fire in any id order under drift; within a
+        # sender the records are already in emission order.
+        sighted.sort(key=_SENDER)
+        view = FanoutView(beat, self._faulty)
+        for sender, path, payload, envelope in sighted:
+            if envelope is None:
+                view.add_broadcast(sender, path, payload)
+            else:
+                view.add_envelope(envelope)
+        crafted = craft_byzantine(self.world, beat, view)
+        self.stats.record_block(crafted, honest=False)
+        nodes = self.nodes
+        for seq, envelope in enumerate(crafted):
+            if envelope.receiver in nodes:
+                self._hand(when, lane, beat, seq, envelope, envelope.receiver)
+
+    def _hand(
         self,
-        heap: EventHeap,
         when: float,
+        lane: _Lane,
         beat: int,
         seq: int,
         envelope: Envelope,
+        receiver: int,
     ) -> None:
-        if envelope.sender == envelope.receiver:
-            delay = 0.0  # loopback is always perfect, as in every engine
+        """Hand one copy to the network at instant ``when``: buffered at
+        its receiver at once if it will be on time, counted late if not.
+        The keyed draw is made only when the bounds leave it to decide."""
+        sender = envelope.sender
+        close = lane.closes[receiver]
+        delays = self.delays
+        if sender == receiver:  # loopback is always perfect, in every engine
+            on_time = _on_time(when, 0.0, close)
+        elif _on_time(when, delays.hi, close):
+            on_time = True
+        elif not _on_time(when, delays.d_min, close):
+            on_time = False
         else:
-            delay = self.delays.delay(
-                envelope.sender, envelope.receiver, beat, seq
+            on_time = _on_time(
+                when, delays.delay(sender, receiver, beat, seq), close
             )
-        heap.push(
-            (when + delay, _P_ARRIVAL, envelope.receiver),
-            ("arrival", envelope.receiver, beat, (envelope.sender, seq),
-             envelope),
-        )
+        sync = self.synchronizers[receiver]
+        if on_time:
+            sync.deliver(beat, (sender, seq), envelope)
+        else:
+            sync.late_messages += 1
 
     def _result(self, k: "int | None") -> ContinuousResult:
         beats = self.beats_run

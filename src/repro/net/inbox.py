@@ -27,12 +27,13 @@ from operator import itemgetter
 
 from repro.net.message import Envelope
 
-__all__ = ["BeatInbox", "Entry", "group_by_path"]
+__all__ = ["BeatInbox", "Entry", "entry_key", "group_by_path"]
 
 #: Canonical ``(sender, seq)`` sort key + envelope, as buffered per beat.
 Entry = tuple[tuple[int, int], Envelope]
 
-_entry_key = itemgetter(0)
+#: The canonical order of a beat's entries: sort by this key.
+entry_key = itemgetter(0)
 
 
 def group_by_path(entries: list[Entry]) -> dict[str, list[Envelope]]:
@@ -67,6 +68,6 @@ class BeatInbox:
     def close_entries(self, beat: int) -> list[Entry]:
         """Close ``beat``: its traffic in canonical order."""
         entries = self._pending.pop(beat, [])
-        entries.sort(key=_entry_key)
+        entries.sort(key=entry_key)
         self.beat = beat + 1
         return entries

@@ -40,9 +40,9 @@ from repro.runtime import run_runtime
 K = 8
 
 #: The drift case every drifting-clock test shares: slow enough drift
-#: that no message can miss its beat's close over the horizon
-#: (slowest sender's arrival at b*1.00503 + 0.1 stays ahead of the
-#: fastest receiver's close at (b+1)*0.99502 for every b < 89).
+#: that no message can miss its beat's close over the horizon — which
+#: ``TestDriftPhysics::test_drift_case_stays_inside_its_late_free_horizon``
+#: asserts rather than derives.
 DRIFT = dict(rho=0.005, delay_bounds=(0.0, 0.1), pulse_period=1.0)
 TIMING = (0.005, 0.0, 0.1, 1.0)
 
@@ -120,6 +120,22 @@ class TestDriftPhysics:
             assert result.max_pulse_skew > 0.0
             assert result.converged_time is not None
             assert result.converged_time > result.converged_beat  # rate < 1+rho side
+
+    def test_drift_case_stays_inside_its_late_free_horizon(self):
+        """The slowest sender's latest arrival stays ahead of the fastest
+        receiver's close for 90 beats at the worst rates ``DRIFT``
+        admits, so for at least that long at any keyed rates."""
+        for seed, adversary in ((0, None), (0, "equivocator"), (3, "equivocator")):
+            sim = ContinuousSimulation(
+                4, 1, _factory, adversary=_adversary(adversary), seed=seed,
+                **DRIFT,
+            )
+            assert sim.late_free_beats(1000) >= 90
+        slowest, *others = sim.synchronizers.values()
+        slowest.clock.rate = 1.0 - DRIFT["rho"]
+        for sync in others:
+            sync.clock.rate = 1.0 + DRIFT["rho"]
+        assert sim.late_free_beats(1000) == 90
 
     def test_same_seed_reproduces_exactly(self):
         def run():
@@ -801,3 +817,82 @@ class TestTimingPins:
         which the rule, not its degenerate ends, decides."""
         _sim, result = _timed_run(4, "oracle", "none", 0, *_REGIMES[2], beats=40)
         assert 0 < result.late_messages < result.total_messages
+
+
+class TestSharedFormCounts:
+    """Cost follows what can be late, checked as counts on the ledger's
+    ``ev-drift`` shape: n=16 f=5, delays in (0.05, 0.3), a drift that
+    spends 0.6 of a period on skew by the end of the horizon — so every
+    arrival clears its close by at least 0.1 whatever the draw says."""
+
+    N, F, BEATS = 16, 5, 60
+
+    def _counted_run(self, monkeypatch, delay_bounds, adversary=None):
+        from repro.net import events
+
+        counts = {"push": 0, "group": 0, "envelope": 0, "records": 0}
+        draws = []
+
+        def counting(owner, name, key, amount=lambda result: 1):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                result = original(*args, **kwargs)
+                counts[key] += amount(result)
+                return result
+
+            monkeypatch.setattr(owner, name, counted)
+
+        counting(EventHeap, "push", "push")
+        counting(PulseSynchronizer, "send", "records", len)
+        counting(events, "group_by_path", "group")
+        counting(events, "Envelope", "envelope")
+        delay = KeyedDelays.delay
+        monkeypatch.setattr(
+            KeyedDelays, "delay",
+            lambda self, *key: draws.append(key) or delay(self, *key),
+        )
+        sim = ContinuousSimulation(
+            self.N, self.F, _factory, adversary=adversary, seed=0,
+            rho=0.3 / self.BEATS, delay_bounds=delay_bounds,
+        )
+        sim.scramble()
+        result = sim.run(self.BEATS, k=K)
+        return sim, result, counts, draws
+
+    def test_nothing_can_be_late_nothing_per_copy(self, monkeypatch):
+        sim, result, counts, draws = self._counted_run(
+            monkeypatch, (0.05, 0.3)
+        )
+        assert sim.late_free_beats(self.BEATS) == self.BEATS
+        assert result.late_messages == 0
+        # A pulse and a close per node and beat; no arrival events.
+        assert counts["push"] == 2 * self.N * self.BEATS
+        assert draws == []
+        assert counts["group"] <= self.BEATS
+        # One shared envelope per broadcast record, not one per copy.
+        assert counts["envelope"] == counts["records"]
+        assert result.total_messages == self.N * counts["records"]
+
+    def test_draws_are_made_only_inside_the_undecided_band(self, monkeypatch):
+        from repro.net.events import _on_time
+
+        sim, result, counts, draws = self._counted_run(
+            monkeypatch, (0.3, 1.2)
+        )
+        assert 0 < result.late_messages < result.total_messages
+        assert 0 < len(draws) < result.total_messages
+        assert counts["push"] == 2 * self.N * self.BEATS
+        delays, syncs = sim.delays, sim.synchronizers
+        for sender, receiver, beat, _seq in draws:
+            when = syncs[sender].pulse_time(beat)
+            close = syncs[receiver].close_time(beat)
+            assert not _on_time(when, delays.hi, close)
+            assert _on_time(when, delays.d_min, close)
+
+    def test_the_adversary_costs_one_event_per_beat(self, monkeypatch):
+        _sim, result, counts, draws = self._counted_run(
+            monkeypatch, (0.05, 0.3), adversary=EquivocatorAdversary()
+        )
+        assert result.late_messages == 0 and draws == []
+        assert counts["push"] == (2 * (self.N - self.F) + 1) * self.BEATS
