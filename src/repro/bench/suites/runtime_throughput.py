@@ -11,10 +11,12 @@ the lock-step simulator's batch beats.
 Wall-clock rates are hardware-noisy, so the throughput metrics are
 ``gated=False``; the *determinism* is gated instead, three ways:
 
-* a gated ``encodes_per_beat`` count — ``encode_batch`` calls per beat
-  on the (fault-free, pure-broadcast) digest case: n, one per sender,
-  where per-link encoding would make n² — so the gate catches a silent
-  return to it without reading a clock;
+* gated ``encodes_per_beat`` / ``decodes_per_beat`` counts —
+  ``encode_batch`` / ``decode_batch`` calls per beat on the (fault-free,
+  pure-broadcast) digest case: n on ``binary``, one per sender (one per
+  distinct unit on ``json``), where per-link encoding or per-receiver
+  decoding would make n² — so the gate catches a silent return to
+  either without reading a clock;
 * a correctness guard — zero-delay local delivery must never time a
   barrier out nor drop a late or malformed frame, on any codec;
 * gated ``trace_match`` digests — the sha256 of each codec's runtime
@@ -41,19 +43,23 @@ def _factory():
 
 
 def _counting(codec: str):
-    """The registered ``codec`` behind a count of ``encode_batch`` calls."""
+    """The registered ``codec`` behind a count of ``encode_batch`` and
+    ``decode_batch`` calls."""
     from repro.runtime.codec import Codec, resolve_codec
 
     inner = resolve_codec(codec)
 
     class Counting(Codec):
         name, batched = inner.name, inner.batched
-        encodes = 0
-        decode_batch = staticmethod(inner.decode_batch)
+        encodes = decodes = 0
 
         def encode_batch(self, frames):
             self.encodes += 1
             return inner.encode_batch(frames)
+
+        def decode_batch(self, data):
+            self.decodes += 1
+            return inner.decode_batch(data)
 
     return Counting()
 
@@ -199,18 +205,19 @@ def run(
         result = _run_once(
             case["n"], case["f"], case["beats"], case["seed"], counting
         )
-        results.append(
-            BenchResult(
-                benchmark="runtime_throughput",
-                metric="encodes_per_beat",
-                value=counting.encodes / case["beats"],
-                unit="encodes/beat",
-                scenario={"transport": "local", "codec": codec,
-                          "n": case["n"], "f": case["f"]},
-                direction="lower",
-                gated=True,  # a count, not a clock: exact at any tier
+        for count in ("encodes", "decodes"):
+            results.append(
+                BenchResult(
+                    benchmark="runtime_throughput",
+                    metric=f"{count}_per_beat",
+                    value=getattr(counting, count) / case["beats"],
+                    unit=f"{count}/beat",
+                    scenario={"transport": "local", "codec": codec,
+                              "n": case["n"], "f": case["f"]},
+                    direction="lower",
+                    gated=True,  # a count, not a clock: exact at any tier
+                )
             )
-        )
         digest = hashlib.sha256(
             result.to_jsonl().encode("utf-8")
         ).hexdigest()

@@ -113,7 +113,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import craft_byzantine
-from repro.net.inbox import BeatInbox, Entry, entry_key, group_by_path
+from repro.net.inbox import BeatInbox, Entry, Run, entry_key, group_by_path
 from repro.net.message import BROADCAST, Envelope, FanoutView, FastOutbox
 from repro.net.network import MessageStats
 from repro.net.node import Node
@@ -381,7 +381,7 @@ class PulseSynchronizer(BeatInbox):
         everyone; one with traffic of its own merges the two through the
         canonical sort."""
         if lane is not None and beat in self._pending:
-            self._pending[beat].extend(lane.entries)
+            self._pending[beat].append(Run(beat, lane.entries))
             lane = None
         entries = self.close_entries(beat)
         self.node.update_phase(

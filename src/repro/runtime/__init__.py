@@ -21,8 +21,9 @@ Layers (bottom up):
   and :class:`TcpTransport` (length-prefixed wire units, one listener per
   node, codec-agnostic byte mover);
 * :mod:`~repro.runtime.sync` — :class:`BeatSynchronizer`, the round
-  barrier (per-beat tagging, late messages counted and dropped, wire
-  units decoded through the run's codec);
+  barrier (per-beat tagging, late messages counted and dropped), over
+  one ``Intake`` per host: each distinct wire unit decoded once through
+  the run's codec, one merged inbox per class of co-hosted receivers;
 * :mod:`~repro.runtime.node` / :mod:`~repro.runtime.byzantine` —
   :class:`RuntimeNode` drives the existing :mod:`repro.core` component
   tower unchanged; :class:`ByzantineProcess` speaks for the faulty ids

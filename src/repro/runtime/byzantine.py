@@ -19,7 +19,10 @@ Determinism note: the visible set is canonically ordered by ``(sender,
 emission seq, faulty receiver)`` before the strategy sees it, which is the
 same order the simulation engines build their adversary view in — one of
 the two facts (with keyed coin outcomes) that make zero-delay runtime runs
-bit-identical to the simulator even under an adversary.
+bit-identical to the simulator even under an adversary.  The faulty
+receiver is the id of the endpoint an entry was collected from, stamped
+here: the host's shared entries carry ``BROADCAST``, and this view is the
+one reader of ``Envelope.receiver`` on the live path.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.net.engine import craft_byzantine
+from repro.net.inbox import entry_key
+from repro.net.message import Envelope
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.transport import Endpoint
 from repro.runtime.wire import END, Frame, frame_for_envelope
@@ -93,17 +98,17 @@ class ByzantineProcess:
         faulty_ids = self.world.faulty_ids
         all_ids = range(self.world.n)
         for beat in range(beats):
-            entries = []
-            for node_id, synchronizer in self._synchronizers.items():
-                entries.extend(await synchronizer.collect_entries(beat))
             # Canonical visible order: (sender, seq) from the wire key,
             # then faulty receiver — the engines' view-building order.
-            entries.sort(key=lambda entry: (entry[0], entry[1].receiver))
-            visible = [
-                envelope
-                for _key, envelope in entries
-                if envelope.sender not in faulty_ids
-            ]
+            entries = []
+            for node_id, synchronizer in self._synchronizers.items():
+                for key, shared in await synchronizer.collect_entries(beat):
+                    sender, _, path, payload, tag = shared
+                    if sender not in faulty_ids:
+                        stamped = Envelope(sender, node_id, path, payload, tag)
+                        entries.append(((key, node_id), stamped))
+            entries.sort(key=entry_key)
+            visible = [envelope for _key, envelope in entries]
             crafted = craft_byzantine(self.world, beat, visible)
             # Group per (faulty sender, honest receiver) link; the seq
             # stays global over the crafted list (dead letters included)

@@ -17,10 +17,11 @@ pull in opposite directions:
 A codec never learns how many links a unit will travel: honest senders
 encode each *distinct* batch once per (sender, beat) and hand the same
 ``bytes`` to every link whose content it is — a broadcast frame carries
-``receiver=BROADCAST`` and the receiving barrier supplies the receiver
-id from its own endpoint, as the transport supplies the sender's — so a
-beat of pure broadcasts costs one :meth:`Codec.encode_batch` call per
-sender, not one per link (see :class:`~repro.runtime.node.RuntimeNode`).
+``receiver=BROADCAST``, and no receiver reads the field — so a beat of
+pure broadcasts costs one :meth:`Codec.encode_batch` call per sender,
+not one per link (see :class:`~repro.runtime.node.RuntimeNode`), and one
+:meth:`Codec.decode_batch` call per sender per receiving *host*, not one
+per receiver (see :class:`~repro.runtime.sync.Intake`).
 
 Both codecs serialize the *same* closed payload domain (``None``,
 ``bool``, ``int``, ``float``, ``str`` and tuples thereof — see

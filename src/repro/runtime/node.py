@@ -40,8 +40,8 @@ class RuntimeNode:
     merged among the broadcasts in ``seq`` order ahead of the marker.
     Per-link FIFO content is what a frame-per-copy sender would ship —
     one unit per (link, beat) on a batching codec, one per frame on
-    ``json`` — minus the receiver id, which the receiving barrier takes
-    from its own endpoint.  A send addressed outside the system is
+    ``json`` — minus the receiver id, which no honest receiver reads
+    (a node knows who it is).  A send addressed outside the system is
     counted and goes nowhere, as in the simulator.
 
     Then await the round barrier and drive the tower's update phase with

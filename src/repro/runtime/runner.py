@@ -45,7 +45,7 @@ from repro.net.world import World
 from repro.runtime.byzantine import ByzantineProcess
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.node import RuntimeNode
-from repro.runtime.sync import BeatSynchronizer, PulseBarrier, check_sync_mode
+from repro.runtime.sync import BeatSynchronizer, Intake, PulseBarrier, check_sync_mode
 from repro.runtime.transport import (
     DEFAULT_TRANSPORT,
     Transport,
@@ -182,10 +182,12 @@ async def host_nodes(
     bound and before the first beat — the cluster's address exchange.
     """
     all_ids = frozenset(range(world.n))
+    intake = Intake(world.n)  # one for every barrier hosted here
     if pulse is None:
         def barrier(endpoint, expected, _node_id):
             return BeatSynchronizer(
-                endpoint, expected, beat_timeout=beat_timeout, codec=codec
+                endpoint, expected, beat_timeout=beat_timeout, codec=codec,
+                intake=intake,
             )
     else:
         rho, pulse_period = pulse
@@ -199,6 +201,7 @@ async def host_nodes(
                 clock=DriftingClock(timing_seed, node_id, rho, pulse_period),
                 anchor=anchor,
                 codec=codec,
+                intake=intake,
             )
     runtime_nodes: list[RuntimeNode] = []
     process: "ByzantineProcess | None" = None

@@ -3,7 +3,9 @@
 The simulator hands every node the synchronous-round abstraction for free;
 a live network does not.  :class:`BeatSynchronizer` rebuilds it per node:
 
-* every frame is tagged with the beat its sender emitted it at;
+* every frame is tagged with the beat its sender emitted it at; a unit
+  is decoded once per host (:class:`Intake`) into one run per beat tag,
+  and each barrier it reaches judges the run against its own beat;
 * after its send phase a peer emits an ``end`` marker for the beat; the
   barrier for beat ``b`` closes when markers for ``b`` from *every*
   expected peer have arrived — or, if a ``beat_timeout`` is set, when the
@@ -22,25 +24,28 @@ a live network does not.  :class:`BeatSynchronizer` rebuilds it per node:
   :class:`~repro.net.inbox.BeatInbox` — the same code the event engine's
   ``PulseSynchronizer`` drives, which is what makes a zero-delay runtime
   bit-identical to the lock-step simulator
-  (``tests/test_runtime_differential.py``).
+  (``tests/test_runtime_differential.py``); co-hosted barriers that
+  close a beat over the same runs share one merged inbox.
 """
 
 from __future__ import annotations
 
 import asyncio
+from itertools import count
 from typing import Iterable
 
 from repro.errors import ConfigurationError
 from repro.net.events import DriftingClock
-from repro.net.inbox import BeatInbox, Entry, group_by_path
-from repro.net.message import Envelope
+from repro.net.inbox import BeatInbox, Entry, InboxClasses, Run, merge_runs
+from repro.net.message import BROADCAST, Envelope
 from repro.runtime.codec import Codec, DEFAULT_CODEC, resolve_codec
 from repro.runtime.transport import Endpoint
-from repro.runtime.wire import END, MSG, MAX_FRAME_LEN, Frame, WireError
+from repro.runtime.wire import END, MSG, MAX_FRAME_LEN, WireError
 
 __all__ = [
     "MAX_LOOKAHEAD",
     "BeatSynchronizer",
+    "Intake",
     "PulseBarrier",
     "check_sync_mode",
 ]
@@ -69,16 +74,70 @@ def check_sync_mode(sync: str, rho: float, pulse_period: float) -> None:
         )
 
 
+class Intake:
+    """One host's receive side, shared by every barrier it hosts.
+
+    A broadcasting sender hands co-hosted receivers byte-identical
+    units, so a unit is decoded once per ``(verified sender, bytes)`` —
+    by value (a shared object costs a hash, TCP's equal buffers a
+    ``memcmp``), by sender (replayed bytes speak under the replayer's
+    id) — into runs every receiver buffers as they are.  Envelopes carry
+    ``BROADCAST``: a frame's claimed receiver, like its claimed sender,
+    is never read.  A miss is always correct, so the cache is two
+    generations of ``4n`` units whatever a peer sprays, and a unit that
+    fails is never cached: each barrier it reaches counts it.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.classes = InboxClasses()
+        self._limit = 4 * n
+        self._young: dict[tuple[int, bytes], tuple[Run, ...]] = {}
+        self._old: dict[tuple[int, bytes], tuple[Run, ...]] = {}
+        self._serial = count()
+
+    def runs(self, sender: int, data: bytes, codec: Codec) -> "tuple[Run, ...]":
+        """The unit's content, one run per beat tag; :class:`WireError`
+        for an oversized or undecodable unit."""
+        key = (sender, data)
+        runs = self._young.get(key)
+        if runs is None:
+            runs = self._old.get(key)
+            if runs is None:
+                runs = self._decode(sender, data, codec)
+            if len(self._young) >= self._limit:
+                self._old, self._young = self._young, {}
+            self._young[key] = runs
+        return runs
+
+    def _decode(self, sender: int, data: bytes, codec: Codec) -> "tuple[Run, ...]":
+        if len(data) > MAX_FRAME_LEN:
+            raise WireError(f"unit of {len(data)} bytes exceeds the cap")
+        found: dict[int, list] = {}  # beat tag -> [entries, markers]
+        for frame in codec.decode_batch(data):
+            if frame.kind in (MSG, END):  # hello frames stop at the transport
+                beat = frame.beat
+                run = found.get(beat) or found.setdefault(beat, [[], 0])
+                if frame.kind == END:
+                    run[1] += 1
+                else:
+                    envelope = Envelope(
+                        sender, BROADCAST, frame.path, frame.payload, beat
+                    )
+                    run[0].append(((sender, frame.seq), envelope))
+        return tuple(
+            Run(beat, tuple(entries), sender, markers, next(self._serial))
+            for beat, (entries, markers) in found.items()
+        )
+
+
 class BeatSynchronizer(BeatInbox):
     """Per-node round barrier over one transport endpoint: markers,
-    lookahead, decoding and deadlines on top of the shared
+    lookahead and deadlines on top of the shared
     :class:`~repro.net.inbox.BeatInbox`.
 
     Args:
         endpoint: the node's transport attachment; the synchronizer is its
-            sole reader, and stamps the endpoint's ``node_id`` as the
-            receiver of every envelope it delivers (a frame's claimed
-            receiver, like its claimed sender, is never trusted).
+            sole reader.
         expected: peer ids whose ``end`` markers close each barrier —
             normally every node id in the system, including this node's
             own (its loopback marker) and the faulty ids (the Byzantine
@@ -92,6 +151,8 @@ class BeatSynchronizer(BeatInbox):
             the endpoint yields is decoded through it, and a unit that is
             oversized or fails to decode is counted in
             ``malformed_frames`` and dropped whole.
+        intake: the host's shared :class:`Intake`; a barrier built on its
+            own gets a private one and behaves exactly the same.
     """
 
     def __init__(
@@ -101,12 +162,14 @@ class BeatSynchronizer(BeatInbox):
         *,
         beat_timeout: "float | None" = None,
         codec: "str | Codec" = DEFAULT_CODEC,
+        intake: "Intake | None" = None,
     ) -> None:
         super().__init__()
         self.endpoint = endpoint
         self.expected = frozenset(expected)
         self.beat_timeout = beat_timeout
         self.codec = resolve_codec(codec)
+        self.intake = Intake(len(self.expected)) if intake is None else intake
         self.premature_messages = 0
         self.malformed_frames = 0
         self.barrier_timeouts = 0
@@ -133,34 +196,21 @@ class BeatSynchronizer(BeatInbox):
     def note(self, sender: int, data: bytes) -> None:
         """Classify one received wire unit (tests may call this directly)."""
         try:
-            if len(data) > MAX_FRAME_LEN:
-                raise WireError(
-                    f"unit of {len(data)} bytes exceeds the "
-                    f"{MAX_FRAME_LEN}-byte cap"
-                )
-            frames = self.codec.decode_batch(data)
+            runs = self.intake.runs(sender, data, self.codec)
         except WireError:
             self.malformed_frames += 1
             return
-        for frame in frames:
-            self._classify(sender, frame)
-
-    def _classify(self, sender: int, frame: Frame) -> None:
-        if frame.beat >= self.beat + MAX_LOOKAHEAD:
-            # Far beyond any correct peer's possible drift: refuse to
-            # buffer (a faulty peer could otherwise pin unbounded memory).
-            self.premature_messages += 1
-            return
-        if frame.kind == END:
-            if frame.beat >= self.beat:
-                self._markers.setdefault(frame.beat, set()).add(sender)
-            return
-        if frame.kind == MSG:  # hello frames stop at the transport layer
-            self.deliver(
-                frame.beat,
-                (sender, frame.seq),
-                frame.envelope(sender, self.endpoint.node_id),
-            )
+        for run in runs:
+            beat, entries, _sender, markers, _serial = run
+            if beat >= self.beat + MAX_LOOKAHEAD:
+                # Far beyond any correct peer's possible drift: refuse to
+                # buffer (a faulty peer could otherwise pin unbounded memory).
+                self.premature_messages += len(entries) + markers
+            else:
+                if markers and beat >= self.beat:
+                    self._markers.setdefault(beat, set()).add(sender)
+                if entries:
+                    self.deliver_run(run)
 
     # -- the barrier -------------------------------------------------------
 
@@ -183,8 +233,8 @@ class BeatSynchronizer(BeatInbox):
     def _note_close(self, loop: asyncio.AbstractEventLoop) -> None:
         """Hook invoked at every barrier close (timeout or markers)."""
 
-    async def collect_entries(self, beat: int) -> list[Entry]:
-        """Close beat ``beat``'s barrier; return its sorted traffic."""
+    async def _close(self, beat: int) -> list[Run]:
+        """Wait out beat ``beat``'s barrier; return its buffered runs."""
         if beat != self.beat:
             raise ConfigurationError(
                 f"barrier for beat {beat} requested, but the synchronizer "
@@ -193,7 +243,8 @@ class BeatSynchronizer(BeatInbox):
         loop = asyncio.get_running_loop()
         deadline = self._deadline(loop)
         drain = self._recv_nowait
-        while not self._markers.get(beat, set()) >= self.expected:
+        markers = self._markers.setdefault(beat, set())
+        while not markers >= self.expected:
             if drain is not None:
                 # Service everything already queued without suspending;
                 # the await below then only pays for genuinely absent
@@ -220,13 +271,17 @@ class BeatSynchronizer(BeatInbox):
                     break
             self.note(sender, data)
         self._markers.pop(beat, None)
-        entries = self.close_entries(beat)
+        runs = self.close_runs(beat)
         self._note_close(loop)
-        return entries
+        return runs
+
+    async def collect_entries(self, beat: int) -> list[Entry]:
+        """Close beat ``beat``'s barrier; return its sorted traffic."""
+        return merge_runs(await self._close(beat))
 
     async def collect(self, beat: int) -> dict[str, list[Envelope]]:
-        """Close the barrier and return per-path inboxes for the beat."""
-        return group_by_path(await self.collect_entries(beat))
+        """Close the barrier; the beat's per-path inboxes (read-only)."""
+        return self.intake.classes.inboxes(beat, await self._close(beat))
 
 
 class PulseBarrier(BeatSynchronizer):
@@ -252,7 +307,7 @@ class PulseBarrier(BeatSynchronizer):
     into the max-pairwise-skew and real-time-convergence metrics.
 
     Args:
-        endpoint, expected, codec: as :class:`BeatSynchronizer`.
+        endpoint, expected, codec, intake: as :class:`BeatSynchronizer`.
         clock: this node's drifting clock — built from the run's shared
             ``"timing"`` seed so rates match the event-driven simulator.
         anchor: loop time of the run's pulse 0.  Pass one shared reading
@@ -268,8 +323,9 @@ class PulseBarrier(BeatSynchronizer):
         clock,
         anchor: "float | None" = None,
         codec: "str | Codec" = DEFAULT_CODEC,
+        intake: "Intake | None" = None,
     ) -> None:
-        super().__init__(endpoint, expected, beat_timeout=None, codec=codec)
+        super().__init__(endpoint, expected, codec=codec, intake=intake)
         self.clock = clock
         self.anchor = anchor
         self.pulse_timeouts = 0

@@ -9,8 +9,8 @@ Three frame kinds exist:
   inboxes by ``(sender, seq)``, which reproduces the simulator's
   sender-sorted delivery order exactly — see :mod:`repro.runtime.sync`).
   An honest full broadcast is *one* frame with ``receiver=BROADCAST``,
-  encoded once and shipped on every link; a frame's claimed receiver is
-  ignored like its claimed sender — the barrier stamps its own id;
+  encoded once, shipped on every link and decoded once per receiving
+  host; a frame's claimed receiver is ignored like its claimed sender;
 * ``end`` — a beat marker: "I have emitted everything I will emit for beat
   ``b``".  Markers realize the global beat system on top of bounded-delay
   delivery;
@@ -111,9 +111,16 @@ class Frame(NamedTuple):
     """One wire frame (see the module docstring for the three kinds).
 
     A named tuple, like :class:`~repro.net.message.Envelope`: decoding
-    builds one per received message.  ``receiver`` is
-    :data:`~repro.net.message.BROADCAST` on an honest full broadcast and
-    the addressee's id on point-to-point traffic; receivers ignore it.
+    builds one per message of each distinct unit a host receives.
+    ``receiver`` is :data:`~repro.net.message.BROADCAST` on an honest
+    full broadcast and the addressee's id on point-to-point traffic.
+    Both claimed ids stop here: the host's
+    :class:`~repro.runtime.sync.Intake` rebuilds the envelope from the
+    *transport-verified* sender (the connection's hello, or the queue
+    registration — the runtime analogue of
+    :func:`~repro.net.network.ensure_faulty_senders`) and ``BROADCAST``,
+    so a faulty peer can neither forge an honest sender nor plant an
+    envelope "addressed" to another node in an honest inbox.
     """
 
     kind: str
@@ -123,24 +130,6 @@ class Frame(NamedTuple):
     receiver: int = BROADCAST
     path: str = ""
     payload: Hashable = None
-
-    def envelope(
-        self, verified_sender: int, verified_receiver: int
-    ) -> Envelope:
-        """Rebuild the envelope, stamping both transport-verified ends.
-
-        The frame's *claimed* sender and receiver are deliberately
-        discarded: the sender's identity comes from the connection (TCP
-        hello) or the in-process queue registration, the receiver's from
-        the endpoint the unit arrived at — so a faulty peer can neither
-        forge an honest sender (the runtime analogue of
-        :func:`~repro.net.network.ensure_faulty_senders`) nor plant an
-        envelope "addressed" to another node in an honest inbox.
-        """
-        return Envelope(
-            verified_sender, verified_receiver, self.path, self.payload,
-            self.beat,
-        )
 
 
 def frame_for_envelope(envelope: Envelope, seq: int) -> Frame:

@@ -14,7 +14,7 @@ import asyncio
 import pytest
 
 from repro.errors import ConfigurationError, TransportError, WireError
-from repro.net.message import Envelope
+from repro.net.message import BROADCAST, Envelope
 from repro.runtime import (
     CODECS,
     DEFAULT_CODEC,
@@ -35,6 +35,7 @@ from repro.runtime import (
     resolve_transport,
     run_runtime,
 )
+from repro.runtime.sync import Intake
 from repro.runtime.wire import END, HELLO, MSG, MAX_FRAME_LEN
 
 
@@ -60,7 +61,7 @@ class TestWireCodec:
         frame = frame_for_envelope(envelope, seq=5)
         decoded = decode_frame(encode_frame(frame))
         assert decoded == frame
-        assert decoded.envelope(2, 1) == envelope
+        assert (decoded.path, decoded.payload, decoded.beat) == envelope[2:]
 
     def test_end_and_hello_round_trip(self):
         for frame in (Frame(kind=END, sender=3, beat=9),
@@ -69,12 +70,12 @@ class TestWireCodec:
 
     def test_claimed_sender_is_discarded_on_rebuild(self):
         """Envelope identity comes from the transport, not the frame."""
-        frame = decode_frame(
-            encode_frame(Frame(kind=MSG, sender=999, beat=0, seq=0,
-                               receiver=1, path="root", payload=0))
-        )
-        rebuilt = frame.envelope(verified_sender=2, verified_receiver=1)
-        assert rebuilt.sender == 2
+        data = encode_frame(Frame(kind=MSG, sender=999, beat=0, seq=0,
+                                  receiver=1, path="root", payload=0))
+        (run,) = Intake(1).runs(2, data, JsonCodec())
+        ((key, rebuilt),) = run.entries
+        assert (key, rebuilt.sender, run.sender) == ((2, 0), 2, 2)
+        assert 999 not in rebuilt and 1 not in rebuilt
 
     @pytest.mark.parametrize(
         "payload", [[1, 2], {"a": 1}, {1, 2}, b"bytes", object()]
@@ -423,9 +424,10 @@ class TestBatchedSynchronizer:
 
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_claimed_receiver_is_discarded_at_the_barrier(self, codec_name):
-        """Receiver identity comes from the endpoint, as sender identity
-        comes from the transport: a faulty peer cannot make an honest
-        inbox hold envelopes "addressed" to another node."""
+        """No envelope carries an id read off the wire: the sender is the
+        transport-verified one, and the claimed receiver appears nowhere
+        — a faulty peer cannot make an honest inbox hold envelopes
+        "addressed" to another node."""
         codec = CODECS[codec_name]
 
         async def scenario():
@@ -439,8 +441,8 @@ class TestBatchedSynchronizer:
             return await sync.collect(0)
 
         (envelope,) = asyncio.run(scenario())["root"]
-        assert (envelope.sender, envelope.receiver) == (1, 0)
-        assert envelope.payload == "x"
+        assert envelope == Envelope(1, BROADCAST, "root", "x", 0)
+        assert 3 not in envelope and 2 not in envelope
 
     def test_malformed_binary_unit_counted_and_dropped(self):
         async def scenario():
@@ -547,22 +549,83 @@ class TestRunner:
         assert binary_run.frames_sent == 4 * 4 * 8
         assert json_run.frames_sent == json_run.messages_sent + 4 * 4 * 8
 
-    def test_one_encode_per_sender_per_beat(self):
-        """A beat of pure broadcasts is encoded once per sender and the
-        same units shipped on all n links — n encodes per beat, not n²."""
+    def _counting_codec(self):
         class CountingCodec(BinaryCodec):
-            encodes = 0
+            encodes = decodes = 0
 
             def encode_batch(self, frames):
                 self.encodes += 1
                 return super().encode_batch(frames)
 
-        codec = CountingCodec()
+            def decode_batch(self, data):
+                self.decodes += 1
+                return super().decode_batch(data)
+
+        return CountingCodec()
+
+    def test_one_encode_per_sender_per_beat(self):
+        """A beat of pure broadcasts is encoded once per sender and the
+        same units shipped on all n links — n encodes per beat, not n²."""
+        codec = self._counting_codec()
         result = run_runtime(
             4, 1, self._factory(), seed=0, beats=8, k=6, codec=codec
         )
         assert codec.encodes == 4 * 8
         assert result.frames_sent == 4 * 4 * 8
+
+    def test_one_decode_per_sender_and_one_merge_per_beat(self, monkeypatch):
+        """...and read once: co-hosted receivers are handed the same
+        bytes, so a host decodes n units per beat, not n², and merges
+        one inbox per beat for all n nodes."""
+        from repro.net import inbox
+
+        merges = []
+        group_by_path = inbox.group_by_path
+        monkeypatch.setattr(
+            inbox, "group_by_path",
+            lambda entries: merges.append(1) or group_by_path(entries),
+        )
+        codec = self._counting_codec()
+        result = run_runtime(
+            4, 1, self._factory(), seed=0, beats=8, k=6, codec=codec
+        )
+        assert result.frames_sent == 4 * 4 * 8  # units received
+        assert codec.decodes == 4 * 8
+        assert len(merges) == 8
+
+    def test_byzantine_copies_are_read_per_receiver_honest_units_once(self):
+        """Under the equivocator (n=7, f=2) every honest unit is decoded
+        once for all seven endpoints and every crafted copy once for its
+        receiver; the run is the parent's, to the byte and the count."""
+        import hashlib
+
+        from repro.adversary import EquivocatorAdversary
+
+        codec = self._counting_codec()
+        result = run_runtime(
+            7, 2, self._factory(), adversary=EquivocatorAdversary(), seed=0,
+            beats=12, k=6, codec=codec,
+        )
+        assert codec.decodes <= ((7 - 2) + 2 * (7 - 2)) * 12  # 540 receipts
+        assert hashlib.sha256(result.to_jsonl().encode()).hexdigest() == (
+            "3cb7603af37d63e114582d915db522777343a016f374c29d61154570e4200e01"
+        )
+        assert (result.messages_sent, result.frames_sent) == (1034, 540)
+        assert not any(result.health.values())
+
+    def test_link_specific_units_are_each_decoded(self):
+        """The side without the property: every GVSS beat carries
+        dealings, so every unit is one link's own — decodes = receipts."""
+        from repro.coin import FeldmanMicaliCoin
+        from repro.core.clock_sync import SSByzClockSync
+
+        codec = self._counting_codec()
+        result = run_runtime(
+            7, 2,
+            lambda i: SSByzClockSync(8, lambda: FeldmanMicaliCoin(7, 2)),
+            seed=3, beats=6, codec=codec,
+        )
+        assert codec.decodes == result.frames_sent == 7 * 7 * 6
 
     def test_unknown_codec_rejected(self):
         with pytest.raises(ConfigurationError, match="unknown codec"):

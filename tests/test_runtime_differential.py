@@ -21,8 +21,11 @@ from __future__ import annotations
 import pytest
 
 from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
+from repro.adversary.anti_coin import AntiCoinClock2Adversary
+from repro.adversary.bisector import BisectorAdversary
 from repro.coin import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
+from repro.core.clock2 import SSByz2Clock
 from repro.core.clock_sync import SSByzClockSync
 from repro.net.events import run_continuous
 from repro.net.simulator import Simulation
@@ -244,6 +247,51 @@ class TestGvssMixedBatches:
         assert live.messages_sent == messages
         assert live.frames_sent == frames[codec]
         assert not any(live.health.values())
+
+
+class TestReceiverStampedWhereItIsRead:
+    """Shared inbox entries carry no receiver; the adversary's view — the
+    one place on the live path that reads ``Envelope.receiver`` — carries
+    the id of the faulty endpoint each entry was collected from.  Both
+    strategies below filter their view on it (``anti-coin``, ``bisector``
+    against ss-Byz-2-Clock, n=7, f=2)."""
+
+    N, F, VIEW_BEATS = 7, 2, 16
+
+    @pytest.mark.parametrize("codec", ["json", "binary"])
+    @pytest.mark.parametrize(
+        "adversary_cls", [AntiCoinClock2Adversary, BisectorAdversary]
+    )
+    def test_views_and_traces_match_the_simulator(self, adversary_cls, codec):
+        coin = OracleCoin(p0=0.4, p1=0.4, rounds=2)
+
+        class Recording(adversary_cls):
+            def craft_messages(self, view):
+                self.views.append([tuple(e) for e in view.visible_messages])
+                return super().craft_messages(view)
+
+        def adversary():
+            recording = Recording(coin)
+            recording.views = []
+            return recording
+
+        def root(_node_id):
+            return SSByz2Clock(coin)
+
+        simulated, live = adversary(), adversary()
+        sim = Simulation(self.N, self.F, root, adversary=simulated, seed=1)
+        tracer = Tracer(lambda root: root.clock_value)
+        sim.add_monitor(tracer)
+        sim.scramble()
+        sim.run(self.VIEW_BEATS)
+        result = run_runtime(
+            self.N, self.F, root, adversary=live, seed=1,
+            beats=self.VIEW_BEATS, transport="local", codec=codec,
+        )
+        assert result.to_jsonl() == tracer.to_jsonl()
+        assert live.views == simulated.views
+        receivers = {e[1] for view in live.views for e in view}
+        assert receivers == set(sim.faulty_ids) and len(receivers) == self.F
 
 
 class TestTcpLoopback:

@@ -30,6 +30,7 @@ from repro.bench.result import (
 )
 from repro.errors import WireError
 from repro.runtime.codec import BinaryCodec, JsonCodec
+from repro.runtime.sync import Intake
 from repro.runtime.wire import (
     END,
     HELLO,
@@ -41,7 +42,7 @@ from repro.runtime.wire import (
     frame_for_envelope,
     length_prefixed,
 )
-from repro.net.message import Envelope
+from repro.net.message import BROADCAST, Envelope
 
 # --------------------------------------------------------------------------
 # Strategies
@@ -120,9 +121,10 @@ class TestWireRoundTrip:
     def test_envelope_frame_envelope(self, sender, receiver, beat, path,
                                      payload, seq):
         envelope = Envelope(sender, receiver, path, payload, beat)
-        frame = frame_for_envelope(envelope, seq)
-        rebuilt = decode_frame(encode_frame(frame)).envelope(sender, receiver)
-        assert rebuilt == envelope
+        data = encode_frame(frame_for_envelope(envelope, seq))
+        (run,) = Intake(1).runs(sender, data, JsonCodec())
+        shared = envelope._replace(receiver=BROADCAST)
+        assert run.entries == (((sender, seq), shared),)
 
     @given(_frames())
     def test_length_prefix_brackets_the_frame(self, frame):
