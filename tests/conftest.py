@@ -109,31 +109,29 @@ class CoinHarness:
     def run(self, byz_hook: ByzHook | None = None) -> dict[int, int]:
         """Execute all rounds; return each correct node's output."""
         for round_index in range(1, self.algorithm.rounds + 1):
-            outbox: list[tuple[int, int, Any]] = []
-            for node_id, instance in sorted(self.instances.items()):
-                instance.send_round(
-                    round_index, self._context(node_id, [], outbox)
-                )
-            if byz_hook is not None and self.faulty:
-                visible = [m for m in outbox if m[1] in self.faulty]
-                for sender, receiver, payload in byz_hook(round_index, visible):
-                    assert sender in self.faulty, "test byz hook forged sender"
-                    outbox.append((sender, receiver, payload))
-            inboxes: dict[int, list[tuple[int, Any]]] = {
-                i: [] for i in self.instances
-            }
-            for sender, receiver, payload in sorted(
-                outbox, key=lambda m: (m[1], m[0])
-            ):
-                if receiver in inboxes:
-                    inboxes[receiver].append((sender, payload))
-            for node_id, instance in sorted(self.instances.items()):
-                instance.update_round(
-                    round_index, self._context(node_id, inboxes[node_id], None)
-                )
-            for sender, receiver, payload in outbox:
-                self.traffic.append((round_index, sender, receiver, payload))
+            self.run_round(round_index, byz_hook)
         return {i: inst.output() for i, inst in sorted(self.instances.items())}
+
+    def run_round(self, round_index: int, byz_hook: ByzHook | None = None) -> None:
+        """Execute one round: every send, the faulty traffic, every update."""
+        outbox: list[tuple[int, int, Any]] = []
+        for node_id, instance in sorted(self.instances.items()):
+            instance.send_round(round_index, self._context(node_id, [], outbox))
+        if byz_hook is not None and self.faulty:
+            visible = [m for m in outbox if m[1] in self.faulty]
+            for sender, receiver, payload in byz_hook(round_index, visible):
+                assert sender in self.faulty, "test byz hook forged sender"
+                outbox.append((sender, receiver, payload))
+        inboxes: dict[int, list[tuple[int, Any]]] = {i: [] for i in self.instances}
+        for sender, receiver, payload in sorted(outbox, key=lambda m: (m[1], m[0])):
+            if receiver in inboxes:
+                inboxes[receiver].append((sender, payload))
+        for node_id, instance in sorted(self.instances.items()):
+            instance.update_round(
+                round_index, self._context(node_id, inboxes[node_id], None)
+            )
+        for sender, receiver, payload in outbox:
+            self.traffic.append((round_index, sender, receiver, payload))
 
 
 @pytest.fixture
