@@ -32,7 +32,6 @@ only to exhibit the deterministic O(f)-convergence rows.
 from __future__ import annotations
 
 import random
-from typing import Any
 
 from repro.coin.interfaces import InstanceContext
 from repro.errors import ConfigurationError
@@ -80,29 +79,6 @@ class CyclicAgreementClock(Component):
         """The agreement round scheduled at this beat (shared phase label)."""
         return beat % self.depth + 1
 
-    def _instance_context(
-        self,
-        ctx: BeatContext,
-        inbox: list[tuple[int, Any]],
-        sending: bool,
-    ) -> InstanceContext:
-        emit = None
-        if sending:
-            def emit(receiver: int, payload: Any) -> None:
-                ctx.send(receiver, payload)
-
-        return InstanceContext(
-            node_id=ctx.node_id,
-            n=ctx.n,
-            f=ctx.f,
-            beat=ctx.beat,
-            rng=ctx.rng,
-            env=ctx.env,
-            path=ctx.path,
-            inbox=inbox,
-            emit=emit,
-        )
-
     def on_send(self, ctx: BeatContext) -> None:
         # The clock ticks every beat, like Fig. 4's line 2.
         self.clock = (self.clock + 1) % self.k
@@ -110,15 +86,17 @@ class CyclicAgreementClock(Component):
         if round_index == 1:
             # New cycle: agree on the value this cycle's clock starts from.
             self.instance = self._make_instance(self.clock)
+        # One instance per path: no tag, and a round's broadcast is one
+        # fan-out record on this component's path.
         self.instance.send_round(
-            round_index, self._instance_context(ctx, [], True)
+            round_index, InstanceContext(ctx, path=ctx.path, inbox=[])
         )
 
     def on_update(self, ctx: BeatContext) -> None:
         round_index = self._round_index(ctx.beat)
         inbox = [(e.sender, e.payload) for e in ctx.inbox]
         self.instance.update_round(
-            round_index, self._instance_context(ctx, inbox, False)
+            round_index, InstanceContext(ctx, path=ctx.path, inbox=inbox)
         )
         if round_index == self.depth:
             # Cycle complete: re-anchor.  The cycle's input was the clock

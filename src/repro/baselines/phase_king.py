@@ -187,34 +187,15 @@ class BitwisePhaseKingAgreement:
         return phase_king_rounds(self.f)
 
     def _lane_context(
-        self,
-        lane: int,
-        ctx: InstanceContext,
-        inbox: list[tuple[int, Any]],
-        sending: bool,
+        self, lane: int, ctx: InstanceContext, inbox: list[tuple[int, Any]]
     ) -> InstanceContext:
-        emit = None
-        if sending:
-            def emit(receiver: int, payload: Any, _lane: int = lane) -> None:
-                ctx.send(receiver, (_lane, payload))
-
         return InstanceContext(
-            node_id=ctx.node_id,
-            n=ctx.n,
-            f=ctx.f,
-            beat=ctx.beat,
-            rng=ctx.rng,
-            env=ctx.env,
-            path=f"{ctx.path}#b{lane}",
-            inbox=inbox,
-            emit=emit,
+            ctx, path=f"{ctx.path}#b{lane}", inbox=inbox, tag=lane
         )
 
     def send_round(self, round_index: int, ctx: InstanceContext) -> None:
         for lane, state in enumerate(self.lanes):
-            state.send_round(
-                round_index, self._lane_context(lane, ctx, [], True)
-            )
+            state.send_round(round_index, self._lane_context(lane, ctx, []))
 
     def update_round(self, round_index: int, ctx: InstanceContext) -> None:
         by_lane: dict[int, list[tuple[int, Any]]] = {}
@@ -227,8 +208,7 @@ class BitwisePhaseKingAgreement:
                 by_lane.setdefault(payload[0], []).append((sender, payload[1]))
         for lane, state in enumerate(self.lanes):
             state.update_round(
-                round_index,
-                self._lane_context(lane, ctx, by_lane.get(lane, []), False),
+                round_index, self._lane_context(lane, ctx, by_lane.get(lane, []))
             )
 
     def output(self) -> int:

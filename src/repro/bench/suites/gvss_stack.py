@@ -7,14 +7,19 @@ three GVSS pipelines, n dealings each, four rounds deep.  Smoke tier, so
 CI gates it on every push.  The cases cover both decoder paths: fault
 free every recover is the optimistic table lookup, while ``mixed-dealing``
 (:mod:`repro.adversary.mixed_dealing`) makes half the correct nodes
-eliminate and fall back every beat.  Convergence beat and per-beat
-traffic are simulation-deterministic, so both gate against the baseline;
-wall-clock beats/sec is informational.
+eliminate and fall back every beat.  Convergence beat, per-beat traffic
+and two counts are simulation-deterministic and gate against the
+baseline: share lists validated and Reed-Solomon decodes run per beat,
+which shared readings (:mod:`repro.coin.gvss`) hold at n per recover
+round per class of receivers, not n².  Wall-clock beats/sec is
+informational.
 """
 
 from __future__ import annotations
 
+import contextlib
 import time
+from collections import Counter
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
@@ -24,11 +29,29 @@ from repro.bench.result import BenchOutcome, BenchResult
 CASES = ((4, 1, "none"), (7, 2, "none"), (7, 2, "mixed-dealing"))
 
 
+@contextlib.contextmanager
+def _counted(owner, name: str, tally: Counter):
+    """While open, ``owner.name`` also counts its calls under ``name``."""
+    original = getattr(owner, name)
+
+    def counting(*args):
+        tally[name] += 1
+        return original(*args)
+
+    setattr(owner, name, counting)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
+
+
 def run(
     cases: tuple = CASES, k: int = 16, beats: int = 40, seed: int = 3
 ) -> BenchOutcome:
     from repro.analysis.campaign import ScenarioSpec
     from repro.analysis.convergence import ClockConvergenceMonitor
+    from repro.coin import reedsolomon
+    from repro.coin.gvss import GradedSharingState
     from repro.net.simulator import Simulation
 
     results = []
@@ -45,9 +68,12 @@ def run(
         monitor = ClockConvergenceMonitor(k=k)
         sim.add_monitor(monitor)
         sim.scramble()
-        started = time.perf_counter()
-        sim.run(beats)
-        elapsed = time.perf_counter() - started
+        tally: Counter = Counter()
+        with _counted(GradedSharingState, "_validate_recover", tally), \
+                _counted(reedsolomon, "_decode", tally):
+            started = time.perf_counter()
+            sim.run(beats)
+            elapsed = time.perf_counter() - started
         converged_beat = monitor.convergence_beat()
         total_messages = sim.stats.total_messages
 
@@ -58,13 +84,15 @@ def run(
             label += f" {adversary}"
         results += [
             BenchResult(
-                benchmark="gvss_stack",
-                metric="messages_per_beat",
-                value=total_messages / beats,
-                unit="messages",
-                scenario=axes,
-                direction="lower",
-            ),
+                benchmark="gvss_stack", metric=metric, value=count / beats,
+                unit=unit, scenario=axes, direction="lower",
+            )
+            for metric, count, unit in (
+                ("messages_per_beat", total_messages, "messages"),
+                ("share_list_readings_per_beat", tally["_validate_recover"], "readings"),
+                ("recover_decodes_per_beat", tally["_decode"], "decodes"),
+            )
+        ] + [
             BenchResult(
                 benchmark="gvss_stack",
                 metric="beats_per_sec",

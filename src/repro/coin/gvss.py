@@ -44,6 +44,25 @@ power tables are constants of ``n`` (Remark 2.3) served by the pure cached
 functions of :mod:`repro.coin.polynomial` and :mod:`repro.coin.reedsolomon`,
 so :meth:`GradedSharingState.scramble` still redraws *every* attribute a
 transient fault can touch.
+
+Rounds 3 and 4 are broadcasts: every receiver in a process is handed the
+same payload *objects* (:mod:`repro.coin.interfaces`), and what a payload
+says is a pure function of ``(n, field, payload)``.  Such a *reading of a
+message* — neither a constant of the code nor node state — is computed
+once per object and kept in two module-level tables: ``_readings`` (a
+vote's accepted dealers, a share list's accepted ``(dealer, share)`` pairs,
+``None`` for malformed) and ``_recoveries`` (the secrets decoded from one
+set of readings under one tuple of graded dealers: one per class of
+receivers).  They are keyed by **identity**, never by value —
+``("vote", (1.0,))`` equals and hashes like ``("vote", (1,))`` yet is
+malformed, and a faulty sender's twin read first must not speak for the
+honest payload — and an entry holds the objects its key names, so no
+``id`` is recycled under it.  Results are immutable or copied out.  A
+miss runs exactly what a hit skips, so a full table just drops its older
+half; what stays is a beat's working set (two readings per pipeline per
+node) at the ``n`` this coin runs at.  A state driven alone
+(one node per process; the live runtime, which decodes per link) misses
+every time and behaves as one that shares.
 """
 
 from __future__ import annotations
@@ -67,6 +86,22 @@ ROUND_SHARE = 1
 ROUND_EXCHANGE = 2
 ROUND_VOTE = 3
 ROUND_RECOVER = 4
+
+_READINGS_BOUND = 128
+_RECOVERIES_BOUND = 32
+#: ``(validator, n, modulus, id(payload)) -> (payload, reading)``.
+_readings: dict[tuple, tuple[Any, Any]] = {}
+#: ``(n, f, modulus, graded dealers, (sender, id(reading)), ...) ->
+#: (the readings, dealer -> recovered secret)``.
+_recoveries: dict[tuple, tuple[list, dict[int, int]]] = {}
+
+
+def _remember(table: dict, bound: int, key: tuple, entry: tuple) -> tuple:
+    if len(table) >= bound:  # a miss is always correct: drop the older half
+        for stale in list(table)[: bound // 2]:
+            del table[stale]
+    table[key] = entry
+    return entry
 
 
 class GradedSharingState:
@@ -138,18 +173,20 @@ class GradedSharingState:
     def update_exchange(self, ctx: InstanceContext) -> None:
         self.cross_points = {}
         for sender, payload in ctx.first_per_sender().items():
-            parsed = self._validate_cross_points(payload)
+            parsed = self._validate_pairs("xpt", payload)
             if parsed is not None:
                 self.cross_points[sender] = parsed
 
-    def _validate_cross_points(self, payload: Any) -> dict[int, int] | None:
+    def _validate_pairs(self, kind: str, payload: Any) -> dict[int, int] | None:
+        """A ``(kind, ((dealer, value), ...))`` payload as dealer -> value
+        (in range, first entry wins), or ``None`` if any of it is malformed."""
         if not (isinstance(payload, tuple) and len(payload) == 2):
             return None
-        kind, points = payload
-        if kind != "xpt" or not isinstance(points, tuple):
+        tag, pairs = payload
+        if tag != kind or not isinstance(pairs, tuple):
             return None
         parsed: dict[int, int] = {}
-        for entry in points:
+        for entry in pairs:
             if not (isinstance(entry, tuple) and len(entry) == 2):
                 return None
             dealer, value = entry
@@ -178,9 +215,19 @@ class GradedSharingState:
     def update_vote(self, ctx: InstanceContext) -> None:
         self.votes = {}
         for sender, payload in ctx.first_per_sender().items():
-            parsed = self._validate_vote(payload)
-            if parsed is not None:
-                self.votes[sender] = parsed
+            voted = self._reading(GradedSharingState._validate_vote, payload)
+            if voted is not None:
+                self.votes[sender] = voted
+
+    def _reading(self, validate, payload: Any) -> Any:
+        """``validate(self, payload)``, computed once per payload object."""
+        key = (validate, self.n, self.field.modulus, id(payload))
+        entry = _readings.get(key)
+        if entry is None or entry[0] is not payload:
+            entry = _remember(
+                _readings, _READINGS_BOUND, key, (payload, validate(self, payload))
+            )
+        return entry[1]
 
     def _validate_vote(self, payload: Any) -> frozenset[int] | None:
         if not (isinstance(payload, tuple) and len(payload) == 2):
@@ -215,42 +262,46 @@ class GradedSharingState:
         return grades
 
     def update_recover(self, ctx: InstanceContext) -> None:
-        zero_shares: dict[int, dict[int, int]] = {d: {} for d in range(self.n)}
+        readings = []
         for sender, payload in ctx.first_per_sender().items():
-            parsed = self._validate_recover(payload)
-            if parsed is None:
-                continue
-            for dealer, value in parsed.items():
+            shares = self._reading(GradedSharingState._validate_recover, payload)
+            if shares is not None:
+                readings.append((sender, shares))
+        graded = tuple(d for d, g in self.grades.items() if g != GRADE_NONE)
+        # Same share lists from the same senders, same graded dealers: the
+        # same secrets.  The first receiver of such a class decodes them.
+        key = (
+            self.n, self.f, self.field.modulus, graded,
+            *[(sender, id(shares)) for sender, shares in readings],
+        )
+        entry = _recoveries.get(key) or _remember(
+            _recoveries, _RECOVERIES_BOUND, key,
+            (readings, self._recover(readings, graded)),
+        )
+        self.recovered = dict(entry[1])
+
+    def _recover(
+        self, readings: list[tuple[int, tuple]], graded: tuple[int, ...]
+    ) -> dict[int, int]:
+        zero_shares: dict[int, dict[int, int]] = {d: {} for d in range(self.n)}
+        for sender, shares in readings:
+            for dealer, value in shares:
                 zero_shares[dealer][sender] = value
-        self.recovered = {}
-        for dealer, grade in self.grades.items():
-            if grade == GRADE_NONE:
-                continue
+        recovered = {}
+        for dealer in graded:
             points = [
                 (node_point(sender), value)
                 for sender, value in sorted(zero_shares[dealer].items())
             ]
             # Too few shares to decode at all is one more failure to decode.
-            self.recovered[dealer] = decode_best_effort(
+            recovered[dealer] = decode_best_effort(
                 self.field, points, degree=self.f, max_errors=self.f, fallback=0
             )
+        return recovered
 
-    def _validate_recover(self, payload: Any) -> dict[int, int] | None:
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return None
-        kind, shares = payload
-        if kind != "rshare" or not isinstance(shares, tuple):
-            return None
-        parsed: dict[int, int] = {}
-        for entry in shares:
-            if not (isinstance(entry, tuple) and len(entry) == 2):
-                return None
-            dealer, value = entry
-            if not (isinstance(dealer, int) and self.field.contains(value)):
-                return None
-            if 0 <= dealer < self.n and dealer not in parsed:
-                parsed[dealer] = value
-        return parsed
+    def _validate_recover(self, payload: Any) -> tuple[tuple[int, int], ...] | None:
+        parsed = self._validate_pairs("rshare", payload)
+        return None if parsed is None else tuple(parsed.items())
 
     # -- output & faults -----------------------------------------------------
 

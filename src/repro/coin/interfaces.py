@@ -13,13 +13,23 @@ its own component path, tagging payloads with the slot index — the paper's
 "session numbers" (§2.1) that let concurrent invocations coexist and be
 recycled without unbounded counters.  An :class:`InstanceContext` gives an
 instance its per-round messaging window.
+
+An instance context does not send: it hands what the instance emits to the
+*sink* it was built on — the host's :class:`~repro.net.component.BeatContext`
+or another instance context, whose node, beat and randomness it shares and
+which refuses traffic outside the send phase — wrapped as ``(tag,
+payload)`` when the host multiplexes (a pipeline slot, a phase-king lane).
+**A broadcast is one record**: one ``broadcast`` on the sink, never ``n``
+sends, so every engine sees a fan-out it can share and every receiver is
+handed the same payload object — what the shared readings of
+:mod:`repro.coin.gvss` key on.
 """
 
 from __future__ import annotations
 
 import abc
 import random
-from typing import TYPE_CHECKING, Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.environment import Environment
@@ -30,44 +40,44 @@ __all__ = ["CoinAlgorithm", "CoinInstance", "InstanceContext"]
 class InstanceContext:
     """One round's view of the network for one pipelined coin instance."""
 
-    __slots__ = ("node_id", "n", "f", "beat", "rng", "env", "path", "inbox", "_emit")
+    __slots__ = (
+        "node_id", "n", "f", "beat", "rng", "env", "path", "inbox", "_sink", "_tag",
+    )
 
     def __init__(
         self,
+        sink: Any,
         *,
-        node_id: int,
-        n: int,
-        f: int,
-        beat: int,
-        rng: random.Random,
-        env: "Environment",
         path: str,
         inbox: list[tuple[int, Any]],
-        emit: Callable[[int, Hashable], None] | None,
+        tag: Hashable = None,
     ) -> None:
-        self.node_id = node_id
-        self.n = n
-        self.f = f
-        self.beat = beat
-        self.rng = rng
-        self.env = env
+        self.node_id: int = sink.node_id
+        self.n: int = sink.n
+        self.f: int = sink.f
+        self.beat: int = sink.beat
+        self.rng: random.Random = sink.rng
+        self.env: "Environment" = sink.env
         #: Routing path of this slot; identical at every node, so it doubles
         #: as the shared key for oracle-coin outcome resolution.
         self.path = path
         #: ``(sender, payload)`` pairs delivered to this slot this beat.
         self.inbox = inbox
-        self._emit = emit
+        self._sink = sink
+        #: Session tag wrapped around every payload; ``None`` for a host
+        #: that runs one instance on its path and multiplexes nothing.
+        self._tag = tag
 
     def send(self, receiver: int, payload: Hashable) -> None:
         """Send a private point-to-point message within this instance."""
-        if self._emit is None:
-            raise RuntimeError("sending is only legal during the send phase")
-        self._emit(receiver, payload)
+        self._sink.send(
+            receiver, payload if self._tag is None else (self._tag, payload)
+        )
 
     def broadcast(self, payload: Hashable) -> None:
-        """Send ``payload`` to every node within this instance."""
-        for receiver in range(self.n):
-            self.send(receiver, payload)
+        """Send ``payload`` to every node within this instance: one
+        fan-out record, the same object in every inbox."""
+        self._sink.broadcast(payload if self._tag is None else (self._tag, payload))
 
     def first_per_sender(self) -> dict[int, Any]:
         """Inbox collapsed to one payload per sender (first wins).

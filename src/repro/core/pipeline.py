@@ -16,7 +16,9 @@ with a slot tag — the paper's recyclable "session numbers" (§2.1).  A
 message sent by the instance in slot ``i`` at beat ``r`` is consumed at
 beat ``r`` by the slot-``i`` peers, after which the instance moves to slot
 ``i + 1`` for its next round, so tags stay aligned across correct nodes
-without any unbounded counter.
+without any unbounded counter.  The tag goes on inside the instance
+context, whose sink is this component's beat context: an instance's
+broadcast leaves here as one ``(slot, payload)`` fan-out record, not n.
 """
 
 from __future__ import annotations
@@ -51,34 +53,17 @@ class CoinFlipPipeline(Component):
         return self.algorithm.rounds
 
     def _instance_context(
-        self,
-        ctx: BeatContext,
-        slot: int,
-        inbox: list[tuple[int, Any]],
-        sending: bool,
+        self, ctx: BeatContext, slot: int, inbox: list[tuple[int, Any]]
     ) -> InstanceContext:
-        emit = None
-        if sending:
-            def emit(receiver: int, payload: Any, _slot: int = slot) -> None:
-                ctx.send(receiver, (_slot, payload))
-
         return InstanceContext(
-            node_id=ctx.node_id,
-            n=ctx.n,
-            f=ctx.f,
-            beat=ctx.beat,
-            rng=ctx.rng,
-            env=ctx.env,
-            path=f"{ctx.path}/slot{slot}",
-            inbox=inbox,
-            emit=emit,
+            ctx, path=f"{ctx.path}/slot{slot}", inbox=inbox, tag=slot
         )
 
     def on_send(self, ctx: BeatContext) -> None:
         # Fig. 1 line 1 (send half): the i-th round of A_i, for all i.
         for index, instance in enumerate(self.slots):
             slot = index + 1
-            instance.send_round(slot, self._instance_context(ctx, slot, [], True))
+            instance.send_round(slot, self._instance_context(ctx, slot, []))
 
     def on_update(self, ctx: BeatContext) -> None:
         by_slot: dict[int, list[tuple[int, Any]]] = {}
@@ -88,9 +73,7 @@ class CoinFlipPipeline(Component):
         for index, instance in enumerate(self.slots):
             slot = index + 1
             inbox = by_slot.get(slot, [])
-            instance.update_round(
-                slot, self._instance_context(ctx, slot, inbox, False)
-            )
+            instance.update_round(slot, self._instance_context(ctx, slot, inbox))
         # Fig. 1 line 2: output the value of A_Δ, normalized to a bit so a
         # scrambled instance cannot leak an out-of-domain value upward.
         self.rand = 1 if self.slots[-1].output() == 1 else 0

@@ -29,7 +29,6 @@ registry is filled from its one merged result).
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Callable, Iterable
 

@@ -12,6 +12,7 @@ from typing import Any, Callable
 import pytest
 
 from repro.coin.interfaces import CoinAlgorithm, CoinInstance, InstanceContext
+from repro.errors import ProtocolViolationError
 from repro.net.environment import Environment
 
 
@@ -54,6 +55,31 @@ else:
 ByzHook = Callable[[int, list[tuple[int, int, Any]]], list[tuple[int, int, Any]]]
 
 
+class _Sink:
+    """What a harnessed instance runs under and sends through: one node's
+    identity, and ``(sender, receiver, payload)`` triples collected — a
+    broadcast being one per node of the one object.  Without a collector
+    it refuses, as a ``BeatContext`` does outside the send phase."""
+
+    def __init__(self, harness: "CoinHarness", node_id: int, collector) -> None:
+        self.node_id = node_id
+        self.n = harness.n
+        self.f = harness.f
+        self.beat = harness.beat
+        self.rng = harness.rngs[node_id]
+        self.env = harness.env
+        self.collector = collector
+
+    def send(self, receiver: int, payload: Any) -> None:
+        if self.collector is None:
+            raise ProtocolViolationError("send is only legal in the send phase")
+        self.collector.append((self.node_id, receiver, payload))
+
+    def broadcast(self, payload: Any) -> None:
+        for receiver in range(self.n):
+            self.send(receiver, payload)
+
+
 class CoinHarness:
     """Run one invocation of a coin algorithm at every correct node.
 
@@ -89,21 +115,8 @@ class CoinHarness:
     def _context(
         self, node_id: int, inbox: list[tuple[int, Any]], collector
     ) -> InstanceContext:
-        emit = None
-        if collector is not None:
-            def emit(receiver: int, payload: Any, _sender: int = node_id) -> None:
-                collector.append((_sender, receiver, payload))
-
         return InstanceContext(
-            node_id=node_id,
-            n=self.n,
-            f=self.f,
-            beat=self.beat,
-            rng=self.rngs[node_id],
-            env=self.env,
-            path=self.path,
-            inbox=inbox,
-            emit=emit,
+            _Sink(self, node_id, collector), path=self.path, inbox=inbox
         )
 
     def run(self, byz_hook: ByzHook | None = None) -> dict[int, int]:

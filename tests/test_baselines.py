@@ -15,10 +15,21 @@ from repro.adversary.strategies import (
     SplitWorldAdversary,
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
+from repro.baselines.cyclic import CyclicAgreementClock
 from repro.baselines.det_clock_sync import DeterministicClockSync
 from repro.baselines.dolev_welch import DolevWelchClock, adopted_clock
-from repro.baselines.phase_king import PhaseKingState, phase_king_rounds
+from repro.baselines.phase_king import (
+    BitwisePhaseKingAgreement,
+    PhaseKingState,
+    phase_king_rounds,
+)
 from repro.baselines.turpin_coan import TurpinCoanInstance, turpin_coan_rounds
+from repro.coin.interfaces import CoinAlgorithm
+from repro.core.pipeline import CoinFlipPipeline
+from repro.core.protocol import resolve_protocol
+from repro.errors import ProtocolViolationError
+from repro.net.message import FastOutbox
+from repro.net.node import Node
 from repro.net.simulator import Simulation
 from tests.conftest import CoinHarness
 
@@ -264,22 +275,14 @@ class TestDeterministicClockSync:
             def clock_value(self):
                 return self.clock
 
-            def _ictx(self, ctx, slot, inbox, sending):
-                emit = None
-                if sending:
-                    def emit(receiver, payload, _slot=slot):
-                        ctx.send(receiver, (_slot, payload))
+            def _ictx(self, ctx, slot, inbox):
                 return InstanceContext(
-                    node_id=ctx.node_id, n=ctx.n, f=ctx.f, beat=ctx.beat,
-                    rng=ctx.rng, env=ctx.env, path=f"{ctx.path}/s{slot}",
-                    inbox=inbox, emit=emit,
+                    ctx, path=f"{ctx.path}/s{slot}", inbox=inbox, tag=slot
                 )
 
             def on_send(self, ctx):
                 for index, instance in enumerate(self.slots):
-                    instance.send_round(
-                        index + 1, self._ictx(ctx, index + 1, [], True)
-                    )
+                    instance.send_round(index + 1, self._ictx(ctx, index + 1, []))
 
             def on_update(self, ctx):
                 by_slot = {}
@@ -296,7 +299,7 @@ class TestDeterministicClockSync:
                 for index, instance in enumerate(self.slots):
                     instance.update_round(
                         index + 1,
-                        self._ictx(ctx, index + 1, by_slot.get(index + 1, []), False),
+                        self._ictx(ctx, index + 1, by_slot.get(index + 1, [])),
                     )
                 self.clock = (self.slots[-1].output() + depth) % k
                 self.slots = [
@@ -335,6 +338,89 @@ class TestDeterministicClockSync:
         tail = [h[0] for h in monitor.history[beat:]]
         for previous, current in zip(tail, tail[1:]):
             assert current == (previous + 1) % 5
+
+
+class TestAgreementTrafficIsFanOutRecords:
+    """Every message of the agreement baselines is a broadcast, and goes
+    out as one record per sender, not n."""
+
+    @pytest.mark.parametrize(
+        "protocol", ["turpin-coan", "deterministic", "phase-king"]
+    )
+    def test_fault_free_beats_are_pure_broadcast(self, protocol, monkeypatch):
+        n, f, k = 7, 2, 8
+        sim = Simulation(
+            n, f, resolve_protocol(protocol).factory(n, f, k), seed=4,
+            engine="fast",
+        )
+        sent, handed = [], []
+        monkeypatch.setattr(
+            FastOutbox, "send", lambda self, *message: sent.append(message)
+        )
+        update_phase = Node.update_phase
+        monkeypatch.setattr(
+            Node, "update_phase",
+            lambda node, beat, inboxes: (
+                handed.append(inboxes), update_phase(node, beat, inboxes)
+            ),
+        )
+        sim.scramble()
+        sim.run(2 * 3 * (f + 1) + 4)
+        assert sent == []
+        # No private record, so no merge: one dict, read by every node.
+        assert all(inboxes is sim.engine._shared_inbox for inboxes in handed)
+        assert sim.stats.total_messages > 0
+        assert sim.stats.total_messages % n == 0
+
+    def test_sending_outside_the_send_phase_is_a_protocol_violation(self):
+        """...from an instance as from a component, on every host."""
+
+        class Late(TurpinCoanInstance):
+            def __init__(self, how):
+                super().__init__(4, 1, 8, 0)
+                self.how = how
+
+            def update_round(self, round_index, ctx):
+                self.how(ctx)
+
+        def lanes(ctx):  # a lane's sink is the agreement's own context
+            agreement = BitwisePhaseKingAgreement(4, 1, 8, 0)
+            agreement._lane_context(0, ctx, []).broadcast(("v", 1))
+
+        for how in (
+            lambda ctx: ctx.send(0, ("v", 1)),
+            lambda ctx: ctx.broadcast(("v", 1)),
+            lanes,
+        ):
+            for root in (
+                lambda i: _Cyclic(lambda value: Late(how)),
+                lambda i: CoinFlipPipeline(_OneRound(lambda: Late(how))),
+            ):
+                sim = Simulation(4, 1, root, seed=0)
+                with pytest.raises(ProtocolViolationError, match="send phase"):
+                    sim.run_beat()
+        harness = CoinHarness(_OneRound(lambda: Late(how)), 4, 1)
+        with pytest.raises(ProtocolViolationError, match="send phase"):
+            harness.run(None)
+
+
+class _Cyclic(CyclicAgreementClock):
+    def __init__(self, make) -> None:
+        self._make = make
+        super().__init__(4, 1, 8, depth=1)
+
+    def _make_instance(self, value):
+        return self._make(value)
+
+
+class _OneRound(CoinAlgorithm):
+    rounds = 1
+
+    def __init__(self, make) -> None:
+        self._make = make
+
+    def new_instance(self):
+        return self._make()
 
 
 class TestDolevWelch:

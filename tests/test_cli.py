@@ -169,6 +169,7 @@ class TestLinkFlags:
         )
         err = capsys.readouterr().err
         assert code == 2
+        assert "does not support ['link']" in err
 
 
 class TestProtocolFlags:

@@ -18,7 +18,10 @@ payload object sent by two faulty senders, and two coins of different
 
 After every round, per node: ``rows``, ``cross_points``, ``votes``,
 ``grades``, ``recovered`` and the output bit, compared as ``repr`` — which
-is what tells ``1`` from ``True``.
+is what tells ``1`` from ``True``.  By-hand cases name each validator
+check and each thing a shared reading may (and may not) depend on, and
+``TestCostFollowsDistinctPayloads`` counts the work: n validations and n
+decodes per round, one record per broadcast, bounded tables.
 
 (When hypothesis is not installed, ``tests/conftest.py`` skips
 collecting this module entirely.)
@@ -27,12 +30,14 @@ collecting this module entirely.)
 from __future__ import annotations
 
 import random
+from collections import Counter
 from typing import Any
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.adversary.base import Adversary
+from repro.coin import gvss, reedsolomon
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.field import PrimeField
 from repro.coin.gvss import GradedSharingState
@@ -43,6 +48,7 @@ from repro.coin.shamir import SymmetricBivariate, node_point
 from repro.core.clock_sync import SSByzClockSync
 from repro.core.pipeline import CoinFlipPipeline
 from repro.net.component import Component
+from repro.net.message import FastOutbox
 from repro.net.simulator import Simulation
 
 from tests.conftest import CoinHarness
@@ -783,7 +789,7 @@ class TestEveryShareListCheck:
 
     @pytest.mark.parametrize("probes, payload", [
         ("not a tuple", "rshare"),
-        ("not a pair", ("rshare", ((0, 0),), ())),
+        ("not a pair", ("rshare", ((0, "GOOD"),), ())),
         ("kind tag", ("xpt", ((0, "GOOD"),))),
         ("kind tag, vote", ("vote", ((0, "GOOD"),))),
         ("body is a tuple", ("rshare", frozenset({(0, "GOOD")}))),
@@ -868,15 +874,26 @@ class TestWhatAReadingMayDependOn:
 
     def test_one_list_object_from_different_senders_is_different_shares(self):
         """The share ``(0, v)`` means "the polynomial is ``v`` at *my*
-        point": who sent a list is part of what it says."""
+        point": who sent a list is part of what it says.  Faulty senders
+        0 and 1 hand out one object, each to some receivers only, so two
+        inboxes hold the same objects in the same order."""
         good = _shares(3, 2, 5, 4)
         lists = [("rshare", ((0, good[s]),)) for s in range(4)]
         grades = {0: GRADE_HIGH}
-        straight = [(s, lists[s]) for s in range(4)]
-        swapped = [(0, lists[1]), (1, lists[0]), (2, lists[2]), (3, lists[3])]
-        assert _read("rshare", 4, 1, straight, grades, 5) == ["{0: 3}"] * 3
-        assert _read("rshare", 4, 1, swapped, grades, 5) == ["{0: 4}"] * 3
-        assert _read("rshare", 4, 1, straight, grades, 5) == ["{0: 3}"] * 3
+        from_0 = [(0, lists[0]), (2, lists[2]), (3, lists[3])]
+        from_1 = [(1, lists[0]), (2, lists[2]), (3, lists[3])]
+        for _ in range(2):
+            assert _read("rshare", 4, 1, from_0, grades, 5) == ["{0: 3}"] * 3
+            assert _read("rshare", 4, 1, from_1, grades, 5) == ["{0: 0}"] * 3
+
+    def test_same_lists_and_a_different_f_recover_differently(self):
+        """Shares of ``3 + x + x²``: a codeword at degree f = 2, and
+        seven points no line comes within one error of at f = 1."""
+        good = [(3 + x + x * x) % 11 for x in map(node_point, range(7))]
+        inbox = [(s, ("rshare", ((0, good[s]),))) for s in range(7)]
+        grades = {0: GRADE_HIGH}
+        for f, expected in ((2, "{0: 3}"), (1, "{0: 0}"), (2, "{0: 3}")):
+            assert _read("rshare", 7, f, inbox, grades, 11) == [expected] * 3
 
     def test_a_recycled_id_is_not_the_payload_it_was(self):
         """Payloads built and dropped in a loop reuse each other's
@@ -968,3 +985,151 @@ class TestEmissionOrder:
         assert [payload for sender, payload in inbox if sender == node] == [
             ("all", node, 1), ("private", node, 3), ("all", node, 4),
         ]
+
+
+# -- cost follows distinct payloads --------------------------------------------
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """``counted(owner, name, when=None)`` swaps ``owner.name`` for a
+    wrapper that tallies its calls (those ``when(*args)`` accepts) under
+    ``name``; the fixture's ``.calls`` is the tally."""
+    calls: Counter = Counter()
+
+    def swap(owner, name, when=None):
+        original = getattr(owner, name)
+
+        def wrapper(*args):
+            if when is None or when(*args):
+                calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    swap.calls = calls
+    return swap
+
+
+def _on_a_coin_path(_outbox, _to, path, _payload) -> bool:
+    return path.endswith("coin")
+
+
+class TestCostFollowsDistinctPayloads:
+    """Counts repeat exactly where timings do not.  Every number here is
+    n times larger (or the broadcast count zero) while each receiver
+    reads each payload for itself and a broadcast is n sends."""
+
+    N, F = 7, 2
+
+    def test_fault_free_tower_reads_each_payload_and_decodes_each_class_once(
+        self, counted
+    ):
+        n = self.N
+        sim = Simulation(
+            n, self.F,
+            lambda i: SSByzClockSync(8, lambda: FeldmanMicaliCoin(n, self.F)),
+            seed=1, engine="fast",
+        )
+        sim.scramble()
+        sim.run(4)  # flush what the scramble left in the slots
+        counted(GradedSharingState, "_validate_vote")
+        counted(GradedSharingState, "_validate_recover")
+        counted(reedsolomon, "_decode")
+        counted(CoinFlipPipeline, "on_update")
+        counted(FastOutbox, "send", _on_a_coin_path)
+        counted(FastOutbox, "broadcast", _on_a_coin_path)
+        sim.run(16)
+        calls = counted.calls
+        # One pipeline beat is one vote round and one recover round of n
+        # senders, updated at n nodes: n readings per round is one per
+        # update; it was n per update.
+        rounds = calls["on_update"] // n
+        assert rounds == 40  # 2.5 pipelines a beat
+        assert calls["_validate_vote"] == n * rounds
+        assert calls["_validate_recover"] == n * rounds
+        # One class per round; it decodes each of the n graded dealers.
+        assert calls["_decode"] <= n * rounds
+        assert calls["_decode"] == 273
+        # Two private rounds of n sends, two broadcasts of one record.
+        assert calls["send"] == 2 * n * n * rounds == 16 * 245
+        assert calls["broadcast"] == 2 * n * rounds == 16 * 35
+        # ...and every copy is still counted, as when each was a record.
+        assert sim.stats.as_dict() == {
+            "total_messages": 11991, "honest_messages": 11991,
+            "byzantine_messages": 0, "dropped_messages": 0,
+            "delayed_messages": 0,
+        }
+
+    @pytest.mark.parametrize("stories", [1, 2, 5])
+    def test_recover_liars_cost_one_decode_per_dealer_per_story(
+        self, counted, stories
+    ):
+        """f liars, the lowest ids, tell ``stories`` different stories:
+        receivers told the same one are one class and decode once."""
+        n, f = self.N, self.F
+        faulty = frozenset(range(f))
+        rng = random.Random(5)
+        told = [
+            {s: ("rshare", tuple((d, rng.randrange(17)) for d in range(n)))
+             for s in faulty}
+            for _ in range(stories)
+        ]
+
+        def lie_in_recovery(round_index, visible):
+            if round_index != 4:
+                return []
+            return [
+                (s, r, told[r % stories][s]) for s in faulty for r in range(n)
+            ]
+
+        harness = CoinHarness(
+            FeldmanMicaliCoin(n, f), n, f, faulty=faulty, seed=2
+        )
+        counted(reedsolomon, "_decode")
+        harness.run(lie_in_recovery)
+        states = {i: inst.state for i, inst in harness.instances.items()}
+        dealt = {i: state.my_secret for i, state in states.items()}
+        for state in states.values():
+            assert {d: state.recovered[d] for d in dealt} == dealt
+        classes = len({r % stories for r in states})
+        assert classes == min(stories, n - f)
+        # The silent liars' own dealings are graded out: n - f dealers a
+        # class, where it was n - f dealers a receiver.
+        assert counted.calls["_decode"] == (n - f) * classes <= n * classes
+
+    def test_ten_thousand_distinct_payloads_leave_the_tables_bounded(self):
+        n, f = 4, 1
+        harness = CoinHarness(FeldmanMicaliCoin(n, f), n, f)
+        state = GradedSharingState(n, f, PrimeField(17))
+        state.grades = {0: GRADE_HIGH}
+        for index in range(5_000):
+            vote = ("vote", (index % n, index))
+            state.update_vote(harness._context(0, [(1, vote)], None))
+            assert state.votes == {1: frozenset({index % n})}
+            shares = ("rshare", ((0, index % 17), (index, 0)))
+            inbox = [(sender, shares) for sender in range(n)]
+            state.update_recover(harness._context(0, inbox, None))
+            assert state.recovered == {0: index % 17}
+        assert len(gvss._readings) <= gvss._READINGS_BOUND == 128
+        assert len(gvss._recoveries) <= gvss._RECOVERIES_BOUND == 32
+
+    def test_what_the_tables_hold_is_held_and_cannot_be_written_through(self):
+        """A reading is shared by every node that reads the payload: a
+        frozenset, a tuple of pairs, or ``None`` — and a recovery is
+        copied out, never handed over."""
+        n, f = 4, 1
+        harness = CoinHarness(FeldmanMicaliCoin(n, f), n, f, seed=6)
+        harness.run(None)
+        assert gvss._readings and gvss._recoveries
+        for key, (payload, reading) in gvss._readings.items():
+            assert reading is None or isinstance(reading, (frozenset, tuple))
+            if isinstance(reading, tuple):
+                assert all(type(pair) is tuple for pair in reading)
+            # ...and holds what its key names, so no id is recycled under it.
+            assert key[-1] == id(payload)
+        for key, (readings, _recovered) in gvss._recoveries.items():
+            assert list(key[4:]) == [(s, id(shares)) for s, shares in readings]
+        held = [recovered for _readings, recovered in gvss._recoveries.values()]
+        for instance in harness.instances.values():
+            assert all(instance.state.recovered is not each for each in held)
