@@ -88,16 +88,12 @@ class CyclicAgreementClock(Component):
             self.instance = self._make_instance(self.clock)
         # One instance per path: no tag, and a round's broadcast is one
         # fan-out record on this component's path.
-        self.instance.send_round(
-            round_index, InstanceContext(ctx, path=ctx.path, inbox=[])
-        )
+        self.instance.send_round(round_index, InstanceContext.bound(ctx, []))
 
     def on_update(self, ctx: BeatContext) -> None:
         round_index = self._round_index(ctx.beat)
         inbox = [(e.sender, e.payload) for e in ctx.inbox]
-        self.instance.update_round(
-            round_index, InstanceContext(ctx, path=ctx.path, inbox=inbox)
-        )
+        self.instance.update_round(round_index, InstanceContext.bound(ctx, inbox))
         if round_index == self.depth:
             # Cycle complete: re-anchor.  The cycle's input was the clock
             # at its first beat, which is depth - 1 ticks ago.

@@ -189,9 +189,7 @@ class BitwisePhaseKingAgreement:
     def _lane_context(
         self, lane: int, ctx: InstanceContext, inbox: list[tuple[int, Any]]
     ) -> InstanceContext:
-        return InstanceContext(
-            ctx, path=f"{ctx.path}#b{lane}", inbox=inbox, tag=lane
-        )
+        return InstanceContext.bound(ctx, inbox, lane, "#b{}")
 
     def send_round(self, round_index: int, ctx: InstanceContext) -> None:
         for lane, state in enumerate(self.lanes):

@@ -2,10 +2,29 @@
 
 from __future__ import annotations
 
+import contextlib
+from collections import Counter
 from typing import Callable
 
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.net.simulator import Simulation
+
+
+@contextlib.contextmanager
+def counted(owner, name: str, tally: Counter):
+    """While open, ``owner.name`` also counts its calls under ``name``:
+    how a suite reads a simulation-deterministic cost as a count."""
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        tally[name] += 1
+        return original(*args, **kwargs)
+
+    setattr(owner, name, counting)
+    try:
+        yield
+    finally:
+        setattr(owner, name, original)
 
 
 def convergence_latencies(

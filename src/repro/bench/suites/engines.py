@@ -16,15 +16,22 @@ every observable (clock history, convergence beat, traffic counters),
 so ``trajectory_match`` is exactly 1.0 whenever an engine is
 bit-identical to the reference on that case — simulation-deterministic
 at every tier, on any hardware, and a 0.0 trips the baseline gate.
+Beside each ``fast`` digest sit two gated counts of what the protocol
+tower cost that run: rule tallies per beat, which follow the distinct
+inbox *objects* the engine hands out (classes of receivers, not n), and
+contexts built per beat (each is built once, so 1/beats of a constant).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import time
+from collections import Counter
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import counted
 
 #: Deterministic differential cases hashed per engine at every tier.
 DIGEST_CASES = (
@@ -94,6 +101,29 @@ def trajectory_digest(engine: str, case: dict) -> str:
         sorted(stats.per_path_prefix.items()),
     )
     return hashlib.sha256(repr(observed).encode("utf-8")).hexdigest()
+
+
+def tower_costs(case: dict) -> tuple[str, dict[str, float]]:
+    """The ``fast`` digest of ``case`` and, per beat of that run, the
+    rules of Figures 2 and 4 actually run and the contexts constructed."""
+    from repro.coin.interfaces import InstanceContext
+    from repro.core import clock2, clock_sync
+    from repro.net.component import BeatContext
+
+    tally: Counter = Counter()
+    with contextlib.ExitStack() as stack:
+        for owner, name in (
+            (clock2, "two_clock_step"), (clock_sync, "phase1_proposal"),
+            (clock_sync, "phase2_bit_and_save"), (clock_sync, "phase3_agreed_bit"),
+            (BeatContext, "__init__"), (InstanceContext, "__init__"),
+        ):
+            stack.enter_context(counted(owner, name, tally))
+        digest = trajectory_digest("fast", case)
+    built = tally.pop("__init__")
+    return digest, {
+        "tallies_per_beat": sum(tally.values()) / case["beats"],
+        "contexts_built_per_beat": built / case["beats"],
+    }
 
 
 def _render(rows: list[dict]) -> str:
@@ -225,10 +255,20 @@ def run(
     for case in DIGEST_CASES:
         reference_digest = trajectory_digest("reference", case)
         for engine in ("reference", "fast", "bulk"):
-            digest = (
-                reference_digest if engine == "reference"
-                else trajectory_digest(engine, case)
-            )
+            if engine == "reference":
+                digest = reference_digest
+            elif engine != "fast":
+                digest = trajectory_digest(engine, case)
+            else:
+                digest, costs = tower_costs(case)
+                results += [
+                    BenchResult(
+                        benchmark="engines", metric=metric, value=value,
+                        unit="per beat", direction="lower",
+                        scenario={"engine": engine, "case": case["case"]},
+                    )
+                    for metric, value in costs.items()
+                ]
             match = 1.0 if digest == reference_digest else 0.0
             results.append(
                 BenchResult(

@@ -17,32 +17,16 @@ informational.
 
 from __future__ import annotations
 
-import contextlib
 import time
 from collections import Counter
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import counted
 
 #: (n, f, adversary registry name); the n=7 f=2 rows are the beat
 #: ledger's ``sim-gvss`` shape.
 CASES = ((4, 1, "none"), (7, 2, "none"), (7, 2, "mixed-dealing"))
-
-
-@contextlib.contextmanager
-def _counted(owner, name: str, tally: Counter):
-    """While open, ``owner.name`` also counts its calls under ``name``."""
-    original = getattr(owner, name)
-
-    def counting(*args):
-        tally[name] += 1
-        return original(*args)
-
-    setattr(owner, name, counting)
-    try:
-        yield
-    finally:
-        setattr(owner, name, original)
 
 
 def run(
@@ -69,8 +53,8 @@ def run(
         sim.add_monitor(monitor)
         sim.scramble()
         tally: Counter = Counter()
-        with _counted(GradedSharingState, "_validate_recover", tally), \
-                _counted(reedsolomon, "_decode", tally):
+        with counted(GradedSharingState, "_validate_recover", tally), \
+                counted(reedsolomon, "_decode", tally):
             started = time.perf_counter()
             sim.run(beats)
             elapsed = time.perf_counter() - started

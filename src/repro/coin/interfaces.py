@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import abc
 import random
+import weakref
 from typing import TYPE_CHECKING, Any, Hashable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -38,10 +39,14 @@ __all__ = ["CoinAlgorithm", "CoinInstance", "InstanceContext"]
 
 
 class InstanceContext:
-    """One round's view of the network for one pipelined coin instance."""
+    """One round's view of the network for one pipelined coin instance.
+    A host keeps one per session (:meth:`bound`), re-pointed every phase:
+    an instance must not hold a context past the round it was given it for.
+    """
 
     __slots__ = (
-        "node_id", "n", "f", "beat", "rng", "env", "path", "inbox", "_sink", "_tag",
+        "node_id", "n", "f", "beat", "rng", "env", "path", "inbox", "instances",
+        "_sink", "_tag", "__weakref__",
     )
 
     def __init__(
@@ -63,10 +68,31 @@ class InstanceContext:
         self.path = path
         #: ``(sender, payload)`` pairs delivered to this slot this beat.
         self.inbox = inbox
+        #: Instance contexts built on this one as their sink, by tag.
+        self.instances: dict = {}
         self._sink = sink
         #: Session tag wrapped around every payload; ``None`` for a host
         #: that runs one instance on its path and multiplexes nothing.
         self._tag = tag
+
+    @classmethod
+    def bound(
+        cls, sink: Any, inbox: list, tag: Hashable = None, suffix: str = ""
+    ) -> "InstanceContext":
+        """The context of session ``tag`` on ``sink``, pointed at the
+        sink's beat and at ``inbox``: built the first time the session runs
+        (path: the sink's plus ``suffix.format(tag)``), kept in
+        ``sink.instances`` — on the node's context tree, never on the host
+        component — and tied to its sink weakly, so they form no cycle."""
+        ctx = sink.instances.get(tag)
+        if ctx is None:
+            ctx = sink.instances[tag] = cls(
+                weakref.proxy(sink), path=sink.path + suffix.format(tag),
+                inbox=inbox, tag=tag,
+            )
+        else:
+            ctx.beat, ctx.inbox = sink.beat, inbox
+        return ctx
 
     def send(self, receiver: int, payload: Hashable) -> None:
         """Send a private point-to-point message within this instance."""

@@ -23,6 +23,7 @@ from repro.core.majority import (
     BOTTOM,
     count_values,
     first_payload_per_sender,
+    from_per_sender,
     most_frequent,
 )
 from repro.core.pipeline import CoinFlipPipeline
@@ -35,7 +36,8 @@ def two_clock_step(payloads: Iterable[Any], rand: int, threshold: int) -> int | 
     """Figure 2 lines 3-6: the next clock, from one payload per sender.
 
     The one definition of the rule: :class:`SSByz2Clock` applies it to a
-    node's inbox, the bulk engine's program to an inbox shared by a whole
+    node's inbox (once per inbox *object* and ``rand``, however many nodes
+    hold it), the bulk engine's program to an inbox shared by a whole
     group of receivers (:mod:`repro.net.bulk`).
     """
     # Line 3: consider each message carrying ⊥ as carrying rand.
@@ -85,8 +87,9 @@ class SSByz2Clock(Component):
         # Line 2 (update half): C's beat completes; rand is now available —
         # strictly after every node's beat-r messages were committed.
         ctx.run_child("coin")
-        self.clock = two_clock_step(
-            first_payload_per_sender(ctx.inbox).values(),
+        self.clock = from_per_sender(
+            first_payload_per_sender(ctx.inbox),
+            two_clock_step,
             self.pipeline.rand,
             ctx.n - ctx.f,
         )

@@ -36,6 +36,7 @@ from repro.core.majority import (
     BOTTOM,
     count_values,
     first_payload_per_sender,
+    from_per_sender,
     most_frequent,
     value_with_count_at_least,
 )
@@ -57,7 +58,8 @@ _KINDS = ("fc", "prop", "bit")
 
 # Blocks 3.b-3.d as pure functions of the previous beat's inbox (one
 # payload per sender) — the one definition of each rule.  The component
-# applies them to a node's own ``_previous``; the bulk engine's program
+# applies them to a node's ``_previous`` — once per mapping object, which
+# a whole class of receivers holds; the bulk engine's program
 # (:mod:`repro.net.bulk`) to an inbox shared by a group of receivers.
 
 
@@ -154,7 +156,8 @@ class SSByzClockSync(Component):
         #: clock(A) at the beginning of the current beat (the figure's
         #: footnote); None when A's clock is still ⊥.
         self._phase: int | None = None
-        #: One payload per sender received in the previous beat.
+        #: One payload per sender received in the previous beat; shared
+        #: with every node handed the same inbox: replaced, never written.
         self._previous: dict[int, Any] = {}
 
     @property
@@ -187,14 +190,15 @@ class SSByzClockSync(Component):
             ctx.broadcast(("fc", self.full_clock))
         elif self._phase == 1:
             # Block 3.b: propose the value received n-f times last beat.
-            ctx.broadcast(
-                ("prop", phase1_proposal(self._previous.values(), ctx.n - ctx.f))
-            )
+            ctx.broadcast((
+                "prop",
+                from_per_sender(self._previous, phase1_proposal, ctx.n - ctx.f),
+            ))
         elif self._phase == 2:
             # Block 3.c: save := majority non-⊥ proposal; bit := whether it
             # reached n - f copies; then default save to 0 if it was ⊥.
-            bit, self.save = phase2_bit_and_save(
-                self._previous.values(), ctx.n - ctx.f, self.k
+            bit, self.save = from_per_sender(
+                self._previous, phase2_bit_and_save, ctx.n - ctx.f, self.k
             )
             ctx.broadcast(("bit", bit))
         # Phase 3 (and an unconverged A) sends nothing at this layer.
@@ -208,7 +212,7 @@ class SSByzClockSync(Component):
             # the beat's coin, which was resolved only after this beat's
             # messages committed (Lemma 8's independence argument).
             self.full_clock = phase3_clock(
-                phase3_agreed_bit(self._previous.values(), ctx.n - ctx.f),
+                from_per_sender(self._previous, phase3_agreed_bit, ctx.n - ctx.f),
                 self._pipeline.rand,
                 self.save,
                 self.k,

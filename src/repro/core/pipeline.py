@@ -19,6 +19,11 @@ beat ``r`` by the slot-``i`` peers, after which the instance moves to slot
 without any unbounded counter.  The tag goes on inside the instance
 context, whose sink is this component's beat context: an instance's
 broadcast leaves here as one ``(slot, payload)`` fan-out record, not n.
+
+A slot's context belongs to the *slot*, not to the instance passing
+through: bound the first time the slot runs, kept on the node's context
+tree (never here — that would close a cycle through this component) and
+re-pointed at the beat and the slot's inbox each phase.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from repro.coin.interfaces import CoinAlgorithm, CoinInstance, InstanceContext
 from repro.net.component import BeatContext, Component
 
 __all__ = ["CoinFlipPipeline"]
+
+#: A slot's routing path under the pipeline's, by slot tag.
+_SLOT = "/slot{}"
 
 
 class CoinFlipPipeline(Component):
@@ -52,37 +60,14 @@ class CoinFlipPipeline(Component):
         """Δ_ss-Byz-Coin-Flip = Δ_A (Lemma 1)."""
         return self.algorithm.rounds
 
-    def _instance_context(
-        self, ctx: BeatContext, slot: int, inbox: list[tuple[int, Any]]
-    ) -> InstanceContext:
-        return InstanceContext(
-            ctx, path=f"{ctx.path}/slot{slot}", inbox=inbox, tag=slot
-        )
-
     def on_send(self, ctx: BeatContext) -> None:
         # Fig. 1 line 1 (send half): the i-th round of A_i, for all i.
-        for index, instance in enumerate(self.slots):
-            slot = index + 1
-            instance.send_round(slot, self._instance_context(ctx, slot, []))
+        for slot, instance in enumerate(self.slots, 1):
+            instance.send_round(slot, InstanceContext.bound(ctx, [], slot, _SLOT))
 
     def on_update(self, ctx: BeatContext) -> None:
+        # Inbox entries with a well-formed ``(slot, payload)`` tag, by slot.
         by_slot: dict[int, list[tuple[int, Any]]] = {}
-        for sender, payload in self._tagged_inbox(ctx):
-            by_slot.setdefault(payload[0], []).append((sender, payload[1]))
-        # Fig. 1 line 1 (update half).
-        for index, instance in enumerate(self.slots):
-            slot = index + 1
-            inbox = by_slot.get(slot, [])
-            instance.update_round(slot, self._instance_context(ctx, slot, inbox))
-        # Fig. 1 line 2: output the value of A_Δ, normalized to a bit so a
-        # scrambled instance cannot leak an out-of-domain value upward.
-        self.rand = 1 if self.slots[-1].output() == 1 else 0
-        # Fig. 1 lines 3-4: simultaneous shift, fresh instance in slot 1.
-        self.slots = [self.algorithm.new_instance()] + self.slots[:-1]
-
-    def _tagged_inbox(self, ctx: BeatContext) -> list[tuple[int, tuple[int, Any]]]:
-        """Inbox entries with a well-formed ``(slot, payload)`` tag."""
-        tagged = []
         for envelope in ctx.inbox:
             payload = envelope.payload
             if (
@@ -91,8 +76,19 @@ class CoinFlipPipeline(Component):
                 and isinstance(payload[0], int)
                 and 1 <= payload[0] <= len(self.slots)
             ):
-                tagged.append((envelope.sender, payload))
-        return tagged
+                by_slot.setdefault(payload[0], []).append(
+                    (envelope.sender, payload[1])
+                )
+        # Fig. 1 line 1 (update half).
+        for slot, instance in enumerate(self.slots, 1):
+            instance.update_round(
+                slot, InstanceContext.bound(ctx, by_slot.get(slot, []), slot, _SLOT)
+            )
+        # Fig. 1 line 2: output the value of A_Δ, normalized to a bit so a
+        # scrambled instance cannot leak an out-of-domain value upward.
+        self.rand = 1 if self.slots[-1].output() == 1 else 0
+        # Fig. 1 lines 3-4: simultaneous shift, fresh instance in slot 1.
+        self.slots = [self.algorithm.new_instance()] + self.slots[:-1]
 
     def scramble(self, rng: random.Random) -> None:
         self.rand = rng.randrange(2)

@@ -45,53 +45,54 @@ UPDATE = "update"
 
 
 class BeatContext:
-    """Per-component view of one beat at one node.
+    """One component's view of the current beat at one node.
 
-    A fresh context wraps each component invocation; the framework threads
-    node identity, the component path (used for message routing), the shared
-    environment, and — in the update phase — the component's inbox.
+    **Bound once.**  A node's contexts form a tree mirroring its component
+    tree, built as it is first walked: the root with the
+    :class:`~repro.net.node.Node`, a child's the first time its parent
+    runs it.  Identity, the component, its routing path, the child
+    contexts and the instance contexts a host keeps in :attr:`instances`
+    are fixed then; a beat changes ``beat``, ``phase``, the outbox and the
+    delivered inboxes, which the node sets on the root and
+    :meth:`run_child` hands down.
+
+    **Activation is a stamp.**  The node counts an *epoch*: one more per
+    send phase it drives, whatever the beat number (a host may drive one
+    number twice; activation must not survive into the second pass).
+    Running a child in the send phase stamps its context with the epoch;
+    the update phase demands that stamp and leaves its own, and as each
+    component's update returns every child stamped sent must be stamped
+    updated.  Contexts refer down the tree only — no reference cycle: a
+    finished run's towers are freed by reference count.
     """
 
     __slots__ = (
-        "node_id",
-        "n",
-        "f",
-        "beat",
-        "phase",
-        "path",
-        "rng",
-        "env",
-        "_outbox",
-        "_delivered",
-        "_component",
+        "node_id", "n", "f", "beat", "phase", "path", "rng", "env", "instances",
+        "_outbox", "_delivered", "_component", "_children", "_sent", "_updated",
+        "__weakref__",
     )
 
     def __init__(
-        self,
-        *,
-        node_id: int,
-        n: int,
-        f: int,
-        beat: int,
-        phase: str,
-        path: str,
-        rng: random.Random,
-        env: "Environment",
-        outbox: "Outbox | None",
-        delivered: dict[str, list["Envelope"]] | None,
-        component: "Component",
+        self, node_id: int, n: int, f: int, path: str, rng: random.Random,
+        env: "Environment", component: "Component",
     ) -> None:
         self.node_id = node_id
         self.n = n
         self.f = f
-        self.beat = beat
-        self.phase = phase
+        self.beat = 0
+        self.phase = UPDATE
         self.path = path
         self.rng = rng
         self.env = env
-        self._outbox = outbox
-        self._delivered = delivered
+        #: Instance contexts built on this one as their sink, by tag
+        #: (:meth:`repro.coin.interfaces.InstanceContext.bound`).
+        self.instances: dict = {}
+        self._outbox: "Outbox | None" = None
+        self._delivered: dict[str, list["Envelope"]] | None = None
         self._component = component
+        self._children: dict[str, BeatContext] = {}
+        #: The epochs this component last sent and last updated in.
+        self._sent = self._updated = -1
 
     # -- messaging -----------------------------------------------------
 
@@ -120,6 +121,8 @@ class BeatContext:
 
         Only meaningful in the update phase; the send phase sees an empty
         inbox because same-beat messages have not been delivered yet.
+        The list may be the very object other receivers are handed
+        (:class:`~repro.net.message.Inbox`): it is never written.
         """
         if self.phase != UPDATE or self._delivered is None:
             return []
@@ -136,37 +139,53 @@ class BeatContext:
         their activation decision at send time and replay it at update
         time).
         """
-        child = self._component._children.get(name)
+        child = self._children.get(name)
         if child is None:
+            child = self._bind_child(name)
+        phase = child.phase = self.phase
+        child.beat = self.beat
+        child._outbox = self._outbox
+        child._delivered = self._delivered
+        epoch = self._sent
+        if phase == SEND:
+            child._sent = epoch
+            child._component.on_send(child)
+            return
+        if child._sent != epoch:
+            raise ProtocolViolationError(
+                f"child {name!r} of {self.path!r} was updated without "
+                "being activated in the send phase"
+            )
+        child._updated = epoch
+        child._component.on_update(child)
+        if child._children:  # a leaf activated nobody
+            child._check_updated()
+
+    def _bind_child(self, name: str) -> "BeatContext":
+        component = self._component._children.get(name)
+        if component is None:
             raise ProtocolViolationError(
                 f"component {self.path!r} has no child named {name!r}"
             )
-        if self.phase == SEND:
-            self._component._activated.add(name)
-        else:
-            if name not in self._component._activated:
-                raise ProtocolViolationError(
-                    f"child {name!r} of {self.path!r} was updated without "
-                    "being activated in the send phase"
-                )
-            self._component._updated.add(name)
-        child_ctx = BeatContext(
-            node_id=self.node_id,
-            n=self.n,
-            f=self.f,
-            beat=self.beat,
-            phase=self.phase,
-            path=f"{self.path}/{name}",
-            rng=self.rng,
-            env=self.env,
-            outbox=self._outbox,
-            delivered=self._delivered,
-            component=child,
+        child = self._children[name] = BeatContext(
+            self.node_id, self.n, self.f, f"{self.path}/{name}", self.rng,
+            self.env, component,
         )
-        if self.phase == SEND:
-            child.on_send(child_ctx)
-        else:
-            child.on_update(child_ctx)
+        return child
+
+    def _check_updated(self) -> None:
+        """As this component's update returns: every child it activated in
+        this epoch's send phase was driven through the update phase too."""
+        epoch = self._sent
+        missing = [
+            name for name, child in self._children.items()
+            if child._sent == epoch and child._updated != epoch
+        ]
+        if missing:
+            raise ProtocolViolationError(
+                f"children {sorted(missing)!r} were activated in the send "
+                "phase but not driven through the update phase"
+            )
 
 
 class Component:
@@ -179,8 +198,6 @@ class Component:
 
     def __init__(self) -> None:
         self._children: dict[str, Component] = {}
-        self._activated: set[str] = set()
-        self._updated: set[str] = set()
 
     def add_child(self, name: str, child: "Component") -> "Component":
         """Register and return a child component under ``name``."""
@@ -224,21 +241,3 @@ class Component:
         yield self
         for child in self._children.values():
             yield from child.walk()
-
-    def begin_beat(self) -> None:
-        """Reset activation tracking (called by the node, once per beat)."""
-        self._activated.clear()
-        self._updated.clear()
-        for child in self._children.values():
-            child.begin_beat()
-
-    def finish_beat(self) -> None:
-        """Verify activated children were updated (node calls per beat)."""
-        missing = self._activated - self._updated
-        if missing:
-            raise ProtocolViolationError(
-                f"children {sorted(missing)!r} were activated in the send "
-                "phase but not driven through the update phase"
-            )
-        for name in self._activated:
-            self._children[name].finish_beat()

@@ -64,6 +64,7 @@ from repro.net.message import (
     Envelope,
     FanoutView,
     FastOutbox,
+    Inbox,
     Row,
 )
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
@@ -340,7 +341,7 @@ class FastEngine:
             path_id = len(self._path_names)
             self._path_ids[path] = path_id
             self._path_names.append(path)
-            self._shared_envs.append([])
+            self._shared_envs.append(Inbox())
             self._shared_keys.append([])
         return path_id
 
@@ -540,7 +541,7 @@ class FastEngine:
             merged.extend(entries)
         if len(merged) > 1:
             merged.sort(key=_KEY_OF_ENTRY)
-        return [envelope for _, envelope in merged]
+        return Inbox([envelope for _, envelope in merged])
 
     # -- linked beat execution ---------------------------------------------
 

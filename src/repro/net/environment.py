@@ -67,7 +67,15 @@ class Environment:
         self.divergence_chooser: DivergenceChooser | None = None
 
     def begin_beat(self, beat: int) -> None:
+        """Enter ``beat``, forgetting the outcomes for beats before
+        ``beat - 1``: no lock-step beat asks for them again (a recorder has
+        read them; foresight keys lie ahead), and at n bits each they were
+        most of a long run's memory.  The event and live hosts never call
+        this and keep every outcome."""
         self.beat = beat
+        stale = [key for key in self._outcomes if key[1] < beat - 1]
+        for key in stale:
+            del self._outcomes[key]
 
     def coin_outcome(
         self, path: str, beat: int, p0: float, p1: float

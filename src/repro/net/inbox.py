@@ -28,7 +28,7 @@ from __future__ import annotations
 from operator import attrgetter, itemgetter
 from typing import NamedTuple, Sequence
 
-from repro.net.message import Envelope
+from repro.net.message import Envelope, Inbox
 
 __all__ = [
     "BeatInbox", "Entry", "InboxClasses", "Run", "entry_key",
@@ -68,7 +68,10 @@ def group_by_path(entries: list[Entry]) -> dict[str, list[Envelope]]:
     """Per-path inboxes of one closed beat, preserving entry order."""
     inboxes: dict[str, list[Envelope]] = {}
     for _key, envelope in entries:
-        inboxes.setdefault(envelope.path, []).append(envelope)
+        inbox = inboxes.get(envelope.path)
+        if inbox is None:
+            inbox = inboxes[envelope.path] = Inbox()
+        inbox.append(envelope)
     return inboxes
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "Envelope",
     "FanoutView",
     "FastOutbox",
+    "Inbox",
     "Outbox",
     "Row",
 ]
@@ -63,6 +64,23 @@ class Envelope(NamedTuple):
             f"Envelope({self.sender}->{self.receiver} @{self.beat} "
             f"{self.path}: {self.payload!r})"
         )
+
+
+class Inbox(list):
+    """One delivered inbox — envelopes in delivery order — that also
+    carries what was read off it: :attr:`per_sender`, its collapse to one
+    payload per sender (:func:`repro.core.majority.first_payload_per_sender`).
+    The sharing paths hand every receiver of a class the same object, so
+    the first reader's work serves the rest.  The memo lives *here*, never
+    in a table keyed on the list: an engine that reuses it as next beat's
+    buffer empties it with :meth:`clear`, memo included.  A plain ``list``
+    is as good an inbox; it just remembers nothing."""
+
+    per_sender = None
+
+    def clear(self) -> None:
+        super().clear()
+        self.per_sender = None
 
 
 class _SharedForm(Sequence):

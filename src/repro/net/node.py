@@ -36,27 +36,12 @@ class Node:
         self.rng = rng
         self.env = env
         self.root_path = root_path
-
-    def _context(
-        self,
-        beat: int,
-        phase: str,
-        outbox: Outbox | None,
-        delivered: dict[str, list[Envelope]] | None,
-    ) -> BeatContext:
-        return BeatContext(
-            node_id=self.node_id,
-            n=self.n,
-            f=self.f,
-            beat=beat,
-            phase=phase,
-            path=self.root_path,
-            rng=self.rng,
-            env=self.env,
-            outbox=outbox,
-            delivered=delivered,
-            component=self.root,
-        )
+        #: Root of this node's context tree (the rest grows as children
+        #: first run).  Its sent-stamp is the node's *epoch* — the send
+        #: phases driven so far; activation is stamped with that, not with
+        #: the beat number, which a host may repeat.
+        self._root_context = BeatContext(node_id, n, f, root_path, rng, env, root)
+        self._root_context._sent = 0
 
     def send_phase(self, beat: int, outbox=None):
         """Run the send phase of one beat; return the drained outbox.
@@ -67,18 +52,23 @@ class Node:
         envelope-per-receiver :class:`Outbox`.  The return value is whatever
         ``outbox.drain()`` yields.
         """
-        self.root.begin_beat()
         if outbox is None:
             outbox = Outbox(self.node_id, beat)
-        self.root.on_send(self._context(beat, SEND, outbox, None))
+        ctx = self._root_context
+        ctx._sent += 1
+        ctx.beat, ctx.phase, ctx._outbox, ctx._delivered = beat, SEND, outbox, None
+        self.root.on_send(ctx)
         return outbox.drain()
 
     def update_phase(
         self, beat: int, delivered: dict[str, list[Envelope]]
     ) -> None:
-        """Run the update phase of one beat with this node's inboxes."""
-        self.root.on_update(self._context(beat, UPDATE, None, delivered))
-        self.root.finish_beat()
+        """Run the update phase of one beat with this node's inboxes
+        (possibly shared with other nodes, never written)."""
+        ctx = self._root_context
+        ctx.beat, ctx.phase, ctx._outbox, ctx._delivered = beat, UPDATE, None, delivered
+        self.root.on_update(ctx)
+        ctx._check_updated()
 
     def scramble(self, rng: random.Random) -> None:
         """Apply a transient fault: redraw the whole tree's state."""

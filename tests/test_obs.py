@@ -288,6 +288,36 @@ class TestFlightRecorderSimulation:
             "E0", "E1", "divergent"
         }
 
+    @pytest.mark.parametrize("engine", ["reference", "fast", "bulk"])
+    def test_coin_events_survive_the_environment_forgetting(self, engine):
+        """``Environment.begin_beat`` drops outcomes older than the
+        previous beat; the recorder read each one the beat it resolved,
+        a foresight adversary's early ones included.  Digests of the
+        ``coin`` lines of 200 beats, taken before outcomes were dropped."""
+        import hashlib
+
+        from repro.adversary.anti_coin import AntiCoinClock2Adversary
+        from repro.core.clock2 import SSByz2Clock
+
+        coin = OracleCoin(p0=0.4, p1=0.4, rounds=2)
+        for factory, adversary, lines, digest in (
+            (_factory(), EquivocatorAdversary(), 501, "a45bb7cc87a650b9"),
+            (lambda i: SSByz2Clock(coin),
+             AntiCoinClock2Adversary(coin, foresight=2), 200, "1194d68dc20fd39d"),
+        ):
+            sim = Simulation(
+                7, 2, factory, adversary=adversary, seed=3, engine=engine
+            )
+            recorder = FlightRecorder()
+            sim.add_monitor(recorder)
+            sim.scramble()
+            sim.run(200)
+            coins = [e.to_jsonl() for e in recorder.events if e.kind == "coin"]
+            assert len(coins) == lines
+            assert hashlib.sha256(
+                "\n".join(coins).encode()
+            ).hexdigest()[:16] == digest
+
     def test_churn_events_reported(self):
         recorder, _sim = self._run(
             churn=((3, "crash", (0,)), (7, "recover", (0,)))

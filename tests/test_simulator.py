@@ -168,6 +168,30 @@ class TestDeterminism:
 
 
 class TestEnvironmentCoins:
+    @pytest.mark.parametrize("engine", ["fast", "bulk"])
+    def test_a_long_run_keeps_two_beats_of_outcomes(self, engine):
+        """An outcome is n bits and 2.5 resolve per beat: kept for the
+        life of the run they were most of a long run's memory."""
+        from repro.coin.oracle import OracleCoin
+        from repro.core.clock_sync import SSByzClockSync
+
+        sim = Simulation(
+            7, 2, lambda i: SSByzClockSync(8, lambda: OracleCoin()),
+            seed=1, engine=engine,
+        )
+        sim.scramble()
+        sim.run(500)
+        kept = {beat for _path, beat in sim.env._outcomes}
+        assert kept and kept <= {498, 499}
+
+    def test_begin_beat_forgets_only_what_is_older_than_the_previous_beat(self):
+        env = Environment(4, seed=0)
+        for beat in (3, 4, 5, 6, 9):  # 6: this beat's; 9: a foresight query
+            env.coin_outcome("p", beat, 0.3, 0.3)
+        env.begin_beat(6)
+        assert env.beat == 6
+        assert set(env.resolved_outcomes(99)) == {("p", 5), ("p", 6), ("p", 9)}
+
     def test_outcome_memoized(self):
         env = Environment(4, seed=0)
         a = env.coin_outcome("p", 3, 0.3, 0.3)

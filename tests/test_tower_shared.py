@@ -20,7 +20,11 @@ import random
 
 import pytest
 
-from repro.adversary import ScriptedAdversary
+from repro.adversary import (
+    EquivocatorAdversary,
+    RandomNoiseAdversary,
+    ScriptedAdversary,
+)
 from repro.analysis.campaign import ADVERSARY_REGISTRY
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.interfaces import CoinAlgorithm
@@ -145,10 +149,11 @@ class TestFullStateDifferential:
         records = _every_lockstep_engine(
             _tower(_coin(0.3)), ADVERSARY_REGISTRY[name], seed=3
         )
-        assert any(
-            len({state.split("'rand', ")[1][:3] for state in record.values.values()}) > 1
+        coins = [
+            {state.split("'rand', ")[1][:3] for state in record.values.values()}
             for record in records
-        ), "no beat on which two nodes held different coins"
+        ]
+        assert max(map(len, coins)) > 1, "no two nodes ever held different coins"
 
     def test_shared_coin_variant(self):
         for name in ("none", "equivocator", "split-world"):
@@ -224,7 +229,9 @@ class TestFullStateDifferential:
                 (9, None, "root", {
                     r: ("fc", True) if r % 2 else ("fc", 1) for r in honest
                 }),
-                (10, None, "root/A/A1", {r: bool(r % 2) if r % 3 else 1 for r in honest}),
+                (10, None, "root/A/A1", {
+                    r: bool(r % 2) if r % 3 else 1 for r in honest
+                }),
                 (11, None, "root", dict.fromkeys(honest, ("bit", 1.0))),
                 (12, 3, "root", ("bit", True)),
             ]
@@ -445,3 +452,403 @@ class TestEveryCheckKept:
                 "root/mid": [Envelope(1, 0, "root/mid", "not mine", beat)],
             })
         assert node.root.child("mid").child("t").ran == [[0], [1]]
+
+
+# -- cost as counts: contexts follow components, tallies follow inbox objects --
+
+
+def _plain_collapse(inbox) -> dict:
+    collapsed: dict = {}
+    for envelope in inbox:
+        collapsed.setdefault(envelope.sender, envelope.payload)
+    return collapsed
+
+
+class TestCostFollowsDistinctInboxes:
+    """Counts repeat exactly where timings do not (n=16, f=5, ``fast``,
+    24 beats from a scramble).  Before the tower took shared form every
+    node rebuilt 12 beat contexts and 15 instance contexts per beat and
+    counted every inbox itself: 192, 240 and ~32 per beat fault-free."""
+
+    NODE_CONTEXTS = 7       # root (built with the node), A, A1, A2, 3 pipelines
+    SLOT_CONTEXTS = 3 * 2   # three pipelines of two slots
+
+    @staticmethod
+    def _run(adversary, monkeypatch, coin=(0.35, 0.35), beats=24):
+        """Per beat: beat contexts built, instance contexts built,
+        ``count_values`` calls, rule applications asked for, and the
+        inboxes handed to ``first_payload_per_sender`` (the objects)."""
+        from collections import Counter
+
+        from repro.coin.interfaces import InstanceContext
+        from repro.core import clock2, clock_sync, majority
+        from repro.net.component import BeatContext
+
+        sim = Simulation(
+            16, 5,
+            lambda i: SSByzClockSync(
+                6, lambda: OracleCoin(p0=coin[0], p1=coin[1], rounds=2)
+            ),
+            adversary=adversary, seed=2, engine="fast",
+        )
+        counts = {name: Counter() for name in (
+            "beat_contexts", "instance_contexts", "tallies", "asked",
+        )}
+        read: dict[int, list] = {}
+
+        def counting(name, original):
+            def counted(*args, **kwargs):
+                counts[name][sim.beat] += 1
+                return original(*args, **kwargs)
+            return counted
+
+        def reading(original):
+            def read_inbox(inbox):
+                read.setdefault(sim.beat, []).append(inbox)
+                return original(inbox)
+            return read_inbox
+
+        with monkeypatch.context() as patch:
+            for owner in (BeatContext, InstanceContext):
+                name = "beat_contexts" if owner is BeatContext else "instance_contexts"
+                patch.setattr(owner, "__init__", counting(name, owner.__init__))
+            tally = counting("tallies", majority.count_values)
+            for module in (majority, clock2, clock_sync):
+                patch.setattr(module, "count_values", tally)
+            for module in (clock2, clock_sync):
+                patch.setattr(
+                    module, "first_payload_per_sender",
+                    reading(majority.first_payload_per_sender),
+                )
+            # Each of these asks for exactly one ``count_values`` tally.
+            patch.setattr(clock2, "two_clock_step",
+                          counting("asked", clock2.two_clock_step))
+            patch.setattr(clock_sync, "phase1_proposal",
+                          counting("asked", clock_sync.phase1_proposal))
+            patch.setattr(clock_sync, "phase2_bit_and_save",
+                          counting("asked", clock_sync.phase2_bit_and_save))
+            sim.scramble()
+            sim.run(beats)
+        distinct = {
+            beat: len({id(inbox) for inbox in inboxes})
+            for beat, inboxes in read.items()
+        }
+        return sim, counts, distinct
+
+    @pytest.mark.parametrize("name", ["none", "equivocator"])
+    def test_contexts_are_built_once(self, name, monkeypatch):
+        adversary = ADVERSARY_REGISTRY[name]
+        sim, counts, _ = self._run(adversary and adversary(), monkeypatch)
+        nodes = len(sim.nodes)
+        assert sum(counts["beat_contexts"].values()) == nodes * (self.NODE_CONTEXTS - 1)
+        assert sum(counts["instance_contexts"].values()) == nodes * self.SLOT_CONTEXTS
+        # Nothing after each node's first full cycle (A2 runs when A1
+        # first reads 1), which the scramble delays by a few beats.
+        late = [beat for kind in ("beat_contexts", "instance_contexts")
+                for beat, built in counts[kind].items() if built and beat >= 8]
+        assert late == []
+
+    def test_an_agreeing_coin_costs_one_tally_per_inbox_object(self, monkeypatch):
+        """p0 + p1 = 1: every receiver of an inbox holds the same
+        ``rand``, so the 2-clock's tally is one per object — at most two
+        per path per beat under the equivocator, whatever n."""
+        _, counts, distinct = self._run(
+            EquivocatorAdversary(), monkeypatch, coin=(0.5, 0.5)
+        )
+        for beat in range(1, 24):
+            # Root tallies (blocks 3.b, 3.c) are over last beat's inbox.
+            assert counts["tallies"][beat] <= distinct[beat] + distinct[beat - 1]
+            assert counts["tallies"][beat] <= 2 * 3
+        assert max(counts["tallies"].values()) >= 2  # the probe counts
+
+    @pytest.mark.parametrize("name", ["none", "equivocator", "split-world"])
+    def test_a_divergent_coin_costs_at_most_two(self, name, monkeypatch):
+        adversary = ADVERSARY_REGISTRY[name]
+        _, counts, distinct = self._run(adversary and adversary(), monkeypatch)
+        for beat in range(1, 24):
+            assert counts["tallies"][beat] <= 2 * distinct[beat] + distinct[beat - 1]
+        # Fault-free and past the scramble (whose ``_previous`` are each
+        # node's own, as is an empty root inbox), every node is handed
+        # the one shared list per path: two coins on each 2-clock's, one
+        # block of Figure 4 on the root's.
+        if name == "none":
+            assert max(counts["tallies"][beat] for beat in range(8, 24)) <= 2 * 2 + 1
+
+    def test_noise_shares_nothing_and_costs_what_it_did(self, monkeypatch):
+        """The control: a fresh payload per copy leaves (nearly — CPython's
+        small ints are one object each) every receiver with an inbox of
+        its own, and every node counts its own, as before."""
+        _, counts, _ = self._run(RandomNoiseAdversary(), monkeypatch)
+        asked = sum(counts["asked"].values())
+        assert 0.95 * asked <= sum(counts["tallies"].values()) <= asked
+
+    def test_a_finished_run_is_freed_by_reference_count(self):
+        """No cycle through a context: with the collector off, dropping
+        the simulation frees every component of every tower."""
+        import gc
+        import weakref
+
+        gc.collect()
+        gc.disable()
+        try:
+            for factory, beats in (
+                (lambda i: SSByzClockSync(6, _coin()), 12),
+                (resolve_protocol("phase-king").factory(7, 2, 8), 8),
+                (lambda i: SSByzClockSync(6, lambda: FeldmanMicaliCoin(7, 2)), 6),
+            ):
+                sim = Simulation(
+                    7, 2, factory, adversary=EquivocatorAdversary(), seed=0
+                )
+                sim.scramble()
+                sim.run(beats)
+                alive = [
+                    weakref.ref(component)
+                    for node in sim.nodes.values()
+                    for component in node.root.walk()
+                ]
+                assert alive
+                del sim
+                assert not [ref for ref in alive if ref() is not None]
+        finally:
+            gc.enable()
+
+
+class TestAnswersLiveOnTheObject:
+    """The memo's three rules: on the delivered object, keyed by
+    identity, emptied with the buffer."""
+
+    INBOX = [
+        Envelope(0, -1, "p", 1, 0), Envelope(1, -1, "p", 1, 0),
+        Envelope(1, -1, "p", 0, 0), Envelope(2, -1, "p", None, 0),
+        Envelope(3, -1, "p", 0, 0),
+    ]
+
+    def test_an_inbox_is_collapsed_once_and_a_list_every_time(self):
+        from repro.core.majority import first_payload_per_sender
+        from repro.net.message import Inbox
+
+        inbox = Inbox(self.INBOX)
+        mapping = first_payload_per_sender(inbox)
+        assert first_payload_per_sender(inbox) is mapping
+        assert mapping == {0: 1, 1: 1, 2: None, 3: 0}
+        assert repr(mapping) == "{0: 1, 1: 1, 2: None, 3: 0}"
+        assert list(mapping) == [0, 1, 2, 3]
+        plain = first_payload_per_sender(list(self.INBOX))
+        assert plain == mapping and plain is not mapping
+        assert first_payload_per_sender(self.INBOX) is not plain
+
+    def test_equal_inboxes_are_not_the_same_inbox(self):
+        from repro.core.majority import first_payload_per_sender
+        from repro.net.message import Inbox
+
+        ones = Inbox([Envelope(0, -1, "p", ("fc", 1), 0)])
+        trues = Inbox([Envelope(0, -1, "p", ("fc", True), 0)])
+        assert ones == trues
+        assert repr(first_payload_per_sender(ones)) == "{0: ('fc', 1)}"
+        assert repr(first_payload_per_sender(trues)) == "{0: ('fc', True)}"
+
+    def test_clearing_the_buffer_forgets_what_was_read_off_it(self):
+        from repro.core.majority import first_payload_per_sender
+        from repro.net.message import Inbox
+
+        inbox = Inbox(self.INBOX)
+        before = first_payload_per_sender(inbox)
+        inbox.clear()
+        inbox.append(Envelope(2, -1, "p", 1, 1))
+        assert first_payload_per_sender(inbox) == {2: 1}
+        assert before == {0: 1, 1: 1, 2: None, 3: 0}  # kept by whoever holds it
+
+    def test_no_buffer_of_the_fast_engine_carries_a_stale_answer(self):
+        sim = Simulation(
+            16, 5, lambda i: SSByzClockSync(6, _coin()), seed=1, engine="fast",
+        )
+        sim.scramble()
+        read = 0
+        for _ in range(12):
+            sim.run_beat()
+            for inbox in sim.engine._shared_envs:
+                if inbox.per_sender is not None:
+                    read += 1
+                    assert inbox.per_sender == _plain_collapse(inbox)
+                    assert list(inbox.per_sender) == list(_plain_collapse(inbox))
+        assert read
+
+    def test_a_rule_runs_once_per_mapping_and_arguments(self):
+        from repro.core.majority import first_payload_per_sender, from_per_sender
+        from repro.net.message import Inbox
+
+        calls = []
+
+        def rule(payloads, *args):
+            calls.append(args)
+            return (sum(1 for p in payloads if p == 1), *args)
+
+        mapping = first_payload_per_sender(Inbox(self.INBOX))
+        assert from_per_sender(mapping, rule, 0, 3) == (2, 0, 3)
+        assert from_per_sender(mapping, rule, 0, 3) == (2, 0, 3)
+        assert calls == [(0, 3)]
+        # rand, the threshold and k are each part of the question.
+        assert from_per_sender(mapping, rule, 1, 3) == (2, 1, 3)
+        assert from_per_sender(mapping, rule, 0, 4) == (2, 0, 4)
+        assert from_per_sender(mapping, rule, 0, 3, 8) == (2, 0, 3, 8)
+        assert len(calls) == 4
+        # ...and so is the rule.
+        assert from_per_sender(mapping, lambda *_: "other", 0, 3) == "other"
+        # Another mapping of equal content is another object.
+        twin = first_payload_per_sender(Inbox(self.INBOX))
+        assert twin == mapping
+        from_per_sender(twin, rule, 0, 3)
+        assert len(calls) == 5
+
+    def test_a_plain_dict_just_computes(self):
+        from repro.core.clock2 import two_clock_step
+        from repro.core.majority import from_per_sender
+
+        calls = []
+
+        def rule(payloads, threshold):
+            calls.append(threshold)
+            return two_clock_step(payloads, 0, threshold)
+
+        scrambled = {0: 1, 1: 1, 2: None}
+        assert from_per_sender(scrambled, rule, 2) == 0
+        assert from_per_sender(scrambled, rule, 2) == 0
+        assert calls == [2, 2]
+
+    def test_the_figures_rules_agree_with_their_shared_answers(self):
+        """Each rule through the helper is the rule: same answer on an
+        inbox object as on the plain values, for both coins."""
+        from repro.core.clock2 import two_clock_step
+        from repro.core.clock_sync import (
+            phase1_proposal, phase2_bit_and_save, phase3_agreed_bit,
+        )
+        from repro.core.majority import first_payload_per_sender, from_per_sender
+        from repro.net.message import Inbox
+
+        rng = random.Random(5)
+        for _ in range(200):
+            kind = rng.choice(("fc", "prop", "bit", None))
+            payloads = [
+                rng.choice((0, 1, None, True)) if kind is None
+                else (kind, rng.choice((0, 1, 2, None, True)))
+                for _ in range(7)
+            ]
+            inbox = Inbox(
+                Envelope(sender, -1, "p", payload, 0)
+                for sender, payload in enumerate(payloads)
+            )
+            mapping = first_payload_per_sender(inbox)
+            for _ in range(2):
+                for rule, args in (
+                    (two_clock_step, (0, 5)), (two_clock_step, (1, 5)),
+                    (phase1_proposal, (5,)), (phase2_bit_and_save, (5, 3)),
+                    (phase2_bit_and_save, (4, 3)), (phase3_agreed_bit, (5,)),
+                ):
+                    shared = from_per_sender(mapping, rule, *args)
+                    assert repr(shared) == repr(rule(payloads, *args))
+
+
+class TestSlotContextsAreRepointed:
+    """One instance context per slot, by hand: whichever instance passes
+    through a slot is shown that slot's path, this beat's number and this
+    beat's inbox — nothing of the previous beat's."""
+
+    def test_every_round_sees_its_own_beat_and_inbox(self):
+        from repro.coin.interfaces import CoinAlgorithm, CoinInstance
+        from repro.core.pipeline import CoinFlipPipeline
+
+        log = []
+
+        class Chatty(CoinInstance):
+            def send_round(self, round_index, ctx):
+                log.append(("send", round_index, ctx.beat, ctx.path, list(ctx.inbox)))
+                ctx.broadcast(("round", round_index))
+
+            def update_round(self, round_index, ctx):
+                log.append(("update", round_index, ctx.beat, ctx.path, list(ctx.inbox)))
+
+            def output(self):
+                return 1
+
+            def scramble(self, rng):
+                pass
+
+        class Algorithm(CoinAlgorithm):
+            rounds = 2
+
+            def new_instance(self):
+                return Chatty()
+
+        node = _node(Switch(coin=CoinFlipPipeline(Algorithm())))
+        path = "root/coin"
+        for beat in (0, 1, 5):
+            sent = node.send_phase(beat)
+            assert [e.payload for e in sent if e.receiver == 0] == [
+                (1, ("round", 1)), (2, ("round", 2))
+            ]
+            assert {e.path for e in sent} == {path}
+            node.update_phase(beat, {path: [
+                Envelope(1, 0, path, (2, ("two", beat)), beat),
+                Envelope(2, 0, path, (1, ("one", beat)), beat),
+                Envelope(3, 0, path, (2, ("too", beat)), beat),
+                Envelope(3, 0, path, (7, "no such slot"), beat),
+                Envelope(3, 0, path, "untagged", beat),
+            ]})
+        assert log == [
+            entry
+            for beat in (0, 1, 5)
+            for entry in (
+                ("send", 1, beat, "root/coin/slot1", []),
+                ("send", 2, beat, "root/coin/slot2", []),
+                ("update", 1, beat, "root/coin/slot1", [(2, ("one", beat))]),
+                ("update", 2, beat, "root/coin/slot2",
+                 [(1, ("two", beat)), (3, ("too", beat))]),
+            )
+        ]
+
+    def test_an_update_with_no_traffic_shows_an_empty_inbox(self):
+        """...not the one the slot was last pointed at."""
+        from repro.coin.interfaces import InstanceContext
+
+        class Sink:
+            node_id, n, f, beat, rng, env, path = 0, 4, 1, 3, None, None, "p"
+
+            def __init__(self):
+                self.instances = {}
+
+        sink = Sink()
+        first = InstanceContext.bound(sink, [(1, "x")], 2, "/slot{}")
+        assert (first.path, first.beat, first.inbox) == ("p/slot2", 3, [(1, "x")])
+        sink.beat = 4
+        again = InstanceContext.bound(sink, [], 2, "/slot{}")
+        assert again is first and (again.beat, again.inbox) == (4, [])
+        other = InstanceContext.bound(sink, [], 1, "/slot{}")
+        assert other is not first and other.path == "p/slot1"
+        assert InstanceContext.bound(sink, []).path == "p"
+
+
+class TestEveryPathHandsOutInboxesThatRemember:
+    """The event engine's lane and the live intake's classes go through
+    ``group_by_path``: co-hosted receivers of one inbox count it once
+    (16 nodes counted 2.5 inboxes each per beat)."""
+
+    @pytest.mark.parametrize("path", ["events", "runtime"])
+    def test_tallies_follow_classes_not_n(self, path, monkeypatch):
+        from repro.core import clock2, clock_sync, majority
+
+        tallies = []
+        original = majority.count_values
+
+        def counted(values):
+            tallies.append(1)
+            return original(values)
+
+        for module in (majority, clock2, clock_sync):
+            monkeypatch.setattr(module, "count_values", counted)
+        factory = lambda i: SSByzClockSync(6, _coin())
+        if path == "events":
+            run_continuous(16, 5, factory, seed=2, beats=24)
+        else:
+            run_runtime(16, 5, factory, seed=2, beats=24, transport="local",
+                        codec="binary")
+        assert 24 <= len(tallies) <= 24 * 5 + 40  # + the scramble's first beats
