@@ -1,0 +1,548 @@
+"""What each correct node is *handed*, pinned before the message plane
+was rewritten.
+
+Every other differential in the suite compares what nodes compute; this
+one records ``Node.update_phase``'s ``delivered`` argument itself —
+``(beat, node, path, [(sender, repr(payload)), ...])`` for every
+non-empty inbox, plus the run's traffic statistics — and pins one sha256
+per scenario, computed at the parent commit (``9557579``).  The ``fast``
+engine's digest must also equal the ``reference`` engine's, so a pin
+that moves names the engine that moved it.  ``repr`` and not ``==``:
+``1``, ``True`` and ``1.0`` are one dict key and three payloads.
+
+Beside each ``fast`` digest sits a count: the distinct non-empty inbox
+*objects* handed out, summed over (beat, path).  Receivers of one class
+read one object (the protocol tower counts an inbox once per object), so
+a class key that stops sharing moves the count while every digest holds.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.adversary.strategies import ScriptedAdversary
+from repro.analysis.campaign import ADVERSARY_REGISTRY, ScenarioSpec
+from repro.net.events import ContinuousSimulation
+from repro.net.linkmodel import make_link
+from repro.net.message import Envelope
+from repro.net.node import Node
+from repro.net.simulator import Simulation
+
+K = 8
+N, F, BEATS = 13, 4, 12
+
+LINKS = {
+    "perfect": ("perfect", {}),
+    "lossy": ("lossy", {"loss": 0.1}),
+    "delay": ("delay", {"max_delay": 2}),
+    # Perfect before beat 3 and from beat 8 on: the engine changes sides
+    # twice, the second time with nothing in flight.
+    "partition": ("partition", {"split": 3, "heal": 8}),
+    "mobility": ("mobility", {}),
+}
+
+ADVERSARIES = sorted(name for name, cls in ADVERSARY_REGISTRY.items() if cls)
+
+
+class _Handed:
+    """Records what every ``update_phase`` call is handed."""
+
+    def __init__(self, monkeypatch):
+        self.lines: list[str] = []
+        self.objects = 0
+        self._seen: dict[tuple[int, str], set[int]] = {}
+        self._alive: list = []  # ids are only comparable among the living
+        update_phase = Node.update_phase
+
+        def recorded(node, beat, delivered):
+            for path in sorted(delivered):
+                inbox = delivered[path]
+                if not inbox:
+                    continue
+                self.lines.append(repr((
+                    beat, node.node_id, path,
+                    [(e.sender, repr(e.payload)) for e in inbox],
+                )))
+                seen = self._seen.setdefault((beat, path), set())
+                if id(inbox) not in seen:
+                    seen.add(id(inbox))
+                    self._alive.append(inbox)
+                    self.objects += 1
+            return update_phase(node, beat, delivered)
+
+        monkeypatch.setattr(Node, "update_phase", recorded)
+
+    def digest(self, stats) -> str:
+        observed = (
+            sorted(self.lines),
+            stats.as_dict(),
+            sorted(stats.per_beat.items()),
+            sorted(stats.dropped_per_beat.items()),
+        )
+        return hashlib.sha256(repr(observed).encode()).hexdigest()
+
+
+def _script(n, faulty, beats):
+    """Every shape of crafted record at once, each beat: one mapping
+    shared by two senders whose payloads are ``1`` / ``True`` / ``1.0``
+    twins; a row naming only some receivers; a row on a path nobody
+    broadcasts on; strays from a sender that also has a row on the path,
+    before and after it; dead letters to a faulty id and to no node."""
+    a, b, c, d = sorted(faulty)[:4]
+    twins = {r: (1, True, 1.0)[r % 3] for r in range(n)}
+    some = {r: ("fc", r % 2) for r in range(0, n, 2)}
+    invented = {r: "x" if r < 5 else "y" for r in range(n)}
+    return {
+        beat: [
+            (a, 3, "root", "before-the-row"),
+            (a, None, "root", twins),
+            (b, None, "root", twins),
+            (c, None, "root/A/A1", some),
+            (d, None, "made/up", invented),
+            (a, 3, "root", "after-the-row"),
+            (a, 5, "root/A", ("fc", beat % 4)),
+            (b, c, "root", "dead letter"),
+            (d, n + 2, "root", "nobody"),
+            (d, 0, "root/A/A1", None),
+        ]
+        for beat in range(beats)
+    }
+
+
+def _instance(adversary, n, f, beats):
+    if adversary == "scripted":
+        return ScriptedAdversary(_script(n, range(n - f, n), beats))
+    return ScenarioSpec(
+        n=n, f=f, k=K, adversary=adversary
+    ).build_config().adversary_factory()
+
+
+def _fast_run(monkeypatch, engine, *, n=N, f=F, adversary="none",
+              link="perfect", coin="oracle", share_coin=False, churn=None,
+              phantoms=None, beats=BEATS, seed=3):
+    config = ScenarioSpec(
+        n=n, f=f, k=K, coin=coin, share_coin=share_coin
+    ).build_config()
+    with monkeypatch.context() as patch:
+        handed = _Handed(patch)
+        sim = Simulation(
+            n, f, config.protocol_factory, seed=seed, engine=engine,
+            adversary=_instance(adversary, n, f, beats),
+            link=make_link(*LINKS[link]), churn=churn,
+        )
+        sim.scramble()
+        for beat in range(beats):
+            if phantoms is not None:
+                sim.inject_phantoms(phantoms(beat))
+            sim.run_beat()
+    return handed.digest(sim.stats), handed.objects
+
+
+def _blanket_phantoms(beat):
+    """Phantoms claiming *honest* senders, one to every receiver: they
+    sort after that sender's real message of the beat."""
+    if beat % 3:
+        return []
+    return [
+        Envelope(sender, receiver, path, ("phantom", beat), beat - 1)
+        for sender in (0, 2) for path in ("root", "root/A/A1")
+        for receiver in range(N)
+    ]
+
+
+def _private_phantoms(beat):
+    """...and to one receiver each, a different one per sender."""
+    return [
+        Envelope(sender, (sender + beat) % N, "root", ("fc", sender % 4), beat)
+        for sender in (1, 1, 5, 12)
+    ]
+
+
+#: scenario -> keyword arguments of :func:`_fast_run`.
+FAST = {
+    **{
+        f"{adversary}-{link}": dict(adversary=adversary, link=link)
+        for adversary in ADVERSARIES + ["scripted"] for link in LINKS
+    },
+    "phantoms-blanket": dict(phantoms=_blanket_phantoms),
+    "phantoms-blanket-delay": dict(
+        phantoms=_blanket_phantoms, link="delay", adversary="equivocator"
+    ),
+    "phantoms-private": dict(
+        phantoms=_private_phantoms, adversary="equivocator"
+    ),
+    "phantoms-private-lossy": dict(phantoms=_private_phantoms, link="lossy"),
+    **{
+        f"churn-{link}": dict(
+            link=link, adversary="equivocator",
+            churn=((2, "crash", (1, 4)), (7, "recover", (1,))),
+        )
+        for link in ("perfect", "lossy", "delay")
+    },
+    "gvss": dict(n=7, f=2, coin="gvss", beats=10),
+    "gvss-equivocator-lossy": dict(
+        n=7, f=2, coin="gvss", adversary="equivocator", link="lossy", beats=10
+    ),
+    "gvss-mixed-dealing": dict(
+        n=7, f=2, coin="gvss", adversary="mixed-dealing", beats=10
+    ),
+    "share-coin": dict(share_coin=True, adversary="split-world"),
+    "share-coin-delay": dict(share_coin=True, link="delay"),
+}
+
+#: scenario -> (digest, distinct inbox objects handed out by ``fast``).
+FAST_PINS: dict[str, tuple[str, int]] = {
+    "adaptive-delay": (
+        "3b8866f0fb4771b6c38c4319af568604e84918c2750a29a8d8fd0b50446919af",
+        242,
+    ),
+    "adaptive-lossy": (
+        "7776e181ed7dedfc7e7c992dde1632803950d886a9262b78a57e6f0c8efeaaae",
+        268,
+    ),
+    "adaptive-mobility": (
+        "a60dac77b7710811ccb07f8031c98a67ef71d1817bb65bcbd1a3a34d2c3a18b5",
+        234,
+    ),
+    "adaptive-partition": (
+        "124dcd231b46947b0004fb4ce9c31e23a4f3358ba69236412e0c106e8c9bbd18",
+        93,
+    ),
+    "adaptive-perfect": (
+        "330eddcb08273ba6bcc9cb95ea14b809f6c1d004b6860ea793d38bdc2381d01e",
+        57,
+    ),
+    "churn-delay": (
+        "14711de2ddae72eab09574e74c4337712403671d2399947234ed1a61ceee009b",
+        211,
+    ),
+    "churn-lossy": (
+        "f307b0498140583d8781bceaa36886c0b386e06579346c3ebd291950ff4c4788",
+        179,
+    ),
+    "churn-perfect": (
+        "94abe9b0a1ceb3ec44b6c3a20ff72267c3f42c31b6ab8bf343a9677bacef5da4",
+        46,
+    ),
+    "crash-delay": (
+        "964048c287abf46654548b1a5bfdd8e2f782f5a25d0e597fd2db207aa3050404",
+        161,
+    ),
+    "crash-lossy": (
+        "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
+        169,
+    ),
+    "crash-mobility": (
+        "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
+        162,
+    ),
+    "crash-partition": (
+        "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
+        72,
+    ),
+    "crash-perfect": (
+        "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
+        26,
+    ),
+    "dealer-attack-delay": (
+        "964048c287abf46654548b1a5bfdd8e2f782f5a25d0e597fd2db207aa3050404",
+        161,
+    ),
+    "dealer-attack-lossy": (
+        "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
+        169,
+    ),
+    "dealer-attack-mobility": (
+        "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
+        162,
+    ),
+    "dealer-attack-partition": (
+        "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
+        72,
+    ),
+    "dealer-attack-perfect": (
+        "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
+        26,
+    ),
+    "equivocator-delay": (
+        "c80eded3b7dd43d7ef45c2f62817ede639a86e9d138e07f21668940611fac295",
+        214,
+    ),
+    "equivocator-lossy": (
+        "e6146914165d206007bda6914339fbf2fb6b2941c0e0e5e12e17d9c3db2edbbc",
+        243,
+    ),
+    "equivocator-mobility": (
+        "b80f6c070247f6341b03b3fff040c59ab4f820589fbe469065d60deb5970ab87",
+        216,
+    ),
+    "equivocator-partition": (
+        "0bd610b9b99103d54c62766e63d17f0c67a8ea2519276b4627f3240012374dcc",
+        91,
+    ),
+    "equivocator-perfect": (
+        "425c268e62d6c12f6f3cbe52a7ff959b4838af5cb0139d33f0b3307a52992a90",
+        54,
+    ),
+    "gvss": (
+        "6bd7b5261003f404a441b1a76c39c68dc002151364275a1e5a58886082cb87a0",
+        198,
+    ),
+    "gvss-equivocator-lossy": (
+        "f4c472d3cf014dc6126c1808f7d469cabee0dd51e3f727870b550707723dd434",
+        225,
+    ),
+    "gvss-mixed-dealing": (
+        "a9f6b4accb7f421b7c39668a40f6b1828cdce098e5e2d2b50e9022bddcea256d",
+        172,
+    ),
+    "mixed-dealing-delay": (
+        "964048c287abf46654548b1a5bfdd8e2f782f5a25d0e597fd2db207aa3050404",
+        161,
+    ),
+    "mixed-dealing-lossy": (
+        "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
+        169,
+    ),
+    "mixed-dealing-mobility": (
+        "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
+        162,
+    ),
+    "mixed-dealing-partition": (
+        "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
+        72,
+    ),
+    "mixed-dealing-perfect": (
+        "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
+        26,
+    ),
+    "noise-delay": (
+        "3c627a15c702be2020dd56d094c84da8f7ce85b1226f8596940a0117894d8797",
+        224,
+    ),
+    "noise-lossy": (
+        "a84779c1fed182e4993c3d0ecd2ab553fb657b018d3fc014032f09a42ec4f559",
+        225,
+    ),
+    "noise-mobility": (
+        "1ba6b3a30be6633cd8ccacc4e061f9c7d602550e295859b412a346cc4770b6c3",
+        180,
+    ),
+    "noise-partition": (
+        "596cce85b3681d693456fbbfcfc79e9a92390a87d42eb16b18fe65e6db6a3f1f",
+        166,
+    ),
+    "noise-perfect": (
+        "26b5b67a6057a88f7dccafeeafad3f4b896b2fd88e48e963d7c35c5f07355a12",
+        240,
+    ),
+    "phantoms-blanket": (
+        "d809c581840a6fb157d85494efdef8ff499b0d04b2d7da50748b482bcffc357d",
+        123,
+    ),
+    "phantoms-blanket-delay": (
+        "3d2ffb73369d2733b0b9a0f622964f3f9b55f7eaf6f44299f1dc6cb3253ea83d",
+        243,
+    ),
+    "phantoms-private": (
+        "baa012d3a180aa8ae1172b14b3ccfdf097cbdea8b89e50da643f380cd051e703",
+        79,
+    ),
+    "phantoms-private-lossy": (
+        "f2524acf0cfda06f1ad7104f9053a8ae889ad9e0c10b260d513780baddc83106",
+        360,
+    ),
+    "scripted-delay": (
+        "49d90894351b0ed7dab23d9b44bcb9cdab7ddf48c3fe95e723f43d1c2bff5269",
+        304,
+    ),
+    "scripted-lossy": (
+        "91ee1e69aa00aabf39e8092967e1cbefcc8c1a6e6d378eae3647bd7a2494f3e4",
+        368,
+    ),
+    "scripted-mobility": (
+        "f556c37456e76d44d2ebd8e46f3d706773fd641847ad45cdf0cdaa95776e9db8",
+        355,
+    ),
+    "scripted-partition": (
+        "c5ba234871e317fb55f325e854c48b44882b7d95a5b0e64bdfdaba638d2ecb32",
+        184,
+    ),
+    "scripted-perfect": (
+        "b30ad5f28f5c68450b26d2bbfb03cadfb5dcf261491a5493dbf7e25fd446c6f6",
+        162,
+    ),
+    "share-coin": (
+        "b99cdf8dc5384fe7a5b1902deb37f8f9d915dbaeccb6f60b332b500acaa1061b",
+        56,
+    ),
+    "share-coin-delay": (
+        "aa61bbcca071884abdb08001285cba02342daed906d8b31a322e2e6e12f50001",
+        360,
+    ),
+    "split-world-delay": (
+        "213eb78d10b57175938c87fe09f668f6ab9a9438812e7623925b82d4cea43070",
+        263,
+    ),
+    "split-world-lossy": (
+        "54246cae1cd5a14c12b1e8719842e8209c4415017551bb46a8495c6682ab0888",
+        216,
+    ),
+    "split-world-mobility": (
+        "3d13113eedf9ec886247645cfb365494c812b776aaa0bb5679e33a8759a99d6c",
+        216,
+    ),
+    "split-world-partition": (
+        "5ae7d781074c42b69251e6160f7829c6b90f4b7ff8e9737a4cdbc57d3d90df5b",
+        91,
+    ),
+    "split-world-perfect": (
+        "e0c2dd98ef7d587b239f2923071dd6b5a35ab5327206f856b2312658c292e573",
+        58,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(FAST))
+def test_fast_hands_out_what_it_did_and_what_the_reference_does(
+    scenario, monkeypatch
+):
+    digest, objects = _fast_run(monkeypatch, "fast", **FAST[scenario])
+    assert (digest, objects) == FAST_PINS[scenario]
+    reference, _ = _fast_run(monkeypatch, "reference", **FAST[scenario])
+    assert reference == digest
+
+
+# -- the event engine --------------------------------------------------------
+
+#: The ledger's ``ev-drift`` shape: 0.6 of a period spent on skew by the
+#: end of the horizon.
+EV_N, EV_F, EV_BEATS = 16, 5, 40
+
+
+def _event_run(monkeypatch, *, adversary, rho, delay_bounds, n=EV_N, f=EV_F,
+               beats=EV_BEATS, seed=0):
+    config = ScenarioSpec(n=n, f=f, k=K).build_config()
+    with monkeypatch.context() as patch:
+        handed = _Handed(patch)
+        sim = ContinuousSimulation(
+            n, f, config.protocol_factory, seed=seed, rho=rho,
+            adversary=_instance(adversary, n, f, beats),
+            delay_bounds=delay_bounds,
+        )
+        sim.scramble()
+        result = sim.run(beats, k=K)
+    return handed.digest(sim.stats), result.late_messages
+
+
+_DRIFT = 0.3 / EV_BEATS
+
+EVENTS = {
+    **{
+        f"lockstep-{adversary}": dict(
+            adversary=adversary, rho=0.0, delay_bounds=(0.0, 0.0), n=N, f=F,
+            beats=BEATS, seed=3,
+        )
+        for adversary in ("none", "equivocator", "scripted")
+    },
+    **{
+        f"drift-{lo}-{hi}-{adversary}": dict(
+            adversary=adversary, rho=_DRIFT, delay_bounds=(lo, hi)
+        )
+        for lo, hi in ((0.05, 0.3), (0.3, 1.2))
+        for adversary in ("none", "equivocator", "split-world", "noise",
+                          "scripted")
+    },
+    # Skew large enough that the adversary instant misses the lane's edge
+    # while honest pulses still make it.
+    "skewed-equivocator": dict(
+        adversary="equivocator", rho=0.02, delay_bounds=(0.0, 0.1), n=7, f=2,
+    ),
+    "skewed-scripted": dict(
+        adversary="scripted", rho=0.02, delay_bounds=(0.0, 0.1), n=13, f=4,
+    ),
+}
+
+#: scenario -> (digest, late messages).
+EVENT_PINS: dict[str, tuple[str, int]] = {
+    "drift-0.05-0.3-equivocator": (
+        "021771aa1f2566ff9c57371ef523f40e38933b233bf43c7ad7e1d6c3efd54f4b",
+        0,
+    ),
+    "drift-0.05-0.3-noise": (
+        "6fe787c9ebc5c67f593e488e5b6d2f65b9c1bfed8ede3e13bafddb3eb5f174ef",
+        0,
+    ),
+    "drift-0.05-0.3-none": (
+        "959ead5b25fa10f5dd3010794d3e35d62ad3d69729d3bdbc64f9533dd70e032b",
+        0,
+    ),
+    "drift-0.05-0.3-scripted": (
+        "552d224f5cf2f3f62a159160ff7a53947b5150a7c93229746af337977461ce34",
+        0,
+    ),
+    "drift-0.05-0.3-split-world": (
+        "0fe90d3fca45ee1eed8ccfb9a019d2e868427966b52ebef65109820489915add",
+        0,
+    ),
+    "drift-0.3-1.2-equivocator": (
+        "9b31a47955f06023e13b27125a7ea0cbc2919847e39bf5064b2e3a6116a3d078",
+        2790,
+    ),
+    "drift-0.3-1.2-noise": (
+        "c46d36e8eaf2840a4fb59304afe4ed974a411bdfbe233d3f591736331e703e94",
+        2189,
+    ),
+    "drift-0.3-1.2-none": (
+        "9766c59d05591fc6a83972dd3d1773f94b56e04d51b4e9af252b1a9d16a733b4",
+        3350,
+    ),
+    "drift-0.3-1.2-scripted": (
+        "4990e9a090efbb967543db6852085f109a31657c94a8e43fb16dfda066e3386d",
+        1832,
+    ),
+    "drift-0.3-1.2-split-world": (
+        "18d1a9948b5021866c50739e1bd090021258f6ede2db9b65d21754dafe029264",
+        3022,
+    ),
+    "lockstep-equivocator": (
+        "425c268e62d6c12f6f3cbe52a7ff959b4838af5cb0139d33f0b3307a52992a90",
+        0,
+    ),
+    "lockstep-none": (
+        "b769715ed021f0ea961a9c05baf6b4bdcfa3ace743c7841d7d799b10412ed2e7",
+        0,
+    ),
+    "lockstep-scripted": (
+        "b30ad5f28f5c68450b26d2bbfb03cadfb5dcf261491a5493dbf7e25fd446c6f6",
+        0,
+    ),
+    "skewed-equivocator": (
+        "6162030f5bd86e91caf24090c07a46687b3fbaaf71cd590bd48f890877ff952b",
+        229,
+    ),
+    "skewed-scripted": (
+        "fa7b71451d47bc6bb1850cc483ee00a8d7bd5b1ae6f6603a1623d17e67f45a38",
+        383,
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(EVENTS))
+def test_the_event_engine_hands_out_what_it_did(scenario, monkeypatch):
+    assert _event_run(monkeypatch, **EVENTS[scenario]) == EVENT_PINS[scenario]
+
+
+@pytest.mark.parametrize("adversary", ["none", "equivocator", "scripted"])
+def test_lockstep_events_hand_out_what_the_reference_does(
+    adversary, monkeypatch
+):
+    """At zero drift and zero delay the handed inboxes are the lock-step
+    engines', in content and in order."""
+    digest, late = _event_run(monkeypatch, **EVENTS[f"lockstep-{adversary}"])
+    reference, _ = _fast_run(
+        monkeypatch, "reference", adversary=adversary, beats=BEATS, seed=3
+    )
+    assert (digest, late) == (reference, 0)
