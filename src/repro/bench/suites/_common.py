@@ -27,6 +27,23 @@ def counted(owner, name: str, tally: Counter):
         setattr(owner, name, original)
 
 
+@contextlib.contextmanager
+def counted_rules(tally: Counter):
+    """While open, every run of a rule of Figures 2 and 4 is counted in
+    ``tally``.  The tower runs a rule once per distinct inbox *object*,
+    so the total follows the classes of receivers a message plane hands
+    out, not n."""
+    from repro.core import clock2, clock_sync
+
+    with contextlib.ExitStack() as stack:
+        for owner, name in (
+            (clock2, "two_clock_step"), (clock_sync, "phase1_proposal"),
+            (clock_sync, "phase2_bit_and_save"), (clock_sync, "phase3_agreed_bit"),
+        ):
+            stack.enter_context(counted(owner, name, tally))
+        yield tally
+
+
 def convergence_latencies(
     factory: Callable[[int], object],
     *,

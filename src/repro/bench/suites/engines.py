@@ -31,7 +31,7 @@ from collections import Counter
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import counted
+from repro.bench.suites._common import counted, counted_rules
 
 #: Deterministic differential cases hashed per engine at every tier.
 DIGEST_CASES = (
@@ -107,17 +107,13 @@ def tower_costs(case: dict) -> tuple[str, dict[str, float]]:
     """The ``fast`` digest of ``case`` and, per beat of that run, the
     rules of Figures 2 and 4 actually run and the contexts constructed."""
     from repro.coin.interfaces import InstanceContext
-    from repro.core import clock2, clock_sync
     from repro.net.component import BeatContext
 
     tally: Counter = Counter()
     with contextlib.ExitStack() as stack:
-        for owner, name in (
-            (clock2, "two_clock_step"), (clock_sync, "phase1_proposal"),
-            (clock_sync, "phase2_bit_and_save"), (clock_sync, "phase3_agreed_bit"),
-            (BeatContext, "__init__"), (InstanceContext, "__init__"),
-        ):
-            stack.enter_context(counted(owner, name, tally))
+        stack.enter_context(counted_rules(tally))
+        for owner in (BeatContext, InstanceContext):
+            stack.enter_context(counted(owner, "__init__", tally))
         digest = trajectory_digest("fast", case)
     built = tally.pop("__init__")
     return digest, {

@@ -20,7 +20,11 @@ Three measurement families:
   node, one adversary phase; arrivals are decided, not scheduled) and
   ``delay_draws_per_beat`` (zero: no draw could have decided anything)
   — so a silent return to one event and one draw per copy trips the
-  gate without reading a clock.
+  gate without reading a clock.  Under the equivocator a fourth,
+  ``tallies_per_beat``: the rules of Figures 2 and 4 run once per
+  distinct inbox *object*, so it follows the classes of receivers the
+  message plane hands out and moves if the event path goes back to one
+  grouping per receiver.
 * **ungated wall-clock** — the pulse-barrier runtime
   (``run_runtime(..., sync="pulse")``) on LocalTransport: measured max
   pulse skew in milliseconds and real convergence time.  Hardware-noisy,
@@ -30,10 +34,12 @@ Three measurement families:
 
 from __future__ import annotations
 
+from collections import Counter
 from contextlib import contextmanager
 
 from repro.bench.registry import Benchmark, register
 from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import counted_rules
 
 #: Drift case: slow enough (rho=0.005 over 40 beats of period 1.0 with
 #: delays in [0, 0.1]) that the slowest sender still beats the fastest
@@ -209,7 +215,7 @@ def run(
             pulse_period=case["pulse_period"],
         )
         simulation.scramble()
-        with _event_counts() as counts:
+        with _event_counts() as counts, counted_rules(Counter()) as tally:
             result = simulation.run(case["beats"], k=8)
         late_free = simulation.late_free_beats(_LATE_FREE_HORIZON)
         events_per_beat = counts["heap"] / case["beats"]
@@ -259,11 +265,17 @@ def run(
                 gated=True,
             )
         )
-        for metric, value, unit, direction in (
+        counts_of_the_case = [
             ("late_free_beats", float(late_free), "beats", "higher"),
             ("heap_events_per_beat", events_per_beat, "events/beat", "lower"),
             ("delay_draws_per_beat", draws_per_beat, "draws/beat", "lower"),
-        ):
+        ]
+        if adversary == "equivocator":
+            counts_of_the_case.append((
+                "tallies_per_beat", sum(tally.values()) / case["beats"],
+                "tallies/beat", "lower",
+            ))
+        for metric, value, unit, direction in counts_of_the_case:
             results.append(
                 BenchResult(
                     benchmark="pulse_precision",

@@ -247,20 +247,26 @@ def run(
 
     # -- telemetry parity: instrumentation must not perturb (gated digest)
     # nor meaningfully slow the run (soft throughput guard + ungated rate).
+    # The guard's two legs are taken alternately, best of >= 3 each at
+    # every tier: a single telemetry run against a plain one measured
+    # several benches earlier compares two heap states, not two runtimes.
     tele_n, tele_f = 16, 5
     for codec in codecs:
-        best = None
-        for _ in range(repeats):
-            result = _run_once(
-                tele_n, tele_f, beats, seed, codec, telemetry=True
-            )
-            if best is None or result.elapsed_s < best.elapsed_s:
-                best = result
+        legs = {False: [], True: []}
+        for _ in range(max(3, repeats)):
+            for telemetry in (False, True):
+                legs[telemetry].append(_run_once(
+                    tele_n, tele_f, beats, seed, codec, telemetry=telemetry
+                ))
+        plain, observed = (
+            min(legs[telemetry], key=lambda result: result.elapsed_s)
+            for telemetry in (False, True)
+        )
         results.append(
             BenchResult(
                 benchmark="runtime_throughput",
                 metric="messages_per_sec",
-                value=best.messages_per_sec,
+                value=observed.messages_per_sec,
                 unit="msgs/s",
                 scenario={"transport": "local", "codec": codec,
                           "n": tele_n, "f": tele_f, "telemetry": "on"},
@@ -268,20 +274,11 @@ def run(
                 gated=False,  # wall-clock: too noisy for CI gating
             )
         )
-        plain = next(
-            (
-                row for row in rows
-                if row["n"] == tele_n and row["codec"] == codec
-            ),
-            None,
-        )
-        if plain is not None and best.messages_per_sec < (
-            0.75 * plain["messages_per_sec"]
-        ):
+        if observed.messages_per_sec < 0.75 * plain.messages_per_sec:
             failures.append(
                 f"telemetry-enabled runtime at n={tele_n} codec={codec} "
-                f"ran at {best.messages_per_sec:.0f} msgs/s vs "
-                f"{plain['messages_per_sec']:.0f} plain — instrumentation "
+                f"ran at {observed.messages_per_sec:.0f} msgs/s vs "
+                f"{plain.messages_per_sec:.0f} plain — instrumentation "
                 "overhead exceeds the near-zero budget"
             )
         tele_result = _run_once(

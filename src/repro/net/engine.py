@@ -12,14 +12,14 @@ driving the update phase.  Three engines ship:
   broadcast allocates one :class:`~repro.net.message.Envelope` per
   receiver and every inbox is re-sorted each beat.  It is the executable
   specification the fast path is differentially tested against.
-* :class:`FastEngine` — the production path.  Component paths are interned
-  to integer ids when the engine binds to a simulation; honest broadcasts
-  are recorded as a single fan-out record and expanded into one *shared*
-  envelope (and one shared inbox list) per beat instead of Θ(n) copies;
-  per-node inbox buffers are reused across beats; and the per-inbox
-  sender sort is skipped whenever envelopes were already produced in
-  sender order (always true for pure-broadcast inboxes, because nodes run
-  their send phases in ascending id order).
+* :class:`FastEngine` — the production path.  It keeps the lock-step
+  *schedule* and leaves the traffic to the in-process message plane
+  (:mod:`repro.net.plane`): an honest broadcast is one fan-out record
+  and one *shared* envelope on one shared inbox per path instead of Θ(n)
+  copies, a crafted row stays a row, and each class of receivers handed
+  the same objects reads one merged inbox.  The per-inbox sender sort is
+  skipped for pure-broadcast inboxes, which are already in sender order
+  because nodes run their send phases in ascending id order.
 * :class:`~repro.net.bulk.BulkEngine` — the campaign-scale path.  It
   keeps per-node protocol state in structure-of-arrays form and executes
   whole beats as batch operations for protocols that register a bulk
@@ -40,34 +40,31 @@ envelope bound for a correct node is classified by the bound
 :class:`~repro.net.linkmodel.LinkModel` — delivered this beat, parked in
 the engine's per-beat in-flight queue to land in a future beat's inboxes,
 or dropped.  Under :class:`~repro.net.linkmodel.PerfectLinks` (the
-default) both engines run their original delivery code untouched, which
-is what makes the perfect model a provable no-op.  Under any other model
-the engines stay differentially equivalent: link decisions are keyed
-randomness (identical whatever order envelopes are classified in), and
-delayed arrivals merge into inboxes in a fixed stage order — for one
-sender, older delayed traffic sorts before the beat's fresh traffic,
-which sorts before phantoms claiming that sender.
+default) no engine ever calls ``classify``, which is what makes the
+perfect model a provable no-op.  Under any other model the engines stay
+differentially equivalent: every copy is classified on its own, in the
+reference engine's order (link decisions are keyed randomness, but
+stateful models count emissions per directed link), and delayed arrivals
+merge into inboxes in a fixed stage order — for one sender, older delayed
+traffic sorts before the beat's fresh traffic, which sorts before
+phantoms claiming that sender (:mod:`repro.net.plane`'s ``STAGE_*``).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Mapping, Sequence
-from operator import itemgetter
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
-from repro.net.component import Component
-from repro.net.message import (
-    BROADCAST,
-    CraftedTraffic,
-    Envelope,
-    FanoutView,
-    FastOutbox,
-    Inbox,
-    Row,
-)
+from repro.net.message import CraftedTraffic, Envelope, FanoutView, FastOutbox
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
+from repro.net.plane import (
+    STAGE_DELAYED,
+    STAGE_PHANTOM,
+    STAGE_REGULAR,
+    BeatTraffic,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - break import cycle, typing only
     from repro.net.simulator import Simulation
@@ -81,12 +78,6 @@ __all__ = [
     "craft_byzantine",
     "resolve_engine",
 ]
-
-
-#: A receiver a row does not name.
-_ABSENT = object()
-
-_KEY_OF_ENTRY = itemgetter(0)
 
 
 def craft_byzantine(
@@ -262,48 +253,39 @@ class FastEngine:
     """Fan-out-sharing engine: O(messages) work instead of O(copies).
 
     Honest broadcasts dominate traffic in every protocol of this library
-    (Θ(n²) copies per beat).  This engine materializes each one as a single
-    shared :class:`Envelope` (``receiver=BROADCAST``) appended to a single
-    shared per-path inbox list that every node's update phase reads —
-    honest protocol code never inspects ``receiver`` and never mutates its
-    inbox, which makes the sharing observationally equivalent to the
-    reference engine's per-receiver copies.  Everything else is merged
-    into that list in the reference engine's exact sender-sorted,
-    stage-ordered delivery order (see ``_STAGE_*`` below): point-to-point
-    sends and phantoms per receiver, and crafted rows
-    (:class:`~repro.net.message.Row`) once per inbox *class* — the
-    receivers a path's rows hand the same payload objects, and who got
-    nothing else on it, read one merged list whose Byzantine copies
-    carry ``BROADCAST`` too.  An equivocating coalition therefore costs
-    one merge per story it tells, not one per receiver.
+    (Θ(n²) copies per beat).  This engine is the lock-step *schedule* —
+    send sweep, adversary phase, due arrivals, phantoms, update sweep —
+    over one :class:`~repro.net.plane.BeatTraffic` per beat, which holds
+    each broadcast as a single shared :class:`Envelope` on a single shared
+    per-path inbox, keeps crafted rows as rows and hands every class of
+    receivers one merged inbox in the reference engine's exact
+    sender-sorted, stage-ordered delivery order.  An equivocating
+    coalition therefore costs one merge per story it tells, not one per
+    receiver.
+
+    A link model that rules on a beat puts one step between a record and
+    the traffic, ``dispatch``: every copy is expanded and classified on
+    its own — exactly what the reference engine does, in its order — and
+    what arrives is its receiver's stray, so nothing is shared on such a
+    beat because nothing is the same.
     """
 
     name = "fast"
     description = (
         "fan-out-sharing default: one shared envelope per honest "
-        "broadcast instead of n copies, reused per-beat buffers"
+        "broadcast instead of n copies, one merged inbox per class of "
+        "receivers"
     )
-
-    #: Merge-sort stage tags, mirroring the reference router's stable-sort
-    #: insertion order for one sender: delayed arrivals (older traffic a
-    #: link model deferred) sort first, then the beat's regular traffic
-    #: (honest + Byzantine — their sender sets are disjoint), then phantoms
-    #: claiming the same sender.
-    _STAGE_DELAYED = -1
-    _STAGE_REGULAR = 0
-    _STAGE_PHANTOM = 1
 
     def __init__(self) -> None:
         self.stats = MessageStats()
         self._pending_phantoms: list[Envelope] = []
         self._bound = False
-        # In-flight queue: delivery beat -> [(receiver, path, key, envelope)].
+        # In-flight queue: delivery beat -> [(receiver, key, envelope)].
         self._in_flight: dict[
-            int, list[tuple[int, str, tuple[int, int, int], Envelope]]
+            int, list[tuple[int, tuple[int, int, int], Envelope]]
         ] = {}
         self._flight_seq = 0
-
-    # -- binding -----------------------------------------------------------
 
     def bind(self, simulation: "Simulation") -> None:
         if self._bound:
@@ -319,347 +301,115 @@ class FastEngine:
         self._outboxes = {
             node_id: FastOutbox(simulation.n) for node_id in simulation.nodes
         }
-        # Path interning: component trees are isomorphic across nodes and
-        # static after construction, so one walk at bind time pre-interns
-        # every honest routing path.  Unknown paths (Byzantine inventions,
-        # phantom targets) intern lazily on first sight.
-        self._path_ids: dict[str, int] = {}
-        self._path_names: list[str] = []
-        self._shared_envs: list[list[Envelope]] = []
-        self._shared_keys: list[list[tuple[int, int]]] = []
-        for node in simulation.nodes.values():
-            self._intern_tree(node.root, simulation.root_path)
-            break  # one tree is enough; the rest are isomorphic
-        # Reusable per-beat buffers.
-        self._touched: list[int] = []
-        self._shared_inbox: dict[str, list[Envelope]] = {}
-        self._merge_inboxes: dict[int, dict[str, list[Envelope]]] = {}
-
-    def _intern(self, path: str) -> int:
-        path_id = self._path_ids.get(path)
-        if path_id is None:
-            path_id = len(self._path_names)
-            self._path_ids[path] = path_id
-            self._path_names.append(path)
-            self._shared_envs.append(Inbox())
-            self._shared_keys.append([])
-        return path_id
-
-    def _intern_tree(self, component: Component, path: str) -> None:
-        self._intern(path)
-        for name, child in component.children.items():
-            self._intern_tree(child, f"{path}/{name}")
-
-    # -- phantom plumbing --------------------------------------------------
 
     def inject_phantoms(self, envelopes: list[Envelope]) -> None:
         self._pending_phantoms.extend(envelopes)
 
-    # -- beat execution ----------------------------------------------------
-
     def execute_beat(self, simulation: "Simulation", beat: int) -> None:
-        # The fan-out-sharing path runs under perfect links — and on any
-        # beat the link model certifies as unaffected (e.g. a healed
-        # partition) while nothing is in flight.
-        if not (
-            self._link.is_perfect
-            or (not self._in_flight and self._link.perfect_at(beat))
-        ):
-            self._execute_linked_beat(simulation, beat)
-            return
         n = self._n
         nodes = simulation.nodes
         # Churn: send and update phases run on *active* nodes only, while
         # receiver-presence checks stay on all correct nodes — traffic to a
-        # crashed node is still counted and stashed (in an inbox nobody
-        # reads), exactly as the reference engine delivers it.
-        active = simulation.active_nodes()
-        stats = self.stats
-        faulty = self._faulty
-        faulty_set = self._faulty_set
-        adversary_active = simulation.adversary is not None and bool(faulty)
-        path_ids = self._path_ids
-        shared_envs = self._shared_envs
-        shared_keys = self._shared_keys
-        touched = self._touched
-        for path_id in touched:
-            shared_envs[path_id].clear()
-            shared_keys[path_id].clear()
-        touched.clear()
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        # — the rare per-receiver traffic that cannot ride the shared lists.
-        extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
-        # The legal view in shared form: one record per honest broadcast.
-        visible = FanoutView(beat, faulty)
-
-        # -- send phase ----------------------------------------------------
-        # Honest nodes run in ascending id order, so shared lists come out
-        # pre-sorted by (sender, emission order) — the exact order the
-        # reference router's stable sender sort produces.
-        for node_id, node in active.items():
-            records = node.send_phase(beat, self._outboxes[node_id])
-            for seq, (path, payload, receiver) in enumerate(records):
-                if receiver is None:  # full broadcast: one shared fan-out
-                    path_id = path_ids.get(path)
-                    if path_id is None:
-                        path_id = self._intern(path)
-                    envs = shared_envs[path_id]
-                    if not envs:
-                        touched.append(path_id)
-                    envs.append(Envelope(node_id, BROADCAST, path, payload, beat))
-                    shared_keys[path_id].append((node_id, seq))
-                    stats.record_fanout(path, beat, n, honest=True)
-                    if adversary_active:
-                        visible.add_broadcast(node_id, path, payload)
-                else:
-                    envelope = Envelope(node_id, receiver, path, payload, beat)
-                    stats.record(envelope, honest=True)
-                    if adversary_active and receiver in faulty_set:
-                        visible.add_envelope(envelope)
-                    if receiver in nodes:
-                        extras.setdefault(receiver, {}).setdefault(
-                            path, []
-                        ).append(((node_id, self._STAGE_REGULAR, seq), envelope))
-
-        # -- adversary phase ----------------------------------------------
-        # A row stays a row: rows[path] = [(seq, sender, payloads), ...],
-        # sorted into inbox classes at delivery.  ``seq`` is the record's
-        # position, which orders one sender's copies at one receiver
-        # exactly as their positions in the materialized list would.
-        rows: dict[str, list[tuple[int, int, Mapping]]] = {}
-        if adversary_active:
-            crafted = craft_byzantine(simulation.world, beat, visible)
-            stats.record_block(crafted, honest=False)
-            for seq, record in enumerate(crafted.records):
-                if type(record) is Row:
-                    rows.setdefault(record.path, []).append(
-                        (seq, record.sender, record.payloads)
-                    )
-                elif record.receiver in nodes:
-                    extras.setdefault(record.receiver, {}).setdefault(
-                        record.path, []
-                    ).append(
-                        ((record.sender, self._STAGE_REGULAR, seq), record)
-                    )
-
-        # -- phantom delivery ---------------------------------------------
-        if self._pending_phantoms:
-            phantoms, self._pending_phantoms = self._pending_phantoms, []
-            for seq, envelope in enumerate(phantoms):
-                stats.record(envelope, honest=False)
-                if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
-                    ).append(
-                        ((envelope.sender, self._STAGE_PHANTOM, seq), envelope)
-                    )
-
-        # -- delivery + update phase --------------------------------------
-        shared_inbox = self._shared_inbox
-        shared_inbox.clear()
-        path_names = self._path_names
-        for path_id in touched:
-            shared_inbox[path_names[path_id]] = shared_envs[path_id]
-        if not extras and not rows:
-            # Pure-broadcast beat: every node reads one dict.
-            for node in active.values():
-                node.update_phase(beat, shared_inbox)
-            return
-        # Receivers a path's rows handed the same payload *objects* form
-        # one inbox class: classes[path] = (the path's distinct row
-        # mappings, {class key: [row entries, merged inbox or None]}).
-        classes = {
-            path: (list({id(row[2]): row[2] for row in path_rows}.values()), {})
-            for path, path_rows in rows.items()
-        }
-        for node_id, node in active.items():
-            node_extras = extras.get(node_id)
-            if node_extras is None and not rows:
-                node.update_phase(beat, shared_inbox)
-                continue
-            inbox = self._merge_inboxes.get(node_id)
-            if inbox is None:
-                inbox = self._merge_inboxes[node_id] = {}
-            else:
-                inbox.clear()
-            inbox.update(shared_inbox)
-            if node_extras is not None:
-                for path, entries in node_extras.items():
-                    if path not in rows:
-                        inbox[path] = self._merged(path, entries)
-            for path, path_rows in rows.items():
-                distinct, by_key = classes[path]
-                key = tuple(
-                    [id(payloads.get(node_id, _ABSENT)) for payloads in distinct]
-                )
-                shared = by_key.get(key)
-                if shared is None:
-                    # Built once per class; the copies carry BROADCAST as
-                    # receiver, as shared honest envelopes do.
-                    shared = by_key[key] = [
-                        [
-                            (
-                                (sender, self._STAGE_REGULAR, seq),
-                                Envelope(
-                                    sender, BROADCAST, path,
-                                    payloads[node_id], beat,
-                                ),
-                            )
-                            for seq, sender, payloads in path_rows
-                            if node_id in payloads
-                        ],
-                        None,
-                    ]
-                own = None if node_extras is None else node_extras.get(path)
-                if own is not None:
-                    inbox[path] = self._merged(path, shared[0] + own)
-                    continue
-                if shared[1] is None:
-                    shared[1] = self._merged(path, shared[0])
-                inbox[path] = shared[1]
-            node.update_phase(beat, inbox)
-
-    def _merged(
-        self,
-        path: str,
-        entries: list[tuple[tuple[int, int, int], Envelope]],
-    ) -> list[Envelope]:
-        """This beat's inbox on ``path`` for whoever received ``entries``
-        (``((sender, stage, seq), envelope)`` pairs) besides the shared
-        honest broadcasts: the reference router's sender-sorted,
-        stage-ordered delivery."""
-        base = self._shared_inbox.get(path)
-        if base is None:
-            merged = list(entries)
-        else:
-            merged = [
-                ((sender, self._STAGE_REGULAR, seq), envelope)
-                for (sender, seq), envelope in zip(
-                    self._shared_keys[self._path_ids[path]], base
-                )
-            ]
-            merged.extend(entries)
-        if len(merged) > 1:
-            merged.sort(key=_KEY_OF_ENTRY)
-        return Inbox([envelope for _, envelope in merged])
-
-    # -- linked beat execution ---------------------------------------------
-
-    def _execute_linked_beat(self, simulation: "Simulation", beat: int) -> None:
-        """One beat under a non-trivial link model.
-
-        Fan-out sharing is off here: a lossy or delaying link makes
-        per-receiver inboxes genuinely diverge, so every copy is expanded
-        and classified individually — exactly what the reference engine
-        does, which keeps the engines differentially equivalent under any
-        link model (link decisions are keyed randomness, so classification
-        *order* cannot skew them).
-        """
-        n = self._n
-        nodes = simulation.nodes
-        # Churn: active nodes send and update; dispatch still classifies
-        # traffic bound for inactive correct receivers (the network does
-        # not know a host is down), matching the reference engine's link
-        # call sequence bit for bit.
+        # crashed node is still classified, counted and stashed (the
+        # network does not know a host is down), exactly as the reference
+        # engine delivers it.
         active = simulation.active_nodes()
         stats = self.stats
         link = self._link
         faulty_set = self._faulty_set
         adversary_active = simulation.adversary is not None and bool(self._faulty)
-        # extras[receiver][path] = [((sender, stage, seq), envelope), ...]
-        extras: dict[int, dict[str, list[tuple[tuple[int, int, int], Envelope]]]] = {}
+        # Observed, never set: the link rules on this beat unless it is
+        # perfect, or certifies the beat unaffected (e.g. a healed
+        # partition) while nothing is in flight.
+        linked = not (
+            link.is_perfect
+            or (not self._in_flight and link.perfect_at(beat))
+        )
+        traffic = BeatTraffic(beat)
+        strays = traffic.strays  # filed in place where it is per copy
+        # The legal view in shared form: one record per honest broadcast.
         visible = FanoutView(beat, self._faulty)
 
         def dispatch(envelope: Envelope, key: tuple[int, int, int]) -> None:
             receiver = envelope.receiver
             if receiver not in nodes:
                 return  # dead letter (faulty receiver): adversary view only
-            if envelope.sender == receiver:
-                delay = 0  # loopback is always perfect
-            else:
+            if linked and envelope.sender != receiver:  # loopback is perfect
                 delay = link.classify(envelope.sender, receiver, beat)
-            if delay is None:
-                stats.record_dropped(envelope)
-                return
-            if delay:
-                stats.record_delayed(envelope)
-                self._flight_seq += 1
-                self._in_flight.setdefault(beat + delay, []).append(
-                    (
+                if delay is None:
+                    stats.record_dropped(envelope)
+                    return
+                if delay:
+                    stats.record_delayed(envelope)
+                    self._flight_seq += 1
+                    self._in_flight.setdefault(beat + delay, []).append((
                         receiver,
-                        envelope.path,
-                        (envelope.sender, self._STAGE_DELAYED, self._flight_seq),
+                        (envelope.sender, STAGE_DELAYED, self._flight_seq),
                         envelope,
-                    )
-                )
-                return
-            extras.setdefault(receiver, {}).setdefault(
+                    ))
+                    return
+            strays.setdefault(receiver, {}).setdefault(
                 envelope.path, []
             ).append((key, envelope))
 
         # -- send phase ----------------------------------------------------
+        # Honest nodes run in ascending id order, so lanes come out sorted
+        # by (sender, emission order) — the exact order the reference
+        # router's stable sender sort produces.
         for node_id, node in active.items():
             records = node.send_phase(beat, self._outboxes[node_id])
             for seq, (path, payload, receiver) in enumerate(records):
-                if receiver is None:  # full broadcast: expand per receiver
+                if receiver is None:  # full broadcast
                     stats.record_fanout(path, beat, n, honest=True)
-                    key = (node_id, self._STAGE_REGULAR, seq)
                     if adversary_active:
                         visible.add_broadcast(node_id, path, payload)
-                    for target in range(n):
-                        dispatch(
-                            Envelope(node_id, target, path, payload, beat), key
-                        )
+                    if linked:
+                        key = (node_id, STAGE_REGULAR, seq)
+                        for target in range(n):
+                            dispatch(
+                                Envelope(node_id, target, path, payload, beat),
+                                key,
+                            )
+                    else:
+                        traffic.broadcast(node_id, seq, path, payload)
                 else:
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
                     if adversary_active and receiver in faulty_set:
                         visible.add_envelope(envelope)
-                    dispatch(envelope, (node_id, self._STAGE_REGULAR, seq))
+                    dispatch(envelope, (node_id, STAGE_REGULAR, seq))
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
             crafted = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(crafted, honest=False)
-            for seq, envelope in enumerate(crafted):
-                dispatch(envelope, (envelope.sender, self._STAGE_REGULAR, seq))
+            if linked:
+                for seq, envelope in enumerate(crafted):
+                    dispatch(envelope, (envelope.sender, STAGE_REGULAR, seq))
+            else:
+                traffic.crafted(crafted.records, nodes)
 
         # -- delayed arrivals now due -------------------------------------
-        for receiver, path, key, envelope in self._in_flight.pop(beat, ()):
-            extras.setdefault(receiver, {}).setdefault(path, []).append(
-                (key, envelope)
-            )
+        for receiver, key, envelope in self._in_flight.pop(beat, ()):
+            strays.setdefault(receiver, {}).setdefault(
+                envelope.path, []
+            ).append((key, envelope))
 
-        # -- phantom delivery ---------------------------------------------
+        # -- phantom delivery (stale traffic: no link rules on it) ---------
         if self._pending_phantoms:
             phantoms, self._pending_phantoms = self._pending_phantoms, []
             for seq, envelope in enumerate(phantoms):
                 stats.record(envelope, honest=False)
                 if envelope.receiver in nodes:
-                    extras.setdefault(envelope.receiver, {}).setdefault(
-                        envelope.path, []
-                    ).append(
-                        ((envelope.sender, self._STAGE_PHANTOM, seq), envelope)
+                    traffic.stray(
+                        envelope.receiver,
+                        (envelope.sender, STAGE_PHANTOM, seq),
+                        envelope,
                     )
 
         # -- delivery + update phase --------------------------------------
-        empty_inbox = self._shared_inbox
-        empty_inbox.clear()
         for node_id, node in active.items():
-            node_extras = extras.get(node_id)
-            if node_extras is None:
-                node.update_phase(beat, empty_inbox)
-                continue
-            inbox = self._merge_inboxes.get(node_id)
-            if inbox is None:
-                inbox = self._merge_inboxes[node_id] = {}
-            else:
-                inbox.clear()
-            for path, entries in node_extras.items():
-                if len(entries) > 1:
-                    entries.sort(key=lambda item: item[0])
-                inbox[path] = [envelope for _, envelope in entries]
-            node.update_phase(beat, inbox)
+            node.update_phase(beat, traffic.inboxes(node_id))
 
 
 #: Engine registry: name -> zero-argument factory.

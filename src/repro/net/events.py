@@ -44,9 +44,9 @@ are exactly what a heap of arrival events would decide: the arrival
 (**the tie**: arrive-at-deadline traffic is on time), and it is on the
 heap by then iff the event that sent it popped before that close, i.e.
 iff ``when < close`` — at equal instants a close runs before a pulse.
-The rule is evaluated at the send; an on-time copy is buffered under its
-beat tag at once (early arrivals included), a late one adds one to its
-receiver's ``late_messages``.
+The rule is evaluated at the send; an on-time copy goes into its beat's
+traffic at once (early arrivals included), a late one adds one to its
+receiver's ``late_messages`` and is never buffered.
 
 **A draw is asked for only when it can decide.**  No draw exceeds
 :attr:`KeyedDelays.hi` and none is below ``d_min`` (float add and
@@ -56,17 +56,27 @@ between them calls :meth:`KeyedDelays.delay`.  Draws are keyed and
 stateless, so a skipped draw changes no other.
 
 **Lanes.**  Traffic travels in shared form, as :class:`FastEngine` and
-the live runtime send it: a full broadcast is one record, one
-``record_fanout`` and one ``Envelope(sender, BROADCAST, ...)``.  A
+the live runtime send it, and is kept by the same in-process message
+plane the lock-step engine fills: one
+:class:`~repro.net.plane.BeatTraffic` per beat in flight (several are,
+under drift), held with the beat's schedule in a :class:`_Lane`.  A
 broadcast that is on time at the *earliest* honest close of its beat
-with the *largest* possible delay is on time for everyone and goes into
-the beat's lane (:class:`_Lane`), one list per beat.  The lane is final
-before that earliest close — a later pulse fails ``when < close`` — so
-the first close sorts and groups it once, and every receiver with no
-traffic of its own reads that one grouped dict.  Everything else
-(point-to-point sends, Byzantine copies, copies of a broadcast that is
-late for someone) is decided copy by copy and merged with the lane
-through the :class:`~repro.net.inbox.BeatInbox` canonical sort.
+with the *largest* possible delay is on time for everyone and goes on
+the traffic's lane for its path: one record, one ``record_fanout``, one
+``Envelope(sender, BROADCAST, ...)``.  The lanes are final before that
+earliest close — a later pulse fails ``when < close`` — so the first
+close sorts them once (pulses of one beat fire in any id order under
+drift), before any read, and every receiver with no traffic of its own
+reads that one dict.  Crafted traffic enters **whole or not at all**: if
+the adversary instant makes the edge with the largest delay, the
+records go in as they are — rows stay rows, and receivers told the same
+story share one merged inbox — with no draw asked; otherwise every copy
+is decided on its own.  Everything decided copy by copy (point-to-point
+sends, copies of a broadcast that is late for someone, crafted copies
+past the edge) is its receiver's stray if on time and merged with the
+lane in the plane's ``(sender, stage, order)`` order.  The engine's
+``seq`` — a copy's index in its sender's per-receiver envelope list — is
+what keys a draw; to the plane it is an opaque order.
 :meth:`ContinuousSimulation.late_free_beats` evaluates the lane
 predicate for the latest pulse against the earliest close: the number of
 leading beats in which nothing can be late.
@@ -86,14 +96,19 @@ at ``rho = 0`` and ``delay_bounds = (0, 0)`` every pulse coincides,
 every close lands exactly one period later, and the event-driven
 execution replays the lock-step engines *bit-identically*.  What makes
 that so is shared code, not a convention kept in step: the system is the
-one :class:`~repro.net.world.World` every path builds, the beat-close
-rule is the :class:`~repro.net.inbox.BeatInbox` the live barrier also
-drives (see ARCHITECTURE.md, "Shared kernel"), and the rushing
-adversary's view order is the engines'.  ``tests/test_event_engine.py`` enforces the pin
-against :class:`~repro.net.engine.ReferenceEngine` across seeds, pins
-the outputs with drift and delay on (``TestTimingPins``), and the
-gated ``pulse_precision`` bench pins the shared JSONL trace digests in
-CI.
+one :class:`~repro.net.world.World` every path builds, the inboxes are
+built by the message plane the lock-step engine uses
+(:mod:`repro.net.plane`), and the rushing adversary's view order is the
+engines'.  The beat-close rule of the *wire* plane (``BeatInbox`` in
+:mod:`repro.net.inbox`: tag, count-and-drop late, sort by ``(sender,
+seq)``) is no longer inherited; ``tests/test_event_rule.py`` holds this
+engine to it, through the arrival-event loop frozen there as an oracle
+(see ARCHITECTURE.md, "Shared kernel").  ``tests/test_event_engine.py``
+enforces the pin against :class:`~repro.net.engine.ReferenceEngine`
+across seeds and pins the outputs with drift and delay on
+(``TestTimingPins``), ``tests/test_plane_pins.py`` pins what every node
+is handed, and the gated ``pulse_precision`` bench pins the shared JSONL
+trace digests in CI.
 
 With drift or delay switched on, the lock-step guarantee becomes a
 *precision* question: pulse coincidence degrades at up to
@@ -113,10 +128,10 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 from repro.errors import ConfigurationError
 from repro.net.component import Component
 from repro.net.engine import craft_byzantine
-from repro.net.inbox import BeatInbox, Entry, Run, entry_key, group_by_path
 from repro.net.message import BROADCAST, Envelope, FanoutView, FastOutbox
 from repro.net.network import MessageStats
 from repro.net.node import Node
+from repro.net.plane import STAGE_REGULAR, BeatTraffic
 from repro.net.rng import derive_seed
 from repro.net.trace import (
     BeatRecord,
@@ -301,53 +316,45 @@ class EventHeap:
 
 
 class _Lane:
-    """One beat's shared inbox: the broadcasts that are on time for
-    every honest receiver, whatever their delays.
+    """One beat in flight: when each honest receiver closes it, and its
+    traffic.
 
     Built at the beat's first pulse from every honest receiver's close
-    instant; ``edge`` is the earliest of them.  ``entries`` only grows
-    while pulses fire before ``edge``, so it is final by the first close
-    of the beat, and the first reader sorts and groups it once.
+    instant; ``edge`` is the earliest of them.  The traffic's lanes only
+    grow while pulses fire before ``edge``, so they are final by the
+    first close of the beat, which sorts them once, before any read.
     """
 
-    __slots__ = ("closes", "edge", "entries", "readers", "_inboxes")
+    __slots__ = ("closes", "edge", "readers", "traffic")
 
-    def __init__(self, closes: dict[int, float]) -> None:
+    def __init__(self, beat: int, closes: dict[int, float]) -> None:
         #: Honest receiver -> the instant it closes this beat.
         self.closes = closes
         self.edge = min(closes.values())
-        self.entries: list[Entry] = []
         #: Closes still to come; the lane is freed at the last.
         self.readers = len(closes)
-        self._inboxes: "dict[str, list[Envelope]] | None" = None
-
-    def inboxes(self) -> dict[str, list[Envelope]]:
-        """The entries in canonical order, grouped per path: one dict,
-        shared by every receiver that reads it."""
-        if self._inboxes is None:
-            self.entries.sort(key=entry_key)
-            self._inboxes = group_by_path(self.entries)
-        return self._inboxes
+        self.traffic = BeatTraffic(beat)
 
 
-class PulseSynchronizer(BeatInbox):
+class PulseSynchronizer:
     """Maps one beat-driven :class:`~repro.net.node.Node` tower onto
     pulses of a drifting clock.
 
     The node fires pulse ``b`` when its local clock crosses
     ``b * period``: the beat-``b`` send phase runs at that instant, and
     the beat closes — update phase over everything that arrived in time
-    — at pulse ``b + 1``.  Buffering, the late count-and-drop and the
-    canonical inbox order are the shared :class:`BeatInbox` rule, the
-    very code the live barrier runs.
+    — at pulse ``b + 1``.  What arrived in time is in the beat's
+    :class:`~repro.net.plane.BeatTraffic`, put there as it was sent; a
+    copy that will not make it is counted in ``late_messages`` and never
+    buffered.
     """
 
-    __slots__ = ("clock", "node", "trace", "_outbox")
+    __slots__ = ("clock", "late_messages", "node", "trace", "_outbox")
 
     def __init__(self, node: Node, clock: DriftingClock) -> None:
-        super().__init__()
         self.node = node
         self.clock = clock
+        self.late_messages = 0
         #: Per-beat probe values, appended at each close: ``(beat, value)``.
         self.trace: list[tuple[int, Any]] = []
         self._outbox = FastOutbox(node.n)
@@ -365,28 +372,18 @@ class PulseSynchronizer(BeatInbox):
         in shared form (:class:`~repro.net.message.FastOutbox`)."""
         return self.node.send_phase(beat, self._outbox)
 
-    # Named in this class's own namespace, not merely inherited: the beat
-    # ledger instruments ``PulseSynchronizer.deliver`` where it is defined.
-    deliver = BeatInbox.deliver
+    def deliver(self, traffic: BeatTraffic, seq: int, envelope: Envelope) -> None:
+        """Buffer one on-time copy addressed to this node alone."""
+        traffic.stray(
+            self.node.node_id, (envelope.sender, STAGE_REGULAR, seq), envelope
+        )
 
     def close(
-        self,
-        beat: int,
-        probe: Callable[[Component], Any],
-        lane: "_Lane | None" = None,
+        self, beat: int, probe: Callable[[Component], Any], traffic: BeatTraffic
     ) -> None:
-        """Close beat ``beat``: update phase over the sorted inbox, then
-        probe the tower for the trace.  A receiver with nothing buffered
-        of its own reads the beat's ``lane`` as it is grouped for
-        everyone; one with traffic of its own merges the two through the
-        canonical sort."""
-        if lane is not None and beat in self._pending:
-            self._pending[beat].append(Run(beat, lane.entries))
-            lane = None
-        entries = self.close_entries(beat)
-        self.node.update_phase(
-            beat, group_by_path(entries) if lane is None else lane.inboxes()
-        )
+        """Close beat ``beat``: update phase over this node's inboxes of
+        the beat's ``traffic``, then probe the tower for the trace."""
+        self.node.update_phase(beat, traffic.inboxes(self.node.node_id))
         self.trace.append((beat, probe(self.node.root)))
 
 
@@ -574,7 +571,10 @@ class ContinuousSimulation:
             (when, kind, node_id), beat = heap.pop()
             if kind == _P_CLOSE:
                 lane = lanes[beat]  # final: later pulses are past its edge
-                synchronizers[node_id].close(beat, self.probe, lane)
+                if lane.readers == len(lane.closes):
+                    # Pulses of one beat fire in any id order under drift.
+                    lane.traffic.sort_lanes()
+                synchronizers[node_id].close(beat, self.probe, lane.traffic)
                 lane.readers -= 1
                 if not lane.readers:
                     del lanes[beat]
@@ -583,7 +583,8 @@ class ContinuousSimulation:
                 lane = lanes.get(beat)
                 if lane is None:
                     lane = lanes[beat] = _Lane(
-                        {i: s.close_time(beat) for i, s in synchronizers.items()}
+                        beat,
+                        {i: s.close_time(beat) for i, s in synchronizers.items()},
                     )
                 self._send_honest(
                     when, lane, node_id, beat, sync.send(beat),
@@ -622,13 +623,13 @@ class ContinuousSimulation:
         seq = 0
         for path, payload, receiver in records:
             if receiver is None:  # full broadcast: one shared envelope
-                envelope = Envelope(sender, BROADCAST, path, payload, beat)
                 stats.record_fanout(path, beat, n, honest=True)
                 if sighted is not None:
                     sighted.append((sender, path, payload, None))
                 if for_everyone:
-                    lane.entries.append(((sender, seq), envelope))
+                    lane.traffic.broadcast(sender, seq, path, payload)
                 else:
+                    envelope = Envelope(sender, BROADCAST, path, payload, beat)
                     for target in nodes:
                         self._hand(
                             when, lane, beat, seq + target, envelope, target
@@ -660,6 +661,14 @@ class ContinuousSimulation:
         crafted = craft_byzantine(self.world, beat, view)
         self.stats.record_block(crafted, honest=False)
         nodes = self.nodes
+        # Whole or not at all: rows are ordered by record index, copies
+        # handed off one by one by copy index, and the two do not mix for
+        # one sender.  On time at the edge with the largest delay — the
+        # honest broadcasts' own predicate — is on time for everyone
+        # (a faulty sender is nobody's loopback), no draw asked.
+        if _on_time(when, self.delays.hi, lane.edge):
+            lane.traffic.crafted(crafted.records, nodes)
+            return
         for seq, envelope in enumerate(crafted):
             if envelope.receiver in nodes:
                 self._hand(when, lane, beat, seq, envelope, envelope.receiver)
@@ -691,7 +700,7 @@ class ContinuousSimulation:
             )
         sync = self.synchronizers[receiver]
         if on_time:
-            sync.deliver(beat, (sender, seq), envelope)
+            sync.deliver(lane.traffic, seq, envelope)
         else:
             sync.late_messages += 1
 

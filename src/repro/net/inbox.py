@@ -1,14 +1,15 @@
-"""The beat-close rule: one sans-IO inbox every bounded-delay path drives.
+"""The beat-close rule of the *wire* plane: one sans-IO inbox per live
+barrier.
 
 A lock-step engine hands each node the synchronous round for free.  The
-paths that do not — the live round barrier
-(:class:`~repro.runtime.sync.BeatSynchronizer`) and the event engine's
-:class:`~repro.net.events.PulseSynchronizer` — rebuild it per node with
-the same four steps, written here once:
+live round barrier (:class:`~repro.runtime.sync.BeatSynchronizer`, and
+the pulse barrier built on it) rebuilds it per node, from units that
+arrive off a transport when they arrive, with four steps written here
+once:
 
 * every arrival is **tagged** with the beat its sender emitted it at and
   buffered under that beat — as a :class:`Run`, the entries that arrived
-  together: a wire unit's worth on the live path, shared by its receivers;
+  together: a wire unit's worth, shared by its co-hosted receivers;
 * an arrival tagged for a beat that already closed is **counted and
   dropped** (``late_messages``) — it never leaks into a later beat;
 * at close the beat's traffic is **sorted by** ``(sender, seq)``, the
@@ -20,7 +21,12 @@ the same four steps, written here once:
   of receivers that buffered the same runs (:class:`InboxClasses`).
 
 What decides *when* a beat closes (markers, deadlines, the next pulse)
-stays with the driver.
+stays with the driver.  The event engine (:mod:`repro.net.events`) no
+longer drives this class: it decides each copy's lateness at the send
+and keeps a beat's traffic in the in-process plane
+(:mod:`repro.net.plane`).  It is still *held* to the rule —
+``tests/test_event_rule.py`` replays it against an arrival-event loop
+built on :class:`BeatInbox`.
 """
 
 from __future__ import annotations

@@ -72,9 +72,11 @@ class Inbox(list):
     payload per sender (:func:`repro.core.majority.first_payload_per_sender`).
     The sharing paths hand every receiver of a class the same object, so
     the first reader's work serves the rest.  The memo lives *here*, never
-    in a table keyed on the list: an engine that reuses it as next beat's
-    buffer empties it with :meth:`clear`, memo included.  A plain ``list``
-    is as good an inbox; it just remembers nothing."""
+    in a table keyed on the list, and an inbox is never written after its
+    first read: the in-process plane (:mod:`repro.net.plane`) builds a
+    fresh one per (path, beat, class); whoever does reuse one as a buffer
+    empties it with :meth:`clear`, memo included.  A plain ``list`` is as
+    good an inbox; it just remembers nothing."""
 
     per_sender = None
 

@@ -20,10 +20,12 @@ a live network does not.  :class:`BeatSynchronizer` rebuilds it per node:
   sizes for); frames beyond the horizon are counted in
   ``premature_messages`` and dropped;
 * per-beat buffering, the late count-and-drop and the canonical
-  ``(sender, seq)`` inbox order at close are the shared beat-close rule,
-  :class:`~repro.net.inbox.BeatInbox` — the same code the event engine's
-  ``PulseSynchronizer`` drives, which is what makes a zero-delay runtime
-  bit-identical to the lock-step simulator
+  ``(sender, seq)`` inbox order at close are the wire plane's beat-close
+  rule, :class:`~repro.net.inbox.BeatInbox` — the rule the event engine
+  is held to by ``tests/test_event_rule.py`` (it decides lateness at the
+  send and keeps its traffic in :mod:`repro.net.plane`), and the order
+  the lock-step engines deliver, which is what makes a zero-delay
+  runtime bit-identical to the simulator
   (``tests/test_runtime_differential.py``); co-hosted barriers that
   close a beat over the same runs share one merged inbox.
 """

@@ -353,7 +353,7 @@ class TestAgreementTrafficIsFanOutRecords:
             n, f, resolve_protocol(protocol).factory(n, f, k), seed=4,
             engine="fast",
         )
-        sent, handed = [], []
+        sent, handed = [], {}
         monkeypatch.setattr(
             FastOutbox, "send", lambda self, *message: sent.append(message)
         )
@@ -361,14 +361,19 @@ class TestAgreementTrafficIsFanOutRecords:
         monkeypatch.setattr(
             Node, "update_phase",
             lambda node, beat, inboxes: (
-                handed.append(inboxes), update_phase(node, beat, inboxes)
+                handed.setdefault(beat, []).append(inboxes),
+                update_phase(node, beat, inboxes),
             ),
         )
         sim.scramble()
-        sim.run(2 * 3 * (f + 1) + 4)
+        beats = 2 * 3 * (f + 1) + 4
+        sim.run(beats)
         assert sent == []
         # No private record, so no merge: one dict, read by every node.
-        assert all(inboxes is sim.engine._shared_inbox for inboxes in handed)
+        assert sorted(handed) == list(range(beats))
+        for inboxes in handed.values():
+            assert len(inboxes) == n and inboxes[0]
+            assert all(each is inboxes[0] for each in inboxes)
         assert sim.stats.total_messages > 0
         assert sim.stats.total_messages % n == 0
 

@@ -45,9 +45,10 @@ from repro.net.bulk import (
     build_bulk_program,
     has_bulk_program,
 )
-from repro.net.engine import ENGINES, FastEngine, resolve_engine
+from repro.net.engine import ENGINES, resolve_engine
 from repro.net.linkmodel import make_link
 from repro.net.message import Envelope, Row
+from repro.net.plane import BeatTraffic
 from repro.net.simulator import Simulation
 
 # Heavyweight differential matrix: deselected by the CI fast lane.
@@ -706,7 +707,8 @@ class TestSharedFormCounts:
         """(exact merges per (path, beat), honest-to-faulty envelopes
         built, faulty-sender envelopes built per (path, beat)) of one
         scrambled run.  A merge is a ``_Delivery`` first-per-sender
-        merge on ``bulk`` and a merged inbox list on ``fast``."""
+        merge on ``bulk`` and a merged inbox of the message plane
+        (:mod:`repro.net.plane`) on ``fast``."""
         sim = Simulation(
             16, 5, lambda i: SSByzClockSync(6, _coin_factory),
             adversary=adversary, seed=2, engine=engine,
@@ -717,7 +719,7 @@ class TestSharedFormCounts:
         crafted_copies: Counter = Counter()
         owner, method = {
             "bulk": (_Delivery, "merged_first_per_sender"),
-            "fast": (FastEngine, "_merged"),
+            "fast": (BeatTraffic, "_merge"),
         }[engine]
         merge = getattr(owner, method)
         build = Envelope.__new__

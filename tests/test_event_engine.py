@@ -241,16 +241,30 @@ class TestEventHeapAndSynchronizer:
         ]
 
     def test_late_arrival_counted_and_refused(self):
-        sim = ContinuousSimulation(4, 1, _factory, seed=0)
-        sync = sim.synchronizers[0]
-        sync.send(0)
-        sync.close(0, lambda root: None)
+        """Count-and-refuse at the door is the wire plane's rule
+        (``BeatInbox``, under the live barrier); the event engine decides
+        lateness at the send, counts the copy and never buffers it."""
+        from repro.net.events import _Lane
+        from repro.net.inbox import BeatInbox
         from repro.net.message import Envelope
 
         late = Envelope(1, 0, "root", "stale", 0)
-        assert sync.deliver(0, (1, 0), late) is False
+        box = BeatInbox()
+        box.close_entries(0)
+        assert box.deliver(0, (1, 0), late) is False
+        assert box.late_messages == 1
+        assert box.deliver(1, (1, 0), late) is True
+
+        sim = ContinuousSimulation(4, 1, _factory, seed=0,
+                                   delay_bounds=(0.5, 0.5))
+        sync = sim.synchronizers[0]
+        lane = _Lane(0, {i: s.close_time(0) for i, s in sim.synchronizers.items()})
+        sim._hand(0.75, lane, 0, 0, late, 0)  # arrives at 1.25, close is 1.0
         assert sync.late_messages == 1
-        assert sync.deliver(1, (1, 0), late) is True
+        assert lane.traffic.inboxes(0) == {}
+        sim._hand(0.5, lane, 0, 0, late, 0)  # arrives on the close: on time
+        assert sync.late_messages == 1
+        assert lane.traffic.inboxes(0) == {"root": [late]}
 
 
 class TestTrialAndCampaignIntegration:
@@ -828,7 +842,7 @@ class TestSharedFormCounts:
     N, F, BEATS = 16, 5, 60
 
     def _counted_run(self, monkeypatch, delay_bounds, adversary=None):
-        from repro.net import events
+        from repro.net import plane
 
         counts = {"push": 0, "group": 0, "envelope": 0, "records": 0}
         draws = []
@@ -845,8 +859,9 @@ class TestSharedFormCounts:
 
         counting(EventHeap, "push", "push")
         counting(PulseSynchronizer, "send", "records", len)
-        counting(events, "group_by_path", "group")
-        counting(events, "Envelope", "envelope")
+        counting(plane.BeatTraffic, "sort_lanes", "group")
+        counting(plane.BeatTraffic, "_merge", "group")
+        counting(plane, "Envelope", "envelope")
         delay = KeyedDelays.delay
         monkeypatch.setattr(
             KeyedDelays, "delay",
@@ -896,3 +911,55 @@ class TestSharedFormCounts:
         )
         assert result.late_messages == 0 and draws == []
         assert counts["push"] == (2 * (self.N - self.F) + 1) * self.BEATS
+
+    def _tallied_run(self, monkeypatch, delay_bounds):
+        """(``count_values`` calls, merged inboxes per (path, beat)) of
+        the drift shape under the equivocator."""
+        from collections import Counter
+
+        from repro.core import clock2, clock_sync, majority
+        from repro.net.plane import BeatTraffic
+
+        tallies = []
+        count_values = majority.count_values
+        for module in (majority, clock2, clock_sync):
+            monkeypatch.setattr(
+                module, "count_values",
+                lambda values: tallies.append(1) or count_values(values),
+            )
+        merges: Counter = Counter()
+        merged = BeatTraffic._merge
+
+        def counted(traffic, path, entries):
+            merges[path, traffic.beat] += 1
+            return merged(traffic, path, entries)
+
+        monkeypatch.setattr(BeatTraffic, "_merge", counted)
+        sim = ContinuousSimulation(
+            self.N, self.F, _factory, adversary=EquivocatorAdversary(), seed=0,
+            rho=0.3 / self.BEATS, delay_bounds=delay_bounds,
+        )
+        sim.scramble()
+        sim.run(self.BEATS, k=K)
+        return len(tallies), merges
+
+    def test_two_stories_cost_two_inboxes_not_one_per_receiver(
+        self, monkeypatch
+    ):
+        """Crafted rows enter the beat's lane whole, so the event path
+        shares what the lock-step engines share: one merged inbox and one
+        tally per story, where every receiver used to regroup and recount
+        its own (21.05 ``count_values`` calls per beat here)."""
+        tallies, merges = self._tallied_run(monkeypatch, (0.05, 0.3))
+        assert tallies <= 6 * self.BEATS
+        assert merges and max(merges.values()) <= 2
+
+    def test_copies_that_genuinely_diverge_cost_what_they_did(
+        self, monkeypatch
+    ):
+        """The control: with delays of (0.3, 1.2) most copies are decided
+        one by one and receivers hold different inboxes; nothing is shared
+        that is not the same — 791 tallies, as before the plane."""
+        tallies, merges = self._tallied_run(monkeypatch, (0.3, 1.2))
+        assert tallies == 791
+        assert max(merges.values()) > 2

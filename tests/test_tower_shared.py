@@ -658,20 +658,36 @@ class TestAnswersLiveOnTheObject:
         assert first_payload_per_sender(inbox) == {2: 1}
         assert before == {0: 1, 1: 1, 2: None, 3: 0}  # kept by whoever holds it
 
-    def test_no_buffer_of_the_fast_engine_carries_a_stale_answer(self):
-        sim = Simulation(
-            16, 5, lambda i: SSByzClockSync(6, _coin()), seed=1, engine="fast",
-        )
-        sim.scramble()
-        read = 0
-        for _ in range(12):
-            sim.run_beat()
-            for inbox in sim.engine._shared_envs:
+    def test_no_buffer_of_the_fast_engine_carries_a_stale_answer(
+        self, monkeypatch
+    ):
+        """The message plane builds a fresh inbox per (path, beat) and
+        class, so no object is handed out in two beats and whatever was
+        read off one is the collapse of what it holds."""
+        handed: dict[int, tuple[int, list]] = {}  # held, so ids stay unique
+        update_phase = Node.update_phase
+
+        def recorded(node, beat, delivered):
+            for inbox in delivered.values():
+                assert handed.setdefault(id(inbox), (beat, inbox))[0] == beat
+            return update_phase(node, beat, delivered)
+
+        monkeypatch.setattr(Node, "update_phase", recorded)
+        for adversary in (None, EquivocatorAdversary()):
+            handed.clear()
+            sim = Simulation(
+                16, 5, lambda i: SSByzClockSync(6, _coin()), seed=1,
+                engine="fast", adversary=adversary,
+            )
+            sim.scramble()
+            sim.run(12)
+            read = 0
+            for _beat, inbox in handed.values():
                 if inbox.per_sender is not None:
                     read += 1
                     assert inbox.per_sender == _plain_collapse(inbox)
                     assert list(inbox.per_sender) == list(_plain_collapse(inbox))
-        assert read
+            assert read and len({beat for beat, _ in handed.values()}) == 12
 
     def test_a_rule_runs_once_per_mapping_and_arguments(self):
         from repro.core.majority import first_payload_per_sender, from_per_sender
@@ -828,9 +844,10 @@ class TestSlotContextsAreRepointed:
 
 
 class TestEveryPathHandsOutInboxesThatRemember:
-    """The event engine's lane and the live intake's classes go through
-    ``group_by_path``: co-hosted receivers of one inbox count it once
-    (16 nodes counted 2.5 inboxes each per beat)."""
+    """The event engine's lanes (``net/plane.py``) and the live intake's
+    classes (``group_by_path``) hand out ``Inbox`` objects: co-hosted
+    receivers of one inbox count it once (16 nodes counted 2.5 inboxes
+    each per beat)."""
 
     @pytest.mark.parametrize("path", ["events", "runtime"])
     def test_tallies_follow_classes_not_n(self, path, monkeypatch):
