@@ -4,24 +4,27 @@ One stack for every experiment that produces a number:
 
 * :mod:`repro.bench.registry` — :class:`Benchmark` registrations with
   tiers (``smoke`` ⊂ ``full`` ⊂ ``nightly``) and per-tier parameters;
-* :mod:`repro.bench.result` — the ``repro-bench-result/1`` JSON schema
+* :mod:`repro.bench.result` — the ``repro-bench-result/2`` JSON schema
   every benchmark emits (:class:`BenchResult`);
 * :mod:`repro.bench.suites` — the benchmark definitions;
 * :mod:`repro.bench.harness` — execution + persistence
-  (``benchmarks/results/*.json``, repo-root ``BENCH_summary.json``);
-* :mod:`repro.bench.gate` — baseline comparison and CI regression
-  gating against ``benchmarks/baselines.json``.
+  (``benchmarks/results/*.json``, repo-root ``BENCH_summary.json``, both
+  untracked run output; the ``.txt`` tables the docs quote are tracked);
+* :mod:`repro.bench.gate` — exact comparison against
+  ``benchmarks/baselines.json``.
+
+Every metric here is simulation-deterministic (beats, messages, counts,
+probabilities, digests) and pinned exactly; speed is measured by the
+beat ledger (``benchmarks/ledger/``, declared by ``BENCHMARK.json``).
 
 CLI front-end: ``python -m repro bench list|run|compare|gate``.
 """
 
 from repro.bench.gate import (
-    DEFAULT_TOLERANCE,
     GateReport,
     compare_summaries,
     compare_to_baselines,
     load_baselines,
-    parse_tolerance,
     update_baselines,
     write_baselines,
 )
@@ -64,7 +67,6 @@ __all__ = [
     "BenchOutcome",
     "BenchReport",
     "BenchResult",
-    "DEFAULT_TOLERANCE",
     "GateReport",
     "REGISTRY",
     "REPORT_SCHEMA",
@@ -81,7 +83,6 @@ __all__ = [
     "load_baselines",
     "load_summary",
     "outcome_failures",
-    "parse_tolerance",
     "register",
     "result_key",
     "run_benchmark",

@@ -4,16 +4,18 @@ Subcommands:
 
 * ``list`` — registry contents (name, tier, description);
 * ``run`` — execute a tier selection (or ``--only`` named benchmarks),
-  writing ``benchmarks/results/*.json`` and the repo-root
-  ``BENCH_summary.json``; exits 1 if any benchmark's own qualitative
-  checks fail;
+  writing the tracked ``benchmarks/results/*.txt`` tables, the
+  untracked ``benchmarks/results/*.json`` reports and the untracked
+  repo-root ``BENCH_summary.json``; exits 1 if any benchmark's own
+  qualitative checks fail;
 * ``compare`` — diff two summary files (old as reference); exits 1 when
-  a gated metric regressed beyond the tolerance;
+  any metric's value changed or a metric vanished;
 * ``gate`` — check the current summary against
-  ``benchmarks/baselines.json``; exits 1 on regression or a vanished
-  baselined metric, 2 when the baseline file is missing.  With
-  ``--update-baseline`` it refreshes the summary's tier section instead
-  (the documented path for intentional perf changes).
+  ``benchmarks/baselines.json`` for exact equality; exits 1 on a changed
+  value (either direction) or a vanished baselined metric, 2 when the
+  baseline file is missing.  With ``--update-baseline`` it refreshes the
+  summary's tier section instead (the documented path for intentional
+  changes).
 """
 
 from __future__ import annotations
@@ -64,8 +66,7 @@ def configure_parser(commands) -> None:
     run.add_argument(
         "--profile", action="store_true",
         help="wrap each selected benchmark in cProfile and write "
-             "<results-dir>/<name>.prof (numbers carry overhead; never "
-             "refresh baselines from a profiled run)",
+             "<results-dir>/<name>.prof",
     )
 
     compare = actions.add_parser(
@@ -73,10 +74,6 @@ def configure_parser(commands) -> None:
     )
     compare.add_argument("old", help="reference summary JSON")
     compare.add_argument("new", help="candidate summary JSON")
-    compare.add_argument(
-        "--tolerance", default=None,
-        help="regression tolerance, e.g. 20%% or 0.2 (default 20%%)",
-    )
 
     check = actions.add_parser(
         "gate", help="gate the current summary against pinned baselines"
@@ -90,14 +87,9 @@ def configure_parser(commands) -> None:
         help="summary to gate (default: repo-root BENCH_summary.json)",
     )
     check.add_argument(
-        "--tolerance", default=None,
-        help="override the baseline file's default tolerance "
-             "(e.g. 20%% or 0.2)",
-    )
-    check.add_argument(
         "--update-baseline", action="store_true",
         help="refresh the summary's tier section of the baseline file "
-             "instead of gating (for intentional perf changes)",
+             "instead of gating (for intentional changes)",
     )
 
 
@@ -172,56 +164,35 @@ def _load_summary(path: str) -> dict:
 
 
 def _render_report(report: "gating.GateReport") -> None:
-    from repro.analysis.tables import render_table
-
-    if report.deltas:
-        rows = []
-        for delta in report.deltas:
-            relative = delta.relative or 0.0  # normalize -0.0
-            if relative == float("inf"):
-                change = "worse, from zero"
-            elif relative == float("-inf"):
-                change = "better, from zero"
-            else:
-                change = f"{relative * 100:+.1f}%"
-            marker = " <- REGRESSED" if delta in report.regressions else ""
-            rows.append(
-                [delta.key, f"{delta.old:g}", f"{delta.new:g}",
-                 change + marker]
-            )
-        print(render_table(["metric", "baseline", "current",
-                            "worse-by"], rows))
+    for delta in report.changed:
+        print(f"CHANGED: {delta.key}: baseline {delta.old!r}, "
+              f"current {delta.new!r} {delta.unit}")
     for key in report.missing:
         print(f"MISSING: baselined metric {key} was not produced")
     if report.new_keys:
-        print(f"({len(report.new_keys)} gated metrics have no baseline yet; "
+        print(f"({len(report.new_keys)} metrics have no baseline yet; "
               "run gate --update-baseline to pin them)")
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    tolerance = (
-        gating.parse_tolerance(args.tolerance)
-        if args.tolerance is not None
-        else gating.DEFAULT_TOLERANCE
+def _verdict(report: "gating.GateReport") -> str:
+    return (
+        f"{report.checked} metrics checked exactly, "
+        f"{len(report.changed)} changed, {len(report.missing)} missing "
+        f"-> {'ok' if report.ok else 'FAIL'}"
     )
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
     report = gating.compare_summaries(
-        _load_summary(args.old), _load_summary(args.new), tolerance=tolerance
+        _load_summary(args.old), _load_summary(args.new)
     )
     _render_report(report)
-    print(
-        f"\ncompared {report.checked} gated metrics at tolerance "
-        f"{tolerance:.0%}: {len(report.regressions)} regressed"
-    )
-    return 1 if report.regressions else 0
+    print(f"\ncompare[{report.tier}]: {_verdict(report)}")
+    return 0 if report.ok else 1
 
 
 def _cmd_gate(args: argparse.Namespace) -> int:
     summary = _load_summary(args.summary)
-    tolerance = (
-        gating.parse_tolerance(args.tolerance)
-        if args.tolerance is not None
-        else None
-    )
     baseline_path = pathlib.Path(args.baseline)
     if args.update_baseline:
         baselines = (
@@ -229,9 +200,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
             if baseline_path.exists()
             else gating.empty_baselines()
         )
-        updated = gating.update_baselines(
-            baselines, summary, tolerance=tolerance
-        )
+        updated = gating.update_baselines(baselines, summary)
         gating.write_baselines(updated, baseline_path)
         entries = updated["tiers"][summary["tier"]]
         print(
@@ -248,14 +217,7 @@ def _cmd_gate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    report = gating.compare_to_baselines(summary, baselines,
-                                         tolerance=tolerance)
+    report = gating.compare_to_baselines(summary, baselines)
     _render_report(report)
-    verdict = "ok" if report.ok else "REGRESSED"
-    print(
-        f"\ngate[{report.tier}]: {report.checked} metrics checked at "
-        f"tolerance {report.tolerance:.0%}, "
-        f"{len(report.regressions)} regressions, "
-        f"{len(report.missing)} missing -> {verdict}"
-    )
+    print(f"\ngate[{report.tier}]: {_verdict(report)}")
     return 0 if report.ok else 1

@@ -1,19 +1,20 @@
-"""Baseline comparison and regression gating for benchmark summaries.
+"""Baseline comparison and exact gating for benchmark summaries.
 
-``benchmarks/baselines.json`` pins the expected value of every *gated*
-metric, per tier (smoke-tier runs use reduced parameter grids, so their
-numbers live under their own tier section and never collide with
-full-tier cells).  The gate checks the current ``BENCH_summary.json``
-against the matching tier section:
+``benchmarks/baselines.json`` pins the value of every metric, per tier
+(smoke-tier runs use reduced parameter grids, so their numbers live
+under their own tier section and never collide with full-tier cells).
+Every metric is simulation-deterministic, so the gate checks the current
+``BENCH_summary.json`` against the matching tier section for exact
+equality:
 
-* a gated result whose value moved beyond ``tolerance`` in the *bad*
-  direction (``direction`` field) is a **regression**;
+* a result whose value differs from its baseline, in either direction,
+  is a **change** and fails;
 * a baselined key that a re-run of the same benchmark no longer produces
-  is a **missing metric** (coverage silently shrank);
-* a gated result with no baseline entry is reported as *new* — not fatal,
-  so adding benchmarks doesn't break CI before the baseline refresh.
+  is a **missing metric** (coverage silently shrank) and fails;
+* a result with no baseline entry is reported as *new* — not fatal, so
+  adding benchmarks doesn't break CI before the baseline refresh.
 
-Intentional perf changes refresh the pinned numbers with
+Intentional changes refresh the pinned numbers with
 ``python -m repro bench gate --baseline ... --update-baseline``, which
 replaces every entry belonging to a benchmark that ran in the current
 summary (within its tier section) and leaves the rest untouched.
@@ -30,40 +31,9 @@ from repro.bench.result import BASELINE_SCHEMA, BenchResult, result_key
 from repro.bench.registry import TIERS
 from repro.errors import ConfigurationError
 
-DEFAULT_TOLERANCE = 0.2
-
-#: Treat |baseline| below this as zero: relative tolerance is meaningless
-#: there, so any move past the tolerance *absolute* step in the bad
-#: direction trips the gate instead.
-_ZERO = 1e-9
-
-
-def parse_tolerance(raw: "str | float") -> float:
-    """``"20%"`` or ``0.2`` -> 0.2; raises ``ConfigurationError``."""
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    else:
-        text = raw.strip()
-        try:
-            value = (
-                float(text[:-1]) / 100.0 if text.endswith("%") else float(text)
-            )
-        except ValueError:
-            raise ConfigurationError(
-                f"tolerance {raw!r} must be a fraction (0.2) or percentage "
-                "(20%)"
-            ) from None
-    if not 0 <= value < 10:
-        raise ConfigurationError(f"tolerance {value} out of range [0, 10)")
-    return value
-
 
 def empty_baselines() -> dict:
-    return {
-        "schema": BASELINE_SCHEMA,
-        "default_tolerance": DEFAULT_TOLERANCE,
-        "tiers": {},
-    }
+    return {"schema": BASELINE_SCHEMA, "tiers": {}}
 
 
 def load_baselines(path: "pathlib.Path | str") -> dict:
@@ -99,39 +69,18 @@ def write_baselines(baselines: dict, path: "pathlib.Path | str") -> None:
     )
 
 
-def _gated_results(summary: Mapping) -> list[BenchResult]:
-    results = [BenchResult.from_json(r) for r in summary["results"]]
-    return [r for r in results if r.gated]
+def _results(summary: Mapping) -> list[BenchResult]:
+    return [BenchResult.from_json(r) for r in summary["results"]]
 
 
 @dataclass(frozen=True)
 class Delta:
-    """One key's old-vs-new comparison."""
+    """One key whose value differs from its baseline."""
 
     key: str
     old: float
     new: float
     unit: str
-    direction: str
-
-    @property
-    def relative(self) -> float:
-        """Signed relative change; positive means *worse*."""
-        sign = 1.0 if self.direction == "lower" else -1.0
-        if abs(self.old) < _ZERO:
-            return 0.0 if abs(self.new - self.old) < _ZERO else sign * (
-                1.0 if self.new > self.old else -1.0
-            ) * float("inf")
-        return sign * (self.new - self.old) / abs(self.old)
-
-    def regressed(self, tolerance: float) -> bool:
-        if abs(self.old) < _ZERO:
-            # Near-zero baseline (e.g. a 0% stall rate, 0 dropped
-            # messages): any move past `tolerance` absolute units in the
-            # bad direction counts.
-            sign = 1.0 if self.direction == "lower" else -1.0
-            return sign * (self.new - self.old) > tolerance + _ZERO
-        return self.relative > tolerance
 
 
 @dataclass(frozen=True)
@@ -139,49 +88,29 @@ class GateReport:
     """Everything the gate decided, ready for rendering and exit codes."""
 
     tier: str
-    tolerance: float
-    deltas: tuple[Delta, ...]
-    regressions: tuple[Delta, ...]
+    changed: tuple[Delta, ...]
     missing: tuple[str, ...]
     new_keys: tuple[str, ...]
     checked: int
 
     @property
     def ok(self) -> bool:
-        return not self.regressions and not self.missing
+        return not self.changed and not self.missing
 
 
-def compare_to_baselines(
-    summary: Mapping,
-    baselines: Mapping,
-    *,
-    tolerance: "float | None" = None,
-) -> GateReport:
+def compare_to_baselines(summary: Mapping, baselines: Mapping) -> GateReport:
     """Gate one summary against the baseline file's matching tier."""
     tier = summary["tier"]
-    if tolerance is None:
-        tolerance = float(
-            baselines.get("default_tolerance", DEFAULT_TOLERANCE)
-        )
     entries = baselines.get("tiers", {}).get(tier, {})
-    current = {result_key(r): r for r in _gated_results(summary)}
+    current = {result_key(r): r for r in _results(summary)}
     ran = set(summary["benchmarks"])
-    deltas, regressions, new_keys = [], [], []
+    changed, new_keys = [], []
     for key, result in sorted(current.items()):
         entry = entries.get(key)
         if entry is None:
             new_keys.append(key)
-            continue
-        delta = Delta(
-            key=key,
-            old=float(entry["value"]),
-            new=result.value,
-            unit=result.unit,
-            direction=entry.get("direction", result.direction),
-        )
-        deltas.append(delta)
-        if delta.regressed(parse_tolerance(entry.get("tolerance", tolerance))):
-            regressions.append(delta)
+        elif entry["value"] != result.value:
+            changed.append(Delta(key, entry["value"], result.value, result.unit))
     missing = [
         key
         for key in sorted(entries)
@@ -189,18 +118,14 @@ def compare_to_baselines(
     ]
     return GateReport(
         tier=tier,
-        tolerance=tolerance,
-        deltas=tuple(deltas),
-        regressions=tuple(regressions),
+        changed=tuple(changed),
         missing=tuple(missing),
         new_keys=tuple(new_keys),
-        checked=len(deltas),
+        checked=len(current) - len(new_keys),
     )
 
 
-def compare_summaries(
-    old: Mapping, new: Mapping, *, tolerance: float = DEFAULT_TOLERANCE
-) -> GateReport:
+def compare_summaries(old: Mapping, new: Mapping) -> GateReport:
     """Diff two summaries (old as the reference) — ``bench compare``."""
     if old.get("tier") != new.get("tier"):
         # Tiers run different parameter grids under colliding keys, so a
@@ -211,23 +136,14 @@ def compare_summaries(
             f"{new.get('tier')!r}-tier one: tiers use different parameter "
             "grids"
         )
-    reference = dict(old)
-    reference_entries = {
-        result_key(r): {"value": r.value, "direction": r.direction}
-        for r in _gated_results(reference)
+    reference = {
+        result_key(r): {"value": r.value} for r in _results(old)
     }
-    baselines = {
-        "schema": BASELINE_SCHEMA,
-        "default_tolerance": tolerance,
-        "tiers": {new["tier"]: reference_entries},
-    }
-    return compare_to_baselines(new, baselines, tolerance=tolerance)
+    return compare_to_baselines(new, {"tiers": {new["tier"]: reference}})
 
 
-def update_baselines(
-    baselines: dict, summary: Mapping, *, tolerance: "float | None" = None
-) -> dict:
-    """Refresh the summary's tier section from its gated results.
+def update_baselines(baselines: dict, summary: Mapping) -> dict:
+    """Refresh the summary's tier section from its results.
 
     Every entry belonging to a benchmark that ran in this summary is
     replaced (so metrics that disappeared are pruned); entries from
@@ -235,13 +151,8 @@ def update_baselines(
     """
     updated = {
         "schema": BASELINE_SCHEMA,
-        "default_tolerance": baselines.get(
-            "default_tolerance", DEFAULT_TOLERANCE
-        ),
         "tiers": {t: dict(e) for t, e in baselines.get("tiers", {}).items()},
     }
-    if tolerance is not None:
-        updated["default_tolerance"] = tolerance
     tier = summary["tier"]
     ran = set(summary["benchmarks"])
     entries = {
@@ -249,11 +160,10 @@ def update_baselines(
         for key, entry in updated["tiers"].get(tier, {}).items()
         if key.split("/", 1)[0] not in ran
     }
-    for result in _gated_results(summary):
+    for result in _results(summary):
         entries[result_key(result)] = {
             "value": result.value,
             "unit": result.unit,
-            "direction": result.direction,
         }
     updated["tiers"][tier] = entries
     return updated

@@ -1,17 +1,17 @@
-"""Benchmark execution harness: run registrations, persist the trajectory.
+"""Benchmark execution harness: run registrations, persist the outcome.
 
 One :func:`run_benchmark` call executes a single registration at a tier
 and writes its :class:`~repro.bench.result.BenchReport` to
 ``benchmarks/results/<name>.json`` (plus the benchmark's human-readable
 ``.txt`` tables, which the docs quote).  :func:`run_tier` drives a whole
 tier selection and aggregates everything into the repo-root
-``BENCH_summary.json`` — the single file the regression gate and the
-perf-trajectory tooling read.
+``BENCH_summary.json`` — the file the gate reads.
 
-Smoke runs keep the checked-in full-tier ``.txt``/``.json`` artifacts
-stable by suffixing their per-benchmark files with ``.smoke``; the
-aggregated summary is always rewritten (CI uploads it as an artifact,
-local smoke runs can ``git checkout BENCH_summary.json`` afterwards).
+The reports and the summary are stamped with a wall-clock ``elapsed_s``
+and a git commit, so they are run output, not sources: both are
+gitignored (CI uploads them as workflow artifacts).  The full-tier
+``.txt`` tables are deterministic and tracked; smoke runs suffix their
+per-benchmark files with ``.smoke`` so those tables stay stable.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import Callable, Iterable
 from repro.bench.registry import Benchmark, select_tier
 from repro.bench.result import (
     SUMMARY_SCHEMA,
-    BenchOutcome,
     BenchReport,
     git_metadata,
     validate_result_record,
@@ -61,9 +60,7 @@ def run_benchmark(
     Pass ``results_dir=None`` to skip writing (pure in-memory run).
     With ``profile``, the runner executes under :mod:`cProfile` and the
     stats land in ``<results_dir>/<name>[.smoke].prof`` (load them with
-    ``python -m pstats``), so hot-path work starts from data.  Profiled
-    wall-clock numbers carry instrumentation overhead — never refresh
-    baselines from a profiled run.
+    ``python -m pstats``), so hot-path work starts from data.
     """
     params = benchmark.params_for(tier)
     started = time.perf_counter()
@@ -218,7 +215,3 @@ def outcome_failures(summary: dict) -> list[str]:
         for failure in entry.get("failures", ())
     ]
 
-
-def toy_outcome() -> BenchOutcome:  # pragma: no cover - convenience only
-    """An empty outcome, handy when stubbing benchmarks in tests."""
-    return BenchOutcome(results=())

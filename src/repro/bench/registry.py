@@ -8,8 +8,8 @@ Tiers are cumulative: ``smoke`` ⊂ ``full`` ⊂ ``nightly``.  A
 benchmark's ``tier`` is the *cheapest* selection that includes it
 (``smoke`` benchmarks run in every tier; ``nightly`` ones only there).
 ``tier_params`` overrides the base parameters per executing tier, which
-is how e.g. the engines micro-benchmark shrinks from its full n≤64
-matrix to a seconds-long CI guard.
+is how e.g. the link-condition sweep shrinks from its paper-sized grid
+to a seconds-long CI guard.
 """
 
 from __future__ import annotations

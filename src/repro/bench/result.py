@@ -1,4 +1,4 @@
-"""The standardized benchmark result schema (``repro-bench-result/1``).
+"""The standardized benchmark result schema (``repro-bench-result/2``).
 
 Every benchmark in the registry emits a flat list of :class:`BenchResult`
 records — one per measured metric per scenario cell — instead of bespoke
@@ -16,13 +16,10 @@ Schema notes:
   identify one cell of the benchmark's grid (``n``, ``engine``,
   ``protocol``, ``condition``, ...) — whatever distinguishes the number
   from its siblings.  Axis values are ints, floats, strings or bools.
-* ``direction`` says which way is *better* (``"higher"`` for beats/sec
-  or success rates, ``"lower"`` for latencies or drop counts) so the
-  gate knows what a regression looks like.
-* ``gated`` is ``False`` for wall-clock measurements (beats/sec,
-  speedups): they are hardware-noisy, so CI gates only the
-  simulation-deterministic metrics (latencies in beats, message counts,
-  probabilities), which reproduce exactly from seeds.
+* Every value is simulation-deterministic (beats, messages, counts,
+  probabilities, digest matches), so the gate pins each one exactly and
+  a record needs no "better" direction nor an opt-out flag.  Time is the
+  beat ledger's business (``benchmarks/ledger/``), not a record's.
 """
 
 from __future__ import annotations
@@ -32,12 +29,10 @@ import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-RESULT_SCHEMA = "repro-bench-result/1"
+RESULT_SCHEMA = "repro-bench-result/2"
 REPORT_SCHEMA = "repro-bench-report/1"
 SUMMARY_SCHEMA = "repro-bench-summary/1"
-BASELINE_SCHEMA = "repro-bench-baselines/1"
-
-DIRECTIONS = ("higher", "lower")
+BASELINE_SCHEMA = "repro-bench-baselines/2"
 
 Axes = "tuple[tuple[str, object], ...]"
 
@@ -63,14 +58,8 @@ class BenchResult:
     value: float
     unit: str
     scenario: Axes = ()
-    direction: str = "lower"
-    gated: bool = True
 
     def __post_init__(self) -> None:
-        if self.direction not in DIRECTIONS:
-            raise ValueError(
-                f"direction {self.direction!r} must be one of {DIRECTIONS}"
-            )
         object.__setattr__(self, "scenario", normalize_axes(self.scenario))
         object.__setattr__(self, "value", float(self.value))
 
@@ -86,8 +75,6 @@ class BenchResult:
             "value": self.value,
             "unit": self.unit,
             "scenario": {name: value for name, value in self.scenario},
-            "direction": self.direction,
-            "gated": self.gated,
         }
 
     @classmethod
@@ -99,8 +86,6 @@ class BenchResult:
             value=record["value"],
             unit=record["unit"],
             scenario=normalize_axes(record.get("scenario", {})),
-            direction=record.get("direction", "lower"),
-            gated=bool(record.get("gated", True)),
         )
 
 
@@ -133,8 +118,6 @@ def validate_result_record(record: object) -> None:
     value = record.get("value")
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(f"result value {value!r} must be a number")
-    if record.get("direction", "lower") not in DIRECTIONS:
-        raise ValueError(f"bad direction {record.get('direction')!r}")
     scenario = record.get("scenario", {})
     if not isinstance(scenario, Mapping):
         raise ValueError("scenario must be an object of axis: value pairs")
@@ -142,8 +125,6 @@ def validate_result_record(record: object) -> None:
         if not isinstance(axis_value, (int, float, str, bool)):
             raise ValueError(f"scenario axis {name}={axis_value!r} must be "
                              "a JSON scalar")
-    if not isinstance(record.get("gated", True), bool):
-        raise ValueError("gated must be a boolean")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Benchmark suite definitions.
 
 Importing this package populates :data:`repro.bench.registry.REGISTRY`:
-the twelve figure/table benchmarks, the live-runtime throughput
-benchmark, the cross-protocol comparison over the Protocol seam, and the
-continuous-time pulse precision suite.  Module name == registry name.
+the twelve figure/table benchmarks, the live runtime's trace digests
+against the simulator (``runtime_throughput``), the cross-protocol
+comparison over the Protocol seam, and the continuous-time pulse
+precision suite.  Module name == registry name.
 """
 
 from repro.bench.suites import (  # noqa: F401  (imports register benchmarks)

@@ -88,15 +88,15 @@ def run(beats: int = 60, min_probability: float = 0.15) -> BenchOutcome:
         axes = {"scenario": name}
         results.append(BenchResult(
             benchmark="coin_quality", metric="p0", value=p0,
-            unit="probability", scenario=axes, direction="higher",
+            unit="probability", scenario=axes,
         ))
         results.append(BenchResult(
             benchmark="coin_quality", metric="p1", value=p1,
-            unit="probability", scenario=axes, direction="higher",
+            unit="probability", scenario=axes,
         ))
         results.append(BenchResult(
             benchmark="coin_quality", metric="divergent", value=div,
-            unit="probability", scenario=axes, direction="lower",
+            unit="probability", scenario=axes,
         ))
     for name, (p0, p1, div) in broken.items():
         # The attack is *supposed* to break the simplified coin: high
@@ -104,7 +104,6 @@ def run(beats: int = 60, min_probability: float = 0.15) -> BenchOutcome:
         results.append(BenchResult(
             benchmark="coin_quality", metric="divergent", value=div,
             unit="probability", scenario={"scenario": name},
-            direction="higher",
         ))
     failures = []
     p0, p1, divergent = measured["n=4 fault-free"]

@@ -59,7 +59,6 @@ def run(trials: int = 15, max_beats: int = 300) -> BenchOutcome:
             value=mean,
             unit="beats",
             scenario={"adversary": name},
-            direction="lower",
         )
         for name, mean in means.items()
     )

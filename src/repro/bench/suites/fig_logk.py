@@ -73,7 +73,6 @@ def run(
                     value=mean,
                     unit="beats",
                     scenario={"construction": construction, "k": k},
-                    direction="lower",
                 )
             )
     results.append(
@@ -83,7 +82,6 @@ def run(
             value=squaring["squaring (2 layers)"],
             unit="beats",
             scenario={"construction": "squaring", "k": top_k},
-            direction="lower",
         )
     )
 

@@ -8,10 +8,9 @@ bisector attack (two-sided majority pushing, coin-aware, model-legal):
 * at n = 3f (one node beyond the bound) it pins two camps of correct
   nodes at opposite clock values forever once it wins a single coin flip.
 
-The stall rate *within* the bound gates with direction "lower" (any
-stall is a correctness regression); the stall rate *one past* the bound
-gates with direction "higher" (losing the stall would mean the attack —
-the tightness evidence — broke).
+Both stall rates are pinned exactly: any stall *within* the bound is a
+correctness regression, and losing the stall *one past* it would mean
+the attack — the tightness evidence — broke.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ def run(trials: int = 10, max_beats: int = 150) -> BenchOutcome:
         BenchResult(
             benchmark="fig_resilience",
             metric="stall_rate",
-            value=rates[name],
+            value=rate,
             unit="fraction",
             scenario={"configuration": name},
-            direction="lower" if within else "higher",
         )
-        for name, (_n, _f, within) in configurations.items()
+        for name, rate in rates.items()
     )
     failures = []
     # Within the bound: never stalls.  One past it: stalls most of the

@@ -60,7 +60,6 @@ def run(
                     value=mean,
                     unit="beats",
                     scenario=axes,
-                    direction="lower",
                 )
             )
             # The mean above only averages converged seeds — gate the
@@ -74,7 +73,6 @@ def run(
                     value=1.0 - dnf / seeds_run,
                     unit="fraction",
                     scenario=axes,
-                    direction="higher",
                 )
             )
 

@@ -49,7 +49,6 @@ def run(
             value=p,
             unit="probability",
             scenario={"beat": b},
-            direction="lower",
         )
         for b, p in survival.items()
     ]
@@ -60,7 +59,6 @@ def run(
             value=rate,
             unit="probability",
             scenario={},
-            direction="higher",
         )
     )
 

@@ -11,13 +11,12 @@ eliminate and fall back every beat.  Convergence beat, per-beat traffic
 and two counts are simulation-deterministic and gate against the
 baseline: share lists validated and Reed-Solomon decodes run per beat,
 which shared readings (:mod:`repro.coin.gvss`) hold at n per recover
-round per class of receivers, not n².  Wall-clock beats/sec is
-informational.
+round per class of receivers, not n².  Its speed is the beat ledger's
+``sim-gvss`` workload.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 
 from repro.bench.registry import Benchmark, register
@@ -55,9 +54,7 @@ def run(
         tally: Counter = Counter()
         with counted(GradedSharingState, "_validate_recover", tally), \
                 counted(reedsolomon, "_decode", tally):
-            started = time.perf_counter()
             sim.run(beats)
-            elapsed = time.perf_counter() - started
         converged_beat = monitor.convergence_beat()
         total_messages = sim.stats.total_messages
 
@@ -69,23 +66,13 @@ def run(
         results += [
             BenchResult(
                 benchmark="gvss_stack", metric=metric, value=count / beats,
-                unit=unit, scenario=axes, direction="lower",
+                unit=unit, scenario=axes,
             )
             for metric, count, unit in (
                 ("messages_per_beat", total_messages, "messages"),
                 ("share_list_readings_per_beat", tally["_validate_recover"], "readings"),
                 ("recover_decodes_per_beat", tally["_decode"], "decodes"),
             )
-        ] + [
-            BenchResult(
-                benchmark="gvss_stack",
-                metric="beats_per_sec",
-                value=beats / elapsed,
-                unit="beats/s",
-                scenario=axes,
-                direction="higher",
-                gated=False,  # wall-clock
-            ),
         ]
         if converged_beat is None:
             failures.append(
@@ -100,7 +87,6 @@ def run(
                     value=converged_beat,
                     unit="beats",
                     scenario=axes,
-                    direction="lower",
                 )
             )
         lines.append(

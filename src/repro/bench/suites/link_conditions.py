@@ -184,7 +184,6 @@ def run(
                 value=row["success_rate"],
                 unit="fraction",
                 scenario=axes,
-                direction="higher",
             )
         )
         if row["mean_latency"] is not None:
@@ -195,7 +194,6 @@ def run(
                     value=row["mean_latency"],
                     unit="beats",
                     scenario=axes,
-                    direction="lower",
                 )
             )
             results.append(
@@ -205,8 +203,6 @@ def run(
                     value=row["max_latency"],
                     unit="beats",
                     scenario=axes,
-                    direction="lower",
-                    gated=False,  # an extreme-order statistic: informational
                 )
             )
         results.append(
@@ -216,8 +212,6 @@ def run(
                 value=row["mean_dropped"],
                 unit="messages",
                 scenario=axes,
-                direction="lower",
-                gated=False,  # varies with beats_run, not a health signal
             )
         )
     return BenchOutcome(

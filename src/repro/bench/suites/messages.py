@@ -67,12 +67,12 @@ def run(
         results.append(BenchResult(
             benchmark="messages", metric="messages_per_beat",
             value=sweep.mean_messages_per_beat, unit="messages",
-            scenario=axes, direction="lower",
+            scenario=axes,
         ))
         results.append(BenchResult(
             benchmark="messages", metric="success_rate",
             value=sweep.success_rate, unit="fraction",
-            scenario=axes, direction="higher",
+            scenario=axes,
         ))
     for size, cell in sorted(traffic.items()):
         for protocol, value in cell.items():
@@ -80,7 +80,6 @@ def run(
                 benchmark="messages", metric="messages_per_beat",
                 value=value, unit="messages",
                 scenario={"protocol": protocol, "n": size},
-                direction="lower",
             ))
 
     failures = []

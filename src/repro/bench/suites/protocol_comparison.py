@@ -51,17 +51,15 @@ def run(
         results.append(BenchResult(
             benchmark="protocol_comparison", metric="stabilization_latency",
             value=latency[name], unit="beats", scenario=scenario,
-            direction="lower",
         ))
         results.append(BenchResult(
             benchmark="protocol_comparison", metric="messages_per_beat",
             value=sweep.mean_messages_per_beat, unit="messages",
-            scenario=scenario, direction="lower",
+            scenario=scenario,
         ))
         results.append(BenchResult(
             benchmark="protocol_comparison", metric="success_rate",
             value=sweep.success_rate, unit="fraction", scenario=scenario,
-            direction="higher",
         ))
         bound = protocol.convergence_bound(n, f, k)
         if bound is not None:

@@ -1,19 +1,19 @@
-"""Continuous-time pulse precision: the event engine's differential pin
-and the pulse-barrier runtime's wall-clock skew.
+"""Continuous-time pulse precision: the event engine's differential pin,
+its drifting-clock metrics and the pulse-barrier runtime's health.
 
-Three measurement families:
+Three families, every pinned value deterministic:
 
-* **gated ``trace_match``** — the load-bearing differential pin.  At
+* **``trace_match``** — the load-bearing differential pin.  At
   zero drift and zero delay the event-driven engine
   (:class:`~repro.net.events.ContinuousSimulation`) must replay the
   lock-step :class:`~repro.net.simulator.Simulation` (reference engine)
   bit-identically: same seeds, same scramble, same adversary, same JSONL
   trace bytes.  One digest-match fraction per adversary over the seed
   range (1.0 = every seed matched).
-* **gated drift metrics** — a drifting-clock bounded-delay run is still
+* **drift metrics** — a drifting-clock bounded-delay run is still
   simulation-deterministic (every draw is keyed), so its convergence
-  beat, max pulse skew and late-message count gate exactly like the
-  ``engines`` suite's trajectory digests.  Three counts ride along, for
+  beat and max pulse skew are pinned exactly like the ``engines``
+  suite's trajectory digests.  Three counts ride along, for
   the same case: ``late_free_beats`` (how long nothing *can* be late —
   the boundary ROADMAP 1c asks to locate), and what the run cost while
   inside it, ``heap_events_per_beat`` (a pulse and a close per honest
@@ -25,11 +25,10 @@ Three measurement families:
   distinct inbox *object*, so it follows the classes of receivers the
   message plane hands out and moves if the event path goes back to one
   grouping per receiver.
-* **ungated wall-clock** — the pulse-barrier runtime
-  (``run_runtime(..., sync="pulse")``) on LocalTransport: measured max
-  pulse skew in milliseconds and real convergence time.  Hardware-noisy,
-  so ungated; correctness (convergence, zero pulse timeouts on a healthy
-  run) is enforced through ``failures`` instead.
+* **live checks, no rows** — the pulse-barrier runtime
+  (``run_runtime(..., sync="pulse")``) on LocalTransport must converge
+  and drop no late or malformed frame, enforced through ``failures``.
+  Its skew is real seconds, so it is not pinned here.
 """
 
 from __future__ import annotations
@@ -155,7 +154,7 @@ def run(
     failures = []
     tables = []
 
-    # -- gated differential pin: event engine == reference engine ---------
+    # -- differential pin: event engine == reference engine ----------------
     digest_lines = [f"{'adversary':<12} {'seeds':<8} matched"]
     for adversary in ("none", "equivocator"):
         matched = 0
@@ -181,8 +180,6 @@ def run(
                     "f": 1,
                     "seeds": seeds,
                 },
-                direction="higher",
-                gated=True,  # simulation-deterministic: exact at any tier
             )
         )
         digest_lines.append(f"{adversary:<12} 0..{seeds - 1:<5} {matched}/{seeds}")
@@ -195,7 +192,7 @@ def run(
             )
     tables.append(("pulse_trace_digests", "\n".join(digest_lines)))
 
-    # -- gated drift metrics: keyed draws make these exact -----------------
+    # -- drift metrics: keyed draws make these exact ----------------------
     from repro.net.events import ContinuousSimulation
 
     case = dict(_DRIFT_CASE, beats=drift_beats)
@@ -250,8 +247,6 @@ def run(
                 ),
                 unit="beats",
                 scenario=scenario,
-                direction="lower",
-                gated=True,  # keyed draws: deterministic at any tier
             )
         )
         results.append(
@@ -261,21 +256,19 @@ def run(
                 value=result.max_pulse_skew,
                 unit="time units",
                 scenario=scenario,
-                direction="lower",
-                gated=True,
             )
         )
         counts_of_the_case = [
-            ("late_free_beats", float(late_free), "beats", "higher"),
-            ("heap_events_per_beat", events_per_beat, "events/beat", "lower"),
-            ("delay_draws_per_beat", draws_per_beat, "draws/beat", "lower"),
+            ("late_free_beats", float(late_free), "beats"),
+            ("heap_events_per_beat", events_per_beat, "events/beat"),
+            ("delay_draws_per_beat", draws_per_beat, "draws/beat"),
         ]
         if adversary == "equivocator":
             counts_of_the_case.append((
                 "tallies_per_beat", sum(tally.values()) / case["beats"],
-                "tallies/beat", "lower",
+                "tallies/beat",
             ))
-        for metric, value, unit, direction in counts_of_the_case:
+        for metric, value, unit in counts_of_the_case:
             results.append(
                 BenchResult(
                     benchmark="pulse_precision",
@@ -283,8 +276,6 @@ def run(
                     value=value,
                     unit=unit,
                     scenario=scenario,
-                    direction=direction,
-                    gated=True,  # counts, not clocks: exact at any tier
                 )
             )
         drift_lines.append(
@@ -294,12 +285,9 @@ def run(
         )
     tables.append(("pulse_drift_metrics", "\n".join(drift_lines)))
 
-    # -- ungated wall-clock: pulse-barrier runtime skew ---------------------
+    # -- live pulse-barrier runtime: health checks only --------------------
     from repro.runtime import run_runtime
 
-    runtime_lines = [
-        f"{'rho':>6} | {'skew ms':>8} | {'conv s':>7} | timeouts"
-    ]
     for rho in (0.0, 0.01):
         result = run_runtime(
             4,
@@ -314,13 +302,6 @@ def run(
             pulse_period=pulse_period,
             rho=rho,
         )
-        scenario = {
-            "transport": "local",
-            "sync": "pulse",
-            "n": 4,
-            "f": 1,
-            "rho": rho,
-        }
         if result.converged_beat is None:
             failures.append(
                 f"pulse-barrier runtime (rho={rho}) failed to converge "
@@ -333,35 +314,6 @@ def run(
                 f"{result.malformed_frames} malformed frames on "
                 "LocalTransport — the pulse barrier is dropping traffic"
             )
-        skew_ms = (result.pulse_skew_s or 0.0) * 1e3
-        results.append(
-            BenchResult(
-                benchmark="pulse_precision",
-                metric="pulse_skew_ms",
-                value=skew_ms,
-                unit="ms",
-                scenario=scenario,
-                direction="lower",
-                gated=False,  # wall-clock: too noisy for CI gating
-            )
-        )
-        results.append(
-            BenchResult(
-                benchmark="pulse_precision",
-                metric="beats_per_sec",
-                value=result.beats_per_sec,
-                unit="beats/s",
-                scenario=scenario,
-                direction="higher",
-                gated=False,
-            )
-        )
-        runtime_lines.append(
-            f"{rho:>6.3f} | {skew_ms:>8.3f} | "
-            f"{result.converged_time_s if result.converged_time_s is not None else float('nan'):>7.3f} | "
-            f"{result.pulse_timeouts}"
-        )
-    tables.append(("pulse_runtime_skew", "\n".join(runtime_lines)))
 
     return BenchOutcome(
         results=tuple(results),
@@ -391,10 +343,10 @@ register(
             },
         },
         description="continuous-time event engine pinned bit-identical "
-                    "to the reference engine at zero drift/delay (gated "
-                    "digest-match per adversary), deterministic "
+                    "to the reference engine at zero drift/delay "
+                    "(digest-match per adversary), deterministic "
                     "drifting-clock convergence and skew metrics, and "
-                    "the pulse-barrier runtime's wall-clock skew on "
+                    "the pulse-barrier runtime's convergence on "
                     "LocalTransport",
     )
 )

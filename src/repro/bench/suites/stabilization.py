@@ -71,18 +71,18 @@ def run(
             results.append(BenchResult(
                 benchmark="stabilization", metric="initial_latency",
                 value=sum(initial) / len(initial), unit="beats",
-                scenario={"family": family}, direction="lower",
+                scenario={"family": family},
             ))
         if recovery:
             results.append(BenchResult(
                 benchmark="stabilization", metric="recovery_latency",
                 value=sum(recovery) / len(recovery), unit="beats",
-                scenario={"family": family}, direction="lower",
+                scenario={"family": family},
             ))
         results.append(BenchResult(
             benchmark="stabilization", metric="recovered",
             value=len(recovery) / trials, unit="fraction",
-            scenario={"family": family}, direction="higher",
+            scenario={"family": family},
         ))
     current_initial, current_recovery = measured["current"]
     if current_initial and current_recovery:

@@ -97,7 +97,7 @@ def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
                 benchmark="stabilization_under_churn",
                 metric="initial_latency",
                 value=sum(initial) / len(initial), unit="beats",
-                scenario={"family": family}, direction="lower",
+                scenario={"family": family},
             ))
         for kind, latencies in by_event.items():
             if latencies:
@@ -106,14 +106,13 @@ def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
                     metric="reconvergence_latency",
                     value=sum(latencies) / len(latencies), unit="beats",
                     scenario={"family": family, "event": kind},
-                    direction="lower",
                 ))
         windows = len(_MEASURED_EVENTS) * trials
         recovered = sum(len(v) for v in by_event.values())
         results.append(BenchResult(
             benchmark="stabilization_under_churn", metric="recovered",
             value=recovered / windows, unit="fraction",
-            scenario={"family": family}, direction="higher",
+            scenario={"family": family},
         ))
 
     current_initial, current_events, _ = measured["current"]

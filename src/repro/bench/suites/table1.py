@@ -44,7 +44,6 @@ def run(
     results.append(BenchResult(
         benchmark="table1", metric="mean_latency_censored", value=dw_mean,
         unit="beats", scenario={"family": "dolev-welch", "n": n},
-        direction="lower",
     ))
     if dw_mean <= 60:
         # An order of magnitude above the constant-time row's < 40 band.
@@ -67,7 +66,7 @@ def run(
     results.append(BenchResult(
         benchmark="table1", metric="success_rate",
         value=det_row.sweep.success_rate, unit="fraction",
-        scenario={"family": "deterministic", "n": n}, direction="higher",
+        scenario={"family": "deterministic", "n": n},
     ))
     if det_row.sweep.success_rate != 1.0:
         failures.append("deterministic family missed its budget")
@@ -79,7 +78,6 @@ def run(
         results.append(BenchResult(
             benchmark="table1", metric="latency", value=det_latencies[0],
             unit="beats", scenario={"family": "deterministic", "n": n},
-            direction="lower",
         ))
         if not 3 * f <= det_latencies[0] <= 2 * (2 + f * (f + 1)):
             failures.append(
@@ -97,7 +95,7 @@ def run(
     results.append(BenchResult(
         benchmark="table1", metric="success_rate",
         value=cur_row.sweep.success_rate, unit="fraction",
-        scenario={"family": "current", "n": n}, direction="higher",
+        scenario={"family": "current", "n": n},
     ))
     if cur_row.sweep.success_rate != 1.0:
         failures.append("current family missed its budget")
@@ -108,7 +106,6 @@ def run(
         results.append(BenchResult(
             benchmark="table1", metric="mean_latency", value=cur_mean,
             unit="beats", scenario={"family": "current", "n": n},
-            direction="lower",
         ))
         if cur_mean >= 40:
             failures.append(
@@ -132,7 +129,7 @@ def run(
         results.append(BenchResult(
             benchmark="table1", metric="success_rate",
             value=sweep.success_rate, unit="fraction",
-            scenario={"family": family_label, "n": 7}, direction="higher",
+            scenario={"family": family_label, "n": 7},
         ))
         if sweep.success_rate != 1.0:
             failures.append(

@@ -1,14 +1,16 @@
 """The benchmark subsystem: registry, result schema, harness, gate.
 
-Covers the ISSUE-3 acceptance points: registry completeness (every
-suite module registered exactly once), ``BenchResult`` schema
-round-trips, gate exit codes on pass/regress/missing-baseline, and the
-``bench list/run/compare`` CLI smoke (see also ``tests/test_cli.py``).
+Covers registry completeness (every suite module registered exactly
+once), ``BenchResult`` schema round-trips, the exact gate (a changed
+value fails in either direction, a missing key fails, a new key is
+reported), its exit codes, and the ``bench list/run/compare`` CLI smoke
+(see also ``tests/test_cli.py``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 import pytest
@@ -32,11 +34,9 @@ from repro.bench import (
     validate_summary,
 )
 from repro.bench.gate import (
-    Delta,
     compare_summaries,
     compare_to_baselines,
     empty_baselines,
-    parse_tolerance,
     update_baselines,
 )
 from repro.errors import ConfigurationError
@@ -52,7 +52,6 @@ def _toy_runner(value: float = 1.0, fail: bool = False) -> BenchOutcome:
         value=value,
         unit="beats",
         scenario={"n": 4},
-        direction="lower",
     )
     return BenchOutcome(
         results=(result,),
@@ -131,8 +130,6 @@ class TestResultSchema:
             value=4,
             unit="beats",
             scenario={"n": 7, "loss": 0.1, "protocol": "clock-sync"},
-            direction="lower",
-            gated=False,
         )
         record = result.to_json()
         assert record["schema"] == RESULT_SCHEMA
@@ -149,7 +146,6 @@ class TestResultSchema:
         result = BenchResult(
             "link_conditions", "success_rate", 1.0, "fraction",
             scenario={"protocol": "clock-sync", "loss": 0.1},
-            direction="higher",
         )
         assert result_key(result) == (
             "link_conditions/success_rate{loss=0.1,protocol=clock-sync}"
@@ -159,25 +155,23 @@ class TestResultSchema:
         good = BenchResult("b", "m", 1, "u").to_json()
         for corruption in (
             {"schema": "bogus/9"},
+            {"schema": "repro-bench-result/1"},
             {"metric": ""},
             {"value": "fast"},
             {"value": True},
-            {"direction": "sideways"},
             {"scenario": {"axis": [1, 2]}},
-            {"gated": "yes"},
         ):
             record = dict(good, **corruption)
             with pytest.raises(ValueError):
                 validate_result_record(record)
-        with pytest.raises(ValueError):
-            BenchResult("b", "m", 1, "u", direction="sideways")
 
     def test_schema_valid_against_jsonschema_if_available(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = {
             "type": "object",
             "required": ["schema", "benchmark", "metric", "value", "unit",
-                         "scenario", "direction", "gated"],
+                         "scenario"],
+            "additionalProperties": False,
             "properties": {
                 "schema": {"const": RESULT_SCHEMA},
                 "benchmark": {"type": "string", "minLength": 1},
@@ -190,8 +184,6 @@ class TestResultSchema:
                         "type": ["number", "string", "boolean"]
                     },
                 },
-                "direction": {"enum": ["higher", "lower"]},
-                "gated": {"type": "boolean"},
             },
         }
         record = BenchResult(
@@ -201,6 +193,10 @@ class TestResultSchema:
 
 
 class TestHarness:
+    """What ``run_benchmark`` / ``run_tier`` write, round-tripped through
+    a temporary directory: the reports and the summary are run output
+    (gitignored), so their schema is pinned here, not by snapshots."""
+
     def test_run_benchmark_writes_report_and_tables(
         self, toy_benchmark, tmp_path
     ):
@@ -266,8 +262,7 @@ class TestHarness:
                               "benchmarks": {}, "results": [{"bad": 1}]})
 
 
-def _summary(value=10.0, *, tier="smoke", metric="latency",
-             direction="lower", gated=True, benchmark="toy"):
+def _summary(value=10.0, *, tier="smoke", metric="latency", benchmark="toy"):
     return {
         "schema": SUMMARY_SCHEMA,
         "tier": tier,
@@ -286,42 +281,45 @@ def _summary(value=10.0, *, tier="smoke", metric="latency",
                 "value": value,
                 "unit": "beats",
                 "scenario": {"n": 4},
-                "direction": direction,
-                "gated": gated,
             }
         ],
     }
 
 
+#: The one baselined key every ``_summary`` produces.
+KEY = "toy/latency{n=4}"
+
+
 class TestGateLogic:
-    def test_parse_tolerance(self):
-        assert parse_tolerance("20%") == pytest.approx(0.2)
-        assert parse_tolerance("0.05") == pytest.approx(0.05)
-        assert parse_tolerance(0.3) == pytest.approx(0.3)
-        for bad in ("fast", "-1", "1200%"):
-            with pytest.raises(ConfigurationError):
-                parse_tolerance(bad)
-
-    def test_delta_directions(self):
-        worse_lower = Delta("k", old=10, new=13, unit="b", direction="lower")
-        assert worse_lower.regressed(0.2) and not worse_lower.regressed(0.4)
-        better_lower = Delta("k", old=10, new=8, unit="b", direction="lower")
-        assert not better_lower.regressed(0.0)
-        worse_higher = Delta("k", old=10, new=7, unit="b", direction="higher")
-        assert worse_higher.regressed(0.2) and not worse_higher.regressed(0.5)
-
-    def test_delta_zero_baseline_is_absolute(self):
-        stall = Delta("k", old=0.0, new=0.5, unit="f", direction="lower")
-        assert stall.regressed(0.2) and not stall.regressed(0.6)
-        assert not Delta("k", old=0.0, new=0.0, unit="f",
-                         direction="lower").regressed(0.2)
-
-    def test_update_then_gate_pass_and_regress(self):
+    def test_update_then_gate_pass_and_change(self):
         baselines = update_baselines(empty_baselines(), _summary(10.0))
-        ok = compare_to_baselines(_summary(11.0), baselines)
-        assert ok.ok and ok.checked == 1
-        bad = compare_to_baselines(_summary(13.0), baselines)
-        assert not bad.ok and len(bad.regressions) == 1
+        same = compare_to_baselines(_summary(10.0), baselines)
+        assert same.ok and same.checked == 1 and same.changed == ()
+        moved = compare_to_baselines(_summary(11.0), baselines)
+        assert not moved.ok
+        (delta,) = moved.changed
+        assert (delta.key, delta.old, delta.new) == (KEY, 10.0, 11.0)
+
+    @pytest.mark.parametrize("toward", [-math.inf, math.inf])
+    def test_one_ulp_either_direction_fails(self, toward):
+        baselines = update_baselines(empty_baselines(), _summary(10.0))
+        report = compare_to_baselines(
+            _summary(math.nextafter(10.0, toward)), baselines
+        )
+        assert not report.ok and [d.key for d in report.changed] == [KEY]
+
+    def test_int_baseline_equals_float_result_of_the_same_value(self):
+        baselines = update_baselines(empty_baselines(), _summary(10.0))
+        baselines["tiers"]["smoke"][KEY]["value"] = 10
+        report = compare_to_baselines(_summary(10.0), baselines)
+        assert report.ok and report.checked == 1
+
+    def test_baseline_entries_pin_value_and_unit_only(self):
+        baselines = update_baselines(empty_baselines(), _summary(10.0))
+        assert baselines == {
+            "schema": "repro-bench-baselines/2",
+            "tiers": {"smoke": {KEY: {"value": 10.0, "unit": "beats"}}},
+        }
 
     def test_missing_metric_fails_only_for_benchmarks_that_ran(self):
         baselines = update_baselines(empty_baselines(), _summary(10.0))
@@ -332,13 +330,13 @@ class TestGateLogic:
         other_bench = _summary(10.0, benchmark="unrelated")
         assert compare_to_baselines(other_bench, baselines).ok
 
-    def test_ungated_results_are_ignored(self):
-        baselines = update_baselines(
-            empty_baselines(), _summary(10.0, gated=False)
+    def test_new_key_is_reported_not_fatal(self):
+        baselines = update_baselines(empty_baselines(), _summary(10.0))
+        report = compare_to_baselines(
+            _summary(10.0, benchmark="newcomer"), baselines
         )
-        assert baselines["tiers"]["smoke"] == {}
-        report = compare_to_baselines(_summary(99.0, gated=False), baselines)
         assert report.ok and report.checked == 0
+        assert report.new_keys == ("newcomer/latency{n=4}",)
 
     def test_update_preserves_other_tiers_and_benchmarks(self):
         baselines = update_baselines(empty_baselines(), _summary(10.0))
@@ -360,9 +358,9 @@ class TestGateLogic:
         assert "toy/other_latency{n=4}" in baselines["tiers"]["smoke"]
 
     def test_compare_summaries(self):
-        report = compare_summaries(_summary(10.0), _summary(13.0))
-        assert len(report.regressions) == 1
-        assert compare_summaries(_summary(10.0), _summary(10.5)).ok
+        assert compare_summaries(_summary(10.0), _summary(10.0)).ok
+        report = compare_summaries(_summary(10.0), _summary(9.5))
+        assert [(d.old, d.new) for d in report.changed] == [(10.0, 9.5)]
 
     def test_compare_rejects_cross_tier_summaries(self):
         with pytest.raises(ConfigurationError, match="tier"):
@@ -376,7 +374,7 @@ class TestBenchCLI:
         path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
         return str(path)
 
-    def test_gate_exit_codes_pass_regress_missing_baseline(
+    def test_gate_exit_codes_pass_change_missing_baseline(
         self, tmp_path, capsys
     ):
         from repro.cli import main
@@ -394,44 +392,75 @@ class TestBenchCLI:
         assert main(["bench", "gate", "--summary", good,
                      "--baseline", str(baseline)]) == 0
         assert "-> ok" in capsys.readouterr().out
-        # 30% degradation beyond the 20% tolerance -> exit 1
-        regressed = self._write(tmp_path / "bad.json", _summary(13.0))
-        assert main(["bench", "gate", "--summary", regressed,
+        # any changed value -> exit 1
+        changed = self._write(tmp_path / "changed.json", _summary(13.0))
+        assert main(["bench", "gate", "--summary", changed,
                      "--baseline", str(baseline)]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        # ...unless the tolerance is widened
-        assert main(["bench", "gate", "--summary", regressed,
-                     "--baseline", str(baseline), "--tolerance", "50%"]) == 0
+        assert "-> FAIL" in capsys.readouterr().out
         # a vanished baselined metric -> exit 1
         renamed = self._write(
             tmp_path / "renamed.json", _summary(10.0, metric="other")
         )
         assert main(["bench", "gate", "--summary", renamed,
                      "--baseline", str(baseline)]) == 1
-        assert "MISSING" in capsys.readouterr().out
+        assert f"MISSING: baselined metric {KEY}" in capsys.readouterr().out
 
-    def test_gate_bad_tolerance_exit_code(self, tmp_path, capsys):
+    def test_one_ulp_better_fails_gate_and_compare(self, tmp_path, capsys):
+        """Lower latency is *better*; one ulp of it is still a change."""
+        from repro.cli import main
+
+        better = math.nextafter(10.0, 0.0)
+        old = self._write(tmp_path / "old.json", _summary(10.0))
+        new = self._write(tmp_path / "new.json", _summary(better))
+        baseline = tmp_path / "baselines.json"
+        assert main(["bench", "gate", "--summary", old,
+                     "--baseline", str(baseline), "--update-baseline"]) == 0
+        capsys.readouterr()
+        named = f"CHANGED: {KEY}: baseline 10.0, current {better!r}"
+        assert main(["bench", "gate", "--summary", new,
+                     "--baseline", str(baseline)]) == 1
+        assert named in capsys.readouterr().out
+        assert main(["bench", "compare", old, new]) == 1
+        assert named in capsys.readouterr().out
+
+    def test_gate_reports_new_keys_without_failing(self, tmp_path, capsys):
+        from repro.cli import main
+
+        baseline = tmp_path / "baselines.json"
+        seeded = self._write(tmp_path / "seed.json", _summary(10.0))
+        assert main(["bench", "gate", "--summary", seeded,
+                     "--baseline", str(baseline), "--update-baseline"]) == 0
+        capsys.readouterr()
+        newcomer = self._write(
+            tmp_path / "new.json", _summary(10.0, benchmark="newcomer")
+        )
+        assert main(["bench", "gate", "--summary", newcomer,
+                     "--baseline", str(baseline)]) == 0
+        assert "1 metrics have no baseline yet" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["gate", "compare"])
+    def test_tolerance_flag_is_gone(self, tmp_path, command, capsys):
         from repro.cli import main
 
         good = self._write(tmp_path / "good.json", _summary(10.0))
-        code = main(["bench", "gate", "--summary", good,
-                     "--baseline", str(tmp_path / "b.json"),
-                     "--tolerance", "fast"])
-        assert code == 2
-        assert "tolerance" in capsys.readouterr().err
+        argv = (
+            ["bench", "gate", "--summary", good]
+            if command == "gate" else ["bench", "compare", good, good]
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--tolerance", "20%"])
+        assert excinfo.value.code == 2
+        assert "--tolerance" in capsys.readouterr().err
 
     def test_compare_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
         old = self._write(tmp_path / "old.json", _summary(10.0))
-        same = self._write(tmp_path / "same.json", _summary(10.5))
-        worse = self._write(tmp_path / "worse.json", _summary(16.0))
+        same = self._write(tmp_path / "same.json", _summary(10.0))
+        moved = self._write(tmp_path / "moved.json", _summary(10.5))
         assert main(["bench", "compare", old, same]) == 0
-        assert main(["bench", "compare", old, worse]) == 1
-        out = capsys.readouterr().out
-        assert "1 regressed" in out
-        assert main(["bench", "compare", old, worse,
-                     "--tolerance", "100%"]) == 0
+        assert main(["bench", "compare", old, moved]) == 1
+        assert "1 changed" in capsys.readouterr().out
 
     def test_compare_cross_tier_exit_code(self, tmp_path, capsys):
         from repro.cli import main
@@ -442,24 +471,6 @@ class TestBenchCLI:
         )
         assert main(["bench", "compare", full, smoke]) == 2
         assert "tier" in capsys.readouterr().err
-
-    def test_gate_renders_moves_off_zero_baselines(self, tmp_path, capsys):
-        from repro.cli import main
-
-        zero = self._write(
-            tmp_path / "zero.json", _summary(0.0, direction="higher")
-        )
-        baseline = tmp_path / "baselines.json"
-        assert main(["bench", "gate", "--summary", zero,
-                     "--baseline", str(baseline), "--update-baseline"]) == 0
-        risen = self._write(
-            tmp_path / "risen.json", _summary(1.0, direction="higher")
-        )
-        assert main(["bench", "gate", "--summary", risen,
-                     "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "better, from zero" in out
-        assert "inf" not in out
 
     def test_run_cli_with_toy_benchmark(self, toy_benchmark, tmp_path, capsys):
         from repro.cli import main
@@ -524,9 +535,8 @@ class TestCheckedInArtifacts:
             key.split("/", 1)[0]
             for key in baselines["tiers"]["smoke"]
         }
-        # engines, runtime_throughput and pulse_precision contribute
-        # gated trajectory / trace digests (simulation-deterministic, so
-        # pinnable at every tier) on top of their ungated wall-clock rows.
+        # Every smoke-tier benchmark pins rows at every tier: digests,
+        # counts, beats and probabilities, all simulation-deterministic.
         assert smoke_benchmarks == {
             "engines", "gvss_stack", "link_conditions",
             "protocol_comparison", "pulse_precision", "runtime_throughput",
@@ -538,24 +548,3 @@ class TestCheckedInArtifacts:
                 if key.startswith("engines/trajectory_match")
             ]
             assert len(engine_keys) == 6  # 3 engines x 2 digest cases
-
-    def test_checked_in_summary_is_schema_valid(self):
-        # The checked-in summary is a full-tier run, but any `bench run`
-        # legitimately rewrites it — so pin coherence, not the tier: the
-        # summary must cover exactly its own tier's selection.
-        from repro.bench import load_summary
-
-        summary = load_summary(REPO_ROOT / "BENCH_summary.json")
-        expected = {b.name for b in select_tier(summary["tier"])}
-        assert set(summary["benchmarks"]) <= expected
-        assert set(summary["benchmarks"]) or summary["results"] == []
-
-    def test_per_benchmark_reports_are_schema_valid(self):
-        results_dir = BENCH_DIR / "results"
-        reports = sorted(results_dir.glob("*.json"))
-        named = {p.stem for p in reports if "." not in p.stem}
-        assert {b.name for b in all_benchmarks()} <= named
-        for path in reports:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            for result in record["results"]:
-                validate_result_record(result)

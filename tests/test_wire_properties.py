@@ -21,7 +21,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bench.result import (
-    DIRECTIONS,
     RESULT_SCHEMA,
     BenchResult,
     normalize_axes,
@@ -394,8 +393,6 @@ def _bench_results(draw) -> BenchResult:
         value=draw(st.floats(allow_nan=False)),
         unit=draw(_names),
         scenario=draw(st.dictionaries(_names, _axis_values, max_size=4)),
-        direction=draw(st.sampled_from(DIRECTIONS)),
-        gated=draw(st.booleans()),
     )
 
 
@@ -433,10 +430,10 @@ class TestBenchResultSchema:
         ({"metric": 3}, "non-empty"),
         ({"value": "fast"}, "number"),
         ({"value": True}, "number"),
-        ({"direction": "sideways"}, "direction"),
+        ({"schema": "repro-bench-result/1"}, "schema"),
         ({"scenario": [1, 2]}, "scenario"),
         ({"scenario": {"n": [4]}}, "scalar"),
-        ({"gated": "yes"}, "boolean"),
+        ({"unit": ""}, "non-empty"),
     ])
     def test_specific_violations_named(self, mutation, match):
         record = BenchResult(
