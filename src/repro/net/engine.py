@@ -48,6 +48,9 @@ stateful models count emissions per directed link), and delayed arrivals
 merge into inboxes in a fixed stage order — for one sender, older delayed
 traffic sorts before the beat's fresh traffic, which sorts before
 phantoms claiming that sender (:mod:`repro.net.plane`'s ``STAGE_*``).
+Classifying a copy is not building it: the fast engine builds only the
+copies a link holds back, and the rest of each broadcast or row stays
+shared.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import ConfigurationError
-from repro.net.message import CraftedTraffic, Envelope, FanoutView, FastOutbox
+from repro.net.message import CraftedTraffic, Envelope, FanoutView, FastOutbox, Row
 from repro.net.network import MessageStats, Router, ensure_faulty_senders
 from repro.net.plane import (
     STAGE_DELAYED,
@@ -264,10 +267,14 @@ class FastEngine:
     receiver.
 
     A link model that rules on a beat puts one step between a record and
-    the traffic, ``dispatch``: every copy is expanded and classified on
-    its own — exactly what the reference engine does, in its order — and
-    what arrives is its receiver's stray, so nothing is shared on such a
-    beat because nothing is the same.
+    the traffic, ``rule``: each copy bound for a correct receiver other
+    than its sender is classified — the calls the reference engine makes,
+    in its order — but only a copy the link *holds* (drops, or delays into
+    the in-flight queue) is ever built.  What still arrives stays in shared
+    form: a broadcast that lost nothing is its lane envelope, one that
+    lost copies is the row of the receivers it still reaches, a crafted
+    row loses only its held entries, so receivers who lost the same
+    copies share one merged inbox.
     """
 
     name = "fast"
@@ -298,6 +305,7 @@ class FastEngine:
         self._link = simulation.link
         self._faulty_set = simulation.faulty_ids
         self._faulty = tuple(sorted(simulation.faulty_ids))
+        self._correct = tuple(sorted(simulation.nodes))
         self._outboxes = {
             node_id: FastOutbox(simulation.n) for node_id in simulation.nodes
         }
@@ -326,31 +334,38 @@ class FastEngine:
             or (not self._in_flight and link.perfect_at(beat))
         )
         traffic = BeatTraffic(beat)
-        strays = traffic.strays  # filed in place where it is per copy
         # The legal view in shared form: one record per honest broadcast.
         visible = FanoutView(beat, self._faulty)
 
-        def dispatch(envelope: Envelope, key: tuple[int, int, int]) -> None:
-            receiver = envelope.receiver
-            if receiver not in nodes:
-                return  # dead letter (faulty receiver): adversary view only
-            if linked and envelope.sender != receiver:  # loopback is perfect
-                delay = link.classify(envelope.sender, receiver, beat)
+        def rule(sender, path, payloads, envelope=None):
+            """``payloads`` (one record's copies, receiver -> payload)
+            without the copies the link holds — the mapping itself if it
+            holds none.  Each copy for a correct receiver other than the
+            sender is classified, in the mapping's order; only a held one
+            is built (``envelope``: a point-to-point record's own copy),
+            then dropped or put in flight."""
+            held = []
+            for receiver, payload in payloads.items():
+                # Loopback is perfect; a faulty receiver's copy is a dead
+                # letter, shown to the adversary and delivered nowhere.
+                if receiver not in nodes or receiver == sender:
+                    continue
+                delay = link.classify(sender, receiver, beat)
+                if delay == 0:
+                    continue
+                held.append(receiver)
+                copy = envelope or Envelope(sender, receiver, path, payload, beat)
                 if delay is None:
-                    stats.record_dropped(envelope)
-                    return
-                if delay:
-                    stats.record_delayed(envelope)
-                    self._flight_seq += 1
-                    self._in_flight.setdefault(beat + delay, []).append((
-                        receiver,
-                        (envelope.sender, STAGE_DELAYED, self._flight_seq),
-                        envelope,
-                    ))
-                    return
-            strays.setdefault(receiver, {}).setdefault(
-                envelope.path, []
-            ).append((key, envelope))
+                    stats.record_dropped(copy)
+                    continue
+                stats.record_delayed(copy)
+                self._flight_seq += 1
+                self._in_flight.setdefault(beat + delay, []).append((
+                    receiver, (sender, STAGE_DELAYED, self._flight_seq), copy
+                ))
+            if not held:
+                return payloads
+            return {r: p for r, p in payloads.items() if r not in held}
 
         # -- send phase ----------------------------------------------------
         # Honest nodes run in ascending id order, so lanes come out sorted
@@ -364,36 +379,42 @@ class FastEngine:
                     if adversary_active:
                         visible.add_broadcast(node_id, path, payload)
                     if linked:
-                        key = (node_id, STAGE_REGULAR, seq)
-                        for target in range(n):
-                            dispatch(
-                                Envelope(node_id, target, path, payload, beat),
-                                key,
-                            )
-                    else:
-                        traffic.broadcast(node_id, seq, path, payload)
+                        everyone = dict.fromkeys(self._correct, payload)
+                        reached = rule(node_id, path, everyone)
+                        if reached is not everyone:
+                            traffic.row(node_id, seq, path, reached)
+                            continue
+                    traffic.broadcast(node_id, seq, path, payload)
                 else:
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
                     if adversary_active and receiver in faulty_set:
                         visible.add_envelope(envelope)
-                    dispatch(envelope, (node_id, STAGE_REGULAR, seq))
+                    if receiver in nodes and (
+                        not linked
+                        or rule(node_id, path, {receiver: payload}, envelope)
+                    ):
+                        traffic.stray(
+                            receiver, (node_id, STAGE_REGULAR, seq), envelope
+                        )
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
             crafted = craft_byzantine(simulation.world, beat, visible)
             stats.record_block(crafted, honest=False)
-            if linked:
-                for seq, envelope in enumerate(crafted):
-                    dispatch(envelope, (envelope.sender, STAGE_REGULAR, seq))
-            else:
-                traffic.crafted(crafted.records, nodes)
+            records = crafted.records
+            if linked:  # each record minus the copies the link held
+                records = [
+                    Row(r.sender, r.path, rule(*r)) if type(r) is Row else r
+                    for r in records
+                    if type(r) is Row
+                    or rule(r.sender, r.path, {r.receiver: r.payload}, r)
+                ]
+            traffic.crafted(records, nodes)
 
         # -- delayed arrivals now due -------------------------------------
         for receiver, key, envelope in self._in_flight.pop(beat, ()):
-            strays.setdefault(receiver, {}).setdefault(
-                envelope.path, []
-            ).append((key, envelope))
+            traffic.stray(receiver, key, envelope)
 
         # -- phantom delivery (stale traffic: no link rules on it) ---------
         if self._pending_phantoms:

@@ -39,14 +39,18 @@ Determinism contract
 --------------------
 
 Link decisions must be reproducible across engines, worker counts and
-object identities, yet the two engines classify a beat's envelopes in
-different global orders (the fast engine expands broadcast fan-outs
-lazily).  Models therefore draw *keyed* randomness instead of consuming a
-sequential stream: every random choice hashes ``(link seed, sender,
-receiver, per-link emission counter, label)`` through
-:func:`~repro.net.rng.derive_seed`.  The emission counter (and any other
-mutable state: FIFO clamps, burst regimes) is keyed per directed link
-``(sender, receiver)``, and engines guarantee that envelopes of one
+object identities, yet engines are free to classify a beat's envelopes
+in different global orders.  Models therefore draw *keyed* randomness
+instead of consuming a sequential stream: every random choice hashes
+the link seed, the model name and a label path — for a per-copy draw
+``(sender, receiver, per-link emission counter, label)`` — in
+:func:`~repro.net.rng.derive_seed`'s byte layout.  A model hashes each
+directed link's prefix ``(seed, name, sender, receiver)`` once
+(:func:`~repro.net.rng.seed_prefix`) and each copy's draw only its
+suffix (:func:`~repro.net.rng.seed_from`) — the same bytes, so the same
+bits, as ``derive_seed`` over the whole path.  The emission counter (and any
+other mutable state: FIFO clamps, burst regimes) is keyed per directed
+link ``(sender, receiver)``, and engines guarantee that envelopes of one
 directed link are classified in emission order — so per-envelope draws
 are independent *and* identical whichever engine executes the run,
 whatever global order it classifies envelopes in.
@@ -65,7 +69,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
-from repro.net.rng import derive_seed
+from repro.net.rng import label_bytes, seed_from, seed_prefix
 
 __all__ = [
     "DEFAULT_LINK",
@@ -81,8 +85,14 @@ __all__ = [
     "resolve_link",
 ]
 
-#: Scale factor turning a 64-bit :func:`derive_seed` digest into [0, 1).
+#: Scale factor turning a 64-bit :func:`~repro.net.rng.derive_seed`
+#: digest into [0, 1).
 _UNIFORM_SCALE = float(2**64)
+
+#: Per-copy suffixes after a link's key prefix, pre-rendered:
+#: ``label_bytes(seq)`` and ``label_bytes(seq, "loss")``.
+_DELAY_SUFFIX = b"/%d"
+_LOSS_SUFFIX = b"/%d/'loss'"
 
 
 class LinkModel:
@@ -108,11 +118,13 @@ class LinkModel:
     def __init__(self) -> None:
         self._n: int | None = None
         self._seed = 0
-        #: Per directed link: envelopes classified so far.  Engines call
-        #: :meth:`classify` in emission order per link, so this counter is
-        #: an engine-independent per-envelope discriminator for keyed
-        #: draws (two messages on one link in one beat draw independently).
-        self._emitted: dict[tuple[int, int], int] = {}
+        #: Per directed link: ``[envelopes classified so far, its key
+        #: prefix]``.  Engines call :meth:`classify` in emission order per
+        #: link, so the counter is an engine-independent per-envelope
+        #: discriminator for keyed draws (two messages on one link in one
+        #: beat draw independently); the prefix — ``(seed, name, sender,
+        #: receiver)`` — is hashed once per link, each draw its suffix.
+        self._links: dict[tuple[int, int], list] = {}
 
     def bind(self, n: int, seed: int) -> None:
         """Couple this model to one simulation before the first beat."""
@@ -125,6 +137,7 @@ class LinkModel:
             raise ConfigurationError(f"need at least one node, got n={n}")
         self._n = n
         self._seed = seed
+        self._prefix = seed_prefix(seed, self.name)
 
     def classify(self, sender: int, receiver: int, beat: int) -> int | None:
         """Rule on one envelope: ``None`` drops it, ``d >= 0`` delivers it
@@ -153,20 +166,21 @@ class LinkModel:
 
     # -- keyed randomness --------------------------------------------------
 
-    def _link_seq(self, sender: int, receiver: int) -> int:
-        """Bump and return the directed link's emission counter."""
-        link = (sender, receiver)
-        seq = self._emitted.get(link, 0)
-        self._emitted[link] = seq + 1
-        return seq
+    def _link_seq(self, sender: int, receiver: int) -> "tuple[int, object]":
+        """Bump the directed link's emission counter: its value before
+        the bump, and the link's key prefix."""
+        record = self._links.get((sender, receiver))
+        if record is None:
+            record = self._links[sender, receiver] = [
+                0, seed_prefix(self._seed, self.name, sender, receiver)
+            ]
+        seq = record[0]
+        record[0] = seq + 1
+        return seq, record[1]
 
     def _uniform(self, *labels: object) -> float:
         """A [0, 1) draw keyed by the link seed and ``labels``."""
-        return derive_seed(self._seed, self.name, *labels) / _UNIFORM_SCALE
-
-    def _randrange(self, bound: int, *labels: object) -> int:
-        """A {0, .., bound-1} draw keyed by the link seed and ``labels``."""
-        return derive_seed(self._seed, self.name, *labels) % bound
+        return seed_from(self._prefix, label_bytes(*labels)) / _UNIFORM_SCALE
 
     def describe(self) -> str:
         """Human-readable parameterization for labels and tables."""
@@ -210,8 +224,8 @@ class BoundedDelayLinks(LinkModel):
     def classify(self, sender: int, receiver: int, beat: int) -> int | None:
         if self.max_delay == 0:
             return 0
-        seq = self._link_seq(sender, receiver)
-        delay = self._randrange(self.max_delay + 1, sender, receiver, seq)
+        seq, prefix = self._link_seq(sender, receiver)
+        delay = seed_from(prefix, _DELAY_SUFFIX % seq) % (self.max_delay + 1)
         link = (sender, receiver)
         due = max(beat + delay, self._frontier.get(link, 0))
         self._frontier[link] = due
@@ -276,12 +290,12 @@ class LossyLinks(LinkModel):
         return bad
 
     def classify(self, sender: int, receiver: int, beat: int) -> int | None:
-        seq = self._link_seq(sender, receiver)
+        seq, prefix = self._link_seq(sender, receiver)
         if self.burst_enter and self._bursting(sender, receiver, beat):
             return None
         if (
             self.loss
-            and self._uniform(sender, receiver, seq, "loss") < self.loss
+            and seed_from(prefix, _LOSS_SUFFIX % seq) / _UNIFORM_SCALE < self.loss
         ):
             return None
         return 0
@@ -424,11 +438,11 @@ class MobilityLinks(LinkModel):
     network, varying beat by beat.
 
     Determinism: waypoint ``ℓ`` of node ``i`` is a keyed draw
-    ``derive_seed(seed, "mobility", axis, i, ℓ)`` and a position is pure
-    interpolation between consecutive waypoints, so :meth:`position` —
-    and hence every ruling — is a pure function of ``(seed, node,
-    beat)``.  No emission counters, no per-link state: campaigns
-    reproduce across engines and worker counts by construction.
+    ``derive_seed(seed, "mobility", axis, i, ℓ)``, remembered once drawn,
+    and a position is pure interpolation between consecutive waypoints,
+    so :meth:`position` — and hence every ruling — is a pure function of
+    ``(seed, node, beat)``.  No emission counters, no per-link state:
+    campaigns reproduce across engines and worker counts by construction.
 
     Args:
         world: side length of the square world.
@@ -456,12 +470,17 @@ class MobilityLinks(LinkModel):
         self.world = float(world)
         self.radius = float(radius)
         self.leg_beats = int(leg_beats)
+        #: (node, leg) -> its waypoint, drawn once.
+        self._waypoints: dict[tuple[int, int], tuple[float, float]] = {}
 
     def _waypoint(self, node: int, leg: int) -> tuple[float, float]:
-        return (
-            self._uniform("wx", node, leg) * self.world,
-            self._uniform("wy", node, leg) * self.world,
-        )
+        point = self._waypoints.get((node, leg))
+        if point is None:
+            point = self._waypoints[node, leg] = (
+                self._uniform("wx", node, leg) * self.world,
+                self._uniform("wy", node, leg) * self.world,
+            )
+        return point
 
     def position(self, node: int, beat: int) -> tuple[float, float]:
         """Node's world coordinates at ``beat`` (pure keyed function)."""

@@ -11,10 +11,12 @@ component path, and :class:`BeatTraffic` holds it that way:
   receiver reads as it is (honest code never looks at ``receiver`` and
   never writes an inbox);
 * a crafted :class:`~repro.net.message.Row` stays a **row**: it is
-  expanded once per *class* of receivers, never once per receiver;
+  expanded once per *class* of receivers, never once per receiver — and
+  so is a broadcast a link model held some copies of (dropped or
+  delayed), as the row of the receivers it still reaches this beat;
 * everything addressed to one node — point-to-point sends, crafted
-  envelopes, phantoms, copies a link model ruled on or delayed — is that
-  receiver's **stray**.
+  envelopes, phantoms, delayed copies arriving — is that receiver's
+  **stray**.
 
 :meth:`BeatTraffic.inboxes` answers with the lanes dict itself for a
 receiver that got nothing of its own.  Otherwise each path it was handed
@@ -76,8 +78,6 @@ class BeatTraffic:
         #: path -> [(key, receiver -> payload)], in emission order.
         self._rows: dict[str, list[tuple[Key, Mapping[int, Hashable]]]] = {}
         #: receiver -> path -> [(key, envelope)]: what :meth:`stray` files.
-        #: A filler that rules on every copy of a beat (an engine under a
-        #: link model: n² of them) may file in place and save the call.
         self.strays: dict[int, dict[str, list[tuple[Key, Envelope]]]] = {}
         #: path -> (its distinct row mappings, class key -> merged inbox).
         self._classes: dict[str, tuple[list[Mapping], dict[tuple, Inbox]]] = {}
@@ -101,6 +101,16 @@ class BeatTraffic:
             envelope.path, []
         ).append((key, envelope))
 
+    def row(
+        self, sender: int, order: int, path: str,
+        payloads: Mapping[int, Hashable],
+    ) -> None:
+        """One record's copies, receiver -> payload, as a row on ``path``
+        — for a broadcast that reaches some receivers only."""
+        self._rows.setdefault(path, []).append(
+            ((sender, STAGE_REGULAR, order), payloads)
+        )
+
     def crafted(
         self, records: "Iterable[Row | Envelope]", receivers: Container[int]
     ) -> None:
@@ -111,9 +121,7 @@ class BeatTraffic:
         materialized list would."""
         for order, record in enumerate(records):
             if type(record) is Row:
-                self._rows.setdefault(record.path, []).append(
-                    ((record.sender, STAGE_REGULAR, order), record.payloads)
-                )
+                self.row(record.sender, order, record.path, record.payloads)
             elif record.receiver in receivers:
                 self.stray(
                     record.receiver,

@@ -9,6 +9,15 @@ suite relies on heavily.
 
 Streams are derived with SHA-256 over a label, *not* Python's built-in
 ``hash``, so results do not depend on ``PYTHONHASHSEED``.
+
+The byte layout — the master seed in decimal, then ``/`` and the ``repr``
+of each label — is written once, in prefix form: :func:`seed_prefix` is
+the hash state over the master seed and the *leading* labels, and
+:func:`seed_from` finishes a copy of it with the rest, already rendered
+by :func:`label_bytes`.  A caller that draws many times under one prefix
+(a link model, once per directed link) hashes each draw's suffix only;
+:func:`derive_seed` is the prefix form with no leading labels, so both
+give the same bits.
 """
 
 from __future__ import annotations
@@ -17,21 +26,37 @@ import hashlib
 import random
 from typing import Iterator
 
-__all__ = ["derive_seed", "SeedSequence"]
+__all__ = ["derive_seed", "label_bytes", "seed_from", "seed_prefix", "SeedSequence"]
+
+
+def label_bytes(*labels: object) -> bytes:
+    """A label path as :func:`derive_seed` hashes it, after the master
+    seed: ``/`` and the ``repr`` of each label, so ints, strings and
+    tuples all render stably."""
+    return b"".join([b"/" + repr(label).encode("utf-8") for label in labels])
+
+
+def seed_prefix(master_seed: int, *labels: object) -> "hashlib._Hash":
+    """The hash state ``derive_seed(master_seed, *labels, ...)`` has
+    reached after ``labels``; never finish it in place — see
+    :func:`seed_from`."""
+    return hashlib.sha256(
+        str(int(master_seed)).encode("utf-8") + label_bytes(*labels)
+    )
+
+
+def seed_from(prefix: "hashlib._Hash", suffix: bytes) -> int:
+    """The 64-bit seed of ``prefix`` followed by ``suffix`` (the
+    :func:`label_bytes` of the remaining labels); ``prefix`` is copied,
+    not consumed."""
+    digest = prefix.copy()
+    digest.update(suffix)
+    return int.from_bytes(digest.digest()[:8], "big")
 
 
 def derive_seed(master_seed: int, *labels: object) -> int:
-    """Derive a 64-bit child seed from ``master_seed`` and a label path.
-
-    The label path is rendered with ``repr`` so ints, strings and tuples all
-    produce stable, collision-resistant derivations.
-    """
-    digest = hashlib.sha256()
-    digest.update(str(int(master_seed)).encode("utf-8"))
-    for label in labels:
-        digest.update(b"/")
-        digest.update(repr(label).encode("utf-8"))
-    return int.from_bytes(digest.digest()[:8], "big")
+    """Derive a 64-bit child seed from ``master_seed`` and a label path."""
+    return seed_from(seed_prefix(master_seed), label_bytes(*labels))
 
 
 class SeedSequence:

@@ -60,3 +60,40 @@ def test_a_directory_parent_runs_in_place_and_adds_no_worktree(
     assert _worktrees() == before
     table = capsys.readouterr().out
     assert "sim-bulk-byz     beats_per_s" in table and "2/2" in table
+    assert "per-layer" not in table
+
+
+def test_traced_adds_one_traced_child_per_side_per_pair(tmp_path, monkeypatch,
+                                                        capsys):
+    """``--traced`` runs a traced child after each side's untraced one and
+    prints both medians of every per-layer metric some side reports."""
+    contract = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, traced=False):
+        calls.append((pathlib.Path(tree) == REPO_ROOT, traced))
+        speed = 2.0 if tree == REPO_ROOT else 1.0
+        values = {metric["name"]: speed for metric in contract["end_to_end"]}
+        if traced:
+            values = {"engine.self_ms_per_beat": 4.0 / speed}
+        return {
+            "values": values, "ops": 3, "digest": "d", "counts": {},
+            "correct": True, "failed_ops": 0,
+        }
+
+    monkeypatch.setattr(ledger_pairs, "run_once", run_once)
+    code = ledger_pairs.main([
+        "--parent", str(tmp_path), "--workloads", "campaign-short",
+        "--pairs", "2", "--traced",
+    ])
+    assert code == 0
+    assert calls == [
+        (False, False), (True, False), (False, True), (True, True),
+        (True, False), (False, False), (True, True), (False, True),
+    ]
+    table = capsys.readouterr().out
+    assert "per-layer medians" in table
+    layer = [line for line in table.splitlines()
+             if line.startswith("campaign-short   engine.self_ms_per_beat")]
+    assert len(layer) == 1 and "0.500x" in layer[0]
+    assert "linkmodel.classify_ms_per_trial" not in table  # zero on both

@@ -14,20 +14,26 @@ Beside each ``fast`` digest sits a count: the distinct non-empty inbox
 *objects* handed out, summed over (beat, path).  Receivers of one class
 read one object (the protocol tower counts an inbox once per object), so
 a class key that stops sharing moves the count while every digest holds.
+The counts of the linked scenarios were lowered, digests untouched, when
+a record a link model holds copies of stopped being expanded per copy.
 """
 
 from __future__ import annotations
 
 import hashlib
+from types import SimpleNamespace
 
 import pytest
 
+import repro.net.engine as engine_module
 from repro.adversary.strategies import ScriptedAdversary
 from repro.analysis.campaign import ADVERSARY_REGISTRY, ScenarioSpec
 from repro.net.events import ContinuousSimulation
-from repro.net.linkmodel import make_link
+from repro.net.linkmodel import LossyLinks, make_link
 from repro.net.message import Envelope
+from repro.net.network import MessageStats
 from repro.net.node import Node
+from repro.net.plane import BeatTraffic
 from repro.net.simulator import Simulation
 
 K = 8
@@ -196,19 +202,19 @@ FAST = {
 FAST_PINS: dict[str, tuple[str, int]] = {
     "adaptive-delay": (
         "3b8866f0fb4771b6c38c4319af568604e84918c2750a29a8d8fd0b50446919af",
-        242,
+        241,
     ),
     "adaptive-lossy": (
         "7776e181ed7dedfc7e7c992dde1632803950d886a9262b78a57e6f0c8efeaaae",
-        268,
+        165,
     ),
     "adaptive-mobility": (
         "a60dac77b7710811ccb07f8031c98a67ef71d1817bb65bcbd1a3a34d2c3a18b5",
-        234,
+        166,
     ),
     "adaptive-partition": (
         "124dcd231b46947b0004fb4ce9c31e23a4f3358ba69236412e0c106e8c9bbd18",
-        93,
+        48,
     ),
     "adaptive-perfect": (
         "330eddcb08273ba6bcc9cb95ea14b809f6c1d004b6860ea793d38bdc2381d01e",
@@ -216,11 +222,11 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "churn-delay": (
         "14711de2ddae72eab09574e74c4337712403671d2399947234ed1a61ceee009b",
-        211,
+        209,
     ),
     "churn-lossy": (
         "f307b0498140583d8781bceaa36886c0b386e06579346c3ebd291950ff4c4788",
-        179,
+        140,
     ),
     "churn-perfect": (
         "94abe9b0a1ceb3ec44b6c3a20ff72267c3f42c31b6ab8bf343a9677bacef5da4",
@@ -232,15 +238,15 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "crash-lossy": (
         "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
-        169,
+        89,
     ),
     "crash-mobility": (
         "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
-        162,
+        109,
     ),
     "crash-partition": (
         "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
-        72,
+        25,
     ),
     "crash-perfect": (
         "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
@@ -252,15 +258,15 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "dealer-attack-lossy": (
         "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
-        169,
+        89,
     ),
     "dealer-attack-mobility": (
         "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
-        162,
+        109,
     ),
     "dealer-attack-partition": (
         "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
-        72,
+        25,
     ),
     "dealer-attack-perfect": (
         "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
@@ -268,19 +274,19 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "equivocator-delay": (
         "c80eded3b7dd43d7ef45c2f62817ede639a86e9d138e07f21668940611fac295",
-        214,
+        212,
     ),
     "equivocator-lossy": (
         "e6146914165d206007bda6914339fbf2fb6b2941c0e0e5e12e17d9c3db2edbbc",
-        243,
+        188,
     ),
     "equivocator-mobility": (
         "b80f6c070247f6341b03b3fff040c59ab4f820589fbe469065d60deb5970ab87",
-        216,
+        184,
     ),
     "equivocator-partition": (
         "0bd610b9b99103d54c62766e63d17f0c67a8ea2519276b4627f3240012374dcc",
-        91,
+        49,
     ),
     "equivocator-perfect": (
         "425c268e62d6c12f6f3cbe52a7ff959b4838af5cb0139d33f0b3307a52992a90",
@@ -292,7 +298,7 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "gvss-equivocator-lossy": (
         "f4c472d3cf014dc6126c1808f7d469cabee0dd51e3f727870b550707723dd434",
-        225,
+        203,
     ),
     "gvss-mixed-dealing": (
         "a9f6b4accb7f421b7c39668a40f6b1828cdce098e5e2d2b50e9022bddcea256d",
@@ -304,15 +310,15 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "mixed-dealing-lossy": (
         "75ce54f65273e30a444351b357ad8573482475a3f5a94cf3269816e723fede6b",
-        169,
+        89,
     ),
     "mixed-dealing-mobility": (
         "5d780dd6e31e6a4ff02f441a8b1b0e5fac092be95192dfa30e770f3bbf14022b",
-        162,
+        109,
     ),
     "mixed-dealing-partition": (
         "4825ef6599eac5bd6370d9f08733347bf3f4cfff7d80d370c51ddc2f914b8b33",
-        72,
+        25,
     ),
     "mixed-dealing-perfect": (
         "2a8614ba264d6657a9651bdc631fc800b0a33ec56101d846b90dda0354356733",
@@ -320,19 +326,19 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "noise-delay": (
         "3c627a15c702be2020dd56d094c84da8f7ce85b1226f8596940a0117894d8797",
-        224,
+        222,
     ),
     "noise-lossy": (
         "a84779c1fed182e4993c3d0ecd2ab553fb657b018d3fc014032f09a42ec4f559",
-        225,
+        223,
     ),
     "noise-mobility": (
         "1ba6b3a30be6633cd8ccacc4e061f9c7d602550e295859b412a346cc4770b6c3",
-        180,
+        178,
     ),
     "noise-partition": (
         "596cce85b3681d693456fbbfcfc79e9a92390a87d42eb16b18fe65e6db6a3f1f",
-        166,
+        130,
     ),
     "noise-perfect": (
         "26b5b67a6057a88f7dccafeeafad3f4b896b2fd88e48e963d7c35c5f07355a12",
@@ -344,7 +350,7 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "phantoms-blanket-delay": (
         "3d2ffb73369d2733b0b9a0f622964f3f9b55f7eaf6f44299f1dc6cb3253ea83d",
-        243,
+        241,
     ),
     "phantoms-private": (
         "baa012d3a180aa8ae1172b14b3ccfdf097cbdea8b89e50da643f380cd051e703",
@@ -352,23 +358,23 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "phantoms-private-lossy": (
         "f2524acf0cfda06f1ad7104f9053a8ae889ad9e0c10b260d513780baddc83106",
-        360,
+        250,
     ),
     "scripted-delay": (
         "49d90894351b0ed7dab23d9b44bcb9cdab7ddf48c3fe95e723f43d1c2bff5269",
-        304,
+        300,
     ),
     "scripted-lossy": (
         "91ee1e69aa00aabf39e8092967e1cbefcc8c1a6e6d378eae3647bd7a2494f3e4",
-        368,
+        204,
     ),
     "scripted-mobility": (
         "f556c37456e76d44d2ebd8e46f3d706773fd641847ad45cdf0cdaa95776e9db8",
-        355,
+        231,
     ),
     "scripted-partition": (
         "c5ba234871e317fb55f325e854c48b44882b7d95a5b0e64bdfdaba638d2ecb32",
-        184,
+        137,
     ),
     "scripted-perfect": (
         "b30ad5f28f5c68450b26d2bbfb03cadfb5dcf261491a5493dbf7e25fd446c6f6",
@@ -380,23 +386,23 @@ FAST_PINS: dict[str, tuple[str, int]] = {
     ),
     "share-coin-delay": (
         "aa61bbcca071884abdb08001285cba02342daed906d8b31a322e2e6e12f50001",
-        360,
+        349,
     ),
     "split-world-delay": (
         "213eb78d10b57175938c87fe09f668f6ab9a9438812e7623925b82d4cea43070",
-        263,
+        260,
     ),
     "split-world-lossy": (
         "54246cae1cd5a14c12b1e8719842e8209c4415017551bb46a8495c6682ab0888",
-        216,
+        175,
     ),
     "split-world-mobility": (
         "3d13113eedf9ec886247645cfb365494c812b776aaa0bb5679e33a8759a99d6c",
-        216,
+        186,
     ),
     "split-world-partition": (
         "5ae7d781074c42b69251e6160f7829c6b90f4b7ff8e9737a4cdbc57d3d90df5b",
-        91,
+        42,
     ),
     "split-world-perfect": (
         "e0c2dd98ef7d587b239f2923071dd6b5a35ab5327206f856b2312658c292e573",
@@ -413,6 +419,154 @@ def test_fast_hands_out_what_it_did_and_what_the_reference_does(
     assert (digest, objects) == FAST_PINS[scenario]
     reference, _ = _fast_run(monkeypatch, "reference", **FAST[scenario])
     assert reference == digest
+
+
+# -- linked beats in shared form ---------------------------------------------
+
+#: What ``classify`` is asked on the guard's run below, recorded while
+#: every copy was still expanded and dispatched on its own: (calls,
+#: sha256 over ``repr([(sender, receiver, beat, ruling), ...])``).
+LINKED_CALLS = (
+    4740, "8da4c7473a3f6ef4d5575dea985ec4ebac8958850ca23120e5338fa67d3e2cca"
+)
+#: ...and the copies it dropped, out of 5056 sent.
+LINKED_DROPPED = 100
+
+
+class TestLinkedBeatsShareForm:
+    """A lossy beat classifies every copy but builds only the ones the
+    link holds, and what still arrives stays shared: n=16, f=5,
+    fault-free (every node correct), ``lossy(p=0.02)``, ``fast``, ten
+    beats from a scramble.  Faulty receivers and crafted records are the
+    last case's, under a scripted adversary."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        seen = SimpleNamespace(built=0, calls=[], lost={}, handed=[], beats={})
+        envelope = engine_module.Envelope
+
+        def counted(*fields):
+            seen.built += 1
+            return envelope(*fields)
+
+        class Recorded(BeatTraffic):
+            def __init__(self, beat):
+                super().__init__(beat)
+                seen.beats[beat] = self
+
+        classify = LossyLinks.classify
+
+        def asked(link, sender, receiver, beat):
+            ruling = classify(link, sender, receiver, beat)
+            seen.calls.append((sender, receiver, beat, ruling))
+            return ruling
+
+        record_dropped = MessageStats.record_dropped
+
+        def dropped(stats, copy):
+            seen.lost.setdefault((copy.beat, copy.path), {}).setdefault(
+                copy.receiver, []
+            ).append(copy.sender)
+            record_dropped(stats, copy)
+
+        update_phase = Node.update_phase
+
+        def handed(node, beat, delivered):
+            seen.handed.append((beat, node.node_id, delivered))
+            return update_phase(node, beat, delivered)
+
+        monkeypatch.setattr(engine_module, "Envelope", counted)
+        monkeypatch.setattr(engine_module, "BeatTraffic", Recorded)
+        monkeypatch.setattr(LossyLinks, "classify", asked)
+        monkeypatch.setattr(MessageStats, "record_dropped", dropped)
+        monkeypatch.setattr(Node, "update_phase", handed)
+        config = ScenarioSpec(n=16, f=5, k=K).build_config()
+        seen.sim = Simulation(
+            16, 5, config.protocol_factory, seed=0, engine="fast",
+            link=make_link("lossy", {"loss": 0.02}),
+        )
+        seen.sim.scramble()
+        for _ in range(10):
+            seen.sim.run_beat()
+        return seen
+
+    def test_builds_only_the_copies_it_holds(self, run):
+        stats = run.sim.stats
+        assert run.built == stats.dropped_messages + stats.delayed_messages
+        assert run.built == LINKED_DROPPED
+        assert stats.total_messages == 5056
+
+    def test_classify_is_asked_what_it_was(self, run):
+        calls = run.calls
+        digest = hashlib.sha256(repr(calls).encode()).hexdigest()
+        assert (len(calls), digest) == LINKED_CALLS
+        assert all(s != r for s, r, _, _ in calls)  # loopback is perfect
+
+    def test_equal_losses_share_and_no_loss_is_the_lane(self, run):
+        """On a path nobody lost a copy on, every receiver reads the lane
+        object itself; where copies were lost, receivers who lost the same
+        ones read one object — the full inbox less exactly those — and
+        receivers who lost different ones read different objects."""
+        clean = lossy = 0
+        by_cell: dict = {}
+        for beat, node, delivered in run.handed:
+            for path, inbox in delivered.items():
+                lost = run.lost.get((beat, path), {})
+                if not lost:
+                    clean += 1
+                    assert inbox is run.beats[beat].lanes[path]
+                    continue
+                lossy += 1
+                assert inbox is not run.beats[beat].lanes.get(path)
+                senders = tuple(lost.get(node, ()))
+                by_cell.setdefault((beat, path), {}).setdefault(
+                    senders, []
+                ).append(inbox)
+        assert clean and lossy
+        for classes in by_cell.values():
+            objects = {key: {id(i) for i in inboxes}
+                       for key, inboxes in classes.items()}
+            assert all(len(ids) == 1 for ids in objects.values())
+            assert len(set().union(*objects.values())) == len(objects)
+            full = classes.get(())
+            if full is None:
+                continue
+            for senders, (inbox, *_) in classes.items():
+                expected = [e.sender for e in full[0]]
+                for sender in senders:
+                    expected.remove(sender)
+                assert [e.sender for e in inbox] == expected
+
+    def test_crafted_records_keep_their_order_under_a_link(self, monkeypatch):
+        """One sender's stray, its row, its stray again, behind another
+        sender's row: the order the reference engine delivers under
+        ``lossy(p=0.3)``, where every record loses some copies."""
+        a, b = N - 1, N - 2
+        script = {
+            beat: [
+                (b, None, "root", {r: ("b", r % 2) for r in range(N)}),
+                (a, 3, "root", "before"),
+                (a, None, "root", {r: ("a", beat) for r in range(N)}),
+                (a, 3, "root", "after"),
+                (a, 4, "root/A", "aside"),
+            ]
+            for beat in range(BEATS)
+        }
+        digests = []
+        for engine in ("fast", "reference"):
+            with monkeypatch.context() as patch:
+                handed = _Handed(patch)
+                sim = Simulation(
+                    N, F, ScenarioSpec(n=N, f=F, k=K).build_config()
+                    .protocol_factory, seed=3, engine=engine,
+                    adversary=ScriptedAdversary(script),
+                    link=make_link("lossy", {"loss": 0.3}),
+                )
+                sim.scramble()
+                sim.run(BEATS)
+            digests.append(handed.digest(sim.stats))
+            assert sim.stats.dropped_messages
+        assert digests[0] == digests[1]
 
 
 # -- the event engine --------------------------------------------------------

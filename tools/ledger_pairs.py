@@ -1,7 +1,7 @@
 """Alternating parent/change pairs of the beat ledger, as one table.
 
     python tools/ledger_pairs.py --parent REV|DIR [--workloads W ...]
-        [--pairs 10] [--seed S]
+        [--pairs 10] [--seed S] [--traced]
 
 Checks ``REV`` out into a temporary ``git worktree`` — or, when the
 argument names a directory, takes that directory (a ``git clone`` or
@@ -20,6 +20,13 @@ medians.  ``--agree`` is symmetric — it names a pair that moved beyond
 its bound in either direction — so a claimed gain reads ``DISAGREE``
 beside a high win count, and a regression reads ``DISAGREE`` beside a
 low one.  Every run made is in the table; nothing is discarded.
+
+``--traced`` also runs one traced child (``--trace 1``) per side per
+pair and prints, below the end-to-end table, both medians of every
+per-layer metric ``BENCHMARK.json`` declares that either side's traced
+runs report as non-zero — so a PR quotes ``engine.self_ms_per_beat`` or
+``linkmodel.classify_ms_per_trial`` from the same pairs as its
+``beats_per_s``.  Without it the output is what it always was.
 
 Exit code 0 when every run on both sides reported ``correct``.
 """
@@ -44,14 +51,16 @@ LEDGER = pathlib.Path("benchmarks") / "ledger" / "run.py"
 _DISAGREE = re.compile(r"^DISAGREE \((?P<metric>[^,]+), (?P<workload>[^)]+)\)")
 
 
-def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run of ``workload`` by ``tree``'s ledger: the child's
-    full result (values, digest, counts), as ``run.py`` itself reads it."""
+def run_once(tree: pathlib.Path, workload: str, seed: int, seconds: float,
+             traced: bool = False) -> dict:
+    """One run of ``workload`` by ``tree``'s ledger, untraced unless
+    ``traced``: the child's full result (values, digest, counts), as
+    ``run.py`` itself reads it."""
     done = subprocess.run(
         [
             sys.executable, str(tree / LEDGER), "--child",
             "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0",
+            "--seconds", str(seconds), "--trace", str(int(traced)),
         ],
         env=dict(os.environ, PYTHONHASHSEED="0"),
         stdout=subprocess.PIPE, text=True, check=True,
@@ -104,6 +113,27 @@ def agree_verdicts(sets: "list[dict]", scratch: pathlib.Path) -> "tuple[set, str
     return named, done.stdout
 
 
+def print_layers(traced: "dict[str, dict[str, list[dict]]]",
+                 declared: "list[dict]", workloads: "list[str]") -> None:
+    """Both sides' medians of each declared per-layer metric that either
+    side's traced runs report as non-zero (a layer idle on a workload
+    reads zero on both)."""
+    print("per-layer medians, one traced child per side per pair:")
+    print(f"{'workload':<16} {'metric':<36} {'parent':>10} {'change':>10} "
+          f"{'change/parent':>13}")
+    for name in workloads:
+        for metric in declared:
+            key = metric["name"]
+            parent, change = (
+                statistics.median(r["values"].get(key, 0) for r in traced[side][name])
+                for side in ("parent", "change")
+            )
+            if parent or change:
+                ratio = f"{change / parent:>12.3f}x" if parent else f"{'-':>13}"
+                print(f"{name:<16} {key:<36} {parent:>10.6g} {change:>10.6g} "
+                      f"{ratio} {metric['unit']}")
+
+
 @contextlib.contextmanager
 def parent_tree(parent: str, scratch: pathlib.Path):
     """The tree the parent side runs: ``parent`` itself when it names a
@@ -138,6 +168,11 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workloads", nargs="+", choices=names, default=names)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--traced", action="store_true",
+        help="also run one traced child per side per pair and print the "
+        "per-layer medians",
+    )
     args = parser.parse_args(argv)
     seconds = contract["run_seconds"]
     metrics = contract["end_to_end"]
@@ -147,6 +182,7 @@ def main(argv: "list[str] | None" = None) -> int:
         with parent_tree(args.parent, scratch) as tree:
             trees = {"parent": tree, "change": REPO_ROOT}
             runs = {side: {name: [] for name in args.workloads} for side in trees}
+            traced = {side: {name: [] for name in args.workloads} for side in trees}
             for pair in range(args.pairs):
                 order = ("parent", "change")
                 if pair % 2:
@@ -156,6 +192,12 @@ def main(argv: "list[str] | None" = None) -> int:
                         runs[side][name].append(
                             run_once(trees[side], name, args.seed, seconds)
                         )
+                    if args.traced:
+                        for side in order:
+                            traced[side][name].append(run_once(
+                                trees[side], name, args.seed, seconds,
+                                traced=True,
+                            ))
                     print(
                         f"pair {pair + 1}/{args.pairs} {name}: " + ", ".join(
                             f"{side} {runs[side][name][-1]['values']['beats_per_s']:.4g}"
@@ -198,10 +240,13 @@ def main(argv: "list[str] | None" = None) -> int:
                 f"{third - first:>10.3g} {won:>3}/{args.pairs:<2}  "
                 + ("DISAGREE" if (key, name) in named else "agree")
             )
+    if args.traced:
+        print_layers(traced, contract["per_layer"], args.workloads)
     print(agree_text, end="")
     failed = [
         (side, name)
-        for side in runs for name, results in runs[side].items()
+        for kind in (runs, traced) for side in kind
+        for name, results in kind[side].items()
         if not all(r["correct"] and not r["failed_ops"] for r in results)
     ]
     for side, name in failed:
