@@ -13,12 +13,7 @@ Run:  python examples/baseline_race.py
 
 from __future__ import annotations
 
-from repro.analysis import (
-    TrialConfig,
-    render_table,
-    run_sweep,
-    standard_families,
-)
+from repro.analysis import ScenarioSpec, render_table, run_sweep
 
 SIZES = [(4, 1), (7, 2), (10, 3)]
 K = 4
@@ -26,16 +21,9 @@ SEEDS = range(6)
 MAX_BEATS = 400
 
 
-def measure(family: str, n: int, f: int) -> str:
-    factory = standard_families(n, f, K)[family]
-    config = TrialConfig(
-        n=n,
-        f=f,
-        k=K,
-        protocol_factory=factory,
-        max_beats=MAX_BEATS,
-    )
-    sweep = run_sweep(config, SEEDS)
+def measure(protocol: str, n: int, f: int) -> str:
+    spec = ScenarioSpec(n=n, f=f, k=K, protocol=protocol, max_beats=MAX_BEATS)
+    sweep = run_sweep(spec, SEEDS)
     if not sweep.latencies:
         return f">{MAX_BEATS}"
     mean = sum(sweep.latencies) / len(sweep.latencies)
@@ -51,7 +39,7 @@ def main() -> None:
                 f"n={n}, f={f}",
                 measure("dolev-welch", n, f),
                 measure("deterministic", n, f),
-                measure("current", n, f),
+                measure("clock-sync", n, f),
             ]
         )
     print(f"mean convergence beats, k={K}, {len(list(SEEDS))} seeds each "

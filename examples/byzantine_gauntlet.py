@@ -11,22 +11,15 @@ Run:  python examples/byzantine_gauntlet.py
 
 from __future__ import annotations
 
-from repro.adversary import (
-    CrashAdversary,
-    EquivocatorAdversary,
-    RandomNoiseAdversary,
-    SplitWorldAdversary,
-)
-from repro.analysis import TrialConfig, render_table, run_sweep, summarize
-from repro.coin.oracle import OracleCoin
-from repro.core.clock_sync import SSByzClockSync
+from repro.analysis import ScenarioSpec, render_table, run_sweep, summarize
 
+#: (row, adversary registry name; ``python -m repro adversaries`` lists them)
 GAUNTLET = [
-    ("fault-free", lambda: None),
-    ("crash (silent)", CrashAdversary),
-    ("random noise", RandomNoiseAdversary),
-    ("equivocator", EquivocatorAdversary),
-    ("split-world + coin control", SplitWorldAdversary),
+    ("fault-free", "none"),
+    ("crash (silent)", "crash"),
+    ("random noise", "noise"),
+    ("equivocator", "equivocator"),
+    ("split-world + coin control", "split-world"),
 ]
 
 
@@ -34,18 +27,18 @@ def main() -> None:
     n, f, k = 7, 2, 32
     seeds = range(10)
     rows = []
-    for name, adversary_factory in GAUNTLET:
-        config = TrialConfig(
+    for name, adversary in GAUNTLET:
+        spec = ScenarioSpec(
             n=n,
             f=f,
             k=k,
-            protocol_factory=lambda i: SSByzClockSync(
-                k, lambda: OracleCoin(p0=0.35, p1=0.35, rounds=3)
-            ),
-            adversary_factory=adversary_factory,
+            adversary=adversary,
+            coin_p0=0.35,
+            coin_p1=0.35,
+            coin_rounds=3,
             max_beats=300,
         )
-        sweep = run_sweep(config, seeds)
+        sweep = run_sweep(spec, seeds)
         summary = summarize([float(v) for v in sweep.latencies])
         rows.append(
             [

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The protocol shootout: every registered protocol, one k-Clock problem.
 
-All five registered protocols (``python -m repro protocols``) race from
+All four registered protocols (``python -m repro protocols``) race from
 fully scrambled memory at n=16, f=5 — the paper's expected-O(1)
 ss-Byz-Clock-Sync against the deterministic O(f) cyclic-agreement clocks
-(turpin-coan with its Table 1 alias, the shorter-cycle bitwise
+(Table 1's cyclic Turpin-Coan row, the shorter-cycle bitwise
 phase-king) and the expected-exponential local-coin Dolev-Welch row.
 The table prints mean stabilization beats and message traffic per
 protocol: Table 1 of the paper, measured through one seam.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import TrialConfig, render_table, run_sweep
+from repro.analysis import ScenarioSpec, render_table, run_sweep
 from repro.core.protocol import PROTOCOLS
 
 K = 8
@@ -29,14 +29,8 @@ MAX_BEATS = 150 if SMOKE else 300
 
 def measure(name: str) -> list[str]:
     protocol = PROTOCOLS[name]
-    config = TrialConfig(
-        n=N,
-        f=F,
-        k=K,
-        protocol_factory=protocol.factory(N, F, K),
-        max_beats=MAX_BEATS,
-    )
-    sweep = run_sweep(config, SEEDS)
+    spec = ScenarioSpec(n=N, f=F, k=K, protocol=name, max_beats=MAX_BEATS)
+    sweep = run_sweep(spec, SEEDS)
     if sweep.latencies:
         mean = sum(sweep.latencies) / len(sweep.latencies)
         latency = f"{mean:.1f}"
@@ -70,10 +64,10 @@ def main() -> None:
     print(
         "\nShapes to notice: the paper's clock-sync stays flat where the\n"
         "deterministic cyclic clocks pay O(f) beats per recovery —\n"
-        "phase-king's 3(f+1)-beat cycle undercuts turpin-coan's\n"
-        "2 + 3(f+1) at a ~log2(k) message premium, and deterministic is\n"
-        "turpin-coan under its Table 1 name — while the local-coin\n"
-        "dolev-welch row stops converging at all once n - f is large.\n"
+        "phase-king's 3(f+1)-beat cycle undercuts deterministic's\n"
+        "2 + 3(f+1) Turpin-Coan cycle at a ~log2(k) message premium —\n"
+        "while the local-coin dolev-welch row stops converging at all\n"
+        "once n - f is large.\n"
         "Reproduce any row: python -m repro run --protocol <name>."
     )
 

@@ -24,8 +24,6 @@ paper-to-code map.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.adversary.base import Adversary
 from repro.analysis.campaign import (
     ScenarioSpec,
@@ -33,7 +31,7 @@ from repro.analysis.campaign import (
     run_campaign,
     scenario_grid,
 )
-from repro.analysis.experiments import TrialConfig, TrialResult, run_trial
+from repro.analysis.experiments import TrialResult, run_trial
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.interfaces import CoinAlgorithm
 from repro.coin.local import LocalCoin
@@ -113,7 +111,6 @@ __all__ = [
     "TRANSPORTS",
     "TcpTransport",
     "Transport",
-    "TrialConfig",
     "TrialResult",
     "coin_by_name",
     "diff_records",
@@ -198,9 +195,6 @@ def synchronize(
         churn=schedule.normalized() if schedule is not None else (),
         timing=tuple(timing) if timing else (),
     )
-    overrides: dict = {"trace": trace}
-    if not isinstance(adversary, str):
-        # The one caller that may hold an adversary *instance*, not a name.
-        overrides["adversary_factory"] = lambda: adversary
-    config = dataclasses.replace(spec.build_config(), **overrides)
-    return run_trial(config, seed)
+    # The one caller that may hold an adversary *instance*, not a name.
+    instance = None if isinstance(adversary, str) else adversary
+    return run_trial(spec, seed, adversary=instance, trace=trace)

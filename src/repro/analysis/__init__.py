@@ -9,12 +9,10 @@ from repro.analysis.campaign import (
     iter_campaign,
     run_campaign,
     scenario_grid,
-    single_scenario_sweep,
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.analysis.experiments import (
     SweepResult,
-    TrialConfig,
     TrialResult,
     run_sweep,
     run_trial,
@@ -43,13 +41,11 @@ __all__ = [
     "Summary",
     "SweepResult",
     "Table1Row",
-    "TrialConfig",
     "TrialResult",
     "campaign_to_json",
     "iter_campaign",
     "run_campaign",
     "scenario_grid",
-    "single_scenario_sweep",
     "geometric_tail_rate",
     "mean",
     "median",

@@ -1,16 +1,18 @@
 """Parallel experiment campaigns over picklable scenario specifications.
 
-:func:`run_sweep` is a closure-heavy, single-process harness — perfect for
-a quick table, unusable for the thousand-trial grids the related work runs
-(precision/latency trade-off sweeps, resynchronization-scenario matrices).
-This module is the scale-out layer on top of the trial harness:
+:func:`~repro.analysis.experiments.run_sweep` runs one scenario's seeds
+in this process — perfect for a quick table, too slow for the
+thousand-trial grids the related work runs (precision/latency trade-off
+sweeps, resynchronization-scenario matrices).  This module holds the one
+description of a simulated run and the scale-out layer on top of the
+trial harness:
 
 * :class:`ScenarioSpec` — a frozen, *picklable* description of one
-  configuration: protocol family, coin, ``(n, f, k)``, adversary, link
-  conditions, fault schedule, beat budget, early-stop policy and engine.
-  Specs cross process boundaries; the per-node component factories they
-  imply are rebuilt inside each worker via the module-level registries
-  below.
+  run: protocol family, coin, ``(n, f, k)``, adversary, link
+  conditions, fault schedule, beat budget, early-stop policy, engine and
+  timing.  Specs cross process boundaries; the per-node component
+  factories they imply are resolved inside each trial via the
+  module-level registries below.
 * :func:`scenario_grid` — expand axes (n, k, adversary, link, protocol)
   into a spec list, deriving ``f = ⌊(n-1)/3⌋`` when not pinned.
 * :func:`iter_campaign` / :func:`run_campaign` — fan one seed-trial out
@@ -32,6 +34,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.adversary import (
     AdaptiveEchoAdversary,
+    Adversary,
     CrashAdversary,
     DealerAttackAdversary,
     EquivocatorAdversary,
@@ -39,20 +42,18 @@ from repro.adversary import (
     RandomNoiseAdversary,
     SplitWorldAdversary,
 )
-from repro.analysis.experiments import (
-    SweepResult,
-    TrialConfig,
-    TrialResult,
-    check_axes,
-    run_trial,
-)
+from repro.analysis.experiments import SweepResult, TrialResult, run_trial
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.interfaces import CoinAlgorithm
 from repro.coin.local import LocalCoin
 from repro.coin.oracle import OracleCoin
-from repro.core.protocol import DEFAULT_PROTOCOL, PROTOCOLS, resolve_protocol
-from repro.errors import ConfigurationError
+from repro.core.protocol import (
+    DEFAULT_PROTOCOL, PROTOCOLS, RootFactory, resolve_protocol,
+)
+from repro.errors import ConfigurationError, check_resilience
 from repro.faults.dynamic import ChurnSchedule
+from repro.net.engine import DEFAULT_ENGINE, resolve_engine
+from repro.net.events import DriftingClock, KeyedDelays
 from repro.net.linkmodel import LINK_MODELS, make_link, normalize_link_params
 
 __all__ = [
@@ -67,7 +68,6 @@ __all__ = [
     "iter_campaign",
     "run_campaign",
     "scenario_grid",
-    "single_scenario_sweep",
 ]
 
 #: Adversary name -> class (``None`` = fault-free).  Names are shared with
@@ -125,25 +125,61 @@ LINK_REGISTRY: tuple[str, ...] = tuple(sorted(LINK_MODELS))
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One run, *named*: plain picklable data, no closures.
+    """One simulated run, *named*: plain picklable data, no closures.
 
-    :meth:`build_config` resolves it into the closure-carrying
-    :class:`~repro.analysis.experiments.TrialConfig`; the fields the two
-    share by name (``n``, ``f``, ``k``, ``max_beats``, ``scramble``,
-    ``scramble_beats``, ``early_stop``, ``closure_window``, ``engine``,
-    ``link``, ``link_params``, ``churn``, ``timing``) are documented
-    there.  What a spec carries instead of factories:
+    The only field list a simulated run has:
+    :func:`~repro.analysis.experiments.run_trial`, ``run_sweep``,
+    campaigns, ``synchronize``, the CLI and the ``ClusterSpec`` workers
+    all describe their run as a spec, and :meth:`validate` is the one
+    statement of the rules on its axes.  Names become objects in one
+    place — :meth:`coin_factory`, :meth:`root_factory` and
+    :meth:`build_adversary`.
 
     Attributes:
+        n, f: system size and fault parameter.
+        k: the clock modulus being solved for.
         protocol: family name from :data:`PROTOCOL_REGISTRY` —
             ``"clock-sync"`` (the paper's algorithm) or any registered
             baseline (see :mod:`repro.core.protocol`).
         coin: a name from :data:`COIN_REGISTRY` (protocols that use a
             coin only).
-        adversary: a name from :data:`ADVERSARY_REGISTRY`.
+        adversary: a name from :data:`ADVERSARY_REGISTRY`; each trial
+            builds a fresh instance.
+        max_beats: give up after this many beats.
+        scramble: apply the worst-case transient fault before beat 0.
+        scramble_beats: fault schedule — additional beats *before* which
+            every correct node is re-scrambled mid-run; convergence is then
+            measured from the last scheduled fault.
+        early_stop: stop once convergence plus a ``closure_window``-beat
+            closure run is confirmed instead of burning the whole budget.
+        closure_window: closure beats (beyond the convergence beat) that
+            must be observed before an early stop.
+        engine: simulation engine name (``"fast"``, ``"reference"`` or
+            ``"bulk"``).
+        link: link-condition model name from :data:`LINK_REGISTRY`
+            (default: the paper's perfect network).
+        link_params: keyword parameters for the link model, as a sorted
+            tuple of ``(name, value)`` pairs so specs stay hashable and
+            picklable (see
+            :func:`~repro.net.linkmodel.normalize_link_params`).
+        churn: membership churn schedule in the normalized tuple form
+            :meth:`~repro.faults.dynamic.ChurnSchedule.normalized` emits
+            — ``(beat, kind, node_ids)`` triples; empty means a static
+            world.  Convergence is measured from the last fault of any
+            kind (scramble *or* membership event).
         share_coin: Remark 4.1's shared coin pipeline (clock-sync only).
         coin_p0, coin_p1, coin_rounds: oracle-coin tuning; ``None`` keeps
-            the :class:`~repro.coin.oracle.OracleCoin` defaults.
+            the :class:`~repro.coin.oracle.OracleCoin` defaults, and any
+            of them on another coin is a configuration error.
+        timing: continuous-time axis — empty (the default) runs the
+            lock-step beat model; ``(rho, d_min, d_max, pulse_period)``
+            runs the event-driven bounded-delay engine
+            (:class:`~repro.net.events.ContinuousSimulation`) with
+            drifting clocks and keyed message delays instead.  Continuous
+            trials always burn the full ``max_beats`` horizon (the event
+            schedule is fixed up front) and are incompatible with
+            ``scramble_beats``, ``churn``, a non-perfect ``link`` and a
+            non-default ``engine`` — those axes are beat-model machinery.
         tag: free-form label echoed in reports.
     """
 
@@ -170,24 +206,80 @@ class ScenarioSpec:
     tag: str = ""
 
     def validate(self) -> None:
-        """Raise :class:`ConfigurationError` on an unrunnable scenario:
-        the three registry names, then the axes shared with
-        :class:`TrialConfig` (:func:`~repro.analysis.experiments.check_axes`)."""
+        """Raise :class:`ConfigurationError` on an unrunnable scenario,
+        before any beat runs.
+
+        ``run_trial`` applies it to every trial; campaigns also apply
+        it in the driving process, so a bad grid fails there and not
+        beats into a pool worker's trial.  (Churn overlap with the
+        *faulty* set is checked inside the trial: the adversary picks its
+        coalition at simulation-build time.)
+        """
         resolve_protocol(self.protocol)
-        self.coin_factory()  # unknown coin -> ConfigurationError
+        self.coin_factory()  # unknown coin or misplaced tuning
         if self.adversary not in ADVERSARY_REGISTRY:
             raise ConfigurationError(
                 f"unknown adversary {self.adversary!r}; "
                 f"known: {sorted(ADVERSARY_REGISTRY)}"
             )
-        check_axes(self)
+        check_resilience(self.n, self.f)
+        resolve_engine(self.engine)
+        if self.max_beats < 1:
+            raise ConfigurationError(
+                f"need at least one beat, got {self.max_beats}"
+            )
+        if any(not 0 <= beat < self.max_beats for beat in self.scramble_beats):
+            raise ConfigurationError(
+                f"scramble_beats {sorted(self.scramble_beats)} must lie "
+                f"within [0, max_beats={self.max_beats}) or they would "
+                "silently never fire"
+            )
+        # Building the model validates both the name and the parameters.
+        make_link(self.link, dict(self.link_params))
+        schedule = ChurnSchedule.coerce(self.churn)
+        if schedule is not None:
+            if not 0 <= schedule.last_event_beat < self.max_beats:
+                raise ConfigurationError(
+                    f"churn schedule {schedule.describe()} has events at or "
+                    f"beyond max_beats={self.max_beats}; they would "
+                    "silently never fire"
+                )
+            schedule.validate_for(self.n, frozenset())
+        if not self.timing:
+            return
+        if len(self.timing) != 4:
+            raise ConfigurationError(
+                "timing must be (rho, d_min, d_max, pulse_period), got "
+                f"{self.timing!r}"
+            )
+        # Bounds are checked with the event engine's own rules.
+        rho, d_min, d_max, pulse_period = self.timing
+        DriftingClock(0, 0, rho, pulse_period)
+        KeyedDelays(0, d_min, d_max)
+        beat_axes = {
+            "scramble_beats": bool(self.scramble_beats),
+            "churn": bool(self.churn),
+            "link": self.link != "perfect",
+            "link_params": bool(self.link_params),
+            "engine": self.engine != DEFAULT_ENGINE,
+        }
+        bad = sorted(name for name, used in beat_axes.items() if used)
+        if bad:
+            raise ConfigurationError(
+                f"the continuous-time engine does not support {bad}: those "
+                "are lock-step beat-model axes (delays and drops come from "
+                "the timing bounds here)"
+            )
 
     @property
     def label(self) -> str:
         """Compact human-readable scenario name for tables and logs."""
         parts = [self.protocol]
         if self.protocol == "clock-sync":
-            parts.append(self.coin)
+            tuning = ",".join(
+                f"{key}={value}" for key, value in self._tuning().items()
+            )
+            parts.append(f"{self.coin}[{tuning}]" if tuning else self.coin)
             if self.share_coin:
                 parts.append("shared")
         parts.append(f"n={self.n}")
@@ -213,52 +305,40 @@ class ScenarioSpec:
             parts.append(self.tag)
         return " ".join(parts)
 
+    def _tuning(self) -> dict[str, object]:
+        """The oracle-coin keyword arguments the spec sets."""
+        tuning = {
+            "p0": self.coin_p0, "p1": self.coin_p1, "rounds": self.coin_rounds,
+        }
+        return {key: value for key, value in tuning.items() if value is not None}
+
     def coin_factory(self) -> Callable[[], CoinAlgorithm]:
         """The scenario's coin, by name, with the oracle tuning applied."""
         factory = coin_by_name(self.coin, self.n, self.f)
-        tuning = {
-            "p0": self.coin_p0,
-            "p1": self.coin_p1,
-            "rounds": self.coin_rounds,
-        }
-        kwargs = {key: value for key, value in tuning.items() if value is not None}
-        if self.coin != "oracle" or not kwargs:
+        tuning = self._tuning()
+        if not tuning:
             return factory
-        return lambda: OracleCoin(**kwargs)
+        if self.coin != "oracle":
+            raise ConfigurationError(
+                f"coin_p0 / coin_p1 / coin_rounds tune the oracle coin; "
+                f"coin={self.coin!r} would silently ignore {tuning}"
+            )
+        return lambda: OracleCoin(**tuning)
 
-    def build_config(self) -> TrialConfig:
-        """Resolve the names: the (closure-carrying) :class:`TrialConfig`.
-
-        The only place a protocol, coin or adversary *name* becomes a
-        root factory or an adversary instance — every entry point
-        (``synchronize``, campaigns, ``ClusterSpec`` workers, the CLI)
-        describes its run as a spec and takes the factories from here.
-        """
-        self.validate()
-        adversary_cls = ADVERSARY_REGISTRY[self.adversary]
-        return TrialConfig(
-            n=self.n,
-            f=self.f,
-            k=self.k,
-            protocol_factory=resolve_protocol(self.protocol).factory(
-                self.n,
-                self.f,
-                self.k,
-                coin_factory=self.coin_factory(),
-                share_coin=self.share_coin,
-            ),
-            adversary_factory=adversary_cls or (lambda: None),
-            max_beats=self.max_beats,
-            scramble=self.scramble,
-            scramble_beats=self.scramble_beats,
-            early_stop=self.early_stop,
-            closure_window=self.closure_window,
-            engine=self.engine,
-            link=self.link,
-            link_params=self.link_params,
-            churn=self.churn,
-            timing=self.timing,
+    def root_factory(self) -> RootFactory:
+        """The protocol's per-node root component factory."""
+        return resolve_protocol(self.protocol).factory(
+            self.n,
+            self.f,
+            self.k,
+            coin_factory=self.coin_factory(),
+            share_coin=self.share_coin,
         )
+
+    def build_adversary(self) -> Adversary | None:
+        """A fresh instance of the named adversary (``None`` fault-free)."""
+        adversary_cls = ADVERSARY_REGISTRY[self.adversary]
+        return None if adversary_cls is None else adversary_cls()
 
 
 def _normalize_link_axis(
@@ -354,7 +434,7 @@ class CampaignEntry:
 def _campaign_worker(job: tuple[int, ScenarioSpec, int]) -> tuple[int, TrialResult]:
     """Run one (scenario, seed) trial inside a worker process."""
     index, spec, seed = job
-    return index, run_trial(spec.build_config(), seed)
+    return index, run_trial(spec, seed)
 
 
 def iter_campaign(
@@ -392,7 +472,7 @@ def iter_campaign(
         return CampaignEntry(
             index=index,
             spec=spec,
-            sweep=SweepResult(config=spec.build_config(), results=ordered),
+            sweep=SweepResult(spec=spec, results=ordered),
         )
 
     done = 0
@@ -463,14 +543,3 @@ def campaign_to_json(entries: Iterable[CampaignEntry]) -> list[dict]:
             }
         )
     return records
-
-
-def single_scenario_sweep(
-    spec: ScenarioSpec,
-    seeds: Sequence[int],
-    *,
-    workers: int | None = None,
-) -> SweepResult:
-    """Convenience: campaign of one scenario, returning its sweep."""
-    (entry,) = run_campaign([spec], seeds, workers=workers)
-    return entry.sweep

@@ -17,97 +17,20 @@ campaigns over picklable specs, see :mod:`repro.analysis.campaign`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.adversary.base import Adversary
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.analysis.stats import Summary, summarize
-from repro.errors import ConfigurationError, check_resilience
-from repro.faults.dynamic import ChurnSchedule
-from repro.net.component import Component
-from repro.net.engine import DEFAULT_ENGINE, resolve_engine
-from repro.net.events import DriftingClock, KeyedDelays, run_continuous
+from repro.errors import ConfigurationError
+from repro.net.events import run_continuous
 from repro.net.linkmodel import make_link
 from repro.net.simulator import Simulation
 
-__all__ = [
-    "SweepResult",
-    "TrialConfig",
-    "TrialResult",
-    "check_axes",
-    "run_sweep",
-    "run_trial",
-]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.campaign import ScenarioSpec
 
-ProtocolFactory = Callable[[int], Component]
-AdversaryFactory = Callable[[], Adversary | None]
-
-
-@dataclass(frozen=True)
-class TrialConfig:
-    """Everything one convergence trial needs.
-
-    Attributes:
-        n, f: system size and fault parameter.
-        k: the clock modulus being solved for (read from the component if 0).
-        protocol_factory: per-node root component builder.
-        adversary_factory: builds a fresh adversary per trial (or None).
-        max_beats: give up after this many beats.
-        scramble: apply the worst-case transient fault before beat 0.
-        scramble_beats: fault schedule — additional beats *before* which
-            every correct node is re-scrambled mid-run; convergence is then
-            measured from the last scheduled fault.
-        early_stop: stop once convergence plus a ``closure_window``-beat
-            closure run is confirmed instead of burning the whole budget.
-        closure_window: closure beats (beyond the convergence beat) that
-            must be observed before an early stop.
-        engine: simulation engine name (``"fast"``, ``"reference"`` or
-            ``"bulk"``).
-        link: link-condition model name from
-            :data:`~repro.net.linkmodel.LINK_MODELS` (default: the paper's
-            perfect network).
-        link_params: keyword parameters for the link model, as a sorted
-            tuple of ``(name, value)`` pairs so configs stay hashable and
-            picklable (see
-            :func:`~repro.net.linkmodel.normalize_link_params`).
-        churn: membership churn schedule in the normalized tuple form
-            :meth:`~repro.faults.dynamic.ChurnSchedule.normalized` emits
-            — ``(beat, kind, node_ids)`` triples, hashable and picklable;
-            empty means a static world.  Convergence is measured from the
-            last fault of any kind (scramble *or* membership event).
-        trace: attach a clock-probing :class:`~repro.net.trace.Tracer`
-            and carry its records on ``TrialResult.records``, making the
-            trial's trajectory exportable in the shared JSONL format
-            (``repro run --trace``); off by default — tracing costs one
-            probe sweep per beat and most sweeps never read it.
-        timing: continuous-time axis — empty (the default) runs the
-            lock-step beat model; ``(rho, d_min, d_max, pulse_period)``
-            runs the event-driven bounded-delay engine
-            (:class:`~repro.net.events.ContinuousSimulation`) with
-            drifting clocks and keyed message delays instead.
-            Continuous trials always burn the full ``max_beats`` horizon
-            (the event schedule is fixed up front) and are incompatible
-            with ``scramble_beats``, ``churn``, a non-perfect ``link``
-            and a non-default ``engine`` — those axes are beat-model
-            machinery.
-    """
-
-    n: int
-    f: int
-    k: int
-    protocol_factory: ProtocolFactory
-    adversary_factory: AdversaryFactory = lambda: None
-    max_beats: int = 500
-    scramble: bool = True
-    scramble_beats: tuple[int, ...] = ()
-    early_stop: bool = True
-    closure_window: int = 12
-    engine: str = "fast"
-    link: str = "perfect"
-    link_params: tuple[tuple[str, object], ...] = ()
-    churn: tuple[tuple[int, str, tuple[int, ...]], ...] = ()
-    trace: bool = False
-    timing: tuple[float, ...] = ()
+__all__ = ["SweepResult", "TrialResult", "run_sweep", "run_trial"]
 
 
 @dataclass(frozen=True)
@@ -115,7 +38,7 @@ class TrialResult:
     """Outcome of one trial.
 
     ``beats_run`` counts beats actually executed — with early stopping it
-    is usually well below ``config.max_beats``, and ``history`` has exactly
+    is usually well below ``spec.max_beats``, and ``history`` has exactly
     ``beats_run`` entries.
     """
 
@@ -126,8 +49,8 @@ class TrialResult:
     history: tuple[tuple[int | None, ...], ...] = field(repr=False)
     dropped_messages: int = 0
     delayed_messages: int = 0
-    #: Per-beat probe records when the config asked for a trace
-    #: (``TrialConfig.trace``); empty otherwise.
+    #: Per-beat probe records when the trial was asked for a trace
+    #: (``run_trial(..., trace=True)``); empty otherwise.
     records: tuple = field(default=(), repr=False)
     #: Continuous-time trials only: max pairwise pulse skew over the
     #: horizon and the real time of the convergence beat's last close,
@@ -143,7 +66,7 @@ class TrialResult:
         """The traced trajectory in the shared JSONL format.
 
         Raises :class:`ConfigurationError` when the trial ran without
-        ``TrialConfig.trace`` — an empty trace file would read as "zero
+        ``trace=True`` — an empty trace file would read as "zero
         beats happened", which is not what an untraced trial means.
         """
         if not self.records:
@@ -165,120 +88,72 @@ class TrialResult:
         return self.total_messages / max(1, self.beats_run)
 
 
-def check_axes(config: "TrialConfig") -> None:
-    """Reject an inconsistent run description before any beat runs.
+def run_trial(
+    spec: "ScenarioSpec",
+    seed: int,
+    *,
+    adversary: Adversary | None = None,
+    trace: bool = False,
+) -> TrialResult:
+    """Run one scrambled-start convergence trial of ``spec``.
 
-    The one statement of the rules on the axes a resolved
-    :class:`TrialConfig` and a named
-    :class:`~repro.analysis.campaign.ScenarioSpec` share by field name —
-    either is accepted.  :func:`run_trial` applies it to the config it is
-    handed; ``ScenarioSpec.validate`` applies it in the driving process,
-    so a bad grid fails there and not beats into a pool worker's trial.
-    (Churn overlap with the *faulty* set is checked inside the trial: the
-    adversary picks its coalition at simulation-build time.)
-    """
-    check_resilience(config.n, config.f)
-    resolve_engine(config.engine)
-    if config.max_beats < 1:
-        raise ConfigurationError(
-            f"need at least one beat, got {config.max_beats}"
-        )
-    if any(not 0 <= beat < config.max_beats for beat in config.scramble_beats):
-        raise ConfigurationError(
-            f"scramble_beats {sorted(config.scramble_beats)} must lie "
-            f"within [0, max_beats={config.max_beats}) or they would "
-            "silently never fire"
-        )
-    # Building the model validates both the name and the parameters.
-    make_link(config.link, dict(config.link_params))
-    schedule = ChurnSchedule.coerce(config.churn)
-    if schedule is not None:
-        if not 0 <= schedule.last_event_beat < config.max_beats:
-            raise ConfigurationError(
-                f"churn schedule {schedule.describe()} has events at or "
-                f"beyond max_beats={config.max_beats}; they would "
-                "silently never fire"
-            )
-        schedule.validate_for(config.n, frozenset())
-    if not config.timing:
-        return
-    if len(config.timing) != 4:
-        raise ConfigurationError(
-            "timing must be (rho, d_min, d_max, pulse_period), got "
-            f"{config.timing!r}"
-        )
-    # Bounds are checked with the event engine's own rules.
-    rho, d_min, d_max, pulse_period = config.timing
-    DriftingClock(0, 0, rho, pulse_period)
-    KeyedDelays(0, d_min, d_max)
-    beat_axes = {
-        "scramble_beats": bool(config.scramble_beats),
-        "churn": bool(config.churn),
-        "link": config.link != "perfect",
-        "link_params": bool(config.link_params),
-        "engine": config.engine != DEFAULT_ENGINE,
-    }
-    bad = sorted(name for name, used in beat_axes.items() if used)
-    if bad:
-        raise ConfigurationError(
-            f"the continuous-time engine does not support {bad}: those "
-            "are lock-step beat-model axes (delays and drops come from "
-            "the timing bounds here)"
-        )
+    The spec is validated once, here, and its names resolved — the
+    adversary into a fresh instance unless ``adversary`` hands one in.
+    ``trace`` keeps a clock probe's per-beat records on
+    ``TrialResult.records`` (the shared JSONL format, ``repro run
+    --trace``); it is off by default because it costs one probe sweep
+    per beat and most sweeps never read it.
 
-
-def run_trial(config: TrialConfig, seed: int) -> TrialResult:
-    """Run one scrambled-start convergence trial.
-
-    The trial executes at most ``config.max_beats`` beats, but stops as
-    soon as (a) every scheduled fault — ``config.scramble_beats`` *and*
-    every ``config.churn`` membership event — has fired and (b) the
+    The trial executes at most ``spec.max_beats`` beats, but stops as
+    soon as (a) every scheduled fault — ``spec.scramble_beats`` *and*
+    every ``spec.churn`` membership event — has fired and (b) the
     system has stayed clock-synched and in closure for
-    ``config.closure_window`` beats beyond its convergence
+    ``spec.closure_window`` beats beyond its convergence
     beat — after that, extra beats cannot change the reported convergence.
-    Pass ``early_stop=False`` to always burn the full budget (e.g. to
+    A spec with ``early_stop=False`` always burns the full budget (e.g. to
     measure steady-state traffic over a fixed horizon).
 
-    A config with a ``timing`` axis dispatches to the continuous-time
-    event engine instead (see :class:`TrialConfig`); such trials always
-    run the full horizon, and late deliveries are reported through
-    ``dropped_messages``.
+    A spec with a ``timing`` axis dispatches to the continuous-time
+    event engine instead; such trials always run the full horizon, and
+    late deliveries are reported through ``dropped_messages``.
     """
-    check_axes(config)
-    if config.timing:
-        return _run_continuous_trial(config, seed)
+    spec.validate()
+    if adversary is None:
+        adversary = spec.build_adversary()
+    if spec.timing:
+        return _run_continuous_trial(spec, seed, adversary, trace)
     simulation = Simulation(
-        config.n,
-        config.f,
-        config.protocol_factory,
-        adversary=config.adversary_factory(),
+        spec.n,
+        spec.f,
+        spec.root_factory(),
+        adversary=adversary,
         seed=seed,
-        engine=config.engine,
-        link=make_link(config.link, dict(config.link_params)),
-        churn=config.churn or None,
+        engine=spec.engine,
+        link=make_link(spec.link, dict(spec.link_params)),
+        churn=spec.churn or None,
     )
-    monitor = ClockConvergenceMonitor(config.k)
+    monitor = ClockConvergenceMonitor(spec.k)
     simulation.add_monitor(monitor)
     tracer = None
-    if config.trace:
+    if trace:
         from repro.net.trace import Tracer, clock_probe
 
         tracer = Tracer(clock_probe)
         simulation.add_monitor(tracer)
-    if config.scramble:
+    if spec.scramble:
         simulation.scramble()
-    scramble_beats = frozenset(config.scramble_beats)
-    churn_beats = frozenset(beat for beat, _, _ in config.churn)
+    scramble_beats = frozenset(spec.scramble_beats)
+    churn_beats = frozenset(beat for beat, _, _ in spec.churn)
     last_fault = max(scramble_beats | churn_beats, default=0)
-    window = max(1, config.closure_window)
+    window = max(1, spec.closure_window)
     beats_run = 0
-    for beat in range(config.max_beats):
+    for beat in range(spec.max_beats):
         if beat in scramble_beats:
             simulation.scramble()
         simulation.run_beat()
         beats_run += 1
         if (
-            config.early_stop
+            spec.early_stop
             and beat >= last_fault
             and monitor.closure_streak > window
         ):
@@ -295,21 +170,23 @@ def run_trial(config: TrialConfig, seed: int) -> TrialResult:
     )
 
 
-def _run_continuous_trial(config: TrialConfig, seed: int) -> TrialResult:
+def _run_continuous_trial(
+    spec: "ScenarioSpec", seed: int, adversary: Adversary | None, trace: bool
+) -> TrialResult:
     """One trial on the event-driven continuous-time engine."""
-    rho, d_min, d_max, pulse_period = config.timing
+    rho, d_min, d_max, pulse_period = spec.timing
     result = run_continuous(
-        config.n,
-        config.f,
-        config.protocol_factory,
-        adversary=config.adversary_factory(),
+        spec.n,
+        spec.f,
+        spec.root_factory(),
+        adversary=adversary,
         seed=seed,
-        beats=config.max_beats,
+        beats=spec.max_beats,
         rho=rho,
         delay_bounds=(d_min, d_max),
         pulse_period=pulse_period,
-        k=config.k,
-        scramble=config.scramble,
+        k=spec.k,
+        scramble=spec.scramble,
     )
     return TrialResult(
         seed=seed,
@@ -319,7 +196,7 @@ def _run_continuous_trial(config: TrialConfig, seed: int) -> TrialResult:
         history=result.history,
         dropped_messages=result.late_messages,
         delayed_messages=0,
-        records=result.records if config.trace else (),
+        records=result.records if trace else (),
         pulse_skew=result.max_pulse_skew,
         converged_time=result.converged_time,
     )
@@ -327,9 +204,9 @@ def _run_continuous_trial(config: TrialConfig, seed: int) -> TrialResult:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Aggregate over seeds for one configuration."""
+    """Aggregate over seeds for one scenario."""
 
-    config: TrialConfig
+    spec: "ScenarioSpec"
     results: tuple[TrialResult, ...]
 
     @property
@@ -362,7 +239,8 @@ class SweepResult:
         return sum(r.delayed_messages for r in self.results) / len(self.results)
 
 
-def run_sweep(config: TrialConfig, seeds: Sequence[int]) -> SweepResult:
-    """Run one trial per seed and aggregate."""
-    results = tuple(run_trial(config, seed) for seed in seeds)
-    return SweepResult(config=config, results=results)
+def run_sweep(spec: "ScenarioSpec", seeds: Sequence[int]) -> SweepResult:
+    """Run one trial per seed, in this process, and aggregate (for a
+    worker pool, see :func:`~repro.analysis.campaign.run_campaign`)."""
+    results = tuple(run_trial(spec, seed) for seed in seeds)
+    return SweepResult(spec=spec, results=results)

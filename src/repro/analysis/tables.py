@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.adversary.base import Adversary
-from repro.analysis.experiments import SweepResult, TrialConfig, run_sweep
+from repro.analysis.campaign import ScenarioSpec
+from repro.analysis.experiments import SweepResult, run_sweep
 from repro.core.protocol import resolve_protocol
 from repro.net.component import Component
 
@@ -60,6 +60,23 @@ class Table1Row:
         ]
 
 
+#: Table 1 family -> (registered protocol, paper row, claimed
+#: convergence, claimed resilience).
+_FAMILIES = {
+    "dolev-welch": (
+        "dolev-welch", "[10] sync, probabilistic", "O(2^(2(n-f)))", "f < n/3",
+    ),
+    "deterministic": (
+        "deterministic", "[15]/[7] sync, deterministic", "O(f)",
+        "f < n/3 ([15]: n/4)",
+    ),
+    "current": (
+        "clock-sync", "current paper, probabilistic", "O(1) expected",
+        "f < n/3",
+    ),
+}
+
+
 def standard_families(
     n: int, f: int, k: int
 ) -> dict[str, Callable[[int], Component]]:
@@ -70,17 +87,9 @@ def standard_families(
     full registered catalog is wider — see ``python -m repro protocols``.
     """
     return {
-        "dolev-welch": resolve_protocol("dolev-welch").factory(n, f, k),
-        "deterministic": resolve_protocol("deterministic").factory(n, f, k),
-        "current": resolve_protocol("clock-sync").factory(n, f, k),
+        family: resolve_protocol(protocol).factory(n, f, k)
+        for family, (protocol, *_) in _FAMILIES.items()
     }
-
-
-_CLAIMS = {
-    "dolev-welch": ("[10] sync, probabilistic", "O(2^(2(n-f)))", "f < n/3"),
-    "deterministic": ("[15]/[7] sync, deterministic", "O(f)", "f < n/3 ([15]: n/4)"),
-    "current": ("current paper, probabilistic", "O(1) expected", "f < n/3"),
-}
 
 
 def table1_comparison(
@@ -89,32 +98,24 @@ def table1_comparison(
     f: int,
     k: int,
     seeds: Sequence[int],
-    adversary_factory: Callable[[], Adversary | None] = lambda: None,
     max_beats: int = 500,
     families: Sequence[str] = ("dolev-welch", "deterministic", "current"),
 ) -> list[Table1Row]:
     """Measure the requested families under one configuration."""
-    factories = standard_families(n, f, k)
     rows = []
     for family in families:
-        claim = _CLAIMS[family]
-        config = TrialConfig(
-            n=n,
-            f=f,
-            k=k,
-            protocol_factory=factories[family],
-            adversary_factory=adversary_factory,
-            max_beats=max_beats,
+        protocol, paper_row, convergence, resilience = _FAMILIES[family]
+        spec = ScenarioSpec(
+            n=n, f=f, k=k, protocol=protocol, max_beats=max_beats
         )
-        sweep = run_sweep(config, seeds)
         rows.append(
             Table1Row(
-                paper_row=claim[0],
-                claimed_convergence=claim[1],
-                claimed_resilience=claim[2],
+                paper_row=paper_row,
+                claimed_convergence=convergence,
+                claimed_resilience=resilience,
                 n=n,
                 f=f,
-                sweep=sweep,
+                sweep=run_sweep(spec, seeds),
             )
         )
     return rows

@@ -14,10 +14,9 @@ beats, deterministically, for any f < n/3.
 Structurally the algorithm *is* the cyclic Turpin-Coan clock
 (:class:`~repro.baselines.turpin_coan.TurpinCoanClock`, built on the
 shared :class:`~repro.baselines.cyclic.CyclicAgreementClock` scaffold);
-this module keeps the Table 1 row's historical name, and both names are
-registered as protocols (``deterministic`` / ``turpin-coan`` in
-:mod:`repro.core.protocol`) with a differential test pinning them
-trajectory-identical.  The shared-phase-label modelling concession and
+this module keeps the Table 1 row's historical name, under which it is
+registered as the ``deterministic`` protocol (:mod:`repro.core.protocol`).
+The shared-phase-label modelling concession and
 the frozen-fixed-point failure mode of naive label-free pipelining are
 documented in :mod:`repro.baselines.cyclic` and kept alive as a
 regression test in ``tests/test_baselines.py``.

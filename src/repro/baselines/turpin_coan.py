@@ -120,11 +120,10 @@ class TurpinCoanClock(CyclicAgreementClock):
     instance per 2 + 3(f + 1)-beat cycle, agreeing on the full clock
     value directly (single n² exchange per beat, two distribution rounds
     of overhead per cycle — compare :class:`~repro.baselines.phase_king.
-    PhaseKingClock`'s shorter cycle and wider messages).  Registered as
-    the ``turpin-coan`` protocol; the Table 1 row
+    PhaseKingClock`'s shorter cycle and wider messages).  The Table 1 row
     :class:`~repro.baselines.det_clock_sync.DeterministicClockSync` *is*
-    this construction under its historical name — the two registrations
-    are pinned trajectory-identical in ``tests/test_protocol.py``.
+    this construction under its historical name, registered as the
+    ``deterministic`` protocol.
     """
 
     def __init__(self, n: int, f: int, k: int) -> None:

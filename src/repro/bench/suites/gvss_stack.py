@@ -41,12 +41,10 @@ def run(
     failures = []
     lines = []
     for n, f, adversary in cases:
-        config = ScenarioSpec(
-            n=n, f=f, k=k, coin="gvss", adversary=adversary
-        ).build_config()
+        spec = ScenarioSpec(n=n, f=f, k=k, coin="gvss", adversary=adversary)
         sim = Simulation(
-            n, f, config.protocol_factory,
-            adversary=config.adversary_factory(), seed=seed,
+            n, f, spec.root_factory(),
+            adversary=spec.build_adversary(), seed=seed,
         )
         monitor = ClockConvergenceMonitor(k=k)
         sim.add_monitor(monitor)

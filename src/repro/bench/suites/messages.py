@@ -24,7 +24,6 @@ def run(
         ScenarioSpec,
         run_campaign,
         scenario_grid,
-        single_scenario_sweep,
     )
     from repro.analysis.tables import render_table
 
@@ -33,13 +32,16 @@ def run(
     # three pipelines (A1's, A2's, its own), the optimized variant two.
     n, f = 4, 1
     seed_range = range(seeds)
-    separate = single_scenario_sweep(
-        ScenarioSpec(n=n, f=f, k=k, coin="gvss", max_beats=120), seed_range
-    )
-    shared = single_scenario_sweep(
-        ScenarioSpec(n=n, f=f, k=k, coin="gvss", max_beats=120,
-                     share_coin=True),
-        seed_range,
+    separate, shared = (
+        entry.sweep
+        for entry in run_campaign(
+            [
+                ScenarioSpec(n=n, f=f, k=k, coin="gvss", max_beats=120,
+                             share_coin=share_coin)
+                for share_coin in (False, True)
+            ],
+            seed_range,
+        )
     )
 
     current = run_campaign(

@@ -11,11 +11,10 @@ fractions reproduce exactly from the seed range), so the whole suite
 gates.
 
 Qualitative shapes enforced: deterministic protocols converge within
-their 2·Δ bound on every seed; ``deterministic`` and ``turpin-coan``
-are identical by construction; ``phase-king``'s shorter cycle wins
-beats from ``turpin-coan`` but pays the ⌈log2 k⌉× bit-lane message
-factor; the local-coin ``dolev-welch`` row never beats the common-coin
-protocol.
+their 2·Δ bound on every seed; ``phase-king``'s shorter cycle wins
+beats from ``deterministic`` (cyclic Turpin-Coan agreement) but pays the
+⌈log2 k⌉× bit-lane message factor; the local-coin ``dolev-welch`` row
+never beats the common-coin protocol.
 """
 
 from __future__ import annotations
@@ -27,7 +26,8 @@ from repro.bench.result import BenchOutcome, BenchResult
 def run(
     n: int = 7, f: int = 2, k: int = 8, trials: int = 6, max_beats: int = 300
 ) -> BenchOutcome:
-    from repro.analysis.experiments import TrialConfig, run_sweep
+    from repro.analysis.campaign import ScenarioSpec
+    from repro.analysis.experiments import run_sweep
     from repro.analysis.tables import render_table
     from repro.core.protocol import PROTOCOLS
 
@@ -35,12 +35,8 @@ def run(
     latency, sweeps = {}, {}
     for name in sorted(PROTOCOLS):
         protocol = PROTOCOLS[name]
-        config = TrialConfig(
-            n=n, f=f, k=k,
-            protocol_factory=protocol.factory(n, f, k),
-            max_beats=max_beats,
-        )
-        sweep = run_sweep(config, range(trials))
+        spec = ScenarioSpec(n=n, f=f, k=k, protocol=name, max_beats=max_beats)
+        sweep = run_sweep(spec, range(trials))
         censored = [
             r.converged_beat if r.converged else max_beats
             for r in sweep.results
@@ -81,24 +77,18 @@ def run(
             f"{sweep.success_rate * 100:.0f}%",
         ])
 
-    if latency["deterministic"] != latency["turpin-coan"]:
+    if latency["phase-king"] > latency["deterministic"]:
         failures.append(
-            "deterministic and turpin-coan diverged "
-            f"({latency['deterministic']:.1f} vs {latency['turpin-coan']:.1f} "
-            "beats) — they are the same construction by design"
-        )
-    if latency["phase-king"] > latency["turpin-coan"]:
-        failures.append(
-            f"phase-king's shorter 3(f+1) cycle lost to turpin-coan "
-            f"({latency['phase-king']:.1f} vs {latency['turpin-coan']:.1f} "
+            f"phase-king's shorter 3(f+1) cycle lost to deterministic "
+            f"({latency['phase-king']:.1f} vs {latency['deterministic']:.1f} "
             "beats)"
         )
     pk_messages = sweeps["phase-king"].mean_messages_per_beat
-    tc_messages = sweeps["turpin-coan"].mean_messages_per_beat
-    if k > 2 and pk_messages <= tc_messages:
+    det_messages = sweeps["deterministic"].mean_messages_per_beat
+    if k > 2 and pk_messages <= det_messages:
         failures.append(
-            "phase-king's bit lanes should cost messages over turpin-coan "
-            f"({pk_messages:.0f} vs {tc_messages:.0f} msgs/beat)"
+            "phase-king's bit lanes should cost messages over deterministic "
+            f"({pk_messages:.0f} vs {det_messages:.0f} msgs/beat)"
         )
     if latency["dolev-welch"] < latency["clock-sync"]:
         failures.append(

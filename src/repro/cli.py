@@ -26,8 +26,8 @@ Commands:
   ``codecs`` — list one registry each: the names the flags above accept.
 
 The scenario flags (``--n --f --k --protocol --coin --adversary --seed
---beats --engine --link --link-param --churn --no-early-stop``) are
-declared once, in :func:`_add_scenario_arguments`, with every
+--beats --engine --link --link-param --churn --no-early-stop --timing``)
+are declared once, in :func:`_add_scenario_arguments`, with every
 ``choices=`` read from the registries: ``run``, ``campaign``
 and ``runtime`` accept ``--protocol`` to select any registered protocol
 (``campaign`` takes several — a grid axis); ``run`` and ``campaign``
@@ -35,7 +35,9 @@ accept ``--engine`` to pick a simulation engine (the live runtime owns
 its own message plane) and ``--link`` (with ``--link-param k=v``) to
 degrade the network: bounded delay, omission loss, scheduled partitions,
 or waypoint mobility — plus ``--churn BEAT:KIND:IDS`` membership events
-(crash, recover, join, leave).  Every command describes its run as a
+(crash, recover, join, leave) and ``--timing RHO:DMIN:DMAX:PERIOD``, the
+event-driven continuous-time engine (one value on ``run``, a grid axis on
+``campaign``).  Every command describes its run as a
 :class:`~repro.analysis.campaign.ScenarioSpec` and is deterministic given
 ``--seed`` (campaigns: given the seed range, at any worker count, under
 any link model or churn schedule).
@@ -113,11 +115,11 @@ def _parse_link_param(raw: str) -> tuple[str, object]:
 
 
 #: The scenario flags every simulated run takes; ``runtime`` takes the
-#: first eight (it owns its message plane — no engine, link model or churn
-#: — and always runs its whole budget).
+#: first eight (it owns its message plane — no engine, link model, churn
+#: or event engine — and always runs its whole budget).
 _SCENARIO_FLAGS = (
     "n", "f", "k", "protocol", "coin", "adversary", "seed", "beats",
-    "engine", "link", "link-param", "churn", "no-early-stop",
+    "engine", "link", "link-param", "churn", "no-early-stop", "timing",
 )
 
 
@@ -134,10 +136,10 @@ def _add_scenario_arguments(
     :class:`~repro.analysis.campaign.ScenarioSpec`): a subcommand names
     the subset it takes and, in ``defaults``, the defaults it overrides.
     With ``grid`` the axes a campaign sweeps (``--n --k --protocol
-    --adversary --link``) take several values and ``--f`` pins one fault
-    parameter per ``--n``.  Every ``choices=`` is read from its registry
-    at parser-build time, so a newly registered name is accepted by every
-    subcommand at once.
+    --adversary --link --timing``) take several values and ``--f`` pins
+    one fault parameter per ``--n``.  Every ``choices=`` is read from its
+    registry at parser-build time, so a newly registered name is accepted
+    by every subcommand at once.
     """
     declared = {
         "n": dict(type=int, default=7, help="number of nodes"),
@@ -186,6 +188,12 @@ def _add_scenario_arguments(
                  "has exactly --beats records, diffable against a runtime "
                  "trace of the same seed)",
         ),
+        "timing": dict(
+            default=None, metavar="RHO:DMIN:DMAX:PERIOD",
+            help="continuous-time mode: run the event-driven engine with "
+                 "clock drift RHO, message delays in [DMIN, DMAX] and pulse "
+                 "period PERIOD (incompatible with --link/--churn/--engine)",
+        ),
     }
     for flag in flags:
         kwargs = declared[flag]
@@ -198,6 +206,12 @@ def _add_scenario_arguments(
             kwargs.update(
                 nargs="*", default=None,
                 help="fault parameters, one per --n (default ⌊(n-1)/3⌋)",
+            )
+        elif grid and flag == "timing":
+            kwargs.update(
+                nargs="+",
+                help=f"{kwargs['help']} (grid axis; replaces the lock-step "
+                     "entry)",
             )
         if flag in defaults:
             kwargs["default"] = defaults[flag]
@@ -223,23 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", dest="trace_path", default=None, metavar="FILE",
         help="write the per-beat clock trajectory as JSONL (the same "
              "format `repro runtime --trace` emits)",
-    )
-    run.add_argument(
-        "--drift", type=float, default=None, metavar="RHO",
-        help="continuous-time mode: clock drift bound, rates drawn in "
-             "[1-RHO, 1+RHO] (event-driven engine; incompatible with "
-             "--link/--churn/--engine)",
-    )
-    run.add_argument(
-        "--delay-bounds", nargs=2, type=float, default=None,
-        metavar=("DMIN", "DMAX"),
-        help="continuous-time mode: message delay bounds in time "
-             "units (keyed per-message draws in [DMIN, DMAX])",
-    )
-    run.add_argument(
-        "--pulse-period", type=float, default=None, metavar="SPAN",
-        help="continuous-time mode: local-clock span between pulses "
-             "(one beat per pulse; default 1.0)",
     )
 
     table1 = commands.add_parser("table1", help="regenerate the paper's Table 1")
@@ -319,12 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--seed-base", type=int, default=0, help="first seed of the range"
-    )
-    campaign.add_argument(
-        "--timing", nargs="+", default=None, metavar="RHO:DMIN:DMAX:PERIOD",
-        help="continuous-time grid axis: run the event-driven engine with "
-             "clock drift RHO, message delays in [DMIN, DMAX] and pulse "
-             "period PERIOD (repeatable; replaces the lock-step entry)",
     )
     campaign.add_argument(
         "--scramble-beats", type=int, nargs="*", default=[],
@@ -486,18 +477,7 @@ def _print_beats(result, show: int) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     link_params = dict(args.link_param)
-    timing = ()
-    if any(
-        value is not None
-        for value in (args.drift, args.delay_bounds, args.pulse_period)
-    ):
-        d_min, d_max = args.delay_bounds or (0.0, 0.0)
-        timing = (
-            args.drift if args.drift is not None else 0.0,
-            d_min,
-            d_max,
-            args.pulse_period if args.pulse_period is not None else 1.0,
-        )
+    timing = _parse_timing(args.timing) if args.timing else ()
     spec = _scenario(
         args,
         early_stop=not args.no_early_stop,
@@ -507,10 +487,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         churn=_churn(args),
         timing=timing,
     )
-    config = dataclasses.replace(
-        spec.build_config(), trace=args.trace_path is not None
-    )
-    result = run_trial(config, args.seed)
+    result = run_trial(spec, args.seed, trace=args.trace_path is not None)
     link_note = "" if args.link == "perfect" else f" link={args.link}{link_params}"
     churn_note = f" churn={','.join(args.churn)}" if args.churn else ""
     timing_note = ""
@@ -552,12 +529,13 @@ def _skew_text(result) -> str:
 
 def _cmd_runtime(args: argparse.Namespace) -> int:
     registry = MetricsRegistry() if args.metrics_path else None
-    config = _scenario(args).build_config()
+    spec = _scenario(args)
+    spec.validate()
     result = run_runtime(
         args.n,
         args.f,
-        config.protocol_factory,
-        adversary=config.adversary_factory(),
+        spec.root_factory(),
+        adversary=spec.build_adversary(),
         seed=args.seed,
         beats=args.beats,
         transport=args.transport,
@@ -697,7 +675,8 @@ def _cmd_coin(args: argparse.Namespace) -> int:
     spec = ScenarioSpec(
         n=args.n, f=args.f, k=2, coin=args.coin, adversary=args.adversary
     )
-    adversary = spec.build_config().adversary_factory()
+    spec.validate()
+    adversary = spec.build_adversary()
     algorithm = spec.coin_factory()()
     sim = Simulation(
         args.n,

@@ -18,9 +18,6 @@ Registered catalog (``python -m repro protocols``):
 * ``dolev-welch`` — local-coin randomization, expected exponential;
 * ``deterministic`` — Table 1's deterministic row: the ticking clock
   re-anchored by cyclic Turpin-Coan-over-phase-king agreement, O(f);
-* ``turpin-coan`` — the same cyclic construction registered under its
-  substrate's name (trajectory-identical to ``deterministic`` by
-  construction — pinned differentially in ``tests/test_protocol.py``);
 * ``phase-king`` — cyclic *bitwise* phase-king agreement: a shorter
   3(f+1)-beat cycle at a ⌈log2 k⌉× message factor, O(f).
 
@@ -40,7 +37,7 @@ from typing import Callable
 from repro.baselines.det_clock_sync import DeterministicClockSync
 from repro.baselines.dolev_welch import DolevWelchClock
 from repro.baselines.phase_king import PhaseKingClock, phase_king_rounds
-from repro.baselines.turpin_coan import TurpinCoanClock, turpin_coan_rounds
+from repro.baselines.turpin_coan import turpin_coan_rounds
 from repro.coin.interfaces import CoinAlgorithm
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
@@ -170,20 +167,6 @@ class DeterministicProtocol(Protocol):
         return 2 * turpin_coan_rounds(f)
 
 
-class TurpinCoanProtocol(Protocol):
-    """Cyclic multivalued Turpin-Coan agreement clock (the substrate)."""
-
-    name = "turpin-coan"
-    paper = "Turpin & Coan multivalued agreement over phase-king BA ([18])"
-    claimed_convergence = "O(f) deterministic"
-
-    def factory(self, n, f, k, *, coin_factory=None, share_coin=False):
-        return lambda _node_id: TurpinCoanClock(n, f, k)
-
-    def convergence_bound(self, n, f, k):
-        return 2 * turpin_coan_rounds(f)
-
-
 class PhaseKingProtocol(Protocol):
     """Cyclic bitwise phase-king clock: shorter cycles, wider traffic."""
 
@@ -221,7 +204,6 @@ for _protocol_cls in (
     ClockSyncProtocol,
     DolevWelchProtocol,
     DeterministicProtocol,
-    TurpinCoanProtocol,
     PhaseKingProtocol,
 ):
     register_protocol(_protocol_cls())

@@ -223,12 +223,12 @@ async def _worker_async(
     conn: "Connection",
 ) -> "dict[str, Any]":
     """One worker's whole run; returns its harvest for the parent."""
-    config = spec.scenario().build_config()
+    scenario = spec.scenario()
     world = World.build(
         spec.n,
         spec.f,
-        config.protocol_factory,
-        adversary=config.adversary_factory(),
+        scenario.root_factory(),
+        adversary=scenario.build_adversary(),
         seed=spec.seed,
     )
     if spec.scramble:

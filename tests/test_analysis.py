@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.adversary import EquivocatorAdversary
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.analysis.experiments import TrialConfig, run_sweep, run_trial
+from repro.analysis.campaign import ScenarioSpec
+from repro.analysis.experiments import run_sweep, run_trial
 from repro.analysis.stats import (
     geometric_tail_rate,
     mean,
@@ -16,8 +20,7 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.analysis.tables import render_table, table1_comparison
-from repro.coin.oracle import OracleCoin
-from repro.core.clock_sync import SSByzClockSync
+from repro.errors import ConfigurationError
 
 
 class TestStats:
@@ -92,21 +95,16 @@ class TestMonitorQueries:
 
 
 class TestTrialHarness:
-    def _config(self, **overrides):
+    def _spec(self, **overrides):
         base = dict(
-            n=4,
-            f=1,
-            k=6,
-            protocol_factory=lambda i: SSByzClockSync(
-                6, lambda: OracleCoin(p0=0.4, p1=0.4, rounds=2)
-            ),
+            n=4, f=1, k=6, coin_p0=0.4, coin_p1=0.4, coin_rounds=2,
             max_beats=150,
         )
         base.update(overrides)
-        return TrialConfig(**base)
+        return ScenarioSpec(**base)
 
     def test_run_trial_converges(self):
-        result = run_trial(self._config(), seed=0)
+        result = run_trial(self._spec(), seed=0)
         assert result.converged
         assert result.converged_beat is not None
         # Early stop: convergence + the closure window, not the full budget.
@@ -115,49 +113,50 @@ class TestTrialHarness:
         assert len(result.history) == result.beats_run
 
     def test_early_stop_disabled_burns_full_budget(self):
-        result = run_trial(self._config(early_stop=False), seed=0)
+        result = run_trial(self._spec(early_stop=False), seed=0)
         assert result.converged
         assert result.beats_run == 150
         assert len(result.history) == 150
 
     def test_early_stop_observes_closure_window(self):
         for window in (5, 20):
-            result = run_trial(self._config(closure_window=window), seed=0)
+            result = run_trial(self._spec(closure_window=window), seed=0)
             assert result.converged
             # At least `window` closure beats follow the convergence beat.
             assert result.beats_run >= result.converged_beat + window
 
     def test_unconverged_trial_runs_full_budget(self):
-        # An impossible modulus cannot converge, so nothing early-stops.
-        config = self._config(max_beats=12, k=10**9)
-        result = run_trial(config, seed=0)
-        assert result.beats_run == 12
+        # The local-coin row does not converge at n=10 in 40 beats, so
+        # nothing early-stops.
+        spec = ScenarioSpec(n=10, f=3, k=6, protocol="dolev-welch",
+                            max_beats=40)
+        result = run_trial(spec, seed=0)
+        assert not result.converged
+        assert result.beats_run == 40
 
     def test_out_of_range_fault_schedule_rejected(self):
-        from repro.errors import ConfigurationError
-
-        config = self._config(scramble_beats=(150,))
+        spec = self._spec(scramble_beats=(150,))
         with pytest.raises(ConfigurationError):
-            run_trial(config, seed=0)
+            run_trial(spec, seed=0)
 
     def test_mid_run_fault_schedule_measured_from_last_fault(self):
-        result = run_trial(self._config(scramble_beats=(40,)), seed=0)
+        result = run_trial(self._spec(scramble_beats=(40,)), seed=0)
         assert result.converged
         assert result.converged_beat >= 40
 
     def test_trial_deterministic_per_seed(self):
-        a = run_trial(self._config(), seed=7)
-        b = run_trial(self._config(), seed=7)
+        a = run_trial(self._spec(), seed=7)
+        b = run_trial(self._spec(), seed=7)
         assert a.history == b.history
 
     def test_messages_per_beat(self):
-        result = run_trial(self._config(), seed=1)
+        result = run_trial(self._spec(), seed=1)
         assert result.messages_per_beat == pytest.approx(
             result.total_messages / result.beats_run
         )
 
     def test_sweep_aggregates(self):
-        sweep = run_sweep(self._config(), seeds=range(4))
+        sweep = run_sweep(self._spec(), seeds=range(4))
         assert len(sweep.results) == 4
         assert sweep.success_rate == 1.0
         assert sweep.failure_count == 0
@@ -166,10 +165,38 @@ class TestTrialHarness:
         assert sweep.mean_messages_per_beat > 0
 
     def test_no_scramble_option(self):
-        result = run_trial(self._config(scramble=False), seed=2)
+        result = run_trial(self._spec(scramble=False), seed=2)
         # From the clean initial state the system is synched almost at once.
         assert result.converged_beat is not None
         assert result.converged_beat <= 10
+
+    def test_adversary_keyword_overrides_the_named_adversary(self):
+        named = run_trial(self._spec(adversary="equivocator"), seed=3)
+        handed = run_trial(self._spec(), seed=3, adversary=EquivocatorAdversary())
+        assert handed == named
+        assert handed != run_trial(self._spec(), seed=3)
+
+    def test_trace_keyword_keeps_per_beat_records(self):
+        traced = run_trial(self._spec(), seed=0, trace=True)
+        plain = run_trial(self._spec(), seed=0)
+        assert len(traced.records) == traced.beats_run
+        assert len(traced.to_jsonl().splitlines()) == traced.beats_run
+        # Tracing observes the run; it does not change it.
+        assert dataclasses.replace(traced, records=()) == plain
+        with pytest.raises(ConfigurationError):
+            plain.to_jsonl()
+
+    def test_trial_validates_its_spec_once(self, monkeypatch):
+        calls = []
+        validate = ScenarioSpec.validate
+
+        def counting(spec):
+            calls.append(spec)
+            validate(spec)
+
+        monkeypatch.setattr(ScenarioSpec, "validate", counting)
+        run_trial(self._spec(), seed=0)
+        assert len(calls) == 1
 
 
 class TestTables:

@@ -345,7 +345,7 @@ class TestAgreementTrafficIsFanOutRecords:
     out as one record per sender, not n."""
 
     @pytest.mark.parametrize(
-        "protocol", ["turpin-coan", "deterministic", "phase-king"]
+        "protocol", ["deterministic", "phase-king"]
     )
     def test_fault_free_beats_are_pure_broadcast(self, protocol, monkeypatch):
         n, f, k = 7, 2, 8

@@ -31,7 +31,6 @@ from repro.analysis.campaign import (
     iter_campaign,
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.analysis.experiments import TrialConfig, run_trial
 from repro.baselines.dolev_welch import DolevWelchClock
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
@@ -910,20 +909,6 @@ class TestEngineModeSelection:
 
 
 class TestCampaignDispatch:
-    def test_run_trial_identical_across_engines(self):
-        def config(engine):
-            return TrialConfig(
-                n=4, f=1, k=6,
-                protocol_factory=lambda i: SSByzClockSync(6, _coin_factory),
-                max_beats=120,
-                engine=engine,
-            )
-
-        for seed in range(5):
-            assert run_trial(config("reference"), seed) == run_trial(
-                config("bulk"), seed
-            )
-
     def test_campaign_engine_axis_identical(self):
         def sweep(engine):
             specs = [
@@ -937,8 +922,8 @@ class TestCampaignDispatch:
                     max_beats=80,
                 ),
             ]
-            # SweepResult embeds the TrialConfig (whose engine field is
-            # the axis under test); compare the per-seed trial outcomes.
+            # SweepResult embeds the spec (whose engine field is the axis
+            # under test); compare the per-seed trial outcomes.
             return [
                 entry.sweep.results
                 for entry in iter_campaign(specs, range(3), workers=1)

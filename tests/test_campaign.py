@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import pytest
@@ -14,10 +15,9 @@ from repro.analysis.campaign import (
     iter_campaign,
     run_campaign,
     scenario_grid,
-    single_scenario_sweep,
 )
 from repro.analysis import campaign
-from repro.analysis.experiments import run_sweep
+from repro.analysis.experiments import run_sweep, run_trial
 from repro.cli import main
 from repro.errors import ConfigurationError, ResilienceError
 
@@ -32,23 +32,60 @@ class TestScenarioSpec:
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
 
-    def test_build_config_runs(self):
-        config = FAST_SPEC.build_config()
-        assert config.n == 4 and config.engine == "fast"
-        root = config.protocol_factory(0)
-        assert root.modulus == 6
+    @pytest.mark.parametrize("name", sorted(ADVERSARY_REGISTRY))
+    def test_build_adversary_is_fresh_per_call(self, name):
+        spec = ScenarioSpec(n=4, f=1, k=6, adversary=name)
+        first, second = spec.build_adversary(), spec.build_adversary()
+        if ADVERSARY_REGISTRY[name] is None:
+            assert first is None and second is None
+            return
+        assert first is not second  # a fresh instance per trial
+        assert type(first) is ADVERSARY_REGISTRY[name]
+
+    @pytest.mark.parametrize("name", sorted(PROTOCOL_REGISTRY))
+    def test_root_factory_builds_one_root_per_node(self, name):
+        factory = ScenarioSpec(n=4, f=1, k=6, protocol=name).root_factory()
+        roots = [factory(node) for node in range(4)]
+        assert len({id(root) for root in roots}) == 4
+        assert {type(root) for root in roots} == {type(roots[0])}
 
     def test_unknown_names_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioSpec(n=4, f=1, k=6, protocol="quantum").validate()
         with pytest.raises(ConfigurationError):
-            ScenarioSpec(n=4, f=1, k=6, coin="quantum").build_config()
+            ScenarioSpec(n=4, f=1, k=6, coin="quantum").validate()
         with pytest.raises(ConfigurationError):
             ScenarioSpec(n=4, f=1, k=6, adversary="nobody").validate()
+
+    @pytest.mark.parametrize("coin", ["gvss", "local"])
+    @pytest.mark.parametrize("tuning", [
+        {"coin_p0": 0.3}, {"coin_p1": 0.3}, {"coin_rounds": 3},
+    ])
+    def test_tuning_another_coin_rejected(self, coin, tuning):
+        """Oracle tuning on another coin would be silently ignored."""
+        spec = ScenarioSpec(n=4, f=1, k=6, coin=coin, **tuning)
+        with pytest.raises(ConfigurationError, match="oracle"):
+            spec.validate()
+        with pytest.raises(ConfigurationError, match="oracle"):
+            run_trial(spec, 0)
 
     def test_label_mentions_grid_point(self):
         label = ScenarioSpec(n=7, f=2, k=8, adversary="crash").label
         assert "n=7" in label and "k=8" in label and "crash" in label
+
+    def test_label_names_the_oracle_tuning(self):
+        """Specs differing only in tuning get different campaign rows."""
+        assert FAST_SPEC.label.startswith(
+            "clock-sync oracle[p0=0.4,p1=0.4,rounds=2] n=4"
+        )
+
+    @pytest.mark.parametrize("field", ["coin_p0", "coin_p1", "coin_rounds"])
+    def test_label_separates_each_tuning_field(self, field):
+        bumped = {"coin_p0": 0.3, "coin_p1": 0.3, "coin_rounds": 3}[field]
+        other = dataclasses.replace(FAST_SPEC, **{field: bumped})
+        assert other.label != FAST_SPEC.label
+        untuned = dataclasses.replace(FAST_SPEC, **{field: None})
+        assert untuned.label != FAST_SPEC.label
 
     def test_registries_cover_cli_surface(self):
         assert "none" in ADVERSARY_REGISTRY
@@ -57,7 +94,7 @@ class TestScenarioSpec:
     def test_baseline_protocols_build(self):
         for protocol in ("deterministic", "dolev-welch"):
             spec = ScenarioSpec(n=4, f=1, k=6, protocol=protocol)
-            root = spec.build_config().protocol_factory(0)
+            root = spec.root_factory()(0)
             assert root.modulus == 6
 
 
@@ -91,7 +128,7 @@ class TestScenarioGrid:
 
 class TestRunCampaign:
     def test_matches_run_sweep(self):
-        sweep = run_sweep(FAST_SPEC.build_config(), seeds=range(3))
+        sweep = run_sweep(FAST_SPEC, seeds=range(3))
         (entry,) = run_campaign([FAST_SPEC], seeds=range(3), workers=1)
         assert entry.sweep.results == sweep.results
 
@@ -163,10 +200,6 @@ class TestRunCampaign:
             spec.validate()
         with pytest.raises(error):
             list(iter_campaign([spec], seeds=range(2), workers=1))
-
-    def test_single_scenario_sweep(self):
-        sweep = single_scenario_sweep(FAST_SPEC, seeds=range(2), workers=1)
-        assert len(sweep.results) == 2
 
     def test_fault_schedule_measures_recovery(self):
         spec = ScenarioSpec(

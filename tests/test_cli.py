@@ -171,6 +171,31 @@ class TestLinkFlags:
         assert code == 2
         assert "does not support ['link']" in err
 
+    def test_run_timing_runs_continuous_time(self, capsys):
+        code = main(
+            ["run", "--n", "4", "--f", "1", "--k", "6", "--seed", "0",
+             "--beats", "40", "--timing", "0.005:0:0.1:1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "timing[rho=0.005,d=0.0-0.1,period=1.0]" in out
+        assert "continuous time: max pulse skew" in out
+
+    def test_run_malformed_timing_exit_code(self, capsys):
+        code = main(["run", "--n", "4", "--f", "1", "--timing", "0.005:0"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "RHO:DMIN:DMAX:PERIOD" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--drift", "0.005"), ("--delay-bounds", "0:0.1"),
+        ("--pulse-period", "1"),
+    ])
+    def test_run_takes_timing_only_through_timing_flag(self, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "--n", "4", "--f", "1", flag, value])
+        assert excinfo.value.code == 2
+
 
 class TestProtocolFlags:
     def test_protocols_listing(self, capsys):
@@ -182,7 +207,7 @@ class TestProtocolFlags:
         assert "(default)" in out
 
     @pytest.mark.parametrize(
-        "protocol", ["deterministic", "phase-king", "turpin-coan"]
+        "protocol", ["deterministic", "phase-king"]
     )
     def test_run_protocol_converges(self, protocol, capsys):
         code = main(
@@ -226,12 +251,12 @@ class TestProtocolFlags:
         code = main(
             ["campaign", "--n", "4", "--k", "6", "--seeds", "1",
              "--beats", "150", "--workers", "1",
-             "--protocol", "clock-sync", "turpin-coan"]
+             "--protocol", "clock-sync", "deterministic"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "campaign: 2 scenarios x 1 seeds" in out
-        assert "turpin-coan" in out
+        assert "deterministic" in out
 
 
 class TestScenarioFlagBlock:
@@ -582,6 +607,27 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert code == 0, out
         assert "traces match: 10 records" in out
+
+    @pytest.mark.parametrize("adversary", ["none", "equivocator"])
+    def test_diff_lock_step_vs_zero_timing_matches(
+        self, adversary, tmp_path, capsys
+    ):
+        """Zero drift and delay: the event engine replays lock-step."""
+        traces = []
+        for extra in ([], ["--timing", "0:0:0:1"]):
+            path = tmp_path / f"{len(traces)}.jsonl"
+            code = main(
+                ["run", "--n", "4", "--f", "1", "--k", "6", "--seed", "0",
+                 "--adversary", adversary, "--beats", "20",
+                 "--no-early-stop", "--trace", str(path), *extra]
+            )
+            assert code in (0, 1)
+            traces.append(str(path))
+        capsys.readouterr()
+        code = main(["trace", "diff", *traces])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "traces match: 20 records" in out
 
     def test_diff_reports_first_divergent_beat(self, tmp_path, capsys):
         sim, live = self._write_pair(tmp_path, "clock-sync", capsys)

@@ -24,7 +24,7 @@ from repro.analysis.campaign import (
     scenario_grid,
 )
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.analysis.experiments import TrialConfig, run_trial
+from repro.analysis.experiments import run_trial
 from repro.cli import main
 from repro.core.clock_sync import SSByzClockSync
 from repro.coin.oracle import OracleCoin
@@ -59,13 +59,11 @@ def _factory(i):
     return SSByzClockSync(6, _coin_factory)
 
 
-def _config(*, adversary=None, link="perfect", link_params=(), churn=(),
-            engine="fast", max_beats=60):
-    adversary_factory = (lambda: None) if adversary is None else adversary
-    return TrialConfig(
-        n=4, f=1, k=6,
-        protocol_factory=_factory,
-        adversary_factory=adversary_factory,
+def _spec(*, adversary="none", link="perfect", link_params=(), churn=(),
+          engine="fast", max_beats=60):
+    return ScenarioSpec(
+        n=4, f=1, k=6, coin_p0=0.4, coin_p1=0.4, coin_rounds=2,
+        adversary=adversary,
         max_beats=max_beats,
         early_stop=False,
         engine=engine,
@@ -211,14 +209,13 @@ class TestDifferentialBitIdentity:
 
     SCENARIOS = {
         "churn": dict(churn=CHURN),
-        "churn-adversary": dict(churn=CHURN, adversary=EquivocatorAdversary),
+        "churn-adversary": dict(churn=CHURN, adversary="equivocator"),
         "churn-lossy": dict(churn=CHURN, link="lossy",
                             link_params=(("loss", 0.3),)),
         "mobility": dict(link="mobility"),
-        "mobility-adaptive": dict(link="mobility",
-                                  adversary=AdaptiveEchoAdversary),
+        "mobility-adaptive": dict(link="mobility", adversary="adaptive"),
         "churn-mobility-adaptive": dict(churn=CHURN, link="mobility",
-                                        adversary=AdaptiveEchoAdversary),
+                                        adversary="adaptive"),
     }
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -226,7 +223,7 @@ class TestDifferentialBitIdentity:
         scenario = self.SCENARIOS[name]
         for seed in SEEDS:
             results = {
-                engine: run_trial(_config(engine=engine, **scenario), seed)
+                engine: run_trial(_spec(engine=engine, **scenario), seed)
                 for engine in sorted(ENGINES)
             }
             reference = results.pop("reference")
@@ -298,11 +295,11 @@ class TestMobilityLinks:
                     )
 
     def test_huge_radius_is_effectively_perfect(self):
-        config = _config(link="mobility",
-                         link_params=(("radius", 200.0), ("world", 100.0)))
-        baseline = _config()
+        spec = _spec(link="mobility",
+                     link_params=(("radius", 200.0), ("world", 100.0)))
+        baseline = _spec()
         for seed in range(3):
-            assert run_trial(config, seed).history == (
+            assert run_trial(spec, seed).history == (
                 run_trial(baseline, seed).history
             )
 
@@ -353,8 +350,8 @@ class TestCampaignIntegration:
                             max_beats=60)
         spec.validate()
         assert "churn[5:crash:0," in spec.label
-        config = spec.build_config()
-        assert config.churn == tuple(CHURN)
+        history = run_trial(spec, 0).history
+        assert len(history[5]) == len(history[4]) - 1  # node 0 crashed
 
     def test_spec_rejects_churn_beyond_budget(self):
         spec = ScenarioSpec(n=4, f=1, k=6, churn=((70, "crash", (0,)),),

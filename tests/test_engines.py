@@ -12,7 +12,6 @@ import pytest
 
 from repro.adversary import EquivocatorAdversary, SplitWorldAdversary
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.analysis.experiments import TrialConfig, run_trial
 from repro.coin.feldman_micali import FeldmanMicaliCoin
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
@@ -98,24 +97,6 @@ class TestDifferentialEquivalence:
         reference = _observe("reference", seed, lambda: None, coin="gvss")
         fast = _observe("fast", seed, lambda: None, coin="gvss")
         assert reference == fast
-
-    def test_run_trial_identical_across_engines(self):
-        def config(engine):
-            return TrialConfig(
-                n=4,
-                f=1,
-                k=6,
-                protocol_factory=lambda i: SSByzClockSync(
-                    6, lambda: OracleCoin(p0=0.4, p1=0.4, rounds=2)
-                ),
-                max_beats=120,
-                engine=engine,
-            )
-
-        for seed in range(5):
-            reference = run_trial(config("reference"), seed)
-            fast = run_trial(config("fast"), seed)
-            assert reference == fast
 
 
 class MixedSender(Component):

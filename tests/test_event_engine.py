@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro.adversary.strategies import EquivocatorAdversary
 from repro.analysis.campaign import ScenarioSpec, run_campaign, scenario_grid
-from repro.analysis.experiments import TrialConfig, run_trial
+from repro.analysis.experiments import run_trial
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.errors import ConfigurationError
@@ -205,8 +205,8 @@ class TestValidation:
             n=4, f=1, k=K, timing=TIMING, engine="bulk", max_beats=20
         ),
         lambda: run_trial(
-            TrialConfig(4, 1, K, _factory, timing=TIMING, engine="bulk",
-                        max_beats=20),
+            ScenarioSpec(n=4, f=1, k=K, timing=TIMING, engine="bulk",
+                         max_beats=20),
             seed=0,
         ),
         lambda: ScenarioSpec(
@@ -222,7 +222,7 @@ class TestValidation:
     def test_cli_drift_with_engine_exits_2(self, capsys):
         from repro.cli import main
 
-        code = main(["run", "--n", "4", "--f", "1", "--drift", "0.005",
+        code = main(["run", "--n", "4", "--f", "1", "--timing", "0.005:0:0:1",
                      "--engine", "bulk"])
         assert code == 2
         assert "engine" in capsys.readouterr().err
@@ -279,11 +279,11 @@ class TestTrialAndCampaignIntegration:
         assert result.converged_time is not None
         assert len(result.records) == result.beats_run == 40
 
-    def test_spec_carries_timing_into_label_and_config(self):
+    def test_spec_carries_timing_into_label_and_trial(self):
         spec = ScenarioSpec(n=4, f=1, k=K, timing=TIMING, max_beats=40)
         spec.validate()
         assert "timing[rho=0.005,d=0.0-0.1,period=1.0]" in spec.label
-        assert spec.build_config().timing == TIMING
+        assert run_trial(spec, 0).pulse_skew > 0.0
 
     def test_spec_rejects_timing_with_beat_axes(self):
         spec = ScenarioSpec(
@@ -472,12 +472,10 @@ _PIN_ADVERSARIES = ("none", "equivocator", "noise", "split-world")
 def _timed_run(n, coin, adversary, seed, rho, delay_bounds, beats):
     """One scrambled event-engine run of a named scenario: the
     simulation (for its stats) and its result."""
-    config = ScenarioSpec(
-        n=n, f=(n - 1) // 3, k=K, coin=coin, adversary=adversary
-    ).build_config()
+    spec = ScenarioSpec(n=n, f=(n - 1) // 3, k=K, coin=coin, adversary=adversary)
     sim = ContinuousSimulation(
-        n, config.f, config.protocol_factory,
-        adversary=config.adversary_factory(), seed=seed, rho=rho,
+        n, spec.f, spec.root_factory(),
+        adversary=spec.build_adversary(), seed=seed, rho=rho,
         delay_bounds=delay_bounds,
     )
     sim.scramble()

@@ -18,7 +18,7 @@ from repro.adversary import (
     RandomNoiseAdversary,
     SplitWorldAdversary,
 )
-from repro.analysis import ClockConvergenceMonitor, TrialConfig, run_trial
+from repro.analysis import ClockConvergenceMonitor, ScenarioSpec, run_trial
 from repro.coin import FeldmanMicaliCoin, OracleCoin
 from repro.core import RecursiveDoublingClock, SSByzClockSync
 from repro.faults import inject_phantom_storm, scramble_now
@@ -80,18 +80,12 @@ class TestFullStackGVSS:
 class TestCrossImplementationAgreement:
     def test_oracle_and_gvss_towers_both_solve_same_instance(self):
         latencies = {}
-        for name, coin_factory in (
-            ("oracle", lambda: OracleCoin(p0=0.4, p1=0.4, rounds=4)),
-            ("gvss", lambda: FeldmanMicaliCoin(4, 1)),
+        for name, coin in (
+            ("oracle", dict(coin_p0=0.4, coin_p1=0.4, coin_rounds=4)),
+            ("gvss", dict(coin="gvss")),
         ):
-            config = TrialConfig(
-                n=4,
-                f=1,
-                k=12,
-                protocol_factory=lambda i, cf=coin_factory: SSByzClockSync(12, cf),
-                max_beats=150,
-            )
-            result = run_trial(config, seed=5)
+            spec = ScenarioSpec(n=4, f=1, k=12, max_beats=150, **coin)
+            result = run_trial(spec, seed=5)
             assert result.converged, name
             latencies[name] = result.converged_beat
         # Both are small constants; neither coin is structurally slower by

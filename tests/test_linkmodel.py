@@ -21,6 +21,7 @@ import pytest
 from repro.adversary import EquivocatorAdversary
 from repro.analysis.campaign import ScenarioSpec, run_campaign, scenario_grid
 from repro.analysis.convergence import ClockConvergenceMonitor
+from repro.analysis.experiments import run_trial
 from repro.coin.oracle import OracleCoin
 from repro.core.clock_sync import SSByzClockSync
 from repro.errors import ConfigurationError
@@ -419,7 +420,7 @@ class TestCampaignIntegration:
             n=4, f=1, k=6, link="lossy", link_params=(("loss", 0.1),),
         )
         spec.validate()
-        assert spec.build_config().link == "lossy"
+        assert run_trial(spec, 0).dropped_messages > 0
         assert "lossy(p=0.1)" in spec.label
 
     def test_spec_rejects_bad_link(self):

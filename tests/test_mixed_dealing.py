@@ -174,14 +174,12 @@ class TestSeedDeterminesTheRun:
     come from the view, never from string hashing."""
 
     _TRACE = (
-        "from dataclasses import replace\n"
         "from repro.analysis.campaign import ScenarioSpec\n"
         "from repro.analysis.experiments import run_trial\n"
         "spec = ScenarioSpec(n=10, f=3, k=8, coin='gvss',\n"
         "                    adversary='mixed-dealing', max_beats=40,\n"
         "                    early_stop=False)\n"
-        "config = replace(spec.build_config(), trace=True)\n"
-        "print(run_trial(config, 3).to_jsonl())\n"
+        "print(run_trial(spec, 3, trace=True).to_jsonl())\n"
     )
 
     def _trace_under(self, hash_seed: str) -> str:

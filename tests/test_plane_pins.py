@@ -120,21 +120,17 @@ def _script(n, faulty, beats):
 def _instance(adversary, n, f, beats):
     if adversary == "scripted":
         return ScriptedAdversary(_script(n, range(n - f, n), beats))
-    return ScenarioSpec(
-        n=n, f=f, k=K, adversary=adversary
-    ).build_config().adversary_factory()
+    return ScenarioSpec(n=n, f=f, k=K, adversary=adversary).build_adversary()
 
 
 def _fast_run(monkeypatch, engine, *, n=N, f=F, adversary="none",
               link="perfect", coin="oracle", share_coin=False, churn=None,
               phantoms=None, beats=BEATS, seed=3):
-    config = ScenarioSpec(
-        n=n, f=f, k=K, coin=coin, share_coin=share_coin
-    ).build_config()
+    spec = ScenarioSpec(n=n, f=f, k=K, coin=coin, share_coin=share_coin)
     with monkeypatch.context() as patch:
         handed = _Handed(patch)
         sim = Simulation(
-            n, f, config.protocol_factory, seed=seed, engine=engine,
+            n, f, spec.root_factory(), seed=seed, engine=engine,
             adversary=_instance(adversary, n, f, beats),
             link=make_link(*LINKS[link]), churn=churn,
         )
@@ -480,9 +476,9 @@ class TestLinkedBeatsShareForm:
         monkeypatch.setattr(LossyLinks, "classify", asked)
         monkeypatch.setattr(MessageStats, "record_dropped", dropped)
         monkeypatch.setattr(Node, "update_phase", handed)
-        config = ScenarioSpec(n=16, f=5, k=K).build_config()
         seen.sim = Simulation(
-            16, 5, config.protocol_factory, seed=0, engine="fast",
+            16, 5, ScenarioSpec(n=16, f=5, k=K).root_factory(), seed=0,
+            engine="fast",
             link=make_link("lossy", {"loss": 0.02}),
         )
         seen.sim.scramble()
@@ -557,8 +553,8 @@ class TestLinkedBeatsShareForm:
             with monkeypatch.context() as patch:
                 handed = _Handed(patch)
                 sim = Simulation(
-                    N, F, ScenarioSpec(n=N, f=F, k=K).build_config()
-                    .protocol_factory, seed=3, engine=engine,
+                    N, F, ScenarioSpec(n=N, f=F, k=K).root_factory(),
+                    seed=3, engine=engine,
                     adversary=ScriptedAdversary(script),
                     link=make_link("lossy", {"loss": 0.3}),
                 )
@@ -578,11 +574,11 @@ EV_N, EV_F, EV_BEATS = 16, 5, 40
 
 def _event_run(monkeypatch, *, adversary, rho, delay_bounds, n=EV_N, f=EV_F,
                beats=EV_BEATS, seed=0):
-    config = ScenarioSpec(n=n, f=f, k=K).build_config()
+    spec = ScenarioSpec(n=n, f=f, k=K)
     with monkeypatch.context() as patch:
         handed = _Handed(patch)
         sim = ContinuousSimulation(
-            n, f, config.protocol_factory, seed=seed, rho=rho,
+            n, f, spec.root_factory(), seed=seed, rho=rho,
             adversary=_instance(adversary, n, f, beats),
             delay_bounds=delay_bounds,
         )

@@ -1,12 +1,10 @@
 """The Protocol seam: registry, engines, links, runtime, campaigns.
 
-ISSUE-5 acceptance surface: every registered protocol runs through the
-simulator (both engines, bit-identically), every link-condition model,
-the campaign grid's ``protocol`` axis and the live runtime (Local and
-TCP transports); the ``deterministic``/``turpin-coan`` registrations are
-trajectory-identical by construction; registry error paths raise
-``ConfigurationError`` (the CLI layer's exit-2 behavior is in
-``tests/test_cli.py``).
+Every registered protocol runs through the simulator (both engines,
+bit-identically), every link-condition model, the campaign grid's
+``protocol`` axis and the live runtime (Local and TCP transports);
+registry error paths raise ``ConfigurationError`` (the CLI layer's
+exit-2 behavior is in ``tests/test_cli.py``).
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import pytest
 import repro
 from repro.analysis.campaign import ScenarioSpec, run_campaign, scenario_grid
 from repro.analysis.convergence import ClockConvergenceMonitor
-from repro.analysis.experiments import TrialConfig, run_trial
+from repro.analysis.experiments import run_trial
 from repro.baselines.phase_king import (
     BitwisePhaseKingAgreement,
     PhaseKingClock,
@@ -41,15 +39,10 @@ ALL_PROTOCOLS = sorted(PROTOCOLS)
 
 
 def trial(protocol, *, n=4, f=1, k=8, seed=0, max_beats=200, **kwargs):
-    config = TrialConfig(
-        n=n,
-        f=f,
-        k=k,
-        protocol_factory=resolve_protocol(protocol).factory(n, f, k),
-        max_beats=max_beats,
-        **kwargs,
+    spec = ScenarioSpec(
+        n=n, f=f, k=k, protocol=protocol, max_beats=max_beats, **kwargs
     )
-    return run_trial(config, seed)
+    return run_trial(spec, seed)
 
 
 class TestRegistry:
@@ -59,7 +52,6 @@ class TestRegistry:
             "deterministic",
             "dolev-welch",
             "phase-king",
-            "turpin-coan",
         ]
         assert DEFAULT_PROTOCOL == "clock-sync"
 
@@ -93,7 +85,7 @@ class TestRegistry:
         ]
 
     def test_deterministic_bounds(self):
-        for name in ("deterministic", "turpin-coan", "phase-king"):
+        for name in ("deterministic", "phase-king"):
             bound = PROTOCOLS[name].convergence_bound(4, 1, 8)
             assert isinstance(bound, int) and bound > 0
         assert PROTOCOLS["clock-sync"].convergence_bound(4, 1, 8) is None
@@ -133,7 +125,7 @@ class TestEveryProtocolOnEveryEngine:
         assert result.converged
 
     def test_deterministic_protocols_within_bound(self):
-        for name in ("deterministic", "turpin-coan", "phase-king"):
+        for name in ("deterministic", "phase-king"):
             bound = PROTOCOLS[name].convergence_bound(7, 2, 8)
             for seed in range(3):
                 result = trial(name, n=7, f=2, seed=seed)
@@ -200,19 +192,6 @@ class TestEveryProtocolUnderEveryLink:
         assert fast.dropped_messages == reference.dropped_messages
 
 
-class TestTurpinCoanIsDeterministic:
-    def test_trajectory_identical_to_deterministic(self):
-        """The Table 1 row and its substrate registration are the same
-        construction; equal seeds must give equal runs, bit for bit."""
-        for seed in range(5):
-            det = trial("deterministic", seed=seed, early_stop=False,
-                        max_beats=60)
-            tc = trial("turpin-coan", seed=seed, early_stop=False,
-                       max_beats=60)
-            assert det.history == tc.history
-            assert det.total_messages == tc.total_messages
-
-
 class TestPhaseKingClock:
     def test_latency_linear_in_f(self):
         latencies = {}
@@ -229,10 +208,11 @@ class TestPhaseKingClock:
         assert latencies[1] < latencies[3] < latencies[5]
 
     def test_shorter_cycle_than_turpin_coan(self):
-        """The bitwise clock's whole point: 3(f+1) vs 2 + 3(f+1) rounds."""
+        """The bitwise clock's whole point: 3(f+1) vs 2 + 3(f+1) rounds
+        (``deterministic`` is the cyclic Turpin-Coan clock)."""
         for f in (1, 2, 5):
             pk = PROTOCOLS["phase-king"].convergence_bound(16, f, 8)
-            tc = PROTOCOLS["turpin-coan"].convergence_bound(16, f, 8)
+            tc = PROTOCOLS["deterministic"].convergence_bound(16, f, 8)
             assert pk < tc
 
     @pytest.mark.parametrize("k", [1, 2, 5, 6, 8, 60])
