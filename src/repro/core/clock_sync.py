@@ -28,6 +28,7 @@ most literal reading of the figure.
 from __future__ import annotations
 
 import random
+from operator import attrgetter
 from typing import Any, Callable, Iterable
 
 from repro.coin.interfaces import CoinAlgorithm
@@ -160,17 +161,16 @@ class SSByzClockSync(Component):
         #: with every node handed the same inbox: replaced, never written.
         self._previous: dict[int, Any] = {}
 
-    @property
-    def clock_value(self) -> int:
-        """Uniform probe interface shared by every clock component.
-
-        Everything that observes a run — convergence monitors, tracers,
-        and the live runtime's default probe
-        (:func:`repro.runtime.runner.run_runtime`) — reads this one
-        property, which is what lets simulated and live trajectories be
-        compared record-for-record.
-        """
-        return self.full_clock
+    # Everything that observes a run — convergence monitors, tracers, and
+    # the live runtime's default probe (repro.runtime.runner.run_runtime)
+    # — reads this one property, which is what lets simulated and live
+    # trajectories be compared record-for-record.  It is read once per
+    # node per beat, so its getter is a builtin: no Python frame per read.
+    clock_value = property(
+        attrgetter("full_clock"),
+        doc="Uniform probe interface shared by every clock component: "
+        "the full clock.",
+    )
 
     # -- beat handlers -------------------------------------------------------
 

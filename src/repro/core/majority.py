@@ -77,7 +77,18 @@ def from_per_sender(per_sender: dict[int, Any], rule: Callable, *args: Any) -> A
 
 
 def count_values(values: Iterable[Hashable]) -> Counter:
-    """Tally hashable values (unhashable Byzantine junk is dropped)."""
+    """Tally hashable values (unhashable Byzantine junk is dropped).
+
+    One C-level pass (``Counter``'s own), with the loop's keys, first-key
+    identity and insertion order; a tally that meets an unhashable value
+    is redone value by value from a fresh counter.
+    """
+    if iter(values) is values:  # one pass only: keep what it yields
+        values = list(values)
+    try:
+        return Counter(iter(values))
+    except TypeError:
+        pass
     counter: Counter = Counter()
     for value in values:
         try:

@@ -2,16 +2,20 @@
 
 The reference and fast engines both execute a beat by walking every
 node's component tree and materializing Python objects per message (or
-per fan-out record).  That is O(n²) Python-level work per beat — every
-node's update phase iterates an inbox of n envelopes — which caps the
-simulator near ~10 beats/s at n=256 and makes the campaign-scale regimes
-the paper's *fast* stabilization claim is about practically unreachable.
+per fan-out record): Python-level work per node per beat, however many
+nodes hold the same inbox, which keeps the campaign-scale regimes the
+paper's *fast* stabilization claim is about out of reach.
 
 :class:`BulkEngine` keeps per-node protocol state in structure-of-arrays
 (SoA) form — one plain Python list per state variable across all honest
 nodes, holding the protocol's own values (ints, and ``None`` for ⊥) —
 and executes an entire beat's broadcast fan-out, adversary view, link
-ruling and inbox merge as batch operations.  The speedup is
+ruling and inbox merge as batch operations.  A row is written by
+builtins — ``map``, ``zip``, ``compress``, a slice assignment, a lookup
+table — one rule evaluation per distinct value or inbox, never one
+interpreted step per slot, wherever one inbox (or phase, or coin row)
+covers every slot; mixed phases, dirty classes and partition groups
+take the same passes slot list by slot list.  The speedup is
 algorithmic: under perfect (or intra-group partition) links every
 in-group receiver of one broadcast path sees the *same* inbox, so each
 of the paper's rules is evaluated **once per (path, group)** and the
@@ -86,7 +90,8 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Sequence
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import eq, is_, itemgetter
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.baselines.dolev_welch import DolevWelchClock, adopted_clock
@@ -121,6 +126,12 @@ _MISSING = object()
 
 _SENDER_OF_ENTRY = itemgetter(0)
 
+#: Figure 3 line 3 over the nine (A1, A2) pairs a row can hold.
+_FOUR_CLOCK = {
+    (c1, c2): four_clock_value(c1, c2)
+    for c1 in (0, 1, BOTTOM) for c2 in (0, 1, BOTTOM)
+}
+
 
 def _in_domain(value: Any, domain: tuple) -> "int | None":
     """A tree value as a row entry: the int of ``domain`` it equals,
@@ -149,7 +160,7 @@ class Lane:
         self.payloads = payloads
 
     def sender_count(self) -> int:
-        return sum(1 for flag in self.present if flag)
+        return sum(self.present)
 
     def sender_slots(
         self, group_of: "list | None" = None, group: "int | None" = None
@@ -158,7 +169,7 @@ class Lane:
         window (``group_of`` given) only those in partition ``group``,
         whose members are the only ones to receive them."""
         if group_of is None:
-            return [slot for slot, flag in enumerate(self.present) if flag]
+            return list(compress(range(len(self.present)), self.present))
         return [
             slot for slot, flag in enumerate(self.present)
             if flag and group_of[slot] == group
@@ -273,7 +284,7 @@ class _Delivery:
         """
         receivers: Sequence[int] = range(len(self.ids))
         if active is not None:
-            receivers = [slot for slot in receivers if active[slot]]
+            receivers = list(compress(receivers, active))
         if not receivers:
             return []
         dirty = self.inbox_classes(path)
@@ -306,10 +317,19 @@ class _Delivery:
         if inbox is None:
             lane = self.lane_by_path.get(path)
             ids = self.ids
-            inbox = self._clean_cache[key] = {} if lane is None else {
-                ids[slot]: lane.payloads[slot]
-                for slot in lane.sender_slots(self.group_of, group)
-            }
+            if lane is None:
+                inbox = {}
+            elif self.group_of is None:
+                present = lane.present
+                inbox = dict(zip(
+                    compress(ids, present), compress(lane.payloads, present)
+                ))
+            else:
+                inbox = {
+                    ids[slot]: lane.payloads[slot]
+                    for slot in lane.sender_slots(self.group_of, group)
+                }
+            self._clean_cache[key] = inbox
         return inbox
 
     def merged_first_per_sender(self, path: str, slot: int) -> dict[int, Any]:
@@ -338,6 +358,22 @@ class _Delivery:
         return collapsed
 
 
+def _pick(row: list, slots: Sequence[int]) -> list:
+    """``row``'s entries at ``slots`` — the row itself when the slots
+    (distinct, ascending) are every slot."""
+    return row if len(slots) == len(row) else [row[slot] for slot in slots]
+
+
+def _fill(row: list, slots: Sequence[int], values) -> None:
+    """``row[slot] = value`` pairwise — one slice assignment when the
+    slots are every slot."""
+    if len(slots) == len(row):
+        row[:] = values
+    else:
+        for slot, value in zip(slots, values):
+            row[slot] = value
+
+
 class BulkProgram:
     """SoA mirror of one protocol's per-node state, across all nodes.
 
@@ -351,6 +387,7 @@ class BulkProgram:
         self.ids: list[int] = sorted(simulation.nodes)
         self.slot_of = {nid: slot for slot, nid in enumerate(self.ids)}
         self.size = len(self.ids)
+        self.roots = [simulation.nodes[nid].root for nid in self.ids]
         # Everything starts stale: rows are first loaded from the trees
         # (post-construction, post any initial scramble) at beat 0.
         self._stale: set[int] = set(range(self.size))
@@ -449,9 +486,8 @@ class ClockSyncProgram(BulkProgram):
     # -- tree mirroring ----------------------------------------------------
 
     def load(self, slots: list[int]) -> None:
-        nodes = self.simulation.nodes
         for slot in slots:
-            root = nodes[self.ids[slot]].root
+            root = self.roots[slot]
             self.fc[slot] = int(root.full_clock)
             self.save[slot] = int(root.save)
             self.ph[slot] = _in_domain(root._phase, (0, 1, 2, 3))
@@ -462,15 +498,11 @@ class ClockSyncProgram(BulkProgram):
             self.previous[slot] = dict(root._previous)
 
     def flush_observables(self) -> None:
-        nodes = self.simulation.nodes
-        fc = self.fc
-        for slot, node_id in enumerate(self.ids):
-            nodes[node_id].root.full_clock = fc[slot]
+        for root, clock in zip(self.roots, self.fc):
+            root.full_clock = clock
 
     def flush_full(self) -> None:
-        nodes = self.simulation.nodes
-        for slot, node_id in enumerate(self.ids):
-            root = nodes[node_id].root
+        for slot, root in enumerate(self.roots):
             root.full_clock = self.fc[slot]
             root.save = self.save[slot]
             root._phase = self.ph[slot]
@@ -480,9 +512,9 @@ class ClockSyncProgram(BulkProgram):
             root.a._run_a2 = self.gate[slot]
             root._previous = dict(self.previous[slot])
 
-    def _from_previous(self, slot: int, rule: Callable, *args):
-        """``rule(payloads, *args)`` over the slot's previous root inbox:
-        a Figure 4 block of :mod:`repro.core.clock_sync`, evaluated once
+    def _from_previous(self, previous: dict, rule: Callable, *args):
+        """``rule(payloads, *args)`` over one previous root inbox: a
+        Figure 4 block of :mod:`repro.core.clock_sync`, evaluated once
         per distinct inbox (``args`` are constants of the program).
 
         Keyed by the inbox dict's identity: ``previous`` keeps every
@@ -491,12 +523,27 @@ class ClockSyncProgram(BulkProgram):
         which drops the answers with it — so an identity cannot be
         reused while a key built from it is live.
         """
-        previous = self.previous[slot]
         key = (id(previous), rule)
         answer = self._answers.get(key, _MISSING)
         if answer is _MISSING:
             answer = self._answers[key] = rule(previous.values(), *args)
         return answer
+
+    def _answers_at(self, slots: Sequence[int], rule: Callable, *args) -> list:
+        """:meth:`_from_previous` for each of ``slots``, in order — one
+        lookup for them all when they hold one inbox object."""
+        inboxes = _pick(self.previous, slots)
+        first = inboxes[0]
+        if all(map(is_, inboxes, repeat(first))):
+            return [self._from_previous(first, rule, *args)] * len(inboxes)
+        return [self._from_previous(inbox, rule, *args) for inbox in inboxes]
+
+    def _in_phase(self, phase: int) -> Sequence[int]:
+        """The slots whose start-of-beat phase is ``phase``, ascending."""
+        count = self.ph.count(phase)
+        if count == self.size or not count:
+            return range(count)
+        return list(compress(range(self.size), map(eq, self.ph, repeat(phase))))
 
     # -- beat halves -------------------------------------------------------
 
@@ -505,7 +552,7 @@ class ClockSyncProgram(BulkProgram):
         # Start-of-beat captures (Figure 4 line 3 footnote; Figure 3's
         # send-time gating decision), before any state advances.
         self.ph = ph = list(self.a_clock)
-        self.gate = gate = [clock == 1 for clock in self.a1]
+        self.gate = gate = list(map(eq, self.a1, repeat(1)))
         # A1 broadcasts every beat; A2 only when gated (emission order is
         # A1, A2, root — exactly the per-node order of the tree walk).
         # Lanes copy the rows: update() advances a row while receivers
@@ -516,25 +563,25 @@ class ClockSyncProgram(BulkProgram):
         k = self.k
         self.fc = fc = [(clock + 1) % k for clock in self.fc]
         threshold = self.threshold
-        save = self.save
         present = [False] * size
         payloads: list = [None] * size
-        for slot, phase in enumerate(ph):
+        # Blocks 3.a-3.c, one pass per phase present; phase 3 (and an
+        # unconverged A) sends nothing at this layer.
+        for phase in {0, 1, 2}.intersection(ph):
+            slots = self._in_phase(phase)
             if phase == 0:
-                payloads[slot] = ("fc", fc[slot])
+                kind, values = "fc", _pick(fc, slots)
             elif phase == 1:
-                payloads[slot] = (
-                    "prop", self._from_previous(slot, phase1_proposal, threshold)
-                )
-            elif phase == 2:
-                bit, save[slot] = self._from_previous(
-                    slot, phase2_bit_and_save, threshold, k
-                )
-                payloads[slot] = ("bit", bit)
+                kind = "prop"
+                values = self._answers_at(slots, phase1_proposal, threshold)
             else:
-                # Phase 3 (and an unconverged A) sends nothing at this layer.
-                continue
-            present[slot] = True
+                pairs = self._answers_at(
+                    slots, phase2_bit_and_save, threshold, k
+                )
+                _fill(self.save, slots, map(itemgetter(1), pairs))
+                kind, values = "bit", map(itemgetter(0), pairs)
+            _fill(payloads, slots, zip(repeat(kind), values))
+            _fill(present, slots, repeat(True, len(slots)))
         return [lane_a1, lane_a2, Lane(self.path_root, present, payloads)]
 
     def _coin_order(self) -> list[tuple[str, float, float]]:
@@ -572,59 +619,42 @@ class ClockSyncProgram(BulkProgram):
         evaluation per distinct inbox and rand bit."""
         threshold = self.threshold
         for inbox, slots in delivery.receivers_by_inbox(path, active):
-            decisions: dict = {}
-            for slot in slots:
-                rand_bit = rand[slot]
-                if rand_bit not in decisions:
-                    decisions[rand_bit] = two_clock_step(
-                        inbox.values(), rand_bit, threshold
-                    )
-                row[slot] = decisions[rand_bit]
+            bits = _pick(rand, slots)
+            decisions = {
+                bit: two_clock_step(inbox.values(), bit, threshold)
+                for bit in set(bits)
+            }
+            _fill(row, slots, map(decisions.__getitem__, bits))
 
     def update(self, beat: int, delivery: _Delivery) -> None:
         ids = self.ids
         env = self.simulation.env
-        outcomes = {}
+        rand = {}
         for path, p0, p1 in self._coin_order():
-            outcomes[path] = env.coin_outcome(path, beat, p0, p1)
-        out_a1 = outcomes[self.key_a1[0]]
-        rand_a1 = [out_a1.bit_for(node_id) for node_id in ids]
-        out_a2 = outcomes.get(self.key_a2[0])
-        rand_a2 = (
-            None if out_a2 is None
-            else [out_a2.bit_for(node_id) for node_id in ids]
-        )
-        if self.share_coin:
-            rand_root = rand_a1
-        else:
-            out_root = outcomes[self.key_root[0]]
-            rand_root = [out_root.bit_for(node_id) for node_id in ids]
+            bits = env.coin_outcome(path, beat, p0, p1).bits
+            rand[path] = list(map(bits.__getitem__, ids))
+        rand_a1 = rand[self.key_a1[0]]
+        rand_root = rand[(self.key_a1 if self.share_coin else self.key_root)[0]]
         # A's update: A1 for everyone, A2 for the gated slots, composite.
         self._step_two_clock(self.a1, delivery, self.path_a1, rand_a1, None)
         self._step_two_clock(
-            self.a2, delivery, self.path_a2, rand_a2, self.gate
+            self.a2, delivery, self.path_a2, rand.get(self.key_a2[0]), self.gate
         )
-        self.a_clock = [
-            four_clock_value(c1, c2) for c1, c2 in zip(self.a1, self.a2)
-        ]
-        # Figure 4 block 3.d, for the slots in phase 3.
-        fc = self.fc
-        save = self.save
-        k = self.k
-        threshold = self.threshold
-        for slot, phase in enumerate(self.ph):
-            if phase == 3:
-                fc[slot] = phase3_clock(
-                    self._from_previous(slot, phase3_agreed_bit, threshold),
-                    rand_root[slot],
-                    save[slot],
-                    k,
-                )
+        self.a_clock = list(map(_FOUR_CLOCK.__getitem__, zip(self.a1, self.a2)))
+        # Figure 4 block 3.d, for the slots in phase 3: one rule per
+        # distinct (agreed bit, rand, save).
+        slots = self._in_phase(3)
+        if slots:
+            keys = list(zip(
+                self._answers_at(slots, phase3_agreed_bit, self.threshold),
+                _pick(rand_root, slots),
+                _pick(self.save, slots),
+            ))
+            clocks = {key: phase3_clock(*key, self.k) for key in set(keys)}
+            _fill(self.fc, slots, map(clocks.__getitem__, keys))
         # This beat's root inbox becomes the next beat's ``_previous``.
-        previous = self.previous
         for inbox, slots in delivery.receivers_by_inbox(self.path_root):
-            for slot in slots:
-                previous[slot] = inbox
+            _fill(self.previous, slots, repeat(inbox, len(slots)))
         self._answers = {}
 
 

@@ -12,6 +12,12 @@ Outcomes are memoized per ``(path, beat)`` key and derived from a per-key
 seed, so resolution order does not affect determinism and "foresight"
 queries (an ablation that peeks at future coins, §6.1) return exactly what
 the future beat will see.
+
+A divergent outcome's n bits are drawn in blocks (:func:`_random_bits`):
+the same Mersenne words ``randrange(2)`` would consume, read through
+builtins instead of one interpreted draw per node.  Only the local
+per-key ``Random`` sees the words drawn past the n-th accepted bit, and
+it is discarded with them, so the over-draw is unobservable.
 """
 
 from __future__ import annotations
@@ -33,6 +39,27 @@ EVENT_DIVERGENT = "divergent"
 #: the outcome key and the per-node default bits; returns replacement bits
 #: for any subset of nodes.
 DivergenceChooser = Callable[[tuple[str, int], dict[int, int]], dict[int, int]]
+
+#: A 32-bit word's top byte -> the ``randrange(2)`` it yields: bit 30
+#: when the top bit is clear; a set top bit is a rejected word (deleted).
+_TOP_BYTE_TO_BIT = bytes((byte >> 6) & 1 for byte in range(256))
+_REJECTED = bytes(range(128, 256))
+
+
+def _random_bits(rng: random.Random, count: int) -> bytes:
+    """``bytes([rng.randrange(2) for _ in range(count)])``, in blocks.
+
+    ``randrange(2)`` takes one word per try, keeps its top two bits and
+    retries when they read 2 or 3; ``getrandbits(32·m)`` is the next m
+    words, least significant first.  Words past the ``count``-th accepted
+    one are drawn too, so ``rng`` must be discarded afterwards.
+    """
+    bits = b""
+    while len(bits) < count:
+        words = 2 * (count - len(bits)) + 64
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top.translate(_TOP_BYTE_TO_BIT, _REJECTED)
+    return bits[:count]
 
 
 @dataclass(frozen=True)
@@ -56,7 +83,13 @@ class CoinOutcome:
 
 
 class Environment:
-    """Simulation-wide shared state: beat counter and coin outcomes."""
+    """Simulation-wide shared state: beat counter and coin outcomes.
+
+    Each outcome is drawn from a ``Random`` local to its key.  A divergent
+    one reads its per-node bits from that generator in blocks: the same
+    words, hence the same bits, as one ``randrange(2)`` per node, plus
+    words no one can observe, since the generator is dropped after.
+    """
 
     def __init__(self, n: int, seed: int) -> None:
         self.n = n
@@ -94,11 +127,11 @@ class Environment:
         rng = random.Random(derive_seed(self._seed, "coin", path, beat))
         roll = rng.random()
         if roll < p0:
-            outcome = CoinOutcome(EVENT_E0, {i: 0 for i in range(self.n)})
+            outcome = CoinOutcome(EVENT_E0, dict.fromkeys(range(self.n), 0))
         elif roll < p0 + p1:
-            outcome = CoinOutcome(EVENT_E1, {i: 1 for i in range(self.n)})
+            outcome = CoinOutcome(EVENT_E1, dict.fromkeys(range(self.n), 1))
         else:
-            bits = {i: rng.randrange(2) for i in range(self.n)}
+            bits = dict(enumerate(_random_bits(rng, self.n)))
             if self.divergence_chooser is not None:
                 overrides = self.divergence_chooser(key, dict(bits))
                 for node_id, bit in overrides.items():

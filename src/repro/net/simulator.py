@@ -161,6 +161,7 @@ class Simulation:
         else:
             self.active_ids = set(self.honest_ids)
         self._active_view: dict[int, Node] | None = None
+        self._active_roots: tuple[dict, dict] | None = None
         self.link = resolve_link(link)
         self.link.bind(n, world.link_seed)
         self.engine = resolve_engine(engine)
@@ -205,8 +206,15 @@ class Simulation:
     def active_roots(self) -> dict[int, Component]:
         """Map of *active* correct node id to its root component — what
         convergence monitors snapshot (a crashed tower's frozen clock is
-        not part of the system's state)."""
-        return {i: node.root for i, node in self.active_nodes().items()}
+        not part of the system's state), in ascending id order.  A fresh
+        copy of one map built per :meth:`active_nodes` object: a tracer
+        reads it every beat, and a root never changes."""
+        nodes = self.active_nodes()
+        cached = self._active_roots
+        if cached is None or cached[0] is not nodes:
+            roots = {i: node.root for i, node in nodes.items()}
+            cached = self._active_roots = (nodes, roots)
+        return cached[1].copy()
 
     def add_monitor(self, monitor: Monitor) -> None:
         self.monitors.append(monitor)

@@ -96,13 +96,11 @@ class Tracer:
         # Snapshot the *active* roots: under churn a crashed tower's
         # frozen clock is not part of the system's state.  Without churn
         # active == honest, so static-membership traces are unchanged.
+        # Either map is in ascending id order.
         roots = getattr(
             simulation, "active_roots", simulation.honest_roots
         )()
-        values = {
-            node_id: self.probe(root)
-            for node_id, root in sorted(roots.items())
-        }
+        values = dict(zip(roots, map(self.probe, roots.values())))
         record = BeatRecord(beat, values)
         self.records.append(record)
         if self.printer is not None:

@@ -853,6 +853,114 @@ class TestAllProtocolsDifferential:
         )
 
 
+def _states_per_beat(engine, seed, *, adversary=None, link="perfect",
+                     link_params=None, storm_at=None, beats=36):
+    """Every mirrored tower attribute of every node after every beat, by
+    repr, at n=13 f=4 — and, on bulk, what each beat's rows looked like:
+    the start-of-beat phases and gate, and the (A1, A2) pairs after it."""
+    sim = Simulation(
+        _CLASS_N, _CLASS_F, lambda i: SSByzClockSync(6, _coin_factory),
+        adversary=adversary, seed=seed, engine=engine,
+        link=make_link(link, link_params) if link_params else link,
+    )
+    assert engine != "bulk" or sim.engine.vectorized
+    sim.scramble()
+    states, shapes = [], []
+    for beat in range(beats):
+        if beat == storm_at:
+            inject_phantom_storm(sim, ["root", "root/A/A1", "root/A/A2"], count=12)
+        sim.run(1)
+        if engine == "bulk":
+            program = sim.engine._program
+            shapes.append((
+                list(program.ph), list(program.gate),
+                set(zip(program.a1, program.a2)),
+            ))
+            sim.engine.sync_trees()
+        states.append({
+            node_id: tuple(map(repr, state))
+            for node_id, state in _tower_state(sim).items()
+        })
+    return states, shapes
+
+
+class TestWholeRowPasses:
+    """The bulk program fills a row in one builtin pass when one inbox
+    (or phase, or coin row) covers every slot, and keeps the general
+    per-slot loop otherwise.  Beat by beat, its full tower state must be
+    the fast engine's — through mixed phases and partial A2 gates right
+    after a scramble, converged beats where every pass is whole-row,
+    dirty classes, phantoms and partition windows."""
+
+    SCENARIOS = {
+        "fault-free": {},
+        "equivocator": {"adversary": EquivocatorAdversary},
+        "split-world": {"adversary": SplitWorldAdversary},
+        "phantoms": {"storm_at": 18},
+        "partition": {"link": "partition",
+                      "link_params": {"split": 8, "heal": 20}},
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_every_beat_is_the_fast_engines(self, scenario):
+        options = dict(self.SCENARIOS[scenario])
+        adversary = options.pop("adversary", lambda: None)
+        for seed in range(3):
+            fast, _ = _states_per_beat(
+                "fast", seed, adversary=adversary(), **options
+            )
+            bulk, _ = _states_per_beat(
+                "bulk", seed, adversary=adversary(), **options
+            )
+            for beat, (expected, got) in enumerate(zip(fast, bulk)):
+                assert got == expected, (scenario, seed, beat)
+
+    def test_equal_inboxes_are_not_one_inbox(self):
+        """Faulty node 0 hands receiver 1 ``("fc", True)`` and the others
+        ``("fc", 1)``: every slot's previous inbox is *equal*, yet node
+        1's block-3.b tally is named ``True`` and the others' ``1`` — so
+        one answer may serve a row only when it holds one *object*."""
+
+        class FirstIdScripted(ScriptedAdversary):
+            def select_faulty(self, n, f, rng):
+                return frozenset({0})
+
+        row = {1: ("fc", True), 2: ("fc", 1), 3: ("fc", 1)}
+
+        def run(engine):
+            sim = Simulation(
+                4, 1, lambda i: SSByzClockSync(6, _coin_factory), seed=0,
+                adversary=FirstIdScripted({0: [(0, None, "root", row)]}),
+                engine=engine,
+            )
+            sim.run(2)  # pristine start: phase 0, then phase 1
+            if engine == "bulk":
+                sim.engine.sync_trees()
+            return {i: repr(node.root._previous) for i, node in sim.nodes.items()}
+
+        fast = run("fast")
+        assert "('prop', True)" in fast[2] and "('prop', 1)" in fast[2]
+        assert run("bulk") == fast
+
+    def test_the_scenarios_reach_both_shapes_of_every_pass(self):
+        """Not vacuous: over the fault-free seeds each phase both covers
+        every slot and shares a beat with others, A2's gate is partial
+        and total, and the rows hold all nine (A1, A2) pairs."""
+        whole, mixed, gates, pairs = set(), set(), set(), set()
+        for seed in range(3):
+            for ph, gate, seen in _states_per_beat("bulk", seed)[1]:
+                (whole if len(set(ph)) == 1 else mixed).update(ph)
+                gated = sum(gate)
+                gates.add(
+                    "none" if not gated
+                    else "all" if gated == len(gate) else "partial"
+                )
+                pairs |= seen
+        assert whole >= {0, 1, 2, 3} and mixed >= {0, 1, 2, 3, None}
+        assert gates == {"none", "partial", "all"}
+        assert pairs == {(c1, c2) for c1 in (0, 1, None) for c2 in (0, 1, None)}
+
+
 class TestEngineModeSelection:
     def test_vectorized_under_perfect_and_partition_only(self):
         factory = lambda i: SSByzClockSync(6, _coin_factory)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.majority import (
@@ -58,6 +58,65 @@ class TestCounting:
         if values:
             assert count == max(counter.values())
             assert counter[winner] == count
+
+
+def _loop_count_values(values):
+    """``count_values`` as a value-by-value loop: the oracle its one
+    ``Counter`` pass must reproduce."""
+    counter = Counter()
+    for value in values:
+        try:
+            counter[value] += 1
+        except TypeError:
+            continue
+    return counter
+
+
+def _exactly(counter):
+    """A tally as its keys — type, repr and identity — counts and order."""
+    return [(type(key), repr(key), id(key), count)
+            for key, count in counter.items()]
+
+
+#: ``1`` / ``True`` / ``1.0`` (and ``0`` / ``False`` / ``0.0``) share a
+#: key, named by the first to arrive; reprs equal on their first 64
+#: characters leave the tie-break to insertion order; unhashables are
+#: dropped wherever they stand.
+_TALLIED = st.one_of(
+    st.sampled_from([0, 1, True, False, 1.0, 0.0, None, ("fc", 1), ("fc", True)]),
+    st.integers(min_value=-2, max_value=3),
+    st.builds(lambda tail: "x" * 70 + tail, st.sampled_from("ab")),
+    st.builds(lambda tail: ("p" * 70, tail), st.sampled_from([1, True, 2])),
+    st.sampled_from([[1], {"a": 1}, {2}, ["x" * 70]]),
+)
+
+
+class TestCountingFastPath:
+    @settings(max_examples=200)
+    @given(st.lists(_TALLIED, max_size=24))
+    def test_one_pass_is_the_loop(self, values):
+        expected = _loop_count_values(values)
+        forms = (
+            values, tuple(values), iter(values),
+            dict(enumerate(values)).values(),
+        )
+        for form in forms:
+            counter = count_values(form)
+            assert type(counter) is Counter
+            assert _exactly(counter) == _exactly(expected)
+        winner, count = most_frequent(count_values(values))
+        expected_winner, expected_count = most_frequent(expected)
+        assert (type(winner), repr(winner), count) == (
+            type(expected_winner), repr(expected_winner), expected_count
+        )
+        assert winner is expected_winner
+
+    def test_unhashable_after_a_counted_prefix_counts_once(self):
+        counter = count_values(iter([1, True, 2, [3], 1.0, {}]))
+        assert _exactly(counter) == _exactly(Counter({1: 3, 2: 1}))
+
+    def test_a_mapping_tallies_its_keys(self):
+        assert count_values({"a": 5, "b": 7}) == Counter({"a": 1, "b": 1})
 
 
 class TestThresholdValue:

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.adversary.base import Adversary, NullAdversary
 from repro.adversary.strategies import ScriptedAdversary
 from repro.errors import ConfigurationError, ResilienceError
 from repro.net.component import Component
-from repro.net.environment import EVENT_DIVERGENT, EVENT_E0, EVENT_E1, Environment
+from repro.net.environment import (
+    EVENT_DIVERGENT,
+    EVENT_E0,
+    EVENT_E1,
+    Environment,
+    _random_bits,
+)
+from repro.net.rng import derive_seed
 from repro.net.simulator import Simulation
 from repro.net.trace import Tracer
 
@@ -234,3 +244,86 @@ class TestEnvironmentCoins:
         env.coin_outcome("p", 5, 0.3, 0.3)
         env.coin_outcome("p", 9, 0.3, 0.3)
         assert set(env.resolved_outcomes(6)) == {("p", 5)}
+
+
+def _frozen_coin_outcome(env, path, beat, p0, p1):
+    """``Environment.coin_outcome`` as written with one ``randrange(2)``
+    per node, unmemoized: the oracle the block draw must reproduce."""
+    rng = random.Random(derive_seed(env._seed, "coin", path, beat))
+    roll = rng.random()
+    if roll < p0:
+        return EVENT_E0, {i: 0 for i in range(env.n)}
+    if roll < p0 + p1:
+        return EVENT_E1, {i: 1 for i in range(env.n)}
+    bits = {i: rng.randrange(2) for i in range(env.n)}
+    if env.divergence_chooser is not None:
+        overrides = env.divergence_chooser((path, beat), dict(bits))
+        for node_id, bit in overrides.items():
+            if node_id in bits and bit in (0, 1):
+                bits[node_id] = bit
+    return EVENT_DIVERGENT, bits
+
+
+class _CountingRandom(random.Random):
+    """Counts ``getrandbits`` calls: more than one means a refill."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+class TestBlockDrawnBits:
+    """A divergent outcome's bits come from ``getrandbits`` blocks; they
+    must be, word for word, the bits of one ``randrange(2)`` per node on
+    every interpreter the suite runs on."""
+
+    @settings(max_examples=60)
+    @given(st.integers(), st.integers(min_value=0, max_value=2048))
+    def test_block_draw_is_one_randrange_per_bit(self, seed, count):
+        reference = random.Random(seed)
+        assert list(_random_bits(random.Random(seed), count)) == [
+            reference.randrange(2) for _ in range(count)
+        ]
+
+    def test_refilled_blocks_stay_exact(self):
+        refilled = 0
+        for seed in range(40):
+            rng = _CountingRandom(seed)
+            bits = _random_bits(rng, 2048)
+            reference = random.Random(seed)
+            assert list(bits) == [reference.randrange(2) for _ in range(2048)]
+            refilled += rng.calls > 1
+        assert refilled, "no seed needed a second block"
+
+    @pytest.mark.parametrize("chooser", [False, True])
+    @pytest.mark.parametrize("n", [1, 4, 1024])
+    def test_outcomes_are_the_frozen_ones(self, n, chooser):
+        """Events, bits (values, types, order) and the chooser's
+        arguments, key by key, against the frozen per-node draw."""
+        asked: dict[str, list] = {"env": [], "frozen": []}
+
+        def recording(log):
+            def choose(key, bits):
+                log.append((key, list(bits.items())))
+                flipped = {i: 1 - bit for i, bit in bits.items() if i % 3 == 0}
+                return {**flipped, n: 1, 0: 2, n - 1: True}
+            return choose
+
+        env, frozen = Environment(n, seed=11), Environment(n, seed=11)
+        if chooser:
+            env.divergence_chooser = recording(asked["env"])
+            frozen.divergence_chooser = recording(asked["frozen"])
+        beats = 30 if n == 1024 else 300
+        for beat in range(beats):
+            for path, p0, p1 in (("root/coin/slot2", 0.3, 0.3),
+                                 ("root/A/A1/coin/slot2", 0.0, 0.0)):
+                outcome = env.coin_outcome(path, beat, p0, p1)
+                event, bits = _frozen_coin_outcome(frozen, path, beat, p0, p1)
+                assert outcome.event == event
+                assert [(i, type(b), b) for i, b in outcome.bits.items()] == [
+                    (i, type(b), b) for i, b in bits.items()
+                ]
+        assert asked["env"] == asked["frozen"]
+        assert bool(asked["env"]) == chooser
