@@ -5,8 +5,9 @@ Feldman-Micali-*style* coin, and it succeeds — deliberately.  It marks the
 exact boundary between our 4-round GVSS simplification and the full
 Feldman-Micali construction (which spends extra machinery, e.g. graded
 broadcast inside the dealing, to close this hole).  :mod:`repro.coin.gvss`
-is the four rounds as implemented; ``python -m repro bench run --only
-coin_quality`` (F4) measures the break.
+is the four rounds as implemented; the ``coin_quality`` suite (F4)
+measures the break in ``benchmarks/results/coin_quality_break.txt``
+(rewritten by ``python tools/pins.py full --write``).
 
 The attack, for each coin invocation (one per beat, pipelined):
 

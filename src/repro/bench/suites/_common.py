@@ -1,13 +1,56 @@
-"""Shared measurement helpers for the benchmark suites."""
+"""Shared measurement helpers for the benchmark suites, and the one rule
+that names a pinned value."""
 
 from __future__ import annotations
 
 import contextlib
+import math
+import numbers
 from collections import Counter
 from typing import Callable
 
 from repro.analysis.convergence import ClockConvergenceMonitor
 from repro.net.simulator import Simulation
+
+
+def pin(pins: dict, name: str, value: float, unit: str, **axes) -> None:
+    """Add ``value`` to ``pins`` under its ``benchmarks/baselines.json``
+    key, ``suite/metric{axis=value,...}``: axes sorted by name, a bool
+    printed as ``true``/``false``, a float as ``:g``.  A key is pinned
+    once per run, and only a finite number is pinned: a NaN never equals
+    itself, so it could never match its baseline."""
+    suite, _, metric = name.partition("/")
+    if not suite or not metric or "{" in name:
+        raise ValueError(f"{name!r}: a pin is named 'suite/metric'")
+    if not isinstance(unit, str) or not unit:
+        raise ValueError(f"{name}: the unit must be a non-empty string")
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: the value must be a number, not {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: the value must be finite, not {value!r}")
+    for axis, axis_value in axes.items():
+        if not isinstance(axis_value, (str, numbers.Real)):
+            raise ValueError(f"{name}: axis {axis} must be a scalar, "
+                             f"not {axis_value!r}")
+    rendered = ",".join(
+        f"{axis}={_render(axes[axis])}" for axis in sorted(axes)
+    )
+    key = f"{name}{{{rendered}}}"
+    if key in pins:
+        raise ValueError(f"{key} is pinned twice")
+    pins[key] = {"unit": unit, "value": value}
+
+
+def _render(value: object) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:g}"
+    return str(value)
 
 
 @contextlib.contextmanager

@@ -12,8 +12,10 @@ and full Feldman-Micali (written up in
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
 def _measure(n: int, f: int, adversary, beats: int, seed: int = 1):
@@ -73,7 +75,7 @@ def _table(results: dict) -> str:
     return render_table(["scenario", "P(E0)", "P(E1)", "P(divergent)"], rows)
 
 
-def run(beats: int = 60, min_probability: float = 0.15) -> BenchOutcome:
+def run(beats: int = 60, min_probability: float = 0.15) -> tuple:
     attacks, breaks = _scenarios()
     measured = {
         name: _measure(n, f, adversary, beats)
@@ -83,28 +85,15 @@ def run(beats: int = 60, min_probability: float = 0.15) -> BenchOutcome:
         name: _measure(n, f, adversary, beats)
         for name, (n, f, adversary) in breaks.items()
     }
-    results = []
+    pins = {}
     for name, (p0, p1, div) in measured.items():
-        axes = {"scenario": name}
-        results.append(BenchResult(
-            benchmark="coin_quality", metric="p0", value=p0,
-            unit="probability", scenario=axes,
-        ))
-        results.append(BenchResult(
-            benchmark="coin_quality", metric="p1", value=p1,
-            unit="probability", scenario=axes,
-        ))
-        results.append(BenchResult(
-            benchmark="coin_quality", metric="divergent", value=div,
-            unit="probability", scenario=axes,
-        ))
+        pin(pins, "coin_quality/p0", p0, "probability", scenario=name)
+        pin(pins, "coin_quality/p1", p1, "probability", scenario=name)
+        pin(pins, "coin_quality/divergent", div, "probability", scenario=name)
     for name, (p0, p1, div) in broken.items():
         # The attack is *supposed* to break the simplified coin: high
         # divergence is the documented boundary, so "higher is better".
-        results.append(BenchResult(
-            benchmark="coin_quality", metric="divergent", value=div,
-            unit="probability", scenario={"scenario": name},
-        ))
+        pin(pins, "coin_quality/divergent", div, "probability", scenario=name)
     failures = []
     p0, p1, divergent = measured["n=4 fault-free"]
     if divergent != 0.0:  # fault-free GVSS coin is perfectly common
@@ -130,23 +119,7 @@ def run(beats: int = 60, min_probability: float = 0.15) -> BenchOutcome:
                 f"(divergent {div:.2f}) — if GVSS was hardened, update "
                 "docs/protocol.md"
             )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(
-            ("coin_quality", _table(measured)),
-            ("coin_quality_break", _table(broken)),
-        ),
-    )
-
-
-register(
-    Benchmark(
-        name="coin_quality",
-        tier="full",
-        runner=run,
-        params={"beats": 60, "min_probability": 0.15},
-        description="GVSS coin P(E0)/P(E1) under escalating attacks, "
-                    "plus the documented mixed-dealing break",
-    )
-)
+    return pins, failures, {
+        "coin_quality": _table(measured),
+        "coin_quality_break": _table(broken),
+    }

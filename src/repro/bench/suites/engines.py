@@ -22,9 +22,10 @@ import contextlib
 import hashlib
 from collections import Counter
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import counted, counted_rules
+from repro.bench.suites._common import counted, counted_rules, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"smoke": {}, "full": {}, "nightly": {}}
 
 #: Deterministic differential cases hashed per engine at every tier.
 DIGEST_CASES = (
@@ -92,37 +93,24 @@ def tower_costs(case: dict) -> tuple[str, dict[str, float]]:
     }
 
 
-def run() -> BenchOutcome:
-    results = []
+def run() -> tuple:
+    pins = {}
     failures = []
     digest_lines = []
     for case in DIGEST_CASES:
         reference_digest = trajectory_digest("reference", case)
         for engine in ("reference", "fast", "bulk"):
+            axes = {"engine": engine, "case": case["case"]}
             if engine == "reference":
                 digest = reference_digest
             elif engine != "fast":
                 digest = trajectory_digest(engine, case)
             else:
                 digest, costs = tower_costs(case)
-                results += [
-                    BenchResult(
-                        benchmark="engines", metric=metric, value=value,
-                        unit="per beat",
-                        scenario={"engine": engine, "case": case["case"]},
-                    )
-                    for metric, value in costs.items()
-                ]
+                for metric, value in costs.items():
+                    pin(pins, f"engines/{metric}", value, "per beat", **axes)
             match = 1.0 if digest == reference_digest else 0.0
-            results.append(
-                BenchResult(
-                    benchmark="engines",
-                    metric="trajectory_match",
-                    value=match,
-                    unit="match",
-                    scenario={"engine": engine, "case": case["case"]},
-                )
-            )
+            pin(pins, "engines/trajectory_match", match, "match", **axes)
             digest_lines.append(
                 f"{case['case']:<12} {engine:<10} {digest[:16]}… "
                 f"{'match' if match else 'MISMATCH'}"
@@ -132,20 +120,4 @@ def run() -> BenchOutcome:
                     f"engine {engine!r} diverged from reference on digest "
                     f"case {case['case']!r}"
                 )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("engine_digests", "\n".join(digest_lines)),),
-    )
-
-
-register(
-    Benchmark(
-        name="engines",
-        tier="smoke",
-        runner=run,
-        description="trajectory digests of the fast and bulk engines "
-                    "against the reference engine, plus the fast "
-                    "engine's tower costs as counts",
-    )
-)
+    return pins, failures, {"engine_digests": "\n".join(digest_lines)}

@@ -17,12 +17,13 @@ prediction buys the adversary another coin-flip survival.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import mean_latency
+from repro.bench.suites._common import mean_latency, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
-def run(trials: int = 15, max_beats: int = 300) -> BenchOutcome:
+def run(trials: int = 15, max_beats: int = 300) -> tuple:
     from repro.adversary.anti_coin import AntiCoinClock2Adversary
     from repro.analysis.tables import render_table
     from repro.coin.oracle import OracleCoin
@@ -52,16 +53,9 @@ def run(trials: int = 15, max_beats: int = 300) -> BenchOutcome:
         "rushing (legal, sees beat r coin)": _mean(0),
         "foresight-1 (illegal, sees beat r+1 coin)": _mean(1),
     }
-    results = tuple(
-        BenchResult(
-            benchmark="fig_foresight",
-            metric="mean_latency",
-            value=mean,
-            unit="beats",
-            scenario={"adversary": name},
-        )
-        for name, mean in means.items()
-    )
+    pins = {}
+    for name, mean in means.items():
+        pin(pins, "fig_foresight/mean_latency", mean, "beats", adversary=name)
     fault_free = means["no adversary"]
     rushing = means["rushing (legal, sees beat r coin)"]
     foresight = means["foresight-1 (illegal, sees beat r+1 coin)"]
@@ -88,20 +82,4 @@ def run(trials: int = 15, max_beats: int = 300) -> BenchOutcome:
         ["adversary", "mean beats"],
         [[name, f"{mean:.1f}"] for name, mean in means.items()],
     )
-    return BenchOutcome(
-        results=results,
-        failures=tuple(failures),
-        tables=(("fig_foresight", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="fig_foresight",
-        tier="full",
-        runner=run,
-        params={"trials": 15, "max_beats": 300},
-        description="coin unpredictability ablation: rushing vs illegal "
-                    "foresight-1 adversaries",
-    )
-)
+    return pins, failures, {"fig_foresight": table}

@@ -16,9 +16,10 @@ makes this the slowest suite — it runs in the ``nightly`` tier.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import mean_latency
+from repro.bench.suites._common import mean_latency, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"nightly": {}}
 
 
 def run(
@@ -26,7 +27,7 @@ def run(
     max_beats: int = 600,
     exponents=(1, 2, 3, 4),
     flat_bound: float = 45.0,
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.tables import render_table
     from repro.coin.oracle import OracleCoin
     from repro.core.cascade import squaring_tower
@@ -63,27 +64,13 @@ def run(
         "ss-Byz-Clock-Sync": table[top_k]["clock_sync"],
     }
 
-    results = []
+    pins = {}
     for k, cell in sorted(table.items()):
         for construction, mean in cell.items():
-            results.append(
-                BenchResult(
-                    benchmark="fig_logk",
-                    metric="mean_latency",
-                    value=mean,
-                    unit="beats",
-                    scenario={"construction": construction, "k": k},
-                )
-            )
-    results.append(
-        BenchResult(
-            benchmark="fig_logk",
-            metric="mean_latency",
-            value=squaring["squaring (2 layers)"],
-            unit="beats",
-            scenario={"construction": "squaring", "k": top_k},
-        )
-    )
+            pin(pins, "fig_logk/mean_latency", mean, "beats",
+                construction=construction, k=k)
+    pin(pins, "fig_logk/mean_latency", squaring["squaring (2 layers)"],
+        "beats", construction="squaring", k=top_k)
 
     doubling = [table[k]["doubling"] for k in sorted(table)]
     clock_sync = [table[k]["clock_sync"] for k in sorted(table)]
@@ -125,28 +112,6 @@ def run(
         [f"construction (k={top_k})", "mean beats"],
         [[name, f"{mean:.1f}"] for name, mean in squaring.items()],
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(
-            ("fig_logk", logk_table),
-            ("fig_logk_squaring", squaring_table),
-        ),
-    )
-
-
-register(
-    Benchmark(
-        name="fig_logk",
-        tier="nightly",
-        runner=run,
-        params={
-            "trials": 6,
-            "max_beats": 600,
-            "exponents": (1, 2, 3, 4),
-            "flat_bound": 45.0,
-        },
-        description="convergence vs clock modulus: doubling tower pays "
-                    "log k, squaring pays 2 layers, clock-sync stays flat",
-    )
-)
+    return pins, failures, {
+        "fig_logk": logk_table, "fig_logk_squaring": squaring_table,
+    }

@@ -15,12 +15,13 @@ the attack — the tightness evidence — broke.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import convergence_latencies
+from repro.bench.suites._common import convergence_latencies, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
-def run(trials: int = 10, max_beats: int = 150) -> BenchOutcome:
+def run(trials: int = 10, max_beats: int = 150) -> tuple:
     from repro.adversary.bisector import BisectorAdversary
     from repro.analysis.tables import render_table
     from repro.coin.oracle import OracleCoin
@@ -51,16 +52,10 @@ def run(trials: int = 10, max_beats: int = 150) -> BenchOutcome:
         name: _stall_rate(n, f)
         for name, (n, f, _within) in configurations.items()
     }
-    results = tuple(
-        BenchResult(
-            benchmark="fig_resilience",
-            metric="stall_rate",
-            value=rate,
-            unit="fraction",
-            scenario={"configuration": name},
-        )
-        for name, rate in rates.items()
-    )
+    pins = {}
+    for name, rate in rates.items():
+        pin(pins, "fig_resilience/stall_rate", rate, "fraction",
+            configuration=name)
     failures = []
     # Within the bound: never stalls.  One past it: stalls most of the
     # time (the attack loses only its opening coin flips).
@@ -75,20 +70,4 @@ def run(trials: int = 10, max_beats: int = 150) -> BenchOutcome:
         [f"configuration ({max_beats}-beat stall rate)", "stalled"],
         [[name, f"{rate * 100:.0f}%"] for name, rate in rates.items()],
     )
-    return BenchOutcome(
-        results=results,
-        failures=tuple(failures),
-        tables=(("fig_resilience", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="fig_resilience",
-        tier="full",
-        runner=run,
-        params={"trials": 10, "max_beats": 150},
-        description="bisector-attack stall rates at n=3f+1 vs n=3f "
-                    "(f < n/3 is tight)",
-    )
-)
+    return pins, failures, {"fig_resilience": table}

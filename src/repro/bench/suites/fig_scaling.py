@@ -12,8 +12,10 @@ out by :func:`~repro.analysis.campaign.run_campaign`.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
 def _mean_latencies(protocol, sizes, seeds, k, max_beats) -> dict:
@@ -38,14 +40,14 @@ def run(
     seeds: int = 6,
     k: int = 4,
     flat_bound: float = 45.0,
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.tables import render_table
 
     current = _mean_latencies("clock-sync", sizes, seeds, k, 400)
     deterministic = _mean_latencies("deterministic", sizes, seeds, k, 200)
     dolev_welch = _mean_latencies("dolev-welch", dw_sizes, seeds, k, 500)
 
-    results = []
+    pins = {}
     for protocol, table, seeds_run in (
         ("clock-sync", current, seeds),
         ("deterministic", deterministic, seeds),
@@ -53,28 +55,13 @@ def run(
     ):
         for (n, f), (mean, dnf) in sorted(table.items()):
             axes = {"protocol": protocol, "n": n, "f": f}
-            results.append(
-                BenchResult(
-                    benchmark="fig_scaling",
-                    metric="mean_latency",
-                    value=mean,
-                    unit="beats",
-                    scenario=axes,
-                )
-            )
-            # The mean above only averages converged seeds — gate the
+            pin(pins, "fig_scaling/mean_latency", mean, "beats", **axes)
+            # The mean above only averages converged seeds — pin the
             # success rate alongside it so new timeouts cannot read as
             # latency improvements (dolev-welch legitimately times out,
-            # which the baseline value itself records).
-            results.append(
-                BenchResult(
-                    benchmark="fig_scaling",
-                    metric="success_rate",
-                    value=1.0 - dnf / seeds_run,
-                    unit="fraction",
-                    scenario=axes,
-                )
-            )
+            # which the pinned value itself records).
+            pin(pins, "fig_scaling/success_rate", 1.0 - dnf / seeds_run,
+                "fraction", **axes)
 
     failures = []
     det_means = [deterministic[key][0] for key in sorted(deterministic)]
@@ -120,26 +107,6 @@ def run(
             for (n, f), (mean, dnf) in sorted(dolev_welch.items())
         ],
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("fig_scaling", scaling_table), ("fig_scaling_dw", dw_table)),
-    )
-
-
-register(
-    Benchmark(
-        name="fig_scaling",
-        tier="full",
-        runner=run,
-        params={
-            "sizes": (4, 7, 10, 13),
-            "dw_sizes": (4, 7, 10),
-            "seeds": 6,
-            "k": 4,
-            "flat_bound": 45.0,
-        },
-        description="convergence latency vs n: flat (current) / linear "
-                    "(deterministic) / exponential (dolev-welch)",
-    )
-)
+    return pins, failures, {
+        "fig_scaling": scaling_table, "fig_scaling_dw": dw_table,
+    }

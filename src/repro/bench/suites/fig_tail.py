@@ -12,16 +12,17 @@ tail is bounded by a geometric.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import convergence_latencies
+from repro.bench.suites._common import convergence_latencies, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
 def run(
     trials: int = 80,
     max_beats: int = 120,
     checkpoints=(4, 8, 16, 32, 64),
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.stats import geometric_tail_rate
     from repro.analysis.tables import render_table
     from repro.coin.oracle import OracleCoin
@@ -42,25 +43,10 @@ def run(
     }
     rate = geometric_tail_rate(latencies)
 
-    results = [
-        BenchResult(
-            benchmark="fig_tail",
-            metric="survival",
-            value=p,
-            unit="probability",
-            scenario={"beat": b},
-        )
-        for b, p in survival.items()
-    ]
-    results.append(
-        BenchResult(
-            benchmark="fig_tail",
-            metric="per_beat_success",
-            value=rate,
-            unit="probability",
-            scenario={},
-        )
-    )
+    pins = {}
+    for b, p in survival.items():
+        pin(pins, "fig_tail/survival", p, "probability", beat=b)
+    pin(pins, "fig_tail/per_beat_success", rate, "probability")
 
     failures = []
     # Shape: monotone, sub-halving per doubling, empty far tail.
@@ -80,21 +66,4 @@ def run(
     rows = [[f"beat {b}", f"{p:.3f}"] for b, p in survival.items()]
     rows.append(["fitted per-beat success", f"{rate:.3f}"])
     table = render_table(["P(not converged by ...)", "value"], rows)
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("fig_tail", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="fig_tail",
-        tier="full",
-        runner=run,
-        params={"trials": 80, "max_beats": 120,
-                "checkpoints": (4, 8, 16, 32, 64)},
-        description="geometric convergence tail of ss-Byz-2-Clock "
-                    "(survival function + fitted per-beat success)",
-    )
-)
+    return pins, failures, {"fig_tail": table}

@@ -27,8 +27,19 @@ are gated against ``benchmarks/baselines.json``.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {
+    # One worker: at this size a process pool costs more than it saves.
+    "smoke": {
+        "n": 4, "f": 1, "k": 6, "seeds": 3, "max_beats": 150,
+        "delays": (0, 2), "losses": (0.0, 0.1), "workers": 1,
+    },
+    "full": {},
+    "nightly": {},
+}
+
 
 #: Protocols crossed with every link condition (name, ScenarioSpec kwargs).
 PROTOCOLS = (
@@ -172,83 +183,17 @@ def run(
     delays=(0, 1, 2, 3),
     losses=(0.0, 0.02, 0.05, 0.1, 0.2),
     workers: "int | None" = None,
-) -> BenchOutcome:
+) -> tuple:
     rows = _sweep_rows(n, f, k, seeds, max_beats, delays, losses, workers)
-    results = []
+    pins = {}
     for row in rows:
         axes = {"protocol": row["protocol"], "condition": row["condition"]}
-        results.append(
-            BenchResult(
-                benchmark="link_conditions",
-                metric="success_rate",
-                value=row["success_rate"],
-                unit="fraction",
-                scenario=axes,
-            )
-        )
-        if row["mean_latency"] is not None:
-            results.append(
-                BenchResult(
-                    benchmark="link_conditions",
-                    metric="mean_latency",
-                    value=row["mean_latency"],
-                    unit="beats",
-                    scenario=axes,
-                )
-            )
-            results.append(
-                BenchResult(
-                    benchmark="link_conditions",
-                    metric="max_latency",
-                    value=row["max_latency"],
-                    unit="beats",
-                    scenario=axes,
-                )
-            )
-        results.append(
-            BenchResult(
-                benchmark="link_conditions",
-                metric="mean_dropped",
-                value=row["mean_dropped"],
-                unit="messages",
-                scenario=axes,
-            )
-        )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(_check(rows)),
-        tables=(
-            ("link_conditions", _render(rows, n, f, k, seeds, max_beats)),
-        ),
-    )
-
-
-register(
-    Benchmark(
-        name="link_conditions",
-        tier="smoke",
-        runner=run,
-        params={
-            "n": 7,
-            "f": 2,
-            "k": 8,
-            "seeds": 10,
-            "max_beats": 300,
-            "delays": (0, 1, 2, 3),
-            "losses": (0.0, 0.02, 0.05, 0.1, 0.2),
-        },
-        tier_params={
-            "smoke": {
-                "n": 4,
-                "f": 1,
-                "k": 6,
-                "seeds": 3,
-                "max_beats": 150,
-                "delays": (0, 2),
-                "losses": (0.0, 0.1),
-            },
-        },
-        description="convergence vs. bounded delay and omission loss, "
-                    "three protocol families",
-    )
-)
+        for metric, unit in (
+            ("success_rate", "fraction"), ("mean_latency", "beats"),
+            ("max_latency", "beats"), ("mean_dropped", "messages"),
+        ):
+            if row[metric] is not None:
+                pin(pins, f"link_conditions/{metric}", row[metric], unit, **axes)
+    return pins, _check(rows), {
+        "link_conditions": _render(rows, n, f, k, seeds, max_beats),
+    }

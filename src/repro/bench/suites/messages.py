@@ -10,8 +10,10 @@ through the campaign subsystem.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
 def run(
@@ -19,7 +21,7 @@ def run(
     seeds: int = 4,
     k: int = 8,
     share_saving: float = 0.85,
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.campaign import (
         ScenarioSpec,
         run_campaign,
@@ -60,29 +62,20 @@ def run(
         for entry, det in zip(current, deterministic)
     }
 
-    results = []
+    pins = {}
     for variant, sweep in (
         ("separate", separate),
         ("shared", shared),
     ):
         axes = {"variant": variant, "n": n, "f": f}
-        results.append(BenchResult(
-            benchmark="messages", metric="messages_per_beat",
-            value=sweep.mean_messages_per_beat, unit="messages",
-            scenario=axes,
-        ))
-        results.append(BenchResult(
-            benchmark="messages", metric="success_rate",
-            value=sweep.success_rate, unit="fraction",
-            scenario=axes,
-        ))
+        pin(pins, "messages/messages_per_beat", sweep.mean_messages_per_beat,
+            "messages", **axes)
+        pin(pins, "messages/success_rate", sweep.success_rate, "fraction",
+            **axes)
     for size, cell in sorted(traffic.items()):
         for protocol, value in cell.items():
-            results.append(BenchResult(
-                benchmark="messages", metric="messages_per_beat",
-                value=value, unit="messages",
-                scenario={"protocol": protocol, "n": size},
-            ))
+            pin(pins, "messages/messages_per_beat", value, "messages",
+                protocol=protocol, n=size)
 
     failures = []
     if separate.success_rate != 1.0 or shared.success_rate != 1.0:
@@ -140,24 +133,7 @@ def run(
             for size, cell in sorted(traffic.items())
         ],
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(
-            ("messages_share_coin", share_table),
-            ("messages_scaling", scaling_table),
-        ),
-    )
-
-
-register(
-    Benchmark(
-        name="messages",
-        tier="full",
-        runner=run,
-        params={"sizes": (4, 7, 10, 13), "seeds": 4, "k": 8,
-                "share_saving": 0.85},
-        description="message complexity vs n + the Remark 4.1 shared-coin "
-                    "ablation",
-    )
-)
+    return pins, failures, {
+        "messages_share_coin": share_table,
+        "messages_scaling": scaling_table,
+    }

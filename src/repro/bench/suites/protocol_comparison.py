@@ -19,19 +19,25 @@ never beats the common-coin protocol.
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {
+    "smoke": {"n": 4, "f": 1, "trials": 3, "max_beats": 200},
+    "full": {},
+    "nightly": {},
+}
 
 
 def run(
     n: int = 7, f: int = 2, k: int = 8, trials: int = 6, max_beats: int = 300
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.campaign import ScenarioSpec
     from repro.analysis.experiments import run_sweep
     from repro.analysis.tables import render_table
     from repro.core.protocol import PROTOCOLS
 
-    results, failures, rows = [], [], []
+    pins, failures, rows = {}, [], []
     latency, sweeps = {}, {}
     for name in sorted(PROTOCOLS):
         protocol = PROTOCOLS[name]
@@ -44,19 +50,12 @@ def run(
         latency[name] = sum(censored) / trials
         sweeps[name] = sweep
         scenario = {"protocol": name, "n": n, "f": f, "k": k}
-        results.append(BenchResult(
-            benchmark="protocol_comparison", metric="stabilization_latency",
-            value=latency[name], unit="beats", scenario=scenario,
-        ))
-        results.append(BenchResult(
-            benchmark="protocol_comparison", metric="messages_per_beat",
-            value=sweep.mean_messages_per_beat, unit="messages",
-            scenario=scenario,
-        ))
-        results.append(BenchResult(
-            benchmark="protocol_comparison", metric="success_rate",
-            value=sweep.success_rate, unit="fraction", scenario=scenario,
-        ))
+        for metric, value, unit in (
+            ("stabilization_latency", latency[name], "beats"),
+            ("messages_per_beat", sweep.mean_messages_per_beat, "messages"),
+            ("success_rate", sweep.success_rate, "fraction"),
+        ):
+            pin(pins, f"protocol_comparison/{metric}", value, unit, **scenario)
         bound = protocol.convergence_bound(n, f, k)
         if bound is not None:
             if sweep.success_rate < 1.0:
@@ -102,23 +101,4 @@ def run(
          "success"],
         rows,
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("protocol_comparison", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="protocol_comparison",
-        tier="smoke",
-        runner=run,
-        params={"n": 7, "f": 2, "k": 8, "trials": 6, "max_beats": 300},
-        tier_params={
-            "smoke": {"n": 4, "f": 1, "trials": 3, "max_beats": 200},
-        },
-        description="every registered protocol at matched n/f: "
-                    "stabilization beats, messages, success (all gated)",
-    )
-)
+    return pins, failures, {"protocol_comparison": table}

@@ -36,9 +36,16 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
-from repro.bench.suites._common import counted_rules
+from repro.bench.suites._common import counted_rules, pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {
+    "smoke": {
+        "seeds": 3, "digest_beats": 12, "drift_beats": 24, "runtime_beats": 12,
+    },
+    "full": {},
+    "nightly": {},
+}
 
 #: Drift case: slow enough (rho=0.005 over 40 beats of period 1.0 with
 #: delays in [0, 0.1]) that the slowest sender still beats the fastest
@@ -149,10 +156,10 @@ def run(
     drift_beats: int = 40,
     runtime_beats: int = 24,
     pulse_period: float = 0.05,
-) -> BenchOutcome:
-    results = []
+) -> tuple:
+    pins = {}
     failures = []
-    tables = []
+    tables = {}
 
     # -- differential pin: event engine == reference engine ----------------
     digest_lines = [f"{'adversary':<12} {'seeds':<8} matched"]
@@ -167,21 +174,8 @@ def run(
             elif first_mismatch is None:
                 first_mismatch = seed
         fraction = matched / seeds
-        results.append(
-            BenchResult(
-                benchmark="pulse_precision",
-                metric="trace_match",
-                value=fraction,
-                unit="match",
-                scenario={
-                    "engine": "event",
-                    "adversary": adversary,
-                    "n": 4,
-                    "f": 1,
-                    "seeds": seeds,
-                },
-            )
-        )
+        pin(pins, "pulse_precision/trace_match", fraction, "match",
+            engine="event", adversary=adversary, n=4, f=1, seeds=seeds)
         digest_lines.append(f"{adversary:<12} 0..{seeds - 1:<5} {matched}/{seeds}")
         if fraction < 1.0:
             failures.append(
@@ -190,7 +184,7 @@ def run(
                 f"mismatching seed {first_mismatch}) — the differential "
                 "pin is broken"
             )
-    tables.append(("pulse_trace_digests", "\n".join(digest_lines)))
+    tables["pulse_trace_digests"] = "\n".join(digest_lines)
 
     # -- drift metrics: keyed draws make these exact ----------------------
     from repro.net.events import ContinuousSimulation
@@ -236,28 +230,11 @@ def run(
                 f"{result.late_messages} late messages — the horizon "
                 "arithmetic no longer clears the drift envelope"
             )
-        results.append(
-            BenchResult(
-                benchmark="pulse_precision",
-                metric="converged_beat",
-                value=float(
-                    result.converged_beat
-                    if result.converged_beat is not None
-                    else case["beats"]
-                ),
-                unit="beats",
-                scenario=scenario,
-            )
-        )
-        results.append(
-            BenchResult(
-                benchmark="pulse_precision",
-                metric="max_pulse_skew",
-                value=result.max_pulse_skew,
-                unit="time units",
-                scenario=scenario,
-            )
-        )
+        pin(pins, "pulse_precision/converged_beat",
+            result.converged_beat if result.converged_beat is not None
+            else case["beats"], "beats", **scenario)
+        pin(pins, "pulse_precision/max_pulse_skew", result.max_pulse_skew,
+            "time units", **scenario)
         counts_of_the_case = [
             ("late_free_beats", float(late_free), "beats"),
             ("heap_events_per_beat", events_per_beat, "events/beat"),
@@ -269,21 +246,13 @@ def run(
                 "tallies/beat",
             ))
         for metric, value, unit in counts_of_the_case:
-            results.append(
-                BenchResult(
-                    benchmark="pulse_precision",
-                    metric=metric,
-                    value=value,
-                    unit=unit,
-                    scenario=scenario,
-                )
-            )
+            pin(pins, f"pulse_precision/{metric}", value, unit, **scenario)
         drift_lines.append(
             f"{adversary:<12} {str(result.converged_beat):>9} | "
             f"{result.max_pulse_skew:>9.4f} | {result.late_messages:>4} | "
             f"{late_free:>9} | {events_per_beat:>11.2f} | {draws_per_beat:.2f}"
         )
-    tables.append(("pulse_drift_metrics", "\n".join(drift_lines)))
+    tables["pulse_drift_metrics"] = "\n".join(drift_lines)
 
     # -- live pulse-barrier runtime: health checks only --------------------
     from repro.runtime import run_runtime
@@ -315,38 +284,4 @@ def run(
                 "LocalTransport — the pulse barrier is dropping traffic"
             )
 
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=tuple(tables),
-    )
-
-
-register(
-    Benchmark(
-        name="pulse_precision",
-        tier="smoke",
-        runner=run,
-        params={
-            "seeds": 10,
-            "digest_beats": 20,
-            "drift_beats": 40,
-            "runtime_beats": 24,
-            "pulse_period": 0.05,
-        },
-        tier_params={
-            "smoke": {
-                "seeds": 3,
-                "digest_beats": 12,
-                "drift_beats": 24,
-                "runtime_beats": 12,
-            },
-        },
-        description="continuous-time event engine pinned bit-identical "
-                    "to the reference engine at zero drift/delay "
-                    "(digest-match per adversary), deterministic "
-                    "drifting-clock convergence and skew metrics, and "
-                    "the pulse-barrier runtime's convergence on "
-                    "LocalTransport",
-    )
-)
+    return pins, failures, tables

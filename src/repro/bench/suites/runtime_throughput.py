@@ -28,8 +28,10 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"smoke": {}, "full": {}, "nightly": {}}
 
 #: The digest case: small enough to be free at every tier, adversarial
 #: enough (scrambled start) to catch any codec- or barrier-level drift.
@@ -107,10 +109,10 @@ def _simulator_digest() -> str:
     return _sha(tracer.to_jsonl())
 
 
-def run(codecs=("json", "binary")) -> BenchOutcome:
+def run(codecs=("json", "binary")) -> tuple:
     case = _DIGEST_CASE
     reference = _simulator_digest()
-    results = []
+    pins = {}
     failures = []
     digest_lines = [f"{'codec':<8} {'digest':<20} verdict"]
     for telemetry in (False, True):
@@ -125,16 +127,10 @@ def run(codecs=("json", "binary")) -> BenchOutcome:
             else:
                 counting = _counting(codec)
                 result = _run_digest_case(counting)
-                results += [
-                    BenchResult(
-                        benchmark="runtime_throughput",
-                        metric=f"{count}_per_beat",
-                        value=getattr(counting, count) / case["beats"],
-                        unit=f"{count}/beat",
-                        scenario=scenario,
-                    )
-                    for count in ("encodes", "decodes")
-                ]
+                for count in ("encodes", "decodes"):
+                    pin(pins, f"runtime_throughput/{count}_per_beat",
+                        getattr(counting, count) / case["beats"],
+                        f"{count}/beat", **scenario)
             if (
                 result.barrier_timeouts
                 or result.late_messages
@@ -149,15 +145,8 @@ def run(codecs=("json", "binary")) -> BenchOutcome:
                 )
             digest = _sha(result.to_jsonl())
             match = 1.0 if digest == reference else 0.0
-            results.append(
-                BenchResult(
-                    benchmark="runtime_throughput",
-                    metric="trace_match",
-                    value=match,
-                    unit="match",
-                    scenario=scenario,
-                )
-            )
+            pin(pins, "runtime_throughput/trace_match", match, "match",
+                **scenario)
             digest_lines.append(
                 f"{label:<8} {digest[:16]}…    "
                 f"{'match' if match else 'MISMATCH'}"
@@ -170,22 +159,4 @@ def run(codecs=("json", "binary")) -> BenchOutcome:
                     + (" — instrumentation perturbed the trajectory"
                        if telemetry else "")
                 )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("runtime_trace_digests", "\n".join(digest_lines)),),
-    )
-
-
-register(
-    Benchmark(
-        name="runtime_throughput",
-        tier="smoke",
-        runner=run,
-        params={"codecs": ("json", "binary")},
-        description="live runtime on LocalTransport per wire codec: trace "
-                    "digests against the lock-step simulator (bare and "
-                    "telemetry-enabled — the no-perturbation invariant) "
-                    "and encode/decode counts per beat",
-    )
-)
+    return pins, failures, {"runtime_trace_digests": "\n".join(digest_lines)}

@@ -9,8 +9,10 @@ deterministic baseline.  We also storm the network with phantom messages
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"full": {}, "nightly": {}}
 
 
 def _recovery_latencies(family, n, f, k, storm_beat, max_beats, trials):
@@ -43,7 +45,7 @@ def _recovery_latencies(family, n, f, k, storm_beat, max_beats, trials):
 
 def run(
     trials: int = 8, k: int = 8, storm_beat: int = 60
-) -> BenchOutcome:
+) -> tuple:
     from repro.analysis.stats import summarize
     from repro.analysis.tables import render_table
 
@@ -54,7 +56,7 @@ def run(
         for family, max_beats in families.items()
     }
 
-    results = []
+    pins = {}
     failures = []
     for family, (initial, recovery) in measured.items():
         if len(initial) != trials:
@@ -68,22 +70,13 @@ def run(
                 f"({len(recovery)}/{trials})"
             )
         if initial:
-            results.append(BenchResult(
-                benchmark="stabilization", metric="initial_latency",
-                value=sum(initial) / len(initial), unit="beats",
-                scenario={"family": family},
-            ))
+            pin(pins, "stabilization/initial_latency",
+                sum(initial) / len(initial), "beats", family=family)
         if recovery:
-            results.append(BenchResult(
-                benchmark="stabilization", metric="recovery_latency",
-                value=sum(recovery) / len(recovery), unit="beats",
-                scenario={"family": family},
-            ))
-        results.append(BenchResult(
-            benchmark="stabilization", metric="recovered",
-            value=len(recovery) / trials, unit="fraction",
-            scenario={"family": family},
-        ))
+            pin(pins, "stabilization/recovery_latency",
+                sum(recovery) / len(recovery), "beats", family=family)
+        pin(pins, "stabilization/recovered", len(recovery) / trials,
+            "fraction", family=family)
     current_initial, current_recovery = measured["current"]
     if current_initial and current_recovery:
         mean_initial = sum(current_initial) / len(current_initial)
@@ -114,20 +107,4 @@ def run(
          "recovered"],
         rows,
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("stabilization", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="stabilization",
-        tier="full",
-        runner=run,
-        params={"trials": 8, "k": 8, "storm_beat": 60},
-        description="recovery after a mid-run memory storm + phantom "
-                    "network incoherence equals initial convergence",
-    )
-)
+    return pins, failures, {"stabilization": table}

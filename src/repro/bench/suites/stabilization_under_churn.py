@@ -18,8 +18,11 @@ throughout (this is membership stress, not a liveness counterexample).
 
 from __future__ import annotations
 
-from repro.bench.registry import Benchmark, register
-from repro.bench.result import BenchOutcome, BenchResult
+from repro.bench.suites._common import pin
+
+#: ``run`` keyword arguments per tier this suite runs in.
+TIERS = {"smoke": {"trials": 3}, "full": {}, "nightly": {"trials": 16}}
+
 
 #: The membership script, as (beat, kind, node_ids): a pristine boot,
 #: a two-node crash + scrambled-state recovery, a permanent departure.
@@ -74,7 +77,7 @@ def _churn_latencies(family, n, f, k, max_beats, trials):
 
 
 def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
-        max_beats: int = 220) -> BenchOutcome:
+        max_beats: int = 220) -> tuple:
     from repro.analysis.stats import summarize
     from repro.analysis.tables import render_table
 
@@ -84,7 +87,7 @@ def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
         for family in families
     }
 
-    results = []
+    pins = {}
     failures = []
     for family, (initial, by_event, misses) in measured.items():
         if misses:
@@ -93,27 +96,17 @@ def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
                 f"converged across {trials} trials"
             )
         if initial:
-            results.append(BenchResult(
-                benchmark="stabilization_under_churn",
-                metric="initial_latency",
-                value=sum(initial) / len(initial), unit="beats",
-                scenario={"family": family},
-            ))
+            pin(pins, "stabilization_under_churn/initial_latency",
+                sum(initial) / len(initial), "beats", family=family)
         for kind, latencies in by_event.items():
             if latencies:
-                results.append(BenchResult(
-                    benchmark="stabilization_under_churn",
-                    metric="reconvergence_latency",
-                    value=sum(latencies) / len(latencies), unit="beats",
-                    scenario={"family": family, "event": kind},
-                ))
+                pin(pins, "stabilization_under_churn/reconvergence_latency",
+                    sum(latencies) / len(latencies), "beats",
+                    family=family, event=kind)
         windows = len(_MEASURED_EVENTS) * trials
         recovered = sum(len(v) for v in by_event.values())
-        results.append(BenchResult(
-            benchmark="stabilization_under_churn", metric="recovered",
-            value=recovered / windows, unit="fraction",
-            scenario={"family": family},
-        ))
+        pin(pins, "stabilization_under_churn/recovered", recovered / windows,
+            "fraction", family=family)
 
     current_initial, current_events, _ = measured["current"]
     recover_latencies = current_events["recover"]
@@ -146,25 +139,4 @@ def run(trials: int = 8, n: int = 7, f: int = 2, k: int = 8,
         + [f"after {kind}" for kind, _ in _MEASURED_EVENTS],
         rows,
     )
-    return BenchOutcome(
-        results=tuple(results),
-        failures=tuple(failures),
-        tables=(("stabilization_under_churn", table),),
-    )
-
-
-register(
-    Benchmark(
-        name="stabilization_under_churn",
-        tier="smoke",
-        runner=run,
-        params={"trials": 8, "n": 7, "f": 2, "k": 8, "max_beats": 220},
-        tier_params={
-            "smoke": {"trials": 3},
-            "nightly": {"trials": 16},
-        },
-        description="re-convergence after scripted membership churn "
-                    "(join, crash+scrambled recover, leave) stays in the "
-                    "initial-convergence band",
-    )
-)
+    return pins, failures, {"stabilization_under_churn": table}

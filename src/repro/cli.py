@@ -15,8 +15,6 @@ Commands:
 * ``cluster run SPEC`` — launch multi-process TCP clusters from a
   declarative experiment spec file (see
   :mod:`repro.runtime.orchestrator`);
-* ``bench`` — the unified benchmark subsystem (``list``, ``run``,
-  ``compare``, ``gate``; see :mod:`repro.bench.cli`);
 * ``trace`` — JSONL trace tooling (see :mod:`repro.obs`): ``inspect``
   summarizes a trace, ``diff`` reports the first divergent beat between
   two traces (non-zero exit on mismatch — the differential suites' byte
@@ -65,8 +63,6 @@ from repro.analysis.campaign import (
     iter_campaign,
     scenario_grid,
 )
-from repro.bench.cli import configure_parser as configure_bench_parser
-from repro.bench.cli import handle as handle_bench
 from repro.core.pipeline import CoinFlipPipeline
 from repro.core.protocol import DEFAULT_PROTOCOL
 from repro.errors import ConfigurationError, TransportError
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output rendering (default: Prometheus text exposition)",
     )
 
-    configure_bench_parser(commands)
     for name in _LISTINGS:
         commands.add_parser(name, help=f"list the built-in {name}")
     return parser
@@ -918,7 +913,6 @@ _HANDLERS = {
     "runtime": _cmd_runtime,
     "cluster": _cmd_cluster,
     "trace": _cmd_trace,
-    "bench": handle_bench,
     **dict.fromkeys(_LISTINGS, _cmd_listing),
 }
 

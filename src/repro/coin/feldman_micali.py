@@ -22,8 +22,10 @@ secrets of the locally accepted (grade >= 1) dealers:
 
 Consequently P(E0) and P(E1) are each ``1/2 - (divergence probability)/2``;
 the divergence probability is bounded by adversarial dealings being
-mixed-grade, measured (not assumed) by
-``python -m repro bench run --only coin_quality``.  Fault-free, the coin is a perfect common uniform bit.
+mixed-grade, measured (not assumed) in
+``benchmarks/results/coin_quality.txt`` (rewritten by
+``python tools/pins.py full --write``).  Fault-free, the coin is a
+perfect common uniform bit.
 """
 
 from __future__ import annotations
@@ -42,9 +44,9 @@ class FeldmanMicaliCoin(CoinAlgorithm):
     """GVSS-based common coin; Δ_A = 4 rounds, claimed p0 = p1 = 1/4.
 
     The claimed probabilities are deliberately conservative lower bounds
-    (measured values are far higher; see ``python -m repro bench run
-    --only coin_quality``).  The paper only needs them to be positive
-    constants.
+    (measured values are far higher; see
+    ``benchmarks/results/coin_quality.txt``).  The paper only needs them
+    to be positive constants.
     """
 
     rounds = GradedSharingState.ROUNDS

@@ -12,7 +12,8 @@ Unpredictability holds by construction: the outcome is resolved lazily from
 a per-key seed, the adversary may query it no earlier than the instance's
 final round (rushing, §6.1), and the *foresight* ablation deliberately
 violates this to demonstrate the property is necessary (see
-``python -m repro bench run --only fig_foresight``).
+``benchmarks/results/fig_foresight.txt``, rewritten by
+``python tools/pins.py full --write``).
 
 Protocol-level theorem tests (Theorems 2-4) run against this coin so that
 they verify the paper's reductions and not the luck of a particular coin

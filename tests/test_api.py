@@ -101,7 +101,7 @@ import sys, sysconfig
 from pathlib import Path
 
 started_with = set(sys.modules)  # site's own imports (.pth hooks) are not ours
-import repro, repro.runtime, repro.bench, repro.cli
+import repro, repro.runtime, repro.bench.suites, repro.cli
 
 result = repro.synchronize(
     n=4, f=1, k=6, engine="bulk", max_beats=4, early_stop=False

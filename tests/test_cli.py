@@ -516,64 +516,15 @@ class TestClusterCommand:
         assert "--codec" in capsys.readouterr().err
 
 
-class TestBenchCommand:
-    """`python -m repro bench` smoke; the full contract is tests/test_bench.py."""
+class TestBenchIsGone:
+    """The pinned experiments run through ``tools/pins.py``, not the CLI."""
 
-    def test_bench_list_names_every_registration(self, capsys):
-        from repro.bench import all_benchmarks
-
-        code = main(["bench", "list"])
-        out = capsys.readouterr().out
-        assert code == 0
-        for benchmark in all_benchmarks():
-            assert benchmark.name in out
-        assert "16 benchmarks" in out
-
-    def test_bench_list_tier_selection(self, capsys):
-        code = main(["bench", "list", "--tier", "smoke"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "engines" in out and "link_conditions" in out
-        assert "table1" not in out
-
-    def test_bench_run_smoke_single_benchmark(self, tmp_path, capsys):
-        summary_path = tmp_path / "BENCH_summary.json"
-        code = main(
-            ["bench", "run", "--tier", "smoke", "--only", "engines",
-             "--results-dir", str(tmp_path), "--summary", str(summary_path)]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "engines" in out and "wrote" in out
-        assert summary_path.exists()
-        assert (tmp_path / "engines.smoke.json").exists()
-
-    def test_bench_run_profile_writes_prof(self, tmp_path, capsys):
-        summary_path = tmp_path / "BENCH_summary.json"
-        code = main(
-            ["bench", "run", "--tier", "smoke", "--only", "engines",
-             "--profile",
-             "--results-dir", str(tmp_path), "--summary", str(summary_path)]
-        )
-        assert code == 0
-        assert (tmp_path / "engines.smoke.prof").exists()
-
-    def test_bench_gate_against_checked_in_artifacts(self, tmp_path, capsys):
-        """A fresh smoke run of the deterministic sweep gates cleanly
-        against the checked-in baselines (the CI contract)."""
-        summary_path = tmp_path / "BENCH_summary.json"
-        assert main(
-            ["bench", "run", "--tier", "smoke", "--only", "link_conditions",
-             "--results-dir", str(tmp_path), "--summary", str(summary_path)]
-        ) == 0
-        capsys.readouterr()
-        code = main(
-            ["bench", "gate", "--summary", str(summary_path),
-             "--baseline", "benchmarks/baselines.json"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0, out
-        assert "-> ok" in out
+    @pytest.mark.parametrize("argv", [["bench", "list"], ["bench", "run"]])
+    def test_bench_subcommand_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestTraceCommand:

@@ -154,6 +154,7 @@ class TestFeldmanMicaliCoin:
             if len(set(outputs.values())) == 1:
                 agreed += 1
         # Definition 2.6 only needs a positive constant; measured values
-        # are reported by `repro bench run --only coin_quality`.  Assert a
-        # conservative floor.
+        # are in benchmarks/results/coin_quality.txt (rewritten by
+        # `python tools/pins.py full --write`).  Assert a conservative
+        # floor.
         assert agreed / trials > 0.5

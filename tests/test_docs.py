@@ -86,7 +86,7 @@ def test_stale_flag_in_a_command_line_detected(tmp_path):
         "# Title\n\n```bash\n"
         "python -m repro run --n 4 --f 1 \\\n"
         "    --link mobility   # the canonical spelling\n"
-        "PYTHONPATH=src python -m repro bench list && \\\n"
+        "PYTHONPATH=src python -m repro protocols && \\\n"
         "python -m repro run --n 4 \\\n"
         "    --mobility  # removed shorthand\n"
         "```\n",

@@ -1,13 +1,15 @@
 """Property-based tests for the trust-boundary serializers.
 
-Two codecs cross process boundaries and therefore must be total
-functions of their input bytes: the live runtime's wire codec
-(:mod:`repro.runtime.wire` — a Byzantine peer crafts arbitrary frames)
-and the benchmark result schema (:mod:`repro.bench.result` — baselines
-and summaries are re-read across commits).  Hypothesis drives both ends:
-every value in the legal domain round-trips bit-exactly, and every
-malformed input raises the codec's declared error type — never an
-uncaught ``KeyError``/``TypeError``/``RecursionError`` from the guts.
+The live runtime's wire codecs cross process boundaries and therefore
+must be total functions of their input bytes (:mod:`repro.runtime.wire`
+and :mod:`repro.runtime.codec` — a Byzantine peer crafts arbitrary
+frames).  The pins of the benchmark suites cross commits instead
+(``benchmarks/baselines.json`` is re-read and compared exactly), so
+their one constructor, ``repro.bench.suites._common.pin``, is held to
+the same standard.  Hypothesis drives both ends: every value in the legal domain
+round-trips bit-exactly, and every malformed input raises the codec's
+declared error type — never an uncaught
+``KeyError``/``TypeError``/``RecursionError`` from the guts.
 
 (When hypothesis is not installed, ``tests/conftest.py`` skips
 collecting this module entirely.)
@@ -16,17 +18,12 @@ collecting this module entirely.)
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bench.result import (
-    RESULT_SCHEMA,
-    BenchResult,
-    normalize_axes,
-    result_key,
-    validate_result_record,
-)
+from repro.bench.suites._common import pin
 from repro.errors import WireError
 from repro.runtime.codec import BinaryCodec, JsonCodec
 from repro.runtime.sync import Intake
@@ -368,94 +365,46 @@ class TestBinaryCodecMalformed:
 
 
 # --------------------------------------------------------------------------
-# BenchResult schema
+# Pins of the benchmark suites
 # --------------------------------------------------------------------------
 
 _axis_values = st.one_of(
     st.booleans(),
     st.integers(min_value=-(2**31), max_value=2**31),
     st.floats(allow_nan=False, allow_infinity=False),
-    st.text(max_size=16),
+    st.text(alphabet=st.characters(whitelist_categories=("L", "N")),
+            max_size=12),
+)
+_axes = st.dictionaries(
+    st.from_regex(r"[a-z_]{1,10}", fullmatch=True), _axis_values, max_size=5
 )
 
-_names = st.text(
-    min_size=1, max_size=20,
-    alphabet=st.characters(whitelist_categories=("L", "N"),
-                           whitelist_characters="_-/."),
-)
 
+class TestPins:
+    @given(_axes)
+    def test_key_does_not_depend_on_axis_order(self, axes):
+        forward, backward = {}, {}
+        pin(forward, "toy/latency", 1.0, "beats", **axes)
+        pin(backward, "toy/latency", 1.0, "beats",
+            **dict(reversed(list(axes.items()))))
+        assert forward == backward
 
-@st.composite
-def _bench_results(draw) -> BenchResult:
-    return BenchResult(
-        benchmark=draw(_names),
-        metric=draw(_names),
-        value=draw(st.floats(allow_nan=False)),
-        unit=draw(_names),
-        scenario=draw(st.dictionaries(_names, _axis_values, max_size=4)),
-    )
+    @given(st.floats(allow_nan=False, allow_infinity=False), _axes)
+    def test_pins_survive_the_disk_format(self, value, axes):
+        """What ``tools/pins.py --write`` dumps, it reads back ``==``."""
+        pins = {}
+        pin(pins, "toy/latency", value, "beats", **axes)
+        text = json.dumps(pins, indent=2, sort_keys=True)
+        assert json.loads(text) == pins
 
-
-class TestBenchResultSchema:
-    @given(_bench_results())
-    def test_json_round_trip_is_identity(self, result):
-        record = result.to_json()
-        validate_result_record(record)  # from_json calls this; be explicit
-        assert BenchResult.from_json(record) == result
-
-    @given(_bench_results())
-    def test_round_trip_survives_the_disk_format(self, result):
-        """Baselines are re-read from files, so the record must survive
-        an actual JSON dump/load cycle, not just dict identity."""
-        record = json.loads(json.dumps(result.to_json()))
-        assert BenchResult.from_json(record) == result
-
-    @given(_bench_results())
-    def test_key_is_stable_across_round_trip(self, result):
-        assert result_key(BenchResult.from_json(result.to_json())) \
-            == result.key
-
-    @given(st.dictionaries(st.text(max_size=8), _json_values, max_size=6))
-    def test_arbitrary_records_never_escape_valueerror(self, record):
+    @given(st.one_of(_json_values, st.floats(),
+                     st.integers(min_value=2**1023, max_value=2**1100)))
+    def test_any_value_is_pinned_as_a_float_or_rejected(self, value):
+        pins = {}
         try:
-            validate_result_record(record)
+            pin(pins, "toy/latency", value, "beats")
         except ValueError:
             return
-        # Validation passed: construction must succeed too.
-        BenchResult.from_json(record)
-
-    @pytest.mark.parametrize("mutation,match", [
-        ({"schema": "repro-bench-result/0"}, "schema"),
-        ({"benchmark": ""}, "non-empty"),
-        ({"metric": 3}, "non-empty"),
-        ({"value": "fast"}, "number"),
-        ({"value": True}, "number"),
-        ({"schema": "repro-bench-result/1"}, "schema"),
-        ({"scenario": [1, 2]}, "scenario"),
-        ({"scenario": {"n": [4]}}, "scalar"),
-        ({"unit": ""}, "non-empty"),
-    ])
-    def test_specific_violations_named(self, mutation, match):
-        record = BenchResult(
-            benchmark="b", metric="m", value=1.0, unit="beats",
-            scenario={"n": 4},
-        ).to_json()
-        record.update(mutation)
-        with pytest.raises(ValueError, match=match):
-            validate_result_record(record)
-
-    def test_non_mapping_rejected(self):
-        with pytest.raises(ValueError, match="object"):
-            validate_result_record([("benchmark", "b")])
-
-    @given(st.dictionaries(_names, _axis_values, max_size=4))
-    def test_normalize_axes_is_idempotent_and_sorted(self, scenario):
-        axes = normalize_axes(scenario)
-        assert axes == normalize_axes(axes)
-        assert list(axes) == sorted(axes)
-
-    def test_schema_tag_present(self):
-        record = BenchResult(
-            benchmark="b", metric="m", value=0.5, unit="ratio"
-        ).to_json()
-        assert record["schema"] == RESULT_SCHEMA
+        (entry,) = pins.values()
+        assert type(entry["value"]) is float
+        assert math.isfinite(entry["value"])
