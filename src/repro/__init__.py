@@ -173,9 +173,9 @@ def synchronize(
     records the per-beat clock trajectory on ``result.records``, export
     it with ``result.to_jsonl()`` (the shared JSONL trace format).
     ``timing=(rho, d_min, d_max, pulse_period)`` leaves the lock-step
-    beat model entirely: the trial runs on the event-driven
-    continuous-time engine (:mod:`repro.net.events`) with drifting
-    clocks and bounded message delays, and the result carries
+    beat model entirely: the trial runs in continuous time
+    (:mod:`repro.net.events`) with drifting clocks and bounded message
+    delays, and the result carries
     ``pulse_skew`` / ``converged_time`` in the run's time units.
     """
     schedule = ChurnSchedule.coerce(churn)

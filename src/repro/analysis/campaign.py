@@ -173,13 +173,14 @@ class ScenarioSpec:
             of them on another coin is a configuration error.
         timing: continuous-time axis — empty (the default) runs the
             lock-step beat model; ``(rho, d_min, d_max, pulse_period)``
-            runs the event-driven bounded-delay engine
-            (:class:`~repro.net.events.ContinuousSimulation`) with
-            drifting clocks and keyed message delays instead.  Continuous
-            trials always burn the full ``max_beats`` horizon (the event
-            schedule is fixed up front) and are incompatible with
-            ``scramble_beats``, ``churn``, a non-perfect ``link`` and a
-            non-default ``engine`` — those axes are beat-model machinery.
+            runs the bounded-delay model instead: drifting clocks and
+            keyed message delays decide which copies make their close
+            (:class:`~repro.net.events.ContinuousSimulation`, the fast
+            engine behind :class:`~repro.net.events.TimingLinks`).
+            Continuous trials always burn the full ``max_beats`` horizon
+            and are incompatible with ``scramble_beats``, ``churn``, a
+            non-perfect ``link`` and a non-default ``engine`` — timing
+            is the trial's link model and picks its engine.
         tag: free-form label echoed in reports.
     """
 
@@ -252,7 +253,7 @@ class ScenarioSpec:
                 "timing must be (rho, d_min, d_max, pulse_period), got "
                 f"{self.timing!r}"
             )
-        # Bounds are checked with the event engine's own rules.
+        # Bounds are checked with the timing model's own rules.
         rho, d_min, d_max, pulse_period = self.timing
         DriftingClock(0, 0, rho, pulse_period)
         KeyedDelays(0, d_min, d_max)
@@ -266,7 +267,7 @@ class ScenarioSpec:
         bad = sorted(name for name, used in beat_axes.items() if used)
         if bad:
             raise ConfigurationError(
-                f"the continuous-time engine does not support {bad}: those "
+                f"a continuous-time trial does not support {bad}: those "
                 "are lock-step beat-model axes (delays and drops come from "
                 "the timing bounds here)"
             )
@@ -375,8 +376,8 @@ def scenario_grid(
     keyword (default ``"clock-sync"``) pins the whole grid to one
     family, the pre-seam behavior.  ``timings`` is the continuous-time
     axis: each entry is ``()`` (the lock-step beat model, the default)
-    or ``(rho, d_min, d_max, pulse_period)`` for the event-driven
-    engine — e.g. ``timings=[(), (0.001, 0.0, 0.1, 1.0)]`` crosses every
+    or ``(rho, d_min, d_max, pulse_period)`` for the bounded-delay
+    model — e.g. ``timings=[(), (0.001, 0.0, 0.1, 1.0)]`` crosses every
     scenario with one drifting bounded-delay world.  Extra keyword
     arguments are forwarded to every :class:`ScenarioSpec`.
     """

@@ -113,9 +113,10 @@ def run_trial(
     A spec with ``early_stop=False`` always burns the full budget (e.g. to
     measure steady-state traffic over a fixed horizon).
 
-    A spec with a ``timing`` axis dispatches to the continuous-time
-    event engine instead; such trials always run the full horizon, and
-    late deliveries are reported through ``dropped_messages``.
+    A spec with a ``timing`` axis runs in continuous time instead
+    (:func:`~repro.net.events.run_continuous`); such trials always run
+    the full horizon, and late deliveries are reported through
+    ``dropped_messages``.
     """
     spec.validate()
     if adversary is None:
@@ -173,7 +174,7 @@ def run_trial(
 def _run_continuous_trial(
     spec: "ScenarioSpec", seed: int, adversary: Adversary | None, trace: bool
 ) -> TrialResult:
-    """One trial on the event-driven continuous-time engine."""
+    """One continuous-time trial: drifting clocks, keyed delays."""
     rho, d_min, d_max, pulse_period = spec.timing
     result = run_continuous(
         spec.n,

@@ -1,10 +1,10 @@
-"""Continuous-time pulse precision: the event engine's differential pin,
+"""Continuous-time pulse precision: the continuous run's differential pin,
 its drifting-clock metrics and the pulse-barrier runtime's health.
 
 Three families, every pinned value deterministic:
 
 * **``trace_match``** — the load-bearing differential pin.  At
-  zero drift and zero delay the event-driven engine
+  zero drift and zero delay a continuous run
   (:class:`~repro.net.events.ContinuousSimulation`) must replay the
   lock-step :class:`~repro.net.simulator.Simulation` (reference engine)
   bit-identically: same seeds, same scramble, same adversary, same JSONL
@@ -13,17 +13,15 @@ Three families, every pinned value deterministic:
 * **drift metrics** — a drifting-clock bounded-delay run is still
   simulation-deterministic (every draw is keyed), so its convergence
   beat and max pulse skew are pinned exactly like the ``engines``
-  suite's trajectory digests.  Three counts ride along, for
-  the same case: ``late_free_beats`` (how long nothing *can* be late —
-  the boundary ROADMAP 1c asks to locate), and what the run cost while
-  inside it, ``heap_events_per_beat`` (a pulse and a close per honest
-  node, one adversary phase; arrivals are decided, not scheduled) and
-  ``delay_draws_per_beat`` (zero: no draw could have decided anything)
-  — so a silent return to one event and one draw per copy trips the
-  gate without reading a clock.  Under the equivocator a fourth,
+  suite's trajectory digests.  Two counts ride along, for the same
+  case: ``late_free_beats`` (how long nothing *can* be late — the
+  boundary ROADMAP 1c asks to locate), and what the run cost while
+  inside it, ``delay_draws_per_beat`` (zero: no draw could have decided
+  anything) — so a silent return to one draw per copy trips the gate
+  without reading a clock.  Under the equivocator a third,
   ``tallies_per_beat``: the rules of Figures 2 and 4 run once per
   distinct inbox *object*, so it follows the classes of receivers the
-  message plane hands out and moves if the event path goes back to one
+  message plane hands out and moves if a drifting run goes back to one
   grouping per receiver.
 * **live checks, no rows** — the pulse-barrier runtime
   (``run_runtime(..., sync="pulse")``) on LocalTransport must converge
@@ -84,27 +82,23 @@ _LATE_FREE_HORIZON = 1000
 
 @contextmanager
 def _event_counts():
-    """Count the heap events pushed and the keyed delays drawn by the
-    event-engine runs inside the block (the engine offers no seam for
-    either, so the two methods are wrapped for the duration)."""
-    from repro.net.events import EventHeap, KeyedDelays
+    """Count the keyed delays drawn by the continuous runs inside the
+    block (the link offers no seam for it, so the method is wrapped for
+    the duration)."""
+    from repro.net.events import KeyedDelays
 
-    counts = {"heap": 0, "draws": 0}
-    push, delay = EventHeap.push, KeyedDelays.delay
-
-    def counted_push(heap, key, payload=None):
-        counts["heap"] += 1
-        push(heap, key, payload)
+    counts = {"draws": 0}
+    delay = KeyedDelays.delay
 
     def counted_delay(delays, *key):
         counts["draws"] += 1
         return delay(delays, *key)
 
-    EventHeap.push, KeyedDelays.delay = counted_push, counted_delay
+    KeyedDelays.delay = counted_delay
     try:
         yield counts
     finally:
-        EventHeap.push, KeyedDelays.delay = push, delay
+        KeyedDelays.delay = delay
 
 
 def _reference_digest(n: int, f: int, beats: int, seed: int, adversary: str) -> str:
@@ -130,7 +124,7 @@ def _reference_digest(n: int, f: int, beats: int, seed: int, adversary: str) -> 
 
 
 def _event_digest(n: int, f: int, beats: int, seed: int, adversary: str) -> str:
-    """sha256 of the event engine's trace at zero drift / zero delay."""
+    """sha256 of a continuous run's trace at zero drift / zero delay."""
     import hashlib
 
     from repro.net.events import run_continuous
@@ -161,7 +155,7 @@ def run(
     failures = []
     tables = {}
 
-    # -- differential pin: event engine == reference engine ----------------
+    # -- differential pin: continuous run == reference engine --------------
     digest_lines = [f"{'adversary':<12} {'seeds':<8} matched"]
     for adversary in ("none", "equivocator"):
         matched = 0
@@ -179,7 +173,7 @@ def run(
         digest_lines.append(f"{adversary:<12} 0..{seeds - 1:<5} {matched}/{seeds}")
         if fraction < 1.0:
             failures.append(
-                f"event engine diverged from the reference engine at zero "
+                f"continuous run diverged from the reference engine at zero "
                 f"drift / zero delay (adversary={adversary}, first "
                 f"mismatching seed {first_mismatch}) — the differential "
                 "pin is broken"
@@ -192,7 +186,7 @@ def run(
     case = dict(_DRIFT_CASE, beats=drift_beats)
     drift_lines = [
         f"{'adversary':<12} {'converged':>9} | {'max skew':>9} | "
-        f"{'late':>4} | {'late-free':>9} | {'events/beat':>11} | draws/beat"
+        f"{'late':>4} | {'late-free':>9} | draws/beat"
     ]
     for adversary in ("none", "equivocator"):
         simulation = ContinuousSimulation(
@@ -209,7 +203,6 @@ def run(
         with _event_counts() as counts, counted_rules(Counter()) as tally:
             result = simulation.run(case["beats"], k=8)
         late_free = simulation.late_free_beats(_LATE_FREE_HORIZON)
-        events_per_beat = counts["heap"] / case["beats"]
         draws_per_beat = counts["draws"] / case["beats"]
         scenario = {
             "n": case["n"],
@@ -237,7 +230,6 @@ def run(
             "time units", **scenario)
         counts_of_the_case = [
             ("late_free_beats", float(late_free), "beats"),
-            ("heap_events_per_beat", events_per_beat, "events/beat"),
             ("delay_draws_per_beat", draws_per_beat, "draws/beat"),
         ]
         if adversary == "equivocator":
@@ -250,7 +242,7 @@ def run(
         drift_lines.append(
             f"{adversary:<12} {str(result.converged_beat):>9} | "
             f"{result.max_pulse_skew:>9.4f} | {result.late_messages:>4} | "
-            f"{late_free:>9} | {events_per_beat:>11.2f} | {draws_per_beat:.2f}"
+            f"{late_free:>9} | {draws_per_beat:.2f}"
         )
     tables["pulse_drift_metrics"] = "\n".join(drift_lines)
 

@@ -33,9 +33,9 @@ accept ``--engine`` to pick a simulation engine (the live runtime owns
 its own message plane) and ``--link`` (with ``--link-param k=v``) to
 degrade the network: bounded delay, omission loss, scheduled partitions,
 or waypoint mobility — plus ``--churn BEAT:KIND:IDS`` membership events
-(crash, recover, join, leave) and ``--timing RHO:DMIN:DMAX:PERIOD``, the
-event-driven continuous-time engine (one value on ``run``, a grid axis on
-``campaign``).  Every command describes its run as a
+(crash, recover, join, leave) and ``--timing RHO:DMIN:DMAX:PERIOD``,
+continuous time with drifting clocks and delays (one value on ``run``, a
+grid axis on ``campaign``).  Every command describes its run as a
 :class:`~repro.analysis.campaign.ScenarioSpec` and is deterministic given
 ``--seed`` (campaigns: given the seed range, at any worker count, under
 any link model or churn schedule).
@@ -112,7 +112,7 @@ def _parse_link_param(raw: str) -> tuple[str, object]:
 
 #: The scenario flags every simulated run takes; ``runtime`` takes the
 #: first eight (it owns its message plane — no engine, link model, churn
-#: or event engine — and always runs its whole budget).
+#: or timing model — and always runs its whole budget).
 _SCENARIO_FLAGS = (
     "n", "f", "k", "protocol", "coin", "adversary", "seed", "beats",
     "engine", "link", "link-param", "churn", "no-early-stop", "timing",
@@ -186,9 +186,9 @@ def _add_scenario_arguments(
         ),
         "timing": dict(
             default=None, metavar="RHO:DMIN:DMAX:PERIOD",
-            help="continuous-time mode: run the event-driven engine with "
-                 "clock drift RHO, message delays in [DMIN, DMAX] and pulse "
-                 "period PERIOD (incompatible with --link/--churn/--engine)",
+            help="continuous-time mode: run with clock drift RHO, message "
+                 "delays in [DMIN, DMAX] and pulse period PERIOD "
+                 "(incompatible with --link/--churn/--engine)",
         ),
     }
     for flag in flags:

@@ -15,6 +15,7 @@ from repro.net.events import (
     EventHeap,
     KeyedDelays,
     PulseSynchronizer,
+    TimingLinks,
     run_continuous,
 )
 from repro.net.environment import (
@@ -65,6 +66,7 @@ __all__ = [
     "EventHeap",
     "KeyedDelays",
     "PulseSynchronizer",
+    "TimingLinks",
     "run_continuous",
     "ENGINES",
     "Engine",

@@ -888,11 +888,11 @@ class BulkEngine(FastEngine):
             if partitioned:
                 # A partition rules copy by copy: this (rare) beat's
                 # rows are expanded and what survives arrives as strays.
-                for envelope in crafted:
+                for seq, envelope in enumerate(crafted):
                     if (
                         envelope.receiver in nodes
                         and link.classify(
-                            envelope.sender, envelope.receiver, beat
+                            envelope.sender, envelope.receiver, beat, seq
                         ) is None
                     ):
                         stats.record_dropped(envelope)

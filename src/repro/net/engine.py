@@ -44,10 +44,14 @@ default) no engine ever calls ``classify``, which is what makes the
 perfect model a provable no-op.  Under any other model the engines stay
 differentially equivalent: every copy is classified on its own, in the
 reference engine's order (link decisions are keyed randomness, but
-stateful models count emissions per directed link), and delayed arrivals
-merge into inboxes in a fixed stage order — for one sender, older delayed
-traffic sorts before the beat's fresh traffic, which sorts before
-phantoms claiming that sender (:mod:`repro.net.plane`'s ``STAGE_*``).
+stateful models count emissions per directed link) and with the same
+``seq``, the copy's index in its sender's per-receiver envelope list or
+in the beat's expanded crafted traffic (the continuous-time model,
+:class:`~repro.net.events.TimingLinks`, keys its delay draws by it);
+delayed arrivals merge into inboxes in a fixed stage order — for one
+sender, older delayed traffic sorts before the beat's fresh traffic,
+which sorts before phantoms claiming that sender
+(:mod:`repro.net.plane`'s ``STAGE_*``).
 Classifying a copy is not building it: the fast engine builds only the
 copies a link holds back, and the rest of each broadcast or row stays
 shared.
@@ -90,8 +94,8 @@ def craft_byzantine(
     its legal view of ``beat`` and validate the crafted traffic.
 
     ``visible`` is what was addressed to faulty ids, in the canonical
-    (sender, emission order, faulty receiver) order; the lock-step and
-    event engines build it from their outboxes, the live
+    (sender, emission order, faulty receiver) order; the lock-step
+    engines build it from their outboxes, the live
     :class:`~repro.runtime.byzantine.ByzantineProcess` from the frames
     its endpoints received.  The result is always shared form (a plain
     list comes back as point-to-point records), so a caller either
@@ -225,15 +229,19 @@ class ReferenceEngine:
             (True, honest_envelopes),
             (False, self.router.validate_byzantine(byzantine_envelopes)),
         ):
-            for envelope in envelopes:
+            first: dict[int, int] = {}
+            for index, envelope in enumerate(envelopes):
                 stats.record(envelope, honest)
-                receiver = envelope.receiver
+                sender, receiver = envelope.sender, envelope.receiver
+                # The link's seq: an honest copy's index in its sender's
+                # envelopes, a crafted copy's in the beat's crafted traffic.
+                seq = index - first.setdefault(sender, index) if honest else index
                 if receiver not in nodes:
                     continue  # dead letter (faulty receiver): adversary view only
-                if envelope.sender == receiver:
+                if sender == receiver:
                     delay = 0  # loopback is always perfect
                 else:
-                    delay = link.classify(envelope.sender, receiver, beat)
+                    delay = link.classify(sender, receiver, beat, seq)
                 if delay is None:
                     stats.record_dropped(envelope)
                 elif delay == 0:
@@ -269,12 +277,12 @@ class FastEngine:
     A link model that rules on a beat puts one step between a record and
     the traffic, ``rule``: each copy bound for a correct receiver other
     than its sender is classified — the calls the reference engine makes,
-    in its order — but only a copy the link *holds* (drops, or delays into
-    the in-flight queue) is ever built.  What still arrives stays in shared
-    form: a broadcast that lost nothing is its lane envelope, one that
-    lost copies is the row of the receivers it still reaches, a crafted
-    row loses only its held entries, so receivers who lost the same
-    copies share one merged inbox.
+    in its order, with the same ``seq`` — but only a copy the link *holds*
+    (drops, or delays into the in-flight queue) is ever built.  What still
+    arrives stays in shared form: a broadcast that lost nothing is its
+    lane envelope, one that lost copies is the row of the receivers it
+    still reaches, a crafted row loses only its held entries, so
+    receivers who lost the same copies share one merged inbox.
     """
 
     name = "fast"
@@ -305,7 +313,6 @@ class FastEngine:
         self._link = simulation.link
         self._faulty_set = simulation.faulty_ids
         self._faulty = tuple(sorted(simulation.faulty_ids))
-        self._correct = tuple(sorted(simulation.nodes))
         self._outboxes = {
             node_id: FastOutbox(simulation.n) for node_id in simulation.nodes
         }
@@ -337,20 +344,21 @@ class FastEngine:
         # The legal view in shared form: one record per honest broadcast.
         visible = FanoutView(beat, self._faulty)
 
-        def rule(sender, path, payloads, envelope=None):
-            """``payloads`` (one record's copies, receiver -> payload)
-            without the copies the link holds — the mapping itself if it
-            holds none.  Each copy for a correct receiver other than the
-            sender is classified, in the mapping's order; only a held one
-            is built (``envelope``: a point-to-point record's own copy),
-            then dropped or put in flight."""
+        def rule(sender, path, payloads, seq, envelope=None):
+            """``payloads`` (one record's copies, receiver -> payload,
+            the copies' ``seq`` counting up from ``seq``) without the
+            copies the link holds — the mapping itself if it holds none.
+            Each copy for a correct receiver other than the sender is
+            classified, in the mapping's order; only a held one is built
+            (``envelope``: a point-to-point record's own copy), then
+            dropped or put in flight."""
             held = []
-            for receiver, payload in payloads.items():
+            for index, (receiver, payload) in enumerate(payloads.items(), seq):
                 # Loopback is perfect; a faulty receiver's copy is a dead
                 # letter, shown to the adversary and delivered nowhere.
                 if receiver not in nodes or receiver == sender:
                     continue
-                delay = link.classify(sender, receiver, beat)
+                delay = link.classify(sender, receiver, beat, index)
                 if delay == 0:
                     continue
                 held.append(receiver)
@@ -370,21 +378,25 @@ class FastEngine:
         # -- send phase ----------------------------------------------------
         # Honest nodes run in ascending id order, so lanes come out sorted
         # by (sender, emission order) — the exact order the reference
-        # router's stable sender sort produces.
+        # router's stable sender sort produces.  ``seq`` is a record's
+        # first copy's index in the node's per-receiver envelope list.
         for node_id, node in active.items():
-            records = node.send_phase(beat, self._outboxes[node_id])
-            for seq, (path, payload, receiver) in enumerate(records):
+            seq = 0
+            for path, payload, receiver in node.send_phase(
+                beat, self._outboxes[node_id]
+            ):
                 if receiver is None:  # full broadcast
                     stats.record_fanout(path, beat, n, honest=True)
                     if adversary_active:
                         visible.add_broadcast(node_id, path, payload)
-                    if linked:
-                        everyone = dict.fromkeys(self._correct, payload)
-                        reached = rule(node_id, path, everyone)
-                        if reached is not everyone:
-                            traffic.row(node_id, seq, path, reached)
-                            continue
-                    traffic.broadcast(node_id, seq, path, payload)
+                    if linked:  # every id, so a copy's seq is seq + receiver
+                        everyone = dict.fromkeys(range(n), payload)
+                        reached = rule(node_id, path, everyone, seq)
+                    if not linked or reached is everyone:
+                        traffic.broadcast(node_id, seq, path, payload)
+                    else:
+                        traffic.row(node_id, seq, path, reached)
+                    seq += n
                 else:
                     envelope = Envelope(node_id, receiver, path, payload, beat)
                     stats.record(envelope, honest=True)
@@ -392,11 +404,12 @@ class FastEngine:
                         visible.add_envelope(envelope)
                     if receiver in nodes and (
                         not linked
-                        or rule(node_id, path, {receiver: payload}, envelope)
+                        or rule(node_id, path, {receiver: payload}, seq, envelope)
                     ):
                         traffic.stray(
                             receiver, (node_id, STAGE_REGULAR, seq), envelope
                         )
+                    seq += 1
 
         # -- adversary phase ----------------------------------------------
         if adversary_active:
@@ -405,10 +418,10 @@ class FastEngine:
             records = crafted.records
             if linked:  # each record minus the copies the link held
                 records = [
-                    Row(r.sender, r.path, rule(*r)) if type(r) is Row else r
-                    for r in records
+                    Row(r.sender, r.path, rule(*r, seq)) if type(r) is Row else r
+                    for r, seq in zip(records, crafted.starts)
                     if type(r) is Row
-                    or rule(r.sender, r.path, {r.receiver: r.payload}, r)
+                    or rule(r.sender, r.path, {r.receiver: r.payload}, seq, r)
                 ]
             traffic.crafted(records, nodes)
 

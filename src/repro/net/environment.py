@@ -103,8 +103,8 @@ class Environment:
         """Enter ``beat``, forgetting the outcomes for beats before
         ``beat - 1``: no lock-step beat asks for them again (a recorder has
         read them; foresight keys lie ahead), and at n bits each they were
-        most of a long run's memory.  The event and live hosts never call
-        this and keep every outcome."""
+        most of a long run's memory.  The live hosts never call this and
+        keep every outcome."""
         self.beat = beat
         stale = [key for key in self._outcomes if key[1] < beat - 1]
         for key in stale:

@@ -21,12 +21,12 @@ once:
   of receivers that buffered the same runs (:class:`InboxClasses`).
 
 What decides *when* a beat closes (markers, deadlines, the next pulse)
-stays with the driver.  The event engine (:mod:`repro.net.events`) no
-longer drives this class: it decides each copy's lateness at the send
-and keeps a beat's traffic in the in-process plane
-(:mod:`repro.net.plane`).  It is still *held* to the rule —
-``tests/test_event_rule.py`` replays it against an arrival-event loop
-built on :class:`BeatInbox`.
+stays with the driver.  Simulated continuous time
+(:mod:`repro.net.events`) does not drive this class: its link model
+decides each copy's lateness at the send and the lock-step engine keeps
+a beat's traffic in the in-process plane (:mod:`repro.net.plane`).  It
+is still *held* to the rule — ``tests/test_event_rule.py`` replays it
+against an arrival-event loop built on :class:`BeatInbox`.
 """
 
 from __future__ import annotations

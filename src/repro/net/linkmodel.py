@@ -66,10 +66,13 @@ incoherence, injected directly into delivery.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.errors import ConfigurationError
 from repro.net.rng import label_bytes, seed_from, seed_prefix
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.net.world import World
 
 __all__ = [
     "DEFAULT_LINK",
@@ -90,7 +93,8 @@ __all__ = [
 _UNIFORM_SCALE = float(2**64)
 
 #: Per-copy suffixes after a link's key prefix, pre-rendered:
-#: ``label_bytes(seq)`` and ``label_bytes(seq, "loss")``.
+#: ``label_bytes(emitted)`` and ``label_bytes(emitted, "loss")``, where
+#: ``emitted`` counts the link's earlier copies.
 _DELAY_SUFFIX = b"/%d"
 _LOSS_SUFFIX = b"/%d/'loss'"
 
@@ -139,7 +143,14 @@ class LinkModel:
         self._seed = seed
         self._prefix = seed_prefix(seed, self.name)
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
+    def bind_world(self, world: "World") -> None:
+        """Couple this model to one simulation's system (called by
+        ``Simulation.__init__``): :meth:`bind` on its size and link
+        seed.  A model keyed by another of the world's seeds, or reading
+        its cast, overrides this."""
+        self.bind(world.n, world.link_seed)
+
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
         """Rule on one envelope: ``None`` drops it, ``d >= 0`` delivers it
         at beat ``beat + d`` (0 = the paper's same-beat delivery).
 
@@ -147,7 +158,11 @@ class LinkModel:
         emission order per directed link; decisions must depend only on
         ``(seed, beat, sender, receiver)`` and per-link state built from
         earlier calls on the *same* directed link (see the module
-        docstring's determinism contract).
+        docstring's determinism contract).  ``seq`` is the copy's index:
+        its position in its sender's per-receiver envelope list (a
+        broadcast's base plus the receiver id), or for crafted traffic
+        in the beat's expanded :class:`~repro.net.message.CraftedTraffic`.
+        The registered models ignore it and count emissions per link.
         """
         raise NotImplementedError
 
@@ -193,7 +208,7 @@ class PerfectLinks(LinkModel):
     name = "perfect"
     is_perfect = True
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
         return 0
 
 
@@ -221,11 +236,11 @@ class BoundedDelayLinks(LinkModel):
         #: Per directed link: delivery beat of the last classified envelope.
         self._frontier: dict[tuple[int, int], int] = {}
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
         if self.max_delay == 0:
             return 0
-        seq, prefix = self._link_seq(sender, receiver)
-        delay = seed_from(prefix, _DELAY_SUFFIX % seq) % (self.max_delay + 1)
+        emitted, prefix = self._link_seq(sender, receiver)
+        delay = seed_from(prefix, _DELAY_SUFFIX % emitted) % (self.max_delay + 1)
         link = (sender, receiver)
         due = max(beat + delay, self._frontier.get(link, 0))
         self._frontier[link] = due
@@ -289,13 +304,14 @@ class LossyLinks(LinkModel):
         self._burst[link] = (bad, beat)
         return bad
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
-        seq, prefix = self._link_seq(sender, receiver)
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
+        emitted, prefix = self._link_seq(sender, receiver)
         if self.burst_enter and self._bursting(sender, receiver, beat):
             return None
         if (
             self.loss
-            and seed_from(prefix, _LOSS_SUFFIX % seq) / _UNIFORM_SCALE < self.loss
+            and seed_from(prefix, _LOSS_SUFFIX % emitted) / _UNIFORM_SCALE
+            < self.loss
         ):
             return None
         return 0
@@ -411,7 +427,7 @@ class PartitionLinks(LinkModel):
         # safely run its perfect path — a healed partition costs nothing.
         return not self.partitioned_at(beat)
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
         if not self.partitioned_at(beat):
             return 0
         if self._group_of[sender] == self._group_of[receiver]:
@@ -496,7 +512,7 @@ class MobilityLinks(LinkModel):
         bx, by = self.position(b, beat)
         return (ax - bx) ** 2 + (ay - by) ** 2 <= self.radius**2
 
-    def classify(self, sender: int, receiver: int, beat: int) -> int | None:
+    def classify(self, sender: int, receiver: int, beat: int, seq: int) -> int | None:
         return 0 if self.connected(sender, receiver, beat) else None
 
     def describe(self) -> str:

@@ -240,6 +240,12 @@ class CraftedTraffic(_SharedForm):
         """The records, in emission order (read-only)."""
         return self._records
 
+    @property
+    def starts(self) -> list[int]:
+        """Each record's first copy's index in the materialized list
+        (read-only)."""
+        return self._starts
+
     def add_row(
         self, sender: int, path: str, payloads: Mapping[int, Hashable]
     ) -> None:

@@ -29,13 +29,12 @@ whatever the protocol tower reads off it is read once; a receiver with
 strays on the path reads a plain list of its own.
 
 The plane knows nothing of *when*: a lock-step engine fills one per beat
-and reads it at once, the event engine keeps one per beat in flight.
-Two rules bind every filler.  **An inbox is never written after its
-first read** — fill, :meth:`~BeatTraffic.sort_lanes` if lanes were
-filled out of sender order, then read; strays of a receiver that has not
-read yet may still arrive.  **Classes are per path**, never per receiver
-across paths: a receiver the adversary singled out on one path still
-shares every other.
+— honest senders in ascending id order, so the lanes come out sorted —
+and reads it at once (a continuous-time run is a lock-step run behind a
+link model, :mod:`repro.net.events`).  Two rules bind every filler.  **An
+inbox is never written after its first read** — fill, then read.
+**Classes are per path**, never per receiver across paths: a receiver
+the adversary singled out on one path still shares every other.
 """
 
 from __future__ import annotations
@@ -128,17 +127,6 @@ class BeatTraffic:
                     (record.sender, STAGE_REGULAR, order),
                     record,
                 )
-
-    def sort_lanes(self) -> None:
-        """Put every lane in key order, in place, keys with it — for a
-        filler whose senders did not broadcast in ascending id order.
-        Before the first read only."""
-        for path, lane in self.lanes.items():
-            keys = self._keys[path]
-            if len(lane) > 1:
-                entries = sorted(zip(keys, lane), key=_KEY)
-                keys[:] = [key for key, _ in entries]
-                lane[:] = [envelope for _, envelope in entries]
 
     # -- reading -------------------------------------------------------------
 

@@ -163,7 +163,7 @@ class Simulation:
         self._active_view: dict[int, Node] | None = None
         self._active_roots: tuple[dict, dict] | None = None
         self.link = resolve_link(link)
-        self.link.bind(n, world.link_seed)
+        self.link.bind_world(world)
         self.engine = resolve_engine(engine)
         self.engine.bind(self)
         self.beat = 0

@@ -1,7 +1,7 @@
 """The cast of one global beat system, built once from one seed.
 
 Every execution path — the lock-step :class:`~repro.net.simulator.Simulation`,
-the event-driven :class:`~repro.net.events.ContinuousSimulation`, the live
+the continuous-time :class:`~repro.net.events.ContinuousSimulation`, the live
 :func:`~repro.runtime.runner.run_runtime` and each
 :func:`~repro.runtime.orchestrator.run_cluster` worker — runs the *same*
 system: the same environment, the same corrupted set, the same correct

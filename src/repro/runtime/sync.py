@@ -21,9 +21,9 @@ a live network does not.  :class:`BeatSynchronizer` rebuilds it per node:
   ``premature_messages`` and dropped;
 * per-beat buffering, the late count-and-drop and the canonical
   ``(sender, seq)`` inbox order at close are the wire plane's beat-close
-  rule, :class:`~repro.net.inbox.BeatInbox` — the rule the event engine
-  is held to by ``tests/test_event_rule.py`` (it decides lateness at the
-  send and keeps its traffic in :mod:`repro.net.plane`), and the order
+  rule, :class:`~repro.net.inbox.BeatInbox` — the rule the simulated
+  continuous time is held to by ``tests/test_event_rule.py`` (its link
+  model decides lateness at the send), and the order
   the lock-step engines deliver, which is what makes a zero-delay
   runtime bit-identical to the simulator
   (``tests/test_runtime_differential.py``); co-hosted barriers that
@@ -293,8 +293,8 @@ class PulseBarrier(BeatSynchronizer):
     Instead of a fixed per-beat timeout, the barrier's deadline follows a
     :class:`~repro.net.events.DriftingClock`'s pulse schedule: the
     barrier for beat ``b`` gives up when the node's local clock crosses
-    pulse ``b + 1`` — the wall-clock realization of the event engine's
-    close rule.  A healthy barrier still closes *early* on the full
+    pulse ``b + 1`` — the wall-clock realization of the simulated
+    close rule (:class:`~repro.net.events.TimingLinks`).  A healthy barrier still closes *early* on the full
     marker set (so fault-free runs move at network speed, not at the
     pulse period), while a stalled or Byzantine-silent peer can delay a
     beat only until the pulse fires: the run always terminates in at most
@@ -311,7 +311,7 @@ class PulseBarrier(BeatSynchronizer):
     Args:
         endpoint, expected, codec, intake: as :class:`BeatSynchronizer`.
         clock: this node's drifting clock — built from the run's shared
-            ``"timing"`` seed so rates match the event-driven simulator.
+            ``"timing"`` seed so rates match the simulated run's.
         anchor: loop time of the run's pulse 0.  Pass one shared reading
             so co-located nodes' deadlines (and close offsets) are
             comparable; ``None`` self-anchors at the first barrier.

@@ -1,7 +1,7 @@
 """Continuous-time event engine: the differential pin and its physics.
 
 The load-bearing test is the zero-drift / zero-delay differential: the
-event-driven :class:`~repro.net.events.ContinuousSimulation` must replay
+continuous-time :class:`~repro.net.events.ContinuousSimulation` must replay
 the lock-step :class:`~repro.net.engine.ReferenceEngine` *bit-identically*
 — same scramble, same adversary, same JSONL trace bytes — because that
 is the only argument that the continuous-time machinery changes the
@@ -30,7 +30,7 @@ from repro.net.events import (
     DriftingClock,
     EventHeap,
     KeyedDelays,
-    PulseSynchronizer,
+    TimingLinks,
     run_continuous,
 )
 from repro.net.simulator import Simulation
@@ -241,30 +241,28 @@ class TestEventHeapAndSynchronizer:
         ]
 
     def test_late_arrival_counted_and_refused(self):
-        """Count-and-refuse at the door is the wire plane's rule
-        (``BeatInbox``, under the live barrier); the event engine decides
-        lateness at the send, counts the copy and never buffers it."""
-        from repro.net.events import _Lane
-        from repro.net.inbox import BeatInbox
-        from repro.net.message import Envelope
-
-        late = Envelope(1, 0, "root", "stale", 0)
-        box = BeatInbox()
-        box.close_entries(0)
-        assert box.deliver(0, (1, 0), late) is False
-        assert box.late_messages == 1
-        assert box.deliver(1, (1, 0), late) is True
-
+        """The wire plane counts and refuses a late arrival at the door
+        (``BeatInbox``, under the live barrier); ``TimingLinks`` decides
+        it at the send, counts it at its receiver and drops it."""
         sim = ContinuousSimulation(4, 1, _factory, seed=0,
-                                   delay_bounds=(0.5, 0.5))
-        sync = sim.synchronizers[0]
-        lane = _Lane(0, {i: s.close_time(0) for i, s in sim.synchronizers.items()})
-        sim._hand(0.75, lane, 0, 0, late, 0)  # arrives at 1.25, close is 1.0
-        assert sync.late_messages == 1
-        assert lane.traffic.inboxes(0) == {}
-        sim._hand(0.5, lane, 0, 0, late, 0)  # arrives on the close: on time
-        assert sync.late_messages == 1
-        assert lane.traffic.inboxes(0) == {"root": [late]}
+                                   delay_bounds=(1.0, 1.0))
+        links, receiver = sim.links, sim.synchronizers[0]
+        # Node 1 pulses beat 1 at 1.0; the copy lands on node 0's close,
+        # 2.0: on time.
+        assert links.classify(1, 0, 1, 0) == 0
+        sim.synchronizers[1].clock.rate = 0.8  # sent at 1.25: late
+        assert links.classify(1, 0, 1, 0) is None
+        assert receiver.late_messages == sim.late_messages == 1
+
+    def test_a_faulty_sender_sends_at_the_latest_honest_pulse(self):
+        sim = ContinuousSimulation(
+            4, 1, _factory, adversary=EquivocatorAdversary(), seed=0,
+            rho=0.1,
+        )
+        (faulty,) = sim.faulty_ids
+        pulses = [s.pulse_time(5) for s in sim.synchronizers.values()]
+        assert len(set(pulses)) == 3
+        assert sim.links.sent_at(faulty, 5) == max(pulses)
 
 
 class TestTrialAndCampaignIntegration:
@@ -519,302 +517,305 @@ def _pin_cases():
 
 
 class TestTimingPins:
-    """What the event engine computes with drift and delay *on*, pinned.
+    """What a continuous run computes with drift and delay *on*, pinned.
     Only ``rho = 0`` / zero delay has a second engine to disagree with;
     everywhere else a wrong lateness rule would pass every differential
     suite.  The digests below were computed at the commit before the
     arrival-event message plane was replaced (one heap event and one
     keyed draw per copy), over traces, late and message counts, the
-    per-beat tallies and the real-time metrics."""
+    per-beat tallies and the real-time metrics; the 152 of runs with late
+    copies were derived again when a late copy became a dropped one in
+    ``stats`` — the heap-driven engine plus that one
+    ``stats.record_dropped`` call."""
 
     PINS = {
         "n4-oracle-none-s0": [
             "d733dfcf3d082b76cf1c4583b2decc026dffa646942de71fe3e1d81fb42de92f",
-            "319a071c95a54a734b38c333bcb2492dc64469ee8da18a99d6d1ded32dfa5ff5",
-            "dd9e298f7c5bf2c19c7c9468deb9b1dbae039fa5d1bddccb8b7fd9e68b778c09",
-            "1d7ee1f4e9526e57f6ac3102aebe55aa05646c03a4f06bca44d2e9d550483405",
-            "b88d02a999fa1845aa25e93de4e2ce9778fb1c4a5e8367ab55f7b07a66840fcc",
+            "02d8c8c14925d175653d48a6d139562be2bd7ba9ac0dd02f6725afd4c9c9df9e",
+            "70d324ee90da8f7f0893acf8913e6aca0e9a7f1062432535779b5e9aa52db35e",
+            "4c5fca6907be115d20e9b7cfd845572bb54458376dcd5a9d5261e3a083f8834e",
+            "586fe86e6563095e3f6e1eef42c56fd4306cd40a7ee992a55bacf1d8cee2bf6a",
             "d733dfcf3d082b76cf1c4583b2decc026dffa646942de71fe3e1d81fb42de92f",
-            "0b75b2b033a5c6d955817e0365d8f308dd6a926a3673e5ac8367eb38b80a85e9",
+            "16ec03b4bb2213d2a178aed353b5b1295a9786687b56d6882b5f6528775a748f",
         ],
         "n4-oracle-none-s1": [
             "6b15c3da5fd9f078320fe8aa6fea4278b181cc284e1c5fc0cc702936ae6baed6",
-            "d53eef57736032c0722709440496df387df1ae47e752c56fbbb9c1c4dcc9c8ca",
-            "4ff33786c5dabee52c3507378ef79e5855a554dcbd7d7fec66d3143789cdf5e9",
-            "e9309295849fceca9a368e6ffa8128c1312001b937dbe525008b68afb792397b",
-            "f647ba359f1f9fd383e3b120e7a6f1eba65bc9f0cc8388c5bf7c27dc32e2079b",
+            "2010fd32190b421a0cebb3da9153c3c6b50100f713a740052d600f4b86bc2110",
+            "46915f6de3f33817e751c01b5d486ec7dcf58e552316b9e2db8e0f34787e31c1",
+            "bc3cb8dd1bc9148bab830f47720af94ac642c947b26ab7b071ace2ad90dc2b03",
+            "3153ae66350ea1d5b553633aacfdef9ed8c4d09fd66135e9e0d8f3dcad9d8a76",
             "6b15c3da5fd9f078320fe8aa6fea4278b181cc284e1c5fc0cc702936ae6baed6",
-            "e7dc2909cef60290af61fcf4068e372b377f69b801214c2d9a3e49e99889c986",
+            "1508bdead482d9009d24270c1ff76bbe6a04aa709dca1950c8d6dd143a689315",
         ],
         "n4-oracle-equivocator-s0": [
             "17e5bd3ba6ea855e7fa485fe07fe73f9b7a6b318d5814a83ae0c903f98fe9aab",
-            "e0736b8b2c0556e8ad37a592a6128930649c0216f8d75f8de790a7dd5b9b8559",
-            "a5a2d1229201948f464beedaacc3192a89fdd538113e81b16f903285a581d03f",
-            "a0a029319129a1edc8b1939e36684c92eafb75bd4474acb6d16c2131cdc02b8a",
-            "e874b831cbed55a908698d9a7f0b1d9bc15c0f556fb47bc744511f3606a307e8",
+            "95f648e463a7f3441f8b42420b1f88fedfcb7e1a8b7e0f1dd7b9d06990d45d67",
+            "4afe576d29329019639341dd98e295e1cd2a557380389d6ab37e31f52d9b30d5",
+            "04376f3a60393d0b81ae43203226b72c86f3c32d7bb0aa9ddb689472dd6f6132",
+            "de066edf749a5677350cb4ee306f140fa31faf3e54fb05bee1d521ca6ed8cd82",
             "17e5bd3ba6ea855e7fa485fe07fe73f9b7a6b318d5814a83ae0c903f98fe9aab",
-            "6d0676eb683154fb832ded509db1cba5e5923817ab638c50a382511f4bf9c42e",
+            "e8b20cec75215860dc82ce56e05fc3db3342f1dc982d52edb8bd6d631dda145f",
         ],
         "n4-oracle-equivocator-s1": [
             "c70a564f151f73725c4bcb42b354fb54b7c80db0df89fe4b08e37533a89da7a3",
-            "26ace833c31020b5eccc97a9ae40bd632551b8ee234acf4042bbdf5824970e99",
-            "7ad46be86bcebf95301b5d127cbc429846b58b0b4aec11a7803bf0e3e4203ff5",
-            "39c48ae80b4b53283ef9eb3ee1205b19d587b99cf19f350868ec58dce48dc0bd",
-            "c5d7d1dbb4c2c2ed81ca5c6abdcce16c718c29a984606bcc71fc6addda5d1f59",
+            "a532324477f62c9d4daf70840895cdecfec3f9a54e2d0860c8e29e2951daa71b",
+            "52750b152cdeb37621491176211da13f2943a6ceae8fa469bb44cf905bdadbbd",
+            "c77740056c3ceb93ea8ac6c7e0c00365cd26837ddd4c3a527251b47df66316c3",
+            "01b114de6bd64c0f0575afc07457fc56d3000446c27a012d3649cebd35506c89",
             "c70a564f151f73725c4bcb42b354fb54b7c80db0df89fe4b08e37533a89da7a3",
-            "878fbbbb6f6bb9c03f98cc924ea17fc7ff4bd8c63389c0061b39b0bc98bb192b",
+            "95d74e781e5151feb016c06423a83f4aecc7f6767bf1ccdd95662e270aa4cd85",
         ],
         "n4-oracle-noise-s0": [
             "ef69e47cdf851b244235002c2139f16f73ab62a51a3ca595f934a75199f85cde",
-            "073d7897a2040375406d64f39fcf56ece318f2c5dcbfc30f77c01162aa916c61",
-            "c4beef85d1b1a0af584d091c59f31fe18a995609767f9bad3e7c9ba0e6ca937b",
-            "fec1d61b71e4c51160e07eda4f1858e67fb652a3effbd8fbd463cc5e4e14a6c7",
-            "2b737997d8885e5583d8ffc848f6630fc08e9f0fc66eb53fb8e18770bcbeec0b",
+            "284173371ce6f0311d21d6fcc815183b2f0f275640c57ed27be50c47f46d2e9f",
+            "601939e025f832dc9255b55301b3c09ddec65faf4c46b50e0db8780c39f84f99",
+            "2e15dfcfd83ba53f2b75fb00f2cbb4a4de4181ea9fe42f806faa6b2118cda510",
+            "07d374daabbdb1855e05b58da1e9cceba45295d57334afc7fa140797ca8d8785",
             "ef69e47cdf851b244235002c2139f16f73ab62a51a3ca595f934a75199f85cde",
-            "5c045eee3048a17550197773a463f9f4cf8c4c7457253e8d03193e40967a82a4",
+            "0ec56994ef9e43c20e0ee6be8d57448628d74b5f3c746f91fbbe19ebd3dd379b",
         ],
         "n4-oracle-noise-s1": [
             "57c19e71d15ed98d965dca45ee31f1ef1b23ccc13718edbd935b369c6c267c2f",
-            "30f769d53be118d63f3bdb1c3b7ac274e3d0e082e03fa63269ec228d2236a56c",
-            "3311695e1b0426cf92109e65e4540da909d6df350f8a98bd323753ab442f1ab2",
-            "d6497959a6ce90d07b44125a5f3893dd203e4430af34426aa09b33d54927d10c",
-            "506b6c3c31a07dcfc3ee1cffb432dd953ec4d885120aadbf12e90c391207a0aa",
+            "84924ce141efe54e70ee01d9d73a31618dbaf3fc9ed6e5cfac1706b6097f90a6",
+            "2b07742efa46a80d3ebb7fd069f7bf3fe1e3149d8fd63bb39add682cae1b487b",
+            "159294afed15be42e00563d9cc493b5efde11d930c9c015349771451528f8df9",
+            "386730e23d068413c6c4e078cb9bd86bdc66eac74ca8c6e8c530db27989b146d",
             "57c19e71d15ed98d965dca45ee31f1ef1b23ccc13718edbd935b369c6c267c2f",
-            "98e91310e393d6a35b178c12132d9553086c9e014ec04bd4bae95cd95c593e17",
+            "8e8d69c674dd129afbbbcab7c772fd2988f98dfc66749b17fb2bc56612d28fe8",
         ],
         "n4-oracle-split-world-s0": [
             "4ea6f44df2f91e2c8c569962f24aee767f2799b283deaed41ce43bd128e265e5",
-            "6e24e96cc6e61fc865b6e6f21c3e64ff7c1d8101e83a28e16a72329042c113b4",
-            "4942323c612a10864d0622cad60b95234d6953028381770cd722ea4deab03e6d",
-            "fc5ec2a13f3447acd73c686fe69e7266a36426ce006d1eda3bbd40bc4d93bf93",
-            "810f1d4bf0142cc99d39d9f4a289a5297bc930439226ac13979ab9d7df39e33c",
+            "244bd20d1a454d74cc5419027845a43431bfa26aae3e584c6b1c887e1b814f06",
+            "408554e8ab26ec25c14cadb21e0b5dfbc3b976ef3ba7106bcb46465748a7f31a",
+            "f788942a9bc390fe388252635d5b72cae815216e27e4fb75926ebd2b106095fc",
+            "24c3969ff139bf594d43b639e99905d6d32495cf615652e62e94764efd2aee78",
             "4ea6f44df2f91e2c8c569962f24aee767f2799b283deaed41ce43bd128e265e5",
-            "73827b11daed3c98342549eb800b04562eb04427259baf0e5b15260fc34d6009",
+            "e3ccd49218aae0e188cd320cea87a930edbe4229b1ac0cee5574a77a05c57f78",
         ],
         "n4-oracle-split-world-s1": [
             "16db28168c54f671bc30f90d59fd09059f6fd70ab70d3399eca370a9b9105fd6",
-            "c2143ea35bb2d650b8e6919c41bb2f0f0a57c788968dfba9ed05213092cfdff3",
-            "a4e6354f1a6433f47c7ff325c43372bc346fcfd51c87fb965456223f0344f8d0",
-            "ab1f5b8e5d9857c01a9e1c021958811e129b9691a2bc25ab7f30ae127ac8258e",
-            "cb7b8271c5c723c71769ce708e36df080b96abfe39c1bcba518da19a32f2c90a",
+            "f5c7e65c8e737e0d0643eb8ee1cc6045bf7d3b1464153ae3f950a6176b5fae99",
+            "69a63b94148a83723d3ada6e224dbab82b01942732085a7be0eb6e51f89bb3f7",
+            "17ee067762417e024ab1002ca5e65880f115dd1a5208699cff1183870da11143",
+            "623f6ae1775fb28fc32cb63a4ef7ef108209a22e73cd8c50d602916f6b89101e",
             "16db28168c54f671bc30f90d59fd09059f6fd70ab70d3399eca370a9b9105fd6",
-            "16fbc46bac757aaab2625b4148b7113395af5483961a9e22803eea508e98ec42",
+            "2ad3ac461e191ed2cc3ac625e54b1892d4da8e5690ef6867b5adc04167ca74b8",
         ],
         "n4-gvss-none-s0": [
             "1fe023d4e98a242036f6062422069d428ae6f95e75e033cc89c50c8ce557c5f1",
-            "cb382784239317cb5fea83042c2ecb3311247956845915570080538c915e0f87",
-            "ca7d693d9c52b1e40430317b72d14c3d556ed85b6dffea3fd01aabb6073dbe80",
-            "c8a8de430993441b0549b68d0bad6617001dfeec1669ae836a3cfc886926ce8f",
-            "144ebd0ff23293723007ab6f2830c14a290e81870863a83e5f901706e45db95a",
+            "62767c8313fd27e9be8ebbe8b0a8e45b5a49ac6ddd7469b2b32899bdb4a0a6a4",
+            "695a0d104638860241ef01908f1f9c7b21febd2df27787663821673497cdb0d3",
+            "44493a7215663c8f07ec6c5172f768f2247d5829e83b21ad3bd88f57393d1a2c",
+            "bed2b55adc690ddc928e057c9da73f9f557dc39fe3fa4dd562a69549ce963bf1",
             "1fe023d4e98a242036f6062422069d428ae6f95e75e033cc89c50c8ce557c5f1",
-            "3813815201c05125d4682c18af56cd87030b4b338e3c822fbe532554fc59fe99",
+            "e95aacc5a8e1000bd07f8d332283a46746b3623aec0e6101c94bf8cd4d933d50",
         ],
         "n4-gvss-none-s1": [
             "4e780b7a51ecbd133242b7b89d0edaa6744177d43d2273f7a95085c3dd2b2900",
             "3ab49d32c04f241e1c761a2292398ebca0a7496a65ef85b53fa3240fcef6a094",
-            "3d554d832bed5fc5f6b1f4a523e73373f3bca30f7fe6784914e58251d6496356",
-            "56f8694bb4bc0400aef183cf69aa1e4b1951ba603fe489509c449a45f3a1083c",
-            "d91aa55f24eb6f5955ff3536a54deb45fca2e7efd22995dfb36fd2307f99f3a4",
+            "077a001d5459200a7a968738eb7376df12879c5d682960237ddcca35cc6f0dc0",
+            "1d544a71a42b415439970e09417ee1c95496608e51482ae5e1dfd1fbf9f859bf",
+            "23ffe11c1f429d1ce08e3c341907b2e9a68a0baba0eefa7b70b6db23bbab7f46",
             "4e780b7a51ecbd133242b7b89d0edaa6744177d43d2273f7a95085c3dd2b2900",
-            "d4ea64cd54b11fbacd737669cbd5bca27af21684d46a0dfd0b31c42e1f19ce03",
+            "1788aec5a9830d0a93110e55b25854916d5557b225a7a87ebf7f7d312c26f803",
         ],
         "n4-gvss-equivocator-s0": [
             "7ad85b278eb2e244690639048e63390cfc70bb0ea10d25b9ee84d00d62eb43bb",
-            "64655e5629c93bc6d5a394f648cf0e6f1f734a8cf247a294ce66b1c32cc99105",
-            "aec33448fbc76897b2dec8834c2d13c4344ce66410524f68a1f3c5afab60e513",
-            "bc4de6a27af52ef50459433da77a9f6fa2482ea77a03f8d83d816f3ba1f5e5d9",
-            "f05bf8ea4af4bd0d696e7b80189833318b0b936275daa7dfe3bd1e1c4aae8106",
+            "cff9e3c26d14a779137b9d31e373c8ee5043b6e0abc77825f8f6fb98ace3fb0f",
+            "1ff75237816f2cf6fb48626dfbf163df53f87ce8c1cc90ac8219bca13bb601d3",
+            "1c71b82ab1b841bb995fe1823b738277420f6835fe058121aee3e6c7e18c38d4",
+            "a7510e08d714084b32ac5dfc10956cd0930ee9c133942032185945ac8400ef50",
             "7ad85b278eb2e244690639048e63390cfc70bb0ea10d25b9ee84d00d62eb43bb",
-            "205bf25d7e84fcfb8185d3357b758230ad933c4541e4a6a9552334659a1ecc5e",
+            "e9135722e1edadcad9b42e8e1fa0f3305ed5246d6dded10be7cf10443d22064d",
         ],
         "n4-gvss-equivocator-s1": [
             "5dfe5107a5840f0ebd173f78ae194c03aa2ece4a59a6ac81fd2119a46d383b16",
             "00ce8a19c8d097f2eb4a8449419a3cda3f68c3d00c498c25e458ceade2a4df95",
-            "a5091e6d1b15762ac9ec261a6c652639058b3fc67c651fc62edd54a740446087",
-            "b8128e3e7d37ee7759f374618c12b97f732f9824572878d6331a4531c3b21e3c",
-            "230a3c3961747be9e4eb263020d1d276f9f077a5a09c9e14537966f4d283cd58",
+            "7b1dd86bd23601e5cef64ce1288853b3a7ecb1cc4a24d6f2be9ea42263c52585",
+            "8597f9709d901c2fbb243cb6138b9f232b95467c460c9954f8859dbb47d30dfd",
+            "23ed1db4040ad40bd669b5f4fdfdfff11627889ef4ceb656b89eb236fe6dc911",
             "5dfe5107a5840f0ebd173f78ae194c03aa2ece4a59a6ac81fd2119a46d383b16",
-            "51154c7076b9680801f8a309a2a5b17739240548571e8c2695293612fcd46278",
+            "e5f710ca10b51298994fe297d81b92f5617d1461e361ef237bab70e7f45ffa9c",
         ],
         "n4-gvss-noise-s0": [
             "925b7290115bd0a3efda3fc3e410ed046b3567f5c9a6d2dbdec619856abd3205",
-            "70bb6c576c8e76747f266239a3d631ed54be9592ddc82c1fb4a61b42853aa8b6",
-            "bb8e8803725ea4a5d748c0eaf0e7117563ee5a3c1e77346efc1d1a62df631437",
-            "b25b302b3ee2e4406180e7a613c34e56b08044698414f6bdac0b75da3095eb4d",
-            "ceac58281cf7b7fc533cc7c343799f0d06d7d777a50ec72577c2c2c99e03bfa0",
+            "d239b46d54857497177ebe8ee5893e1ba4b1fa2aefe021b43ac4f338b9af58ad",
+            "bb0b3f7954da2340b1a37749331a7e2cfc768f8afbf1bb5ddc00f06dd314bd21",
+            "3e389eea195a685f1db438ace083e5bf610ba07bff2a14964b02ab19214f8253",
+            "651c32a988054f0ebbffccf875dfbeb9af10382fd6f0c5fe9619d6804f9db9a3",
             "925b7290115bd0a3efda3fc3e410ed046b3567f5c9a6d2dbdec619856abd3205",
-            "113b623d5344753a60eda7d7fd3ce6182566f4b8f95d81b77a448b73adc74dd6",
+            "839dd9e61c69da79cf757ac6fd5bd059922ef076026d8627c27190890b43f1a3",
         ],
         "n4-gvss-noise-s1": [
             "1021f74b376c83dd47cfd06363bd34e527bb59465123c63d4533afef4597de6d",
             "ebc9a81a25085a7a55008e2e8a5a0881e10f40afc3c60b6cb3d14b6f599fa362",
-            "8e0f469235155744814f6749ac9c56e77a049c104400caf3daa2a1bcd38f6e0e",
-            "dd9e8d5af3a4b4c673b2efaee2bdc0e9767367db5300b78d4665b64a45005763",
-            "c8f386238514a15b7919f073aaf498294a6775c7bdfb85012847f3b53c38cc4c",
+            "ef95fe296418f0e7e4cf37eb3d2c3d64981ec6f9ae03b31939bfcb22c0023f2c",
+            "ebd636997c7fef50b61bb3cf2c3ccf4d53fb1a21502af8a9095aca117a04ac13",
+            "dd66c932d12ab03fdec7f3de64bdcee940f0567f4a250db1b18d3cf287e3f397",
             "1021f74b376c83dd47cfd06363bd34e527bb59465123c63d4533afef4597de6d",
-            "ca27385e6ff67f235098dea44e91e5e8bc1ad4cd3052a37684f3f85b4e11c8ea",
+            "7b7ee87d36189e7ea11a44be7a237e7be4cdfdd4109ee13fea84fca5b7eeb88a",
         ],
         "n4-gvss-split-world-s0": [
             "493af4522e3a4c28cc437f509986c16c94be14719f65c13a64b1614f10b34f48",
-            "cbbbfc2c66d7be008320b03336474e18cd70f92827f8c28167794c72bca5e131",
-            "37294c3c1fe65f2bf83b46c9444df76c9f3f99a3429989d084d2fe2a72d45ef3",
-            "294a73a11860b2c3959f8bb3c81b4095efe2e2f87c33725034600c39433932f5",
-            "9b2652cf2e6196e653eda33f9982efa6edb43e542803bee813069ae94d1dc346",
+            "70027be8720081a19630d0524535a367b2caa1a85cec25a37bb376946e56d2f8",
+            "f26a90cfaf56e448cb39ddc1af7e92e22b95a683ec8089c83b2532681f93ea50",
+            "32c8f725854c8fe25852ea2361808c2f880638c940d1493b060dde40ced637a6",
+            "26617980437a0312ddeffcd4873c00a626eacabe61139e142013f4ba76ce4de5",
             "493af4522e3a4c28cc437f509986c16c94be14719f65c13a64b1614f10b34f48",
-            "c8027e0e48a911cd4e3d13e316fd49baaee29d948383123e26d5d53fcb7e2bd2",
+            "7049b34b6dc74ada5a39e13ac3a13bd057323a75fcaa4152cbcaa95fe0f571cb",
         ],
         "n4-gvss-split-world-s1": [
             "462be2bd68b7c5e6389b02beab8bb4217414382b69d39dcc6ca76943b57372ff",
             "724764a55df4001e647c19a31807e31c04c22940a7b5362d686081d6795ca2db",
-            "ceb0ab9e413132a4d873c191169f77ae66c6ad5f5eb1ee5ce4c792eb6c8c6f0c",
-            "a3395576c28056b208978dc3fdb6614474f61405e7f40d569633d9e010810dc6",
-            "807f5c763fbb6a057c83b6a918ea374178b658fc9d9b15508c2a60b4a0e47c82",
+            "4090292ac4a4c308495d29634f0194ad421736928cf795f8c34beb6b26cfe7f3",
+            "68dba7e2cdf282557b28e78cbd18b370ddd1ebdc96b3e7db2f8133bf6c2dbbe0",
+            "0fe02f3fcfd31afb4775493d71de5a28cc2ad749f3acd0e8170bc3fa14e08af9",
             "462be2bd68b7c5e6389b02beab8bb4217414382b69d39dcc6ca76943b57372ff",
-            "030d8313535f99ed6f8f45936d78250c371a7429aea8246ea051d24b4306a91a",
+            "967e01645d207fecf44914ee830e4ab37df3b2da74275e69ea3bb7428b7e6a49",
         ],
         "n7-oracle-none-s0": [
             "3ce0819734fc58bd24fe56a636c9c33fe6e067f97c7054328bceffd3ba684dda",
-            "740761058d1c6c972dcfe92735e5391dcff3dd9c2b3d78f5fd08633ca6f2156e",
-            "bd8c8237c0d6356297824f34ac9a10aaf98985e4e7469414a0bf4fd82e71df85",
-            "d6bfff53f0f206aac89a44bbd0172c0927f173286815bb786c8de0be27df0b5b",
-            "e5b235c187eb609bfd3d786c1107f95d6cedec2b8c471411af2d43b5aaa79165",
+            "eecae56a57ac096def8c21cd050f5f8a44d6edcaf9784f5d6eaa3003920eda30",
+            "b43046f02e620387b1a57489c8d0dd85611897e1a60e43b59f98f0853376703a",
+            "8f43b662174ccc5d6d47e33e187c11970a2166682ec317ec84ca69237b3052a9",
+            "3e609367da44c3e2efcc5506f5c9ddfc9bd454590bc642841c8c48f68feba52c",
             "3ce0819734fc58bd24fe56a636c9c33fe6e067f97c7054328bceffd3ba684dda",
-            "90447ce720b8f39502e56b4a04f72db36c08871fb312f8ad47b64289a513c007",
+            "23378a25aae1f6826eb4fadf12397257c75a03287409a1d087da1a8d66eed684",
         ],
         "n7-oracle-none-s1": [
             "b5e1669c37c75816f4185aeb2b165a991c17ccf9755348bec8cb20a822903575",
-            "aa9d605c00fee0748d142f268a774d722a967464da5cf665186fab584c8bd0b7",
-            "d2a79e5b25ff7996aeaf0a26b469ae7e64a265beada1260197eacf9b70cdcf35",
-            "50f471db08169aaa2be1aac7e6401f88689cfabb3ee500c59289bb3329cc4934",
-            "d3f09861866d5d5b5eada8ade7e1962cccd7f44684c02490ed47dc4cd573a52f",
+            "abc690c29537d5cab2ae4d3766dcde9758b26b6445576c216b731b2c5e97d705",
+            "b5fc7dd1fbc38d9c6d2f0ddbe7e6b00c39bc12feba9fdc927838e5aa176c1da3",
+            "151486243e82a8d098c6b4922843e5844291c29721bb1d3cca5eed81bee3f730",
+            "21765888a0a7cf5c3e58b85fa577bb09878157526c63a650667ca02dd7a04dd7",
             "b5e1669c37c75816f4185aeb2b165a991c17ccf9755348bec8cb20a822903575",
-            "a6f2846a5124893c5de0240a058569f1befafdf120be192e745fe58f8fc7fe67",
+            "222079b3337f4d5d34b8d8c7b438ed2946e94f2972444cfb67e858f7ed5160c1",
         ],
         "n7-oracle-equivocator-s0": [
             "d193cfa807a5625a0c8cca8fec9a0d5f7d490d4d705e5ffeab2413e32401fedc",
-            "f7ec8d7842a8269c7c7ff138208a141027e107e1788593a6d1d4b869b273a176",
-            "670e11221cb2cb374c3dc08744ca66a450e2e41cabeeac4246031d3ff3f284a1",
-            "68777e9a7a7ec83d688217bd60dc67fb988b191cc06100cb12cf32a53a01cfa8",
-            "5f4fb399a218f00a074aee099d34155cfccd9d24c8e892826ca9500ceb98ad0a",
+            "e37f3c4013c9d493380f1d416fb80fb611f3471068ecd04fe5f608c433c0e09a",
+            "61c5d180a6583ca8b1a5e529134842bba4455c0b4571dd844bab7e2cddf6b6fa",
+            "f05c93f3b5408f2fb6474c967228e0a26fe8727761210d0d1d601a22b35f1649",
+            "243a5b82d0ee84a1ee1b15871dc759526c540ffa51f59a5999b393b1a6abb278",
             "d193cfa807a5625a0c8cca8fec9a0d5f7d490d4d705e5ffeab2413e32401fedc",
-            "f118bed43b4088b931d26b16e8e1216ebdd75d6f772fa140de3a2d5a8554ad30",
+            "d34a9606275611f7709bae9bc0ab4b1a6321156b36e6b3e67a7c0be3436ca78a",
         ],
         "n7-oracle-equivocator-s1": [
             "9545cb93d7202d5a7a8dd68a3ad8c2a4b3db314db715e25376685bfcfc8e132d",
-            "64cf914505ea4a0e26a361a2693ede3cffb6e9780dda663d9aeaee613caf7895",
-            "8b0f22cf49354e878357ba8bd053da63b7d244517f396c47148abdf6d71c8078",
-            "cb57d58b0fa038c4e78addb03d9ea3ebee216b4a212000b50d646ae6408040ee",
-            "d319e40eb649f2f9c358c27302cb5c5c6d4f76f84495a03253cfc3589c3d62dc",
+            "d7e69c5085aa1c6f961fd4a4ac6e7571324cc73aeda2833f1bd8b91eb1b41ca5",
+            "9d5636ce42a4a19edfd1b78e76df4624931e0632bdcbb33a6f8be8c73bdd271d",
+            "4146cb58bcaefbb2dac317e01a4c133909a9ad6d19906478141e4fb17372892a",
+            "38568ebc0c13181f70b5fc2e8adcba67bd7c711a93f6500b5c3f1c2cb115a5bb",
             "9545cb93d7202d5a7a8dd68a3ad8c2a4b3db314db715e25376685bfcfc8e132d",
-            "4792ca02341e9f74f209ee1c523a9d583b1a218f7578ac90fe7c508ea9d6e5a6",
+            "aadb34d791aff41784579e01bb4cee44631da1a2bd619866a27bf9d9a00d5857",
         ],
         "n7-oracle-noise-s0": [
             "5ba9c2fb7cac08fbefcaeb4026996858a0236a2aecc3a48ac7a94f80cc24320a",
-            "c078fdedeecc52ae4d8c0712e7dede205f899ef798005eef3c345d25674c31bf",
-            "5257226c27117efe1c5942b094908a0a7be4e79f38f12e339c9321d73de5621b",
-            "47e8898f3b0aec4cc88ff2ef79794799b80fbaec44884111b9abc692f1f6572f",
-            "569b9102d502968a314192f1cb6a2fef1e12dff35ed1b56578fe4080c49ba6f2",
+            "5ebacb7c0f4fb5e340a1273e65f47a60181d43d04b719f34a6ec371dee0182a2",
+            "79a7103cc0d8e36af8fbab752db4dcbd043750bdb16a565c0f89b7497b7f134e",
+            "38b08e12da4b9f66049b76a67bcc4003433d8844b53dee5a615f9f70131e6361",
+            "0280c622aee3a71bb32d34182bc435205f8344a428307758ff32e19663da2932",
             "5ba9c2fb7cac08fbefcaeb4026996858a0236a2aecc3a48ac7a94f80cc24320a",
-            "12cb64858913378347940f427d2c153c89b5204a2877a64d6cb6fe94665309f6",
+            "b4820a567e3f16477ec12583d4fa2540a2ca9f0940217a4ca61cda4ee170a956",
         ],
         "n7-oracle-noise-s1": [
             "e3dd0dc44a69406c6bfa848d2228d684b813f4a6da0afb60c8182a7faf3fa2f3",
-            "449d61f6413788024947b3c352a78a1e0f272cbc4d3b9dbc9a93d5ed5b74c356",
-            "701dd5c1814840d4225fb85ea01c022ab5c1bc0b82dffc4e974d44b8f789cb14",
-            "b651f4349049a5143e6c6b4c231766daae7a067b20a879bd4a1594b09c09ac76",
-            "a5fd722454b30bea0d4b13cf810962a14904df4354485d9af3788040cada968c",
+            "2c9703c3ea4e443197dfbdf154452a0b6398993e4f6cbdb9f00df0b898a0a94a",
+            "724e4baa46efaecee8920d4cc4b515f369c03affa826da1e3f65cf791d11ed69",
+            "8902ce652d440e7170a9e203d8f781eb05beec84d4228e045000bcdc61dbe9bf",
+            "bae079ee41c2f1a5c6c069781e62162b63ab118f64a74daa3b505f3ac9ee9858",
             "e3dd0dc44a69406c6bfa848d2228d684b813f4a6da0afb60c8182a7faf3fa2f3",
-            "88eb4c469f8cf85690d9f5fc7ad1c7ca8e7dabcc9307c6ac88ec4aaef310c514",
+            "19edfad8c7138f0e42449a024036470d368efa5155428663d41243458ed7f4e9",
         ],
         "n7-oracle-split-world-s0": [
             "d313f987891384fc1785133c397144c552bd156b15aca11cf9021440ee279ea1",
-            "d9c1f233ee7e928d70902f6a94736e0c5fd03fca8469ede3f4bc0708aa5c41a1",
-            "86b0b1a76b7af7e6389f0fdb92b2d4c1fdaefdbc22def03d86f97da4990a75db",
-            "be0dc66c59a0f4196afc4f227c58ed45f297572d8d802993c9e661e51187d041",
-            "1d253e6e8a6f05c5d730699ac17d4590c1c26bfd7ba5b4f46ef21828bcecfd44",
+            "8629d8a0bdffa0d3686e14b07dd508a85af5b6140ed96af07f161919c8604dbd",
+            "d9384902e0bfc00e6672d24c7195ec08c57ce5902c910824a94ca36356ab1ba1",
+            "a57bc13113cf1c1932a5d9223bb071d6ec01da43268b371b4898a56c5281e714",
+            "2be549e85d210d93b77c86c0f76933b8099c5d5c5a97a3dce478f8a1bea02fac",
             "d313f987891384fc1785133c397144c552bd156b15aca11cf9021440ee279ea1",
-            "39a32711b091c1973090425a265a664ccb11a7300014afe8d12a6ea0c034b227",
+            "f731f184d81c7b9f25bbd0febdb6a1e66aadad0864c1f5c3edc9cb6f8aff2875",
         ],
         "n7-oracle-split-world-s1": [
             "41ec2d1e89811886b7556d069613cdb19d4e2ec663e83fd2db2aac860c855a9d",
-            "91e015c0c6ab161e49053fc7e0a76595fd4084dec6e5bf122b73cd07ba5851bd",
-            "71d9f1fcfbe95753d15a7a26575bbc1058cb9114a92c66c94b4b16f031588dae",
-            "668942b5e8af593d2518d23b9b849eaf101d28bc8e19aa830bc0ec6dc6eaf48c",
-            "dd887eba12bfe550fe40bd5ddae61de17711a7524f571227980ebd6d10c54b18",
+            "8ae891c5e9080721a31f5b6a84540c33b14ad60e20a1a918b9f3a2aa957db544",
+            "19f1b7463b31bfd61bd7c28847acb5584353732d7c52c38837fd46957f08d17b",
+            "f0a1f0718a7ad2e12de880b57a45bab2f2d2f0ca50783979783282738572bf30",
+            "722fbcb6f26a6956b8eacd5b6dded06284747e6859fc85df526719962d728c19",
             "41ec2d1e89811886b7556d069613cdb19d4e2ec663e83fd2db2aac860c855a9d",
-            "ac9e44e95760a9a6db93affee5627d0548e35dae5110721c94fbfc3ad84afdc4",
+            "3f58f52ef78860ade8abc66f4d038ed38a14df951640404a9125eaf73627b7a8",
         ],
         "n7-gvss-none-s0": [
             "2046362044a916fd3cad45a5a8d8c9e0197ff35f7da6e76666ee2f6ec6eac345",
-            "4c01add0833dac3da9d1303ac676bc4a6e8cbf64745f879ed2158edd1315cead",
-            "f26dcafbdcd28abb43da999ff3f5f495404d26631a76472b2097859503c44030",
-            "a3bff2e0587a5308a5c19d53111212636a5ec375d7fa6fafad4269590bfd75e2",
-            "9ba0bc2f49bf2f0f3bd70a73f4f779dbf2a3847673083c424bfe36ac1ebeef26",
+            "415d9d5843a81e6aec22b2f98c8f457999337b43e5a7482eb5d24c23c58d4bc7",
+            "d89938deb54941e69f309aea695ae542b3ff531277d991c718e979229bcac684",
+            "45af8506d539a91d1289503fbc2e1db2822bc8b7fd5421c821c78cb6b437d6a6",
+            "0652696012c2235ae056c942ffcab8e54690271cce597fe8b6b73eb7a6079a1b",
             "2046362044a916fd3cad45a5a8d8c9e0197ff35f7da6e76666ee2f6ec6eac345",
-            "4f3d08b12ac3e6ed1695a83cbb51090d994b17217078ef99bd55dc66f4577845",
+            "4f4166d34293a5b379a28ca3b5cba3685f938841aa94232523308fbb40789f5e",
         ],
         "n7-gvss-none-s1": [
             "007b848934b2c7223914b4ab4547a3e62036a8ed454a64779292891360e5f6e6",
             "18a538ddf868734716bef9a0b2e38b9877be64e8919be38860272eb3444b40b0",
-            "046f81f435d964b93494e6210fd1a01fc490967bb756d820606b631e2ed095bd",
-            "f3e279435c4199eea01ea8919d473998cfc7b41bf264eb6c30b6a7b917a99bbd",
-            "2398df79e7f66df052d72eb2ce92a4b944aa7bfd0620bc046f5b0b509ad74a95",
+            "23db6cff7d7008826c8c55370e87765d8a976245b4b818f3f95a76f4c91387b1",
+            "6c79cb136c4fb18c5b4aed674548b4ae947f3a44718df0bd62936bd8220ac258",
+            "c35b43ba2ca9ec447620efd74c5f59816fd9c8d09d8d2581dd8227cfc5f82847",
             "007b848934b2c7223914b4ab4547a3e62036a8ed454a64779292891360e5f6e6",
-            "5ffd3eda09b63c96ed99c447c7f236a2ceaeccf2f5582711a320cea79c87209f",
+            "63fe11f4a0b69e3b63ed7b435ee8d70271ea78704c582e2c2ecc80bdd73b2735",
         ],
         "n7-gvss-equivocator-s0": [
             "49b8ac2d29624a34ef971a75951a3cf170b95853244a8fd57ae27f71b2c46a68",
-            "bc0110547f3467f653821933d7824ba5b851100fee07d445ff307f01837acf5c",
-            "9f81ecc6cd92520e101e3d4d41e7f46ece85b92eba9e19399bb2d518b1434ffc",
-            "dd9c8ba9fb63c6c8239581d0cee0119349a6c09eb8e28984854d59fe7fcbcecf",
-            "b5da3c406652a642907d41271fc3195220c6e532d462dc71139ebbdb24099d43",
+            "a0dd43a158fdcb762a1367c5e03e0244c0b239c15e8ecb891884b239a6c4d79f",
+            "860cfb103911806095c2c0eac116ea2d671e6ead0c2d9ecc2e8c65ee0c7127d5",
+            "7bcb01ef0a57dbfdc2e57bcd275a90f61fc10c96112a3e96800f1d8b010c0400",
+            "0cbf2377f11ac9edd59662771f1ab0e7eb8b6cd700b0777d69c72bb341f12f30",
             "49b8ac2d29624a34ef971a75951a3cf170b95853244a8fd57ae27f71b2c46a68",
-            "ca498aeec27063a4f24228da388f102657062b33b23f7420bbb301cbe07e10a4",
+            "a5a2a8091892c9f297e60fd6d1b795ddbb0b1ca6ca2533bf30a79556bb2b3c55",
         ],
         "n7-gvss-equivocator-s1": [
             "94f2561f256a21b50ff2a23d0c86757b9c9d879276acbeb517def05806445afa",
             "d88db005ac64ae7a2d61ba9aa2f270da0abb69e9c8349cab414953455a662d92",
-            "f5f77fabb40531b7ac3bd4cb9aeaddde5b10b20b9ab91ea025189ee8264438b0",
-            "6ca6bd0b9b02d9ba950372e09c2f6625159165c476b69ee99b82613c719ca6fb",
-            "ce15ad9b0fba21cb12085e35b510f703dc6359cfbb47308932240c0d317bac15",
+            "c6f369bb1779d71630b6716b01d469b268b9000211f5975a3a139fe2e5709c22",
+            "f04b13a6701cd9a07331ec7f5f20e2ffa553f02ec907e2baadfc4998f0e30c48",
+            "b8a2d9407a9f8ace6ac02bbdd9d0d5889952de250822b0ac28516034f818ede0",
             "94f2561f256a21b50ff2a23d0c86757b9c9d879276acbeb517def05806445afa",
-            "649399d12300bf8ce214fc02b9757e302a73451c483d27c0af5a9fd4707416cc",
+            "e9583712c686657b81373060879144988f145e7e5379d3e1d4f985332882fc79",
         ],
         "n7-gvss-noise-s0": [
             "7874c9d50265754ce133f23cd21c32824530e6d847485f85e17b9b1b54aec423",
-            "64d7e0976a7b545e80dda380a12902c80424d3679fa6388d5f165a9061e90302",
-            "333cc0a496ca4445810ac306a4f85c53b939b7c337bbdaf8ec33936978eb9a31",
-            "1f6d032d1f6cc3882cdc334487e7d2f921bc30377d3f46c3f039843094dcb523",
-            "fa4196a232f53114c5050a82b561b2b8394f45eb1ec8ee2ed1d51914924ec6ce",
+            "5a5663a691d5907338a11d04723c3c5d13432acc709e1b729cd6b1c3cc240d12",
+            "8b0998a0c42bf58bee4a1c4aa8f28fa18591f24bd159cf2067ea74bd056010e3",
+            "e2077158c2a43ed6a007fa55a668fa56fa14ca1ac50ea2b4feb8ab4141841a7b",
+            "b73426446e468ce21889cebdbbfb7b1ca3ed61bf02e0ea99f15ed88a339f355b",
             "7874c9d50265754ce133f23cd21c32824530e6d847485f85e17b9b1b54aec423",
-            "1f091d791c101444d4c1c56a45a5471cc3b9c2083ec247aae70fb4660d615f73",
+            "b64ba4169112c6609bf23a84785d30afa7bf09427060b8ca434df4f6f3953707",
         ],
         "n7-gvss-noise-s1": [
             "8598522c250d0b77d88b53f5fbf097cecb69c3b3c8e5a5ce780a46f400426e1e",
             "863ad5e160191f2521afeb7d799201e6faa9058e4a20cece80a5ee01783ac485",
-            "d665814d3caac37347ab5c6a75a6ac8dab6ed5e1c8ccd1514e668c687d739c8f",
-            "e36fb861afe5f7aed6f347a9fe402ef312c9709545b059c135f10b58810c9486",
-            "d7be96fc98610e4976488a3ae2956f5d59f6e9d6e4540f704c9f0b4a442a83cc",
+            "7da49f0557bc6179b91d11a5e74eded25bf19f7a8b760f48e036ad5be5835969",
+            "52edca079b1a24418472cdd944a9114c7d2e97895835311bb464921ea7c3fb60",
+            "6774994e0d5e89af53178c866c1c220c6e0fa56502e22546b93ff141fa8a6243",
             "8598522c250d0b77d88b53f5fbf097cecb69c3b3c8e5a5ce780a46f400426e1e",
-            "929570db016a357d105d6e1b6c7fdfb3fad32b1b0e9340586c82e5d8b044a375",
+            "0a37528b8d666d2d5b92aea2ced29ce57b15b80db2094fb3e6f9b99b0f2eca37",
         ],
         "n7-gvss-split-world-s0": [
             "44307c288bfb4c69563704c6f2cf351a54877ee39d56b8dd26a01ea76c942673",
-            "2dfda07a88a34aa053080d5525ad3f64ff3193295019dc9375f080795ec0a518",
-            "eb36b9234452697d0ef9735c63047020493ecd19b04858db4adb36bd9cacf0a1",
-            "225e2f831f1a39c258a588917477d3240fa241f152db27ee97444f006e842cb1",
-            "dc35f77cc8d1218f824d87d04a1879a69845c83007ae41af1478ca3f5cea0c12",
+            "4f1073c93c30772fe0bf58905db01d55edf6633fdcae26aa2f90978e5a29c83d",
+            "6e409d1c2aa9904e77c913f7a60ff4bfbb2a225084ee0c009f5972260e1529f7",
+            "7367ccbca4f958bc04ebe9ec15c392675f57dfd5d51a48cec718909d0a6a04a8",
+            "cd713da658c577c5e4443472bdb88fc5d3cf8832c470a342116d745b3b7f3efa",
             "44307c288bfb4c69563704c6f2cf351a54877ee39d56b8dd26a01ea76c942673",
-            "1ac64ac1b65bbf4fd9b576beea07a7b6e41e3d05ec59ae5b1835831d67d13954",
+            "c3e31b763ff9473c690dda52e0dac5819a3898185d35a24ccea73042e5f5df42",
         ],
         "n7-gvss-split-world-s1": [
             "5ff04df0f84dbd5cc854df80bdc85433029234b440f273bbbe991690c7d88dda",
             "494609d398bcb56d18b625e6a8a6a43bb79c84300c46c24712e51a34ef507ce0",
-            "fc56a7099ba2474842b284b902b5d4b3f0a85ba6d9e855ba9dc6dae5255a6d58",
-            "697e62d95f8496438c7da8ff46274f094463ae3f1528b0ac43407f1aefef972c",
-            "03fb86080fea2f7c1c700a988b6db6dfa61d22d1ab8549ea6b4c13cb9bd1a58b",
+            "df214d029beb92a82dddf247300371ad48a4b95370d228f373f5ed82962a56af",
+            "7612b007f4b5d62df0cc5344cc87c5fbbdd67f97be9ed8ef7ee096d1e04b8960",
+            "9c964a2b4f871fc94cbf8f4f523199648a83383bb4e4b51edd373a5a506c9461",
             "5ff04df0f84dbd5cc854df80bdc85433029234b440f273bbbe991690c7d88dda",
-            "aa2d077b4379a256d1beba02d5e72622c3240c0a183e6eda18180ecef0cb5af6",
+            "20570b6df3ed3909bd124e9887c8fafc42397224bf0e98dfbdefe395941f29af",
         ],
     }
 
@@ -831,34 +832,87 @@ class TestTimingPins:
         assert 0 < result.late_messages < result.total_messages
 
 
+def _linked_run(engine, n, coin, adversary, seed, regime):
+    """A pinned timing case as a plain ``Simulation`` on ``engine`` with
+    ``TimingLinks``: trace bytes, late copies per receiver, stats."""
+    rho, delay_bounds = _REGIMES[regime]
+    spec = ScenarioSpec(n=n, f=(n - 1) // 3, k=K, coin=coin, adversary=adversary)
+    links = TimingLinks(rho, delay_bounds)
+    sim = Simulation(
+        n, spec.f, spec.root_factory(), adversary=spec.build_adversary(),
+        seed=seed, engine=engine, link=links,
+    )
+    tracer = Tracer(lambda root: root.clock_value)
+    sim.add_monitor(tracer)
+    sim.scramble()
+    sim.run(40)
+    stats = sim.stats
+    return (
+        tracer.to_jsonl(),
+        {i: s.late_messages for i, s in links.synchronizers.items()},
+        stats.as_dict(),
+        sorted(stats.per_beat.items()),
+        sorted(stats.dropped_per_beat.items()),
+        sorted(stats.per_path_prefix.items()),
+    )
+
+
+class TestTimingLinksOnEveryEngine:
+    """``TimingLinks`` rules alike whoever asks: the reference engine,
+    which expands and classifies every copy, computes what the fast
+    engine computes over shared form — over the fast slice of the
+    ``TestTimingPins`` grid (every regime; the skewed crafted shapes are
+    ``tests/test_plane_pins.py``'s)."""
+
+    @pytest.mark.parametrize(
+        "n,coin,adversary,seed,regime",
+        [case for case in _pin_cases() if not case.marks],
+    )
+    def test_reference_equals_fast(self, n, coin, adversary, seed, regime):
+        case = (n, coin, adversary, seed, regime)
+        assert _linked_run("reference", *case) == _linked_run("fast", *case)
+
+    def test_a_late_copy_is_a_dropped_one(self):
+        """n=4, rho=0.05, delays (0.2, 0.9), 40 beats, seed 0: 225 of
+        the 1 228 copies miss their close, and the stats say so (the
+        heap-driven engine counted them late and delivered)."""
+        sim, result = _timed_run(4, "oracle", "none", 0, *_REGIMES[2], beats=40)
+        stats = sim.stats
+        assert (result.total_messages, result.late_messages) == (1228, 225)
+        assert stats.dropped_messages == result.late_messages
+        assert stats.delivered_messages == (
+            result.total_messages - result.late_messages
+        )
+        assert sum(stats.dropped_per_beat.values()) == result.late_messages
+
+
 class TestSharedFormCounts:
     """Cost follows what can be late, checked as counts on the ledger's
     ``ev-drift`` shape: n=16 f=5, delays in (0.05, 0.3), a drift that
     spends 0.6 of a period on skew by the end of the horizon — so every
-    arrival clears its close by at least 0.1 whatever the draw says."""
+    arrival clears its close by at least 0.1 whatever the draw says, the
+    link certifies every beat perfect and the engine runs the lock-step
+    shared form."""
 
     N, F, BEATS = 16, 5, 60
 
     def _counted_run(self, monkeypatch, delay_bounds, adversary=None):
         from repro.net import plane
 
-        counts = {"push": 0, "group": 0, "envelope": 0, "records": 0}
+        counts = {"classify": 0, "merge": 0, "envelope": 0}
         draws = []
 
-        def counting(owner, name, key, amount=lambda result: 1):
+        def counting(owner, name, key):
             original = getattr(owner, name)
 
             def counted(*args, **kwargs):
-                result = original(*args, **kwargs)
-                counts[key] += amount(result)
-                return result
+                counts[key] += 1
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counted)
 
-        counting(EventHeap, "push", "push")
-        counting(PulseSynchronizer, "send", "records", len)
-        counting(plane.BeatTraffic, "sort_lanes", "group")
-        counting(plane.BeatTraffic, "_merge", "group")
+        counting(TimingLinks, "classify", "classify")
+        counting(plane.BeatTraffic, "_merge", "merge")
         counting(plane, "Envelope", "envelope")
         delay = KeyedDelays.delay
         monkeypatch.setattr(
@@ -873,42 +927,52 @@ class TestSharedFormCounts:
         result = sim.run(self.BEATS, k=K)
         return sim, result, counts, draws
 
-    def test_nothing_can_be_late_nothing_per_copy(self, monkeypatch):
+    @pytest.mark.parametrize("adversary", [None, EquivocatorAdversary])
+    def test_nothing_can_be_late_nothing_per_copy(self, monkeypatch, adversary):
         sim, result, counts, draws = self._counted_run(
-            monkeypatch, (0.05, 0.3)
+            monkeypatch, (0.05, 0.3), adversary and adversary()
         )
         assert sim.late_free_beats(self.BEATS) == self.BEATS
         assert result.late_messages == 0
-        # A pulse and a close per node and beat; no arrival events.
-        assert counts["push"] == 2 * self.N * self.BEATS
-        assert draws == []
-        assert counts["group"] <= self.BEATS
-        # One shared envelope per broadcast record, not one per copy.
-        assert counts["envelope"] == counts["records"]
-        assert result.total_messages == self.N * counts["records"]
+        assert counts["classify"] == 0 and draws == []
+        if adversary is None:
+            # One shared envelope per broadcast, not one per copy, and
+            # nothing to merge.
+            assert result.total_messages == self.N * counts["envelope"]
+            assert counts["merge"] == 0
 
-    def test_draws_are_made_only_inside_the_undecided_band(self, monkeypatch):
+    @pytest.mark.parametrize("adversary,calls,drawn", [
+        (None, 20505, (
+            18509,
+            "a37d1b150cef3d481430a03b355d9fa85b2aac07381fcf2a88b65f51dd56fe24",
+        )),
+        (EquivocatorAdversary, 13425, (
+            12710,
+            "5d8a87b0abeb14be37b3ab12f566e8634fe97ec5f6d62de20862d812dfe2d578",
+        )),
+    ])
+    def test_draws_are_made_only_inside_the_undecided_band(
+        self, monkeypatch, adversary, calls, drawn
+    ):
+        """Delays (0.3, 1.2): a copy is asked about only in a beat the
+        link cannot certify, and the keyed draws are exactly the ones the
+        heap-driven plane made — their count and the sha256 of their
+        sorted keys, recorded at the last commit that had it."""
         from repro.net.events import _on_time
 
         sim, result, counts, draws = self._counted_run(
-            monkeypatch, (0.3, 1.2)
+            monkeypatch, (0.3, 1.2), adversary and adversary()
         )
         assert 0 < result.late_messages < result.total_messages
-        assert 0 < len(draws) < result.total_messages
-        assert counts["push"] == 2 * self.N * self.BEATS
-        delays, syncs = sim.delays, sim.synchronizers
+        assert counts["classify"] == calls
+        digest = hashlib.sha256(repr(sorted(draws)).encode()).hexdigest()
+        assert (len(draws), digest) == drawn
+        delays, links = sim.delays, sim.links
         for sender, receiver, beat, _seq in draws:
-            when = syncs[sender].pulse_time(beat)
-            close = syncs[receiver].close_time(beat)
+            when = links.sent_at(sender, beat)
+            close = sim.synchronizers[receiver].close_time(beat)
             assert not _on_time(when, delays.hi, close)
             assert _on_time(when, delays.d_min, close)
-
-    def test_the_adversary_costs_one_event_per_beat(self, monkeypatch):
-        _sim, result, counts, draws = self._counted_run(
-            monkeypatch, (0.05, 0.3), adversary=EquivocatorAdversary()
-        )
-        assert result.late_messages == 0 and draws == []
-        assert counts["push"] == (2 * (self.N - self.F) + 1) * self.BEATS
 
     def _tallied_run(self, monkeypatch, delay_bounds):
         """(``count_values`` calls, merged inboxes per (path, beat)) of
@@ -944,7 +1008,7 @@ class TestSharedFormCounts:
     def test_two_stories_cost_two_inboxes_not_one_per_receiver(
         self, monkeypatch
     ):
-        """Crafted rows enter the beat's lane whole, so the event path
+        """Crafted rows reach the receivers whole, so a drifting run
         shares what the lock-step engines share: one merged inbox and one
         tally per story, where every receiver used to regroup and recount
         its own (21.05 ``count_values`` calls per beat here)."""
@@ -957,7 +1021,9 @@ class TestSharedFormCounts:
     ):
         """The control: with delays of (0.3, 1.2) most copies are decided
         one by one and receivers hold different inboxes; nothing is shared
-        that is not the same — 791 tallies, as before the plane."""
+        that is not the same.  789 tallies: receivers that lost the same
+        copies of a broadcast share its row (791 while late-for-someone
+        broadcasts went to every receiver as strays)."""
         tallies, merges = self._tallied_run(monkeypatch, (0.3, 1.2))
-        assert tallies == 791
+        assert tallies == 789
         assert max(merges.values()) > 2

@@ -1,16 +1,16 @@
-"""The event engine's lateness rule against its definition.
+"""The continuous-time lateness rule against its definition.
 
 :mod:`repro.net.events` decides every arrival at the instant its copy is
 sent — ``when < close and when + delay <= close`` — skips the keyed
-delay draw whenever the delay bounds already decide, and shares one
-inbox among the receivers of broadcasts that are on time for everyone.
-With drift or delay on there is no second engine to disagree with, so
-the definition is kept here instead: the arrival-event loop the engine
-ran before (one heap event and one draw per copy), frozen as a test-only
-oracle.  Scripted towers send broadcasts, point-to-point messages and
-partial broadcasts through both; clock rates are exact ratios, so a
-pulse lands on the very instant of another node's close, and delay
-bounds include zero, a point, and delays too small to move a float.
+delay draw whenever the delay bounds already decide, and runs a beat in
+which nothing can be late as a lock-step beat.  The definition is kept
+here: the arrival-event loop the module ran before (one heap event and
+one draw per copy, a late copy counted and recorded dropped), frozen as
+a test-only oracle.  Scripted towers send broadcasts, point-to-point
+messages and partial broadcasts through both; clock rates are exact
+ratios, so a pulse lands on the very instant of another node's close,
+and delay bounds include zero, a point, and delays too small to move a
+float.
 
 (When hypothesis is not installed, ``tests/conftest.py`` skips
 collecting this module entirely.)
@@ -143,7 +143,8 @@ def parent_run(world, clocks, delays, beats):
         (when, _priority, _who), _count, event = heapq.heappop(heap)
         if event[0] == "arrival":
             _, receiver, beat, key, envelope = event
-            inboxes[receiver].deliver(beat, key, envelope)
+            if not inboxes[receiver].deliver(beat, key, envelope):
+                stats.record_dropped(envelope)
         elif event[0] == "close":
             _, i, beat = event
             nodes[i].update_phase(

@@ -234,10 +234,11 @@ def _check_rulings(name, which, seed, calls):
     model.bind(n, seed)
     reference = Reference(make_link(name, params), n, seed)
     beat = 0
-    for sender, receiver, step in calls:
+    # The registered models count emissions per link and ignore ``seq``.
+    for seq, (sender, receiver, step) in enumerate(calls):
         beat += step  # engines classify in nondecreasing beat order
-        assert model.classify(sender, receiver, beat) == reference.classify(
-            sender, receiver, beat
+        assert model.classify(sender, receiver, beat, seq) == (
+            reference.classify(sender, receiver, beat)
         ), (name, params, sender, receiver, beat)
 
 

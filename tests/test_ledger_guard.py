@@ -13,6 +13,7 @@ and is left to ``benchmarks/ledger/test_ledger.py``.  Nothing under
 
 from __future__ import annotations
 
+import json
 import pathlib
 import sys
 
@@ -24,7 +25,7 @@ sys.path.insert(0, str(LEDGER))
 from gauge import Gauge  # noqa: E402
 from measure import digest  # noqa: E402
 from paths import DRIVERS, sim_leg  # noqa: E402
-from workloads import PIN_OPS, PINNED_SEED0, WORKLOADS  # noqa: E402
+from workloads import PIN_OPS, PINNED_SEED0, WORKLOADS, scaled  # noqa: E402
 
 #: Beats of the ``FastEngine`` reference leg each workload is held to.
 REFERENCE_BEATS = {
@@ -46,3 +47,19 @@ def test_seed_zero_leg_passes_the_ledgers_output_checks(name):
     if beats:
         reference = sim_leg(workload, 0, beats, Gauge(), engine="fast")
         assert reference.lines == leg.lines[:beats]
+
+
+def test_ev_drift_passes_at_the_ledgers_own_length():
+    """``ev-drift`` for as many beats as ``run.py`` gives it (the size
+    scaled to ``BENCHMARK.json``'s ``run_seconds``, 1 200 beats): its
+    drift is spread over the horizon, and the ledger fails a run that
+    never stabilizes or loses a copy (every late copy is a failed
+    operation) — neither of which a 12-beat leg can show."""
+    contract = json.loads((LEDGER.parents[1] / "BENCHMARK.json").read_text())
+    workload = WORKLOADS["ev-drift"]
+    ops = scaled(workload.size, contract["run_seconds"], False, floor=PIN_OPS)
+    leg = DRIVERS[workload.path].leg(workload, 0, ops, Gauge())
+    assert leg.ops == ops == 1200
+    assert digest(leg.pin_lines) == PINNED_SEED0["ev-drift"]
+    assert leg.failed_ops == 0
+    assert leg.stabilize is not None

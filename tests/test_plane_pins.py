@@ -28,7 +28,7 @@ import pytest
 import repro.net.engine as engine_module
 from repro.adversary.strategies import ScriptedAdversary
 from repro.analysis.campaign import ADVERSARY_REGISTRY, ScenarioSpec
-from repro.net.events import ContinuousSimulation
+from repro.net.events import ContinuousSimulation, TimingLinks
 from repro.net.linkmodel import LossyLinks, make_link
 from repro.net.message import Envelope
 from repro.net.network import MessageStats
@@ -452,8 +452,8 @@ class TestLinkedBeatsShareForm:
 
         classify = LossyLinks.classify
 
-        def asked(link, sender, receiver, beat):
-            ruling = classify(link, sender, receiver, beat)
+        def asked(link, sender, receiver, beat, seq):
+            ruling = classify(link, sender, receiver, beat, seq)
             seen.calls.append((sender, receiver, beat, ruling))
             return ruling
 
@@ -573,18 +573,29 @@ EV_N, EV_F, EV_BEATS = 16, 5, 40
 
 
 def _event_run(monkeypatch, *, adversary, rho, delay_bounds, n=EV_N, f=EV_F,
-               beats=EV_BEATS, seed=0):
+               beats=EV_BEATS, seed=0, engine=None):
+    """(handed digest, late copies) of one continuous run — or, with
+    ``engine``, of its ``TimingLinks`` run on that lock-step engine
+    directly."""
     spec = ScenarioSpec(n=n, f=f, k=K)
+    build = dict(seed=seed, adversary=_instance(adversary, n, f, beats))
     with monkeypatch.context() as patch:
         handed = _Handed(patch)
-        sim = ContinuousSimulation(
-            n, f, spec.root_factory(), seed=seed, rho=rho,
-            adversary=_instance(adversary, n, f, beats),
-            delay_bounds=delay_bounds,
-        )
+        if engine is None:
+            sim = ContinuousSimulation(
+                n, f, spec.root_factory(), rho=rho, delay_bounds=delay_bounds,
+                **build,
+            )
+            links = sim.links
+        else:
+            links = TimingLinks(rho, delay_bounds)
+            sim = Simulation(
+                n, f, spec.root_factory(), engine=engine, link=links, **build
+            )
         sim.scramble()
-        result = sim.run(beats, k=K)
-    return handed.digest(sim.stats), result.late_messages
+        sim.run(beats)
+    late = sum(s.late_messages for s in links.synchronizers.values())
+    return handed.digest(sim.stats), late
 
 
 _DRIFT = 0.3 / EV_BEATS
@@ -638,23 +649,23 @@ EVENT_PINS: dict[str, tuple[str, int]] = {
         0,
     ),
     "drift-0.3-1.2-equivocator": (
-        "9b31a47955f06023e13b27125a7ea0cbc2919847e39bf5064b2e3a6116a3d078",
+        "0e31d8296dd00243595af33f7e78f6dbe599df916da4701c3d2770d83ed4e587",
         2790,
     ),
     "drift-0.3-1.2-noise": (
-        "c46d36e8eaf2840a4fb59304afe4ed974a411bdfbe233d3f591736331e703e94",
+        "565908fa211b31b1b6c208f59a789106adb601a4599e4ab8260311448e444ab5",
         2189,
     ),
     "drift-0.3-1.2-none": (
-        "9766c59d05591fc6a83972dd3d1773f94b56e04d51b4e9af252b1a9d16a733b4",
+        "01b0b258360aa20dce864a4331b1c929ef6dd08813b9a29d7546b931fefd5377",
         3350,
     ),
     "drift-0.3-1.2-scripted": (
-        "4990e9a090efbb967543db6852085f109a31657c94a8e43fb16dfda066e3386d",
+        "379ee3fa0331e73d7598a41b9c0dfaafb8ef7f8c8cd9c2ac2283b87118349609",
         1832,
     ),
     "drift-0.3-1.2-split-world": (
-        "18d1a9948b5021866c50739e1bd090021258f6ede2db9b65d21754dafe029264",
+        "353ea3616ab3ca87c55929c9f2f3ce7d8b7bb865307a2624ecfd69f4be44153e",
         3022,
     ),
     "lockstep-equivocator": (
@@ -670,11 +681,11 @@ EVENT_PINS: dict[str, tuple[str, int]] = {
         0,
     ),
     "skewed-equivocator": (
-        "6162030f5bd86e91caf24090c07a46687b3fbaaf71cd590bd48f890877ff952b",
+        "88af4f51026779b6f59f9acd9ccc74f1626d878caa6f7426b11b5ad95abcbed0",
         229,
     ),
     "skewed-scripted": (
-        "fa7b71451d47bc6bb1850cc483ee00a8d7bd5b1ae6f6603a1623d17e67f45a38",
+        "626307973a70cd14c709e2b208605fe29205b43f24dd9aad19acfc4965041c35",
         383,
     ),
 }
@@ -683,6 +694,21 @@ EVENT_PINS: dict[str, tuple[str, int]] = {
 @pytest.mark.parametrize("scenario", sorted(EVENTS))
 def test_the_event_engine_hands_out_what_it_did(scenario, monkeypatch):
     assert _event_run(monkeypatch, **EVENTS[scenario]) == EVENT_PINS[scenario]
+
+
+@pytest.mark.parametrize("scenario", [
+    "skewed-equivocator", "skewed-scripted", "drift-0.3-1.2-scripted",
+])
+def test_timing_links_hand_out_the_same_on_the_reference_engine(
+    scenario, monkeypatch
+):
+    """``TimingLinks`` is a link model like any other: on the reference
+    engine, every copy expanded and decided on its own, it hands out the
+    pinned inboxes and late counts too — crafted copies of a beat the
+    adversary instant cannot certify included."""
+    assert _event_run(monkeypatch, engine="reference", **EVENTS[scenario]) == (
+        EVENT_PINS[scenario]
+    )
 
 
 @pytest.mark.parametrize("adversary", ["none", "equivocator", "scripted"])
